@@ -17,25 +17,41 @@ use skt_mps::{Comm, Fault, Payload, ReduceOp};
 /// Rebuilt `(padded data, parity segment)` of a lost rank.
 pub type Rebuilt = (Vec<f64>, Vec<f64>);
 
-fn to_payload(wire: Wire, s: &[f64]) -> Payload {
-    match wire {
-        Wire::Bits => Payload::U64(kernels::bits_of(s, KernelConfig::global())),
-        Wire::Floats => Payload::F64(s.to_vec()),
-    }
-}
-
-fn from_payload(wire: Wire, p: Payload) -> Vec<f64> {
-    match wire {
-        Wire::Bits => kernels::floats_of(&p.into_u64(), KernelConfig::global()),
-        Wire::Floats => p.into_f64(),
-    }
-}
-
 fn op_of(wire: Wire) -> ReduceOp {
     match wire {
         Wire::Bits => ReduceOp::Xor,
         Wire::Floats => ReduceOp::Sum,
     }
+}
+
+/// What rank `me` feeds into the reduce for parity role `role` of slot
+/// `s`: the contribution of its data stripe in that slot (the
+/// cancelling one when `cancel`), or the identity when it holds no data
+/// stripe there because it owns one of the slot's parity roles.
+fn slot_input(
+    layout: &GroupLayout,
+    codec: &dyn ErasureCodec,
+    me: usize,
+    s: usize,
+    role: usize,
+    data: &[f64],
+    cancel: bool,
+) -> Payload {
+    let kcfg = KernelConfig::global();
+    Payload::F64(match layout.codeword_pos(me, s) {
+        Some(pos) => {
+            let k = layout
+                .stripe_of_slot(me, s)
+                .expect("contributor has a stripe");
+            let stripe = layout.stripe(data, k);
+            if cancel {
+                codec.cancel_contrib(role, pos, stripe, kcfg)
+            } else {
+                codec.contrib(role, pos, stripe, kcfg)
+            }
+        }
+        None => kernels::zeroed(layout.stripe_len()),
+    })
 }
 
 /// Compute this rank's parity segment (the checksums of the `m` slots
@@ -59,29 +75,16 @@ pub fn encode_parity(
     assert_eq!(m, layout.parity_count(), "codec/layout parity mismatch");
     assert_eq!(data.len(), layout.padded_len(), "data must be padded");
     let me = comm.rank();
-    let wire = codec.wire();
-    let kcfg = KernelConfig::global();
-    let zeros = kernels::zeroed(layout.stripe_len());
+    let op = op_of(codec.wire());
     let mut my_parity = kernels::zeroed(layout.parity_len());
     for s in 0..n {
         for role in 0..m {
-            let contrib = match layout.codeword_pos(me, s) {
-                Some(pos) => {
-                    let k = layout
-                        .stripe_of_slot(me, s)
-                        .expect("contributor has a stripe");
-                    to_payload(
-                        wire,
-                        &codec.contrib(role, pos, layout.stripe(data, k), kcfg),
-                    )
-                }
-                None => to_payload(wire, &zeros),
-            };
+            let input = slot_input(layout, codec, me, s, role, data, false);
             let root = layout.parity_owner(s, role);
-            if let Some(parity) = comm.reduce(op_of(wire), root, contrib)? {
+            if let Some(parity) = comm.reduce(op, root, input)? {
                 debug_assert_eq!(me, root);
                 debug_assert_eq!(layout.parity_role(me, s), Some(role));
-                my_parity[layout.parity_range(role)].copy_from_slice(&from_payload(wire, parity));
+                my_parity[layout.parity_range(role)].copy_from_slice(&parity.into_f64());
             }
         }
         if let Some(label) = failpoint {
@@ -128,9 +131,7 @@ pub fn reconstruct_multi(
     );
     let me = comm.rank();
     let i_am_lost = lost.contains(&me);
-    let wire = codec.wire();
-    let kcfg = KernelConfig::global();
-    let zeros = kernels::zeroed(layout.stripe_len());
+    let op = op_of(codec.wire());
 
     let mut rebuilt_data = i_am_lost.then(|| kernels::zeroed(layout.padded_len()));
 
@@ -152,27 +153,17 @@ pub fn reconstruct_multi(
             if lost.contains(&layout.parity_owner(s, role)) {
                 continue; // this role's parity died with its owner
             }
-            let contrib = if i_am_lost {
-                to_payload(wire, &zeros)
+            let input = if i_am_lost {
+                Payload::F64(kernels::zeroed(layout.stripe_len()))
             } else if layout.parity_role(me, s) == Some(role) {
-                to_payload(wire, &my_parity[layout.parity_range(role)])
-            } else if let Some(pos) = layout.codeword_pos(me, s) {
-                let k = layout
-                    .stripe_of_slot(me, s)
-                    .expect("contributor has a stripe");
-                to_payload(
-                    wire,
-                    &codec.cancel_contrib(role, pos, layout.stripe(data, k), kcfg),
-                )
+                Payload::F64(my_parity[layout.parity_range(role)].to_vec())
             } else {
-                // I own a different parity role of this slot.
-                to_payload(wire, &zeros)
+                slot_input(layout, codec, me, s, role, data, true)
             };
-            let syndrome = comm.allreduce(op_of(wire), contrib)?;
-            syndromes.push((role, from_payload(wire, syndrome)));
+            syndromes.push((role, comm.allreduce(op, input)?.into_f64()));
         }
         if let Some(mine) = rebuilt_data.as_mut() {
-            let solved = codec.solve(&erased, &syndromes, kcfg);
+            let solved = codec.solve(&erased, &syndromes, KernelConfig::global());
             for (pos, stripe) in erased.iter().zip(&solved) {
                 // which lost rank sits at codeword position `pos`?
                 let l = lost
@@ -196,38 +187,15 @@ pub fn reconstruct_multi(
     for &l in &lost {
         for role in 0..m {
             let s = layout.parity_slot(l, role);
-            let contrib = match layout.codeword_pos(me, s) {
-                Some(pos) => {
-                    let k = layout
-                        .stripe_of_slot(me, s)
-                        .expect("contributor has a stripe");
-                    to_payload(
-                        wire,
-                        &codec.contrib(role, pos, layout.stripe(my_data, k), kcfg),
-                    )
-                }
-                None => to_payload(wire, &zeros),
-            };
-            if let Some(parity) = comm.reduce(op_of(wire), l, contrib)? {
+            let input = slot_input(layout, codec, me, s, role, my_data, false);
+            if let Some(parity) = comm.reduce(op, l, input)? {
                 debug_assert_eq!(me, l);
                 rebuilt_parity.as_mut().unwrap()[layout.parity_range(role)]
-                    .copy_from_slice(&from_payload(wire, parity));
+                    .copy_from_slice(&parity.into_f64());
             }
         }
     }
     Ok(rebuilt_data.map(|d| (d, rebuilt_parity.expect("lost rank rebuilt its parity"))))
-}
-
-/// Single-loss convenience wrapper over [`reconstruct_multi`].
-pub fn reconstruct_lost(
-    comm: &Comm<'_>,
-    layout: &GroupLayout,
-    codec: &dyn ErasureCodec,
-    lost: usize,
-    data: &[f64],
-    my_parity: &[f64],
-) -> Result<Option<Rebuilt>, Fault> {
-    reconstruct_multi(comm, layout, codec, &[lost], data, my_parity)
 }
 
 #[cfg(test)]
@@ -303,7 +271,7 @@ mod tests {
                 } else {
                     (data, parity)
                 };
-                reconstruct_lost(&w, &layout, codec, lost, &d, &p)
+                reconstruct_multi(&w, &layout, codec, &[lost], &d, &p)
             })
             .unwrap();
             for (r, res) in out.iter().enumerate() {
@@ -346,7 +314,7 @@ mod tests {
             } else {
                 (data, parity)
             };
-            reconstruct_lost(&w, &layout, codec, lost, &d, &p)
+            reconstruct_multi(&w, &layout, codec, &[lost], &d, &p)
         })
         .unwrap();
         let (d, _) = out[lost].as_ref().unwrap();
@@ -476,7 +444,7 @@ mod tests {
                 } else {
                     (data, parity)
                 };
-                reconstruct_lost(&w, &layout, codec, lost, &d, &p)
+                reconstruct_multi(&w, &layout, codec, &[lost], &d, &p)
             })
             .unwrap();
             let (d, _) = out[lost].as_ref().unwrap();

@@ -43,16 +43,14 @@ pub mod engine;
 pub mod group;
 pub mod incremental;
 pub mod memory;
-pub mod multilevel;
 pub mod protocol;
 
-pub use engine::{encode_parity, reconstruct_lost, reconstruct_multi};
+pub use engine::{encode_parity, reconstruct_multi};
 pub use group::{group_color, resize_group_size, validate_node_distinct, GroupStrategy};
 pub use incremental::DirtyTracker;
 pub use memory::{
     available_fraction, available_fraction_with_parity, max_workspace_len, MemoryBreakdown, Method,
 };
-pub use multilevel::{MlStats, MultiLevel};
 pub use protocol::{
     Checkpointer, CkptConfig, CkptStats, HeaderState, OpAction, OpRecord, OpState, Phase,
     RecoverError, Recovery, RecoveryReport, RestoreSource, ScrubReport, COPY_PROBE,

@@ -174,15 +174,8 @@ impl<'c> Checkpointer<'c> {
         self.cfg.method
     }
 
-    /// Force the epoch counter (used by the multi-level layer after a
-    /// disk restore so epoch numbering stays monotonic across a reset).
-    pub fn set_epoch(&mut self, e: u64) {
-        self.epoch = e;
-    }
-
     /// Job-wide minimum agreement (sync communicator when present,
-    /// group otherwise) — exposed for layered protocols like
-    /// [`crate::multilevel::MultiLevel`].
+    /// group otherwise).
     pub fn agree_min(&self, v: i64) -> Result<i64, Fault> {
         let comm = self.sync.as_ref().unwrap_or(&self.comm);
         Ok(comm
@@ -400,17 +393,6 @@ impl<'c> Checkpointer<'c> {
         Ok(Recovery::Restored { epoch, a2, source })
     }
 
-    /// Record the report of a restore performed by an outer layer (the
-    /// multi-level checkpointer's PFS fallback).
-    pub(crate) fn record_report(&mut self, report: RecoveryReport) {
-        self.bus.emit(Event::RecoveryDecision {
-            source: report.source.name(),
-            epoch: report.epoch,
-            rebuilt_bytes: report.rebuilt_bytes,
-        });
-        self.last_report = Some(report);
-    }
-
     // ---- the collective protocol entry points ----
 
     /// Make a checkpoint of the current workspace plus the serialized
@@ -527,13 +509,19 @@ impl<'c> Checkpointer<'c> {
         let rec = proto.restore(self, &plan.lost, target, &plan.maxima)?;
         if let Recovery::Restored { epoch, source, .. } = &rec {
             let per_rank = ((self.layout.padded_len() + self.layout.parity_len()) * 8) as u64;
-            self.record_report(RecoveryReport {
+            let rebuilt_bytes = plan.lost.len() as u64 * per_rank;
+            self.bus.emit(Event::RecoveryDecision {
+                source: source.name(),
+                epoch: *epoch,
+                rebuilt_bytes,
+            });
+            self.last_report = Some(RecoveryReport {
                 method: self.cfg.method,
                 source: *source,
                 epoch: *epoch,
                 lost: plan.lost.clone(),
                 epochs_seen: plan.maxima,
-                rebuilt_bytes: plan.lost.len() as u64 * per_rank,
+                rebuilt_bytes,
                 elapsed: t0.elapsed(),
                 ops: self.op_trail.clone(),
             });

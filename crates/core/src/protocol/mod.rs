@@ -232,10 +232,6 @@ pub enum RestoreSource {
     /// `(work, D)` — the workspace acting as its own checkpoint (CASE 2;
     /// unique to the self-checkpoint method).
     WorkspaceAndChecksum,
-    /// The parallel-file-system level of a multi-level setup
-    /// ([`crate::multilevel::MultiLevel`]) — used when the in-memory
-    /// level was beyond repair.
-    MultiLevelDisk,
 }
 
 impl RestoreSource {
@@ -244,7 +240,6 @@ impl RestoreSource {
         match self {
             RestoreSource::CheckpointAndChecksum => "checkpoint+checksum",
             RestoreSource::WorkspaceAndChecksum => "workspace+checksum",
-            RestoreSource::MultiLevelDisk => "multilevel-disk",
         }
     }
 }

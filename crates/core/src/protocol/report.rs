@@ -32,8 +32,7 @@ pub struct RecoveryReport {
     pub elapsed: Duration,
     /// Sequenced-op audit trail of this rank's restore: which commit
     /// points were applied, detected already-`Done` and skipped, or
-    /// replayed (see [`super::ops`]). Empty for restores performed by
-    /// an outer layer (the multi-level PFS fallback).
+    /// replayed (see [`super::ops`]).
     pub ops: Vec<OpRecord>,
 }
 

@@ -1,17 +1,21 @@
-//! The pluggable erasure-codec layer: one trait the whole checkpoint
-//! stack programs against, with the paper's single-parity codes
-//! ([`Code::Xor`] / [`Code::Sum`], `m = 1`) and the RAID-6-style
-//! [`DualParity`](crate::dualparity::DualParity) P+Q code (`m = 2`) as
-//! implementations.
+//! The erasure-codec layer: one trait the whole checkpoint stack
+//! programs against, and the two codecs behind it —
+//!
+//! * the GF(2^8) linear code of [`crate::rs`], which serves every
+//!   XOR-wire spec ([`CodecSpec::Single`]`(`[`Code::Xor`]`)`,
+//!   [`CodecSpec::Dual`], [`CodecSpec::Rs`]) through one `contrib` and
+//!   one `solve`, differing only in the generator row;
+//! * the paper's numeric [`Code::Sum`] single parity, a different
+//!   algebra (float add, negate to cancel) with its own tiny codec.
 //!
 //! The protocol's encoding stays *distributed*: parities are built by
 //! reduce collectives, one per parity role per slot. A codec therefore
 //! only supplies local math —
 //!
 //! * [`ErasureCodec::contrib`]: what a rank feeds into the reduce for
-//!   one parity role (for the Q role of the dual code, the data stripe
-//!   pre-scaled by `g^pos` in GF(2^8), so the reduce itself stays a
-//!   plain bitwise XOR);
+//!   one parity role (the data stripe pre-scaled by the role's
+//!   generator coefficient, so the reduce itself stays a plain bitwise
+//!   XOR);
 //! * [`ErasureCodec::cancel_contrib`]: the contribution that *removes*
 //!   a previously encoded stripe from a parity accumulation — recovery
 //!   builds per-role syndromes this way;
@@ -23,14 +27,15 @@
 //! carried by checkpoint configs.
 
 use crate::code::Code;
-use crate::gf256;
 use crate::kernels::{self, KernelConfig};
+use crate::rs::{self, GfCodec};
+use std::sync::OnceLock;
 
 /// How a codec's reduce contributions travel and combine on the wire.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Wire {
-    /// Combine IEEE-754 bit patterns with bitwise XOR (`MPI_BXOR` on
-    /// `u64` words). Exact and self-inverse.
+    /// Combine IEEE-754 bit patterns with bitwise XOR (`MPI_BXOR`).
+    /// Exact and self-inverse.
     Bits,
     /// Combine numerically (`MPI_SUM` on `f64`). Recovery subtracts, so
     /// rebuilt values can differ by floating-point rounding.
@@ -50,7 +55,7 @@ pub trait ErasureCodec: Sync + Send {
     fn parity_count(&self) -> usize;
 
     /// Short human name (shows up in stats and bench labels).
-    fn name(&self) -> &'static str;
+    fn name(&self) -> &str;
 
     /// Wire representation of the reduce contributions.
     fn wire(&self) -> Wire;
@@ -60,15 +65,17 @@ pub trait ErasureCodec: Sync + Send {
     fn contrib(&self, role: usize, pos: usize, stripe: &[f64], cfg: KernelConfig) -> Vec<f64>;
 
     /// The contribution that cancels `stripe` back *out* of parity role
-    /// `role` (syndrome building during recovery). For [`Wire::Bits`]
-    /// codecs XOR is self-inverse, so this equals [`Self::contrib`].
+    /// `role` (syndrome building during recovery). XOR is self-inverse,
+    /// so for [`Wire::Bits`] codecs cancelling is re-contributing.
     fn cancel_contrib(
         &self,
         role: usize,
         pos: usize,
         stripe: &[f64],
         cfg: KernelConfig,
-    ) -> Vec<f64>;
+    ) -> Vec<f64> {
+        self.contrib(role, pos, stripe, cfg)
+    }
 
     /// Solve for the erased codeword positions `erased` (ascending)
     /// given the syndromes of the surviving parity roles. A syndrome is
@@ -140,18 +147,19 @@ impl CodecSpec {
         self.resolve().parity_count()
     }
 
-    /// The codec instance. Codecs are stateless, so one static each;
-    /// the RS family is leak-allocated once per distinct `m` and cached.
+    /// The codec instance: one `'static` each, the RS family built on
+    /// first use per distinct `m`.
     #[must_use]
     pub fn resolve(self) -> &'static dyn ErasureCodec {
-        static XOR: SingleCodec = SingleCodec(Code::Xor);
-        static SUM: SingleCodec = SingleCodec(Code::Sum);
-        static DUAL: DualCodec = DualCodec;
+        static RS: [OnceLock<GfCodec>; 128] = [const { OnceLock::new() }; 128];
         match self {
-            CodecSpec::Single(Code::Xor) => &XOR,
-            CodecSpec::Single(Code::Sum) => &SUM,
-            CodecSpec::Dual => &DUAL,
-            CodecSpec::Rs { m } => resolve_rs(m),
+            CodecSpec::Single(Code::Xor) => &rs::XOR,
+            CodecSpec::Single(Code::Sum) => &SumCodec,
+            CodecSpec::Dual => &rs::DUAL,
+            CodecSpec::Rs { m } => RS
+                .get(m)
+                .expect("RS over GF(2^8): parity count must stay below 128")
+                .get_or_init(|| GfCodec::cauchy(m)),
         }
     }
 
@@ -162,40 +170,21 @@ impl CodecSpec {
     }
 }
 
-/// One leaked [`RsCodec`](crate::rs::RsCodec) per distinct `m`, cached
-/// so repeated resolves hand back the same `&'static` instance (specs
-/// are resolved once per checkpoint init, so the lock is cold).
-fn resolve_rs(m: usize) -> &'static dyn ErasureCodec {
-    use std::collections::HashMap;
-    use std::sync::{Mutex, OnceLock};
-    static REGISTRY: OnceLock<Mutex<HashMap<usize, &'static crate::rs::RsCodec>>> = OnceLock::new();
-    let mut map = REGISTRY
-        .get_or_init(|| Mutex::new(HashMap::new()))
-        .lock()
-        .expect("RS codec registry poisoned");
-    let codec: &'static crate::rs::RsCodec = map
-        .entry(m)
-        .or_insert_with(|| Box::leak(Box::new(crate::rs::RsCodec::new(m))));
-    codec
-}
+/// `m = 1` over `MPI_SUM`: the paper's numeric single parity. Recovery
+/// subtracts, so the rebuilt stripe is exact only up to rounding.
+struct SumCodec;
 
-/// `m = 1`: the paper's single-parity code over one reduce operator.
-struct SingleCodec(Code);
-
-impl ErasureCodec for SingleCodec {
+impl ErasureCodec for SumCodec {
     fn parity_count(&self) -> usize {
         1
     }
 
-    fn name(&self) -> &'static str {
-        self.0.name()
+    fn name(&self) -> &str {
+        Code::Sum.name()
     }
 
     fn wire(&self) -> Wire {
-        match self.0 {
-            Code::Xor => Wire::Bits,
-            Code::Sum => Wire::Floats,
-        }
+        Wire::Floats
     }
 
     fn contrib(&self, role: usize, _pos: usize, stripe: &[f64], _cfg: KernelConfig) -> Vec<f64> {
@@ -211,10 +200,7 @@ impl ErasureCodec for SingleCodec {
         cfg: KernelConfig,
     ) -> Vec<f64> {
         assert_eq!(role, 0, "single parity has one role");
-        match self.0 {
-            Code::Xor => stripe.to_vec(),
-            Code::Sum => kernels::negated(stripe, cfg),
-        }
+        kernels::negated(stripe, cfg)
     }
 
     fn solve(
@@ -232,92 +218,7 @@ impl ErasureCodec for SingleCodec {
                 assert_eq!(*role, 0);
                 vec![s.clone()]
             }
-            _ => panic!("single parity can rebuild only one erasure"),
-        }
-    }
-}
-
-/// `m = 2`: RAID-6-style P+Q over GF(2^8). Contributions for the Q role
-/// are pre-scaled locally by `g^pos`, so the distributed reduce is a
-/// plain XOR of bit patterns for both roles and the reduce result *is*
-/// the parity.
-struct DualCodec;
-
-impl ErasureCodec for DualCodec {
-    fn parity_count(&self) -> usize {
-        2
-    }
-
-    fn name(&self) -> &'static str {
-        "P+Q"
-    }
-
-    fn wire(&self) -> Wire {
-        Wire::Bits
-    }
-
-    fn contrib(&self, role: usize, pos: usize, stripe: &[f64], cfg: KernelConfig) -> Vec<f64> {
-        let mut out = stripe.to_vec();
-        match role {
-            0 => {}
-            1 => kernels::gf_scale(&mut out, gf256::gpow(pos), cfg),
-            _ => panic!("dual parity has roles 0 (P) and 1 (Q)"),
-        }
-        out
-    }
-
-    fn cancel_contrib(
-        &self,
-        role: usize,
-        pos: usize,
-        stripe: &[f64],
-        cfg: KernelConfig,
-    ) -> Vec<f64> {
-        // XOR wire: cancelling is re-contributing.
-        self.contrib(role, pos, stripe, cfg)
-    }
-
-    fn solve(
-        &self,
-        erased: &[usize],
-        syndromes: &[(usize, Vec<f64>)],
-        cfg: KernelConfig,
-    ) -> Vec<Vec<f64>> {
-        let s_of = |role: usize| {
-            syndromes
-                .iter()
-                .find(|(r, _)| *r == role)
-                .map(|(_, s)| s.as_slice())
-        };
-        match erased {
-            [] => Vec::new(),
-            [x] => {
-                if let Some(s0) = s_of(0) {
-                    // P survives: the syndrome is the stripe.
-                    vec![s0.to_vec()]
-                } else {
-                    // Only Q survives: S1 = g^x · D_x.
-                    let s1 = s_of(1).expect("dual parity: no surviving role");
-                    let mut d = s1.to_vec();
-                    kernels::gf_scale(&mut d, gf256::inv(gf256::gpow(*x)), cfg);
-                    vec![d]
-                }
-            }
-            [x, y] => {
-                // S0 = Dx ⊕ Dy ; S1 = g^x Dx ⊕ g^y Dy
-                // => Dy = (S1 ⊕ g^x·S0) / (g^x ⊕ g^y); Dx = S0 ⊕ Dy
-                let s0 = s_of(0).expect("dual parity: P needed for a double erasure");
-                let s1 = s_of(1).expect("dual parity: Q needed for a double erasure");
-                let gx = gf256::gpow(*x);
-                let gy = gf256::gpow(*y);
-                let mut dy = s1.to_vec();
-                kernels::gf_mac(&mut dy, s0, gx, cfg);
-                kernels::gf_scale(&mut dy, gf256::inv(gx ^ gy), cfg);
-                let mut dx = s0.to_vec();
-                kernels::xor_accumulate(&mut dx, &dy, cfg);
-                vec![dx, dy]
-            }
-            _ => panic!("dual parity corrects at most two erasures"),
+            _ => panic!("SUM corrects at most 1 erasures, got {}", erased.len()),
         }
     }
 }
@@ -359,7 +260,9 @@ mod tests {
     }
 
     /// Erase `erased` data stripes (and no parity), rebuild through the
-    /// syndrome path every layer above uses.
+    /// syndrome path every layer above uses. The GF codec's round trips
+    /// (every erasure subset × every surviving-role subset, per spec)
+    /// live in `crate::rs`.
     fn rebuild(
         codec: &dyn ErasureCodec,
         data: &[Vec<f64>],
@@ -383,23 +286,6 @@ mod tests {
     }
 
     #[test]
-    fn xor_codec_round_trips_one_erasure() {
-        let codec = CodecSpec::default().resolve();
-        assert_eq!(codec.parity_count(), 1);
-        assert_eq!(codec.wire(), Wire::Bits);
-        let data: Vec<Vec<f64>> = (0..4).map(|p| stripe(p, 9)).collect();
-        let parity = encode(codec, &data, 9);
-        for x in 0..4 {
-            let got = rebuild(codec, &data, &parity, &[x], 9);
-            assert_eq!(got.len(), 1);
-            assert!(got[0]
-                .iter()
-                .zip(&data[x])
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
-    }
-
-    #[test]
     fn sum_codec_round_trips_one_erasure() {
         let codec = CodecSpec::single(Code::Sum).resolve();
         assert_eq!(codec.wire(), Wire::Floats);
@@ -410,34 +296,6 @@ mod tests {
             for (a, b) in got[0].iter().zip(&data[x]) {
                 assert!((a - b).abs() < 1e-9, "{a} vs {b}");
             }
-        }
-    }
-
-    #[test]
-    fn dual_codec_round_trips_every_pair_of_erasures() {
-        let codec = CodecSpec::dual().resolve();
-        assert_eq!(codec.parity_count(), 2);
-        let k = 5;
-        let len = 17;
-        let data: Vec<Vec<f64>> = (0..k).map(|p| stripe(p, len)).collect();
-        let parity = encode(codec, &data, len);
-        for x in 0..k {
-            for y in x + 1..k {
-                let got = rebuild(codec, &data, &parity, &[x, y], len);
-                for (g, want) in got.iter().zip([&data[x], &data[y]]) {
-                    assert!(
-                        g.iter().zip(want).all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "({x},{y})"
-                    );
-                }
-            }
-        }
-        for x in 0..k {
-            let got = rebuild(codec, &data, &parity, &[x], len);
-            assert!(got[0]
-                .iter()
-                .zip(&data[x])
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 
@@ -464,30 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn dual_solves_with_only_q_surviving() {
-        let codec = CodecSpec::dual().resolve();
-        let len = 8;
-        let data: Vec<Vec<f64>> = (0..4).map(|p| stripe(p, len)).collect();
-        let parity = encode(codec, &data, len);
-        let cfg = KernelConfig::serial();
-        for x in 0..4 {
-            // only role 1 (Q) syndrome available — as when P's owner died
-            let mut parts = vec![parity[1].clone()];
-            for (pos, d) in data.iter().enumerate() {
-                if pos != x {
-                    parts.push(codec.cancel_contrib(1, pos, d, cfg));
-                }
-            }
-            let syn = vec![(1usize, combine(Wire::Bits, &parts, len))];
-            let got = codec.solve(&[x], &syn, cfg);
-            assert!(got[0]
-                .iter()
-                .zip(&data[x])
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
-    }
-
-    #[test]
     fn spec_names_and_counts() {
         assert_eq!(CodecSpec::default(), CodecSpec::Single(Code::Xor));
         assert_eq!(CodecSpec::default().name(), "BXOR");
@@ -498,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only one erasure")]
+    #[should_panic(expected = "BXOR corrects at most 1 erasures")]
     fn single_codec_refuses_two_erasures() {
         let codec = CodecSpec::default().resolve();
         codec.solve(&[0, 1], &[(0, vec![0.0])], KernelConfig::serial());

@@ -113,9 +113,9 @@ pub fn scale_slice(data: &mut [u8], c: u8) {
 
 /// Invert a square matrix over GF(2^8) by Gauss–Jordan elimination with
 /// partial pivoting (any nonzero pivot works — the field is exact).
-/// Returns `None` for a singular matrix. Used by the generalized RS
-/// codec to solve for erased codeword positions; the matrices there are
-/// Cauchy submatrices, which are provably nonsingular, so `None` would
+/// Returns `None` for a singular matrix. Used by the GF codec
+/// ([`crate::rs`]) to solve for erased codeword positions; its generator
+/// submatrices are nonsingular by construction, so `None` there would
 /// indicate a construction bug.
 #[must_use]
 pub fn invert_matrix(mat: &[Vec<u8>]) -> Option<Vec<Vec<u8>>> {

@@ -1,9 +1,10 @@
 //! Cache-blocked, multi-threaded accumulate / copy kernels.
 //!
 //! Every hot loop of the checkpoint path — the stripe reduces behind
-//! `MPI_Reduce`, the `work → B` / `D → C` flush copies, and the
-//! bits↔floats payload conversions — is a streaming element-wise pass
-//! over large `f64` buffers. This module gives them one shared engine:
+//! `MPI_Reduce`, the GF(2^8) scale / multiply-accumulate of the codec,
+//! and the `work → B` / `D → C` flush copies — is a streaming
+//! element-wise pass over large `f64` buffers. This module gives them
+//! one shared engine:
 //!
 //! * buffers are walked in [`KernelConfig::chunk_len`]-element blocks so
 //!   a block stays cache-resident while an operator runs over it;
@@ -256,7 +257,8 @@ fn xor_block_f64(acc: &mut [f64], x: &[f64]) {
     }
 }
 
-/// `acc ^= x` over `f64` bit patterns (the XOR code's accumulate).
+/// `acc ^= x` over `f64` bit patterns (the XOR code's accumulate and
+/// the `MPI_BXOR` reduce on `F64` payloads).
 pub fn xor_accumulate(acc: &mut [f64], x: &[f64], cfg: KernelConfig) {
     par_zip(cfg, acc, x, xor_block_f64);
 }
@@ -297,7 +299,8 @@ pub fn zeroed(len: usize) -> Vec<f64> {
     vec![0.0; len]
 }
 
-/// The IEEE-754 bit patterns of `src` (payload conversion for BXOR).
+/// The IEEE-754 bit patterns of `src`. Not on the checkpoint path: the
+/// BXOR reduce works on `f64` buffers directly.
 #[must_use]
 pub fn bits_of(src: &[f64], cfg: KernelConfig) -> Vec<u64> {
     let mut out = vec![0u64; src.len()];

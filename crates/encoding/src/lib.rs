@@ -15,19 +15,21 @@
 //!
 //! * [`layout`] — the stripe/slot geometry (who stores which parity,
 //!   which stripe of which rank belongs to which slot).
-//! * [`code`] — the two single-failure codecs the paper supports through
-//!   `MPI_Reduce`: bitwise XOR on `f64` bit patterns (`MPI_BXOR`, exact)
-//!   and numeric SUM (`MPI_SUM`, subject to rounding).
-//! * [`gf256`] + [`dualparity`] — a RAID-6-style P+Q code over GF(2^8)
-//!   tolerating **two** failures per group; the paper names RAID-6 /
-//!   Reed-Solomon as the extension path (§2.1), implemented here.
-//! * [`rs`] — the generalized Reed–Solomon codec (Cauchy construction)
-//!   with `m` parity roles per slot for arbitrary `m ≥ 1`, decoding by
-//!   Gauss–Jordan elimination over GF(2^8).
-//! * [`codec`] — the pluggable [`ErasureCodec`] abstraction the protocol
-//!   stack programs against, with the single-parity codes (`m = 1`),
-//!   dual parity (`m = 2`) and the RS family (`Rs { m }`) behind one
-//!   [`CodecSpec`] selector.
+//! * [`code`] — the two single-failure reduce operators the paper
+//!   supports through `MPI_Reduce`: bitwise XOR on `f64` bit patterns
+//!   (`MPI_BXOR`, exact) and numeric SUM (`MPI_SUM`, subject to
+//!   rounding), with their sequential reference encode/reconstruct.
+//! * [`rs`] — the one linear code over GF(2^8) the checkpoint path
+//!   encodes with: the paper's XOR parity (`m = 1`), RAID-6 P+Q
+//!   (`m = 2`) and Cauchy Reed–Solomon (any `m`) are the same
+//!   contrib/solve with a different generator row; decoding is
+//!   Gauss–Jordan elimination over [`gf256`]. The paper names RAID-6 /
+//!   Reed-Solomon as the extension path (§2.1).
+//! * [`dualparity`] — the direct (non-distributed) P+Q encoder, kept as
+//!   the reference the `Dual` generator is checked against.
+//! * [`codec`] — the [`ErasureCodec`] abstraction the protocol stack
+//!   programs against and the [`CodecSpec`] selector: the GF(2^8) code
+//!   for every XOR-wire spec, plus the SUM codec.
 //! * [`kernels`] — the cache-blocked, multi-threaded accumulate / copy
 //!   engine under the codecs, the reduce operators, and the protocol's
 //!   flush copies, selected through [`kernels::KernelConfig`].
@@ -57,5 +59,4 @@ pub use crc::{crc32c, crc32c_combine, crc32c_f64, stripe_crcs};
 pub use dualparity::DualParity;
 pub use kernels::KernelConfig;
 pub use layout::GroupLayout;
-pub use rs::RsCodec;
 pub use simd::{CrcBackend, GfBackend, SimdMode};

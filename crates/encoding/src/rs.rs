@@ -1,75 +1,109 @@
-//! Generalized Reed–Solomon erasure codec over GF(2^8): `m` parity
-//! stripes per slot tolerate any `m` simultaneous erasures in the slot's
-//! codeword, for arbitrary `m ≥ 1`.
+//! The one linear erasure code over GF(2^8) behind every XOR-wire
+//! [`CodecSpec`](crate::codec::CodecSpec): `m` parity stripes per slot
+//! tolerate any `m` simultaneous erasures in the slot's codeword. The
+//! paper's BXOR checksum, RAID-6 P+Q and general Reed–Solomon are the
+//! same code with a different generator row, so they share one
+//! `coeff`, one `contrib` and one `solve`.
 //!
-//! # Construction
+//! # Generators
 //!
-//! The generator matrix is **Cauchy** rather than plain Vandermonde: the
-//! coefficient of data position `pos` in parity role `role` is
+//! The coefficient of data position `pos` in parity role `role` is
 //!
 //! ```text
-//! c[role][pos] = 1 / (x_role ⊕ y_pos),   x_role = role,  y_pos = m + pos
+//! Power:   c[role][pos] = g^(role·pos)             (m ≤ 2)
+//! Cauchy:  c[role][pos] = 1 / (role ⊕ (m + pos))   (any m)
 //! ```
 //!
-//! The x-coordinates (roles `0..m`) and y-coordinates (`m..m+k`) are
-//! drawn from disjoint byte ranges, so every denominator is nonzero, and
-//! *every square submatrix of a Cauchy matrix is nonsingular*. That last
-//! property is what makes the decode unconditional: whichever `e ≤ m`
-//! codeword positions are erased and whichever `e` parity roles survive,
-//! the `e×e` system is invertible. (Row-subsets of a plain Vandermonde
-//! matrix over GF(2^8) do not have this guarantee.)
+//! `Power` with `m = 1` is the paper's plain parity (`c = 1`,
+//! `CodecSpec::Single(Code::Xor)`); with `m = 2` it is P+Q (`c = (1,
+//! g^pos)`, `CodecSpec::Dual`, byte-identical to
+//! [`DualParity`](crate::dualparity::DualParity)). It stops at two
+//! roles because larger row-subsets of a Vandermonde matrix over
+//! GF(2^8) can be singular. `Cauchy` (`CodecSpec::Rs { m }`) draws its
+//! x-coordinates (roles `0..m`) and y-coordinates (`m..m+k`) from
+//! disjoint byte ranges, so every denominator is nonzero and *every
+//! square submatrix is nonsingular*: whichever `e ≤ m` codeword
+//! positions are erased and whichever `e` parity roles survive, the
+//! `e×e` decode system is invertible. Both families need `m + pos` to
+//! stay inside the field (`g` has order 255, so `g^pos` would wrap).
 //!
 //! # Distributed encode
 //!
 //! Encoding stays one reduce per parity role: a rank's contribution to
 //! role `role` is its data stripe pre-scaled by `c[role][pos]` locally,
-//! and the wire combine is plain bitwise XOR ([`Wire::Bits`]), exactly
-//! like the P+Q codec. The reduce result *is* the parity.
+//! and the wire combine is plain bitwise XOR ([`Wire::Bits`]). The
+//! reduce result *is* the parity.
 //!
 //! # Decode
 //!
-//! [`ErasureCodec::solve`] picks the first `e` surviving role syndromes,
-//! inverts the `e×e` Cauchy submatrix with
-//! [`gf256::invert_matrix`] (Gauss–Jordan over the field), and rebuilds
-//! each erased stripe as a [`kernels::gf_mac`] combination of the
-//! syndromes — so the heavy lifting runs on the same chunked,
-//! SIMD-dispatched kernel engine as encoding.
+//! `solve` picks the first `e` surviving role syndromes, inverts the
+//! `e×e` generator submatrix with [`gf256::invert_matrix`]
+//! (Gauss–Jordan over the field), and rebuilds each erased stripe as a
+//! [`kernels::gf_scale`] / [`kernels::gf_mac`] combination of the
+//! syndromes — the same chunked, SIMD-dispatched kernels as encoding.
 
 use crate::codec::{ErasureCodec, Wire};
 use crate::gf256;
 use crate::kernels::{self, KernelConfig};
+use std::borrow::Cow;
 
-/// Reed–Solomon codec with `m` parity roles (see module docs).
-pub struct RsCodec {
-    m: usize,
-    name: &'static str,
+/// Which generator matrix a [`GfCodec`] encodes with (see module docs).
+/// The two are never aliased: `Power` with `m = 2` and `Cauchy` with
+/// `m = 2` produce different parity bytes.
+enum Generator {
+    Power,
+    Cauchy,
 }
 
-impl RsCodec {
-    /// A codec tolerating `m` erasures per group. `m` must be at least 1
-    /// and small enough that the Cauchy coordinates fit the field; data
-    /// positions are then limited to `pos < 256 - m`.
-    #[must_use]
-    pub fn new(m: usize) -> Self {
+/// The GF(2^8) codec with `m` parity roles (see module docs).
+pub(crate) struct GfCodec {
+    m: usize,
+    generator: Generator,
+    name: Cow<'static, str>,
+}
+
+/// The paper's single XOR parity (`CodecSpec::Single(Code::Xor)`).
+pub(crate) static XOR: GfCodec = GfCodec {
+    m: 1,
+    generator: Generator::Power,
+    name: Cow::Borrowed("BXOR"),
+};
+
+/// RAID-6 P+Q (`CodecSpec::Dual`).
+pub(crate) static DUAL: GfCodec = GfCodec {
+    m: 2,
+    generator: Generator::Power,
+    name: Cow::Borrowed("P+Q"),
+};
+
+impl GfCodec {
+    /// Cauchy Reed–Solomon tolerating `m` erasures per group. `m` must
+    /// be at least 1 and small enough that the Cauchy coordinates fit
+    /// the field; data positions are then limited to `pos < 256 - m`.
+    pub(crate) fn cauchy(m: usize) -> Self {
         assert!(m >= 1, "RS needs at least one parity role");
         assert!(m < 128, "RS over GF(2^8): parity count must stay below 128");
-        RsCodec {
+        GfCodec {
             m,
-            name: Box::leak(format!("RS(m={m})").into_boxed_str()),
+            generator: Generator::Cauchy,
+            name: Cow::Owned(format!("RS(m={m})")),
         }
     }
 
-    /// The Cauchy generator coefficient of data position `pos` in parity
-    /// role `role`: `1 / (role ⊕ (m + pos))`.
-    #[must_use]
-    pub fn coeff(&self, role: usize, pos: usize) -> u8 {
+    /// The generator coefficient of data position `pos` in parity role
+    /// `role`.
+    fn coeff(&self, role: usize, pos: usize) -> u8 {
         assert!(role < self.m, "role {role} out of range for m={}", self.m);
         assert!(
             self.m + pos < 256,
-            "RS over GF(2^8): codeword position {pos} exceeds the field (m={})",
+            "{} over GF(2^8): codeword position {pos} exceeds the field (m={})",
+            self.name,
             self.m
         );
-        gf256::inv((role as u8) ^ ((self.m + pos) as u8))
+        match self.generator {
+            Generator::Power => gf256::gpow(role * pos),
+            Generator::Cauchy => gf256::inv((role as u8) ^ ((self.m + pos) as u8)),
+        }
     }
 
     /// The `erased.len() × erased.len()` decode submatrix for the given
@@ -82,13 +116,13 @@ impl RsCodec {
     }
 }
 
-impl ErasureCodec for RsCodec {
+impl ErasureCodec for GfCodec {
     fn parity_count(&self) -> usize {
         self.m
     }
 
-    fn name(&self) -> &'static str {
-        self.name
+    fn name(&self) -> &str {
+        &self.name
     }
 
     fn wire(&self) -> Wire {
@@ -99,17 +133,6 @@ impl ErasureCodec for RsCodec {
         let mut out = stripe.to_vec();
         kernels::gf_scale(&mut out, self.coeff(role, pos), cfg);
         out
-    }
-
-    fn cancel_contrib(
-        &self,
-        role: usize,
-        pos: usize,
-        stripe: &[f64],
-        cfg: KernelConfig,
-    ) -> Vec<f64> {
-        // XOR wire: cancelling is re-contributing.
-        self.contrib(role, pos, stripe, cfg)
     }
 
     fn solve(
@@ -125,28 +148,26 @@ impl ErasureCodec for RsCodec {
             self.name,
             self.m
         );
-        if e == 0 {
-            return Vec::new();
-        }
         assert!(
             syndromes.len() >= e,
             "{}: need {e} surviving roles, have {}",
             self.name,
             syndromes.len()
         );
-        // Any e surviving roles suffice (every Cauchy submatrix is
-        // invertible); take the first e.
+        // Any e surviving roles suffice (see module docs); take the
+        // first e.
         let chosen = &syndromes[..e];
         let roles: Vec<usize> = chosen.iter().map(|(r, _)| *r).collect();
-        let a = self.submatrix(&roles, erased);
-        let a_inv =
-            gf256::invert_matrix(&a).expect("Cauchy submatrices are nonsingular by construction");
-        let len = chosen[0].1.len();
+        let a_inv = gf256::invert_matrix(&self.submatrix(&roles, erased))
+            .expect("generator submatrices are nonsingular by construction");
         a_inv
             .iter()
             .map(|row| {
-                let mut d = kernels::zeroed(len);
-                for (c, (_, s)) in row.iter().zip(chosen) {
+                let mut terms = row.iter().zip(chosen);
+                let (c, (_, s)) = terms.next().expect("e >= 1 inside the row map");
+                let mut d = s.clone();
+                kernels::gf_scale(&mut d, *c, cfg);
+                for (c, (_, s)) in terms {
                     kernels::gf_mac(&mut d, s, *c, cfg);
                 }
                 d
@@ -158,7 +179,17 @@ impl ErasureCodec for RsCodec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::code::Code;
     use crate::codec::CodecSpec;
+
+    /// Every spec served by [`GfCodec`].
+    const GF_SPECS: [CodecSpec; 5] = [
+        CodecSpec::Single(Code::Xor),
+        CodecSpec::Dual,
+        CodecSpec::Rs { m: 1 },
+        CodecSpec::Rs { m: 2 },
+        CodecSpec::Rs { m: 3 },
+    ];
 
     fn stripe(pos: usize, len: usize) -> Vec<f64> {
         (0..len)
@@ -218,32 +249,69 @@ mod tests {
     }
 
     #[test]
-    fn rs3_round_trips_every_erasure_triple_with_every_role_subset() {
-        let codec = CodecSpec::rs(3).resolve();
-        assert_eq!(codec.parity_count(), 3);
-        assert_eq!(codec.wire(), Wire::Bits);
-        let (k, len) = (5, 9);
-        let data: Vec<Vec<f64>> = (0..k).map(|p| stripe(p, len)).collect();
-        let parity = encode(codec, &data, len);
-        for e in 1..=3usize {
-            for erased in subsets(k, e) {
-                // every e-subset of surviving roles must decode
-                for roles in subsets(3, e) {
-                    let syn: Vec<(usize, Vec<f64>)> = roles
-                        .iter()
-                        .map(|&r| (r, syndrome(codec, &data, &parity[r], r, &erased, len)))
-                        .collect();
-                    let got = codec.solve(&erased, &syn, KernelConfig::serial());
-                    for (g, &x) in got.iter().zip(&erased) {
-                        assert!(
-                            g.iter()
-                                .zip(&data[x])
-                                .all(|(a, b)| a.to_bits() == b.to_bits()),
-                            "erased {erased:?} roles {roles:?} pos {x}"
-                        );
+    fn every_generator_round_trips_every_erasure_subset_with_every_role_subset() {
+        for spec in GF_SPECS {
+            let codec = spec.resolve();
+            let m = codec.parity_count();
+            assert_eq!(codec.wire(), Wire::Bits);
+            let (k, len) = (5, 9);
+            let data: Vec<Vec<f64>> = (0..k).map(|p| stripe(p, len)).collect();
+            let parity = encode(codec, &data, len);
+            for e in 1..=m {
+                for erased in subsets(k, e) {
+                    // every e-subset of surviving roles must decode
+                    for roles in subsets(m, e) {
+                        let syn: Vec<(usize, Vec<f64>)> = roles
+                            .iter()
+                            .map(|&r| (r, syndrome(codec, &data, &parity[r], r, &erased, len)))
+                            .collect();
+                        let got = codec.solve(&erased, &syn, KernelConfig::serial());
+                        for (g, &x) in got.iter().zip(&erased) {
+                            assert!(
+                                g.iter()
+                                    .zip(&data[x])
+                                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                                "{spec:?} erased {erased:?} roles {roles:?} pos {x}"
+                            );
+                        }
                     }
                 }
             }
+        }
+    }
+
+    /// Generator drift would pass every round-trip test while changing
+    /// every stored parity byte, CRC witness and report fingerprint, so
+    /// the parity of a fixed input is pinned per spec. The input is
+    /// integer-derived bit patterns (no libm), 67 words so the SIMD
+    /// kernels run both their main loop and their tail.
+    #[test]
+    fn parity_bytes_match_the_golden_crcs() {
+        let (k, len) = (5usize, 67usize);
+        let data: Vec<Vec<f64>> = (0..k)
+            .map(|p| {
+                (0..len)
+                    .map(|j| {
+                        let x = ((p * len + j) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        f64::from_bits(x ^ (x >> 29))
+                    })
+                    .collect()
+            })
+            .collect();
+        // Taken at the parent of the commit that merged the codecs.
+        let golden: [&[u32]; 5] = [
+            &[0x5d76_0ce5],
+            &[0x5d76_0ce5, 0x7a5c_596d],
+            &[0x1961_572c],
+            &[0x91f9_67d7, 0x9f6b_c39a],
+            &[0xc58c_3f38, 0xf184_6ccb, 0x93d1_8195],
+        ];
+        for (spec, want) in GF_SPECS.into_iter().zip(golden) {
+            let got: Vec<u32> = encode(spec.resolve(), &data, len)
+                .iter()
+                .map(|p| crate::crc32c_f64(p, KernelConfig::serial()))
+                .collect();
+            assert_eq!(got, want, "{spec:?}");
         }
     }
 
@@ -293,6 +361,29 @@ mod tests {
         );
     }
 
+    /// `g` has order 255, so without the field bound positions 0 and 255
+    /// would share a Q coefficient and a double loss there would reach
+    /// `inv(0)`.
+    #[test]
+    #[should_panic(expected = "exceeds the field")]
+    fn dual_refuses_position_255_instead_of_wrapping() {
+        let _ = CodecSpec::dual()
+            .resolve()
+            .contrib(1, 255, &[1.0], KernelConfig::serial());
+    }
+
+    #[test]
+    fn dual_decodes_every_pair_of_positions_the_field_admits() {
+        let codec = &DUAL;
+        for x in 0..254usize {
+            assert_ne!(codec.coeff(1, x), 0);
+            for y in x + 1..254 {
+                let mat = codec.submatrix(&[0, 1], &[x, y]);
+                assert!(gf256::invert_matrix(&mat).is_some(), "({x},{y})");
+            }
+        }
+    }
+
     mod properties {
         use super::*;
         use proptest::prelude::*;
@@ -306,7 +397,7 @@ mod tests {
                 m in 1usize..9,
                 seed in any::<u64>(),
             ) {
-                let codec = RsCodec::new(m);
+                let codec = GfCodec::cauchy(m);
                 let k = 12usize;
                 // sample e, then e distinct erased positions and e roles
                 let mut s = seed;
@@ -344,7 +435,7 @@ mod tests {
                 m in 2usize..9,
                 pos in 0usize..64,
             ) {
-                let codec = RsCodec::new(m);
+                let codec = GfCodec::cauchy(m);
                 for role in 0..m {
                     prop_assert_ne!(codec.coeff(role, pos), 0);
                 }

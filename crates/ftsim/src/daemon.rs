@@ -205,9 +205,9 @@ pub enum DaemonError {
     TooManyFailures(DaemonHistory),
     /// The job failed without losing a node — a protocol-level verdict
     /// (e.g. a checkpoint group damaged beyond single-parity repair).
-    /// Replacement and retry cannot fix it; jobs wanting to survive this
-    /// run the in-memory level under [`skt_core::MultiLevel`], whose PFS
-    /// level is the designed fallback.
+    /// Replacement and retry cannot fix it; jobs wanting to survive
+    /// more simultaneous losses configure a codec with more parity
+    /// stripes ([`skt_encoding::CodecSpec::Rs`]).
     Unrecoverable(DaemonHistory),
 }
 

@@ -599,7 +599,7 @@ impl CheckpointService {
     /// rank-0 workspace under the configured method/codec, in bytes.
     pub fn mem_demand(cfg: &SktConfig, nodes: usize) -> u64 {
         let alloc = BlockCyclic1D::new(cfg.hpl.n, cfg.hpl.nb, nodes, 0).alloc_len();
-        let parity = cfg.codec.resolve().parity_count();
+        let parity = cfg.codec.parity_count();
         (MemoryBreakdown::with_parity(cfg.method, alloc, cfg.group_size, parity).total() * 8) as u64
     }
 
@@ -930,7 +930,7 @@ impl CheckpointService {
     ) -> Result<ResizeAttempt, Refusal> {
         let now = self.cluster.now();
         let cur = tenant.rl.len();
-        let m = tenant.cfg.codec.resolve().parity_count();
+        let m = tenant.cfg.codec.parity_count();
         let (plan, target, kind) = match req {
             PendingResize::Relocate => match self.pool.plan_relocate(tenant.id) {
                 None => {

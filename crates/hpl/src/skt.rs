@@ -214,15 +214,13 @@ where
             // power (more damaged members than parity stripes). Surface
             // it instead of silently regenerating: the daemon classifies
             // a failure with no node death as unrecoverable and stops
-            // retrying; jobs wanting to survive it use `MultiLevel`'s
-            // PFS level.
-            return Err(Fault::Protocol(
-                if cfg.codec.resolve().parity_count() == 1 {
-                    "checkpoint group damaged beyond single-parity repair"
-                } else {
-                    "checkpoint group damaged beyond the parity code's repair"
-                },
-            ));
+            // retrying; jobs wanting to survive more losses configure
+            // a codec with more parity stripes (`CodecSpec::Rs`).
+            return Err(Fault::Protocol(if cfg.codec.parity_count() == 1 {
+                "checkpoint group damaged beyond single-parity repair"
+            } else {
+                "checkpoint group damaged beyond the parity code's repair"
+            }));
         }
         Err(RecoverError::Fault(f)) => return Err(f),
         // `RecoverError` is non-exhaustive; future variants are protocol

@@ -224,8 +224,8 @@ impl<'c> Comm<'c> {
 
     /// Reduce to comm rank `root` over a binomial tree; the root gets
     /// `Some(result)`, everyone else `None`. Matches `MPI_Reduce` with the
-    /// operators of [`ReduceOp`] — including `Xor` on `U64`, the encoding
-    /// primitive of the paper (§2.2).
+    /// operators of [`ReduceOp`] — including `Xor` on `F64` bit patterns,
+    /// the encoding primitive of the paper (§2.2).
     pub fn reduce(
         &self,
         op: ReduceOp,
@@ -464,8 +464,8 @@ mod tests {
         let out = run_local(6, |ctx| {
             let w = ctx.world();
             let word = 0x1111u64 << ctx.world_rank();
-            let r = w.reduce(ReduceOp::Xor, 0, Payload::U64(vec![word]))?;
-            Ok(r.map(|p| p.into_u64()[0]))
+            let r = w.reduce(ReduceOp::Xor, 0, Payload::F64(vec![f64::from_bits(word)]))?;
+            Ok(r.map(|p| p.into_f64()[0].to_bits()))
         })
         .unwrap();
         let expect = (0..6).fold(0u64, |acc, r| acc ^ (0x1111u64 << r));

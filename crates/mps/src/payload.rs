@@ -5,19 +5,19 @@
 //! reduce operators (`MPI_BXOR` on integer words, `MPI_SUM` on doubles —
 //! §2.2 of the paper) stay type-safe.
 //!
-//! The two hot reduce arms — SUM over `F64` and XOR over `U64`, the ones
-//! that carry whole checkpoint stripes — run on the cache-blocked
-//! multi-threaded kernels from `skt_encoding::kernels`, under the
-//! process-wide [`KernelConfig`].
+//! The hot reduce arms — SUM and XOR over `F64`, the ones that carry
+//! whole checkpoint stripes, and XOR over `U64` — run on the
+//! cache-blocked multi-threaded kernels from `skt_encoding::kernels`,
+//! under the process-wide [`KernelConfig`].
 
 use skt_encoding::{kernels, KernelConfig};
 
 /// A message body.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Payload {
-    /// Double-precision data (matrix blocks, SUM-coded checksums).
+    /// Double-precision data (matrix blocks, stripes, checksums).
     F64(Vec<f64>),
-    /// 64-bit words (XOR-coded checksums — `f64` bit patterns).
+    /// 64-bit words.
     U64(Vec<u64>),
     /// Signed integers (pivot indices, iteration counters).
     I64(Vec<i64>),
@@ -63,14 +63,6 @@ impl Payload {
         }
     }
 
-    /// Unwrap as `Vec<u64>`; panics on type mismatch.
-    pub fn into_u64(self) -> Vec<u64> {
-        match self {
-            Payload::U64(v) => v,
-            other => panic!("expected U64 payload, got {:?}", other.kind()),
-        }
-    }
-
     /// Unwrap as `Vec<i64>`; panics on type mismatch.
     pub fn into_i64(self) -> Vec<i64> {
         match self {
@@ -105,7 +97,8 @@ pub enum ReduceOp {
     /// Numeric addition (`MPI_SUM`); valid on `F64`, `U64`
     /// (wrapping), and `I64` (wrapping).
     Sum,
-    /// Bitwise exclusive-or (`MPI_BXOR`); valid on `U64` and `Bytes`.
+    /// Bitwise exclusive-or (`MPI_BXOR`); valid on `F64` (IEEE-754 bit
+    /// patterns), `U64` and `Bytes`.
     Xor,
     /// Element-wise maximum; valid on `F64` and `I64`.
     Max,
@@ -134,6 +127,9 @@ impl ReduceOp {
                 for (x, y) in a.iter_mut().zip(b) {
                     *x = x.wrapping_add(*y);
                 }
+            }
+            (ReduceOp::Xor, Payload::F64(a), Payload::F64(b)) => {
+                kernels::xor_accumulate(a, b, KernelConfig::global());
             }
             (ReduceOp::Xor, Payload::U64(a), Payload::U64(b)) => {
                 kernels::xor_accumulate_u64(a, b, KernelConfig::global());
@@ -204,10 +200,46 @@ mod tests {
     }
 
     #[test]
+    fn xor_f64_combines_bit_patterns_exactly() {
+        // Patterns float arithmetic would quieten, canonicalise or
+        // compare equal: quiet/signalling NaNs with payloads, -0.0,
+        // a subnormal, infinities.
+        let a_bits: [u64; 6] = [
+            0x7FF8_0000_0000_0001,
+            0x7FF0_0000_0000_0001,
+            0x8000_0000_0000_0000,
+            0x0000_0000_0000_0001,
+            0x7FF0_0000_0000_0000,
+            0xFFF4_0000_DEAD_BEEF,
+        ];
+        let b_bits: [u64; 6] = [
+            0x7FF0_0000_0000_0001,
+            0xFFF8_0000_0000_0000,
+            0x0000_0000_0000_0000,
+            0x8000_0000_0000_0000,
+            0xFFF0_0000_0000_0000,
+            0x7FF4_0000_DEAD_BEEF,
+        ];
+        let floats = |bits: &[u64]| bits.iter().map(|&b| f64::from_bits(b)).collect::<Vec<_>>();
+        let bits = |p: &Payload| match p {
+            Payload::F64(v) => v.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+            other => panic!("expected F64, got {}", other.kind()),
+        };
+        let mut acc = Payload::F64(floats(&a_bits));
+        let rhs = Payload::F64(floats(&b_bits));
+        ReduceOp::Xor.apply(&mut acc, &rhs);
+        let want: Vec<u64> = a_bits.iter().zip(&b_bits).map(|(a, b)| a ^ b).collect();
+        assert_eq!(bits(&acc), want);
+        // self-inverse: the second application restores every pattern
+        ReduceOp::Xor.apply(&mut acc, &rhs);
+        assert_eq!(bits(&acc), a_bits);
+    }
+
+    #[test]
     #[should_panic(expected = "unsupported")]
-    fn xor_on_f64_is_rejected() {
-        let mut a = Payload::F64(vec![1.0]);
-        ReduceOp::Xor.apply(&mut a, &Payload::F64(vec![1.0]));
+    fn xor_on_i64_is_rejected() {
+        let mut a = Payload::I64(vec![1]);
+        ReduceOp::Xor.apply(&mut a, &Payload::I64(vec![1]));
     }
 
     #[test]
