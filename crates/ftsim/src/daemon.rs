@@ -7,89 +7,21 @@
 //! ranks re-attach to their SHM checkpoints; the replacement rank's
 //! shard is rebuilt from group parity inside `run_skt`'s recovery.
 //!
-//! Figure 10 timing: *detect* is modeled (it is a property of the job
-//! manager — ~63 s on Tianhe-2, ~30 s on Tianhe-1A); *replace*,
-//! *restart*, *recover*, and *checkpoint* are measured on the virtual
-//! cluster.
+//! That loop is the multi-tenant service's failure ladder
+//! ([`crate::service`]) run for one tenant; what it records — attempts,
+//! suspicions, the Figure 10 phase bars — lives in [`crate::report`].
 
-use skt_cluster::{Cluster, Fault, NodeId, Ranklist};
-use skt_core::{OpRecord, RecoveryReport};
+// the history types lived here before `report.rs`; their old paths stay
+pub use crate::report::{
+    AttemptRecord, CyclePhase, DaemonHistory, PhaseTimes, RetryPolicy, SuspicionOutcome,
+    SuspicionRecord,
+};
+use crate::report::{Refusal, TenantOutcome};
+use crate::service::{CheckpointService, ServiceConfig, StormPlan};
+use skt_cluster::{Cluster, Ranklist};
 use skt_hpl::{SktConfig, SktOutput};
 use std::sync::Arc;
 use std::time::Duration;
-
-/// The phases of one work-fail-detect-restart cycle — the bars of
-/// Figure 10, in the order they occur.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[non_exhaustive]
-pub enum CyclePhase {
-    /// Failure detection (modeled; job-manager property).
-    Detect,
-    /// Replacing lost nodes by spares (measured: ranklist repair).
-    Replace,
-    /// Relaunching the job (measured: spawn to first rank running).
-    Restart,
-    /// Restoring data from checkpoints (measured inside the job).
-    Recover,
-    /// Making one checkpoint (measured, average over the run).
-    Checkpoint,
-}
-
-impl CyclePhase {
-    /// Every phase, in cycle order.
-    pub const ALL: [CyclePhase; 5] = [
-        CyclePhase::Detect,
-        CyclePhase::Replace,
-        CyclePhase::Restart,
-        CyclePhase::Recover,
-        CyclePhase::Checkpoint,
-    ];
-
-    /// The bar label used in Figure 10.
-    pub fn label(self) -> &'static str {
-        match self {
-            CyclePhase::Detect => "detect",
-            CyclePhase::Replace => "replace",
-            CyclePhase::Restart => "restart",
-            CyclePhase::Recover => "recover data",
-            CyclePhase::Checkpoint => "checkpoint",
-        }
-    }
-}
-
-impl std::fmt::Display for CyclePhase {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// Per-phase durations of one cycle, keyed by [`CyclePhase`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTimes {
-    times: [Duration; CyclePhase::ALL.len()],
-}
-
-impl PhaseTimes {
-    /// Duration of `phase`.
-    pub fn get(&self, phase: CyclePhase) -> Duration {
-        self.times[phase as usize]
-    }
-
-    /// Record the duration of `phase`.
-    pub fn set(&mut self, phase: CyclePhase, d: Duration) {
-        self.times[phase as usize] = d;
-    }
-
-    /// `(phase, duration)` pairs in cycle order.
-    pub fn iter(&self) -> impl Iterator<Item = (CyclePhase, Duration)> + '_ {
-        CyclePhase::ALL.iter().map(move |&p| (p, self.get(p)))
-    }
-
-    /// Sum of all phases: the cycle's contribution to lost wall time.
-    pub fn total(&self) -> Duration {
-        self.times.iter().sum()
-    }
-}
 
 /// Outcome of a daemon-supervised run.
 #[derive(Clone, Debug)]
@@ -106,91 +38,6 @@ pub struct CycleReport {
     /// deaths, backoff, recovery reports) — the error-path history, kept
     /// on success too.
     pub history: DaemonHistory,
-}
-
-/// Record of one *failed* launch attempt, in order.
-#[derive(Clone, Debug)]
-pub struct AttemptRecord {
-    /// 1-based launch number that failed.
-    pub attempt: usize,
-    /// The fault that ended the attempt (rank order; with fault
-    /// attribution a node loss surfaces as `NodeDead(culprit)` on every
-    /// rank).
-    pub fault: Fault,
-    /// Nodes that died *during this attempt* (empty when the failure was
-    /// protocol-level, e.g. an unrecoverable checkpoint verdict —
-    /// replacement cannot fix those).
-    pub newly_dead: Vec<NodeId>,
-    /// Backoff charged to the runtime clock before the next attempt
-    /// (zero when the daemon gave up instead of retrying).
-    pub backoff: Duration,
-}
-
-/// How the daemon resolved one suspicion verdict (the last two rungs of
-/// the gray-failure ladder: observe → probe → *this*).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SuspicionOutcome {
-    /// The probe found the suspect responsive again (the gray fault
-    /// healed): the verdict is cleared and the job resumes on the same
-    /// ranklist with its checkpoints untouched — bit-exact with the
-    /// fault-free run.
-    Exonerated,
-    /// The probe confirmed degradation: the suspect was fenced at this
-    /// generation and its shard proactively migrated onto a spare
-    /// through the sequenced [`skt_core::protocol::ops::SpareDraw`].
-    Migrated {
-        /// The fence generation stamped on the zombie; stale messages
-        /// and SHM writes carrying an older generation are rejected.
-        generation: u64,
-    },
-}
-
-impl SuspicionOutcome {
-    /// Stable label for fingerprints (strips the generation number —
-    /// it can differ across re-fencing histories).
-    pub fn label(&self) -> &'static str {
-        match self {
-            SuspicionOutcome::Exonerated => "exonerated",
-            SuspicionOutcome::Migrated { .. } => "migrated",
-        }
-    }
-}
-
-/// One suspicion the daemon adjudicated: which node, the score the
-/// declaring peer saw, what the probe said, and how it ended.
-#[derive(Clone, Debug)]
-pub struct SuspicionRecord {
-    /// The suspected node.
-    pub node: NodeId,
-    /// Suspicion score at declaration (whole heartbeat intervals of
-    /// observed lag/slowness — seed-dependent; fingerprints drop it).
-    pub score: u32,
-    /// The probe verdict's stable label (`"responsive"`, or the gray
-    /// kind for degraded, or `"unresponsive"`).
-    pub probe: &'static str,
-    /// How the ladder resolved it.
-    pub outcome: SuspicionOutcome,
-}
-
-/// The daemon's full account of a supervised run: one record per failed
-/// attempt plus every [`RecoveryReport`] harvested from relaunches —
-/// including relaunches that completed their recovery and *then* died,
-/// which is exactly the cascading-failure evidence a typed
-/// [`DaemonError`] must carry.
-#[derive(Clone, Debug, Default)]
-pub struct DaemonHistory {
-    /// One record per failed attempt.
-    pub attempts: Vec<AttemptRecord>,
-    /// Recovery reports of every attempt whose restore completed, in
-    /// attempt order (an attempt killed mid-rebuild leaves none).
-    pub recoveries: Vec<RecoveryReport>,
-    /// The daemon's own sequenced-op audit trail: one record per
-    /// spare-draw, telling whether the draw applied, was replayed, or
-    /// was detected already done and skipped (see
-    /// [`skt_core::protocol::ops`]).
-    pub ops: Vec<OpRecord>,
-    /// Suspicion verdicts adjudicated (gray-failure ladder), in order.
-    pub suspicions: Vec<SuspicionRecord>,
 }
 
 /// Why the daemon gave up. Every variant carries the full
@@ -245,43 +92,6 @@ impl std::fmt::Display for DaemonError {
 
 impl std::error::Error for DaemonError {}
 
-/// Retry policy of the daemon's restart loop.
-#[derive(Clone, Debug)]
-pub struct RetryPolicy {
-    /// Node losses to survive before giving up.
-    pub max_failures: usize,
-    /// Modeled failure-detection latency (job-manager property).
-    pub detect: Duration,
-    /// Backoff before the first retry; doubles on each consecutive
-    /// failure. Charged to the cluster's [`Runtime`](skt_cluster::Runtime)
-    /// clock, so it is virtual under simulation and never sleeps a test.
-    pub backoff_base: Duration,
-    /// Upper bound on the doubling backoff.
-    pub backoff_cap: Duration,
-}
-
-impl RetryPolicy {
-    /// Policy with the defaults used by [`run_with_daemon`]: 1 s base
-    /// backoff capped at 60 s.
-    pub fn new(max_failures: usize, detect: Duration) -> Self {
-        RetryPolicy {
-            max_failures,
-            detect,
-            backoff_base: Duration::from_secs(1),
-            backoff_cap: Duration::from_secs(60),
-        }
-    }
-
-    /// Backoff before retrying after the `failures`-th consecutive
-    /// failure (1-based): `base * 2^(failures-1)`, capped.
-    pub fn backoff(&self, failures: usize) -> Duration {
-        let doubled = self
-            .backoff_base
-            .saturating_mul(1u32 << (failures - 1).min(31) as u32);
-        doubled.min(self.backoff_cap)
-    }
-}
-
 /// Supervise a fault-tolerant HPL run to completion, restarting through
 /// up to `max_failures` node losses. `detect_model` is the modeled
 /// failure-detection latency of the platform's job manager.
@@ -292,50 +102,28 @@ pub fn run_with_daemon(
     max_failures: usize,
     detect_model: Duration,
 ) -> Result<CycleReport, DaemonError> {
-    run_with_policy(
-        cluster,
-        ranklist,
-        cfg,
-        &RetryPolicy::new(max_failures, detect_model),
-    )
+    let policy = RetryPolicy::new(max_failures, detect_model);
+    run_with_policy(cluster, ranklist, cfg, &policy)
 }
 
-/// [`run_with_daemon`] with an explicit [`RetryPolicy`].
-///
-/// Since the multi-tenant service landed this is a thin wrapper over
-/// [`CheckpointService`](crate::service::CheckpointService): the job is
-/// registered as a single pre-placed tenant whose shard is the
-/// ranklist's node set and whose float is the whole spare pool, run in
-/// whole-job slices under the batched schedule — which reduces exactly
-/// to the old blocking cycle. On failure: *detect* (modeled latency),
-/// *classify* (did a node die? give up with
-/// [`DaemonError::Unrecoverable`] if not — replacement cannot fix a
-/// protocol verdict), *replace* (sequenced spare draw + ranklist
-/// repair), *back off* (doubling, on the runtime clock), relaunch.
-/// Never a panic or a hang: every exit is `Ok` or a typed
-/// [`DaemonError`] carrying the full history.
+/// [`run_with_daemon`] with an explicit [`RetryPolicy`]: the job runs as
+/// the single pre-placed tenant of a [`CheckpointService`] — its shard
+/// the ranklist's node set, its float the whole spare pool, whole-job
+/// slices under the batched schedule ([`ServiceConfig::new`]'s
+/// defaults) — so the failure ladder is the service's: *detect*,
+/// *classify* ([`DaemonError::Unrecoverable`] when no node died),
+/// *replace*, *back off*, relaunch. Never a panic or a hang: every exit
+/// is `Ok` or a typed [`DaemonError`] carrying the full history.
 pub fn run_with_policy(
     cluster: Arc<Cluster>,
     ranklist: &Ranklist,
     cfg: &SktConfig,
     policy: &RetryPolicy,
 ) -> Result<CycleReport, DaemonError> {
-    use crate::policy::PolicySpec;
-    use crate::service::{CheckpointService, Refusal, ServiceConfig, StormPlan, TenantOutcome};
-    let mut svc_cfg = ServiceConfig::new(policy.clone());
-    svc_cfg.slice_panels = 0;
-    svc_cfg.schedule = PolicySpec::Batched;
-    // the daemon's caller owns the cluster and may re-enter the same
-    // checkpoints after this run — never wipe them
-    svc_cfg.wipe_on_release = false;
-    let (svc, tenant) = CheckpointService::for_placed_job(cluster, svc_cfg, cfg, ranklist);
-    let mut report = svc.run(&StormPlan::none());
-    let pos = report
-        .tenants
-        .iter()
-        .position(|t| t.tenant == tenant)
-        .expect("the placed tenant must have a report");
-    let tr = report.tenants.swap_remove(pos);
+    let svc_cfg = ServiceConfig::new(policy.clone());
+    let (svc, _) = CheckpointService::for_placed_job(cluster, svc_cfg, cfg, ranklist);
+    let tr = svc.run(&StormPlan::none()).tenants.pop();
+    let tr = tr.expect("the placed tenant must have a report");
     match tr.outcome {
         TenantOutcome::Completed(output) => Ok(CycleReport {
             launches: tr.launches,
@@ -357,7 +145,7 @@ pub fn run_with_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skt_cluster::{ClusterConfig, CorruptPlan, FailurePlan, Region};
+    use skt_cluster::{ClusterConfig, CorruptPlan, FailurePlan, Fault, Region};
     use skt_core::RECOVER_COMMIT_PROBE;
     use skt_encoding::CodecSpec;
     use skt_hpl::{run_skt, HplConfig, ITER_PROBE};
@@ -700,6 +488,7 @@ mod tests {
             backoff_base: Duration::from_secs(1),
             backoff_cap: Duration::from_secs(8),
         };
+        assert_eq!(p.backoff(0), Duration::from_secs(1), "0 behaves as 1");
         assert_eq!(p.backoff(1), Duration::from_secs(1));
         assert_eq!(p.backoff(2), Duration::from_secs(2));
         assert_eq!(p.backoff(3), Duration::from_secs(4));

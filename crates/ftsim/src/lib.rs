@@ -7,14 +7,17 @@
 //!   failure (from the launcher's exit status), replace lost nodes with
 //!   spares, rewrite the ranklist, and relaunch — the
 //!   work-fail-detect-restart cycle of Figure 10, with per-phase timing.
-//!   Now a single-tenant wrapper over [`service`].
+//!   A single-tenant wrapper over [`service`].
 //! * [`service`] — the multi-tenant checkpoint service: many
 //!   independent jobs sharded over one node pool, supervised by one
-//!   event-driven daemon loop with admission control and spare-pool
-//!   arbitration (the ReStore direction of the ROADMAP).
-//! * [`policy`] — pluggable slice-scheduling policies behind the
-//!   [`policy::SlicePolicy`] trait, resolved from a
-//!   [`policy::PolicySpec`] the same way codecs resolve.
+//!   event-driven daemon loop with admission control, spare-pool
+//!   arbitration and a single failure ladder (the ReStore direction of
+//!   the ROADMAP).
+//! * [`report`] — what the supervisor reports, as pure data: attempt
+//!   and suspicion records, Figure 10 phase times, the retry policy,
+//!   per-tenant reports and their fingerprints.
+//! * [`policy`] — slice-scheduling policies: a plain [`PolicySpec`]
+//!   enum whose `next` picks the ready tenant with the smallest key.
 //! * [`resize`] — tenant elasticity between slices: harvest the
 //!   boundary checkpoint, re-install it under the new layout via a
 //!   sequenced op, then (and only then) move the node accounting.
@@ -34,19 +37,18 @@
 pub mod blcr;
 pub mod daemon;
 pub mod policy;
+pub mod report;
 pub mod resize;
 pub mod service;
 pub mod table3;
 
 pub use blcr::{run_blcr, BlcrConfig, BlcrStore};
-pub use daemon::{
-    run_with_daemon, run_with_policy, AttemptRecord, CyclePhase, CycleReport, DaemonError,
-    DaemonHistory, PhaseTimes, RetryPolicy, SuspicionOutcome, SuspicionRecord,
+pub use daemon::{run_with_daemon, run_with_policy, CycleReport, DaemonError};
+pub use policy::{PolicySpec, SchedState, TenantProfile, TenantSched};
+pub use report::{
+    AttemptRecord, CyclePhase, DaemonHistory, PhaseTimes, Refusal, RetryPolicy, ServiceReport,
+    SuspicionOutcome, SuspicionRecord, TenantOutcome, TenantReport,
 };
-pub use policy::{Decision, PolicySpec, SchedState, SlicePolicy, TenantProfile, TenantSched};
 pub use resize::{PendingResize, ResizeAudit, ResizeError};
-pub use service::{
-    CheckpointService, Refusal, ServiceConfig, ServiceReport, StormPlan, TenantOutcome,
-    TenantReport, TimedFault, TimedKind,
-};
+pub use service::{CheckpointService, ServiceConfig, StormPlan, TimedFault, TimedKind};
 pub use table3::{run_table3, MethodRow, Table3Config};

@@ -1,17 +1,13 @@
-//! Pluggable slice-scheduling policies for the multi-tenant service.
+//! Slice-scheduling policies for the multi-tenant service.
 //!
-//! PR 8 hard-coded two schedules (run-to-completion and round-robin)
-//! into the service's event loop. This module extracts the decision
-//! into a [`SlicePolicy`] trait behind a [`PolicySpec`] spec enum with
-//! a leak-once registry — the same shape as `CodecSpec` — so the
-//! service dispatch loop stays policy-agnostic: it maintains a *ready
-//! set* of runnable tenants, hands the policy a typed snapshot
-//! ([`SchedState`]) of queue ages, failure debt, and measured slice
-//! timings, and runs whatever `(tenant, panel_budget)` the policy
-//! returns. Policies are pure functions of that snapshot, and the
-//! snapshot is derived from the deterministic event queue on the
-//! virtual clock — so every schedule remains a pure function of
-//! `(config, seed)`.
+//! The service's dispatch loop maintains a *ready set* of runnable
+//! tenants and asks the configured [`PolicySpec`] which one runs the
+//! next slice ([`PolicySpec::next`]). Every policy is "the ready tenant
+//! with the smallest key", differing only in the key, and the key is a
+//! pure function of a typed snapshot ([`SchedState`]: queue ages,
+//! classes, deadlines) derived from the deterministic event queue on
+//! the virtual clock — so every schedule remains a pure function of
+//! `(config, seed)`. Ties fall back to FIFO: ready time, then arrival.
 //!
 //! Four policies ship:
 //!
@@ -29,8 +25,7 @@
 //!   that declared none.
 
 use skt_cluster::TenantId;
-use std::collections::HashMap;
-use std::sync::{Mutex, OnceLock};
+use std::fmt;
 use std::time::Duration;
 
 /// Per-tenant scheduling hints, given at registration. The profile is
@@ -59,20 +54,6 @@ pub struct TenantSched {
     /// Monotonic readiness sequence — breaks `enqueued_at` ties in
     /// arrival order, so the schedule stays total and deterministic.
     pub ready_seq: u64,
-    /// Slices this tenant has run so far.
-    pub slices: usize,
-    /// Failure debt: failed attempts charged to the tenant's budget.
-    pub failures: usize,
-    /// Measured wall time of the tenant's last slice (its EventBus
-    /// phase total), `ZERO` before the first slice.
-    pub last_slice: Duration,
-}
-
-impl TenantSched {
-    /// FIFO ordering key: ready time, arrival order.
-    fn fifo_key(&self) -> (Duration, u64) {
-        (self.enqueued_at, self.ready_seq)
-    }
 }
 
 /// Typed scheduler snapshot handed to a policy. Everything in it is
@@ -81,37 +62,15 @@ impl TenantSched {
 pub struct SchedState<'a> {
     /// Current virtual time.
     pub now: Duration,
-    /// The service's configured panels-per-slice (0 = to completion).
-    pub default_budget: usize,
-    /// Tenant that ran the most recent slice, if still admitted.
+    /// Tenant that ran the most recent slice.
     pub last: Option<TenantId>,
     /// Runnable tenants. Never empty when a policy is consulted.
     pub ready: &'a [TenantSched],
 }
 
-/// A policy's verdict: which tenant runs next, for how many panels.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Decision {
-    /// Tenant to dispatch (must be in the ready set).
-    pub tenant: TenantId,
-    /// Panel budget for this slice (0 = run to completion).
-    pub panel_budget: usize,
-}
-
-/// A slice-scheduling policy: a pure function from scheduler state to
-/// the next dispatch. Implementations must be deterministic — no clocks
-/// or randomness beyond what [`SchedState`] carries.
-pub trait SlicePolicy: Send + Sync {
-    /// Stable label for fingerprints and reports.
-    fn name(&self) -> &'static str;
-    /// Decide the next slice. `None` yields (only meaningful for future
-    /// policies that can idle; the built-ins always pick).
-    fn next(&self, state: &SchedState<'_>) -> Option<Decision>;
-}
-
-/// Spec of a slice-scheduling policy: plain data (`Copy`, comparable,
-/// storable in configs) resolved to a `'static` implementation via
-/// [`PolicySpec::resolve`] — the `CodecSpec` registry idiom.
+/// A slice-scheduling policy: plain data (`Copy`, comparable, storable
+/// in configs). [`PolicySpec::next`] is the whole implementation, and
+/// `Display` gives the stable label for fingerprints and reports.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum PolicySpec {
@@ -135,147 +94,47 @@ pub enum PolicySpec {
 }
 
 impl PolicySpec {
-    /// Resolve to the policy implementation. Fixed variants are
-    /// statics; parameterized variants are leaked once per parameter
-    /// value and cached in a registry.
-    pub fn resolve(&self) -> &'static dyn SlicePolicy {
-        static BATCHED: Batched = Batched;
-        static ROUND_ROBIN: RoundRobin = RoundRobin;
+    /// The tenant that runs the next slice: the ready tenant with the
+    /// smallest `(policy key, ready time, arrival order)`. Deterministic
+    /// — no clocks or randomness beyond what [`SchedState`] carries.
+    ///
+    /// # Panics
+    /// If `state.ready` is empty; the dispatch loop never asks then.
+    pub fn next(&self, state: &SchedState<'_>) -> TenantId {
+        let key = |t: &TenantSched| -> u128 {
+            match *self {
+                // the tenant that ran last keeps the runtime while ready
+                PolicySpec::Batched => u128::from(state.last != Some(t.tenant)),
+                PolicySpec::RoundRobin => 0,
+                PolicySpec::Priority { aging_us } => {
+                    let age_us = state.now.saturating_sub(t.enqueued_at).as_micros() as u64;
+                    let boost = age_us.checked_div(aging_us).unwrap_or(0);
+                    u128::MAX - (u128::from(t.class) + u128::from(boost))
+                }
+                PolicySpec::Deadline { default_slack_us } => {
+                    let implied = || t.enqueued_at + Duration::from_micros(default_slack_us);
+                    t.deadline.unwrap_or_else(implied).as_nanos()
+                }
+            }
+        };
+        let ready = state.ready.iter();
+        let next = ready.min_by_key(|t| (key(t), t.enqueued_at, t.ready_seq));
+        next.expect("a policy is consulted only with a non-empty ready set")
+            .tenant
+    }
+}
+
+impl fmt::Display for PolicySpec {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PolicySpec::Batched => &BATCHED,
-            PolicySpec::RoundRobin => &ROUND_ROBIN,
-            PolicySpec::Priority { aging_us } => resolve_priority(*aging_us),
-            PolicySpec::Deadline { default_slack_us } => resolve_deadline(*default_slack_us),
+            PolicySpec::Batched => f.write_str("batched"),
+            PolicySpec::RoundRobin => f.write_str("round-robin"),
+            PolicySpec::Priority { aging_us } => write!(f, "priority(aging={aging_us}us)"),
+            PolicySpec::Deadline { default_slack_us } => {
+                write!(f, "deadline(slack={default_slack_us}us)")
+            }
         }
     }
-}
-
-struct Batched;
-
-impl SlicePolicy for Batched {
-    fn name(&self) -> &'static str {
-        "batched"
-    }
-
-    fn next(&self, state: &SchedState<'_>) -> Option<Decision> {
-        // Sticky: the tenant that ran last keeps the runtime while it
-        // stays ready; otherwise the oldest waiter starts.
-        state
-            .last
-            .and_then(|id| state.ready.iter().find(|t| t.tenant == id))
-            .or_else(|| state.ready.iter().min_by_key(|t| t.fifo_key()))
-            .map(|t| Decision {
-                tenant: t.tenant,
-                panel_budget: state.default_budget,
-            })
-    }
-}
-
-struct RoundRobin;
-
-impl SlicePolicy for RoundRobin {
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-
-    fn next(&self, state: &SchedState<'_>) -> Option<Decision> {
-        state
-            .ready
-            .iter()
-            .min_by_key(|t| t.fifo_key())
-            .map(|t| Decision {
-                tenant: t.tenant,
-                panel_budget: state.default_budget,
-            })
-    }
-}
-
-struct Priority {
-    aging_us: u64,
-    label: &'static str,
-}
-
-impl Priority {
-    fn effective(&self, t: &TenantSched, now: Duration) -> u64 {
-        let age_us = now.saturating_sub(t.enqueued_at).as_micros() as u64;
-        let boost = age_us.checked_div(self.aging_us).unwrap_or(0);
-        t.class as u64 + boost
-    }
-}
-
-impl SlicePolicy for Priority {
-    fn name(&self) -> &'static str {
-        self.label
-    }
-
-    fn next(&self, state: &SchedState<'_>) -> Option<Decision> {
-        state
-            .ready
-            .iter()
-            .min_by_key(|t| {
-                (
-                    std::cmp::Reverse(self.effective(t, state.now)),
-                    t.fifo_key(),
-                )
-            })
-            .map(|t| Decision {
-                tenant: t.tenant,
-                panel_budget: state.default_budget,
-            })
-    }
-}
-
-struct Deadline {
-    default_slack_us: u64,
-    label: &'static str,
-}
-
-impl Deadline {
-    fn due(&self, t: &TenantSched) -> Duration {
-        t.deadline
-            .unwrap_or_else(|| t.enqueued_at + Duration::from_micros(self.default_slack_us))
-    }
-}
-
-impl SlicePolicy for Deadline {
-    fn name(&self) -> &'static str {
-        self.label
-    }
-
-    fn next(&self, state: &SchedState<'_>) -> Option<Decision> {
-        state
-            .ready
-            .iter()
-            .min_by_key(|t| (self.due(t), t.fifo_key()))
-            .map(|t| Decision {
-                tenant: t.tenant,
-                panel_budget: state.default_budget,
-            })
-    }
-}
-
-fn resolve_priority(aging_us: u64) -> &'static dyn SlicePolicy {
-    static REGISTRY: OnceLock<Mutex<HashMap<u64, &'static Priority>>> = OnceLock::new();
-    let reg = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut g = reg.lock().expect("policy registry poisoned");
-    *g.entry(aging_us).or_insert_with(|| {
-        Box::leak(Box::new(Priority {
-            aging_us,
-            label: Box::leak(format!("priority(aging={aging_us}us)").into_boxed_str()),
-        }))
-    })
-}
-
-fn resolve_deadline(default_slack_us: u64) -> &'static dyn SlicePolicy {
-    static REGISTRY: OnceLock<Mutex<HashMap<u64, &'static Deadline>>> = OnceLock::new();
-    let reg = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut g = reg.lock().expect("policy registry poisoned");
-    *g.entry(default_slack_us).or_insert_with(|| {
-        Box::leak(Box::new(Deadline {
-            default_slack_us,
-            label: Box::leak(format!("deadline(slack={default_slack_us}us)").into_boxed_str()),
-        }))
-    })
 }
 
 #[cfg(test)]
@@ -289,42 +148,29 @@ mod tests {
             deadline: None,
             enqueued_at: Duration::from_micros(enq_us),
             ready_seq: seq,
-            slices: 0,
-            failures: 0,
-            last_slice: Duration::ZERO,
         }
     }
 
     fn pick(spec: PolicySpec, now_us: u64, last: Option<u32>, ready: &[TenantSched]) -> u32 {
         let state = SchedState {
             now: Duration::from_micros(now_us),
-            default_budget: 3,
             last: last.map(TenantId),
             ready,
         };
-        spec.resolve()
-            .next(&state)
-            .expect("built-ins always pick")
-            .tenant
-            .0
+        spec.next(&state).0
     }
 
     #[test]
-    fn registry_leaks_one_instance_per_parameter() {
-        let a = PolicySpec::Priority { aging_us: 100 }.resolve();
-        let b = PolicySpec::Priority { aging_us: 100 }.resolve();
-        let c = PolicySpec::Priority { aging_us: 200 }.resolve();
-        assert!(std::ptr::eq(a, b), "same parameter, same instance");
-        assert!(!std::ptr::eq(a, c));
-        assert_eq!(a.name(), "priority(aging=100us)");
-        assert_eq!(
-            PolicySpec::Deadline {
-                default_slack_us: 7
-            }
-            .resolve()
-            .name(),
-            "deadline(slack=7us)"
-        );
+    fn labels_carry_the_parameter() {
+        let label = PolicySpec::Priority { aging_us: 100 }.to_string();
+        assert_eq!(label, "priority(aging=100us)");
+        let label = PolicySpec::Deadline {
+            default_slack_us: 7,
+        }
+        .to_string();
+        assert_eq!(label, "deadline(slack=7us)");
+        assert_eq!(PolicySpec::Batched.to_string(), "batched");
+        assert_eq!(PolicySpec::RoundRobin.to_string(), "round-robin");
     }
 
     #[test]
@@ -410,32 +256,5 @@ mod tests {
         // deadline tie: FIFO arrival
         relaxed.deadline = Some(Duration::from_micros(70));
         assert_eq!(pick(spec, 60, None, &[urgent, relaxed]), 1);
-    }
-
-    #[test]
-    fn decisions_carry_the_default_budget() {
-        let ready = [sched(0, 0, 0, 0)];
-        let state = SchedState {
-            now: Duration::ZERO,
-            default_budget: 7,
-            last: None,
-            ready: &ready,
-        };
-        for spec in [
-            PolicySpec::Batched,
-            PolicySpec::RoundRobin,
-            PolicySpec::Priority { aging_us: 50 },
-            PolicySpec::Deadline {
-                default_slack_us: 50,
-            },
-        ] {
-            let d = spec.resolve().next(&state).unwrap();
-            assert_eq!(
-                (d.tenant, d.panel_budget),
-                (TenantId(0), 7),
-                "{}",
-                spec.resolve().name()
-            );
-        }
     }
 }

@@ -24,7 +24,7 @@
 use skt_cluster::{Cluster, Fault, NodeId, Ranklist};
 use skt_core::protocol::ops::{OpState, SequencedOp};
 use skt_core::protocol::{Header, HeaderState};
-use skt_core::Checkpointer;
+use skt_core::{Checkpointer, OpRecord};
 use skt_hpl::{install_relayout, BlockCyclic1D, SktConfig, A2_CAPACITY};
 use skt_mps::run_on_cluster;
 use std::sync::Arc;
@@ -131,7 +131,7 @@ pub struct ResizeAudit {
     /// `resize-install panel=6`). Scheduler-seed invariant: the boundary
     /// panel is probe-anchored.
     pub op: Option<String>,
-    /// Full rendered [`OpRecord`](skt_core::OpRecord) of the install
+    /// Full rendered [`OpRecord`] of the install
     /// (`name detected:action`). The detected state of a *replay* can
     /// legitimately differ across scheduler seeds — how far a killed
     /// attempt got before the abort propagated is a race — so this
@@ -142,6 +142,59 @@ pub struct ResizeAudit {
 }
 
 impl ResizeAudit {
+    /// An attempt that ran no install op: a request already satisfied
+    /// (`kind` `noop`, `outcome` `committed`) or a `cold` resize.
+    pub(crate) fn new(
+        at: Duration,
+        from: usize,
+        to: usize,
+        kind: &'static str,
+        outcome: &'static str,
+    ) -> Self {
+        ResizeAudit {
+            at,
+            from,
+            to,
+            kind,
+            outcome,
+            refusal: None,
+            op: None,
+            op_record: None,
+            wiped: Vec::new(),
+        }
+    }
+
+    /// A typed refusal: the tenant stays at `ranks`.
+    pub(crate) fn refused(
+        at: Duration,
+        ranks: usize,
+        kind: &'static str,
+        refusal: ResizeError,
+    ) -> Self {
+        ResizeAudit {
+            refusal: Some(refusal),
+            ..Self::new(at, ranks, ranks, kind, "refused")
+        }
+    }
+
+    /// A resize committed through the sequenced install `rec`, after
+    /// which the vacated nodes `wiped` (ascending) were wiped.
+    pub(crate) fn installed(
+        at: Duration,
+        from: usize,
+        to: usize,
+        kind: &'static str,
+        rec: &OpRecord,
+        wiped: Vec<NodeId>,
+    ) -> Self {
+        ResizeAudit {
+            op: Some(rec.op.clone()),
+            op_record: Some(rec.to_string()),
+            wiped,
+            ..Self::new(at, from, to, kind, "committed")
+        }
+    }
+
     /// Stable fingerprint line (no timings, no replay-race detail).
     pub fn line(&self) -> String {
         let refusal = match &self.refusal {
@@ -189,6 +242,27 @@ pub(crate) enum Harvest {
     Torn,
 }
 
+/// The panel counter a boundary checkpoint parked in a workspace image's
+/// `A2`. `None` when the image is truncated or torn, or holds no 8-byte
+/// counter (never parked at a boundary).
+fn parked_panel(data: &[f64], a1_len: usize) -> Option<u64> {
+    let a2 = Checkpointer::peek_a2(data, a1_len, A2_CAPACITY)?;
+    Some(u64::from_le_bytes(a2.as_slice().try_into().ok()?))
+}
+
+/// Remove every segment under `prefix` from the nodes `rl` places ranks
+/// on — one resize epoch's namespace, never anything else.
+pub(crate) fn remove_prefix(cluster: &Cluster, rl: &Ranklist, prefix: &str) {
+    for r in 0..rl.len() {
+        let shm = cluster.shm(rl.node_of(r));
+        for name in shm.names() {
+            if name.starts_with(prefix) {
+                shm.remove(&name);
+            }
+        }
+    }
+}
+
 /// Read the boundary image of `name` from the old layout's workspaces.
 /// Service-side, read-only — never mutates a segment.
 pub(crate) fn harvest(cluster: &Cluster, name: &str, cfg: &SktConfig, rl: &Ranklist) -> Harvest {
@@ -208,13 +282,9 @@ pub(crate) fn harvest(cluster: &Cluster, name: &str, cfg: &SktConfig, rl: &Rankl
         let Ok(data) = g.try_as_f64() else {
             return Harvest::Torn;
         };
-        let Some(a2) = Checkpointer::peek_a2(data, a1_len, A2_CAPACITY) else {
+        let Some(p) = parked_panel(data, a1_len) else {
             return Harvest::Torn;
         };
-        let Ok(bytes) = <[u8; 8]>::try_from(a2.as_slice()) else {
-            return Harvest::Torn; // no panel counter: never parked at a boundary
-        };
-        let p = u64::from_le_bytes(bytes);
         match panel {
             None => panel = Some(p),
             Some(q) if q != p => return Harvest::Torn,
@@ -306,10 +376,7 @@ impl SequencedOp<ResizeCtx> for ResizeOp {
             }
             let g = work.read();
             let Ok(data) = g.try_as_f64() else { continue };
-            let parked = Checkpointer::peek_a2(data, a1_len, A2_CAPACITY)
-                .and_then(|a2| <[u8; 8]>::try_from(a2.as_slice()).ok())
-                .map(u64::from_le_bytes);
-            if parked == Some(self.panel) {
+            if parked_panel(data, a1_len) == Some(self.panel) {
                 committed += 1;
             }
         }
@@ -326,15 +393,7 @@ impl SequencedOp<ResizeCtx> for ResizeOp {
         // Wipe partials from a previous attempt: the install must start
         // from a clean namespace or `init_synced` would adopt torn
         // segments. Only the *new* epoch's prefix is touched.
-        let prefix = Self::prefix(ctx);
-        for r in 0..ctx.new_rl.len() {
-            let shm = ctx.cluster.shm(ctx.new_rl.node_of(r));
-            for name in shm.names() {
-                if name.starts_with(&prefix) {
-                    shm.remove(&name);
-                }
-            }
-        }
+        remove_prefix(&ctx.cluster, &ctx.new_rl, &Self::prefix(ctx));
         let cfg = ctx.new_cfg.clone();
         let columns = &self.columns;
         let panel = self.panel;

@@ -14,17 +14,16 @@
 //!   through the reservation ledger; a draw that would starve another
 //!   tenant's guarantee is refused with a typed collective verdict
 //!   ([`Refusal::SpareContention`]) instead of silently consuming it.
-//! * **Event-driven supervision** — the single blocking
-//!   work-fail-detect-restart cycle of [`crate::daemon`] becomes a
-//!   per-tenant state machine advanced from a deterministic
+//! * **Event-driven supervision** — the paper's single blocking
+//!   work-fail-detect-restart cycle (§5.2) becomes a per-tenant state
+//!   machine with one failure ladder, advanced from a deterministic
 //!   [`EventQueue`] on the cluster's [`Runtime`](skt_cluster::Runtime)
 //!   clock. Jobs time-share the runtime in *slices*
 //!   ([`skt_hpl::run_skt_sliced`]): a tenant runs alone for a bounded
 //!   number of panels, parks its state in SHM (the self-checkpoint
-//!   move), and yields. *Which* tenant runs next is decided by a
-//!   pluggable [`SlicePolicy`](crate::policy::SlicePolicy) resolved
-//!   from [`PolicySpec`] — the dispatch loop only maintains the ready
-//!   set and executes decisions.
+//!   move), and yields. *Which* tenant runs next is decided by the
+//!   configured [`PolicySpec`] — the dispatch loop only maintains the
+//!   ready set and runs the tenant [`PolicySpec::next`] names.
 //! * **Elasticity** — a tenant can grow, shrink, or be relocated
 //!   *between* slices, through the boundary checkpoint
 //!   ([`crate::resize`]): the service harvests the parked matrix from
@@ -45,25 +44,27 @@
 //! thin wrapper over this engine: one tenant, whole-job slices, and the
 //! entire spare pool as its float.
 
-use crate::daemon::{
+use crate::policy::{PolicySpec, SchedState, TenantProfile, TenantSched};
+use crate::report::{
     AttemptRecord, CyclePhase, DaemonHistory, PhaseTimes, RetryPolicy, SuspicionOutcome,
     SuspicionRecord,
 };
-use crate::policy::{PolicySpec, SchedState, TenantProfile, TenantSched};
+// the report types lived here before `report.rs`; their old paths stay
+pub use crate::report::{Refusal, ServiceReport, TenantOutcome, TenantReport};
 use crate::resize::{
-    epoch_name, harvest, Harvest, PendingResize, ResizeAudit, ResizeCtx, ResizeError, ResizeOp,
+    epoch_name, harvest, remove_prefix, Harvest, PendingResize, ResizeAudit, ResizeCtx,
+    ResizeError, ResizeOp,
 };
-use skt_cluster::SplitMix64;
 use skt_cluster::{
     Admission, AdmitError, ArbitrationError, Cluster, CorruptPlan, EventQueue, FailurePlan, Fault,
-    FaultPlan, GrayPlan, NodeId, ProbeVerdict, Ranklist, ReshapeError, ServicePool, TenantId,
-    TenantSpec,
+    FaultPlan, GrayPlan, NodeId, ProbeVerdict, Ranklist, ReshapeError, ServicePool, SplitMix64,
+    Stopwatch, TenantId, TenantSpec,
 };
 use skt_core::protocol::ops::{self, SpareDraw};
 use skt_core::{resize_group_size, MemoryBreakdown, RecoveryReport};
 use skt_hpl::{run_skt_sliced, BlockCyclic1D, SktConfig, SktOutput, SktRun, ITER_PROBE};
 use skt_mps::run_on_cluster;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -77,19 +78,13 @@ pub struct ServiceConfig {
     /// Modeled memory capacity of one node, for admission control
     /// (`u64::MAX` = don't model memory).
     pub node_mem_bytes: u64,
-    /// Slice scheduling policy, resolved through the
-    /// [`PolicySpec`] registry at each dispatch.
+    /// Slice scheduling policy, consulted at each dispatch.
     pub schedule: PolicySpec,
     /// Between slices, compact the free pool: relocate the smallest
     /// shard with a better (lower-id) placement through the resize
     /// machinery, so freed mid-pool nodes migrate to the high end where
     /// grows and admissions draw contiguously.
     pub defrag: bool,
-    /// Wipe a tenant's SHM from its shard nodes when the shard is
-    /// released, so reassigned nodes hand no stale state to the next
-    /// tenant. The single-job daemon wrapper turns this off: its caller
-    /// owns the cluster and may re-enter the same checkpoints.
-    pub wipe_on_release: bool,
 }
 
 impl ServiceConfig {
@@ -101,221 +96,7 @@ impl ServiceConfig {
             node_mem_bytes: u64::MAX,
             schedule: PolicySpec::Batched,
             defrag: false,
-            wipe_on_release: true,
         }
-    }
-}
-
-/// Typed collective verdict when the service stops retrying a tenant.
-#[derive(Clone, Debug, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum Refusal {
-    /// Replacement needed a spare and the pool (reserve + float) is
-    /// physically dry, with nothing reserved elsewhere either.
-    OutOfSpares,
-    /// The tenant exceeded its failure budget.
-    TooManyFailures,
-    /// The tenant failed without losing a node — a protocol verdict
-    /// (e.g. a checkpoint group damaged beyond the codec's repair);
-    /// replacement and retry cannot fix it.
-    Unrecoverable,
-    /// The arbitration layer refused the cascade: granting it would dip
-    /// into spares reserved for other tenants' guarantees.
-    SpareContention(ArbitrationError),
-    /// Still waiting for admission when the service ran out of events —
-    /// capacity never freed up.
-    AdmissionStarved,
-}
-
-impl Refusal {
-    /// Stable label for fingerprints and logs.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Refusal::OutOfSpares => "out-of-spares",
-            Refusal::TooManyFailures => "too-many-failures",
-            Refusal::Unrecoverable => "unrecoverable",
-            Refusal::SpareContention(_) => "spare-contention",
-            Refusal::AdmissionStarved => "admission-starved",
-        }
-    }
-}
-
-/// How a tenant's run ended.
-#[derive(Clone, Debug)]
-pub enum TenantOutcome {
-    /// The solve completed (residual verified inside).
-    Completed(SktOutput),
-    /// The service stopped retrying, with the typed verdict.
-    Refused(Refusal),
-}
-
-/// The service's full account of one tenant.
-#[derive(Clone, Debug)]
-pub struct TenantReport {
-    /// Tenant id (registration order).
-    pub tenant: TenantId,
-    /// Tenant base name (= its SHM namespace prefix; resize epochs nest
-    /// under it as `{name}@e{k}`).
-    pub name: String,
-    /// Job launches performed (slices + retries).
-    pub launches: usize,
-    /// Slices that ran (a launch that paused or completed).
-    pub slices: usize,
-    /// Failed attempts (== `history.attempts.len()`).
-    pub failures: usize,
-    /// Time spent waiting in the admission queue.
-    pub queued_for: Duration,
-    /// Cluster-clock time when the tenant finished or was refused.
-    pub finished_at: Duration,
-    /// Terminal outcome.
-    pub outcome: TenantOutcome,
-    /// Per-failure cycle phase timings (Figure 10 bars), in order.
-    pub cycles: Vec<PhaseTimes>,
-    /// Attempt records, recovery reports, and the sequenced-op audit
-    /// trail of every spare draw done on this tenant's behalf.
-    pub history: DaemonHistory,
-    /// Every resize attempt on this tenant, in order: grows, shrinks,
-    /// defrag relocations, and their typed refusals.
-    pub resizes: Vec<ResizeAudit>,
-    /// Nodes whose SHM the service wiped on this tenant's behalf:
-    /// vacated at resize commits, plus the released shard itself when
-    /// [`ServiceConfig::wipe_on_release`] is set. A shrunk tenant's old
-    /// nodes land here — wiped, not leaked.
-    pub wiped: Vec<NodeId>,
-    /// SHM segment names found on the tenant's shard that do **not**
-    /// belong to it — must be empty (cross-tenant isolation).
-    pub foreign_on_shard: Vec<String>,
-    /// Nodes *outside* the shard holding segments with this tenant's
-    /// prefix — must be empty (no state leaked off-shard).
-    pub leaked_elsewhere: Vec<NodeId>,
-    /// Fenced nodes still quarantining stale segments with this tenant's
-    /// prefix — a zombie's frozen leftovers, **not** a leak: fencing
-    /// guarantees nothing reads or merges them, and recommissioning
-    /// wipes them.
-    pub fenced_stale: Vec<NodeId>,
-}
-
-impl TenantReport {
-    /// Canonical one-tenant fingerprint. With `timings` false it holds
-    /// only scheduler-independent facts (outcome, residual bits, resumed
-    /// panel, failure/recovery shape, resize audits, isolation) and is
-    /// invariant across simulation seeds for probe-anchored storms; with
-    /// `timings` true it additionally pins every duration and the
-    /// replay-race detail of resize op records, and is byte-identical
-    /// only for a fixed `(config, seed)`.
-    pub fn fingerprint(&self, timings: bool) -> String {
-        use std::fmt::Write as _;
-        let mut s = String::new();
-        let _ = writeln!(
-            s,
-            "tenant={} launches={} slices={} failures={}",
-            self.name, self.launches, self.slices, self.failures
-        );
-        match &self.outcome {
-            TenantOutcome::Completed(out) => {
-                let _ = writeln!(
-                    s,
-                    "  completed passed={} residual={:016x} resumed={} scratch={}",
-                    out.hpl.passed,
-                    out.hpl.residual.to_bits(),
-                    out.resumed_from_panel,
-                    out.restarted_from_scratch
-                );
-            }
-            TenantOutcome::Refused(r) => {
-                let detail = match r {
-                    Refusal::SpareContention(e) => format!(" {e}"),
-                    _ => String::new(),
-                };
-                let _ = writeln!(s, "  refused {}{detail}", r.label());
-            }
-        }
-        for (i, a) in self.history.attempts.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "  attempt[{i}] fault={} dead={:?}",
-                a.fault.stable_label(),
-                a.newly_dead
-            );
-        }
-        for (i, sr) in self.history.suspicions.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "  suspicion[{i}] node={} probe={} outcome={}",
-                sr.node,
-                sr.probe,
-                sr.outcome.label()
-            );
-        }
-        for (i, r) in self.history.recoveries.iter().enumerate() {
-            let _ = writeln!(
-                s,
-                "  recovery[{i}] epoch={} source={:?} lost={:?} rebuilt={}",
-                r.epoch, r.source, r.lost, r.rebuilt_bytes
-            );
-        }
-        for (i, op) in self.history.ops.iter().enumerate() {
-            let _ = writeln!(s, "  op[{i}] {op}");
-        }
-        for (i, r) in self.resizes.iter().enumerate() {
-            let _ = writeln!(s, "  resize[{i}] {}", r.line());
-        }
-        let _ = writeln!(
-            s,
-            "  wiped={:?} isolation foreign={:?} leaked={:?} fenced_stale={:?}",
-            self.wiped, self.foreign_on_shard, self.leaked_elsewhere, self.fenced_stale
-        );
-        if timings {
-            let _ = writeln!(
-                s,
-                "  t queued_for={}us finished_at={}us",
-                self.queued_for.as_micros(),
-                self.finished_at.as_micros()
-            );
-            for (i, c) in self.cycles.iter().enumerate() {
-                let _ = write!(s, "  cycle[{i}]");
-                for (p, d) in c.iter() {
-                    let _ = write!(s, " {}={}us", p.label(), d.as_micros());
-                }
-                let _ = writeln!(s);
-            }
-            for (i, a) in self.history.attempts.iter().enumerate() {
-                let _ = writeln!(s, "  backoff[{i}]={}us", a.backoff.as_micros());
-            }
-            for (i, r) in self.resizes.iter().enumerate() {
-                let _ = writeln!(
-                    s,
-                    "  resize_t[{i}]={}us record={:?}",
-                    r.at.as_micros(),
-                    r.op_record
-                );
-            }
-        }
-        s
-    }
-}
-
-/// Everything the service observed: one report per tenant, id order.
-#[derive(Clone, Debug, Default)]
-pub struct ServiceReport {
-    /// Per-tenant reports, ascending by [`TenantId`].
-    pub tenants: Vec<TenantReport>,
-    /// Cluster-clock time consumed by the whole run.
-    pub elapsed: Duration,
-}
-
-impl ServiceReport {
-    /// Report of the tenant named `name`, if it ran.
-    pub fn tenant(&self, name: &str) -> Option<&TenantReport> {
-        self.tenants.iter().find(|t| t.name == name)
-    }
-
-    /// Concatenated per-tenant fingerprints (id order).
-    pub fn fingerprint(&self, timings: bool) -> String {
-        self.tenants
-            .iter()
-            .map(|t| t.fingerprint(timings))
-            .collect()
     }
 }
 
@@ -467,7 +248,6 @@ struct Tenant {
     /// Virtual time this tenant (re-)entered the ready set.
     enqueued_at: Duration,
     ready_seq: u64,
-    last_slice: Duration,
 }
 
 enum ServiceEvent {
@@ -477,15 +257,6 @@ enum ServiceEvent {
     Storm(usize),
     /// Deliver the i-th scheduled resize request to its tenant.
     Resize(usize),
-}
-
-enum SliceEnd {
-    /// Tenant still alive: re-enter the ready set and let the policy
-    /// decide who runs next.
-    Yield,
-    /// Tenant reached a terminal state (boxed: an [`SktOutput`] dwarfs
-    /// the other variants).
-    Finished(Box<TenantOutcome>),
 }
 
 /// Outcome of one resize attempt at a clean boundary.
@@ -506,6 +277,11 @@ enum ResizeAttempt {
 pub struct CheckpointService {
     cluster: Arc<Cluster>,
     cfg: ServiceConfig,
+    /// The cluster (and the checkpoints on it) belongs to the caller,
+    /// who may re-enter them after the run: never wipe a released
+    /// shard. Otherwise released nodes are wiped, so a reassigned node
+    /// hands no stale state to the next tenant.
+    adopted: bool,
     pool: ServicePool,
     tenants: BTreeMap<TenantId, Tenant>,
     waiting: BTreeMap<TenantId, (SktConfig, Duration, TenantProfile)>,
@@ -528,9 +304,14 @@ impl CheckpointService {
         let cc = cluster.config();
         let compute: Vec<NodeId> = (0..cc.nodes).filter(|&n| cluster.node_usable(n)).collect();
         let pool = ServicePool::new(compute, cluster.spares_left(), cfg.node_mem_bytes);
+        Self::over(cluster, cfg, pool, false)
+    }
+
+    fn over(cluster: Arc<Cluster>, cfg: ServiceConfig, pool: ServicePool, adopted: bool) -> Self {
         CheckpointService {
             cluster,
             cfg,
+            adopted,
             pool,
             tenants: BTreeMap::new(),
             waiting: BTreeMap::new(),
@@ -546,31 +327,18 @@ impl CheckpointService {
     /// Service for one pre-placed job (the single-job daemon wrapper):
     /// the shard is exactly the ranklist's node set — dead members
     /// included, the first slice's health check repairs them — and the
-    /// whole spare pool is the tenant's float.
+    /// whole spare pool is the tenant's float. The cluster stays the
+    /// caller's: nothing on it is wiped when the job's shard is released.
     pub fn for_placed_job(
         cluster: Arc<Cluster>,
         cfg: ServiceConfig,
         skt: &SktConfig,
         ranklist: &Ranklist,
     ) -> (Self, TenantId) {
-        let mut shard: Vec<NodeId> = (0..ranklist.len()).map(|r| ranklist.node_of(r)).collect();
-        shard.sort_unstable();
-        shard.dedup();
+        let shard = node_set(ranklist);
         let nodes = shard.len();
         let pool = ServicePool::new(shard, cluster.spares_left(), u64::MAX);
-        let mut svc = CheckpointService {
-            cluster,
-            cfg,
-            pool,
-            tenants: BTreeMap::new(),
-            waiting: BTreeMap::new(),
-            queue: EventQueue::new(),
-            ready: Vec::new(),
-            ready_seq: 0,
-            last: None,
-            resize_reqs: Vec::new(),
-            reports: Vec::new(),
-        };
+        let mut svc = Self::over(cluster, cfg, pool, true);
         let spec = TenantSpec {
             name: skt.name.clone(),
             nodes,
@@ -695,7 +463,6 @@ impl CheckpointService {
                 wiped: Vec::new(),
                 enqueued_at: now,
                 ready_seq: 0,
-                last_slice: Duration::ZERO,
             },
         );
         self.queue.push(now, ServiceEvent::Ready(id));
@@ -741,51 +508,23 @@ impl CheckpointService {
             if self.cfg.defrag {
                 self.maybe_defrag();
             }
-            let decision = {
-                let scheds: Vec<TenantSched> =
-                    self.ready.iter().map(|&id| self.sched_of(id)).collect();
-                let state = SchedState {
-                    now: self.cluster.now(),
-                    default_budget: self.cfg.slice_panels,
-                    last: self.last.filter(|id| self.tenants.contains_key(id)),
-                    ready: &scheds,
-                };
-                self.cfg.schedule.resolve().next(&state)
-            };
-            // a policy that idles or picks outside the ready set cannot
-            // stall the service: fall back to the head of the ready set
-            let pick = decision
-                .filter(|d| self.ready.contains(&d.tenant))
-                .unwrap_or(crate::policy::Decision {
-                    tenant: self.ready[0],
-                    panel_budget: self.cfg.slice_panels,
-                });
-            self.ready.retain(|&t| t != pick.tenant);
-            self.last = Some(pick.tenant);
-            self.step_tenant(pick.tenant, pick.panel_budget);
+            let scheds: Vec<TenantSched> = self.ready.iter().map(|&id| self.sched_of(id)).collect();
+            let pick = self.cfg.schedule.next(&SchedState {
+                now: self.cluster.now(),
+                last: self.last,
+                ready: &scheds,
+            });
+            self.ready.retain(|&t| t != pick);
+            self.last = Some(pick);
+            self.step_tenant(pick);
         }
         // capacity never freed for these — typed, not silent
-        let starved: Vec<(TenantId, (SktConfig, Duration, TenantProfile))> =
-            std::mem::take(&mut self.waiting).into_iter().collect();
-        for (id, (cfg, queued_at, _)) in starved {
+        for (id, (cfg, queued_at, _)) in std::mem::take(&mut self.waiting) {
             let now = self.cluster.now();
-            self.reports.push(TenantReport {
-                tenant: id,
-                name: cfg.name,
-                launches: 0,
-                slices: 0,
-                failures: 0,
-                queued_for: now - queued_at,
-                finished_at: now,
-                outcome: TenantOutcome::Refused(Refusal::AdmissionStarved),
-                cycles: Vec::new(),
-                history: DaemonHistory::default(),
-                resizes: Vec::new(),
-                wiped: Vec::new(),
-                foreign_on_shard: Vec::new(),
-                leaked_elsewhere: Vec::new(),
-                fenced_stale: Vec::new(),
-            });
+            let outcome = TenantOutcome::Refused(Refusal::AdmissionStarved);
+            let queued_for = now - queued_at;
+            let report = TenantReport::new(id, cfg.name, outcome, queued_for, now);
+            self.reports.push(report);
         }
         self.reports.sort_by_key(|r| r.tenant);
         ServiceReport {
@@ -824,9 +563,6 @@ impl CheckpointService {
             deadline: t.profile.deadline,
             enqueued_at: t.enqueued_at,
             ready_seq: t.ready_seq,
-            slices: t.slices,
-            failures: t.history.attempts.len(),
-            last_slice: t.last_slice,
         }
     }
 
@@ -865,8 +601,7 @@ impl CheckpointService {
                 // a dead job is relaunched by its owner's next slice; a
                 // dead *free* node must never be handed to a tenant
                 self.cluster.reset_abort();
-                let cluster = Arc::clone(&self.cluster);
-                self.pool.purge_free(|n| cluster.node_usable(n));
+                self.pool.purge_free(|n| self.cluster.node_usable(n));
             }
             TimedKind::Corrupt(plan) => {
                 self.cluster.corrupt_now(plan);
@@ -874,49 +609,45 @@ impl CheckpointService {
         }
     }
 
-    fn step_tenant(&mut self, id: TenantId, budget: usize) {
-        // a stale pick for a tenant already finished is a no-op
-        let Some(mut tenant) = self.tenants.remove(&id) else {
-            return;
-        };
+    fn step_tenant(&mut self, id: TenantId) {
+        let picked = self.tenants.remove(&id);
+        let mut tenant = picked.expect("the ready set holds only active tenants");
+        match self.run_slice(&mut tenant) {
+            // still alive: re-enter the ready set and let the policy
+            // decide who runs next
+            Ok(None) => {
+                self.queue.push(self.cluster.now(), ServiceEvent::Ready(id));
+                self.tenants.insert(id, tenant);
+            }
+            Ok(Some(out)) => self.finish(tenant, TenantOutcome::Completed(out)),
+            Err(refusal) => self.finish(tenant, TenantOutcome::Refused(refusal)),
+        }
+    }
+
+    /// One turn on the runtime: heal, resize if one is due, launch.
+    /// `Ok(Some(_))` is the completed solve, `Ok(None)` a yield, `Err`
+    /// the typed verdict that ends the tenant.
+    fn run_slice(&mut self, tenant: &mut Tenant) -> Result<Option<SktOutput>, Refusal> {
         // Slice-top health check: nodes may have died while this
         // tenant was off the runtime (a timed storm kill, deaths
         // inherited at registration, or a kill inside a resize
         // window). Arbitrate + repair before anything else.
-        if let Err(refusal) = self.heal_shard(&mut tenant) {
-            self.finish(tenant, TenantOutcome::Refused(refusal));
-            return;
-        }
+        self.heal_shard(tenant)?;
         if tenant.clean_boundary {
             if let Some(req) = tenant.pending_resize.front().cloned() {
-                match self.attempt_resize(&mut tenant, req) {
-                    Ok(ResizeAttempt::Committed | ResizeAttempt::Refused) => {
+                match self.attempt_resize(tenant, req)? {
+                    ResizeAttempt::Committed | ResizeAttempt::Refused => {
                         tenant.pending_resize.pop_front();
                     }
-                    Ok(ResizeAttempt::Retry) => {}
-                    Ok(ResizeAttempt::Faulted) => {
-                        // the shard (or staged nodes) took a hit inside
-                        // the window: yield so the next pick re-heals
-                        // before the replay
-                        self.queue.push(self.cluster.now(), ServiceEvent::Ready(id));
-                        self.tenants.insert(id, tenant);
-                        return;
-                    }
-                    Err(refusal) => {
-                        self.finish(tenant, TenantOutcome::Refused(refusal));
-                        return;
-                    }
+                    ResizeAttempt::Retry => {}
+                    // the shard (or staged nodes) took a hit inside the
+                    // window: yield so the next pick re-heals before the
+                    // replay
+                    ResizeAttempt::Faulted => return Ok(None),
                 }
             }
         }
-        tenant.cfg.panel_budget = budget;
-        match self.launch_slice(&mut tenant) {
-            SliceEnd::Finished(outcome) => self.finish(tenant, *outcome),
-            SliceEnd::Yield => {
-                self.queue.push(self.cluster.now(), ServiceEvent::Ready(id));
-                self.tenants.insert(id, tenant);
-            }
-        }
+        self.launch_slice(tenant)
     }
 
     /// One resize attempt at a clean boundary. Refusals are total and
@@ -932,64 +663,19 @@ impl CheckpointService {
         let cur = tenant.rl.len();
         let m = tenant.cfg.codec.parity_count();
         let (plan, target, kind) = match req {
-            PendingResize::Relocate => match self.pool.plan_relocate(tenant.id) {
-                None => {
-                    // already packed (or the free pool moved on): no-op
-                    tenant.resizes.push(ResizeAudit {
-                        at: now,
-                        from: cur,
-                        to: cur,
-                        kind: "noop",
-                        outcome: "committed",
-                        refusal: None,
-                        op: None,
-                        op_record: None,
-                        wiped: Vec::new(),
-                    });
-                    return Ok(ResizeAttempt::Committed);
-                }
-                Some(p) => (p, cur, "relocate"),
-            },
-            PendingResize::Target(t) if t == cur => {
-                tenant.resizes.push(ResizeAudit {
-                    at: now,
-                    from: cur,
-                    to: cur,
-                    kind: "noop",
-                    outcome: "committed",
-                    refusal: None,
-                    op: None,
-                    op_record: None,
-                    wiped: Vec::new(),
-                });
-                return Ok(ResizeAttempt::Committed);
-            }
+            PendingResize::Relocate => (self.pool.plan_relocate(tenant.id), cur, "relocate"),
+            PendingResize::Target(t) if t == cur => (None, cur, "noop"),
             PendingResize::Target(t) => {
                 let kind = if t > cur { "grow" } else { "shrink" };
-                if resize_group_size(cur, tenant.cfg.group_size, t, m).is_none() {
-                    tenant.resizes.push(ResizeAudit {
-                        at: now,
-                        from: cur,
-                        to: cur,
-                        kind,
-                        outcome: "refused",
-                        refusal: Some(ResizeError::ShrinkBelowMinGroup {
-                            requested: t,
-                            min: (m + 1).max(2),
-                        }),
-                        op: None,
-                        op_record: None,
-                        wiped: Vec::new(),
-                    });
-                    return Ok(ResizeAttempt::Refused);
-                }
-                match self
-                    .pool
-                    .plan_resize(tenant.id, t, Self::mem_demand(&tenant.cfg, t))
-                {
-                    Ok(p) => (p, t, kind),
-                    Err(e) => {
-                        let err = match e {
+                let planned = match resize_group_size(cur, tenant.cfg.group_size, t, m) {
+                    None => Err(ResizeError::ShrinkBelowMinGroup {
+                        requested: t,
+                        min: (m + 1).max(2),
+                    }),
+                    Some(_) => self
+                        .pool
+                        .plan_resize(tenant.id, t, Self::mem_demand(&tenant.cfg, t))
+                        .map_err(|e| match e {
                             ReshapeError::WouldStarve {
                                 requested, free, ..
                             } => ResizeError::GrowWouldStarve { requested, free },
@@ -1001,159 +687,105 @@ impl CheckpointService {
                             }
                             // an active tenant is always known to the pool
                             _ => unreachable!("unexpected reshape refusal: {e}"),
-                        };
-                        tenant.resizes.push(ResizeAudit {
-                            at: now,
-                            from: cur,
-                            to: cur,
-                            kind,
-                            outcome: "refused",
-                            refusal: Some(err),
-                            op: None,
-                            op_record: None,
-                            wiped: Vec::new(),
-                        });
+                        }),
+                };
+                match planned {
+                    Ok(p) => (Some(p), t, kind),
+                    Err(err) => {
+                        let audit = ResizeAudit::refused(now, cur, kind, err);
+                        tenant.resizes.push(audit);
                         return Ok(ResizeAttempt::Refused);
                     }
                 }
             }
         };
+        let Some(plan) = plan else {
+            // already at the target, or already packed (or the free pool
+            // moved on): no-op
+            let audit = ResizeAudit::new(now, cur, cur, "noop", "committed");
+            tenant.resizes.push(audit);
+            return Ok(ResizeAttempt::Committed);
+        };
         let new_g = resize_group_size(cur, tenant.cfg.group_size, target, m)
             .expect("legal group size checked above (relocations keep the rank count)");
-        match harvest(&self.cluster, &tenant.cfg.name, &tenant.cfg, &tenant.rl) {
-            // a node died and was replaced since the park: the next
-            // slice's group recovery rebuilds the missing workspaces;
-            // resize at the boundary after that
-            Harvest::Incomplete => Ok(ResizeAttempt::Retry),
-            Harvest::Torn => {
-                tenant.resizes.push(ResizeAudit {
-                    at: now,
-                    from: cur,
-                    to: cur,
-                    kind,
-                    outcome: "refused",
-                    refusal: Some(ResizeError::TornBoundary),
-                    op: None,
-                    op_record: None,
-                    wiped: Vec::new(),
-                });
-                Ok(ResizeAttempt::Refused)
-            }
-            Harvest::AllMissing => {
-                // the tenant never ran: pure node accounting, no image
-                let mem = Self::mem_demand(&tenant.cfg, target);
-                let cluster = Arc::clone(&self.cluster);
-                let audit = self
-                    .pool
-                    .commit_resize(tenant.id, &plan, mem, |n| cluster.node_usable(n));
-                self.admit_drained(audit.drained);
-                tenant.rl = Ranklist::explicit(plan.new_nodes());
-                tenant.cfg.group_size = new_g;
-                tenant.resizes.push(ResizeAudit {
-                    at: now,
-                    from: cur,
-                    to: target,
-                    kind,
-                    outcome: "cold",
-                    refusal: None,
-                    op: None,
-                    op_record: None,
-                    wiped: Vec::new(),
-                });
-                Ok(ResizeAttempt::Committed)
-            }
-            Harvest::Complete { columns, panel } => {
-                let epoch = tenant.resize_epoch + 1;
-                let mut new_cfg = tenant.cfg.clone();
-                new_cfg.name = epoch_name(&tenant.base, epoch);
-                new_cfg.group_size = new_g;
-                let new_rl = Ranklist::explicit(plan.new_nodes());
-                let mut ctx = ResizeCtx {
-                    cluster: Arc::clone(&self.cluster),
-                    new_cfg: new_cfg.clone(),
-                    new_rl: new_rl.clone(),
-                };
-                let known_dead = self.cluster.dead_nodes();
-                self.cluster.reset_abort();
-                let committed = ops::prepare_replay(ResizeOp { columns, panel }, &ctx)
-                    .and_then(|p| p.commit(&mut ctx));
-                match committed {
-                    Ok(tok) => {
-                        let rec = tok.into_record();
-                        let mem = Self::mem_demand(&new_cfg, target);
-                        let cluster = Arc::clone(&self.cluster);
-                        let pool_audit = self
-                            .pool
-                            .commit_resize(tenant.id, &plan, mem, |n| cluster.node_usable(n));
-                        // wipe the vacated (still-usable) nodes, and drop
-                        // the old epoch's segments from the nodes we keep
-                        let mut wiped = pool_audit.freed.clone();
-                        for &n in &wiped {
-                            self.cluster.shm(n).wipe();
-                        }
-                        wiped.sort_unstable();
-                        let old_prefix = format!("{}/", tenant.cfg.name);
-                        for r in 0..new_rl.len() {
-                            let shm = self.cluster.shm(new_rl.node_of(r));
-                            for seg in shm.names() {
-                                if seg.starts_with(&old_prefix) {
-                                    shm.remove(&seg);
-                                }
-                            }
-                        }
-                        self.admit_drained(pool_audit.drained);
-                        tenant.wiped.extend(wiped.iter().copied());
-                        tenant.resizes.push(ResizeAudit {
-                            at: now,
-                            from: cur,
-                            to: target,
-                            kind,
-                            outcome: "committed",
-                            refusal: None,
-                            op: Some(rec.op.clone()),
-                            op_record: Some(rec.to_string()),
-                            wiped,
-                        });
-                        tenant.cfg = new_cfg;
-                        tenant.rl = new_rl;
-                        tenant.resize_epoch = epoch;
-                        Ok(ResizeAttempt::Committed)
-                    }
-                    Err(fault) => {
-                        // a fault landed inside the resize window. The
-                        // old layout is untouched (the pool commit never
-                        // ran); charge the failure budget and keep the
-                        // request — the next attempt's sequenced replay
-                        // detects the partial install and redoes it.
-                        let dead_now = self.cluster.dead_nodes();
-                        let newly_dead: Vec<NodeId> = dead_now
-                            .iter()
-                            .copied()
-                            .filter(|n| !known_dead.contains(n))
-                            .collect();
-                        self.cluster.reset_abort();
-                        let cluster = Arc::clone(&self.cluster);
-                        self.pool.purge_free(|n| cluster.node_usable(n));
-                        let mut record = AttemptRecord {
-                            attempt: tenant.launches,
-                            fault,
-                            newly_dead,
-                            backoff: Duration::ZERO,
-                        };
-                        let failure_no = tenant.history.attempts.len() + 1;
-                        if failure_no > self.cfg.policy.max_failures {
-                            tenant.history.attempts.push(record);
-                            return Err(Refusal::TooManyFailures);
-                        }
-                        self.cluster.runtime().advance(self.cfg.policy.detect);
-                        record.backoff = self.cfg.policy.backoff(failure_no);
-                        self.cluster.runtime().advance(record.backoff);
-                        tenant.history.attempts.push(record);
-                        Ok(ResizeAttempt::Faulted)
-                    }
+        let (columns, panel) =
+            match harvest(&self.cluster, &tenant.cfg.name, &tenant.cfg, &tenant.rl) {
+                // a node died and was replaced since the park: the next
+                // slice's group recovery rebuilds the missing workspaces;
+                // resize at the boundary after that
+                Harvest::Incomplete => return Ok(ResizeAttempt::Retry),
+                Harvest::Torn => {
+                    let audit = ResizeAudit::refused(now, cur, kind, ResizeError::TornBoundary);
+                    tenant.resizes.push(audit);
+                    return Ok(ResizeAttempt::Refused);
                 }
+                Harvest::AllMissing => {
+                    // the tenant never ran: pure node accounting, no image
+                    let mem = Self::mem_demand(&tenant.cfg, target);
+                    let usable = |n| self.cluster.node_usable(n);
+                    let audit = self.pool.commit_resize(tenant.id, &plan, mem, usable);
+                    self.admit_drained(audit.drained);
+                    tenant.rl = Ranklist::explicit(plan.new_nodes());
+                    tenant.cfg.group_size = new_g;
+                    let audit = ResizeAudit::new(now, cur, target, kind, "cold");
+                    tenant.resizes.push(audit);
+                    return Ok(ResizeAttempt::Committed);
+                }
+                Harvest::Complete { columns, panel } => (columns, panel),
+            };
+        let epoch = tenant.resize_epoch + 1;
+        let mut new_cfg = tenant.cfg.clone();
+        new_cfg.name = epoch_name(&tenant.base, epoch);
+        new_cfg.group_size = new_g;
+        let new_rl = Ranklist::explicit(plan.new_nodes());
+        let mut ctx = ResizeCtx {
+            cluster: Arc::clone(&self.cluster),
+            new_cfg: new_cfg.clone(),
+            new_rl: new_rl.clone(),
+        };
+        let known_dead = self.cluster.dead_nodes();
+        self.cluster.reset_abort();
+        let committed =
+            ops::prepare_replay(ResizeOp { columns, panel }, &ctx).and_then(|p| p.commit(&mut ctx));
+        let rec = match committed {
+            Ok(tok) => tok.into_record(),
+            Err(fault) => {
+                // a fault landed inside the resize window. The old layout
+                // is untouched (the pool commit never ran); charge the
+                // failure budget and keep the request — the next
+                // attempt's sequenced replay detects the partial install
+                // and redoes it.
+                let newly_dead = self.newly_dead(&known_dead);
+                self.cluster.reset_abort();
+                self.pool.purge_free(|n| self.cluster.node_usable(n));
+                let charged = self.charge_failure(tenant, fault, newly_dead, Repair::Purged);
+                if charged.is_err() {
+                    // giving up: no replay will wipe the partial install,
+                    // and the staged nodes are back in the free pool
+                    remove_prefix(&self.cluster, &new_rl, &format!("{}/", new_cfg.name));
+                }
+                return charged.map(|()| ResizeAttempt::Faulted);
             }
+        };
+        let mem = Self::mem_demand(&new_cfg, target);
+        let usable = |n| self.cluster.node_usable(n);
+        let pool_audit = self.pool.commit_resize(tenant.id, &plan, mem, usable);
+        // wipe the vacated (still-usable) nodes, and drop the old epoch's
+        // segments from the nodes we keep
+        let mut wiped = pool_audit.freed;
+        for &n in &wiped {
+            self.cluster.shm(n).wipe();
         }
+        wiped.sort_unstable();
+        remove_prefix(&self.cluster, &new_rl, &format!("{}/", tenant.cfg.name));
+        self.admit_drained(pool_audit.drained);
+        tenant.wiped.extend(wiped.iter().copied());
+        let audit = ResizeAudit::installed(now, cur, target, kind, &rec, wiped);
+        tenant.resizes.push(audit);
+        tenant.cfg = new_cfg;
+        tenant.rl = new_rl;
+        tenant.resize_epoch = epoch;
+        Ok(ResizeAttempt::Committed)
     }
 
     fn admit_drained(&mut self, drained: Vec<(TenantId, Vec<NodeId>)>) {
@@ -1173,15 +805,10 @@ impl CheckpointService {
     /// recovery exactly like a dead one — its frozen checkpoints are
     /// quarantined, never read.
     fn heal_shard(&mut self, tenant: &mut Tenant) -> Result<(), Refusal> {
-        let dead: usize = {
-            let mut nodes: Vec<NodeId> = (0..tenant.rl.len())
-                .map(|r| tenant.rl.node_of(r))
-                .filter(|&n| !self.cluster.node_usable(n))
-                .collect();
-            nodes.sort_unstable();
-            nodes.dedup();
-            nodes.len()
-        };
+        let dead = node_set(&tenant.rl)
+            .into_iter()
+            .filter(|&n| !self.cluster.node_usable(n))
+            .count();
         if dead == 0 {
             return Ok(());
         }
@@ -1202,17 +829,13 @@ impl CheckpointService {
             // die too; the ledger learns it here)
             Err(_) => return Err(Refusal::OutOfSpares),
         }
-        let mut nodes: Vec<NodeId> = (0..tenant.rl.len()).map(|r| tenant.rl.node_of(r)).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        self.pool.reassign(tenant.id, nodes);
+        self.pool.reassign(tenant.id, node_set(&tenant.rl));
         Ok(())
     }
 
-    /// One launch of the tenant's job, with the single-job daemon's
-    /// failure classification on the error path.
-    fn launch_slice(&mut self, tenant: &mut Tenant) -> SliceEnd {
-        let policy = self.cfg.policy.clone();
+    /// One launch of the tenant's job; a failed launch is classified and
+    /// handed to the failure ladder ([`Self::charge_failure`]).
+    fn launch_slice(&mut self, tenant: &mut Tenant) -> Result<Option<SktOutput>, Refusal> {
         tenant.launches += 1;
         let known_dead = self.cluster.dead_nodes();
         self.cluster.reset_abort();
@@ -1224,7 +847,6 @@ impl CheckpointService {
                     harvest.lock().unwrap().push(r.clone())
                 })
             });
-        tenant.last_slice = t_launch.elapsed();
         if let Some(best) = harvest
             .into_inner()
             .unwrap()
@@ -1237,200 +859,155 @@ impl CheckpointService {
             Ok(mut outs) => {
                 tenant.slices += 1;
                 tenant.clean_boundary = true;
-                match outs.swap_remove(0) {
-                    SktRun::Done(out) => {
-                        if tenant.pending_attr {
-                            Self::attribute(
-                                &mut tenant.cycles,
-                                out.recover_seconds,
-                                out.hpl.ckpt_seconds,
-                                out.hpl.checkpoints,
-                            );
-                            tenant.pending_attr = false;
-                        }
-                        SliceEnd::Finished(Box::new(TenantOutcome::Completed(out)))
-                    }
-                    SktRun::Paused(p) => {
-                        if tenant.pending_attr {
-                            Self::attribute(
-                                &mut tenant.cycles,
-                                p.recover_seconds,
-                                p.ckpt_seconds,
-                                p.checkpoints,
-                            );
-                            tenant.pending_attr = false;
-                        }
-                        SliceEnd::Yield
+                let run = outs.swap_remove(0);
+                let (recover_s, ckpt_s, checkpoints) = match &run {
+                    SktRun::Done(out) => (
+                        out.recover_seconds,
+                        out.hpl.ckpt_seconds,
+                        out.hpl.checkpoints,
+                    ),
+                    SktRun::Paused(p) => (p.recover_seconds, p.ckpt_seconds, p.checkpoints),
+                };
+                // the first launch to succeed after a failure owns that
+                // cycle's Recover and Checkpoint bars
+                if let (true, Some(cycle)) = (tenant.pending_attr, tenant.cycles.last_mut()) {
+                    cycle.set(CyclePhase::Recover, Duration::from_secs_f64(recover_s));
+                    if checkpoints > 0 {
+                        let per_ckpt = Duration::from_secs_f64(ckpt_s / checkpoints as f64);
+                        cycle.set(CyclePhase::Checkpoint, per_ckpt);
                     }
                 }
+                tenant.pending_attr = false;
+                Ok(match run {
+                    SktRun::Done(out) => Some(out),
+                    SktRun::Paused(_) => None,
+                })
             }
             Err(fault) => {
                 // the park is gone: workspaces may hold mid-panel state,
                 // so no resize until the next clean boundary
                 tenant.clean_boundary = false;
-                let dead_now = self.cluster.dead_nodes();
-                let newly_dead: Vec<NodeId> = dead_now
-                    .iter()
-                    .copied()
-                    .filter(|n| !known_dead.contains(n))
-                    .collect();
-                if newly_dead.is_empty() {
-                    if let Fault::Suspect { node, score } = fault {
-                        return self.adjudicate_suspicion(
-                            tenant,
-                            node,
-                            score,
-                            &policy,
-                            t_launch.elapsed(),
-                        );
-                    }
-                }
-                let mut record = AttemptRecord {
-                    attempt: tenant.launches,
-                    fault,
-                    newly_dead: newly_dead.clone(),
-                    backoff: Duration::ZERO,
+                let newly_dead = self.newly_dead(&known_dead);
+                let repair = match fault {
+                    _ if !newly_dead.is_empty() => Repair::Replace {
+                        launched: &t_launch,
+                    },
+                    Fault::Suspect { node, score } => Repair::Adjudicate {
+                        node,
+                        score,
+                        restart: t_launch.elapsed(),
+                    },
+                    _ => Repair::Futile,
                 };
-                if newly_dead.is_empty() {
-                    tenant.history.attempts.push(record);
-                    return SliceEnd::Finished(Box::new(TenantOutcome::Refused(
-                        Refusal::Unrecoverable,
-                    )));
-                }
-                let failure_no = tenant.history.attempts.len() + 1;
-                if failure_no > policy.max_failures {
-                    tenant.history.attempts.push(record);
-                    return SliceEnd::Finished(Box::new(TenantOutcome::Refused(
-                        Refusal::TooManyFailures,
-                    )));
-                }
-                // detect: modeled job-manager latency on the virtual clock
-                let mut phase = PhaseTimes::default();
-                phase.set(CyclePhase::Detect, policy.detect);
-                self.cluster.runtime().advance(policy.detect);
-                // replace: arbitration + sequenced physical draw, timed
-                let t_rep = self.cluster.stopwatch();
-                self.cluster.reset_abort();
-                if let Err(refusal) = self.heal_shard(tenant) {
-                    tenant.history.attempts.push(record);
-                    return SliceEnd::Finished(Box::new(TenantOutcome::Refused(refusal)));
-                }
-                phase.set(CyclePhase::Replace, t_rep.elapsed());
-                phase.set(
-                    CyclePhase::Restart,
-                    t_launch.elapsed().min(Duration::from_secs(1)),
-                );
-                tenant.cycles.push(phase);
-                tenant.pending_attr = true;
-                record.backoff = policy.backoff(failure_no);
-                self.cluster.runtime().advance(record.backoff);
-                tenant.history.attempts.push(record);
-                SliceEnd::Yield
+                self.charge_failure(tenant, fault, newly_dead, repair)?;
+                Ok(None)
             }
         }
     }
 
-    /// The gray-failure ladder, entered when an attempt ends in
-    /// [`Fault::Suspect`] with no node actually dead: **observe**
-    /// (modeled detection latency on the virtual clock), **probe** the
-    /// suspect directly, then either **exonerate** — the gray fault
-    /// healed; clear the verdict and relaunch on the same ranklist, so
-    /// the resume is bit-exact with a fault-free run — or **fence and
-    /// migrate** — bump the suspect's generation (zombie messages and
-    /// SHM writes are rejected from here on), and let [`Self::heal_shard`]'s
-    /// sequenced [`SpareDraw`] move its ranks onto a spare; the
-    /// relaunch's group recovery rebuilds the shard from parity.
-    ///
-    /// Either way the suspicion spends one unit of the failure budget:
-    /// a flapping straggler cannot make the daemon livelock on free
+    /// Nodes that died since `known_dead` was sampled.
+    fn newly_dead(&self, known_dead: &[NodeId]) -> Vec<NodeId> {
+        let mut dead = self.cluster.dead_nodes();
+        dead.retain(|n| !known_dead.contains(n));
+        dead
+    }
+
+    /// The failure ladder — the one place a failed attempt is charged,
+    /// whichever way it failed (a crash under a launch, a suspicion
+    /// verdict, a fault inside a resize window): record the attempt,
+    /// test the failure budget, charge the modeled *detect* latency to
+    /// the clock, run the [`Repair`] step, charge the doubling *backoff*.
+    /// `Ok` means the tenant goes on (relaunch, or replay the resize);
+    /// `Err` is the typed verdict that ends it. Either way the attempt
+    /// is on the tenant's history, with a zero backoff when the service
+    /// gave up. A suspicion spends a budget unit like any failure: a
+    /// flapping straggler cannot livelock the service on free
     /// exonerations.
-    fn adjudicate_suspicion(
+    fn charge_failure(
         &mut self,
         tenant: &mut Tenant,
-        node: NodeId,
-        score: u32,
-        policy: &RetryPolicy,
-        restart_hint: Duration,
-    ) -> SliceEnd {
+        fault: Fault,
+        newly_dead: Vec<NodeId>,
+        repair: Repair<'_>,
+    ) -> Result<(), Refusal> {
         let mut record = AttemptRecord {
             attempt: tenant.launches,
-            fault: Fault::Suspect { node, score },
-            newly_dead: Vec::new(),
+            fault,
+            newly_dead,
             backoff: Duration::ZERO,
         };
         let failure_no = tenant.history.attempts.len() + 1;
-        if failure_no > policy.max_failures {
-            tenant.history.attempts.push(record);
-            return SliceEnd::Finished(Box::new(TenantOutcome::Refused(Refusal::TooManyFailures)));
+        let verdict = if matches!(repair, Repair::Futile) {
+            Err(Refusal::Unrecoverable)
+        } else if failure_no > self.cfg.policy.max_failures {
+            Err(Refusal::TooManyFailures)
+        } else {
+            // detect: modeled job-manager latency on the virtual clock —
+            // which also gives a transient gray fault time to heal
+            // before the probe decides anything irreversible
+            self.cluster.runtime().advance(self.cfg.policy.detect);
+            self.repair(tenant, repair)
+        };
+        if verdict.is_ok() {
+            record.backoff = self.cfg.policy.backoff(failure_no);
+            self.cluster.runtime().advance(record.backoff);
         }
-        // observe: modeled job-manager latency, charged to the clock —
-        // which also gives a transient fault time to heal before the
-        // probe decides anything irreversible
-        let mut phase = PhaseTimes::default();
-        phase.set(CyclePhase::Detect, policy.detect);
-        self.cluster.runtime().advance(policy.detect);
-        let verdict = self.cluster.probe_node(node);
-        self.cluster.reset_abort();
-        let t_rep = self.cluster.stopwatch();
-        match verdict {
-            ProbeVerdict::Responsive => {
-                tenant.history.suspicions.push(SuspicionRecord {
-                    node,
-                    score,
-                    probe: "responsive",
-                    outcome: SuspicionOutcome::Exonerated,
-                });
-            }
-            ProbeVerdict::Degraded(label) => {
-                let generation = self.cluster.fence_node(node);
-                if let Err(refusal) = self.heal_shard(tenant) {
-                    tenant.history.attempts.push(record);
-                    return SliceEnd::Finished(Box::new(TenantOutcome::Refused(refusal)));
-                }
-                tenant.history.suspicions.push(SuspicionRecord {
-                    node,
-                    score,
-                    probe: label,
-                    outcome: SuspicionOutcome::Migrated { generation },
-                });
-            }
-            ProbeVerdict::Unresponsive => {
-                let generation = self.cluster.fence_node(node);
-                if let Err(refusal) = self.heal_shard(tenant) {
-                    tenant.history.attempts.push(record);
-                    return SliceEnd::Finished(Box::new(TenantOutcome::Refused(refusal)));
-                }
-                tenant.history.suspicions.push(SuspicionRecord {
-                    node,
-                    score,
-                    probe: "unresponsive",
-                    outcome: SuspicionOutcome::Migrated { generation },
-                });
-            }
-        }
-        phase.set(CyclePhase::Replace, t_rep.elapsed());
-        phase.set(
-            CyclePhase::Restart,
-            restart_hint.min(Duration::from_secs(1)),
-        );
-        tenant.cycles.push(phase);
-        tenant.pending_attr = true;
-        record.backoff = policy.backoff(failure_no);
-        self.cluster.runtime().advance(record.backoff);
         tenant.history.attempts.push(record);
-        SliceEnd::Yield
+        verdict
     }
 
-    fn attribute(cycles: &mut [PhaseTimes], recover_s: f64, ckpt_s: f64, checkpoints: usize) {
-        if let Some(cycle) = cycles.last_mut() {
-            cycle.set(CyclePhase::Recover, Duration::from_secs_f64(recover_s));
-            if checkpoints > 0 {
-                cycle.set(
-                    CyclePhase::Checkpoint,
-                    Duration::from_secs_f64(ckpt_s / checkpoints as f64),
-                );
+    /// The ladder's repair step, timed as the Figure 10 cycle of the
+    /// failed launch (none for a resize-window fault: nothing relaunches).
+    fn repair(&mut self, tenant: &mut Tenant, repair: Repair<'_>) -> Result<(), Refusal> {
+        self.cluster.reset_abort();
+        let t_rep = self.cluster.stopwatch();
+        let restart = match repair {
+            // nothing left to repair, no relaunch to time
+            Repair::Purged | Repair::Futile => return Ok(()),
+            // replace: arbitration + sequenced physical draw
+            Repair::Replace { launched } => {
+                self.heal_shard(tenant)?;
+                launched.elapsed()
             }
-        }
+            Repair::Adjudicate {
+                node,
+                score,
+                restart,
+            } => {
+                let (probe, outcome) = match self.cluster.probe_node(node) {
+                    // the gray fault healed: relaunch on the same
+                    // ranklist, bit-exact with a fault-free run
+                    ProbeVerdict::Responsive => ("responsive", SuspicionOutcome::Exonerated),
+                    // fence (zombie messages and SHM writes are rejected
+                    // from here on) and migrate: the sequenced spare draw
+                    // moves the suspect's ranks, the relaunch's group
+                    // recovery rebuilds the shard from parity
+                    degraded => {
+                        let generation = self.cluster.fence_node(node);
+                        self.heal_shard(tenant)?;
+                        let probe = match degraded {
+                            ProbeVerdict::Degraded(label) => label,
+                            _ => "unresponsive",
+                        };
+                        (probe, SuspicionOutcome::Migrated { generation })
+                    }
+                };
+                tenant.history.suspicions.push(SuspicionRecord {
+                    node,
+                    score,
+                    probe,
+                    outcome,
+                });
+                restart
+            }
+        };
+        let mut phase = PhaseTimes::default();
+        phase.set(CyclePhase::Detect, self.cfg.policy.detect);
+        phase.set(CyclePhase::Replace, t_rep.elapsed());
+        phase.set(CyclePhase::Restart, restart.min(Duration::from_secs(1)));
+        tenant.cycles.push(phase);
+        tenant.pending_attr = true;
+        Ok(())
     }
 
     /// Terminal bookkeeping: isolation audit, shard release (queue
@@ -1441,17 +1018,10 @@ impl CheckpointService {
         let now = self.cluster.now();
         let prefix_slash = format!("{}/", tenant.base);
         let prefix_epoch = format!("{}@", tenant.base);
-        let shard: Vec<NodeId> = self
-            .pool
-            .nodes_of(tenant.id)
-            .map(|s| s.to_vec())
-            .unwrap_or_else(|| {
-                let mut v: Vec<NodeId> =
-                    (0..tenant.rl.len()).map(|r| tenant.rl.node_of(r)).collect();
-                v.sort_unstable();
-                v.dedup();
-                v
-            });
+        let shard: Vec<NodeId> = match self.pool.nodes_of(tenant.id) {
+            Some(nodes) => nodes.to_vec(),
+            None => node_set(&tenant.rl),
+        };
         let mut foreign: Vec<String> = shard
             .iter()
             .flat_map(|&n| self.cluster.shm(n).names())
@@ -1467,31 +1037,24 @@ impl CheckpointService {
                 shm.bytes_with_prefix(&prefix_slash) + shm.bytes_with_prefix(&prefix_epoch) > 0
             })
             .partition(|&n| self.cluster.node_fenced(n));
-        if self.cfg.wipe_on_release {
-            for &n in &shard {
-                if self.cluster.node_usable(n) {
-                    self.cluster.shm(n).wipe();
-                }
-            }
-        }
-        let cluster = Arc::clone(&self.cluster);
-        let release = self.pool.release(tenant.id, |n| cluster.node_usable(n));
-        self.admit_drained(release.drained);
+        let release = self
+            .pool
+            .release(tenant.id, |n| self.cluster.node_usable(n));
         let mut wiped = tenant.wiped;
-        if self.cfg.wipe_on_release {
+        if !self.adopted {
+            for &n in &release.freed {
+                self.cluster.shm(n).wipe();
+            }
             wiped.extend(release.freed.iter().copied());
         }
+        self.admit_drained(release.drained);
         wiped.sort_unstable();
         wiped.dedup();
+        let queued_for = tenant.admitted_at - tenant.queued_at;
         self.reports.push(TenantReport {
-            tenant: tenant.id,
-            name: tenant.base,
             launches: tenant.launches,
             slices: tenant.slices,
             failures: tenant.history.attempts.len(),
-            queued_for: tenant.admitted_at - tenant.queued_at,
-            finished_at: now,
-            outcome,
             cycles: tenant.cycles,
             history: tenant.history,
             resizes: tenant.resizes,
@@ -1499,8 +1062,43 @@ impl CheckpointService {
             foreign_on_shard: foreign,
             leaked_elsewhere: leaked,
             fenced_stale,
+            ..TenantReport::new(tenant.id, tenant.base, outcome, queued_for, now)
         });
     }
+}
+
+/// The repair step of one failed attempt — what the failure ladder
+/// ([`CheckpointService::charge_failure`]) runs between the *detect*
+/// charge and the *backoff* charge. The two launch entries also record
+/// a Figure 10 cycle, and differ in when its `Restart` bar is read (see
+/// [`CyclePhase::Restart`]).
+enum Repair<'a> {
+    /// Nodes died under the launch: replace them from the spare ledger.
+    /// `Restart` is the launch's stopwatch read *after* the repair.
+    Replace { launched: &'a Stopwatch },
+    /// The launch ended in [`Fault::Suspect`] with nobody dead — the
+    /// gray-failure ladder: probe the suspect, then exonerate it or
+    /// fence it and migrate its ranks. `restart` is the launch's
+    /// stopwatch as read when it failed.
+    Adjudicate {
+        node: NodeId,
+        score: u32,
+        restart: Duration,
+    },
+    /// A fault inside a resize window: the caller already purged the
+    /// free pool, and nothing is relaunched — no cycle.
+    Purged,
+    /// Nobody died and nobody is suspected — a protocol verdict (e.g. a
+    /// checkpoint group damaged beyond the codec's repair) that no
+    /// replacement can fix: [`Refusal::Unrecoverable`], whatever the
+    /// failure budget says.
+    Futile,
+}
+
+/// The distinct nodes a ranklist places ranks on, ascending.
+fn node_set(rl: &Ranklist) -> Vec<NodeId> {
+    let nodes: BTreeSet<NodeId> = (0..rl.len()).map(|r| rl.node_of(r)).collect();
+    nodes.into_iter().collect()
 }
 
 #[cfg(test)]
@@ -1909,5 +1507,130 @@ mod tests {
             "{:?}",
             late.leaked_elsewhere
         );
+    }
+
+    // ---- the failure ladder's three entries, and the memory knob ----
+
+    /// Every way a failed attempt is charged — a crash under a launch,
+    /// a suspicion verdict, a kill inside a resize window — runs out of
+    /// budget the same way: `max_failures` charged attempts heal, the
+    /// next one is refused `TooManyFailures` with no backoff, and the
+    /// shard is released clean.
+    #[test]
+    fn every_ladder_entry_exhausts_the_failure_budget_typed() {
+        // (entry, nodes, ranks, its faults in firing order): a budget of
+        // `b` arms the first `b + 1`. Probe counts are per launch and a
+        // slice is 3 panels, so every `nth` is <= 3.
+        let kill = |probe, node, nth| FaultPlan::Kill(FailurePlan::new(probe, nth, node));
+        let hang = |node, nth| FaultPlan::Gray(GrayPlan::hang(ITER_PROBE, nth, node));
+        let table: [(&str, usize, usize, [FaultPlan; 2]); 3] = [
+            (
+                "crash",
+                2,
+                2,
+                [kill(ITER_PROBE, 0, 2), kill(ITER_PROBE, 1, 3)],
+            ),
+            ("suspicion", 2, 2, [hang(0, 2), hang(1, 3)]),
+            // the grow back to 6 stages nodes {4,5}; once 4 is dead the
+            // replay stages {5,6}
+            (
+                "resize-window",
+                9,
+                6,
+                [kill(RESIZE_PROBE, 4, 1), kill(RESIZE_PROBE, 6, 1)],
+            ),
+        ];
+        for (entry, nodes, ranks, faults) in table {
+            for max_failures in [0usize, 1] {
+                let tag = format!("{entry}/max_failures={max_failures}");
+                let cluster = Arc::new(Cluster::new_with_runtime(
+                    ClusterConfig::new(nodes, 2),
+                    skt_cluster::SimRuntime::new(5),
+                ));
+                let policy = RetryPolicy::new(max_failures, Duration::from_secs(5));
+                let mut cfg = ServiceConfig::new(policy);
+                cfg.slice_panels = 3;
+                cfg.schedule = PolicySpec::RoundRobin;
+                let mut svc = CheckpointService::new(cluster, cfg);
+                if entry == "resize-window" {
+                    svc.register(elastic_cfg("job"), ranks, 0).unwrap();
+                    svc.schedule_resize("job", Duration::from_micros(1), 4);
+                    svc.schedule_resize("job", Duration::from_micros(2), 6);
+                } else {
+                    svc.register(tenant_cfg("job", 48), ranks, 0).unwrap();
+                }
+                let storm = StormPlan {
+                    armed: faults[..=max_failures].to_vec(),
+                    timed: Vec::new(),
+                };
+                let rep = svc.run(&storm);
+                let t = rep.tenant("job").unwrap();
+                assert!(
+                    matches!(t.outcome, TenantOutcome::Refused(Refusal::TooManyFailures)),
+                    "{tag}: {:?}",
+                    t.outcome
+                );
+                let attempts = &t.history.attempts;
+                assert_eq!(attempts.len(), max_failures + 1, "{tag}");
+                assert_eq!(t.failures, attempts.len(), "{tag}");
+                let (last, healed) = attempts.split_last().unwrap();
+                assert_eq!(last.backoff, Duration::ZERO, "{tag}: no retry, no backoff");
+                assert!(
+                    healed.iter().all(|a| a.backoff > Duration::ZERO),
+                    "{tag}: a charged attempt that retried backed off"
+                );
+                assert!(!t.wiped.is_empty(), "{tag}: released shard wiped");
+                assert!(t.foreign_on_shard.is_empty(), "{tag}");
+                assert!(t.leaked_elsewhere.is_empty(), "{tag}");
+            }
+        }
+    }
+
+    /// `node_mem_bytes` is finite: a registration over it is refused at
+    /// admission, and a resize whose per-node demand exceeds it is an
+    /// audited typed refusal that leaves the tenant running unresized.
+    /// (Per-node demand only falls as ranks are added, so the resize
+    /// that can oversubscribe a node is a shrink.)
+    #[test]
+    fn finite_node_memory_refuses_admission_and_resize_typed() {
+        let job = tenant_cfg("job", 32);
+        let fits = CheckpointService::mem_demand(&job, 4);
+        let too_big = CheckpointService::mem_demand(&job, 2);
+        assert!(fits < too_big, "fewer ranks, more bytes per node");
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(4, 0)));
+        let mut cfg = ServiceConfig::new(RetryPolicy::new(3, Duration::from_secs(5)));
+        cfg.slice_panels = 3;
+        cfg.schedule = PolicySpec::RoundRobin;
+        cfg.node_mem_bytes = fits;
+        let mut svc = CheckpointService::new(cluster, cfg);
+        match svc.register(tenant_cfg("fat", 32), 2, 0) {
+            Err(AdmitError::MemoryOversubscribed { demanded, capacity }) => {
+                assert_eq!((demanded, capacity), (too_big, fits));
+            }
+            other => panic!("expected MemoryOversubscribed, got {other:?}"),
+        }
+        svc.register(job, 4, 0).unwrap();
+        svc.schedule_resize("job", Duration::from_micros(1), 2);
+        let rep = svc.run(&StormPlan::none());
+        assert!(
+            rep.tenant("fat").is_none(),
+            "a refused registration never ran"
+        );
+        let t = rep.tenant("job").unwrap();
+        assert!(matches!(t.outcome, TenantOutcome::Completed(_)));
+        assert_eq!(t.resizes.len(), 1);
+        let r = &t.resizes[0];
+        assert_eq!(
+            r.line(),
+            "resize shrink 4->4 refused refusal=oversubscribed wiped=[]"
+        );
+        assert_eq!(
+            r.refusal,
+            Some(ResizeError::Oversubscribed {
+                demanded: too_big,
+                capacity: fits
+            })
+        );
+        assert_eq!(t.failures, 0, "refusals are free: no budget charged");
     }
 }

@@ -1021,8 +1021,7 @@ proptest! {
         };
         let rep = svc.run(&storm);
         let t = rep.tenant("elastic").unwrap();
-        let tag = format!("seed{seed}/targets{targets:?}/{}/kill{kill:?}",
-            policy.resolve().name());
+        let tag = format!("seed{seed}/targets{targets:?}/{policy}/kill{kill:?}");
         let out = match &t.outcome {
             TenantOutcome::Completed(out) => out,
             TenantOutcome::Refused(r) => {
