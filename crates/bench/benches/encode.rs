@@ -165,7 +165,9 @@ fn bench_rs_codec(c: &mut Criterion) {
             .map(|role| {
                 let mut acc = kernels::zeroed(len);
                 for &pos in &erased {
-                    let contribution = codec.cancel_contrib(role, pos, &data[pos], cfg);
+                    let contribution = codec
+                        .contribs(&[role], pos, &data[pos], true, cfg)
+                        .remove(0);
                     kernels::xor_accumulate(&mut acc, &contribution, cfg);
                 }
                 (role, acc)

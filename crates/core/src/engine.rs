@@ -10,6 +10,12 @@
 //! plus a local codec solve rebuild the lost *data*, then one reduce per
 //! lost parity role re-encodes the lost ranks' *parity* from the freshly
 //! rebuilt data.
+//!
+//! A rank feeds a reduce only what it has: the contributions of its data
+//! stripe in that slot (all roles filled from one cache-blocked read of
+//! the stripe), its parity stripe when building a syndrome, and
+//! otherwise [`Payload::Empty`] — the reduce's identity, which costs no
+//! bytes and no pass.
 
 use skt_encoding::{kernels, ErasureCodec, GroupLayout, KernelConfig, Wire};
 use skt_mps::{Comm, Fault, Payload, ReduceOp};
@@ -24,34 +30,68 @@ fn op_of(wire: Wire) -> ReduceOp {
     }
 }
 
-/// What rank `me` feeds into the reduce for parity role `role` of slot
-/// `s`: the contribution of its data stripe in that slot (the
-/// cancelling one when `cancel`), or the identity when it holds no data
-/// stripe there because it owns one of the slot's parity roles.
-fn slot_input(
+/// What rank `me` feeds into the reduces for parity roles `roles` of
+/// slot `s`, in `roles` order: the contributions of its data stripe in
+/// that slot (the cancelling ones when `cancel`), or the identity for
+/// every role when it holds no data stripe there because it owns one of
+/// the slot's parity roles.
+fn slot_inputs(
     layout: &GroupLayout,
     codec: &dyn ErasureCodec,
     me: usize,
     s: usize,
-    role: usize,
+    roles: &[usize],
     data: &[f64],
     cancel: bool,
-) -> Payload {
-    let kcfg = KernelConfig::global();
-    Payload::F64(match layout.codeword_pos(me, s) {
-        Some(pos) => {
-            let k = layout
-                .stripe_of_slot(me, s)
-                .expect("contributor has a stripe");
-            let stripe = layout.stripe(data, k);
-            if cancel {
-                codec.cancel_contrib(role, pos, stripe, kcfg)
-            } else {
-                codec.contrib(role, pos, stripe, kcfg)
+) -> Vec<Payload> {
+    let Some(pos) = layout.codeword_pos(me, s) else {
+        return roles.iter().map(|_| Payload::Empty).collect();
+    };
+    let k = layout
+        .stripe_of_slot(me, s)
+        .expect("contributor has a stripe");
+    let stripe = layout.stripe(data, k);
+    codec
+        .contribs(roles, pos, stripe, cancel, KernelConfig::global())
+        .into_iter()
+        .map(Payload::F64)
+        .collect()
+}
+
+/// This rank's freshly encoded parity stripes, one per parity role in
+/// role order (each `layout.stripe_len()` long), exactly as the reduces
+/// delivered them: [`encode_parity`] without the assembly copy.
+pub(crate) fn encode_parity_stripes(
+    comm: &Comm<'_>,
+    layout: &GroupLayout,
+    codec: &dyn ErasureCodec,
+    data: &[f64],
+    failpoint: Option<&str>,
+) -> Result<Vec<Vec<f64>>, Fault> {
+    let n = comm.size();
+    let m = codec.parity_count();
+    assert_eq!(n, layout.group_size(), "comm/layout size mismatch");
+    assert_eq!(m, layout.parity_count(), "codec/layout parity mismatch");
+    assert_eq!(data.len(), layout.padded_len(), "data must be padded");
+    let me = comm.rank();
+    let op = op_of(codec.wire());
+    let roles: Vec<usize> = (0..m).collect();
+    let mut my_parity: Vec<Vec<f64>> = vec![Vec::new(); m];
+    for s in 0..n {
+        let inputs = slot_inputs(layout, codec, me, s, &roles, data, false);
+        for (role, input) in inputs.into_iter().enumerate() {
+            let root = layout.parity_owner(s, role);
+            if let Some(parity) = comm.reduce(op, root, input)? {
+                debug_assert_eq!(me, root);
+                debug_assert_eq!(layout.parity_role(me, s), Some(role));
+                my_parity[role] = parity.into_f64();
             }
         }
-        None => kernels::zeroed(layout.stripe_len()),
-    })
+        if let Some(label) = failpoint {
+            comm.ctx().failpoint(label)?;
+        }
+    }
+    Ok(my_parity)
 }
 
 /// Compute this rank's parity segment (the checksums of the `m` slots
@@ -69,29 +109,7 @@ pub fn encode_parity(
     data: &[f64],
     failpoint: Option<&str>,
 ) -> Result<Vec<f64>, Fault> {
-    let n = comm.size();
-    let m = codec.parity_count();
-    assert_eq!(n, layout.group_size(), "comm/layout size mismatch");
-    assert_eq!(m, layout.parity_count(), "codec/layout parity mismatch");
-    assert_eq!(data.len(), layout.padded_len(), "data must be padded");
-    let me = comm.rank();
-    let op = op_of(codec.wire());
-    let mut my_parity = kernels::zeroed(layout.parity_len());
-    for s in 0..n {
-        for role in 0..m {
-            let input = slot_input(layout, codec, me, s, role, data, false);
-            let root = layout.parity_owner(s, role);
-            if let Some(parity) = comm.reduce(op, root, input)? {
-                debug_assert_eq!(me, root);
-                debug_assert_eq!(layout.parity_role(me, s), Some(role));
-                my_parity[layout.parity_range(role)].copy_from_slice(&parity.into_f64());
-            }
-        }
-        if let Some(label) = failpoint {
-            comm.ctx().failpoint(label)?;
-        }
-    }
-    Ok(my_parity)
+    Ok(encode_parity_stripes(comm, layout, codec, data, failpoint)?.concat())
 }
 
 /// Rebuild the `lost` ranks' padded data buffers and parity segments
@@ -132,6 +150,7 @@ pub fn reconstruct_multi(
     let me = comm.rank();
     let i_am_lost = lost.contains(&me);
     let op = op_of(codec.wire());
+    let kcfg = KernelConfig::global();
 
     let mut rebuilt_data = i_am_lost.then(|| kernels::zeroed(layout.padded_len()));
 
@@ -148,22 +167,30 @@ pub fn reconstruct_multi(
         if erased.is_empty() {
             continue;
         }
-        let mut syndromes: Vec<(usize, Vec<f64>)> = Vec::new();
-        for role in 0..m {
-            if lost.contains(&layout.parity_owner(s, role)) {
-                continue; // this role's parity died with its owner
+        // roles whose parity did not die with its owner
+        let roles: Vec<usize> = (0..m)
+            .filter(|&role| !lost.contains(&layout.parity_owner(s, role)))
+            .collect();
+        // A lost rank has nothing to add; a survivor adds its cancelling
+        // data contributions, or — owning one of the slot's parity
+        // roles — that role's parity stripe and nothing to the others.
+        let inputs = if i_am_lost {
+            roles.iter().map(|_| Payload::Empty).collect()
+        } else if let Some(mine) = layout.parity_role(me, s) {
+            let mut inputs: Vec<Payload> = roles.iter().map(|_| Payload::Empty).collect();
+            if let Some(i) = roles.iter().position(|&role| role == mine) {
+                inputs[i] = Payload::F64(my_parity[layout.parity_range(mine)].to_vec());
             }
-            let input = if i_am_lost {
-                Payload::F64(kernels::zeroed(layout.stripe_len()))
-            } else if layout.parity_role(me, s) == Some(role) {
-                Payload::F64(my_parity[layout.parity_range(role)].to_vec())
-            } else {
-                slot_input(layout, codec, me, s, role, data, true)
-            };
+            inputs
+        } else {
+            slot_inputs(layout, codec, me, s, &roles, data, true)
+        };
+        let mut syndromes: Vec<(usize, Vec<f64>)> = Vec::with_capacity(roles.len());
+        for (&role, input) in roles.iter().zip(inputs) {
             syndromes.push((role, comm.allreduce(op, input)?.into_f64()));
         }
         if let Some(mine) = rebuilt_data.as_mut() {
-            let solved = codec.solve(&erased, &syndromes, KernelConfig::global());
+            let solved = codec.solve(&erased, &syndromes, kcfg);
             for (pos, stripe) in erased.iter().zip(&solved) {
                 // which lost rank sits at codeword position `pos`?
                 let l = lost
@@ -187,7 +214,9 @@ pub fn reconstruct_multi(
     for &l in &lost {
         for role in 0..m {
             let s = layout.parity_slot(l, role);
-            let input = slot_input(layout, codec, me, s, role, my_data, false);
+            let input = slot_inputs(layout, codec, me, s, &[role], my_data, false)
+                .pop()
+                .expect("one input per role");
             if let Some(parity) = comm.reduce(op, l, input)? {
                 debug_assert_eq!(me, l);
                 rebuilt_parity.as_mut().unwrap()[layout.parity_range(role)]
@@ -225,30 +254,92 @@ mod tests {
         acc
     }
 
+    /// Exactly representable, rank- and index-distinct words: SUM stays
+    /// exact in any association, so every codec can be held to bits.
+    fn exact_data(rank: usize, len: usize) -> Vec<f64> {
+        (0..len).map(|i| (rank * 4096 + i * 3 + 1) as f64).collect()
+    }
+
     #[test]
-    fn encode_matches_sequential_reference() {
-        for code in [Code::Xor, Code::Sum] {
-            let codec = CodecSpec::single(code).resolve();
-            let n = 4;
-            let layout = GroupLayout::new(n, 9); // padded 9 -> stripe 3
+    fn every_codec_encodes_the_sequential_reference_bit_for_bit() {
+        let n = 5;
+        for spec in [
+            CodecSpec::single(Code::Xor),
+            CodecSpec::single(Code::Sum),
+            CodecSpec::dual(),
+            CodecSpec::rs(1),
+            CodecSpec::rs(2),
+            CodecSpec::rs(3),
+        ] {
+            let codec = spec.resolve();
+            let m = codec.parity_count();
+            let layout = GroupLayout::new_with_parity(n, m, 23);
+            let datasets: Vec<Vec<f64>> =
+                (0..n).map(|r| exact_data(r, layout.padded_len())).collect();
             let out = run_local(n, |ctx| {
-                let w = ctx.world();
-                let data = rank_data(ctx.world_rank(), layout.padded_len());
-                encode_parity(&w, &layout, codec, &data, None)
+                let data = exact_data(ctx.world_rank(), layout.padded_len());
+                encode_parity(&ctx.world(), &layout, codec, &data, None)
             })
             .unwrap();
-            let datasets: Vec<Vec<f64>> =
-                (0..n).map(|r| rank_data(r, layout.padded_len())).collect();
-            for (slot, parity) in out.iter().enumerate() {
-                let expect = sequential_parity(code, &layout, slot, &datasets);
-                for (a, b) in parity.iter().zip(&expect) {
-                    match code {
-                        Code::Xor => assert_eq!(a.to_bits(), b.to_bits(), "{code:?} slot {slot}"),
-                        Code::Sum => assert!((a - b).abs() < 1e-9, "{code:?} slot {slot}"),
+            // the reference: fold every contributor's contribution in
+            // rank order, one accumulator per (slot, role)
+            let serial = KernelConfig::serial();
+            for (rank, parity) in out.iter().enumerate() {
+                assert_eq!(parity.len(), layout.parity_len());
+                for role in 0..m {
+                    let s = layout.parity_slot(rank, role);
+                    let mut acc = kernels::zeroed(layout.stripe_len());
+                    for r in layout.contributors(s) {
+                        let k = layout.stripe_of_slot(r, s).unwrap();
+                        let pos = layout.codeword_pos(r, s).unwrap();
+                        let c = codec.contrib(role, pos, layout.stripe(&datasets[r], k), serial);
+                        match codec.wire() {
+                            Wire::Bits => kernels::xor_accumulate(&mut acc, &c, serial),
+                            Wire::Floats => kernels::sum_accumulate(&mut acc, &c, serial),
+                        }
                     }
+                    let got = &parity[layout.parity_range(role)];
+                    assert!(
+                        got.iter()
+                            .zip(&acc)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "{spec:?} rank {rank} role {role}"
+                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn only_data_holders_put_bytes_on_the_wire() {
+        use skt_cluster::{Cluster, ClusterConfig, Event, Ranklist, Recorder};
+        use std::sync::Arc;
+        let (n, m) = (4, 2);
+        let codec = CodecSpec::rs(m).resolve();
+        let layout = GroupLayout::new_with_parity(n, m, 16); // stripe 8
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(n, 0)));
+        let rec = Arc::new(Recorder::new());
+        cluster.events().subscribe(Arc::clone(&rec) as _);
+        skt_mps::run_on_cluster(cluster, &Ranklist::round_robin(n, n), |ctx| {
+            let data = rank_data(ctx.world_rank(), layout.padded_len());
+            encode_parity(&ctx.world(), &layout, codec, &data, None)
+        })
+        .unwrap();
+        // one reduce event per rank per (slot, role); of the n ranks the
+        // n - m data holders contribute a stripe, the m parity owners
+        // the identity
+        let stripe_bytes = (layout.stripe_len() * 8) as u64;
+        let reduces = |bytes: u64| {
+            rec.count(
+                |e| matches!(e, Event::Collective { op: "reduce", bytes: b, .. } if *b == bytes),
+            )
+        };
+        assert_eq!(reduces(stripe_bytes), n * m * (n - m));
+        assert_eq!(reduces(0), n * m * m);
+        assert_eq!(
+            rec.count(|e| matches!(e, Event::Collective { .. })),
+            n * m * n
+        );
     }
 
     #[test]

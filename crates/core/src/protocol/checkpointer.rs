@@ -19,7 +19,7 @@ use skt_encoding::{ErasureCodec, GroupLayout};
 use skt_mps::{Comm, Fault, Payload, ReduceOp};
 use std::time::Duration;
 
-use crate::engine::encode_parity;
+use crate::engine::encode_parity_stripes;
 
 /// One rank's checkpointer, bound to its group communicator.
 ///
@@ -264,15 +264,15 @@ impl<'c> Checkpointer<'c> {
     }
 
     /// This group's parity of `seg`'s contents (stripe reduces per slot
-    /// and parity role). When `probe` is set the failure probe fires
-    /// between slot reduces.
+    /// and parity role), one stripe per role this rank owns. When `probe`
+    /// is set the failure probe fires between slot reduces.
     pub(super) fn encode_of(
         &self,
         seg: &ShmSegment,
         probe: Option<&str>,
-    ) -> Result<Vec<f64>, Fault> {
+    ) -> Result<Vec<Vec<f64>>, Fault> {
         let g = seg.read();
-        encode_parity(&self.comm, &self.layout, self.codec, g.try_as_f64()?, probe)
+        encode_parity_stripes(&self.comm, &self.layout, self.codec, g.try_as_f64()?, probe)
     }
 
     /// Fire a labeled failure-injection probe (recovery-path yield
@@ -556,6 +556,7 @@ impl<'c> Checkpointer<'c> {
             let c = c_t.read();
             parity
                 .iter()
+                .flatten()
                 .zip(c.try_as_f64()?)
                 .all(|(a, b)| a.to_bits() == b.to_bits())
         };

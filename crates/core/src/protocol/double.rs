@@ -54,7 +54,7 @@ impl Protocol for Double {
         let t0 = ck.clock();
         let sp = ck.span(Phase::Encode, e);
         let parity = ck.encode_of(&b_t, Some(Phase::Encode.label()))?;
-        let encoded = ck.seal(ops::prepare(ParityCommit::new(c_r, parity, &[c_r])))?;
+        let encoded = ck.seal(ops::prepare(ParityCommit::new(c_r, &parity, &[c_r])))?;
         ck.comm.barrier()?;
         sp.end();
         let encode = t0.elapsed();

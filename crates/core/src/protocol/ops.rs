@@ -29,7 +29,7 @@
 //! and *explains itself* ([`crate::protocol::RecoveryReport::ops`]).
 //!
 //! The clippy `disallowed-methods` gate (see `clippy.toml`) forbids the
-//! raw mechanics (`header::write_word`, `copy_seg`, `fill_seg`,
+//! raw mechanics (`header::write_word`, `copy_seg`, `fill_stripes`,
 //! `rebuild_regions`, `update_region_crcs`) everywhere outside this
 //! module, so the sequenced-op API is the *only* door to durable state.
 #![allow(clippy::disallowed_methods)] // this module IS the allowed door
@@ -345,7 +345,8 @@ impl<'c> SequencedOp<Checkpointer<'c>> for MarkerReset {
 }
 
 /// Commit a whole-segment copy `dst ← src` plus `dst`'s stripe-CRC
-/// witness refresh, in the existing no-yield data+CRC block.
+/// witness refresh, in the existing no-yield data+CRC block (one fused
+/// pass: each block is CRC'd at its destination as it lands).
 pub(crate) struct FlushCommit {
     dst: Region,
     src: Region,
@@ -393,31 +394,31 @@ impl<'c> SequencedOp<Checkpointer<'c>> for FlushCommit {
         ) else {
             return Err(Fault::Protocol("flush: region not allocated by method"));
         };
-        ck.copy_seg(&dst, &src, self.label)?;
-        ck.update_region_crcs(&[self.dst])
+        ck.copy_seg(self.dst, &dst, &src, self.label)
     }
 }
 
-/// Commit freshly encoded parity into a checksum segment plus the CRC
-/// witnesses of every region the encode certifies (the self method's D
-/// fill witnesses `(work, D)` as a pair).
-pub(crate) struct ParityCommit {
+/// Commit freshly encoded parity — one stripe per role, as the reduces
+/// delivered them — into a checksum segment plus the CRC witnesses of
+/// every region the encode certifies (the self method's D fill
+/// witnesses `(work, D)` as a pair).
+pub(crate) struct ParityCommit<'a> {
     dst: Region,
-    data: Vec<f64>,
+    stripes: &'a [Vec<f64>],
     crc: Vec<Region>,
 }
 
-impl ParityCommit {
-    pub(crate) fn new(dst: Region, data: Vec<f64>, crc: &[Region]) -> Self {
+impl<'a> ParityCommit<'a> {
+    pub(crate) fn new(dst: Region, stripes: &'a [Vec<f64>], crc: &[Region]) -> Self {
         ParityCommit {
             dst,
-            data,
+            stripes,
             crc: crc.to_vec(),
         }
     }
 }
 
-impl<'c> SequencedOp<Checkpointer<'c>> for ParityCommit {
+impl<'c> SequencedOp<Checkpointer<'c>> for ParityCommit<'_> {
     fn name(&self) -> String {
         format!("parity:{}", self.dst)
     }
@@ -429,10 +430,10 @@ impl<'c> SequencedOp<Checkpointer<'c>> for ParityCommit {
         let same = {
             let d = dst.read();
             let dv = d.try_as_f64()?;
-            dv.len() == self.data.len()
+            dv.len() == self.stripes.iter().map(Vec::len).sum::<usize>()
                 && dv
                     .iter()
-                    .zip(&self.data)
+                    .zip(self.stripes.iter().flatten())
                     .all(|(a, b)| a.to_bits() == b.to_bits())
         };
         let mut witnessed = true;
@@ -450,8 +451,16 @@ impl<'c> SequencedOp<Checkpointer<'c>> for ParityCommit {
         let Some(dst) = ck.region_seg(self.dst).cloned() else {
             return Err(Fault::Protocol("parity: region not allocated by method"));
         };
-        ck.fill_seg(&dst, &self.data)?;
-        ck.update_region_crcs(&self.crc)
+        // role `i`'s stripe is the segment's stripe `i`; the fill
+        // witnesses them as they land, the other regions are re-read
+        ck.fill_stripes(self.dst, &dst, self.stripes)?;
+        let others: Vec<Region> = self
+            .crc
+            .iter()
+            .copied()
+            .filter(|&r| r != self.dst)
+            .collect();
+        ck.update_region_crcs(&others)
     }
 }
 

@@ -12,7 +12,7 @@
 use super::{Checkpointer, RecoverError, RECOVER_REBUILD_PROBE};
 use crate::engine::reconstruct_multi;
 use skt_cluster::{Event, Region, ShmSegment};
-use skt_encoding::{kernels, stripe_crcs, KernelConfig};
+use skt_encoding::{copy_with_stripe_crcs, stripe_crcs, KernelConfig};
 use skt_mps::{Fault, Payload};
 
 /// Probe label fired at the start of every protocol segment copy
@@ -45,24 +45,23 @@ pub(crate) fn crc_table_bytes(n: usize) -> usize {
 }
 
 impl<'c> Checkpointer<'c> {
-    /// Whole-segment copy on the blocked multi-threaded kernel, with a
-    /// [`Event::BytesMoved`] record. A wiped or resized segment (stale
-    /// handle on a powered-off node) is a [`Fault`], not a panic.
+    /// Whole-segment copy `dst ← src` of region `r` on the blocked
+    /// multi-threaded kernel, witnessed (see [`Self::fill_stripes`]),
+    /// with a [`Event::BytesMoved`] record. A wiped or resized segment
+    /// (stale handle on a powered-off node) is a [`Fault`], not a panic.
     pub(super) fn copy_seg(
         &self,
+        r: Region,
         dst: &ShmSegment,
         src: &ShmSegment,
         label: &'static str,
     ) -> Result<(), Fault> {
         self.comm.ctx().failpoint(COPY_PROBE)?;
         let s = src.read();
-        let mut d = dst.write();
         let sv = s.try_as_f64()?;
-        let dv = d.try_as_f64_mut()?;
-        if sv.len() != dv.len() {
-            return Err(Fault::Protocol("checkpoint copy: segment length mismatch"));
-        }
-        kernels::copy(dv, sv, KernelConfig::global());
+        // a gated mutator built on the gated fill: still one commit point
+        #[allow(clippy::disallowed_methods)]
+        self.fill_stripes(r, dst, &[sv])?;
         self.bus.emit(Event::BytesMoved {
             label,
             bytes: (sv.len() * 8) as u64,
@@ -70,18 +69,45 @@ impl<'c> Checkpointer<'c> {
         Ok(())
     }
 
-    /// Overwrite a segment with `data` (same fault semantics as
-    /// [`Self::copy_seg`]).
-    pub(super) fn fill_seg(&self, seg: &ShmSegment, data: &[f64]) -> Result<(), Fault> {
-        let mut g = seg.write();
-        let v = g.try_as_f64_mut()?;
-        if v.len() != data.len() {
-            return Err(Fault::Protocol(
-                "segment wiped or resized under the protocol",
-            ));
+    /// Overwrite region `r`'s segment with the concatenation of `parts`
+    /// (each a whole number of stripes, except that the last may end
+    /// short) and store the stripe CRCs of what landed, in one pass:
+    /// each cache block is CRC'd **at its destination** right after it
+    /// is copied. Pure local compute — **no yield points** — so the
+    /// bytes and their witness commit together. The parts must cover the
+    /// segment exactly: a wiped or resized segment (stale handle on a
+    /// powered-off node) or a short part is a [`Fault`], not a panic,
+    /// and nothing is written.
+    pub(super) fn fill_stripes(
+        &self,
+        r: Region,
+        seg: &ShmSegment,
+        parts: &[impl AsRef<[f64]>],
+    ) -> Result<(), Fault> {
+        let stripe_len = self.layout.stripe_len();
+        let mut crcs = Vec::new();
+        {
+            let mut g = seg.write();
+            let mut rest: &mut [f64] = g.try_as_f64_mut()?;
+            let total: usize = parts.iter().map(|p| p.as_ref().len()).sum();
+            let inner = parts.split_last().map_or(parts, |(_, inner)| inner);
+            if rest.len() != total || inner.iter().any(|p| p.as_ref().len() % stripe_len != 0) {
+                return Err(Fault::Protocol(
+                    "segment wiped or resized under the protocol",
+                ));
+            }
+            for part in parts {
+                let (dst, tail) = rest.split_at_mut(part.as_ref().len());
+                crcs.extend(copy_with_stripe_crcs(
+                    dst,
+                    part.as_ref(),
+                    stripe_len,
+                    KernelConfig::global(),
+                ));
+                rest = tail;
+            }
         }
-        v.copy_from_slice(data);
-        Ok(())
+        self.store_crcs(r, &crcs)
     }
 
     /// Rebuild the `lost` ranks' `(data, parity)` region pairs from the
@@ -136,9 +162,8 @@ impl<'c> Checkpointer<'c> {
         if let Some((data, parity)) =
             reconstruct_multi(&self.comm, &self.layout, self.codec, lost, &bd, &pc)?
         {
-            self.fill_seg(&data_seg, &data)?;
-            self.fill_seg(&parity_seg, &parity)?;
-            self.update_region_crcs(&[data_r, parity_r])?;
+            self.fill_stripes(data_r, &data_seg, &[data])?;
+            self.fill_stripes(parity_r, &parity_seg, &[parity])?;
         }
         self.probe(RECOVER_REBUILD_PROBE)?;
         Ok(())
@@ -184,23 +209,28 @@ impl<'c> Checkpointer<'c> {
         idx * per..(idx + 1) * per
     }
 
+    /// Store `crcs` as region `r`'s leading stripe witnesses.
+    fn store_crcs(&self, r: Region, crcs: &[u32]) -> Result<(), Fault> {
+        let range = self.crc_slot_range(r);
+        let mut g = self.crc.write();
+        let tbl = g
+            .try_as_bytes_mut()?
+            .get_mut(range)
+            .and_then(|tbl| tbl.get_mut(..crcs.len() * 4))
+            .ok_or(Fault::Protocol("crc table segment wiped or truncated"))?;
+        for (slot, c) in tbl.chunks_exact_mut(4).zip(crcs) {
+            slot.copy_from_slice(&c.to_le_bytes());
+        }
+        Ok(())
+    }
+
     /// Recompute and store the stripe CRCs of the given regions. Pure
     /// local compute — **no yield points** — so calling it right after a
     /// commit keeps the forward protocol's interleaving space unchanged.
     pub(crate) fn update_region_crcs(&self, regions: &[Region]) -> Result<(), Fault> {
         for &r in regions {
-            let Some(crcs) = self.region_crcs(r)? else {
-                continue;
-            };
-            let range = self.crc_slot_range(r);
-            let mut g = self.crc.write();
-            let b = g.try_as_bytes_mut()?;
-            if b.len() < range.end {
-                return Err(Fault::Protocol("crc table segment wiped or truncated"));
-            }
-            let tbl = &mut b[range];
-            for (i, c) in crcs.iter().enumerate() {
-                tbl[i * 4..i * 4 + 4].copy_from_slice(&c.to_le_bytes());
+            if let Some(crcs) = self.region_crcs(r)? {
+                self.store_crcs(r, &crcs)?;
             }
         }
         Ok(())

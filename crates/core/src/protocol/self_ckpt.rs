@@ -29,7 +29,7 @@ impl Protocol for SelfCkpt {
         let parity = ck.encode_of(&ck.work, Some(Phase::Encode.label()))?;
         let d_fill = ck.seal(ops::prepare(ParityCommit::new(
             Region::ChecksumD,
-            parity,
+            &parity,
             &[Region::Work, Region::ChecksumD],
         )))?;
         // (3) group-wide commit of D

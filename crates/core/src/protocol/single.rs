@@ -48,7 +48,7 @@ impl Protocol for Single {
         let parity = ck.encode_of(&ck.b, Some(Phase::Encode.label()))?;
         let encoded = ck.seal(ops::prepare(ParityCommit::new(
             Region::ParityC,
-            parity,
+            &parity,
             &[Region::ParityC],
         )))?;
         ck.comm.barrier()?;

@@ -747,3 +747,147 @@ fn sum_code_round_trips_through_recovery() {
         }
     }
 }
+
+/// The durable bytes one `make()` leaves behind, pinned per codec and
+/// method: a change to the encode, commit or flush path (a fused
+/// copy + CRC, a different reduce shape, a reordered witness) may move
+/// time but not a single stored byte or CRC word. The workspace is
+/// integer-derived bit patterns (no libm), 200 words so every stripe
+/// runs the SIMD kernels' main loop and their tail. Each golden is the
+/// CRC-32C over the four ranks' CRC-32Cs of one segment kind, in rank
+/// order: `B`, `C`, `D` (0 where the method has none), the CRC table.
+#[test]
+fn one_make_leaves_the_golden_durable_bytes() {
+    use skt_encoding::{crc32c, crc32c_f64, KernelConfig};
+    const LEN: usize = 200;
+    // Taken at the parent of the commit that fused the flush CRC.
+    let golden: [(CodecSpec, Method, [u32; 4]); 9] = [
+        (
+            CodecSpec::Single(Code::Xor),
+            Method::SelfCkpt,
+            [0x97ac_42f9, 0xf5b6_65a5, 0xf5b6_65a5, 0x6bc2_d1e1],
+        ),
+        (
+            CodecSpec::Single(Code::Xor),
+            Method::Double,
+            [0x97ac_42f9, 0xf5b6_65a5, 0, 0xf1aa_fb05],
+        ),
+        (
+            CodecSpec::Single(Code::Xor),
+            Method::Single,
+            [0x97ac_42f9, 0xf5b6_65a5, 0, 0xf1aa_fb05],
+        ),
+        (
+            CodecSpec::Dual,
+            Method::SelfCkpt,
+            [0xec13_5efc, 0x8e14_4bfa, 0x8e14_4bfa, 0x2295_aea7],
+        ),
+        (
+            CodecSpec::Dual,
+            Method::Double,
+            [0xec13_5efc, 0x8e14_4bfa, 0, 0x0338_d74e],
+        ),
+        (
+            CodecSpec::Dual,
+            Method::Single,
+            [0xec13_5efc, 0x8e14_4bfa, 0, 0x0338_d74e],
+        ),
+        (
+            CodecSpec::Rs { m: 2 },
+            Method::SelfCkpt,
+            [0xec13_5efc, 0x7a80_087e, 0x7a80_087e, 0xa752_9164],
+        ),
+        (
+            CodecSpec::Rs { m: 2 },
+            Method::Double,
+            [0xec13_5efc, 0x7a80_087e, 0, 0x6183_b439],
+        ),
+        (
+            CodecSpec::Rs { m: 2 },
+            Method::Single,
+            [0xec13_5efc, 0x7a80_087e, 0, 0x6183_b439],
+        ),
+    ];
+    for (codec, method, want) in golden {
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 0)));
+        let rl = Ranklist::round_robin(N, N);
+        let per_rank = run_on_cluster(cluster, &rl, |ctx| {
+            let rank = ctx.world_rank();
+            let cfg = CkptConfig::new("golden", method, LEN, 8).with_codec(codec);
+            let (mut ck, _) = Checkpointer::init(ctx.world(), cfg);
+            {
+                let ws = ck.workspace();
+                let mut g = ws.write();
+                for (j, v) in g.as_f64_mut()[..LEN].iter_mut().enumerate() {
+                    let x = ((rank * LEN + j) as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    *v = f64::from_bits(x ^ (x >> 29));
+                }
+            }
+            ck.make(&1u64.to_le_bytes())?;
+            let seg = |part: &str| ctx.shm().attach(&format!("golden/r{rank}/{part}"));
+            let floats = |part: &str| {
+                seg(part).map_or(0, |s| crc32c_f64(s.read().as_f64(), KernelConfig::serial()))
+            };
+            let table = crc32c(seg("crc").expect("crc table").read().as_bytes());
+            Ok([floats("b"), floats("c"), floats("d"), table])
+        })
+        .unwrap();
+        let got: [u32; 4] = std::array::from_fn(|kind| {
+            let words: Vec<u8> = per_rank
+                .iter()
+                .flat_map(|r| r[kind].to_le_bytes())
+                .collect();
+            if per_rank.iter().all(|r| r[kind] == 0) {
+                0
+            } else {
+                crc32c(&words)
+            }
+        });
+        assert_eq!(got, want, "{codec:?} {method:?}: got {got:#010x?}");
+    }
+}
+
+/// The witnessed fill is all-or-nothing: parts that do not cover the
+/// segment exactly, or whose stripe boundaries would slide, are a
+/// `Fault` and leave both the segment and its witnesses untouched.
+#[test]
+#[allow(clippy::disallowed_methods)] // exercises the gated primitive itself
+fn a_fill_that_does_not_cover_the_segment_exactly_is_refused() {
+    let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 0)));
+    let rl = Ranklist::round_robin(N, N);
+    run_on_cluster(cluster, &rl, |ctx| {
+        let codec = CodecSpec::Rs { m: 2 };
+        let (mut ck, _) = Checkpointer::init(ctx.world(), cfg(Method::SelfCkpt).with_codec(codec));
+        ck.make(&1u64.to_le_bytes())?;
+        let d = ck
+            .region_seg(Region::ChecksumD)
+            .cloned()
+            .expect("self has D");
+        let before = d.read().as_f64().to_vec();
+        let s = ck.layout().stripe_len();
+        assert_eq!(before.len(), 2 * s, "one stripe per parity role");
+        let refused: [&[Vec<f64>]; 5] = [
+            &[vec![1.0; s - 1], vec![1.0; s]],     // a short role stripe
+            &[vec![1.0; s - 1], vec![1.0; s + 1]], // right total, slid boundary
+            &[vec![1.0; s]],                       // segment longer than the data
+            &[vec![1.0; s], vec![1.0; s], vec![1.0; s]],
+            &[],
+        ];
+        for parts in refused {
+            assert!(matches!(
+                ck.fill_stripes(Region::ChecksumD, &d, parts),
+                Err(Fault::Protocol(_))
+            ));
+            assert_eq!(d.read().as_f64(), &before[..]);
+            assert!(ck.region_crc_ok(Region::ChecksumD)?);
+        }
+        ck.fill_stripes(Region::ChecksumD, &d, &[vec![1.0; s], vec![2.0; s]])?;
+        assert!(
+            ck.region_crc_ok(Region::ChecksumD)?,
+            "witnessed as it landed"
+        );
+        assert_eq!(d.read().as_f64()[s], 2.0);
+        Ok(())
+    })
+    .unwrap();
+}

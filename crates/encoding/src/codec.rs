@@ -12,13 +12,13 @@
 //! reduce collectives, one per parity role per slot. A codec therefore
 //! only supplies local math —
 //!
-//! * [`ErasureCodec::contrib`]: what a rank feeds into the reduce for
-//!   one parity role (the data stripe pre-scaled by the role's
-//!   generator coefficient, so the reduce itself stays a plain bitwise
-//!   XOR);
-//! * [`ErasureCodec::cancel_contrib`]: the contribution that *removes*
-//!   a previously encoded stripe from a parity accumulation — recovery
-//!   builds per-role syndromes this way;
+//! * [`ErasureCodec::contribs`]: what a rank feeds into the reduces of
+//!   a slot — its data stripe pre-scaled by each role's generator
+//!   coefficient (so the reduce itself stays a plain bitwise XOR), every
+//!   requested role produced from one cache-blocked read of the stripe;
+//!   or the contributions that *remove* a previously encoded stripe from
+//!   the parity accumulations — recovery builds per-role syndromes this
+//!   way. [`ErasureCodec::contrib`] is its one-role encode form;
 //! * [`ErasureCodec::solve`]: the local solve turning surviving-role
 //!   syndromes into the erased data stripes.
 //!
@@ -60,21 +60,28 @@ pub trait ErasureCodec: Sync + Send {
     /// Wire representation of the reduce contributions.
     fn wire(&self) -> Wire;
 
-    /// The contribution of the data stripe at codeword position `pos`
-    /// to parity role `role` of its slot.
-    fn contrib(&self, role: usize, pos: usize, stripe: &[f64], cfg: KernelConfig) -> Vec<f64>;
-
-    /// The contribution that cancels `stripe` back *out* of parity role
-    /// `role` (syndrome building during recovery). XOR is self-inverse,
-    /// so for [`Wire::Bits`] codecs cancelling is re-contributing.
-    fn cancel_contrib(
+    /// The contributions of the data stripe at codeword position `pos`
+    /// to the parity roles `roles` of its slot, one buffer per role in
+    /// `roles` order, all produced from one cache-blocked read of
+    /// `stripe`. With `cancel` they are the contributions that take the
+    /// stripe back *out* of those roles (syndrome building during
+    /// recovery); XOR is self-inverse, so for [`Wire::Bits`] codecs
+    /// cancelling is re-contributing.
+    fn contribs(
         &self,
-        role: usize,
+        roles: &[usize],
         pos: usize,
         stripe: &[f64],
+        cancel: bool,
         cfg: KernelConfig,
-    ) -> Vec<f64> {
-        self.contrib(role, pos, stripe, cfg)
+    ) -> Vec<Vec<f64>>;
+
+    /// The contribution of the data stripe at codeword position `pos`
+    /// to parity role `role` of its slot.
+    fn contrib(&self, role: usize, pos: usize, stripe: &[f64], cfg: KernelConfig) -> Vec<f64> {
+        self.contribs(&[role], pos, stripe, false, cfg)
+            .pop()
+            .expect("one contribution per role")
     }
 
     /// Solve for the erased codeword positions `erased` (ascending)
@@ -187,20 +194,25 @@ impl ErasureCodec for SumCodec {
         Wire::Floats
     }
 
-    fn contrib(&self, role: usize, _pos: usize, stripe: &[f64], _cfg: KernelConfig) -> Vec<f64> {
-        assert_eq!(role, 0, "single parity has one role");
-        stripe.to_vec()
-    }
-
-    fn cancel_contrib(
+    fn contribs(
         &self,
-        role: usize,
+        roles: &[usize],
         _pos: usize,
         stripe: &[f64],
+        cancel: bool,
         cfg: KernelConfig,
-    ) -> Vec<f64> {
-        assert_eq!(role, 0, "single parity has one role");
-        kernels::negated(stripe, cfg)
+    ) -> Vec<Vec<f64>> {
+        roles
+            .iter()
+            .map(|&role| {
+                assert_eq!(role, 0, "single parity has one role");
+                if cancel {
+                    kernels::negated(stripe, cfg)
+                } else {
+                    stripe.to_vec()
+                }
+            })
+            .collect()
     }
 
     fn solve(
@@ -276,7 +288,7 @@ mod tests {
                 let mut parts = vec![parity[role].clone()];
                 for (pos, d) in data.iter().enumerate() {
                     if !erased.contains(&pos) {
-                        parts.push(codec.cancel_contrib(role, pos, d, cfg));
+                        parts.extend(codec.contribs(&[role], pos, d, true, cfg));
                     }
                 }
                 (role, combine(codec.wire(), &parts, len))

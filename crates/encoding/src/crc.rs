@@ -6,9 +6,11 @@
 //! application unless something checks. This module provides the
 //! detection layer: CRC32C over `f64` buffers, walked in
 //! [`KernelConfig::chunk_len`] blocks like every other kernel so large
-//! buffers fan out to scoped threads — the per-span CRCs are stitched
-//! together with the exact GF(2) combine, so the parallel result is
-//! bit-identical to the serial walk for every policy.
+//! buffers are shared with the call's scoped helper threads — the per-block
+//! CRCs are stitched together with the exact GF(2) combine, so the
+//! parallel result is bit-identical to the serial walk for every policy.
+//! [`copy_with_stripe_crcs`] fuses the witness into the flush copy: each
+//! block is CRC'd at its destination while it is still cache-hot.
 //!
 //! The Castagnoli polynomial (`0x1EDC6F41`, reflected `0x82F63B78`) is
 //! the iSCSI / SCTP / SSE4.2 `crc32` polynomial — the conventional choice
@@ -17,7 +19,7 @@
 //! [`crate::simd::CrcBackend`] (table / slice-by-8 / hardware `crc32`),
 //! every variant of which computes the identical function.
 
-use crate::kernels::KernelConfig;
+use crate::kernels::{for_each_block, KernelConfig};
 use crate::simd::{self, CrcBackend};
 
 /// Reflected CRC32C (Castagnoli) polynomial.
@@ -31,7 +33,10 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
     !simd::crc32c_update(!0, bytes, backend)
 }
 
-fn gf2_matrix_times(mat: &[u32; 32], mut vec: u32) -> u32 {
+/// A GF(2) operator on CRC states: entry `i` is the image of bit `i`.
+type Gf2Matrix = [u32; 32];
+
+fn gf2_matrix_times(mat: &Gf2Matrix, mut vec: u32) -> u32 {
     let mut sum = 0;
     let mut i = 0;
     while vec != 0 {
@@ -44,53 +49,70 @@ fn gf2_matrix_times(mat: &[u32; 32], mut vec: u32) -> u32 {
     sum
 }
 
-fn gf2_matrix_square(square: &mut [u32; 32], mat: &[u32; 32]) {
-    for (sq, &m) in square.iter_mut().zip(mat.iter()) {
-        *sq = gf2_matrix_times(mat, m);
+fn gf2_matrix_mul(a: &Gf2Matrix, b: &Gf2Matrix) -> Gf2Matrix {
+    std::array::from_fn(|i| gf2_matrix_times(a, b[i]))
+}
+
+/// The operator that advances a CRC through `len` zero bytes: the
+/// one-zero-bit shift raised to the `8·len`-th power by repeated
+/// squaring (the zlib `crc32_combine` construction).
+fn zero_shift(mut len: u64) -> Gf2Matrix {
+    let mut power: Gf2Matrix = std::array::from_fn(|i| if i == 0 { POLY } else { 1 << (i - 1) });
+    for _ in 0..3 {
+        power = gf2_matrix_mul(&power, &power); // 1 bit -> 8 bits
     }
+    let mut shift: Gf2Matrix = std::array::from_fn(|i| 1 << i);
+    while len != 0 {
+        if len & 1 != 0 {
+            shift = gf2_matrix_mul(&power, &shift);
+        }
+        len >>= 1;
+        if len != 0 {
+            power = gf2_matrix_mul(&power, &power);
+        }
+    }
+    shift
 }
 
 /// Combine two CRC32C values: for buffers `A` and `B`,
 /// `crc32c(A ‖ B) == crc32c_combine(crc32c(A), crc32c(B), B.len())`.
 ///
-/// This is the zlib `crc32_combine` construction — advance `crc_a`
-/// through `len_b` zero bytes by repeated squaring of the shift
-/// operator's GF(2) matrix, then xor in `crc_b`. It is exact, so chunked
-/// parallel CRCs reassemble to the serial answer bit-for-bit.
+/// Advance `crc_a` through `len_b` zero bytes, then xor in `crc_b`. It
+/// is exact, so chunked parallel CRCs reassemble to the serial answer
+/// bit-for-bit.
 #[must_use]
-pub fn crc32c_combine(mut crc_a: u32, crc_b: u32, mut len_b: u64) -> u32 {
-    if len_b == 0 {
-        return crc_a;
-    }
-    let mut even = [0u32; 32]; // operator for 2 zero bytes
-    let mut odd = [0u32; 32]; // operator for 1 zero byte
-    odd[0] = POLY;
-    let mut row = 1u32;
-    for cell in odd.iter_mut().skip(1) {
-        *cell = row;
-        row <<= 1;
-    }
-    gf2_matrix_square(&mut even, &odd);
-    gf2_matrix_square(&mut odd, &even);
-    loop {
-        gf2_matrix_square(&mut even, &odd);
-        if len_b & 1 != 0 {
-            crc_a = gf2_matrix_times(&even, crc_a);
-        }
-        len_b >>= 1;
-        if len_b == 0 {
-            break;
-        }
-        gf2_matrix_square(&mut odd, &even);
-        if len_b & 1 != 0 {
-            crc_a = gf2_matrix_times(&odd, crc_a);
-        }
-        len_b >>= 1;
-        if len_b == 0 {
-            break;
-        }
-    }
-    crc_a ^ crc_b
+pub fn crc32c_combine(crc_a: u32, crc_b: u32, len_b: u64) -> u32 {
+    gf2_matrix_times(&zero_shift(len_b), crc_a) ^ crc_b
+}
+
+/// Per-block CRCs to per-stripe CRCs. `parts` holds, stripe after
+/// stripe, the CRC of every `chunk_len`-element block of a `len`-element
+/// buffer carved into `stripe_len`-element stripes (a stripe's last
+/// block and the buffer's last stripe may be short).
+fn stitch(parts: &[u32], len: usize, stripe_len: usize, chunk_len: usize) -> Vec<u32> {
+    // every full block shifts by the same operator: build it on first use
+    let mut full_block: Option<Gf2Matrix> = None;
+    let mut parts = parts.iter();
+    (0..len)
+        .step_by(stripe_len)
+        .map(|start| {
+            let stripe = stripe_len.min(len - start);
+            let mut crc = 0;
+            for at in (0..stripe).step_by(chunk_len) {
+                let block = chunk_len.min(stripe - at);
+                let part = *parts.next().expect("one CRC per block");
+                crc = if at == 0 {
+                    part
+                } else if block == chunk_len {
+                    let shift = full_block.get_or_insert_with(|| zero_shift(chunk_len as u64 * 8));
+                    gf2_matrix_times(shift, crc) ^ part
+                } else {
+                    crc32c_combine(crc, part, block as u64 * 8)
+                };
+            }
+            crc
+        })
+        .collect()
 }
 
 /// Serial CRC32C over the little-endian bytes of an `f64` span,
@@ -108,36 +130,26 @@ fn update_f64(mut crc: u32, span: &[f64], backend: CrcBackend) -> u32 {
     crc
 }
 
-/// CRC32C over the little-endian byte image of an `f64` buffer, walked
-/// in `cfg.chunk_len`-element blocks. When the policy allows, contiguous
-/// block spans are CRC'd by scoped threads and stitched with
-/// [`crc32c_combine`]; the result equals the serial walk bit-for-bit.
+/// CRC32C over the little-endian byte image of an `f64` buffer. When the
+/// calling thread's worker budget allows, the buffer's
+/// `cfg.chunk_len`-element blocks are CRC'd by the caller and its scoped
+/// helper threads and stitched with the exact combine; the result equals
+/// the serial walk bit-for-bit.
 #[must_use]
 pub fn crc32c_f64(data: &[f64], cfg: KernelConfig) -> u32 {
     let backend = CrcBackend::select(cfg.simd);
     if !cfg.is_parallel_for(data.len()) {
         return !update_f64(!0, data, backend);
     }
-    let sub = KernelConfig::serial().with_simd(cfg.simd);
-    let n_chunks = data.len().div_ceil(cfg.chunk_len);
-    let workers = cfg.threads.min(n_chunks);
-    let span = n_chunks.div_ceil(workers) * cfg.chunk_len;
-    let parts: Vec<(u32, u64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = data
-            .chunks(span)
-            .map(|s| scope.spawn(move || (crc32c_f64(s, sub), s.len() as u64 * 8)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("crc worker panicked"))
-            .collect()
-    });
-    let mut iter = parts.into_iter();
-    let (mut crc, _) = iter.next().expect("at least one span");
-    for (c, len) in iter {
-        crc = crc32c_combine(crc, c, len);
-    }
-    crc
+    let blocks = data.chunks(cfg.chunk_len);
+    let mut parts = vec![0u32; blocks.len()];
+    for_each_block(
+        cfg,
+        parts.len(),
+        blocks.zip(parts.iter_mut()),
+        |(block, part)| *part = !update_f64(!0, block, backend),
+    );
+    stitch(&parts, data.len(), data.len(), cfg.chunk_len)[0]
 }
 
 /// Per-stripe CRC32Cs of a buffer carved into `stripe_len`-element
@@ -151,6 +163,40 @@ pub fn stripe_crcs(data: &[f64], stripe_len: usize, cfg: KernelConfig) -> Vec<u3
     data.chunks(stripe_len)
         .map(|s| crc32c_f64(s, cfg))
         .collect()
+}
+
+/// `dst := src` fused with [`stripe_crcs`]`(dst, stripe_len)`: every
+/// cache block is copied and then CRC'd **at its destination** while
+/// still cache-hot, and the per-block CRCs are stitched per stripe. The
+/// witness therefore covers the bytes that landed, exactly as a separate
+/// `copy` + `stripe_crcs(dst)` would, for one read of each instead of
+/// two.
+#[must_use]
+pub fn copy_with_stripe_crcs(
+    dst: &mut [f64],
+    src: &[f64],
+    stripe_len: usize,
+    cfg: KernelConfig,
+) -> Vec<u32> {
+    assert_eq!(dst.len(), src.len(), "kernel: length mismatch");
+    assert!(stripe_len > 0, "stripe_len must be positive");
+    let backend = CrcBackend::select(cfg.simd);
+    let chunk = cfg.chunk_len;
+    let n_blocks = dst
+        .chunks(stripe_len)
+        .map(|s| s.len().div_ceil(chunk))
+        .sum();
+    let mut parts = vec![0u32; n_blocks];
+    let blocks = dst
+        .chunks_mut(stripe_len)
+        .zip(src.chunks(stripe_len))
+        .flat_map(move |(d, s)| d.chunks_mut(chunk).zip(s.chunks(chunk)))
+        .zip(parts.iter_mut());
+    for_each_block(cfg, n_blocks, blocks, |((d, s), part)| {
+        d.copy_from_slice(s);
+        *part = !update_f64(!0, d, backend);
+    });
+    stitch(&parts, dst.len(), stripe_len, chunk)
 }
 
 #[cfg(test)]

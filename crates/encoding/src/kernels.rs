@@ -8,16 +8,32 @@
 //!
 //! * buffers are walked in [`KernelConfig::chunk_len`]-element blocks so
 //!   a block stays cache-resident while an operator runs over it;
-//! * when a buffer spans more than one block and
-//!   [`KernelConfig::threads`] allows it, the blocks are divided into
-//!   contiguous per-thread spans and processed by scoped OS threads;
+//! * when a buffer spans more than one block and the caller's share of
+//!   [`KernelConfig::threads`] allows it, the blocks are dealt out as
+//!   contiguous runs, one per worker: the *calling thread* works through
+//!   the first and scoped helper threads spawned for the call (one fewer
+//!   than the caller's share) through the others — a call whose share is
+//!   one spawns nothing;
 //! * the XOR operator works on 64-bit bit patterns in an 8-wide unrolled
 //!   main loop with a scalar tail, so the compiler can keep it in vector
 //!   registers.
 //!
 //! All operators are *element-wise* (no cross-element reassociation), so
 //! the parallel result is bit-identical to the serial one for XOR / copy
-//! and rounding-identical for SUM regardless of the partitioning.
+//! and rounding-identical for SUM regardless of which worker ran which
+//! block.
+//!
+//! # The worker budget
+//!
+//! [`KernelConfig::threads`] is a ceiling *shared by the rank threads
+//! the process currently hosts*, not a per-call fan-out. The message
+//! passing layer registers every rank thread with a [`RankThread`] guard;
+//! a kernel call made on a rank thread may use
+//! `max(1, threads / live_rank_threads)` workers, itself included
+//! (4 ranks on 2 cores: serial, no spawn at all; 4 ranks on 64 cores:
+//! 16 each). A call from any other thread — a bench, a probe, a test —
+//! gets the whole ceiling. The one known conservatism: a rank parked in
+//! a receive still counts as live, so its share idles until it returns.
 //!
 //! The process-wide default configuration comes from the environment:
 //! `SKT_KERNEL_THREADS` (default: `available_parallelism`),
@@ -25,9 +41,11 @@
 //! and `SKT_KERNEL_SIMD` (`0` forces the scalar reference kernels, `1`
 //! forces the accelerated ones, unset probes the CPU — see
 //! [`SimdMode`]). With the default chunk length, buffers of ≤ 512 KiB
-//! always run serial — thread spawn costs more than it saves there.
+//! always run on the caller alone — there is a single block.
 
 use crate::simd::{self, GfBackend, SimdMode};
+use std::cell::Cell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default cache block, in `f64` elements: 64 Ki elements = 512 KiB,
@@ -38,10 +56,12 @@ pub const DEFAULT_CHUNK_LEN: usize = 1 << 16;
 /// how large one cache block is (in elements).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct KernelConfig {
-    /// Maximum worker threads (including the caller). `1` = serial.
+    /// Ceiling on concurrently working kernel threads, callers included,
+    /// shared by the live rank threads of the process (see the module
+    /// docs). `1` = every call runs on its caller alone.
     pub threads: usize,
     /// Cache-block length in elements; also the granularity of the
-    /// per-thread span split.
+    /// per-worker run split.
     pub chunk_len: usize,
     /// How the byte-level GF(2^8)/CRC kernels pick their implementation.
     pub simd: SimdMode,
@@ -111,7 +131,8 @@ impl KernelConfig {
     /// The process-wide policy: `SKT_KERNEL_THREADS` /
     /// `SKT_KERNEL_CHUNK_LEN` / `SKT_KERNEL_SIMD` when set, otherwise
     /// `available_parallelism`, [`DEFAULT_CHUNK_LEN`] and
-    /// [`SimdMode::Auto`].
+    /// [`SimdMode::Auto`]. `threads` is the process-wide ceiling, not
+    /// the calling thread's share of it.
     #[must_use]
     pub fn global() -> Self {
         let mut threads = G_THREADS.load(Ordering::Relaxed);
@@ -150,73 +171,121 @@ impl KernelConfig {
         G_SIMD.store(simd_to_raw(self.simd), Ordering::Relaxed);
     }
 
-    /// Whether a buffer of `len` elements runs multi-threaded under this
-    /// policy: more than one thread allowed *and* more than one block to
-    /// hand out.
+    /// Workers a call made *on this thread* may use, the caller
+    /// included: the whole ceiling off a rank thread, an equal share of
+    /// it on one (see the module docs).
+    #[must_use]
+    pub(crate) fn workers(self) -> usize {
+        if ON_RANK_THREAD.get() {
+            // Relaxed: the count publishes no data, it only sizes a share.
+            (self.threads / LIVE_RANK_THREADS.load(Ordering::Relaxed).max(1)).max(1)
+        } else {
+            self.threads
+        }
+    }
+
+    /// Whether a buffer of `len` elements may run multi-threaded when
+    /// called on this thread: more than one worker allowed *and* more
+    /// than one block to hand out.
     #[must_use]
     pub fn is_parallel_for(self, len: usize) -> bool {
-        self.threads > 1 && len.div_ceil(self.chunk_len) > 1
+        self.workers() > 1 && len.div_ceil(self.chunk_len) > 1
     }
 }
 
-/// Apply `op` to matching cache blocks of `dst` / `src`.
-fn run_span<A, B>(chunk_len: usize, dst: &mut [A], src: &[B], op: impl Fn(&mut [A], &[B])) {
-    for (d, s) in dst.chunks_mut(chunk_len).zip(src.chunks(chunk_len)) {
-        op(d, s);
+static LIVE_RANK_THREADS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    static ON_RANK_THREAD: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Marks the current thread as one of the process's rank threads for as
+/// long as the guard lives: kernel calls made on it share
+/// [`KernelConfig::threads`] with every other live rank thread. The
+/// message-passing layer holds one per rank thread; dropping it (also on
+/// unwind) returns the share.
+pub struct RankThread {
+    // the registration is this thread's: the guard must drop where it was made
+    _not_send: PhantomData<*const ()>,
+}
+
+impl RankThread {
+    /// Register the current thread.
+    #[must_use = "the registration ends when the guard drops"]
+    pub fn enter() -> Self {
+        ON_RANK_THREAD.set(true);
+        LIVE_RANK_THREADS.fetch_add(1, Ordering::Relaxed);
+        RankThread {
+            _not_send: PhantomData,
+        }
     }
 }
 
-/// The shared driver: run `op` over equal-length `dst` / `src` in cache
-/// blocks, fanning contiguous block spans out to scoped threads when the
-/// policy allows. `op` must be element-wise (block-boundary free).
-fn par_zip<A, B, F>(cfg: KernelConfig, dst: &mut [A], src: &[B], op: F)
+impl Drop for RankThread {
+    fn drop(&mut self) {
+        ON_RANK_THREAD.set(false);
+        LIVE_RANK_THREADS.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// The shared driver: run `op` once on each of the `n_blocks` items of
+/// `blocks`. With a worker budget above one the items are dealt out as
+/// contiguous runs, one per worker: the caller takes the first and a
+/// scoped helper thread each of the others, so disjoint `&mut` blocks
+/// change threads by move. Runs, not a block-by-block cursor: workers
+/// that first-touch a fresh destination side by side inside one 2 MiB
+/// page-table span were measured ~2x slower than on halves of their own.
+/// `op` must be order-independent (element-wise kernels are). A panic
+/// inside `op` — on any worker — is re-raised in the caller with its
+/// original payload once every worker has stopped.
+pub(crate) fn for_each_block<I>(
+    cfg: KernelConfig,
+    n_blocks: usize,
+    mut blocks: I,
+    op: impl Fn(I::Item) + Sync,
+) where
+    I: Iterator,
+    I::Item: Send,
+{
+    let workers = cfg.workers().min(n_blocks);
+    if workers <= 1 {
+        blocks.for_each(op);
+        return;
+    }
+    let per_worker = n_blocks.div_ceil(workers);
+    let mut runs = (0..workers).map(|_| blocks.by_ref().take(per_worker).collect::<Vec<_>>());
+    let mine = runs.next().unwrap_or_default();
+    let op = &op;
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = runs
+            .map(|run| scope.spawn(move || run.into_iter().for_each(op)))
+            .collect();
+        mine.into_iter().for_each(op);
+        for helper in helpers {
+            if let Err(panic) = helper.join() {
+                std::panic::resume_unwind(panic);
+            }
+        }
+    });
+}
+
+/// Run `op` over matching cache blocks of equal-length `dst` / `src`.
+/// `op` must be element-wise (block-boundary free).
+fn par_zip<A, B>(cfg: KernelConfig, dst: &mut [A], src: &[B], op: impl Fn(&mut [A], &[B]) + Sync)
 where
     A: Send,
     B: Sync,
-    F: Fn(&mut [A], &[B]) + Copy + Send + Sync,
 {
     assert_eq!(dst.len(), src.len(), "kernel: length mismatch");
-    if !cfg.is_parallel_for(dst.len()) {
-        run_span(cfg.chunk_len, dst, src, op);
-        return;
-    }
-    let n_chunks = dst.len().div_ceil(cfg.chunk_len);
-    let workers = cfg.threads.min(n_chunks);
-    // Per-thread spans are whole numbers of blocks so block boundaries
-    // (and thus the op's traversal) are identical to the serial walk.
-    let span = n_chunks.div_ceil(workers) * cfg.chunk_len;
-    std::thread::scope(|scope| {
-        for (d, s) in dst.chunks_mut(span).zip(src.chunks(span)) {
-            scope.spawn(move || run_span(cfg.chunk_len, d, s, op));
-        }
-    });
+    let blocks = dst.chunks_mut(cfg.chunk_len).zip(src.chunks(cfg.chunk_len));
+    for_each_block(cfg, blocks.len(), blocks, |(d, s)| op(d, s));
 }
 
 /// In-place variant of [`par_zip`]: run `op` over `buf` alone in cache
-/// blocks, fanning block spans out to scoped threads when allowed.
-fn par_inplace<A, F>(cfg: KernelConfig, buf: &mut [A], op: F)
-where
-    A: Send,
-    F: Fn(&mut [A]) + Copy + Send + Sync,
-{
-    if !cfg.is_parallel_for(buf.len()) {
-        for b in buf.chunks_mut(cfg.chunk_len) {
-            op(b);
-        }
-        return;
-    }
-    let n_chunks = buf.len().div_ceil(cfg.chunk_len);
-    let workers = cfg.threads.min(n_chunks);
-    let span = n_chunks.div_ceil(workers) * cfg.chunk_len;
-    std::thread::scope(|scope| {
-        for d in buf.chunks_mut(span) {
-            scope.spawn(move || {
-                for b in d.chunks_mut(cfg.chunk_len) {
-                    op(b);
-                }
-            });
-        }
-    });
+/// blocks.
+fn par_inplace<A: Send>(cfg: KernelConfig, buf: &mut [A], op: impl Fn(&mut [A]) + Sync) {
+    let blocks = buf.chunks_mut(cfg.chunk_len);
+    for_each_block(cfg, blocks.len(), blocks, op);
 }
 
 /// 8-wide unrolled XOR over `u64` words with a scalar tail.
@@ -343,6 +412,52 @@ pub fn gf_scale(buf: &mut [f64], c: u8, cfg: KernelConfig) {
     });
 }
 
+/// Out-of-place, multi-coefficient [`gf_scale`]: one fresh buffer
+/// `coeffs[i]·src` per coefficient (the codec's per-role contributions
+/// of one data stripe), all scaled products from **one** cache-blocked
+/// read of `src` — each block is scaled into every destination while it
+/// is cache-hot. A coefficient of 1 is a plain copy; every other
+/// destination starts as the allocator's zero pages and is written
+/// exactly once. Bit-identical to `src.to_vec()` followed by
+/// [`gf_scale`] under any partition and backend.
+#[must_use]
+pub fn gf_scaled_copies(src: &[f64], coeffs: &[u8], cfg: KernelConfig) -> Vec<Vec<f64>> {
+    let mut outs: Vec<Vec<f64>> = coeffs
+        .iter()
+        .map(|&c| {
+            if c == 1 {
+                src.to_vec()
+            } else {
+                zeroed(src.len())
+            }
+        })
+        .collect();
+    let mut scaled: Vec<(std::slice::ChunksMut<'_, f64>, u8)> = outs
+        .iter_mut()
+        .zip(coeffs)
+        .filter(|(_, &c)| c != 1)
+        .map(|(out, &c)| (out.chunks_mut(cfg.chunk_len), c))
+        .collect();
+    if !scaled.is_empty() {
+        let backend = GfBackend::select(cfg.simd);
+        let blocks = src.chunks(cfg.chunk_len);
+        let n_blocks = blocks.len();
+        let blocks = blocks.map(move |s| {
+            let ds: Vec<(&mut [f64], u8)> = scaled
+                .iter_mut()
+                .map(|(blocks, c)| (blocks.next().expect("as long as the source"), *c))
+                .collect();
+            (s, ds)
+        });
+        for_each_block(cfg, n_blocks, blocks, |(s, ds)| {
+            for (d, c) in ds {
+                simd::gf_mul_bytes(simd::f64_bytes_mut(d), simd::f64_bytes(s), c, backend);
+            }
+        });
+    }
+    outs
+}
+
 /// Byte-wise GF(256) multiply-accumulate over byte views: `acc ^= c·x`
 /// (the parity accumulates of the RS/dual codes). Element-wise per byte,
 /// so bit-identical under any partition and backend (see [`gf_scale`]).
@@ -372,6 +487,8 @@ pub fn negated(src: &[f64], cfg: KernelConfig) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::gf256;
+    use std::any::Any;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn data(len: usize, salt: u64) -> Vec<f64> {
         // Deterministic mixed-magnitude values incl. negatives and zeros.
@@ -558,6 +675,148 @@ mod tests {
                 assert_eq!(got, mac_ref, "mac c={c} cfg {cfg:?}");
             }
         }
+    }
+
+    /// Message of a caught panic payload.
+    fn panic_message(p: Box<dyn Any + Send>) -> String {
+        p.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| p.downcast_ref::<&str>().map(|s| (*s).to_string()))
+            .unwrap_or_default()
+    }
+
+    #[test]
+    fn a_panicking_block_surfaces_in_the_caller_with_its_message() {
+        // Once with the panic forced onto the helper, once onto the
+        // caller: the barrier makes both take part in the two-block call.
+        let caller = std::thread::current().id();
+        for on_helper in [true, false] {
+            let meet = std::sync::Barrier::new(2);
+            let mut buf = vec![0u64; 2];
+            let caught = catch_unwind(AssertUnwindSafe(|| {
+                par_inplace(KernelConfig::new(2, 1), &mut buf, |_| {
+                    meet.wait();
+                    let helper = std::thread::current().id() != caller;
+                    assert!(helper != on_helper, "kernel: length mismatch in block");
+                });
+            }));
+            let msg = panic_message(caught.expect_err("the block panic must reach the caller"));
+            assert!(msg.contains("kernel: length mismatch in block"), "{msg}");
+            // nothing is left behind: the next call gets the right answer
+            let x = data(9 * 13, 21);
+            let mut acc = data(9 * 13, 22);
+            let mut want = acc.clone();
+            xor_accumulate(&mut want, &x, KernelConfig::serial());
+            xor_accumulate(&mut acc, &x, KernelConfig::new(4, 13));
+            assert!(acc
+                .iter()
+                .zip(&want)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+    }
+
+    #[test]
+    fn concurrent_callers_of_mixed_lengths_match_the_serial_result() {
+        let chunk = 32;
+        let lens = [0, 1, chunk - 1, chunk, chunk + 1, 9 * chunk];
+        let start = std::sync::Barrier::new(8);
+        std::thread::scope(|scope| {
+            for caller in 0..8u64 {
+                let start = &start;
+                scope.spawn(move || {
+                    start.wait();
+                    for call in 0..200u64 {
+                        let len = lens[((caller + call) % 6) as usize];
+                        let cfg = KernelConfig::new(2 + (call % 3) as usize, chunk);
+                        let x = data(len, caller * 1000 + call);
+                        let base = data(len, call);
+                        let mut want = base.clone();
+                        let mut got = base;
+                        match call % 3 {
+                            0 => {
+                                xor_accumulate(&mut want, &x, KernelConfig::serial());
+                                xor_accumulate(&mut got, &x, cfg);
+                            }
+                            1 => {
+                                gf_mac(&mut want, &x, 0x53, KernelConfig::serial());
+                                gf_mac(&mut got, &x, 0x53, cfg);
+                            }
+                            _ => {
+                                copy(&mut want, &x, KernelConfig::serial());
+                                copy(&mut got, &x, cfg);
+                            }
+                        }
+                        assert!(
+                            got.iter()
+                                .zip(&want)
+                                .all(|(a, b)| a.to_bits() == b.to_bits()),
+                            "caller {caller} call {call} len {len}"
+                        );
+                        assert_eq!(
+                            crate::crc32c_f64(&got, cfg),
+                            crate::crc32c_f64(&want, KernelConfig::serial())
+                        );
+                    }
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn rank_threads_share_the_ceiling() {
+        let cfg = KernelConfig::new(8, 4);
+        assert_eq!(cfg.workers(), 8, "off a rank thread: the whole ceiling");
+        // Three rank threads live at once (the barrier holds every guard
+        // until all have looked): 8 / 3 = 2 workers each. No other test
+        // of this crate registers rank threads.
+        let all_in = std::sync::Barrier::new(3);
+        std::thread::scope(|scope| {
+            for _ in 0..3 {
+                scope.spawn(|| {
+                    let _share = RankThread::enter();
+                    all_in.wait();
+                    assert_eq!(cfg.workers(), 2);
+                    assert_eq!(KernelConfig::new(2, 4).workers(), 1, "never below one");
+                    assert!(!KernelConfig::new(2, 4).is_parallel_for(1000));
+                    all_in.wait();
+                });
+            }
+        });
+        assert_eq!(
+            LIVE_RANK_THREADS.load(Ordering::Relaxed),
+            0,
+            "guards returned"
+        );
+        assert_eq!(cfg.workers(), 8);
+    }
+
+    #[test]
+    fn scaled_copies_match_copy_then_scale_for_every_policy() {
+        let coeffs = [0u8, 1, 2, 0x53, 0xff];
+        for len in [0usize, 1, 63, 64, 65, 777] {
+            let src = data(len, 31);
+            for cfg in configs() {
+                let got = gf_scaled_copies(&src, &coeffs, cfg);
+                assert_eq!(got.len(), coeffs.len());
+                for (out, &c) in got.iter().zip(&coeffs) {
+                    let mut want = src.clone();
+                    gf_scale(
+                        &mut want,
+                        c,
+                        KernelConfig::serial().with_simd(SimdMode::ForceScalar),
+                    );
+                    assert!(
+                        out.len() == len
+                            && out
+                                .iter()
+                                .zip(&want)
+                                .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "len {len} c {c} cfg {cfg:?}"
+                    );
+                }
+            }
+        }
+        assert!(gf_scaled_copies(&data(5, 1), &[], KernelConfig::serial()).is_empty());
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod simd;
 
 pub use code::Code;
 pub use codec::{CodecSpec, ErasureCodec, Wire};
-pub use crc::{crc32c, crc32c_combine, crc32c_f64, stripe_crcs};
+pub use crc::{copy_with_stripe_crcs, crc32c, crc32c_combine, crc32c_f64, stripe_crcs};
 pub use dualparity::DualParity;
 pub use kernels::KernelConfig;
 pub use layout::GroupLayout;

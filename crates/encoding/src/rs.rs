@@ -30,9 +30,10 @@
 //! # Distributed encode
 //!
 //! Encoding stays one reduce per parity role: a rank's contribution to
-//! role `role` is its data stripe pre-scaled by `c[role][pos]` locally,
-//! and the wire combine is plain bitwise XOR ([`Wire::Bits`]). The
-//! reduce result *is* the parity.
+//! role `role` is its data stripe pre-scaled by `c[role][pos]` locally
+//! (all roles of a slot from one cache-blocked read of the stripe,
+//! [`kernels::gf_scaled_copies`]), and the wire combine is plain bitwise
+//! XOR ([`Wire::Bits`]). The reduce result *is* the parity.
 //!
 //! # Decode
 //!
@@ -129,10 +130,16 @@ impl ErasureCodec for GfCodec {
         Wire::Bits
     }
 
-    fn contrib(&self, role: usize, pos: usize, stripe: &[f64], cfg: KernelConfig) -> Vec<f64> {
-        let mut out = stripe.to_vec();
-        kernels::gf_scale(&mut out, self.coeff(role, pos), cfg);
-        out
+    fn contribs(
+        &self,
+        roles: &[usize],
+        pos: usize,
+        stripe: &[f64],
+        _cancel: bool,
+        cfg: KernelConfig,
+    ) -> Vec<Vec<f64>> {
+        let coeffs: Vec<u8> = roles.iter().map(|&role| self.coeff(role, pos)).collect();
+        kernels::gf_scaled_copies(stripe, &coeffs, cfg)
     }
 
     fn solve(
@@ -224,7 +231,7 @@ mod tests {
         kernels::xor_accumulate(&mut acc, parity, cfg);
         for (pos, d) in data.iter().enumerate() {
             if !erased.contains(&pos) {
-                let c = codec.cancel_contrib(role, pos, d, cfg);
+                let c = codec.contribs(&[role], pos, d, true, cfg).remove(0);
                 kernels::xor_accumulate(&mut acc, &c, cfg);
             }
         }

@@ -2,8 +2,9 @@
 //! hot loops.
 //!
 //! The erasure codecs spend almost all of their time in two byte
-//! streams — `buf[i] = c·buf[i]` / `acc[i] ^= c·x[i]` over GF(2^8) for
-//! the Reed–Solomon parities, and the CRC-32C walk of the scrub patrol.
+//! streams — `buf[i] = c·buf[i]` / `dst[i] = c·src[i]` /
+//! `acc[i] ^= c·x[i]` over GF(2^8) for the Reed–Solomon parities, and
+//! the CRC-32C walk of the flush witnesses and the scrub patrol.
 //! Both have well-known data-parallel formulations, so this module keeps
 //! one *reference* implementation (the full 256-entry multiplication row
 //! / the byte-at-a-time CRC table) and a set of accelerated backends:
@@ -207,6 +208,13 @@ fn mac_scalar(acc: &mut [u8], x: &[u8], c: u8) {
     }
 }
 
+fn mul_scalar(dst: &mut [u8], src: &[u8], c: u8) {
+    let row = gf256::mul_table(c);
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = row[*s as usize];
+    }
+}
+
 fn scale_portable(buf: &mut [u8], lo: &[u8; 16], hi: &[u8; 16]) {
     for b in buf.iter_mut() {
         *b = lo[(*b & 0x0F) as usize] ^ hi[(*b >> 4) as usize];
@@ -216,6 +224,12 @@ fn scale_portable(buf: &mut [u8], lo: &[u8; 16], hi: &[u8; 16]) {
 fn mac_portable(acc: &mut [u8], x: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
     for (a, b) in acc.iter_mut().zip(x) {
         *a ^= lo[(*b & 0x0F) as usize] ^ hi[(*b >> 4) as usize];
+    }
+}
+
+fn mul_portable(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
+    for (d, s) in dst.iter_mut().zip(src) {
+        *d = lo[(*s & 0x0F) as usize] ^ hi[(*s >> 4) as usize];
     }
 }
 
@@ -260,6 +274,24 @@ mod x86 {
         super::mac_portable(a16.into_remainder(), x16.remainder(), &lo, &hi);
     }
 
+    #[target_feature(enable = "ssse3")]
+    pub unsafe fn mul_ssse3(dst: &mut [u8], src: &[u8], c: u8) {
+        let (lo, hi) = nibble_tables(c);
+        let tlo = _mm_loadu_si128(lo.as_ptr().cast());
+        let thi = _mm_loadu_si128(hi.as_ptr().cast());
+        let mask = _mm_set1_epi8(0x0F);
+        let mut d16 = dst.chunks_exact_mut(16);
+        let mut s16 = src.chunks_exact(16);
+        for (d, s) in (&mut d16).zip(&mut s16) {
+            let v = _mm_loadu_si128(s.as_ptr().cast());
+            let ln = _mm_and_si128(v, mask);
+            let hn = _mm_and_si128(_mm_srli_epi64(v, 4), mask);
+            let r = _mm_xor_si128(_mm_shuffle_epi8(tlo, ln), _mm_shuffle_epi8(thi, hn));
+            _mm_storeu_si128(d.as_mut_ptr().cast(), r);
+        }
+        super::mul_portable(d16.into_remainder(), s16.remainder(), &lo, &hi);
+    }
+
     #[target_feature(enable = "avx2")]
     pub unsafe fn scale_avx2(buf: &mut [u8], c: u8) {
         let (lo, hi) = nibble_tables(c);
@@ -294,6 +326,24 @@ mod x86 {
             _mm256_storeu_si256(a.as_mut_ptr().cast(), _mm256_xor_si256(cur, prod));
         }
         super::mac_portable(a32.into_remainder(), x32.remainder(), &lo, &hi);
+    }
+
+    #[target_feature(enable = "avx2")]
+    pub unsafe fn mul_avx2(dst: &mut [u8], src: &[u8], c: u8) {
+        let (lo, hi) = nibble_tables(c);
+        let tlo = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
+        let thi = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
+        let mask = _mm256_set1_epi8(0x0F);
+        let mut d32 = dst.chunks_exact_mut(32);
+        let mut s32 = src.chunks_exact(32);
+        for (d, s) in (&mut d32).zip(&mut s32) {
+            let v = _mm256_loadu_si256(s.as_ptr().cast());
+            let ln = _mm256_and_si256(v, mask);
+            let hn = _mm256_and_si256(_mm256_srli_epi64(v, 4), mask);
+            let r = _mm256_xor_si256(_mm256_shuffle_epi8(tlo, ln), _mm256_shuffle_epi8(thi, hn));
+            _mm256_storeu_si256(d.as_mut_ptr().cast(), r);
+        }
+        super::mul_portable(d32.into_remainder(), s32.remainder(), &lo, &hi);
     }
 
     #[target_feature(enable = "sse4.2")]
@@ -341,6 +391,43 @@ pub fn gf_scale_bytes(buf: &mut [u8], c: u8, backend: GfBackend) {
             {
                 let (lo, hi) = nibble_tables(c);
                 scale_portable(buf, &lo, &hi);
+            }
+        }
+    }
+}
+
+/// `dst[i] := c · src[i]` over GF(2^8), on the chosen backend — the
+/// out-of-place scale (`c = 1` is a copy, `c = 0` a clear).
+pub fn gf_mul_bytes(dst: &mut [u8], src: &[u8], c: u8, backend: GfBackend) {
+    assert_eq!(dst.len(), src.len(), "gf_mul_bytes: length mismatch");
+    if c == 1 {
+        dst.copy_from_slice(src);
+        return;
+    }
+    if c == 0 {
+        dst.fill(0);
+        return;
+    }
+    match backend {
+        GfBackend::Scalar => mul_scalar(dst, src, c),
+        GfBackend::Portable => {
+            let (lo, hi) = nibble_tables(c);
+            mul_portable(dst, src, &lo, &hi);
+        }
+        GfBackend::Ssse3 | GfBackend::Avx2 => {
+            #[cfg(target_arch = "x86_64")]
+            // Safety: backend presence implies the detected CPU feature.
+            unsafe {
+                if backend == GfBackend::Avx2 {
+                    x86::mul_avx2(dst, src, c);
+                } else {
+                    x86::mul_ssse3(dst, src, c);
+                }
+            }
+            #[cfg(not(target_arch = "x86_64"))]
+            {
+                let (lo, hi) = nibble_tables(c);
+                mul_portable(dst, src, &lo, &hi);
             }
         }
     }
@@ -497,6 +584,10 @@ mod tests {
                     let mut got = base.clone();
                     gf_scale_bytes(&mut got, c, backend);
                     assert_eq!(got, want_scale, "scale len={len} c={c} {backend:?}");
+                    // out of place over a dirty destination: the same bytes
+                    let mut got = x.clone();
+                    gf_mul_bytes(&mut got, &base, c, backend);
+                    assert_eq!(got, want_scale, "mul len={len} c={c} {backend:?}");
                     let mut got = base.clone();
                     gf_mac_bytes(&mut got, &x, c, backend);
                     assert_eq!(got, want_mac, "mac len={len} c={c} {backend:?}");

@@ -13,9 +13,11 @@
 use proptest::prelude::*;
 use skt_encoding::kernels::{self, KernelConfig};
 use skt_encoding::simd::{
-    crc32c_update, gf_mac_bytes, gf_scale_bytes, CrcBackend, GfBackend, SimdMode,
+    crc32c_update, gf_mac_bytes, gf_mul_bytes, gf_scale_bytes, CrcBackend, GfBackend, SimdMode,
 };
-use skt_encoding::{crc32c_f64, gf256};
+use skt_encoding::{
+    copy_with_stripe_crcs, crc32c_f64, gf256, stripe_crcs, Code, CodecSpec, ErasureCodec,
+};
 
 fn bytes(len: usize, seed: u64) -> Vec<u8> {
     (0..len)
@@ -183,6 +185,123 @@ proptest! {
         for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
             let cfg = KernelConfig::new(threads, chunk).with_simd(mode);
             prop_assert_eq!(crc32c_f64(&d, cfg), want, "len={} cfg={:?}", len, cfg);
+        }
+    }
+}
+
+/// Worker budgets the one-pass kernels are swept over (the answers may
+/// not depend on how many threads shared the blocks).
+const BUDGETS: [usize; 4] = [1, 2, 3, 8];
+/// 0 / 1 are the clear / copy fast paths, 0x53 and 0xff generic scalars.
+const COEFFS: [u8; 5] = [0, 1, 2, 0x53, 0xff];
+
+/// `dst := c·src` out of place equals today's `to_vec` + in-place scale
+/// on every available backend, at byte lengths that are not multiples
+/// of 16 and over a dirty destination.
+#[test]
+fn gf_mul_out_of_place_matches_copy_then_scale_on_every_backend() {
+    for len in [0usize, 1, 15, 16, 17, 31, 33, 100, 1000, 1001] {
+        let src = bytes(len, 7);
+        for c in COEFFS {
+            let mut want = src.to_vec();
+            gf_scale_bytes(&mut want, c, GfBackend::Scalar);
+            for backend in GfBackend::available() {
+                let mut got = bytes(len, 8);
+                gf_mul_bytes(&mut got, &src, c, backend);
+                assert_eq!(got, want, "len={len} c={c} {backend:?}");
+            }
+        }
+    }
+}
+
+/// The multi-role contribution primitive equals per-role `to_vec` +
+/// `gf_scale`, and the codec's `contribs` its per-role `contrib`, for
+/// every dispatch mode, worker budget and a stripe that ends in a short
+/// block.
+#[test]
+fn multi_role_contributions_match_the_per_role_walk() {
+    let reference = KernelConfig::serial().with_simd(SimdMode::ForceScalar);
+    for len in [0usize, 1, 13, 64, 67, 200] {
+        let stripe = floats(len, 11);
+        for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
+            for threads in BUDGETS {
+                let cfg = KernelConfig::new(threads, 16).with_simd(mode);
+                let got = kernels::gf_scaled_copies(&stripe, &COEFFS, cfg);
+                for (out, c) in got.iter().zip(COEFFS) {
+                    let mut want = stripe.to_vec();
+                    kernels::gf_scale(&mut want, c, reference);
+                    assert!(
+                        out.iter()
+                            .zip(&want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits())
+                            && out.len() == len,
+                        "len={len} c={c} cfg={cfg:?}"
+                    );
+                }
+                for spec in [
+                    CodecSpec::Single(Code::Xor),
+                    CodecSpec::Single(Code::Sum),
+                    CodecSpec::Dual,
+                    CodecSpec::Rs { m: 3 },
+                ] {
+                    let codec: &dyn ErasureCodec = spec.resolve();
+                    let roles: Vec<usize> = (0..codec.parity_count()).rev().collect();
+                    for cancel in [false, true] {
+                        let all = codec.contribs(&roles, 2, &stripe, cancel, cfg);
+                        for (out, &role) in all.iter().zip(&roles) {
+                            let want = codec
+                                .contribs(&[role], 2, &stripe, cancel, reference)
+                                .remove(0);
+                            assert!(
+                                out.len() == want.len()
+                                    && out
+                                        .iter()
+                                        .zip(&want)
+                                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                                "{spec:?} role={role} cancel={cancel} len={len} cfg={cfg:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The fused flush kernel equals `copy` + `stripe_crcs` of the
+/// destination — same bytes, same witness words — for every dispatch
+/// mode and worker budget, including a short tail stripe, stripes
+/// shorter and longer than one cache block, and a dirty destination.
+#[test]
+fn fused_copy_and_stripe_crcs_match_copy_then_crc() {
+    let reference = KernelConfig::serial().with_simd(SimdMode::ForceScalar);
+    for (len, stripe_len) in [
+        (0usize, 4usize),
+        (1, 4),
+        (10, 4),
+        (64, 16),
+        (67, 16),
+        (200, 67),
+        (200, 200),
+        (200, 300),
+    ] {
+        let src = floats(len, 13);
+        let want_crcs = stripe_crcs(&src, stripe_len, reference);
+        for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
+            for threads in BUDGETS {
+                for chunk in [1usize, 5, 16, 1 << 16] {
+                    let cfg = KernelConfig::new(threads, chunk).with_simd(mode);
+                    let mut dst = floats(len, 14);
+                    let crcs = copy_with_stripe_crcs(&mut dst, &src, stripe_len, cfg);
+                    assert!(
+                        dst.iter()
+                            .zip(&src)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "copy: len={len} stripe={stripe_len} cfg={cfg:?}"
+                    );
+                    assert_eq!(crcs, want_crcs, "len={len} stripe={stripe_len} cfg={cfg:?}");
+                }
+            }
         }
     }
 }

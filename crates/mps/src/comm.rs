@@ -226,6 +226,12 @@ impl<'c> Comm<'c> {
     /// `Some(result)`, everyone else `None`. Matches `MPI_Reduce` with the
     /// operators of [`ReduceOp`] — including `Xor` on `F64` bit patterns,
     /// the encoding primitive of the paper (§2.2).
+    ///
+    /// A rank with nothing to contribute passes [`Payload::Empty`], the
+    /// identity of every operator: the tree keeps its shape and tags,
+    /// but an empty side is forwarded or adopted by move instead of
+    /// combined (all-empty reduces to `Empty`, which is what a barrier
+    /// is). Non-empty contributions must still agree in kind and length.
     pub fn reduce(
         &self,
         op: ReduceOp,
@@ -257,7 +263,7 @@ impl<'c> Comm<'c> {
                 let peer = vr | mask;
                 if peer < size {
                     let rhs = self.recv_tagged(actual(peer), tag)?;
-                    op.apply(&mut acc, &rhs);
+                    op.fold(&mut acc, rhs);
                 }
             } else {
                 self.send_tagged(actual(vr - mask), tag, acc)?;
@@ -470,6 +476,73 @@ mod tests {
         .unwrap();
         let expect = (0..6).fold(0u64, |acc, r| acc ^ (0x1111u64 << r));
         assert_eq!(out[0], Some(expect));
+    }
+
+    /// Rank `r`'s contribution in the identity sweeps: 3 exactly
+    /// representable words, distinct per rank (sums stay exact in any
+    /// association, so the tree must equal the sequential fold bitwise).
+    fn contribution(r: usize) -> Vec<f64> {
+        (0..3).map(|j| ((r + 1) * (j + 2)) as f64).collect()
+    }
+
+    /// Sequential fold of the contributions of the ranks in `mask`.
+    fn sequential(op: ReduceOp, n: usize, mask: u32) -> Payload {
+        let mut acc = Payload::Empty;
+        for r in (0..n).filter(|r| mask & (1 << r) != 0) {
+            op.fold(&mut acc, Payload::F64(contribution(r)));
+        }
+        acc
+    }
+
+    #[test]
+    fn empty_is_the_identity_of_reduce_and_allreduce() {
+        // every size, root, operator and subset of contributing ranks,
+        // as one sequence of collectives per world
+        for n in 1..=7usize {
+            let out = run_local(n, move |ctx| {
+                let w = ctx.world();
+                let mut seen = Vec::new();
+                for op in [ReduceOp::Xor, ReduceOp::Sum] {
+                    for mask in 0..1u32 << n {
+                        let mine = || match mask & (1 << w.rank()) != 0 {
+                            true => Payload::F64(contribution(w.rank())),
+                            false => Payload::Empty,
+                        };
+                        for root in 0..n {
+                            seen.push(w.reduce(op, root, mine())?);
+                        }
+                        seen.push(Some(w.allreduce(op, mine())?));
+                    }
+                }
+                Ok(seen)
+            })
+            .unwrap();
+            for (rank, seen) in out.iter().enumerate() {
+                let mut seen = seen.iter();
+                for op in [ReduceOp::Xor, ReduceOp::Sum] {
+                    for mask in 0..1u32 << n {
+                        let want = sequential(op, n, mask);
+                        for root in 0..n {
+                            let got = seen.next().unwrap();
+                            let expect = (rank == root).then(|| want.clone());
+                            assert_eq!(*got, expect, "n={n} {op:?} mask={mask:#b} root={root}");
+                        }
+                        let got = seen.next().unwrap();
+                        assert_eq!(*got, Some(want), "n={n} {op:?} mask={mask:#b} allreduce");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn non_empty_contributions_must_still_agree_in_length() {
+        let _ = run_local(2, |ctx| {
+            let w = ctx.world();
+            let len = 1 + w.rank();
+            w.reduce(ReduceOp::Xor, 0, Payload::F64(vec![1.0; len]))
+        });
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //! The hot reduce arms — SUM and XOR over `F64`, the ones that carry
 //! whole checkpoint stripes, and XOR over `U64` — run on the
 //! cache-blocked multi-threaded kernels from `skt_encoding::kernels`,
-//! under the process-wide [`KernelConfig`].
+//! under the process-wide [`KernelConfig`]. [`Payload::Empty`] is every
+//! operator's identity ([`ReduceOp::fold`]): a rank with nothing to
+//! contribute sends no zeros and costs no pass.
 
 use skt_encoding::{kernels, KernelConfig};
 
@@ -107,6 +109,17 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
+    /// `acc := acc op rhs` with [`Payload::Empty`] as the identity: an
+    /// empty `rhs` leaves `acc` alone, an empty `acc` adopts `rhs` by
+    /// move, and only two non-empty sides meet in [`ReduceOp::apply`].
+    pub fn fold(self, acc: &mut Payload, rhs: Payload) {
+        match (&*acc, &rhs) {
+            (_, Payload::Empty) => {}
+            (Payload::Empty, _) => *acc = rhs,
+            _ => self.apply(acc, &rhs),
+        }
+    }
+
     /// `acc := acc op rhs`, element-wise. Panics on type mismatch or
     /// length mismatch — both indicate a collective protocol bug, not a
     /// runtime condition.

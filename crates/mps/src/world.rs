@@ -4,6 +4,7 @@
 use crate::comm::{Comm, Envelope};
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use skt_cluster::{Cluster, ClusterConfig, Fault, NodeId, Ranklist, Runtime, YieldOutcome};
+use skt_encoding::kernels::RankThread;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -346,6 +347,9 @@ where
                 // dead thread.
                 trt.task_enter(rank);
                 let _task = TaskGuard { rt: &trt, rank };
+                // This thread now shares the kernel worker budget with
+                // the process's other live rank threads.
+                let _share = RankThread::enter();
                 // A panicking rank must not leave its peers blocked in
                 // recv forever: flag the job aborted, then unwind.
                 let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| fref(&ctx)));
