@@ -8,7 +8,7 @@ use crate::failure::{
 use crate::net::NetModel;
 use crate::shm::{SegmentData, ShmStore};
 use crate::storage::{Device, DeviceKind};
-use crate::suspicion::{HeartbeatConfig, ProbeVerdict, Suspicion, SuspicionMonitor};
+use crate::suspicion::{ProbeVerdict, Suspicion, SuspicionMonitor};
 use parking_lot::Mutex;
 use skt_sim::{RealRuntime, Runtime, Stopwatch};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -169,15 +169,8 @@ impl Cluster {
     }
 
     /// Charge the modeled network cost of moving `bytes` point-to-point
-    /// to the virtual clock. Under real time this is a no-op: modeled
-    /// costs there are reported, never waited out.
-    pub fn charge_send(&self, bytes: usize) {
-        if self.runtime.is_sim() {
-            self.runtime.advance(self.net.p2p(bytes));
-        }
-    }
-
-    /// Like [`Self::charge_send`], but attributed to the sending node so
+    /// to the virtual clock (under real time modeled costs are reported,
+    /// never waited out), attributed to the sending node so
     /// link degradation can inflate the cost: a gray
     /// [`GrayKind::LinkDegrade`] sender pays `factor`× the α-β time, and
     /// the *excess* over the healthy cost feeds its suspicion score.
@@ -203,14 +196,6 @@ impl Cluster {
     }
 
     // ---- gray faults, suspicion, fencing -------------------------------
-
-    /// Arm the suspicion layer with explicit heartbeat parameters. Also
-    /// done implicitly when a gray [`FaultPlan`] is armed (with the
-    /// current — by default, default — parameters).
-    pub fn set_heartbeat(&self, cfg: HeartbeatConfig) {
-        self.monitor.set_config(cfg);
-        self.enable_suspicion();
-    }
 
     /// Whether the suspicion layer is armed.
     pub fn suspicion_enabled(&self) -> bool {
@@ -477,11 +462,6 @@ impl Cluster {
     /// harnesses subscribe [`Observer`]s.
     pub fn events(&self) -> &EventBus {
         &self.events
-    }
-
-    /// Override the network model (e.g. Tianhe constants).
-    pub fn set_net(&mut self, net: NetModel) {
-        self.net = net;
     }
 
     /// Is the node alive?

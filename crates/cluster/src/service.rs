@@ -24,8 +24,7 @@
 //!   replays the same cross-tenant interleaving bit for bit.
 
 use crate::cluster::NodeId;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
 /// Tenant identifier, assigned at registration in order (`t0`, `t1`, …).
@@ -240,11 +239,6 @@ impl ResizePlan {
         v.sort_unstable();
         v
     }
-
-    /// True when the plan changes nothing.
-    pub fn is_noop(&self) -> bool {
-        self.add.is_empty() && self.vacate.is_empty()
-    }
 }
 
 /// Why the pool refuses to plan a resize. Mirrors admission's typed
@@ -278,6 +272,18 @@ pub enum ReshapeError {
         /// Bytes a node can hold.
         capacity: u64,
     },
+}
+
+impl ReshapeError {
+    /// Stable label for fingerprints and logs.
+    pub fn label(&self) -> &'static str {
+        match self {
+            ReshapeError::UnknownTenant(_) => "unknown-tenant",
+            ReshapeError::NeverFits { .. } => "never-fits",
+            ReshapeError::WouldStarve { .. } => "grow-would-starve",
+            ReshapeError::Oversubscribed { .. } => "oversubscribed",
+        }
+    }
 }
 
 impl std::fmt::Display for ReshapeError {
@@ -433,19 +439,26 @@ impl ServicePool {
         if let Some(shard) = self.shards.remove(&tenant) {
             self.names.remove(&shard.spec.name);
             self.float += shard.reserve;
-            for n in shard.nodes {
-                if alive(n) {
-                    self.free.push(n);
-                    audit.freed.push(n);
-                } else {
-                    audit.lost.push(n);
-                }
-            }
-            self.free.sort_unstable();
-            audit.freed.sort_unstable();
-            audit.lost.sort_unstable();
+            audit = Self::vacate(&mut self.free, &shard.nodes, alive);
         }
         audit.drained = self.drain_queue();
+        audit
+    }
+
+    /// Hand vacated shard nodes back: the alive ones rejoin `free` and
+    /// are audited `freed`, the dead ones are audited `lost` — all three
+    /// lists ascending.
+    fn vacate(
+        free: &mut Vec<NodeId>,
+        nodes: &[NodeId],
+        alive: impl Fn(NodeId) -> bool,
+    ) -> ReleaseAudit {
+        let mut audit = ReleaseAudit::default();
+        (audit.freed, audit.lost) = nodes.iter().copied().partition(|&n| alive(n));
+        audit.freed.sort_unstable();
+        audit.lost.sort_unstable();
+        free.extend(&audit.freed);
+        free.sort_unstable();
         audit
     }
 
@@ -524,23 +537,11 @@ impl ServicePool {
         let mut candidates: Vec<NodeId> = shard.nodes.iter().chain(&self.free).copied().collect();
         candidates.sort_unstable();
         candidates.truncate(shard.nodes.len());
-        let keep: Vec<NodeId> = shard
-            .nodes
-            .iter()
-            .copied()
-            .filter(|n| candidates.contains(n))
-            .collect();
-        let add: Vec<NodeId> = candidates
-            .iter()
-            .copied()
-            .filter(|n| !shard.nodes.contains(n))
-            .collect();
-        let vacate: Vec<NodeId> = shard
-            .nodes
-            .iter()
-            .copied()
-            .filter(|n| !candidates.contains(n))
-            .collect();
+        let in_shard = shard.nodes.iter().copied();
+        let (keep, vacate): (Vec<NodeId>, Vec<NodeId>) =
+            in_shard.partition(|n| candidates.contains(n));
+        let mut add = candidates;
+        add.retain(|n| !shard.nodes.contains(n));
         if add.is_empty() {
             return None; // already packed as low as possible
         }
@@ -569,17 +570,7 @@ impl ServicePool {
                 "stale resize plan: staged node no longer free"
             );
             self.free.retain(|n| !plan.add.contains(n));
-            for &n in &plan.vacate {
-                if alive(n) {
-                    self.free.push(n);
-                    audit.freed.push(n);
-                } else {
-                    audit.lost.push(n);
-                }
-            }
-            self.free.sort_unstable();
-            audit.freed.sort_unstable();
-            audit.lost.sort_unstable();
+            audit = Self::vacate(&mut self.free, &plan.vacate, alive);
             shard.nodes = plan.new_nodes();
             shard.spec.nodes = shard.nodes.len();
             shard.spec.mem_bytes_per_node = mem_bytes_per_node;
@@ -671,11 +662,6 @@ impl ServicePool {
         self.shards.get(&tenant).map(|s| s.nodes.as_slice())
     }
 
-    /// The tenant registered under `name`, admitted or queued.
-    pub fn tenant_by_name(&self, name: &str) -> Option<TenantId> {
-        self.names.get(name).copied()
-    }
-
     /// Spec of an *admitted* tenant.
     pub fn spec_of(&self, tenant: TenantId) -> Option<&TenantSpec> {
         self.shards.get(&tenant).map(|s| &s.spec)
@@ -707,37 +693,12 @@ impl ServicePool {
     }
 }
 
-struct Queued<K> {
-    at: Duration,
-    seq: u64,
-    kind: K,
-}
-
-// Ordered by (at, seq) only — `seq` is unique, so the order is total and
-// `kind` never needs comparing.
-impl<K> PartialEq for Queued<K> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl<K> Eq for Queued<K> {}
-impl<K> PartialOrd for Queued<K> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<K> Ord for Queued<K> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// Deterministic time-ordered event queue: pops strictly by
 /// `(virtual time, insertion sequence)`, so two events at the same
 /// instant run in the order they were scheduled — never in allocator or
 /// hash order.
 pub struct EventQueue<K> {
-    heap: BinaryHeap<Reverse<Queued<K>>>,
+    events: BTreeMap<(Duration, u64), K>,
     seq: u64,
 }
 
@@ -751,36 +712,35 @@ impl<K> EventQueue<K> {
     /// An empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
+            events: BTreeMap::new(),
             seq: 0,
         }
     }
 
     /// Schedule `kind` at virtual time `at`.
     pub fn push(&mut self, at: Duration, kind: K) {
-        let seq = self.seq;
+        self.events.insert((at, self.seq), kind);
         self.seq += 1;
-        self.heap.push(Reverse(Queued { at, seq, kind }));
     }
 
     /// Pop the earliest event (ties broken by scheduling order).
     pub fn pop(&mut self) -> Option<(Duration, K)> {
-        self.heap.pop().map(|Reverse(q)| (q.at, q.kind))
+        self.events.pop_first().map(|((at, _), kind)| (at, kind))
     }
 
     /// Virtual time of the earliest queued event, if any.
     pub fn next_at(&self) -> Option<Duration> {
-        self.heap.peek().map(|Reverse(q)| q.at)
+        self.events.keys().next().map(|&(at, _)| at)
     }
 
     /// Events still queued.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.events.len()
     }
 
     /// True when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.events.is_empty()
     }
 }
 

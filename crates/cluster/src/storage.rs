@@ -80,18 +80,6 @@ impl Device {
         }
     }
 
-    /// Device with custom speeds (for calibration experiments).
-    pub fn with_speeds(kind: DeviceKind, bandwidth: f64, latency: f64) -> Self {
-        assert!(bandwidth > 0.0 && latency >= 0.0);
-        Device {
-            kind,
-            bandwidth,
-            latency,
-            blobs: Mutex::new(BTreeMap::new()),
-            bus: None,
-        }
-    }
-
     /// Attach an [`EventBus`]; subsequent reads/writes emit storage events.
     #[must_use]
     pub fn with_bus(mut self, bus: EventBus) -> Self {

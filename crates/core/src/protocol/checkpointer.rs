@@ -164,11 +164,6 @@ impl<'c> Checkpointer<'c> {
         self.epoch
     }
 
-    /// SHM namespace this checkpointer was configured with.
-    pub fn config_name(&self) -> &str {
-        &self.cfg.name
-    }
-
     /// The protocol method in use.
     pub fn method(&self) -> Method {
         self.cfg.method

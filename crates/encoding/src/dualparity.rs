@@ -23,17 +23,6 @@ pub struct DualParity {
     stripe_len: usize,
 }
 
-/// What was lost, for [`DualParity::recover`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Erasure {
-    /// Data stripe `i` lost.
-    Data(usize),
-    /// P parity lost.
-    P,
-    /// Q parity lost.
-    Q,
-}
-
 impl DualParity {
     /// Code over `k >= 1` stripes of `stripe_len` f64 elements
     /// (`k <= 255`, the GF(256) limit).

@@ -11,13 +11,9 @@
 //! ([`crate::service`]) run for one tenant; what it records — attempts,
 //! suspicions, the Figure 10 phase bars — lives in [`crate::report`].
 
-// the history types lived here before `report.rs`; their old paths stay
-pub use crate::report::{
-    AttemptRecord, CyclePhase, DaemonHistory, PhaseTimes, RetryPolicy, SuspicionOutcome,
-    SuspicionRecord,
-};
-use crate::report::{Refusal, TenantOutcome};
-use crate::service::{CheckpointService, ServiceConfig, StormPlan};
+use crate::report::{DaemonHistory, PhaseTimes, Refusal, RetryPolicy, TenantOutcome};
+use crate::service::{CheckpointService, ServiceConfig};
+use crate::storm::StormPlan;
 use skt_cluster::{Cluster, Ranklist};
 use skt_hpl::{SktConfig, SktOutput};
 use std::sync::Arc;
@@ -145,6 +141,7 @@ pub fn run_with_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{CyclePhase, SuspicionOutcome};
     use skt_cluster::{ClusterConfig, CorruptPlan, FailurePlan, Fault, Region};
     use skt_core::RECOVER_COMMIT_PROBE;
     use skt_encoding::CodecSpec;

@@ -10,17 +10,22 @@
 //!   A single-tenant wrapper over [`service`].
 //! * [`service`] — the multi-tenant checkpoint service: many
 //!   independent jobs sharded over one node pool, supervised by one
-//!   event-driven daemon loop with admission control, spare-pool
-//!   arbitration and a single failure ladder (the ReStore direction of
-//!   the ROADMAP).
+//!   event-driven daemon loop (dispatch, slices, a single failure
+//!   ladder, the terminal audit) — the ReStore direction of the
+//!   ROADMAP. Its other halves own their state in modules of their own:
+//!   [`admission`] (registration, the wait list, activation), [`storm`]
+//!   (armed and clock-scheduled fault plans) and [`resize`].
 //! * [`report`] — what the supervisor reports, as pure data: attempt
 //!   and suspicion records, Figure 10 phase times, the retry policy,
 //!   per-tenant reports and their fingerprints.
 //! * [`policy`] — slice-scheduling policies: a plain [`PolicySpec`]
 //!   enum whose `next` picks the ready tenant with the smallest key.
-//! * [`resize`] — tenant elasticity between slices: harvest the
-//!   boundary checkpoint, re-install it under the new layout via a
-//!   sequenced op, then (and only then) move the node accounting.
+//! * [`resize`] — tenant elasticity between slices: each tenant's
+//!   pending requests and audit, the attempt at a clean boundary
+//!   (harvest the boundary checkpoint, re-install it under the new
+//!   layout via a sequenced op, then — and only then — move the node
+//!   accounting), defragmentation, and the typed [`ResizeError`], which
+//!   wraps the pool ledger's own refusal.
 //! * [`blcr`] — the BLCR baseline: transparent process-level
 //!   checkpointing of the whole rank state to a (bandwidth-modeled)
 //!   HDD/SSD block device, with restart from disk (Table 3's
@@ -34,12 +39,14 @@
 //! [`skt_hpl::run_skt`] with [`Method::Double`](skt_core::Method), which
 //! is exactly what SCR's in-memory level does (two buddy copies).
 
+pub mod admission;
 pub mod blcr;
 pub mod daemon;
 pub mod policy;
 pub mod report;
 pub mod resize;
 pub mod service;
+pub mod storm;
 pub mod table3;
 
 pub use blcr::{run_blcr, BlcrConfig, BlcrStore};
@@ -50,5 +57,6 @@ pub use report::{
     SuspicionOutcome, SuspicionRecord, TenantOutcome, TenantReport,
 };
 pub use resize::{PendingResize, ResizeAudit, ResizeError};
-pub use service::{CheckpointService, ServiceConfig, StormPlan, TimedFault, TimedKind};
+pub use service::{CheckpointService, ServiceConfig};
+pub use storm::{StormPlan, TimedFault, TimedKind};
 pub use table3::{run_table3, MethodRow, Table3Config};

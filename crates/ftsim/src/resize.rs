@@ -21,12 +21,15 @@
 //! layout lives in an epoch-suffixed SHM namespace (`{base}@e{k}`), and
 //! the old epoch is wiped only after the pool reshape commits.
 
-use skt_cluster::{Cluster, Fault, NodeId, Ranklist};
-use skt_core::protocol::ops::{OpState, SequencedOp};
+use crate::report::Refusal;
+use crate::service::{CheckpointService, Repair, ServiceEvent, Tenant};
+use skt_cluster::{Cluster, Fault, NodeId, Ranklist, ReshapeError, TenantId};
+use skt_core::protocol::ops::{self, OpState, SequencedOp};
 use skt_core::protocol::{Header, HeaderState};
-use skt_core::{Checkpointer, OpRecord};
+use skt_core::{resize_group_size, Checkpointer, OpRecord};
 use skt_hpl::{install_relayout, BlockCyclic1D, SktConfig, A2_CAPACITY};
 use skt_mps::run_on_cluster;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -43,31 +46,14 @@ pub enum ResizeError {
         /// Minimum legal rank count under the tenant's codec.
         min: usize,
     },
-    /// The grow needs more free nodes than the pool holds right now.
-    GrowWouldStarve {
-        /// Extra nodes the grow needs.
-        requested: usize,
-        /// Free nodes actually available.
-        free: usize,
-    },
     /// The boundary image is torn: workspaces disagree on the parked
     /// panel (or a B2 counter is unreadable). The tenant's own recovery
     /// path still works — only the resize is refused.
     TornBoundary,
-    /// The target shard exceeds the pool's total compute-node count.
-    NeverFits {
-        /// Ranks demanded.
-        demanded: usize,
-        /// Compute nodes the pool has in total.
-        total: usize,
-    },
-    /// The post-resize per-node memory demand exceeds node capacity.
-    Oversubscribed {
-        /// Bytes demanded per node after the resize.
-        demanded: u64,
-        /// Bytes a node can hold.
-        capacity: u64,
-    },
+    /// The pool ledger refused to plan the reshape — the grow would
+    /// starve the free pool, the target can never fit, or a node would
+    /// be oversubscribed — in the ledger's own words.
+    Pool(ReshapeError),
 }
 
 impl ResizeError {
@@ -75,10 +61,8 @@ impl ResizeError {
     pub fn label(&self) -> &'static str {
         match self {
             ResizeError::ShrinkBelowMinGroup { .. } => "shrink-below-min-group",
-            ResizeError::GrowWouldStarve { .. } => "grow-would-starve",
             ResizeError::TornBoundary => "torn-boundary",
-            ResizeError::NeverFits { .. } => "never-fits",
-            ResizeError::Oversubscribed { .. } => "oversubscribed",
+            ResizeError::Pool(e) => e.label(),
         }
     }
 }
@@ -92,16 +76,8 @@ impl std::fmt::Display for ResizeError {
                     "shrink to {requested} rank(s) below minimum group of {min}"
                 )
             }
-            ResizeError::GrowWouldStarve { requested, free } => {
-                write!(f, "grow needs {requested} free node(s), pool has {free}")
-            }
             ResizeError::TornBoundary => write!(f, "boundary checkpoint torn across ranks"),
-            ResizeError::NeverFits { demanded, total } => {
-                write!(f, "{demanded} ranks can never fit a {total}-node pool")
-            }
-            ResizeError::Oversubscribed { demanded, capacity } => {
-                write!(f, "{demanded} B/node demanded, nodes hold {capacity} B")
-            }
+            ResizeError::Pool(e) => write!(f, "{e}"),
         }
     }
 }
@@ -144,7 +120,7 @@ pub struct ResizeAudit {
 impl ResizeAudit {
     /// An attempt that ran no install op: a request already satisfied
     /// (`kind` `noop`, `outcome` `committed`) or a `cold` resize.
-    pub(crate) fn new(
+    fn new(
         at: Duration,
         from: usize,
         to: usize,
@@ -165,12 +141,7 @@ impl ResizeAudit {
     }
 
     /// A typed refusal: the tenant stays at `ranks`.
-    pub(crate) fn refused(
-        at: Duration,
-        ranks: usize,
-        kind: &'static str,
-        refusal: ResizeError,
-    ) -> Self {
+    fn refused(at: Duration, ranks: usize, kind: &'static str, refusal: ResizeError) -> Self {
         ResizeAudit {
             refusal: Some(refusal),
             ..Self::new(at, ranks, ranks, kind, "refused")
@@ -179,7 +150,7 @@ impl ResizeAudit {
 
     /// A resize committed through the sequenced install `rec`, after
     /// which the vacated nodes `wiped` (ascending) were wiped.
-    pub(crate) fn installed(
+    fn installed(
         at: Duration,
         from: usize,
         to: usize,
@@ -221,8 +192,67 @@ pub enum PendingResize {
     Relocate,
 }
 
+/// A tenant's elasticity state. Owned by this module: the engine only
+/// delivers requests, reports how each launch parked, and collects the
+/// audit when the tenant ends.
+pub(crate) struct Elasticity {
+    /// Resize requests not yet resolved, attempted FIFO at clean
+    /// boundaries.
+    pending_resize: VecDeque<PendingResize>,
+    /// True when the tenant's parked state is a committed boundary
+    /// checkpoint (initially, and after every clean park); false after
+    /// a launch died mid-slice. Resizes only move boundary images.
+    clean_boundary: bool,
+    /// Installs committed so far; the live SHM namespace is
+    /// [`epoch_name`] of it.
+    resize_epoch: u32,
+    audits: Vec<ResizeAudit>,
+}
+
+impl Elasticity {
+    /// A tenant that never ran: nothing pending, boundary clean.
+    pub(crate) fn new() -> Self {
+        Elasticity {
+            pending_resize: VecDeque::new(),
+            clean_boundary: true,
+            resize_epoch: 0,
+            audits: Vec::new(),
+        }
+    }
+
+    /// Queue a request behind those already pending.
+    pub(crate) fn request(&mut self, req: PendingResize) {
+        self.pending_resize.push_back(req);
+    }
+
+    /// A launch ended: `clean` when it parked at a boundary checkpoint,
+    /// not when it died mid-slice — the workspaces may then hold
+    /// mid-panel state, so no resize until the next clean park.
+    pub(crate) fn parked(&mut self, clean: bool) {
+        self.clean_boundary = clean;
+    }
+
+    /// The tenant ended: the audit of every resize attempted on it.
+    pub(crate) fn into_audits(self) -> Vec<ResizeAudit> {
+        self.audits
+    }
+}
+
+/// Outcome of one resize attempt at a clean boundary.
+enum ResizeAttempt {
+    /// Resolved — committed, cold, a no-op, or a typed refusal — with
+    /// the audit to record: drop the request.
+    Resolved(ResizeAudit),
+    /// Can't act at this boundary (image incomplete): keep the request,
+    /// run a slice, try again at the next boundary.
+    Retry,
+    /// A fault landed inside the resize window: budget charged, request
+    /// kept — the next attempt replays the sequenced install.
+    Faulted,
+}
+
 /// The boundary image harvested from a tenant's old layout.
-pub(crate) enum Harvest {
+enum Harvest {
     /// Every rank's workspace present and agreeing on the parked panel:
     /// the full matrix, by global column (`n + 1` columns, `b` last).
     Complete {
@@ -252,7 +282,7 @@ fn parked_panel(data: &[f64], a1_len: usize) -> Option<u64> {
 
 /// Remove every segment under `prefix` from the nodes `rl` places ranks
 /// on — one resize epoch's namespace, never anything else.
-pub(crate) fn remove_prefix(cluster: &Cluster, rl: &Ranklist, prefix: &str) {
+fn remove_prefix(cluster: &Cluster, rl: &Ranklist, prefix: &str) {
     for r in 0..rl.len() {
         let shm = cluster.shm(rl.node_of(r));
         for name in shm.names() {
@@ -263,9 +293,9 @@ pub(crate) fn remove_prefix(cluster: &Cluster, rl: &Ranklist, prefix: &str) {
     }
 }
 
-/// Read the boundary image of `name` from the old layout's workspaces.
+/// Read the boundary image of `cfg.name` from the old layout's workspaces.
 /// Service-side, read-only — never mutates a segment.
-pub(crate) fn harvest(cluster: &Cluster, name: &str, cfg: &SktConfig, rl: &Ranklist) -> Harvest {
+fn harvest(cluster: &Cluster, cfg: &SktConfig, rl: &Ranklist) -> Harvest {
     let n = cfg.hpl.n;
     let nranks = rl.len();
     let a1_len = BlockCyclic1D::new(n, cfg.hpl.nb, nranks, 0).alloc_len();
@@ -274,7 +304,7 @@ pub(crate) fn harvest(cluster: &Cluster, name: &str, cfg: &SktConfig, rl: &Rankl
     let mut missing = 0usize;
     for r in 0..nranks {
         let node = rl.node_of(r);
-        let Some(seg) = cluster.shm(node).attach(&format!("{name}/r{r}/work")) else {
+        let Some(seg) = cluster.shm(node).attach(&format!("{}/r{r}/work", cfg.name)) else {
             missing += 1;
             continue;
         };
@@ -314,12 +344,12 @@ pub(crate) fn harvest(cluster: &Cluster, name: &str, cfg: &SktConfig, rl: &Rankl
 /// the cluster plus the *new* layout's config and ranklist. The old
 /// layout is never touched by the op — it stays the fallback until the
 /// caller commits the pool reshape.
-pub(crate) struct ResizeCtx {
-    pub cluster: Arc<Cluster>,
+struct ResizeCtx {
+    cluster: Arc<Cluster>,
     /// New-layout config: epoch-suffixed name, resized group size.
-    pub new_cfg: SktConfig,
+    new_cfg: SktConfig,
     /// Ranklist of the new world (retained + staged nodes, ascending).
-    pub new_rl: Ranklist,
+    new_rl: Ranklist,
 }
 
 /// The sequenced install of a harvested boundary image under a new
@@ -332,11 +362,11 @@ pub(crate) struct ResizeCtx {
 ///   incomplete: a previous attempt died inside the window. Apply wipes
 ///   the partials and re-installs (idempotent).
 /// * **NotStarted** — no trace; forward path.
-pub(crate) struct ResizeOp {
+struct ResizeOp {
     /// Harvested matrix, by global column.
-    pub columns: Vec<Vec<f64>>,
+    columns: Vec<Vec<f64>>,
     /// Panel the boundary parked at (the new checkpoint's `A2`).
-    pub panel: u64,
+    panel: u64,
 }
 
 impl ResizeOp {
@@ -404,9 +434,188 @@ impl SequencedOp<ResizeCtx> for ResizeOp {
     }
 }
 
+impl CheckpointService {
+    /// Ask the service to resize the tenant named `name` (base name) to
+    /// `target` ranks, delivered at virtual time `at`. The resize is
+    /// applied at the tenant's next *clean boundary* after delivery;
+    /// requests stack FIFO. A request for a tenant that already finished
+    /// (or never activated) is dropped.
+    pub fn schedule_resize(&mut self, name: &str, at: Duration, target: usize) {
+        let name = name.to_string();
+        self.queue.push(at, ServiceEvent::Resize { name, target });
+    }
+
+    /// Preemptive defragmentation: when no resize is in flight anywhere,
+    /// nominate the *smallest* shard that has a strictly better (lower
+    /// node-id) placement for relocation through the resize machinery.
+    /// One nomination at a time; convergence is guaranteed because every
+    /// committed relocation strictly lowers the nominee's node-id sum
+    /// and a packed shard yields no plan.
+    pub(crate) fn maybe_defrag(&mut self) {
+        let in_flight = |t: &Tenant| !t.elastic.pending_resize.is_empty();
+        if self.tenants.values().any(in_flight) {
+            return;
+        }
+        let mut order: Vec<(usize, TenantId)> = self
+            .tenants
+            .keys()
+            .filter_map(|&id| self.pool.nodes_of(id).map(|s| (s.len(), id)))
+            .collect();
+        order.sort_unstable();
+        for (_, id) in order {
+            if self.pool.plan_relocate(id).is_some() {
+                let nominee = self.tenants.get_mut(&id).expect("nominee is active");
+                nominee.elastic.request(PendingResize::Relocate);
+                return;
+            }
+        }
+    }
+
+    /// The resize step of a slice top: when the tenant is parked at a
+    /// clean boundary, attempt its oldest pending request. `Ok(false)`
+    /// when the slice must not launch: the shard (or staged nodes) took
+    /// a hit inside the window, so the tenant yields and the next pick
+    /// re-heals before the replay.
+    pub(crate) fn resize_at_boundary(&mut self, tenant: &mut Tenant) -> Result<bool, Refusal> {
+        if !tenant.elastic.clean_boundary {
+            return Ok(true);
+        }
+        let Some(req) = tenant.elastic.pending_resize.front().cloned() else {
+            return Ok(true);
+        };
+        match self.attempt_resize(tenant, req)? {
+            ResizeAttempt::Resolved(audit) => {
+                tenant.elastic.audits.push(audit);
+                tenant.elastic.pending_resize.pop_front();
+            }
+            ResizeAttempt::Retry => {}
+            ResizeAttempt::Faulted => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// One resize attempt at a clean boundary. Refusals are total and
+    /// consume nothing: planning is pure, and the pool commit happens
+    /// only after the new layout's image is installed (or the resize is
+    /// cold). See the module docs for the commit-point map.
+    fn attempt_resize(
+        &mut self,
+        tenant: &mut Tenant,
+        req: PendingResize,
+    ) -> Result<ResizeAttempt, Refusal> {
+        let now = self.cluster.now();
+        let id = tenant.sched.tenant;
+        let cur = tenant.rl.len();
+        let m = tenant.cfg.codec.parity_count();
+        let (plan, target, kind) = match req {
+            PendingResize::Relocate => (self.pool.plan_relocate(id), cur, "relocate"),
+            PendingResize::Target(t) if t == cur => (None, cur, "noop"),
+            PendingResize::Target(t) => {
+                let kind = if t > cur { "grow" } else { "shrink" };
+                let planned = match resize_group_size(cur, tenant.cfg.group_size, t, m) {
+                    None => Err(ResizeError::ShrinkBelowMinGroup {
+                        requested: t,
+                        min: (m + 1).max(2),
+                    }),
+                    Some(_) => self
+                        .pool
+                        .plan_resize(id, t, Self::mem_demand(&tenant.cfg, t))
+                        .map_err(ResizeError::Pool),
+                };
+                match planned {
+                    Ok(p) => (Some(p), t, kind),
+                    Err(err) => {
+                        let audit = ResizeAudit::refused(now, cur, kind, err);
+                        return Ok(ResizeAttempt::Resolved(audit));
+                    }
+                }
+            }
+        };
+        let Some(plan) = plan else {
+            // already at the target, or already packed (or the free pool
+            // moved on): no-op
+            let audit = ResizeAudit::new(now, cur, cur, "noop", "committed");
+            return Ok(ResizeAttempt::Resolved(audit));
+        };
+        let new_g = resize_group_size(cur, tenant.cfg.group_size, target, m)
+            .expect("legal group size checked above (relocations keep the rank count)");
+        let (columns, panel) = match harvest(&self.cluster, &tenant.cfg, &tenant.rl) {
+            // a node died and was replaced since the park: the next
+            // slice's group recovery rebuilds the missing workspaces;
+            // resize at the boundary after that
+            Harvest::Incomplete => return Ok(ResizeAttempt::Retry),
+            Harvest::Torn => {
+                let audit = ResizeAudit::refused(now, cur, kind, ResizeError::TornBoundary);
+                return Ok(ResizeAttempt::Resolved(audit));
+            }
+            Harvest::AllMissing => {
+                // the tenant never ran: pure node accounting, no image
+                let mem = Self::mem_demand(&tenant.cfg, target);
+                let usable = |n| self.cluster.node_usable(n);
+                let audit = self.pool.commit_resize(id, &plan, mem, usable);
+                self.admit_drained(audit.drained);
+                tenant.rl = Ranklist::explicit(plan.new_nodes());
+                tenant.cfg.group_size = new_g;
+                let audit = ResizeAudit::new(now, cur, target, kind, "cold");
+                return Ok(ResizeAttempt::Resolved(audit));
+            }
+            Harvest::Complete { columns, panel } => (columns, panel),
+        };
+        let epoch = tenant.elastic.resize_epoch + 1;
+        let mut new_cfg = tenant.cfg.clone();
+        new_cfg.name = epoch_name(&tenant.base, epoch);
+        new_cfg.group_size = new_g;
+        let mut ctx = ResizeCtx {
+            cluster: Arc::clone(&self.cluster),
+            new_cfg,
+            new_rl: Ranklist::explicit(plan.new_nodes()),
+        };
+        let known_dead = self.cluster.dead_nodes();
+        self.cluster.reset_abort();
+        let committed =
+            ops::prepare_replay(ResizeOp { columns, panel }, &ctx).and_then(|p| p.commit(&mut ctx));
+        let rec = match committed {
+            Ok(tok) => tok.into_record(),
+            Err(fault) => {
+                // a fault landed inside the resize window. The old layout
+                // is untouched (the pool commit never ran); charge the
+                // failure budget and keep the request — the next
+                // attempt's sequenced replay detects the partial install
+                // and redoes it.
+                let newly_dead = self.newly_dead(&known_dead);
+                self.cluster.reset_abort();
+                self.pool.purge_free(|n| self.cluster.node_usable(n));
+                let charged = self.charge_failure(tenant, fault, newly_dead, Repair::Purged);
+                if charged.is_err() {
+                    // giving up: no replay will wipe the partial install,
+                    // and the staged nodes are back in the free pool
+                    remove_prefix(&self.cluster, &ctx.new_rl, &ResizeOp::prefix(&ctx));
+                }
+                return charged.map(|()| ResizeAttempt::Faulted);
+            }
+        };
+        let mem = Self::mem_demand(&ctx.new_cfg, target);
+        let usable = |n| self.cluster.node_usable(n);
+        let pool_audit = self.pool.commit_resize(id, &plan, mem, usable);
+        // wipe the vacated (still-usable) nodes, and drop the old epoch's
+        // segments from the nodes we keep
+        let wiped = pool_audit.freed;
+        for &n in &wiped {
+            self.cluster.shm(n).wipe();
+        }
+        remove_prefix(&self.cluster, &ctx.new_rl, &format!("{}/", tenant.cfg.name));
+        self.admit_drained(pool_audit.drained);
+        tenant.cfg = ctx.new_cfg;
+        tenant.rl = ctx.new_rl;
+        tenant.elastic.resize_epoch = epoch;
+        let audit = ResizeAudit::installed(now, cur, target, kind, &rec, wiped);
+        Ok(ResizeAttempt::Resolved(audit))
+    }
+}
+
 /// Effective SHM namespace of resize epoch `k` over `base` (which must
 /// not contain `'@'`): the base name for epoch 0, `{base}@e{k}` after.
-pub(crate) fn epoch_name(base: &str, epoch: u32) -> String {
+fn epoch_name(base: &str, epoch: u32) -> String {
     debug_assert!(
         !base.contains('@'),
         "base tenant names must not contain '@'"
@@ -421,6 +630,10 @@ pub(crate) fn epoch_name(base: &str, epoch: u32) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::service::tests::{elastic_cfg, residual_bits, service, tenant_cfg};
+    use crate::{PolicySpec, RetryPolicy, ServiceConfig, StormPlan, TenantOutcome};
+    use skt_cluster::ClusterConfig;
+    use skt_hpl::RESIZE_PROBE;
 
     #[test]
     fn epoch_names_nest_under_the_base_prefixes() {
@@ -435,40 +648,248 @@ mod tests {
 
     #[test]
     fn resize_error_labels_are_stable() {
-        let table: [(ResizeError, &str); 5] = [
+        let t0 = TenantId(0);
+        let table: [(ResizeError, &str, &str); 6] = [
             (
                 ResizeError::ShrinkBelowMinGroup {
                     requested: 1,
                     min: 3,
                 },
                 "shrink-below-min-group",
+                "shrink to 1 rank(s) below minimum group of 3",
             ),
             (
-                ResizeError::GrowWouldStarve {
+                ResizeError::TornBoundary,
+                "torn-boundary",
+                "boundary checkpoint torn across ranks",
+            ),
+            // the pool's refusals keep their labels through the wrapper
+            // and speak in the ledger's own words
+            (
+                ResizeError::Pool(ReshapeError::WouldStarve {
+                    tenant: t0,
                     requested: 2,
                     free: 0,
-                },
+                }),
                 "grow-would-starve",
+                "t0: grow needs 2 free node(s), pool has 0",
             ),
-            (ResizeError::TornBoundary, "torn-boundary"),
             (
-                ResizeError::NeverFits {
+                ResizeError::Pool(ReshapeError::NeverFits {
                     demanded: 9,
                     total: 4,
-                },
+                }),
                 "never-fits",
+                "resize to 9 nodes can never fit a 4-node pool",
             ),
             (
-                ResizeError::Oversubscribed {
+                ResizeError::Pool(ReshapeError::Oversubscribed {
                     demanded: 2,
                     capacity: 1,
-                },
+                }),
                 "oversubscribed",
+                "2 B/node demanded, nodes hold 1 B",
+            ),
+            (
+                ResizeError::Pool(ReshapeError::UnknownTenant(t0)),
+                "unknown-tenant",
+                "t0: not an admitted tenant",
             ),
         ];
-        for (e, label) in table {
+        for (e, label, text) in table {
             assert_eq!(e.label(), label);
-            assert!(!e.to_string().is_empty());
+            assert_eq!(e.to_string(), text);
         }
+    }
+
+    // ---- the service's resize half, end to end ----
+
+    /// The acceptance scenario: shrink 6→4 at the first boundary, grow
+    /// back 4→6 at the next, with an armed kill landing on a staged
+    /// node *inside* the grow's install window. The sequenced ResizeOp
+    /// replays idempotently, and the final residual is bit-exact with
+    /// the unresized fault-free control — across 8 scheduler seeds.
+    #[test]
+    fn shrink_then_grow_with_kill_in_resize_window_matches_control() {
+        let control = {
+            let mut svc = service(6, 0, 0, PolicySpec::Batched);
+            svc.register(elastic_cfg("elastic"), 6, 0).unwrap();
+            let rep = svc.run(&StormPlan::none());
+            residual_bits(&rep, "elastic")
+        };
+        for seed in 0..8u64 {
+            let cluster = Arc::new(Cluster::new_with_runtime(
+                ClusterConfig::new(9, 0),
+                skt_cluster::SimRuntime::new(seed),
+            ));
+            let mut cfg = ServiceConfig::new(RetryPolicy::new(3, Duration::from_secs(5)));
+            cfg.slice_panels = 3;
+            cfg.schedule = PolicySpec::RoundRobin;
+            let mut svc = CheckpointService::new(cluster, cfg);
+            svc.register(elastic_cfg("elastic"), 6, 0).unwrap();
+            svc.schedule_resize("elastic", Duration::from_micros(1), 4);
+            svc.schedule_resize("elastic", Duration::from_micros(2), 6);
+            // the grow stages nodes {4,5}; node 4's first resize-window
+            // probe pass is the grow install → the kill lands inside it
+            let storm = StormPlan::none().kill_at_probe(RESIZE_PROBE, 4, 1);
+            let rep = svc.run(&storm);
+            let got = residual_bits(&rep, "elastic");
+            assert_eq!(
+                got, control,
+                "seed {seed}: resized run must be bit-exact with the control"
+            );
+            let t = rep.tenant("elastic").unwrap();
+            assert_eq!(t.failures, 1, "seed {seed}: the kill charged one failure");
+            let kinds: Vec<(&str, &str, usize, usize)> = t
+                .resizes
+                .iter()
+                .map(|r| (r.kind, r.outcome, r.from, r.to))
+                .collect();
+            assert_eq!(
+                kinds,
+                vec![("shrink", "committed", 6, 4), ("grow", "committed", 4, 6)],
+                "seed {seed}"
+            );
+            assert_eq!(
+                t.resizes[0].wiped,
+                vec![4, 5],
+                "seed {seed}: the shrink's vacated nodes are wiped, not leaked"
+            );
+            assert!(
+                t.wiped.contains(&5),
+                "seed {seed}: wipe audit reaches the report"
+            );
+            assert!(
+                t.leaked_elsewhere.is_empty(),
+                "seed {seed}: {:?}",
+                t.leaked_elsewhere
+            );
+            assert!(t.foreign_on_shard.is_empty(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn shrink_below_min_group_is_refused_typed_and_consumes_nothing() {
+        let mut svc = service(4, 0, 3, PolicySpec::RoundRobin);
+        svc.register(elastic_cfg("job"), 6, 0).unwrap_err(); // 6 > 4 nodes: NeverFits at admission
+        let mut svc = service(8, 0, 3, PolicySpec::RoundRobin);
+        svc.register(elastic_cfg("job"), 6, 0).unwrap();
+        // Rs{2} needs groups of ≥ 3: shrinking to 2 ranks is refused
+        svc.schedule_resize("job", Duration::from_micros(1), 2);
+        let rep = svc.run(&StormPlan::none());
+        let t = rep.tenant("job").unwrap();
+        assert!(matches!(t.outcome, TenantOutcome::Completed(_)));
+        assert_eq!(t.resizes.len(), 1);
+        let r = &t.resizes[0];
+        assert_eq!((r.kind, r.outcome), ("shrink", "refused"));
+        assert_eq!(
+            r.refusal,
+            Some(ResizeError::ShrinkBelowMinGroup {
+                requested: 2,
+                min: 3
+            })
+        );
+        assert_eq!((r.from, r.to), (6, 6), "a refusal changes nothing");
+        assert_eq!(t.failures, 0, "refusals are free: no budget charged");
+    }
+
+    #[test]
+    fn grow_beyond_free_pool_is_refused_typed() {
+        let mut svc = service(4, 0, 3, PolicySpec::RoundRobin);
+        svc.register(tenant_cfg("a", 32), 2, 0).unwrap();
+        svc.register(tenant_cfg("b", 32), 2, 0).unwrap();
+        // the pool is fully sharded: a's grow to 4 would starve
+        svc.schedule_resize("a", Duration::from_micros(1), 4);
+        let rep = svc.run(&StormPlan::none());
+        let a = rep.tenant("a").unwrap();
+        assert!(matches!(a.outcome, TenantOutcome::Completed(_)));
+        let r = &a.resizes[0];
+        assert_eq!((r.kind, r.outcome), ("grow", "refused"));
+        assert_eq!(
+            r.refusal,
+            Some(ResizeError::Pool(ReshapeError::WouldStarve {
+                tenant: a.tenant,
+                requested: 2,
+                free: 0
+            }))
+        );
+        let b = rep.tenant("b").unwrap();
+        assert!(matches!(b.outcome, TenantOutcome::Completed(_)));
+        assert_eq!(b.failures, 0, "the refused grow never touched b's shard");
+    }
+
+    #[test]
+    fn resize_before_first_slice_is_cold_accounting() {
+        let mut svc = service(4, 0, 3, PolicySpec::RoundRobin);
+        svc.register(tenant_cfg("cold", 32), 2, 0).unwrap();
+        // delivered before the tenant ever runs: no image exists, so the
+        // resize is pure node accounting ("cold") and the job simply
+        // starts at 3 ranks
+        svc.schedule_resize("cold", Duration::ZERO, 3);
+        let rep = svc.run(&StormPlan::none());
+        let t = rep.tenant("cold").unwrap();
+        assert!(matches!(t.outcome, TenantOutcome::Completed(_)));
+        let r = &t.resizes[0];
+        assert_eq!((r.kind, r.outcome, r.from, r.to), ("grow", "cold", 2, 3));
+        assert!(r.op.is_none(), "no image, no sequenced install");
+    }
+
+    #[test]
+    fn defrag_relocates_the_smallest_parked_shard_toward_low_ids() {
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(6, 0)));
+        let mut cfg = ServiceConfig::new(RetryPolicy::new(3, Duration::from_secs(5)));
+        cfg.slice_panels = 3;
+        cfg.schedule = PolicySpec::RoundRobin;
+        cfg.defrag = true;
+        let mut svc = CheckpointService::new(cluster, cfg);
+        svc.register(tenant_cfg("early", 32), 2, 0).unwrap(); // nodes {0,1}, 8 panels → finishes first
+        svc.register(tenant_cfg("late", 48), 2, 0).unwrap(); // nodes {2,3}, 12 panels
+        let rep = svc.run(&StormPlan::none());
+        let late = rep.tenant("late").unwrap();
+        match &late.outcome {
+            TenantOutcome::Completed(out) => assert!(out.hpl.passed),
+            other => panic!("late should complete after relocating, got {other:?}"),
+        }
+        let reloc: Vec<&ResizeAudit> = late
+            .resizes
+            .iter()
+            .filter(|r| r.kind == "relocate")
+            .collect();
+        assert_eq!(reloc.len(), 1, "one defrag move: {:?}", late.resizes);
+        assert_eq!(reloc[0].outcome, "committed", "a parked image migrates");
+        assert_eq!(
+            reloc[0].wiped,
+            vec![2, 3],
+            "the vacated mid-pool nodes are wiped for the free list"
+        );
+        assert!(
+            late.leaked_elsewhere.is_empty(),
+            "{:?}",
+            late.leaked_elsewhere
+        );
+    }
+
+    /// Two requests delivered at the *same* virtual instant apply in
+    /// request order: the event queue breaks the tie by scheduling
+    /// sequence, and the tenant's pending queue is FIFO.
+    #[test]
+    fn same_instant_resizes_apply_in_request_order() {
+        let mut svc = service(8, 0, 3, PolicySpec::RoundRobin);
+        svc.register(elastic_cfg("job"), 6, 0).unwrap();
+        svc.schedule_resize("job", Duration::ZERO, 4);
+        svc.schedule_resize("job", Duration::ZERO, 5);
+        let rep = svc.run(&StormPlan::none());
+        residual_bits(&rep, "job");
+        let t = rep.tenant("job").unwrap();
+        let steps: Vec<(&str, &str, usize, usize)> = t
+            .resizes
+            .iter()
+            .map(|r| (r.kind, r.outcome, r.from, r.to))
+            .collect();
+        // reversed, it would read shrink 6->5 then shrink 5->4
+        assert_eq!(
+            steps,
+            vec![("shrink", "cold", 6, 4), ("grow", "committed", 4, 5)]
+        );
     }
 }

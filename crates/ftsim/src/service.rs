@@ -7,9 +7,9 @@
 //! into a reusable service once three problems are solved, and this
 //! module solves them on top of the [`skt_cluster::service`] substrate:
 //!
-//! * **Sharding + admission** — each tenant gets a disjoint node shard
-//!   ([`ServicePool`]); demand that can't be met now queues FIFO, demand
-//!   that can never be met is rejected typed.
+//! * **Sharding + admission** ([`crate::admission`]) — each tenant gets
+//!   a disjoint node shard ([`ServicePool`]); demand that can't be met
+//!   now queues FIFO, demand that can never be met is rejected typed.
 //! * **Spare arbitration** — a tenant's recovery cascade draws spares
 //!   through the reservation ledger; a draw that would starve another
 //!   tenant's guarantee is refused with a typed collective verdict
@@ -24,14 +24,9 @@
 //!   move), and yields. *Which* tenant runs next is decided by the
 //!   configured [`PolicySpec`] — the dispatch loop only maintains the
 //!   ready set and runs the tenant [`PolicySpec::next`] names.
-//! * **Elasticity** — a tenant can grow, shrink, or be relocated
-//!   *between* slices, through the boundary checkpoint
-//!   ([`crate::resize`]): the service harvests the parked matrix from
-//!   the old layout, installs it under the new block-cyclic layout via
-//!   a sequenced [`ResizeOp`](crate::resize), and only then moves the
-//!   node accounting. With [`ServiceConfig::defrag`] on, the same
-//!   machinery compacts the free pool by relocating the smallest shard
-//!   toward low node ids between slices.
+//! * **Elasticity** ([`crate::resize`]) — a tenant can grow, shrink,
+//!   or (with [`ServiceConfig::defrag`] on) be relocated toward low
+//!   node ids *between* slices, through the boundary checkpoint.
 //!
 //! Every tenant mutation of cluster state (spare draws / ranklist
 //! repair / resize installs) flows through the sequenced-op layer
@@ -44,27 +39,23 @@
 //! thin wrapper over this engine: one tenant, whole-job slices, and the
 //! entire spare pool as its float.
 
+use crate::admission::WaitList;
 use crate::policy::{PolicySpec, SchedState, TenantProfile, TenantSched};
 use crate::report::{
-    AttemptRecord, CyclePhase, DaemonHistory, PhaseTimes, RetryPolicy, SuspicionOutcome,
-    SuspicionRecord,
+    AttemptRecord, CyclePhase, DaemonHistory, PhaseTimes, Refusal, RetryPolicy, ServiceReport,
+    SuspicionOutcome, SuspicionRecord, TenantOutcome, TenantReport,
 };
-// the report types lived here before `report.rs`; their old paths stay
-pub use crate::report::{Refusal, ServiceReport, TenantOutcome, TenantReport};
-use crate::resize::{
-    epoch_name, harvest, remove_prefix, Harvest, PendingResize, ResizeAudit, ResizeCtx,
-    ResizeError, ResizeOp,
-};
+use crate::resize::{Elasticity, PendingResize};
+use crate::storm::{StormPlan, TimedFault};
 use skt_cluster::{
-    Admission, AdmitError, ArbitrationError, Cluster, CorruptPlan, EventQueue, FailurePlan, Fault,
-    FaultPlan, GrayPlan, NodeId, ProbeVerdict, Ranklist, ReshapeError, ServicePool, SplitMix64,
-    Stopwatch, TenantId, TenantSpec,
+    ArbitrationError, Cluster, EventQueue, Fault, NodeId, ProbeVerdict, Ranklist, ServicePool,
+    Stopwatch, TenantId,
 };
 use skt_core::protocol::ops::{self, SpareDraw};
-use skt_core::{resize_group_size, MemoryBreakdown, RecoveryReport};
-use skt_hpl::{run_skt_sliced, BlockCyclic1D, SktConfig, SktOutput, SktRun, ITER_PROBE};
+use skt_core::RecoveryReport;
+use skt_hpl::{run_skt_sliced, SktConfig, SktOutput, SktRun};
 use skt_mps::run_on_cluster;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -100,132 +91,18 @@ impl ServiceConfig {
     }
 }
 
-/// A fault scheduled on the virtual clock rather than anchored to a
-/// probe. Timed faults land at seed-*dependent* points of a job's
-/// progress (the clock advance depends on scheduling), so determinism
-/// tests pin the seed; seed-invariance sweeps use armed probes instead.
-#[derive(Clone, Debug)]
-pub struct TimedFault {
-    /// Cluster-clock time to apply the fault at.
-    pub at: Duration,
-    /// What happens.
-    pub kind: TimedKind,
-}
-
-/// Payload of a [`TimedFault`].
-#[derive(Clone, Debug)]
-pub enum TimedKind {
-    /// Power the node off (wipes its SHM; aborts a running job).
-    Kill(NodeId),
-    /// Flip a bit in a checkpoint region right now.
-    Corrupt(CorruptPlan),
-}
-
-/// A storm: probe-anchored fault plans armed before the first launch,
-/// plus clock-scheduled faults dispatched from the event queue.
-#[derive(Clone, Debug, Default)]
-pub struct StormPlan {
-    /// Plans armed on the cluster's injector (fire at probe counts).
-    pub armed: Vec<FaultPlan>,
-    /// Faults dispatched at virtual times, between slices.
-    pub timed: Vec<TimedFault>,
-}
-
-impl StormPlan {
-    /// No faults.
-    pub fn none() -> Self {
-        StormPlan::default()
-    }
-
-    /// Arm a kill of `node` at its `nth` completed elimination panel.
-    pub fn kill(mut self, node: NodeId, nth: u64) -> Self {
-        self.armed
-            .push(FaultPlan::Kill(FailurePlan::new(ITER_PROBE, nth, node)));
-        self
-    }
-
-    /// Arm a kill of `node` at its `nth` pass of `probe` — e.g.
-    /// [`skt_hpl::RESIZE_PROBE`] to land a kill *inside* a resize
-    /// window and exercise the sequenced install's replay.
-    pub fn kill_at_probe(mut self, probe: &'static str, node: NodeId, nth: u64) -> Self {
-        self.armed
-            .push(FaultPlan::Kill(FailurePlan::new(probe, nth, node)));
-        self
-    }
-
-    /// Arm a silent bit flip on `node` at its `nth` panel probe.
-    pub fn flip(mut self, plan: CorruptPlan) -> Self {
-        self.armed.push(FaultPlan::Corrupt(plan));
-        self
-    }
-
-    /// Arm a gray fault (straggler / hang / degraded link). Arming one
-    /// switches on the cluster's heartbeat suspicion layer, so the
-    /// victim is *declared* by its peers, probed by the daemon, and
-    /// either exonerated or fenced-and-migrated — never waited on
-    /// forever.
-    pub fn gray(mut self, plan: GrayPlan) -> Self {
-        self.armed.push(FaultPlan::Gray(plan));
-        self
-    }
-
-    /// Schedule a node power-off at virtual time `at`.
-    pub fn kill_at(mut self, at: Duration, node: NodeId) -> Self {
-        self.timed.push(TimedFault {
-            at,
-            kind: TimedKind::Kill(node),
-        });
-        self
-    }
-
-    /// Seeded storm over tenant shards: the first `kills` shards of a
-    /// seeded shuffle each lose one node at a small panel probe, and
-    /// `flips` further shards each take one silent bit flip in a
-    /// checkpoint region. All faults are probe-anchored, so for a fixed
-    /// storm seed the *outcomes* are invariant across simulation
-    /// scheduler seeds.
-    pub fn seeded(seed: u64, shards: &[Vec<NodeId>], kills: usize, flips: usize) -> Self {
-        use skt_cluster::Region;
-        let mut rng = SplitMix64::new(seed);
-        let mut order: Vec<usize> = (0..shards.len()).collect();
-        for i in (1..order.len()).rev() {
-            let j = (rng.next_u64() % (i as u64 + 1)) as usize;
-            order.swap(i, j);
-        }
-        let mut storm = StormPlan::default();
-        let kills = kills.min(order.len());
-        for &s in order.iter().take(kills) {
-            let nodes = &shards[s];
-            let node = nodes[(rng.next_u64() as usize) % nodes.len()];
-            let nth = 1 + rng.next_u64() % 2;
-            storm = storm.kill(node, nth);
-        }
-        for &s in order.iter().skip(kills).take(flips) {
-            let nodes = &shards[s];
-            let node = nodes[(rng.next_u64() as usize) % nodes.len()];
-            let region = if rng.next_u64().is_multiple_of(2) {
-                Region::CopyB
-            } else {
-                Region::Header
-            };
-            let nth = 1 + rng.next_u64() % 2;
-            let offset = (rng.next_u64() % 4096) as usize;
-            let bit = (rng.next_u64() % 8) as u8;
-            storm = storm.flip(CorruptPlan::new(ITER_PROBE, nth, node, region, offset, bit));
-        }
-        storm
-    }
-}
-
-struct Tenant {
-    id: TenantId,
+/// One active (admitted, not yet finished) tenant.
+pub(crate) struct Tenant {
+    /// Its row in the scheduler's ready set: id, profile, ready time.
+    pub(crate) sched: TenantSched,
     /// Registration name: SHM prefix owner; resize epochs nest under it.
-    base: String,
+    pub(crate) base: String,
     /// Live config; `cfg.name` carries the current resize epoch's
     /// namespace (`base` for epoch 0, `base@e{k}` after).
-    cfg: SktConfig,
-    rl: Ranklist,
-    profile: TenantProfile,
+    pub(crate) cfg: SktConfig,
+    pub(crate) rl: Ranklist,
+    /// Pending resizes, the boundary flag and the resize audit.
+    pub(crate) elastic: Elasticity,
     launches: usize,
     slices: usize,
     cycles: Vec<PhaseTimes>,
@@ -233,67 +110,71 @@ struct Tenant {
     /// from the next successful launch.
     pending_attr: bool,
     history: DaemonHistory,
-    queued_at: Duration,
-    admitted_at: Duration,
-    /// Resize requests not yet resolved, attempted FIFO at clean
-    /// boundaries.
-    pending_resize: VecDeque<PendingResize>,
-    /// True when the tenant's parked state is a committed boundary
-    /// checkpoint (initially, and after every clean park); false after
-    /// a launch died mid-slice. Resizes only move boundary images.
-    clean_boundary: bool,
-    resize_epoch: u32,
-    resizes: Vec<ResizeAudit>,
-    wiped: Vec<NodeId>,
-    /// Virtual time this tenant (re-)entered the ready set.
-    enqueued_at: Duration,
-    ready_seq: u64,
+    /// Time spent in the admission queue before activation.
+    queued_for: Duration,
 }
 
-enum ServiceEvent {
+impl Tenant {
+    /// A tenant admitted at `now` after queueing since `queued_at`.
+    pub(crate) fn new(
+        id: TenantId,
+        cfg: SktConfig,
+        rl: Ranklist,
+        profile: TenantProfile,
+        queued_at: Duration,
+        now: Duration,
+    ) -> Self {
+        Tenant {
+            sched: TenantSched {
+                tenant: id,
+                class: profile.class,
+                deadline: profile.deadline,
+                enqueued_at: now,
+                ready_seq: 0,
+            },
+            base: cfg.name.clone(),
+            cfg,
+            rl,
+            elastic: Elasticity::new(),
+            launches: 0,
+            slices: 0,
+            cycles: Vec::new(),
+            pending_attr: false,
+            history: DaemonHistory::default(),
+            queued_for: now - queued_at,
+        }
+    }
+}
+
+/// What the event queue delivers; each event carries its own payload.
+pub(crate) enum ServiceEvent {
     /// The tenant is runnable again: enter the ready set.
     Ready(TenantId),
-    /// Apply the i-th timed storm fault.
-    Storm(usize),
-    /// Deliver the i-th scheduled resize request to its tenant.
-    Resize(usize),
-}
-
-/// Outcome of one resize attempt at a clean boundary.
-enum ResizeAttempt {
-    /// Done (committed, cold, or a no-op): drop the request.
-    Committed,
-    /// Typed refusal recorded in the audit: drop the request, run on.
-    Refused,
-    /// Can't act at this boundary (image incomplete / boundary dirty):
-    /// keep the request, run a slice, try again at the next boundary.
-    Retry,
-    /// A fault landed inside the resize window: budget charged, request
-    /// kept — the next attempt replays the sequenced install.
-    Faulted,
+    /// Apply a timed storm fault.
+    Storm(TimedFault),
+    /// Deliver a scheduled resize request to the tenant named `name`.
+    Resize { name: String, target: usize },
 }
 
 /// The multi-tenant checkpoint service daemon.
 pub struct CheckpointService {
-    cluster: Arc<Cluster>,
-    cfg: ServiceConfig,
+    pub(crate) cluster: Arc<Cluster>,
+    pub(crate) cfg: ServiceConfig,
     /// The cluster (and the checkpoints on it) belongs to the caller,
     /// who may re-enter them after the run: never wipe a released
     /// shard. Otherwise released nodes are wiped, so a reassigned node
     /// hands no stale state to the next tenant.
     adopted: bool,
-    pool: ServicePool,
-    tenants: BTreeMap<TenantId, Tenant>,
-    waiting: BTreeMap<TenantId, (SktConfig, Duration, TenantProfile)>,
-    queue: EventQueue<ServiceEvent>,
+    pub(crate) pool: ServicePool,
+    pub(crate) tenants: BTreeMap<TenantId, Tenant>,
+    pub(crate) admission: WaitList,
+    pub(crate) queue: EventQueue<ServiceEvent>,
     /// Runnable tenants, in ready order; the policy picks from here.
     ready: Vec<TenantId>,
     ready_seq: u64,
     /// Tenant that ran the most recent slice (policy stickiness).
     last: Option<TenantId>,
-    /// Scheduled resize requests, referenced by `ServiceEvent::Resize`.
-    resize_reqs: Vec<(String, usize)>,
-    reports: Vec<TenantReport>,
+    pub(crate) reports: Vec<TenantReport>,
 }
 
 impl CheckpointService {
@@ -307,165 +188,25 @@ impl CheckpointService {
         Self::over(cluster, cfg, pool, false)
     }
 
-    fn over(cluster: Arc<Cluster>, cfg: ServiceConfig, pool: ServicePool, adopted: bool) -> Self {
+    pub(crate) fn over(
+        cluster: Arc<Cluster>,
+        cfg: ServiceConfig,
+        pool: ServicePool,
+        adopted: bool,
+    ) -> Self {
         CheckpointService {
             cluster,
             cfg,
             adopted,
             pool,
             tenants: BTreeMap::new(),
-            waiting: BTreeMap::new(),
+            admission: WaitList::default(),
             queue: EventQueue::new(),
             ready: Vec::new(),
             ready_seq: 0,
             last: None,
-            resize_reqs: Vec::new(),
             reports: Vec::new(),
         }
-    }
-
-    /// Service for one pre-placed job (the single-job daemon wrapper):
-    /// the shard is exactly the ranklist's node set — dead members
-    /// included, the first slice's health check repairs them — and the
-    /// whole spare pool is the tenant's float. The cluster stays the
-    /// caller's: nothing on it is wiped when the job's shard is released.
-    pub fn for_placed_job(
-        cluster: Arc<Cluster>,
-        cfg: ServiceConfig,
-        skt: &SktConfig,
-        ranklist: &Ranklist,
-    ) -> (Self, TenantId) {
-        let shard = node_set(ranklist);
-        let nodes = shard.len();
-        let pool = ServicePool::new(shard, cluster.spares_left(), u64::MAX);
-        let mut svc = Self::over(cluster, cfg, pool, true);
-        let spec = TenantSpec {
-            name: skt.name.clone(),
-            nodes,
-            mem_bytes_per_node: 0,
-            spare_guarantee: 0,
-        };
-        let tenant = match svc.pool.admit(spec) {
-            Ok(Admission::Admitted { tenant, .. }) => tenant,
-            other => unreachable!("placed job must admit immediately: {other:?}"),
-        };
-        let mut cfg_t = skt.clone();
-        cfg_t.panel_budget = svc.cfg.slice_panels;
-        // keep the caller's ranklist verbatim (it may map several ranks
-        // to one node)
-        svc.activate(
-            tenant,
-            cfg_t,
-            ranklist.clone(),
-            svc.cluster.now(),
-            TenantProfile::default(),
-        );
-        (svc, tenant)
-    }
-
-    /// Modeled per-node memory demand of a job on `nodes` ranks: the
-    /// rank-0 workspace under the configured method/codec, in bytes.
-    pub fn mem_demand(cfg: &SktConfig, nodes: usize) -> u64 {
-        let alloc = BlockCyclic1D::new(cfg.hpl.n, cfg.hpl.nb, nodes, 0).alloc_len();
-        let parity = cfg.codec.parity_count();
-        (MemoryBreakdown::with_parity(cfg.method, alloc, cfg.group_size, parity).total() * 8) as u64
-    }
-
-    /// Register a job as a tenant: `nodes` shard nodes (one rank per
-    /// node), `spare_guarantee` spares reserved for its own recoveries.
-    /// Admitted tenants are scheduled immediately; queued tenants start
-    /// when capacity frees. The job's memory demand is derived from its
-    /// HPL problem and checkpoint method.
-    pub fn register(
-        &mut self,
-        cfg: SktConfig,
-        nodes: usize,
-        spare_guarantee: usize,
-    ) -> Result<Admission, AdmitError> {
-        self.register_profiled(cfg, nodes, spare_guarantee, TenantProfile::default())
-    }
-
-    /// [`Self::register`] with an explicit scheduling profile (class /
-    /// deadline hints for the configured [`PolicySpec`]).
-    pub fn register_profiled(
-        &mut self,
-        mut cfg: SktConfig,
-        nodes: usize,
-        spare_guarantee: usize,
-        profile: TenantProfile,
-    ) -> Result<Admission, AdmitError> {
-        cfg.panel_budget = self.cfg.slice_panels;
-        let spec = TenantSpec {
-            name: cfg.name.clone(),
-            nodes,
-            mem_bytes_per_node: Self::mem_demand(&cfg, nodes),
-            spare_guarantee,
-        };
-        let adm = self.pool.admit(spec)?;
-        let now = self.cluster.now();
-        match &adm {
-            Admission::Admitted { tenant, nodes } => {
-                self.activate(
-                    *tenant,
-                    cfg,
-                    Ranklist::explicit(nodes.clone()),
-                    now,
-                    profile,
-                );
-            }
-            Admission::Queued { tenant, .. } => {
-                self.waiting.insert(*tenant, (cfg, now, profile));
-            }
-            other => unreachable!("unknown admission variant: {other:?}"),
-        }
-        Ok(adm)
-    }
-
-    /// Ask the service to resize the tenant named `name` (base name) to
-    /// `target` ranks, delivered at virtual time `at`. The resize is
-    /// applied at the tenant's next *clean boundary* after delivery;
-    /// requests stack FIFO. A request for a tenant that already finished
-    /// (or never activated) is dropped.
-    pub fn schedule_resize(&mut self, name: &str, at: Duration, target: usize) {
-        let i = self.resize_reqs.len();
-        self.resize_reqs.push((name.to_string(), target));
-        self.queue.push(at, ServiceEvent::Resize(i));
-    }
-
-    fn activate(
-        &mut self,
-        id: TenantId,
-        cfg: SktConfig,
-        rl: Ranklist,
-        queued_at: Duration,
-        profile: TenantProfile,
-    ) {
-        let now = self.cluster.now();
-        self.tenants.insert(
-            id,
-            Tenant {
-                id,
-                base: cfg.name.clone(),
-                cfg,
-                rl,
-                profile,
-                launches: 0,
-                slices: 0,
-                cycles: Vec::new(),
-                pending_attr: false,
-                history: DaemonHistory::default(),
-                queued_at,
-                admitted_at: now,
-                pending_resize: VecDeque::new(),
-                clean_boundary: true,
-                resize_epoch: 0,
-                resizes: Vec::new(),
-                wiped: Vec::new(),
-                enqueued_at: now,
-                ready_seq: 0,
-            },
-        );
-        self.queue.push(now, ServiceEvent::Ready(id));
     }
 
     /// Run every registered tenant to a terminal state under `storm`,
@@ -477,12 +218,7 @@ impl CheckpointService {
     /// reported [`Refusal::AdmissionStarved`].
     pub fn run(mut self, storm: &StormPlan) -> ServiceReport {
         let t0 = self.cluster.now();
-        for plan in &storm.armed {
-            self.cluster.arm_fault(plan.clone());
-        }
-        for (i, tf) in storm.timed.iter().enumerate() {
-            self.queue.push(tf.at, ServiceEvent::Storm(i));
-        }
+        self.arm_storm(storm);
         loop {
             // deliver everything already due
             while self
@@ -491,7 +227,7 @@ impl CheckpointService {
                 .is_some_and(|at| at <= self.cluster.now())
             {
                 let (at, ev) = self.queue.pop().expect("peeked non-empty");
-                self.dispatch(at, ev, storm);
+                self.dispatch(at, ev);
             }
             if self.ready.is_empty() {
                 // idle: advance the clock to the next event, or stop
@@ -502,13 +238,14 @@ impl CheckpointService {
                 if at > now {
                     self.cluster.runtime().advance(at - now);
                 }
-                self.dispatch(at, ev, storm);
+                self.dispatch(at, ev);
                 continue;
             }
             if self.cfg.defrag {
                 self.maybe_defrag();
             }
-            let scheds: Vec<TenantSched> = self.ready.iter().map(|&id| self.sched_of(id)).collect();
+            let ready = self.ready.iter();
+            let scheds: Vec<TenantSched> = ready.map(|id| self.tenants[id].sched.clone()).collect();
             let pick = self.cfg.schedule.next(&SchedState {
                 now: self.cluster.now(),
                 last: self.last,
@@ -518,14 +255,7 @@ impl CheckpointService {
             self.last = Some(pick);
             self.step_tenant(pick);
         }
-        // capacity never freed for these — typed, not silent
-        for (id, (cfg, queued_at, _)) in std::mem::take(&mut self.waiting) {
-            let now = self.cluster.now();
-            let outcome = TenantOutcome::Refused(Refusal::AdmissionStarved);
-            let queued_for = now - queued_at;
-            let report = TenantReport::new(id, cfg.name, outcome, queued_for, now);
-            self.reports.push(report);
-        }
+        self.refuse_starved();
         self.reports.sort_by_key(|r| r.tenant);
         ServiceReport {
             tenants: self.reports,
@@ -533,78 +263,23 @@ impl CheckpointService {
         }
     }
 
-    fn dispatch(&mut self, at: Duration, ev: ServiceEvent, storm: &StormPlan) {
+    fn dispatch(&mut self, at: Duration, ev: ServiceEvent) {
         match ev {
-            ServiceEvent::Storm(i) => self.apply_timed(&storm.timed[i]),
+            ServiceEvent::Storm(tf) => self.apply_timed(tf),
             ServiceEvent::Ready(id) => {
                 if let Some(t) = self.tenants.get_mut(&id) {
                     if !self.ready.contains(&id) {
-                        t.enqueued_at = at;
-                        t.ready_seq = self.ready_seq;
+                        t.sched.enqueued_at = at;
+                        t.sched.ready_seq = self.ready_seq;
                         self.ready_seq += 1;
                         self.ready.push(id);
                     }
                 }
             }
-            ServiceEvent::Resize(i) => {
-                let (name, target) = &self.resize_reqs[i];
-                if let Some(t) = self.tenants.values_mut().find(|t| &t.base == name) {
-                    t.pending_resize.push_back(PendingResize::Target(*target));
+            ServiceEvent::Resize { name, target } => {
+                if let Some(t) = self.tenants.values_mut().find(|t| t.base == name) {
+                    t.elastic.request(PendingResize::Target(target));
                 }
-            }
-        }
-    }
-
-    fn sched_of(&self, id: TenantId) -> TenantSched {
-        let t = &self.tenants[&id];
-        TenantSched {
-            tenant: id,
-            class: t.profile.class,
-            deadline: t.profile.deadline,
-            enqueued_at: t.enqueued_at,
-            ready_seq: t.ready_seq,
-        }
-    }
-
-    /// Preemptive defragmentation: when no resize is in flight anywhere,
-    /// nominate the *smallest* shard that has a strictly better (lower
-    /// node-id) placement for relocation through the resize machinery.
-    /// One nomination at a time; convergence is guaranteed because every
-    /// committed relocation strictly lowers the nominee's node-id sum
-    /// and a packed shard yields no plan.
-    fn maybe_defrag(&mut self) {
-        if self.tenants.values().any(|t| !t.pending_resize.is_empty()) {
-            return;
-        }
-        let mut order: Vec<(usize, TenantId)> = self
-            .tenants
-            .keys()
-            .filter_map(|&id| self.pool.nodes_of(id).map(|s| (s.len(), id)))
-            .collect();
-        order.sort_unstable();
-        for (_, id) in order {
-            if self.pool.plan_relocate(id).is_some() {
-                self.tenants
-                    .get_mut(&id)
-                    .expect("nominee is active")
-                    .pending_resize
-                    .push_back(PendingResize::Relocate);
-                return;
-            }
-        }
-    }
-
-    fn apply_timed(&mut self, tf: &TimedFault) {
-        match &tf.kind {
-            TimedKind::Kill(node) => {
-                self.cluster.kill_node(*node);
-                // a dead job is relaunched by its owner's next slice; a
-                // dead *free* node must never be handed to a tenant
-                self.cluster.reset_abort();
-                self.pool.purge_free(|n| self.cluster.node_usable(n));
-            }
-            TimedKind::Corrupt(plan) => {
-                self.cluster.corrupt_now(plan);
             }
         }
     }
@@ -633,169 +308,10 @@ impl CheckpointService {
         // inherited at registration, or a kill inside a resize
         // window). Arbitrate + repair before anything else.
         self.heal_shard(tenant)?;
-        if tenant.clean_boundary {
-            if let Some(req) = tenant.pending_resize.front().cloned() {
-                match self.attempt_resize(tenant, req)? {
-                    ResizeAttempt::Committed | ResizeAttempt::Refused => {
-                        tenant.pending_resize.pop_front();
-                    }
-                    ResizeAttempt::Retry => {}
-                    // the shard (or staged nodes) took a hit inside the
-                    // window: yield so the next pick re-heals before the
-                    // replay
-                    ResizeAttempt::Faulted => return Ok(None),
-                }
-            }
+        if !self.resize_at_boundary(tenant)? {
+            return Ok(None);
         }
         self.launch_slice(tenant)
-    }
-
-    /// One resize attempt at a clean boundary. Refusals are total and
-    /// consume nothing: planning is pure, and the pool commit happens
-    /// only after the new layout's image is installed (or the resize is
-    /// cold). See `crate::resize` for the commit-point map.
-    fn attempt_resize(
-        &mut self,
-        tenant: &mut Tenant,
-        req: PendingResize,
-    ) -> Result<ResizeAttempt, Refusal> {
-        let now = self.cluster.now();
-        let cur = tenant.rl.len();
-        let m = tenant.cfg.codec.parity_count();
-        let (plan, target, kind) = match req {
-            PendingResize::Relocate => (self.pool.plan_relocate(tenant.id), cur, "relocate"),
-            PendingResize::Target(t) if t == cur => (None, cur, "noop"),
-            PendingResize::Target(t) => {
-                let kind = if t > cur { "grow" } else { "shrink" };
-                let planned = match resize_group_size(cur, tenant.cfg.group_size, t, m) {
-                    None => Err(ResizeError::ShrinkBelowMinGroup {
-                        requested: t,
-                        min: (m + 1).max(2),
-                    }),
-                    Some(_) => self
-                        .pool
-                        .plan_resize(tenant.id, t, Self::mem_demand(&tenant.cfg, t))
-                        .map_err(|e| match e {
-                            ReshapeError::WouldStarve {
-                                requested, free, ..
-                            } => ResizeError::GrowWouldStarve { requested, free },
-                            ReshapeError::NeverFits { demanded, total } => {
-                                ResizeError::NeverFits { demanded, total }
-                            }
-                            ReshapeError::Oversubscribed { demanded, capacity } => {
-                                ResizeError::Oversubscribed { demanded, capacity }
-                            }
-                            // an active tenant is always known to the pool
-                            _ => unreachable!("unexpected reshape refusal: {e}"),
-                        }),
-                };
-                match planned {
-                    Ok(p) => (Some(p), t, kind),
-                    Err(err) => {
-                        let audit = ResizeAudit::refused(now, cur, kind, err);
-                        tenant.resizes.push(audit);
-                        return Ok(ResizeAttempt::Refused);
-                    }
-                }
-            }
-        };
-        let Some(plan) = plan else {
-            // already at the target, or already packed (or the free pool
-            // moved on): no-op
-            let audit = ResizeAudit::new(now, cur, cur, "noop", "committed");
-            tenant.resizes.push(audit);
-            return Ok(ResizeAttempt::Committed);
-        };
-        let new_g = resize_group_size(cur, tenant.cfg.group_size, target, m)
-            .expect("legal group size checked above (relocations keep the rank count)");
-        let (columns, panel) =
-            match harvest(&self.cluster, &tenant.cfg.name, &tenant.cfg, &tenant.rl) {
-                // a node died and was replaced since the park: the next
-                // slice's group recovery rebuilds the missing workspaces;
-                // resize at the boundary after that
-                Harvest::Incomplete => return Ok(ResizeAttempt::Retry),
-                Harvest::Torn => {
-                    let audit = ResizeAudit::refused(now, cur, kind, ResizeError::TornBoundary);
-                    tenant.resizes.push(audit);
-                    return Ok(ResizeAttempt::Refused);
-                }
-                Harvest::AllMissing => {
-                    // the tenant never ran: pure node accounting, no image
-                    let mem = Self::mem_demand(&tenant.cfg, target);
-                    let usable = |n| self.cluster.node_usable(n);
-                    let audit = self.pool.commit_resize(tenant.id, &plan, mem, usable);
-                    self.admit_drained(audit.drained);
-                    tenant.rl = Ranklist::explicit(plan.new_nodes());
-                    tenant.cfg.group_size = new_g;
-                    let audit = ResizeAudit::new(now, cur, target, kind, "cold");
-                    tenant.resizes.push(audit);
-                    return Ok(ResizeAttempt::Committed);
-                }
-                Harvest::Complete { columns, panel } => (columns, panel),
-            };
-        let epoch = tenant.resize_epoch + 1;
-        let mut new_cfg = tenant.cfg.clone();
-        new_cfg.name = epoch_name(&tenant.base, epoch);
-        new_cfg.group_size = new_g;
-        let new_rl = Ranklist::explicit(plan.new_nodes());
-        let mut ctx = ResizeCtx {
-            cluster: Arc::clone(&self.cluster),
-            new_cfg: new_cfg.clone(),
-            new_rl: new_rl.clone(),
-        };
-        let known_dead = self.cluster.dead_nodes();
-        self.cluster.reset_abort();
-        let committed =
-            ops::prepare_replay(ResizeOp { columns, panel }, &ctx).and_then(|p| p.commit(&mut ctx));
-        let rec = match committed {
-            Ok(tok) => tok.into_record(),
-            Err(fault) => {
-                // a fault landed inside the resize window. The old layout
-                // is untouched (the pool commit never ran); charge the
-                // failure budget and keep the request — the next
-                // attempt's sequenced replay detects the partial install
-                // and redoes it.
-                let newly_dead = self.newly_dead(&known_dead);
-                self.cluster.reset_abort();
-                self.pool.purge_free(|n| self.cluster.node_usable(n));
-                let charged = self.charge_failure(tenant, fault, newly_dead, Repair::Purged);
-                if charged.is_err() {
-                    // giving up: no replay will wipe the partial install,
-                    // and the staged nodes are back in the free pool
-                    remove_prefix(&self.cluster, &new_rl, &format!("{}/", new_cfg.name));
-                }
-                return charged.map(|()| ResizeAttempt::Faulted);
-            }
-        };
-        let mem = Self::mem_demand(&new_cfg, target);
-        let usable = |n| self.cluster.node_usable(n);
-        let pool_audit = self.pool.commit_resize(tenant.id, &plan, mem, usable);
-        // wipe the vacated (still-usable) nodes, and drop the old epoch's
-        // segments from the nodes we keep
-        let mut wiped = pool_audit.freed;
-        for &n in &wiped {
-            self.cluster.shm(n).wipe();
-        }
-        wiped.sort_unstable();
-        remove_prefix(&self.cluster, &new_rl, &format!("{}/", tenant.cfg.name));
-        self.admit_drained(pool_audit.drained);
-        tenant.wiped.extend(wiped.iter().copied());
-        let audit = ResizeAudit::installed(now, cur, target, kind, &rec, wiped);
-        tenant.resizes.push(audit);
-        tenant.cfg = new_cfg;
-        tenant.rl = new_rl;
-        tenant.resize_epoch = epoch;
-        Ok(ResizeAttempt::Committed)
-    }
-
-    fn admit_drained(&mut self, drained: Vec<(TenantId, Vec<NodeId>)>) {
-        for (id, nodes) in drained {
-            let (cfg, queued_at, profile) = self
-                .waiting
-                .remove(&id)
-                .expect("queued tenant must have a pending config");
-            self.activate(id, cfg, Ranklist::explicit(nodes), queued_at, profile);
-        }
     }
 
     /// Replace every unusable (dead *or* fenced) node in the tenant's
@@ -812,7 +328,7 @@ impl CheckpointService {
         if dead == 0 {
             return Ok(());
         }
-        match self.pool.draw_spares(tenant.id, dead) {
+        match self.pool.draw_spares(tenant.sched.tenant, dead) {
             Ok(_) => {}
             Err(e @ ArbitrationError::WouldStarve { .. }) => {
                 return Err(Refusal::SpareContention(e));
@@ -829,7 +345,8 @@ impl CheckpointService {
             // die too; the ledger learns it here)
             Err(_) => return Err(Refusal::OutOfSpares),
         }
-        self.pool.reassign(tenant.id, node_set(&tenant.rl));
+        self.pool
+            .reassign(tenant.sched.tenant, node_set(&tenant.rl));
         Ok(())
     }
 
@@ -858,7 +375,7 @@ impl CheckpointService {
         match result {
             Ok(mut outs) => {
                 tenant.slices += 1;
-                tenant.clean_boundary = true;
+                tenant.elastic.parked(true);
                 let run = outs.swap_remove(0);
                 let (recover_s, ckpt_s, checkpoints) = match &run {
                     SktRun::Done(out) => (
@@ -884,9 +401,7 @@ impl CheckpointService {
                 })
             }
             Err(fault) => {
-                // the park is gone: workspaces may hold mid-panel state,
-                // so no resize until the next clean boundary
-                tenant.clean_boundary = false;
+                tenant.elastic.parked(false);
                 let newly_dead = self.newly_dead(&known_dead);
                 let repair = match fault {
                     _ if !newly_dead.is_empty() => Repair::Replace {
@@ -906,7 +421,7 @@ impl CheckpointService {
     }
 
     /// Nodes that died since `known_dead` was sampled.
-    fn newly_dead(&self, known_dead: &[NodeId]) -> Vec<NodeId> {
+    pub(crate) fn newly_dead(&self, known_dead: &[NodeId]) -> Vec<NodeId> {
         let mut dead = self.cluster.dead_nodes();
         dead.retain(|n| !known_dead.contains(n));
         dead
@@ -923,7 +438,7 @@ impl CheckpointService {
     /// gave up. A suspicion spends a budget unit like any failure: a
     /// flapping straggler cannot livelock the service on free
     /// exonerations.
-    fn charge_failure(
+    pub(crate) fn charge_failure(
         &mut self,
         tenant: &mut Tenant,
         fault: Fault,
@@ -1016,9 +531,10 @@ impl CheckpointService {
     /// old-epoch leftovers are audited exactly like live ones.
     fn finish(&mut self, tenant: Tenant, outcome: TenantOutcome) {
         let now = self.cluster.now();
+        let id = tenant.sched.tenant;
         let prefix_slash = format!("{}/", tenant.base);
         let prefix_epoch = format!("{}@", tenant.base);
-        let shard: Vec<NodeId> = match self.pool.nodes_of(tenant.id) {
+        let shard: Vec<NodeId> = match self.pool.nodes_of(id) {
             Some(nodes) => nodes.to_vec(),
             None => node_set(&tenant.rl),
         };
@@ -1037,10 +553,11 @@ impl CheckpointService {
                 shm.bytes_with_prefix(&prefix_slash) + shm.bytes_with_prefix(&prefix_epoch) > 0
             })
             .partition(|&n| self.cluster.node_fenced(n));
-        let release = self
-            .pool
-            .release(tenant.id, |n| self.cluster.node_usable(n));
-        let mut wiped = tenant.wiped;
+        let release = self.pool.release(id, |n| self.cluster.node_usable(n));
+        let resizes = tenant.elastic.into_audits();
+        // wiped on the tenant's behalf: what its resizes vacated, then
+        // (unless the cluster is the caller's) the released shard
+        let mut wiped: Vec<NodeId> = resizes.iter().flat_map(|r| &r.wiped).copied().collect();
         if !self.adopted {
             for &n in &release.freed {
                 self.cluster.shm(n).wipe();
@@ -1050,19 +567,18 @@ impl CheckpointService {
         self.admit_drained(release.drained);
         wiped.sort_unstable();
         wiped.dedup();
-        let queued_for = tenant.admitted_at - tenant.queued_at;
         self.reports.push(TenantReport {
             launches: tenant.launches,
             slices: tenant.slices,
             failures: tenant.history.attempts.len(),
             cycles: tenant.cycles,
             history: tenant.history,
-            resizes: tenant.resizes,
+            resizes,
             wiped,
             foreign_on_shard: foreign,
             leaked_elsewhere: leaked,
             fenced_stale,
-            ..TenantReport::new(tenant.id, tenant.base, outcome, queued_for, now)
+            ..TenantReport::new(id, tenant.base, outcome, tenant.queued_for, now)
         });
     }
 }
@@ -1072,7 +588,7 @@ impl CheckpointService {
 /// charge and the *backoff* charge. The two launch entries also record
 /// a Figure 10 cycle, and differ in when its `Restart` bar is read (see
 /// [`CyclePhase::Restart`]).
-enum Repair<'a> {
+pub(crate) enum Repair<'a> {
     /// Nodes died under the launch: replace them from the spare ledger.
     /// `Restart` is the launch's stopwatch read *after* the repair.
     Replace { launched: &'a Stopwatch },
@@ -1096,25 +612,27 @@ enum Repair<'a> {
 }
 
 /// The distinct nodes a ranklist places ranks on, ascending.
-fn node_set(rl: &Ranklist) -> Vec<NodeId> {
+pub(crate) fn node_set(rl: &Ranklist) -> Vec<NodeId> {
     let nodes: BTreeSet<NodeId> = (0..rl.len()).map(|r| rl.node_of(r)).collect();
     nodes.into_iter().collect()
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use skt_cluster::ClusterConfig;
+    use skt_cluster::{ClusterConfig, FailurePlan, FaultPlan, GrayPlan};
     use skt_encoding::CodecSpec;
-    use skt_hpl::{HplConfig, RESIZE_PROBE};
+    use skt_hpl::{HplConfig, ITER_PROBE, RESIZE_PROBE};
 
-    fn tenant_cfg(name: &str, n: usize) -> SktConfig {
+    // ---- fixtures, shared with the admission / resize / storm tests ----
+
+    pub(crate) fn tenant_cfg(name: &str, n: usize) -> SktConfig {
         let mut cfg = SktConfig::new(HplConfig::new(n, 4, 11), 2, 2);
         cfg.name = name.to_string();
         cfg
     }
 
-    fn service(
+    pub(crate) fn service(
         nodes: usize,
         spares: usize,
         slice_panels: usize,
@@ -1126,6 +644,27 @@ mod tests {
         cfg.schedule = schedule;
         CheckpointService::new(cluster, cfg)
     }
+
+    /// A 6-rank Rs{2} tenant sized so resizes stay legal down to 4
+    /// ranks (group min = m + 1 = 3).
+    pub(crate) fn elastic_cfg(name: &str) -> SktConfig {
+        let mut cfg = tenant_cfg(name, 48); // 12 panels at nb=4
+        cfg.codec = CodecSpec::Rs { m: 2 };
+        cfg.group_size = 6;
+        cfg
+    }
+
+    pub(crate) fn residual_bits(rep: &ServiceReport, name: &str) -> u64 {
+        match &rep.tenant(name).unwrap().outcome {
+            TenantOutcome::Completed(out) => {
+                assert!(out.hpl.passed, "{name}: residual check failed");
+                out.hpl.residual.to_bits()
+            }
+            other => panic!("{name}: expected completion, got {other:?}"),
+        }
+    }
+
+    // ---- dispatch, isolation, spare arbitration ----
 
     #[test]
     fn two_tenants_complete_batched() {
@@ -1196,22 +735,6 @@ mod tests {
             high.finished_at < low.finished_at,
             "class 5 preempts class 0 even though it registered second"
         );
-    }
-
-    #[test]
-    fn queued_tenant_runs_after_capacity_frees() {
-        let mut svc = service(2, 0, 0, PolicySpec::Batched);
-        svc.register(tenant_cfg("first", 32), 2, 0).unwrap();
-        let adm = svc.register(tenant_cfg("second", 32), 2, 0).unwrap();
-        assert!(matches!(adm, Admission::Queued { .. }));
-        let rep = svc.run(&StormPlan::none());
-        let second = rep.tenant("second").unwrap();
-        assert!(matches!(second.outcome, TenantOutcome::Completed(_)));
-        assert!(
-            second.queued_for > Duration::ZERO,
-            "waited for the first tenant's shard"
-        );
-        assert!(second.foreign_on_shard.is_empty(), "released shard wiped");
     }
 
     #[test]
@@ -1302,214 +825,7 @@ mod tests {
         assert!(b.foreign_on_shard.is_empty());
     }
 
-    #[test]
-    fn timed_kill_between_slices_is_healed_at_slice_top() {
-        let mut svc = service(4, 1, 3, PolicySpec::RoundRobin);
-        svc.register(tenant_cfg("a", 48), 2, 1).unwrap();
-        svc.register(tenant_cfg("b", 48), 2, 0).unwrap();
-        // kill one of a's nodes 1 ms in: lands between slices, so a's
-        // next slice-top health check repairs it with no failure cycle
-        let storm = StormPlan::none().kill_at(Duration::from_millis(1), 0);
-        let rep = svc.run(&storm);
-        let a = rep.tenant("a").unwrap();
-        match &a.outcome {
-            TenantOutcome::Completed(out) => assert!(out.hpl.passed),
-            other => panic!("a should heal, got {other:?}"),
-        }
-        assert!(
-            !a.history.ops.is_empty(),
-            "the repair's sequenced spare-draw is on the audit trail"
-        );
-        let b = rep.tenant("b").unwrap();
-        assert!(matches!(b.outcome, TenantOutcome::Completed(_)));
-    }
-
-    // ---- elasticity ----
-
-    /// A 6-rank Rs{2} tenant sized so resizes stay legal down to 4
-    /// ranks (group min = m + 1 = 3).
-    fn elastic_cfg(name: &str) -> SktConfig {
-        let mut cfg = tenant_cfg(name, 48); // 12 panels at nb=4
-        cfg.codec = CodecSpec::Rs { m: 2 };
-        cfg.group_size = 6;
-        cfg
-    }
-
-    fn residual_bits(rep: &ServiceReport, name: &str) -> u64 {
-        match &rep.tenant(name).unwrap().outcome {
-            TenantOutcome::Completed(out) => {
-                assert!(out.hpl.passed, "{name}: residual check failed");
-                out.hpl.residual.to_bits()
-            }
-            other => panic!("{name}: expected completion, got {other:?}"),
-        }
-    }
-
-    /// The acceptance scenario: shrink 6→4 at the first boundary, grow
-    /// back 4→6 at the next, with an armed kill landing on a staged
-    /// node *inside* the grow's install window. The sequenced ResizeOp
-    /// replays idempotently, and the final residual is bit-exact with
-    /// the unresized fault-free control — across 8 scheduler seeds.
-    #[test]
-    fn shrink_then_grow_with_kill_in_resize_window_matches_control() {
-        let control = {
-            let mut svc = service(6, 0, 0, PolicySpec::Batched);
-            svc.register(elastic_cfg("elastic"), 6, 0).unwrap();
-            let rep = svc.run(&StormPlan::none());
-            residual_bits(&rep, "elastic")
-        };
-        for seed in 0..8u64 {
-            let cluster = Arc::new(Cluster::new_with_runtime(
-                ClusterConfig::new(9, 0),
-                skt_cluster::SimRuntime::new(seed),
-            ));
-            let mut cfg = ServiceConfig::new(RetryPolicy::new(3, Duration::from_secs(5)));
-            cfg.slice_panels = 3;
-            cfg.schedule = PolicySpec::RoundRobin;
-            let mut svc = CheckpointService::new(cluster, cfg);
-            svc.register(elastic_cfg("elastic"), 6, 0).unwrap();
-            svc.schedule_resize("elastic", Duration::from_micros(1), 4);
-            svc.schedule_resize("elastic", Duration::from_micros(2), 6);
-            // the grow stages nodes {4,5}; node 4's first resize-window
-            // probe pass is the grow install → the kill lands inside it
-            let storm = StormPlan::none().kill_at_probe(RESIZE_PROBE, 4, 1);
-            let rep = svc.run(&storm);
-            let got = residual_bits(&rep, "elastic");
-            assert_eq!(
-                got, control,
-                "seed {seed}: resized run must be bit-exact with the control"
-            );
-            let t = rep.tenant("elastic").unwrap();
-            assert_eq!(t.failures, 1, "seed {seed}: the kill charged one failure");
-            let kinds: Vec<(&str, &str, usize, usize)> = t
-                .resizes
-                .iter()
-                .map(|r| (r.kind, r.outcome, r.from, r.to))
-                .collect();
-            assert_eq!(
-                kinds,
-                vec![("shrink", "committed", 6, 4), ("grow", "committed", 4, 6)],
-                "seed {seed}"
-            );
-            assert_eq!(
-                t.resizes[0].wiped,
-                vec![4, 5],
-                "seed {seed}: the shrink's vacated nodes are wiped, not leaked"
-            );
-            assert!(
-                t.wiped.contains(&5),
-                "seed {seed}: wipe audit reaches the report"
-            );
-            assert!(
-                t.leaked_elsewhere.is_empty(),
-                "seed {seed}: {:?}",
-                t.leaked_elsewhere
-            );
-            assert!(t.foreign_on_shard.is_empty(), "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn shrink_below_min_group_is_refused_typed_and_consumes_nothing() {
-        let mut svc = service(4, 0, 3, PolicySpec::RoundRobin);
-        svc.register(elastic_cfg("job"), 6, 0).unwrap_err(); // 6 > 4 nodes: NeverFits at admission
-        let mut svc = service(8, 0, 3, PolicySpec::RoundRobin);
-        svc.register(elastic_cfg("job"), 6, 0).unwrap();
-        // Rs{2} needs groups of ≥ 3: shrinking to 2 ranks is refused
-        svc.schedule_resize("job", Duration::from_micros(1), 2);
-        let rep = svc.run(&StormPlan::none());
-        let t = rep.tenant("job").unwrap();
-        assert!(matches!(t.outcome, TenantOutcome::Completed(_)));
-        assert_eq!(t.resizes.len(), 1);
-        let r = &t.resizes[0];
-        assert_eq!((r.kind, r.outcome), ("shrink", "refused"));
-        assert_eq!(
-            r.refusal,
-            Some(ResizeError::ShrinkBelowMinGroup {
-                requested: 2,
-                min: 3
-            })
-        );
-        assert_eq!((r.from, r.to), (6, 6), "a refusal changes nothing");
-        assert_eq!(t.failures, 0, "refusals are free: no budget charged");
-    }
-
-    #[test]
-    fn grow_beyond_free_pool_is_refused_typed() {
-        let mut svc = service(4, 0, 3, PolicySpec::RoundRobin);
-        svc.register(tenant_cfg("a", 32), 2, 0).unwrap();
-        svc.register(tenant_cfg("b", 32), 2, 0).unwrap();
-        // the pool is fully sharded: a's grow to 4 would starve
-        svc.schedule_resize("a", Duration::from_micros(1), 4);
-        let rep = svc.run(&StormPlan::none());
-        let a = rep.tenant("a").unwrap();
-        assert!(matches!(a.outcome, TenantOutcome::Completed(_)));
-        let r = &a.resizes[0];
-        assert_eq!((r.kind, r.outcome), ("grow", "refused"));
-        assert_eq!(
-            r.refusal,
-            Some(ResizeError::GrowWouldStarve {
-                requested: 2,
-                free: 0
-            })
-        );
-        let b = rep.tenant("b").unwrap();
-        assert!(matches!(b.outcome, TenantOutcome::Completed(_)));
-        assert_eq!(b.failures, 0, "the refused grow never touched b's shard");
-    }
-
-    #[test]
-    fn resize_before_first_slice_is_cold_accounting() {
-        let mut svc = service(4, 0, 3, PolicySpec::RoundRobin);
-        svc.register(tenant_cfg("cold", 32), 2, 0).unwrap();
-        // delivered before the tenant ever runs: no image exists, so the
-        // resize is pure node accounting ("cold") and the job simply
-        // starts at 3 ranks
-        svc.schedule_resize("cold", Duration::ZERO, 3);
-        let rep = svc.run(&StormPlan::none());
-        let t = rep.tenant("cold").unwrap();
-        assert!(matches!(t.outcome, TenantOutcome::Completed(_)));
-        let r = &t.resizes[0];
-        assert_eq!((r.kind, r.outcome, r.from, r.to), ("grow", "cold", 2, 3));
-        assert!(r.op.is_none(), "no image, no sequenced install");
-    }
-
-    #[test]
-    fn defrag_relocates_the_smallest_parked_shard_toward_low_ids() {
-        let cluster = Arc::new(Cluster::new(ClusterConfig::new(6, 0)));
-        let mut cfg = ServiceConfig::new(RetryPolicy::new(3, Duration::from_secs(5)));
-        cfg.slice_panels = 3;
-        cfg.schedule = PolicySpec::RoundRobin;
-        cfg.defrag = true;
-        let mut svc = CheckpointService::new(cluster, cfg);
-        svc.register(tenant_cfg("early", 32), 2, 0).unwrap(); // nodes {0,1}, 8 panels → finishes first
-        svc.register(tenant_cfg("late", 48), 2, 0).unwrap(); // nodes {2,3}, 12 panels
-        let rep = svc.run(&StormPlan::none());
-        let late = rep.tenant("late").unwrap();
-        match &late.outcome {
-            TenantOutcome::Completed(out) => assert!(out.hpl.passed),
-            other => panic!("late should complete after relocating, got {other:?}"),
-        }
-        let reloc: Vec<&ResizeAudit> = late
-            .resizes
-            .iter()
-            .filter(|r| r.kind == "relocate")
-            .collect();
-        assert_eq!(reloc.len(), 1, "one defrag move: {:?}", late.resizes);
-        assert_eq!(reloc[0].outcome, "committed", "a parked image migrates");
-        assert_eq!(
-            reloc[0].wiped,
-            vec![2, 3],
-            "the vacated mid-pool nodes are wiped for the free list"
-        );
-        assert!(
-            late.leaked_elsewhere.is_empty(),
-            "{:?}",
-            late.leaked_elsewhere
-        );
-    }
-
-    // ---- the failure ladder's three entries, and the memory knob ----
+    // ---- the failure ladder's three entries ----
 
     /// Every way a failed attempt is charged — a crash under a launch,
     /// a suspicion verdict, a kill inside a resize window — runs out of
@@ -1584,53 +900,5 @@ mod tests {
                 assert!(t.leaked_elsewhere.is_empty(), "{tag}");
             }
         }
-    }
-
-    /// `node_mem_bytes` is finite: a registration over it is refused at
-    /// admission, and a resize whose per-node demand exceeds it is an
-    /// audited typed refusal that leaves the tenant running unresized.
-    /// (Per-node demand only falls as ranks are added, so the resize
-    /// that can oversubscribe a node is a shrink.)
-    #[test]
-    fn finite_node_memory_refuses_admission_and_resize_typed() {
-        let job = tenant_cfg("job", 32);
-        let fits = CheckpointService::mem_demand(&job, 4);
-        let too_big = CheckpointService::mem_demand(&job, 2);
-        assert!(fits < too_big, "fewer ranks, more bytes per node");
-        let cluster = Arc::new(Cluster::new(ClusterConfig::new(4, 0)));
-        let mut cfg = ServiceConfig::new(RetryPolicy::new(3, Duration::from_secs(5)));
-        cfg.slice_panels = 3;
-        cfg.schedule = PolicySpec::RoundRobin;
-        cfg.node_mem_bytes = fits;
-        let mut svc = CheckpointService::new(cluster, cfg);
-        match svc.register(tenant_cfg("fat", 32), 2, 0) {
-            Err(AdmitError::MemoryOversubscribed { demanded, capacity }) => {
-                assert_eq!((demanded, capacity), (too_big, fits));
-            }
-            other => panic!("expected MemoryOversubscribed, got {other:?}"),
-        }
-        svc.register(job, 4, 0).unwrap();
-        svc.schedule_resize("job", Duration::from_micros(1), 2);
-        let rep = svc.run(&StormPlan::none());
-        assert!(
-            rep.tenant("fat").is_none(),
-            "a refused registration never ran"
-        );
-        let t = rep.tenant("job").unwrap();
-        assert!(matches!(t.outcome, TenantOutcome::Completed(_)));
-        assert_eq!(t.resizes.len(), 1);
-        let r = &t.resizes[0];
-        assert_eq!(
-            r.line(),
-            "resize shrink 4->4 refused refusal=oversubscribed wiped=[]"
-        );
-        assert_eq!(
-            r.refusal,
-            Some(ResizeError::Oversubscribed {
-                demanded: too_big,
-                capacity: fits
-            })
-        );
-        assert_eq!(t.failures, 0, "refusals are free: no budget charged");
     }
 }

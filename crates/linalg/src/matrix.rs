@@ -85,12 +85,6 @@ impl Matrix {
         &self.data[j * self.rows..(j + 1) * self.rows]
     }
 
-    /// Column `j` as a mutable slice.
-    pub fn col_mut(&mut self, j: usize) -> &mut [f64] {
-        assert!(j < self.cols);
-        &mut self.data[j * self.rows..(j + 1) * self.rows]
-    }
-
     /// Matrix-vector product `A * x`.
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
         assert_eq!(x.len(), self.cols, "matvec: dimension mismatch");

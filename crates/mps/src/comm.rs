@@ -88,11 +88,6 @@ impl<'c> Comm<'c> {
         self.ranks.len()
     }
 
-    /// World rank of communicator rank `r`.
-    pub fn world_rank_of(&self, r: usize) -> usize {
-        self.ranks[r]
-    }
-
     /// World ranks of all members, in comm-rank order.
     pub fn ranks(&self) -> &[usize] {
         &self.ranks
@@ -145,16 +140,6 @@ impl<'c> Comm<'c> {
         self.ctx
             .recv_match(|e| e.comm == id && e.src == src && e.tag == tag)
             .map(|e| e.payload)
-    }
-
-    /// Blocking receive of any message with user `tag`; returns
-    /// `(src_comm_rank, payload)`.
-    pub fn recv_any(&self, tag: u64) -> Result<(usize, Payload), Fault> {
-        assert!(tag < USER_TAG_LIMIT, "user tag {tag} out of range");
-        let id = self.id;
-        self.ctx
-            .recv_match(|e| e.comm == id && e.tag == tag)
-            .map(|e| (e.src, e.payload))
     }
 
     /// Allocate `k` consecutive internal collective tags.

@@ -73,14 +73,6 @@ impl Payload {
         }
     }
 
-    /// Unwrap as `Vec<u8>`; panics on type mismatch.
-    pub fn into_bytes(self) -> Vec<u8> {
-        match self {
-            Payload::Bytes(v) => v,
-            other => panic!("expected Bytes payload, got {:?}", other.kind()),
-        }
-    }
-
     /// Short kind name for diagnostics.
     pub fn kind(&self) -> &'static str {
         match self {
