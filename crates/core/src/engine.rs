@@ -1,41 +1,41 @@
 //! Communication kernels shared by every checkpoint protocol: stripe
-//! parity encoding (the paper's `MPI_Reduce`-based checksum calculation,
-//! §2.2) and lost-rank reconstruction, generalized over any
-//! [`ErasureCodec`].
+//! parity encoding (the paper's checksum calculation, §2.2) and
+//! lost-rank reconstruction, generalized over any [`ErasureCodec`].
 //!
-//! Encoding runs `m` group-reduces per slot — one per parity role — with
-//! roots rotating across the group (the stripe-based scheme of Figure 1
-//! that avoids a single-node encoding bottleneck). Reconstruction of up
-//! to `m` lost ranks runs in two phases: per-slot syndrome allreduces
-//! plus a local codec solve rebuild the lost *data*, then one reduce per
-//! lost parity role re-encodes the lost ranks' *parity* from the freshly
-//! rebuilt data.
+//! The stripe encoding of Figure 1 *is* a reduce-scatter — every rank
+//! owns one parity role of `m` slots and holds data in the other
+//! `n − m` — and runs as one: a single [`Comm::reduce_scatter`] ring
+//! per encode, every rank folding one data stripe per step into the
+//! slot's `m` in-flight accumulators. The first contributor of a slot
+//! produces them from one cache-blocked read of its stripe
+//! ([`ErasureCodec::contribs`]); every later one multiply-accumulates
+//! its stripe straight into the buffers it was handed
+//! ([`ErasureCodec::accumulate`]), so no contribution is materialised
+//! after step 0. [`Payload::Empty`] is the identity throughout: an
+//! accumulator nobody folds into costs no bytes and no pass.
 //!
-//! A rank feeds a reduce only what it has: the contributions of its data
-//! stripe in that slot (all roles filled from one cache-blocked read of
-//! the stripe), its parity stripe when building a syndrome, and
-//! otherwise [`Payload::Empty`] — the reduce's identity, which costs no
-//! bytes and no pass.
+//! Reconstruction of up to `m` lost ranks is two such rings. Phase A
+//! folds the survivors' cancelling contributions into exactly as many
+//! syndromes per slot as the slot lost data stripes; each lands at the
+//! surviving owner of its parity role, which adds that parity stripe
+//! and sends the finished syndrome to the lost ranks holding data in
+//! the slot — nobody else sees it — where a local codec solve rebuilds
+//! the lost *data*. Phase B re-encodes the lost ranks' *parity* from
+//! the now complete group data, folding only into the accumulators
+//! that end at a lost rank.
 
 use skt_encoding::{kernels, ErasureCodec, GroupLayout, KernelConfig, Wire};
-use skt_mps::{Comm, Fault, Payload, ReduceOp};
+use skt_mps::{Comm, Fault, Payload};
 
 /// Rebuilt `(padded data, parity segment)` of a lost rank.
 pub type Rebuilt = (Vec<f64>, Vec<f64>);
 
-fn op_of(wire: Wire) -> ReduceOp {
-    match wire {
-        Wire::Bits => ReduceOp::Xor,
-        Wire::Floats => ReduceOp::Sum,
-    }
-}
-
-/// What rank `me` feeds into the reduces for parity roles `roles` of
-/// slot `s`, in `roles` order: the contributions of its data stripe in
-/// that slot (the cancelling ones when `cancel`), or the identity for
-/// every role when it holds no data stripe there because it owns one of
-/// the slot's parity roles.
-fn slot_inputs(
+/// Fold rank `me`'s data stripe of slot `s` into the in-flight
+/// accumulators of the parity roles `roles` (indices into `accs`): the
+/// cancelling contributions when `cancel`. An accumulator still at the
+/// identity receives the contribution itself; the others are updated in
+/// place, all from one read of the stripe.
+fn fold_stripe(
     layout: &GroupLayout,
     codec: &dyn ErasureCodec,
     me: usize,
@@ -43,23 +43,45 @@ fn slot_inputs(
     roles: &[usize],
     data: &[f64],
     cancel: bool,
-) -> Vec<Payload> {
-    let Some(pos) = layout.codeword_pos(me, s) else {
-        return roles.iter().map(|_| Payload::Empty).collect();
-    };
+    accs: &mut [Payload],
+) {
+    if roles.is_empty() {
+        return;
+    }
+    let pos = layout
+        .codeword_pos(me, s)
+        .expect("a ring step visits a slot this rank holds data in");
     let k = layout
         .stripe_of_slot(me, s)
         .expect("contributor has a stripe");
     let stripe = layout.stripe(data, k);
-    codec
-        .contribs(roles, pos, stripe, cancel, KernelConfig::global())
-        .into_iter()
-        .map(Payload::F64)
-        .collect()
+    let kcfg = KernelConfig::global();
+    let (live, mut bufs): (Vec<usize>, Vec<&mut [f64]>) = accs
+        .iter_mut()
+        .enumerate()
+        .filter(|(role, _)| roles.contains(role))
+        .filter_map(|(role, acc)| match acc {
+            Payload::Empty => None,
+            Payload::F64(v) => Some((role, v.as_mut_slice())),
+            other => panic!("expected F64 accumulator, got {}", other.kind()),
+        })
+        .unzip();
+    codec.accumulate(&live, pos, stripe, cancel, &mut bufs, kcfg);
+    let fresh: Vec<usize> = roles
+        .iter()
+        .copied()
+        .filter(|role| !live.contains(role))
+        .collect();
+    for (&role, c) in fresh
+        .iter()
+        .zip(codec.contribs(&fresh, pos, stripe, cancel, kcfg))
+    {
+        accs[role] = Payload::F64(c);
+    }
 }
 
 /// This rank's freshly encoded parity stripes, one per parity role in
-/// role order (each `layout.stripe_len()` long), exactly as the reduces
+/// role order (each `layout.stripe_len()` long), exactly as the ring
 /// delivered them: [`encode_parity`] without the assembly copy.
 pub(crate) fn encode_parity_stripes(
     comm: &Comm<'_>,
@@ -74,22 +96,16 @@ pub(crate) fn encode_parity_stripes(
     assert_eq!(m, layout.parity_count(), "codec/layout parity mismatch");
     assert_eq!(data.len(), layout.padded_len(), "data must be padded");
     let me = comm.rank();
-    let op = op_of(codec.wire());
+    let probe = || failpoint.map_or(Ok(()), |label| comm.ctx().failpoint(label));
     let roles: Vec<usize> = (0..m).collect();
-    let mut my_parity: Vec<Vec<f64>> = vec![Vec::new(); m];
-    for s in 0..n {
-        let inputs = slot_inputs(layout, codec, me, s, &roles, data, false);
-        for (role, input) in inputs.into_iter().enumerate() {
-            let root = layout.parity_owner(s, role);
-            if let Some(parity) = comm.reduce(op, root, input)? {
-                debug_assert_eq!(me, root);
-                debug_assert_eq!(layout.parity_role(me, s), Some(role));
-                my_parity[role] = parity.into_f64();
-            }
-        }
-        if let Some(label) = failpoint {
-            comm.ctx().failpoint(label)?;
-        }
+    let delivered = comm.reduce_scatter(m, |s, accs| {
+        fold_stripe(layout, codec, me, s, &roles, data, false, accs);
+        probe()
+    })?;
+    let mut my_parity = Vec::with_capacity(m);
+    for parity in delivered {
+        my_parity.push(parity.into_f64());
+        probe()?;
     }
     Ok(my_parity)
 }
@@ -97,10 +113,11 @@ pub(crate) fn encode_parity_stripes(
 /// Compute this rank's parity segment (the checksums of the `m` slots
 /// whose parity roles it owns) from the group's padded `data` buffers.
 ///
-/// Runs `m` stripe reduces per slot with rotating roots; every rank
-/// returns its `layout.parity_len()`-element segment, role `i` at
+/// One ring reduce-scatter over the group; every rank returns its
+/// `layout.parity_len()`-element segment, role `i` at
 /// `layout.parity_range(i)`. When `failpoint` is given, the probe fires
-/// once per slot between slot reduces, exposing the "failure while
+/// `n` times per rank — after each of its `n − m` ring folds and each of
+/// the `m` parity stripes delivered to it — exposing the "failure while
 /// calculating a new checksum" window (paper CASE 1).
 pub fn encode_parity(
     comm: &Comm<'_>,
@@ -110,6 +127,12 @@ pub fn encode_parity(
     failpoint: Option<&str>,
 ) -> Result<Vec<f64>, Fault> {
     Ok(encode_parity_stripes(comm, layout, codec, data, failpoint)?.concat())
+}
+
+/// User tag of the finished syndrome of `role` in slot `s` on its way
+/// from the role's owner to the slot's lost data holders.
+fn syndrome_tag(layout: &GroupLayout, s: usize, role: usize) -> u64 {
+    (s * layout.parity_count() + role) as u64
 }
 
 /// Rebuild the `lost` ranks' padded data buffers and parity segments
@@ -149,82 +172,104 @@ pub fn reconstruct_multi(
     );
     let me = comm.rank();
     let i_am_lost = lost.contains(&me);
-    let op = op_of(codec.wire());
     let kcfg = KernelConfig::global();
 
-    let mut rebuilt_data = i_am_lost.then(|| kernels::zeroed(layout.padded_len()));
-
-    // Phase A: per slot, allreduce one syndrome per surviving parity
-    // role, then solve locally for the erased data stripes. A syndrome
-    // is parity ⊕ cancel(surviving stripes) = the combination of the
-    // erased stripes' contributions alone. With ≤ m total losses, each
-    // slot always keeps at least as many roles as it lost data stripes.
-    for s in 0..n {
-        let erased: Vec<usize> = lost
-            .iter()
-            .filter_map(|&l| layout.codeword_pos(l, s))
-            .collect();
-        if erased.is_empty() {
-            continue;
-        }
-        // roles whose parity did not die with its owner
-        let roles: Vec<usize> = (0..m)
+    // Per slot: the lost ranks holding data there (ascending, so their
+    // codeword positions ascend too), and as many surviving parity
+    // roles as that — the lowest ones, one syndrome each. With ≤ m
+    // total losses a slot always keeps at least as many roles as it
+    // lost data stripes.
+    let lost_holders = |s: usize| -> Vec<usize> {
+        lost.iter()
+            .copied()
+            .filter(|&l| layout.contributes(l, s))
+            .collect()
+    };
+    let syndrome_roles = |s: usize| -> Vec<usize> {
+        (0..m)
             .filter(|&role| !lost.contains(&layout.parity_owner(s, role)))
-            .collect();
-        // A lost rank has nothing to add; a survivor adds its cancelling
-        // data contributions, or — owning one of the slot's parity
-        // roles — that role's parity stripe and nothing to the others.
-        let inputs = if i_am_lost {
-            roles.iter().map(|_| Payload::Empty).collect()
-        } else if let Some(mine) = layout.parity_role(me, s) {
-            let mut inputs: Vec<Payload> = roles.iter().map(|_| Payload::Empty).collect();
-            if let Some(i) = roles.iter().position(|&role| role == mine) {
-                inputs[i] = Payload::F64(my_parity[layout.parity_range(mine)].to_vec());
-            }
-            inputs
-        } else {
-            slot_inputs(layout, codec, me, s, &roles, data, true)
-        };
-        let mut syndromes: Vec<(usize, Vec<f64>)> = Vec::with_capacity(roles.len());
-        for (&role, input) in roles.iter().zip(inputs) {
-            syndromes.push((role, comm.allreduce(op, input)?.into_f64()));
+            .take(lost_holders(s).len())
+            .collect()
+    };
+
+    // Phase A. A syndrome is parity ⊕ cancel(surviving stripes) = the
+    // combination of the erased stripes' contributions alone. The ring
+    // collects the cancelling contributions (a lost rank passes the
+    // accumulators on untouched) and ends at each role's owner …
+    let syndromes = comm.reduce_scatter(m, |s, accs| {
+        if !i_am_lost {
+            fold_stripe(layout, codec, me, s, &syndrome_roles(s), data, true, accs);
         }
-        if let Some(mine) = rebuilt_data.as_mut() {
-            let solved = codec.solve(&erased, &syndromes, kcfg);
-            for (pos, stripe) in erased.iter().zip(&solved) {
-                // which lost rank sits at codeword position `pos`?
-                let l = lost
-                    .iter()
-                    .copied()
-                    .find(|&l| layout.codeword_pos(l, s) == Some(*pos))
-                    .expect("erased position maps back to a lost rank");
-                if l == me {
-                    let k = layout.stripe_of_slot(me, s).expect("lost contributor");
-                    mine[layout.stripe_range(k)].copy_from_slice(stripe);
-                }
+        Ok(())
+    })?;
+    let mut rebuilt_data = i_am_lost.then(|| kernels::zeroed(layout.padded_len()));
+    if let Some(mine) = rebuilt_data.as_mut() {
+        // … a lost rank takes the finished syndromes of every slot it
+        // held data in and solves for its own stripe …
+        for s in (0..n).filter(|&s| layout.contributes(me, s)) {
+            let erased: Vec<usize> = lost_holders(s)
+                .into_iter()
+                .map(|l| layout.codeword_pos(l, s).expect("holds data in the slot"))
+                .collect();
+            let mut finished = Vec::with_capacity(erased.len());
+            for role in syndrome_roles(s) {
+                let from = layout.parity_owner(s, role);
+                let syndrome = comm.recv(from, syndrome_tag(layout, s, role))?;
+                finished.push((role, syndrome.into_f64()));
             }
+            let my_pos = layout.codeword_pos(me, s).expect("holds data in the slot");
+            let at = erased
+                .iter()
+                .position(|&pos| pos == my_pos)
+                .expect("a lost data holder is among the erased positions");
+            let k = layout.stripe_of_slot(me, s).expect("lost contributor");
+            let solved = codec.solve(&erased, &finished, kcfg);
+            mine[layout.stripe_range(k)].copy_from_slice(&solved[at]);
+        }
+    } else {
+        // … which the role's owner completes with its parity stripe and
+        // sends to those ranks only.
+        for (role, mut acc) in syndromes.into_iter().enumerate() {
+            let s = layout.parity_slot(me, role);
+            if !syndrome_roles(s).contains(&role) {
+                continue;
+            }
+            let parity = &my_parity[layout.parity_range(role)];
+            match (&mut acc, codec.wire()) {
+                (Payload::Empty, _) => acc = Payload::F64(parity.to_vec()),
+                (Payload::F64(a), Wire::Bits) => kernels::xor_accumulate(a, parity, kcfg),
+                (Payload::F64(a), Wire::Floats) => kernels::sum_accumulate(a, parity, kcfg),
+                (other, _) => panic!("expected F64 accumulator, got {}", other.kind()),
+            }
+            let mut holders = lost_holders(s);
+            let last = holders
+                .pop()
+                .expect("a syndrome role implies a lost holder");
+            let tag = syndrome_tag(layout, s, role);
+            for l in holders {
+                comm.send(l, tag, acc.clone())?;
+            }
+            comm.send(last, tag, acc)?;
         }
     }
 
     // Phase B: re-encode each lost rank's parity roles from the (now
-    // complete) group data — one reduce per lost parity stripe, rooted
-    // at its owner. Lost contributors feed their freshly rebuilt data.
-    let mut rebuilt_parity = i_am_lost.then(|| kernels::zeroed(layout.parity_len()));
+    // complete) group data — the encode ring, folding only into the
+    // accumulators that end at a lost rank. Lost contributors feed
+    // their freshly rebuilt data.
     let my_data: &[f64] = rebuilt_data.as_deref().unwrap_or(data);
-    for &l in &lost {
-        for role in 0..m {
-            let s = layout.parity_slot(l, role);
-            let input = slot_inputs(layout, codec, me, s, &[role], my_data, false)
-                .pop()
-                .expect("one input per role");
-            if let Some(parity) = comm.reduce(op, l, input)? {
-                debug_assert_eq!(me, l);
-                rebuilt_parity.as_mut().unwrap()[layout.parity_range(role)]
-                    .copy_from_slice(&parity.into_f64());
-            }
-        }
-    }
-    Ok(rebuilt_data.map(|d| (d, rebuilt_parity.expect("lost rank rebuilt its parity"))))
+    let delivered = comm.reduce_scatter(m, |s, accs| {
+        let roles: Vec<usize> = (0..m)
+            .filter(|&role| lost.contains(&layout.parity_owner(s, role)))
+            .collect();
+        fold_stripe(layout, codec, me, s, &roles, my_data, false, accs);
+        Ok(())
+    })?;
+    Ok(rebuilt_data.map(|d| {
+        let parity: Vec<f64> = delivered.into_iter().flat_map(Payload::into_f64).collect();
+        debug_assert_eq!(parity.len(), layout.parity_len());
+        (d, parity)
+    }))
 }
 
 #[cfg(test)]
@@ -325,21 +370,76 @@ mod tests {
             encode_parity(&ctx.world(), &layout, codec, &data, None)
         })
         .unwrap();
-        // one reduce event per rank per (slot, role); of the n ranks the
-        // n - m data holders contribute a stripe, the m parity owners
-        // the identity
+        // one ring per encode: a single event per rank, and what a rank
+        // put on the wire is the m accumulators it passed on (or
+        // delivered) after each of its n - m folds — no identity-sized
+        // or contribution-sized extras
         let stripe_bytes = (layout.stripe_len() * 8) as u64;
-        let reduces = |bytes: u64| {
-            rec.count(
-                |e| matches!(e, Event::Collective { op: "reduce", bytes: b, .. } if *b == bytes),
-            )
-        };
-        assert_eq!(reduces(stripe_bytes), n * m * (n - m));
-        assert_eq!(reduces(0), n * m * m);
+        let sent = ((n - m) * m) as u64 * stripe_bytes;
         assert_eq!(
-            rec.count(|e| matches!(e, Event::Collective { .. })),
-            n * m * n
+            rec.count(|e| matches!(
+                e,
+                Event::Collective { op: "reduce_scatter", bytes, .. } if *bytes == sent
+            )),
+            n
         );
+        assert_eq!(rec.count(|e| matches!(e, Event::Collective { .. })), n);
+    }
+
+    #[test]
+    fn a_single_loss_under_two_parities_builds_one_syndrome_per_slot() {
+        use skt_cluster::{Cluster, ClusterConfig, Event, Ranklist, Recorder};
+        use std::sync::Arc;
+        let (n, m, lost) = (4, 2, 1);
+        let codec = CodecSpec::rs(m).resolve();
+        let layout = GroupLayout::new_with_parity(n, m, 16); // stripe 8
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(n, 0)));
+        let rec = Arc::new(Recorder::new());
+        let out = skt_mps::run_on_cluster(Arc::clone(&cluster), &Ranklist::round_robin(n, n), {
+            let rec = Arc::clone(&rec);
+            move |ctx| {
+                let w = ctx.world();
+                let me = ctx.world_rank();
+                let data = rank_data(me, layout.padded_len());
+                let parity = encode_parity(&w, &layout, codec, &data, None)?;
+                w.barrier()?;
+                if me == 0 {
+                    ctx.cluster().events().subscribe(Arc::clone(&rec) as _);
+                }
+                w.barrier()?;
+                let (d, p) = if me == lost {
+                    (
+                        vec![0.0; layout.padded_len()],
+                        vec![0.0; layout.parity_len()],
+                    )
+                } else {
+                    (data, parity)
+                };
+                reconstruct_multi(&w, &layout, codec, &[lost], &d, &p)
+            }
+        })
+        .unwrap();
+        let (d, _) = out[lost].as_ref().unwrap();
+        assert_eq!(d, &rank_data(lost, layout.padded_len()));
+        // Phase A: the lost rank held data in two slots, each with one
+        // surviving contributor folding into ONE syndrome; that buffer
+        // makes one hop where the survivor ends the slot's chain and two
+        // where the (pass-through) lost rank does — 3 stripes. Phase B:
+        // two lost parity stripes, two contributors each — 4 stripes.
+        let stripe_bytes = (layout.stripe_len() * 8) as u64;
+        let ring_bytes: u64 = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Collective {
+                    op: "reduce_scatter",
+                    bytes,
+                    ..
+                } => Some(*bytes),
+                _ => None,
+            })
+            .sum();
+        assert_eq!(ring_bytes, (3 + 4) * stripe_bytes);
     }
 
     #[test]

@@ -258,9 +258,10 @@ impl<'c> Checkpointer<'c> {
         self.seal(p)
     }
 
-    /// This group's parity of `seg`'s contents (stripe reduces per slot
-    /// and parity role), one stripe per role this rank owns. When `probe`
-    /// is set the failure probe fires between slot reduces.
+    /// This group's parity of `seg`'s contents (one ring reduce-scatter),
+    /// one stripe per role this rank owns. When `probe` is set the
+    /// failure probe fires after each ring fold and each delivered
+    /// stripe — `n` times per call.
     pub(super) fn encode_of(
         &self,
         seg: &ShmSegment,

@@ -8,17 +8,23 @@
 //! * the paper's numeric [`Code::Sum`] single parity, a different
 //!   algebra (float add, negate to cancel) with its own tiny codec.
 //!
-//! The protocol's encoding stays *distributed*: parities are built by
-//! reduce collectives, one per parity role per slot. A codec therefore
-//! only supplies local math —
+//! The protocol's encoding stays *distributed*: a slot's parities are
+//! reductions over its data holders, one per parity role, carried round
+//! the group by a ring reduce-scatter. A codec therefore only supplies
+//! local math —
 //!
-//! * [`ErasureCodec::contribs`]: what a rank feeds into the reduces of
-//!   a slot — its data stripe pre-scaled by each role's generator
-//!   coefficient (so the reduce itself stays a plain bitwise XOR), every
-//!   requested role produced from one cache-blocked read of the stripe;
-//!   or the contributions that *remove* a previously encoded stripe from
-//!   the parity accumulations — recovery builds per-role syndromes this
-//!   way. [`ErasureCodec::contrib`] is its one-role encode form;
+//! * [`ErasureCodec::contribs`]: what a slot's first contributor starts
+//!   the reductions with — its data stripe pre-scaled by each role's
+//!   generator coefficient (so the combine itself stays a plain bitwise
+//!   XOR), every requested role produced from one cache-blocked read of
+//!   the stripe; or the contributions that *remove* a previously encoded
+//!   stripe from the parity accumulations — recovery builds per-role
+//!   syndromes this way. [`ErasureCodec::contrib`] is its one-role
+//!   encode form;
+//! * [`ErasureCodec::accumulate`]: what every later contributor does —
+//!   the same contributions combined straight into the accumulators it
+//!   was handed, the scale fused into the combine, again from one read
+//!   of the stripe and with no contribution buffer in between;
 //! * [`ErasureCodec::solve`]: the local solve turning surviving-role
 //!   syndromes into the erased data stripes.
 //!
@@ -38,7 +44,12 @@ pub enum Wire {
     /// Exact and self-inverse.
     Bits,
     /// Combine numerically (`MPI_SUM` on `f64`). Recovery subtracts, so
-    /// rebuilt values can differ by floating-point rounding.
+    /// rebuilt values can differ by floating-point rounding. Addition
+    /// does not reassociate: a slot's parity is folded in ring order
+    /// from the slot's first contributor (rank `s + m`, then `s + m + 1`,
+    /// … for slot `s`), a syndrome in the same order over the survivors
+    /// with the parity stripe added last — unlike [`Wire::Bits`], whose
+    /// result is the same bytes in any order.
     Floats,
 }
 
@@ -75,6 +86,24 @@ pub trait ErasureCodec: Sync + Send {
         cancel: bool,
         cfg: KernelConfig,
     ) -> Vec<Vec<f64>>;
+
+    /// Fold the contributions of the data stripe at codeword position
+    /// `pos` into the in-flight accumulators of the parity roles
+    /// `roles`: `accs[i]` becomes `accs[i]` combined (the wire's XOR or
+    /// add) with what [`ErasureCodec::contribs`] would have returned for
+    /// `roles[i]`, bit for bit — but every accumulator is updated in
+    /// place from one cache-blocked read of `stripe`, and no
+    /// contribution buffer is materialised. This is what a rank runs on
+    /// the accumulators a ring reduce-scatter hands it.
+    fn accumulate(
+        &self,
+        roles: &[usize],
+        pos: usize,
+        stripe: &[f64],
+        cancel: bool,
+        accs: &mut [&mut [f64]],
+        cfg: KernelConfig,
+    );
 
     /// The contribution of the data stripe at codeword position `pos`
     /// to parity role `role` of its slot.
@@ -213,6 +242,27 @@ impl ErasureCodec for SumCodec {
                 }
             })
             .collect()
+    }
+
+    fn accumulate(
+        &self,
+        roles: &[usize],
+        _pos: usize,
+        stripe: &[f64],
+        cancel: bool,
+        accs: &mut [&mut [f64]],
+        cfg: KernelConfig,
+    ) {
+        assert_eq!(roles.len(), accs.len(), "one accumulator per role");
+        for (&role, acc) in roles.iter().zip(accs) {
+            assert_eq!(role, 0, "single parity has one role");
+            // `a - x` and `a + (-x)` round identically
+            if cancel {
+                kernels::sub_accumulate(acc, stripe, cfg);
+            } else {
+                kernels::sum_accumulate(acc, stripe, cfg);
+            }
+        }
     }
 
     fn solve(

@@ -412,6 +412,42 @@ pub fn gf_scale(buf: &mut [f64], c: u8, cfg: KernelConfig) {
     });
 }
 
+/// Run `op(destination block, source block, coefficient)` for every
+/// `(destination, coefficient)` of `dsts` over matching cache blocks of
+/// `src`, each source block read once while every destination takes its
+/// turn. `op` must be element-wise (block-boundary free).
+fn par_zip_each(
+    cfg: KernelConfig,
+    dsts: Vec<(&mut [f64], u8)>,
+    src: &[f64],
+    op: impl Fn(&mut [f64], &[f64], u8) + Sync,
+) {
+    if dsts.is_empty() {
+        return;
+    }
+    let mut dsts: Vec<(std::slice::ChunksMut<'_, f64>, u8)> = dsts
+        .into_iter()
+        .map(|(dst, c)| {
+            assert_eq!(dst.len(), src.len(), "kernel: length mismatch");
+            (dst.chunks_mut(cfg.chunk_len), c)
+        })
+        .collect();
+    let blocks = src.chunks(cfg.chunk_len);
+    let n_blocks = blocks.len();
+    let blocks = blocks.map(move |s| {
+        let ds: Vec<(&mut [f64], u8)> = dsts
+            .iter_mut()
+            .map(|(blocks, c)| (blocks.next().expect("as long as the source"), *c))
+            .collect();
+        (s, ds)
+    });
+    for_each_block(cfg, n_blocks, blocks, |(s, ds)| {
+        for (d, c) in ds {
+            op(d, s, c);
+        }
+    });
+}
+
 /// Out-of-place, multi-coefficient [`gf_scale`]: one fresh buffer
 /// `coeffs[i]·src` per coefficient (the codec's per-role contributions
 /// of one data stripe), all scaled products from **one** cache-blocked
@@ -432,29 +468,16 @@ pub fn gf_scaled_copies(src: &[f64], coeffs: &[u8], cfg: KernelConfig) -> Vec<Ve
             }
         })
         .collect();
-    let mut scaled: Vec<(std::slice::ChunksMut<'_, f64>, u8)> = outs
+    let scaled = outs
         .iter_mut()
         .zip(coeffs)
         .filter(|(_, &c)| c != 1)
-        .map(|(out, &c)| (out.chunks_mut(cfg.chunk_len), c))
+        .map(|(out, &c)| (out.as_mut_slice(), c))
         .collect();
-    if !scaled.is_empty() {
-        let backend = GfBackend::select(cfg.simd);
-        let blocks = src.chunks(cfg.chunk_len);
-        let n_blocks = blocks.len();
-        let blocks = blocks.map(move |s| {
-            let ds: Vec<(&mut [f64], u8)> = scaled
-                .iter_mut()
-                .map(|(blocks, c)| (blocks.next().expect("as long as the source"), *c))
-                .collect();
-            (s, ds)
-        });
-        for_each_block(cfg, n_blocks, blocks, |(s, ds)| {
-            for (d, c) in ds {
-                simd::gf_mul_bytes(simd::f64_bytes_mut(d), simd::f64_bytes(s), c, backend);
-            }
-        });
-    }
+    let backend = GfBackend::select(cfg.simd);
+    par_zip_each(cfg, scaled, src, |d, s, c| {
+        simd::gf_mul_bytes(simd::f64_bytes_mut(d), simd::f64_bytes(s), c, backend);
+    });
     outs
 }
 
@@ -468,6 +491,30 @@ pub fn gf_mac(acc: &mut [f64], x: &[f64], c: u8, cfg: KernelConfig) {
     let backend = GfBackend::select(cfg.simd);
     par_zip(cfg, acc, x, move |a, b| {
         simd::gf_mac_bytes(simd::f64_bytes_mut(a), simd::f64_bytes(b), c, backend);
+    });
+}
+
+/// Multi-accumulator [`gf_mac`]: `accs[i] ^= coeffs[i]·x` for every
+/// `i`, all from **one** cache-blocked read of `x` — each block is
+/// folded into every accumulator while it is cache-hot (the codec's
+/// fold of one data stripe into the in-flight parity accumulators of its
+/// slot). A coefficient of 1 is a plain XOR, 0 a no-op. Bit-identical to
+/// one [`gf_mac`] per accumulator under any partition and backend.
+pub fn gf_mac_multi(accs: &mut [&mut [f64]], x: &[f64], coeffs: &[u8], cfg: KernelConfig) {
+    assert_eq!(accs.len(), coeffs.len(), "one coefficient per accumulator");
+    let live = accs
+        .iter_mut()
+        .zip(coeffs)
+        .filter(|(_, &c)| c != 0)
+        .map(|(acc, &c)| (&mut **acc, c))
+        .collect();
+    let backend = GfBackend::select(cfg.simd);
+    par_zip_each(cfg, live, x, |a, b, c| {
+        if c == 1 {
+            xor_block_f64(a, b);
+        } else {
+            simd::gf_mac_bytes(simd::f64_bytes_mut(a), simd::f64_bytes(b), c, backend);
+        }
     });
 }
 

@@ -29,19 +29,24 @@
 //!
 //! # Distributed encode
 //!
-//! Encoding stays one reduce per parity role: a rank's contribution to
-//! role `role` is its data stripe pre-scaled by `c[role][pos]` locally
-//! (all roles of a slot from one cache-blocked read of the stripe,
-//! [`kernels::gf_scaled_copies`]), and the wire combine is plain bitwise
-//! XOR ([`Wire::Bits`]). The reduce result *is* the parity.
+//! Encoding stays a reduction per parity role: a rank's contribution to
+//! role `role` is its data stripe scaled by `c[role][pos]`, and the
+//! wire combine is plain bitwise XOR ([`Wire::Bits`]), so the reduction
+//! result *is* the parity. The first contributor of a slot produces all
+//! roles from one cache-blocked read of its stripe
+//! ([`kernels::gf_scaled_copies`]); every later one folds its stripe
+//! straight into the accumulators it was handed
+//! ([`kernels::gf_mac_multi`]), the scale fused into the combine.
 //!
 //! # Decode
 //!
 //! `solve` picks the first `e` surviving role syndromes, inverts the
 //! `e×e` generator submatrix with [`gf256::invert_matrix`]
-//! (Gauss–Jordan over the field), and rebuilds each erased stripe as a
-//! [`kernels::gf_scale`] / [`kernels::gf_mac`] combination of the
-//! syndromes — the same chunked, SIMD-dispatched kernels as encoding.
+//! (Gauss–Jordan over the field), and rebuilds the erased stripes
+//! syndrome by syndrome: [`kernels::gf_scaled_copies`] starts every
+//! stripe from one read of the first syndrome, [`kernels::gf_mac_multi`]
+//! adds each further one — the same chunked, SIMD-dispatched kernels as
+//! encoding.
 
 use crate::codec::{ErasureCodec, Wire};
 use crate::gf256;
@@ -142,6 +147,19 @@ impl ErasureCodec for GfCodec {
         kernels::gf_scaled_copies(stripe, &coeffs, cfg)
     }
 
+    fn accumulate(
+        &self,
+        roles: &[usize],
+        pos: usize,
+        stripe: &[f64],
+        _cancel: bool,
+        accs: &mut [&mut [f64]],
+        cfg: KernelConfig,
+    ) {
+        let coeffs: Vec<u8> = roles.iter().map(|&role| self.coeff(role, pos)).collect();
+        kernels::gf_mac_multi(accs, stripe, &coeffs, cfg);
+    }
+
     fn solve(
         &self,
         erased: &[usize],
@@ -164,22 +182,21 @@ impl ErasureCodec for GfCodec {
         // Any e surviving roles suffice (see module docs); take the
         // first e.
         let chosen = &syndromes[..e];
+        let Some((_, first)) = chosen.first() else {
+            return Vec::new();
+        };
         let roles: Vec<usize> = chosen.iter().map(|(r, _)| *r).collect();
         let a_inv = gf256::invert_matrix(&self.submatrix(&roles, erased))
             .expect("generator submatrices are nonsingular by construction");
-        a_inv
-            .iter()
-            .map(|row| {
-                let mut terms = row.iter().zip(chosen);
-                let (c, (_, s)) = terms.next().expect("e >= 1 inside the row map");
-                let mut d = s.clone();
-                kernels::gf_scale(&mut d, *c, cfg);
-                for (c, (_, s)) in terms {
-                    kernels::gf_mac(&mut d, s, *c, cfg);
-                }
-                d
-            })
-            .collect()
+        // Column by column: every rebuilt stripe takes its term of one
+        // syndrome from a single read of that syndrome.
+        let column = |j: usize| a_inv.iter().map(|row| row[j]).collect::<Vec<u8>>();
+        let mut rebuilt = kernels::gf_scaled_copies(first, &column(0), cfg);
+        for (j, (_, s)) in chosen.iter().enumerate().skip(1) {
+            let mut accs: Vec<&mut [f64]> = rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
+            kernels::gf_mac_multi(&mut accs, s, &column(j), cfg);
+        }
+        rebuilt
     }
 }
 

@@ -16,7 +16,7 @@ use skt_encoding::simd::{
     crc32c_update, gf_mac_bytes, gf_mul_bytes, gf_scale_bytes, CrcBackend, GfBackend, SimdMode,
 };
 use skt_encoding::{
-    copy_with_stripe_crcs, crc32c_f64, gf256, stripe_crcs, Code, CodecSpec, ErasureCodec,
+    copy_with_stripe_crcs, crc32c_f64, gf256, stripe_crcs, Code, CodecSpec, ErasureCodec, Wire,
 };
 
 fn bytes(len: usize, seed: u64) -> Vec<u8> {
@@ -258,6 +258,68 @@ fn multi_role_contributions_match_the_per_role_walk() {
                                         .iter()
                                         .zip(&want)
                                         .all(|(a, b)| a.to_bits() == b.to_bits()),
+                                "{spec:?} role={role} cancel={cancel} len={len} cfg={cfg:?}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The in-place multi-role fold equals materialising the contributions
+/// and combining them the way the wire does — `gf_mac_multi` against one
+/// `gf_mac` per accumulator, the codec's `accumulate` against `contribs`
+/// followed by `xor_accumulate` / `sum_accumulate` — for every dispatch
+/// mode, worker budget and a stripe that ends in a short block, over
+/// dirty accumulators.
+#[test]
+fn multi_role_accumulate_matches_contribs_then_combine() {
+    let reference = KernelConfig::serial().with_simd(SimdMode::ForceScalar);
+    for len in [0usize, 1, 13, 64, 67, 200] {
+        let stripe = floats(len, 11);
+        let dirty = |i: usize| floats(len, 100 + i as u64);
+        for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
+            for threads in BUDGETS {
+                let cfg = KernelConfig::new(threads, 16).with_simd(mode);
+                let mut got: Vec<Vec<f64>> = (0..COEFFS.len()).map(dirty).collect();
+                let mut accs: Vec<&mut [f64]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+                kernels::gf_mac_multi(&mut accs, &stripe, &COEFFS, cfg);
+                for (i, (out, c)) in got.iter().zip(COEFFS).enumerate() {
+                    let mut want = dirty(i);
+                    kernels::gf_mac(&mut want, &stripe, c, reference);
+                    assert!(
+                        out.iter()
+                            .zip(&want)
+                            .all(|(a, b)| a.to_bits() == b.to_bits()),
+                        "len={len} c={c} cfg={cfg:?}"
+                    );
+                }
+                for spec in [
+                    CodecSpec::Single(Code::Xor),
+                    CodecSpec::Single(Code::Sum),
+                    CodecSpec::Dual,
+                    CodecSpec::Rs { m: 3 },
+                ] {
+                    let codec: &dyn ErasureCodec = spec.resolve();
+                    let roles: Vec<usize> = (0..codec.parity_count()).rev().collect();
+                    for cancel in [false, true] {
+                        let mut got: Vec<Vec<f64>> = roles.iter().map(|&r| dirty(r)).collect();
+                        let mut accs: Vec<&mut [f64]> =
+                            got.iter_mut().map(Vec::as_mut_slice).collect();
+                        codec.accumulate(&roles, 2, &stripe, cancel, &mut accs, cfg);
+                        let contribs = codec.contribs(&roles, 2, &stripe, cancel, reference);
+                        for ((out, c), &role) in got.iter().zip(&contribs).zip(&roles) {
+                            let mut want = dirty(role);
+                            match codec.wire() {
+                                Wire::Bits => kernels::xor_accumulate(&mut want, c, reference),
+                                Wire::Floats => kernels::sum_accumulate(&mut want, c, reference),
+                            }
+                            assert!(
+                                out.iter()
+                                    .zip(&want)
+                                    .all(|(a, b)| a.to_bits() == b.to_bits()),
                                 "{spec:?} role={role} cancel={cancel} len={len} cfg={cfg:?}"
                             );
                         }

@@ -1,10 +1,12 @@
-//! Communicators: point-to-point messaging, `MPI_Comm_split`, and
+//! Communicators: point-to-point messaging, `MPI_Comm_split`,
 //! tree-based collectives (`bcast`, `reduce`, `allreduce`, `barrier`,
-//! `gather`, `allgather`, `scatter`).
+//! `gather`, `allgather`, `scatter`) and the ring
+//! [`Comm::reduce_scatter`] that carries the checkpoint encode.
 
 use crate::payload::{Payload, ReduceOp};
 use crate::world::Ctx;
 use skt_cluster::{Event, Fault};
+use std::cell::Cell;
 
 /// A message in flight.
 #[derive(Debug)]
@@ -150,10 +152,12 @@ impl<'c> Comm<'c> {
 
     /// Time a collective body and emit a [`Event::Collective`] when an
     /// observer is listening; free (one atomic load) otherwise.
+    /// `bytes` is read once the body is done, so a collective may count
+    /// what it put on the wire as it goes.
     fn observed<T>(
         &self,
         op: &'static str,
-        bytes: usize,
+        bytes: &Cell<usize>,
         body: impl FnOnce() -> Result<T, Fault>,
     ) -> Result<T, Fault> {
         let bus = self.ctx.cluster().events();
@@ -164,7 +168,7 @@ impl<'c> Comm<'c> {
         let out = body()?;
         bus.emit(Event::Collective {
             op,
-            bytes: bytes as u64,
+            bytes: bytes.get() as u64,
             elapsed: t.elapsed(),
         });
         Ok(out)
@@ -174,9 +178,8 @@ impl<'c> Comm<'c> {
     /// passes its (cheap, possibly empty) `payload`; non-roots get the
     /// root's payload back.
     pub fn bcast(&self, root: usize, payload: Payload) -> Result<Payload, Fault> {
-        self.observed("bcast", payload.size_bytes(), || {
-            self.bcast_inner(root, payload)
-        })
+        let bytes = Cell::new(payload.size_bytes());
+        self.observed("bcast", &bytes, || self.bcast_inner(root, payload))
     }
 
     fn bcast_inner(&self, root: usize, payload: Payload) -> Result<Payload, Fault> {
@@ -223,9 +226,8 @@ impl<'c> Comm<'c> {
         root: usize,
         payload: Payload,
     ) -> Result<Option<Payload>, Fault> {
-        self.observed("reduce", payload.size_bytes(), || {
-            self.reduce_inner(op, root, payload)
-        })
+        let bytes = Cell::new(payload.size_bytes());
+        self.observed("reduce", &bytes, || self.reduce_inner(op, root, payload))
     }
 
     fn reduce_inner(
@@ -257,6 +259,70 @@ impl<'c> Comm<'c> {
             mask <<= 1;
         }
         Ok(Some(acc))
+    }
+
+    /// Reduce `n` slots of `m` accumulators each and scatter the
+    /// results, as one balanced ring — the shape of the paper's stripe
+    /// encoding (§2.2, Figure 1), where every rank owns one parity role
+    /// of `m` slots and holds data in the other `n − m`.
+    ///
+    /// Slot `s`'s contributors are the ranks `s+m … s+n−1` (mod `n`), in
+    /// that order; accumulator `i` of slot `s` ends at rank `s+i`. At
+    /// step `t` of `n − m` rank `r` is the `t`-th contributor of slot
+    /// `r−m−t`: it takes the slot's `m` in-flight accumulators from rank
+    /// `r−1` (at step 0 they start as [`Payload::Empty`], the identity),
+    /// lets `fold(slot, accumulators)` combine this rank's part into
+    /// them, and passes them on to `r+1` — or, as the slot's last
+    /// contributor, hands accumulator `i` to rank `s+i`. Every rank is
+    /// busy at every step and moves `m` accumulators per step. Returns
+    /// this rank's `m` results, accumulator `i` being that of slot
+    /// `r−i`; one a slot's contributors all left alone comes back
+    /// `Empty`.
+    ///
+    /// `fold` decides what combining means (a [`ReduceOp::fold`], or a
+    /// codec's multiply-accumulate fused into the in-flight buffer) and
+    /// must treat `Empty` as the identity; an error it returns ends the
+    /// collective on this rank.
+    pub fn reduce_scatter(
+        &self,
+        m: usize,
+        mut fold: impl FnMut(usize, &mut [Payload]) -> Result<(), Fault>,
+    ) -> Result<Vec<Payload>, Fault> {
+        let n = self.size();
+        assert!(
+            m < n,
+            "reduce_scatter: {m} accumulators need more than {n} ranks"
+        );
+        let sent = Cell::new(0);
+        self.observed("reduce_scatter", &sent, || {
+            let tags = self.alloc_tags((n * m) as u64);
+            let tag = |slot: usize, i: usize| tags + (slot * m + i) as u64;
+            let me = self.me;
+            let send = |dst: usize, slot: usize, i: usize, acc: Payload| {
+                sent.set(sent.get() + acc.size_bytes());
+                self.send_tagged(dst % n, tag(slot, i), acc)
+            };
+            for t in 0..n - m {
+                let slot = (me + 2 * n - m - t) % n;
+                let mut accs = match t {
+                    0 => vec![Payload::Empty; m],
+                    _ => (0..m)
+                        .map(|i| self.recv_tagged((me + n - 1) % n, tag(slot, i)))
+                        .collect::<Result<_, _>>()?,
+                };
+                fold(slot, &mut accs)?;
+                let last = t + 1 == n - m;
+                for (i, acc) in accs.into_iter().enumerate() {
+                    send(if last { slot + i } else { me + 1 }, slot, i, acc)?;
+                }
+            }
+            (0..m)
+                .map(|i| {
+                    let slot = (me + n - i) % n;
+                    self.recv_tagged((slot + n - 1) % n, tag(slot, i))
+                })
+                .collect()
+        })
     }
 
     /// Reduce followed by broadcast of the result.
@@ -530,6 +596,133 @@ mod tests {
         });
     }
 
+    /// Rank `r`'s part of accumulator `i` of slot `s` in the
+    /// reduce-scatter sweep: distinct per (rank, slot, accumulator) so a
+    /// misrouted or misfolded buffer cannot cancel out, and exactly
+    /// representable so SUM is exact in any association.
+    fn part(r: usize, s: usize, i: usize) -> Vec<f64> {
+        (0..3)
+            .map(|j| ((r + 1) * (j + 2) + 64 * s + 1024 * i) as f64)
+            .collect()
+    }
+
+    #[test]
+    fn empty_is_the_identity_of_reduce_scatter() {
+        // every size, accumulator count, operator and subset of
+        // contributing ranks, as one sequence of collectives per world
+        for n in 1..=7usize {
+            let out = run_local(n, move |ctx| {
+                let w = ctx.world();
+                let mut seen = Vec::new();
+                for m in 0..n {
+                    for op in [ReduceOp::Xor, ReduceOp::Sum] {
+                        for mask in 0..1u32 << n {
+                            seen.push(w.reduce_scatter(m, |s, accs| {
+                                assert_eq!(accs.len(), m);
+                                if mask & (1 << w.rank()) != 0 {
+                                    for (i, acc) in accs.iter_mut().enumerate() {
+                                        op.fold(acc, Payload::F64(part(w.rank(), s, i)));
+                                    }
+                                }
+                                Ok(())
+                            })?);
+                        }
+                    }
+                }
+                Ok(seen)
+            })
+            .unwrap();
+            for (rank, seen) in out.iter().enumerate() {
+                let mut seen = seen.iter();
+                for m in 0..n {
+                    for op in [ReduceOp::Xor, ReduceOp::Sum] {
+                        for mask in 0..1u32 << n {
+                            // accumulator i of slot rank - i, folded in
+                            // ring order from the slot's first contributor
+                            let want: Vec<Payload> = (0..m)
+                                .map(|i| {
+                                    let s = (rank + n - i) % n;
+                                    let mut acc = Payload::Empty;
+                                    for r in (m..n).map(|d| (s + d) % n) {
+                                        if mask & (1 << r) != 0 {
+                                            op.fold(&mut acc, Payload::F64(part(r, s, i)));
+                                        }
+                                    }
+                                    acc
+                                })
+                                .collect();
+                            assert_eq!(
+                                *seen.next().unwrap(),
+                                want,
+                                "n={n} m={m} {op:?} mask={mask:#b} rank={rank}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn reduce_scatter_contributions_must_agree_in_length() {
+        // n = 3, m = 1: every slot has two contributors
+        let _ = run_local(3, |ctx| {
+            let w = ctx.world();
+            let len = 1 + w.rank();
+            w.reduce_scatter(1, |_, accs| {
+                ReduceOp::Xor.fold(&mut accs[0], Payload::F64(vec![1.0; len]));
+                Ok(())
+            })
+        });
+    }
+
+    #[test]
+    fn reduce_scatter_emits_one_event_with_the_bytes_it_sent() {
+        use skt_cluster::Recorder;
+        use std::sync::Arc;
+        let rec = Arc::new(Recorder::new());
+        let rec2 = Arc::clone(&rec);
+        let (n, m) = (5, 2);
+        run_local(n, move |ctx| {
+            if ctx.world_rank() == 0 {
+                ctx.cluster().events().subscribe(Arc::clone(&rec2) as _);
+            }
+            let w = ctx.world();
+            w.barrier()?; // ensure subscription ordered before the timed op
+            w.reduce_scatter(m, |s, accs| {
+                // only rank 0 contributes: a slot's buffers exist from
+                // rank 0's fold to the end of its chain
+                if w.rank() == 0 {
+                    for (i, acc) in accs.iter_mut().enumerate() {
+                        ReduceOp::Sum.fold(acc, Payload::F64(part(0, s, i)));
+                    }
+                }
+                Ok(())
+            })?;
+            Ok(())
+        })
+        .unwrap();
+        let sent: Vec<u64> = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::Collective {
+                    op: "reduce_scatter",
+                    bytes,
+                    ..
+                } => Some(*bytes),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sent.len(), n, "one event per rank: {sent:?}");
+        // rank 0 folds into m accumulators of 24 bytes in each of its
+        // n - m = 3 slots; slot s's chain ends at rank s - 1, so after
+        // rank 0 the buffers of slots 1, 2, 3 make 0, 1, 2 further hops
+        let hops = 3 + (1 + 2);
+        assert_eq!(sent.iter().sum::<u64>(), (hops * m * 24) as u64);
+    }
+
     #[test]
     fn allreduce_gives_everyone_the_result() {
         let out = run_local(4, |ctx| {
@@ -752,27 +945,35 @@ mod tests {
 
     #[test]
     fn collectives_on_a_dead_peer_fail_fast_with_the_culprit_named() {
-        let t0 = std::time::Instant::now();
-        let out = run_local(3, |ctx| {
-            if ctx.world_rank() == 2 {
-                // die unannounced; the survivors are (or soon will be)
-                // parked inside the barrier waiting on this rank
-                ctx.cluster().kill_node(ctx.node());
+        type Collective = fn(&Comm<'_>) -> Result<(), Fault>;
+        let collectives: [Collective; 2] = [
+            |w| w.barrier(),
+            // every rank waits on its ring neighbour, directly or not
+            |w| w.reduce_scatter(1, |_, _| Ok(())).map(drop),
+        ];
+        for collective in collectives {
+            let t0 = std::time::Instant::now();
+            let out = run_local(3, |ctx| {
+                if ctx.world_rank() == 2 {
+                    // die unannounced; the survivors are (or soon will be)
+                    // parked inside the collective waiting on this rank
+                    ctx.cluster().kill_node(ctx.node());
+                }
+                Ok(collective(&ctx.world()))
+            })
+            .unwrap();
+            for (rank, r) in out.iter().enumerate() {
+                assert_eq!(
+                    *r,
+                    Err(Fault::NodeDead(2)),
+                    "rank {rank} must learn the culprit promptly, not park forever"
+                );
             }
-            Ok(ctx.world().barrier())
-        })
-        .unwrap();
-        for (rank, r) in out.iter().enumerate() {
-            assert_eq!(
-                *r,
-                Err(Fault::NodeDead(2)),
-                "rank {rank} must learn the culprit promptly, not park forever"
+            assert!(
+                t0.elapsed() < std::time::Duration::from_secs(5),
+                "abort must propagate within the poll interval, not hang"
             );
         }
-        assert!(
-            t0.elapsed() < std::time::Duration::from_secs(5),
-            "abort must propagate within the poll interval, not hang"
-        );
     }
 
     #[test]

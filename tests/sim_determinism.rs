@@ -4,8 +4,9 @@
 //!   restarts and every virtual-clock duration — is bit-for-bit
 //!   reproducible for a fixed `(config, seed)`;
 //! * the targeted explorer kills the victim at **every** kill-capable
-//!   yield point inside `Phase::FlushB` and each outcome matches the
-//!   paper's CASE 2 roll-forward (Figure 5);
+//!   yield point inside `Phase::FlushB` and inside `Phase::Encode`, and
+//!   each outcome matches the paper's case analysis — CASE 2
+//!   roll-forward (Figure 5) and CASE 1 roll-back;
 //! * a canonical report over a seed sweep is byte-identical across
 //!   independent in-process runs, and is written to `$SKT_SIM_REPORT`
 //!   so the CI `sim-determinism` job can diff it across *process* runs.
@@ -23,6 +24,7 @@ use self_checkpoint::ftsim::{
 use self_checkpoint::hpl::{HplConfig, SktConfig, ITER_PROBE};
 use self_checkpoint::mps::{run_on_cluster, Ctx, Fault};
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,6 +39,11 @@ fn pattern(rank: usize, epoch: u64) -> Vec<f64> {
 }
 
 fn writer(ctx: &Ctx) -> Result<(), Fault> {
+    writer_noting(ctx, |_| {})
+}
+
+/// [`writer`], telling `entering_make` the epoch before each `make`.
+fn writer_noting(ctx: &Ctx, entering_make: impl Fn(u64)) -> Result<(), Fault> {
     let (mut ck, _) = Checkpointer::init(
         ctx.world(),
         CkptConfig::new("sim-det", Method::SelfCkpt, A1, 16),
@@ -47,6 +54,7 @@ fn writer(ctx: &Ctx) -> Result<(), Fault> {
             ws.write().as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), e));
         }
         ctx.failpoint("computing")?;
+        entering_make(e);
         ck.make(&e.to_le_bytes())?;
     }
     Ok(())
@@ -250,6 +258,115 @@ fn flush_b_kills_at_every_yield_point_roll_forward() {
             "kill #{nth}: CASE 2 restores from (work, D)"
         );
     }
+}
+
+/// The same explorer over `Phase::Encode`, the window the ring
+/// reduce-scatter runs in: the victim dies at every kill-capable yield
+/// point of it — each send of its ring steps and deliveries, each park
+/// on a neighbour's accumulator, each encode probe, the closing barrier
+/// — for each of the five epochs. Every survivor, wherever on the ring
+/// it was parked, must come back with the dead neighbour named, and
+/// recovery restores a committed epoch bit-exactly: while the ring runs
+/// nobody can commit D@e, so it rolls BACK to e-1 from `(B, C)` (CASE 1;
+/// no checkpoint when e = 1).
+#[test]
+fn encode_kills_at_every_yield_point_roll_back() {
+    const VICTIM: usize = 1;
+    let report = explore_yield_kills(42, VICTIM, Phase::Encode.label(), |rt| {
+        let cluster = Arc::new(Cluster::new_with_runtime(ClusterConfig::new(N, 1), rt));
+        let mut rl = Ranklist::round_robin(N, N);
+        let torn = AtomicU64::new(0); // the epoch the victim was encoding
+        let first = run_on_cluster(Arc::clone(&cluster), &rl, |ctx| {
+            Ok(writer_noting(ctx, |e| {
+                if ctx.node() == VICTIM {
+                    torn.store(e, Ordering::SeqCst);
+                }
+            }))
+        })
+        .unwrap();
+        if first.iter().all(Result::is_ok) {
+            return None; // the unarmed recording run completes
+        }
+        assert_eq!(cluster.dead_nodes(), vec![VICTIM], "only the victim dies");
+        for (rank, res) in first.iter().enumerate() {
+            assert_eq!(*res, Err(Fault::NodeDead(VICTIM)), "rank {rank}");
+        }
+        cluster.reset_abort();
+        rl.repair(&cluster).unwrap();
+        let outs = run_on_cluster(cluster, &rl, |ctx| {
+            let (mut ck, _) = Checkpointer::init(
+                ctx.world(),
+                CkptConfig::new("sim-det", Method::SelfCkpt, A1, 16),
+            );
+            let rec = ck.recover().map_err(|e| match e {
+                RecoverError::Fault(f) => f,
+                other => panic!("unexpected recovery error: {other}"),
+            })?;
+            let data = {
+                let ws = ck.workspace();
+                let g = ws.read();
+                g.as_f64()[..A1].to_vec()
+            };
+            Ok((rec, data))
+        })
+        .unwrap();
+        let restored = match &outs[0].0 {
+            Recovery::NoCheckpoint => None,
+            Recovery::Restored { epoch, source, .. } => Some((*epoch, *source)),
+        };
+        for (rank, (rec, data)) in outs.iter().enumerate() {
+            match (rec, restored) {
+                (Recovery::NoCheckpoint, None) => {}
+                (
+                    Recovery::Restored {
+                        epoch: e,
+                        source: s,
+                        ..
+                    },
+                    Some((epoch, source)),
+                ) => {
+                    assert_eq!((*e, *s), (epoch, source), "rank {rank} disagrees");
+                    assert_eq!(data, &pattern(rank, epoch), "rank {rank} workspace");
+                }
+                other => panic!("rank {rank} disagrees with rank 0: {other:?}"),
+            }
+        }
+        Some((torn.into_inner(), restored))
+    });
+    assert!(report.baseline.is_none(), "recording run must complete");
+    assert_eq!(report.outcomes.len() as u64, report.yield_points);
+    // Per make the victim yields at least at: one send per ring step
+    // (m = 1), one probe per step and delivery, and its send into the
+    // closing barrier — plus however often the schedule parked it on a
+    // neighbour. Up to and including that barrier send nobody can have
+    // committed D@e: CASE 1. Parked *inside* the barrier afterwards, the
+    // others may pass it and commit — the encode had completed job-wide,
+    // so those kills roll forward to e from `(work, D)` (CASE 2).
+    let floor = ((N - 1) + N + 1) as u64;
+    let mut rolled_back = [0u64; EPOCHS as usize + 1];
+    let mut rolled_forward = [false; EPOCHS as usize + 1];
+    for (nth, out) in &report.outcomes {
+        let (torn, restored) = out.expect("every armed kill must fire");
+        let back = (torn > 1).then(|| (torn - 1, RestoreSource::CheckpointAndChecksum));
+        if restored == back {
+            assert!(
+                !rolled_forward[torn as usize],
+                "kill #{nth}: epoch {torn} rolled back after a later kill committed it"
+            );
+            rolled_back[torn as usize] += 1;
+        } else {
+            assert_eq!(
+                restored,
+                Some((torn, RestoreSource::WorkspaceAndChecksum)),
+                "kill #{nth}: neither side of the torn encode {torn}"
+            );
+            rolled_forward[torn as usize] = true;
+        }
+    }
+    assert!(
+        rolled_back[1..].iter().all(|&k| k >= floor),
+        "every epoch's ring was explored: {rolled_back:?}"
+    );
 }
 
 /// Three concurrent tenants interleaved through one daemon: a fixed
