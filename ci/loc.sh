@@ -5,13 +5,35 @@
 # none). Files named `tests.rs` and the benchmark package
 # (`crates/bench/src/bin/cycle_budget/`, its own workspace) are excluded.
 #
+# Self-check: the rule is only right when nothing but tests follows that
+# first `#[cfg(test)]`, so a counted file whose marker is not (further
+# attributes, comments and blank lines aside) the start of its trailing
+# `mod name { … }` block or `mod name;` declaration fails the script —
+# production code below a test marker would silently drop out of the count.
+#
 #   ci/loc.sh            per-crate totals and the grand total
 #   ci/loc.sh <crate>    per-file counts of crates/<crate>, then its total
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-count() { # non-test lines of one file
-    awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$1"
+count() { # non-test lines of one file; fails when code follows its tests
+    awk -v file="$1" '
+        !marked && /#\[cfg\(test\)\]/ { marked = 1; next }
+        !marked { n++; next }
+        # past the marker: 0 = before the module, 1 = inside it, 2 = after
+        at == 0 && /^[[:space:]]*(#!?\[|\/\/|$)/ { next }
+        at == 0 && /^(pub(\([a-z]+\))? )?mod [a-z0-9_]+;$/ { at = 2; next }
+        at == 0 && /^(pub(\([a-z]+\))? )?mod [a-z0-9_]+ \{$/ { at = 1; next }
+        at == 1 { if (/^\}/) at = 2; next }
+        at == 2 && /^[[:space:]]*$/ { next }
+        { stray = 1; exit }
+        END {
+            if (stray || (marked && at != 2)) {
+                print "ci/loc.sh: " file ": #[cfg(test)] is not the start of a trailing test module" > "/dev/stderr"
+                exit 1
+            }
+            print n + 0
+        }' "$1"
 }
 
 files() { # counted files of one crate directory
@@ -35,7 +57,8 @@ for dir in crates/*/ .; do
     [[ -d $dir/src ]] || continue
     total=0
     while read -r f; do
-        total=$((total + $(count "$f")))
+        n=$(count "$f") # on its own line: a failed self-check stops the script
+        total=$((total + n))
     done < <(files "$dir")
     printf '%6d  %s\n' "$total" "$dir"
     grand=$((grand + total))

@@ -132,6 +132,36 @@ impl std::fmt::Display for AdmitError {
 
 impl std::error::Error for AdmitError {}
 
+/// A demand the pool can never meet, as `(demanded, limit)`.
+enum Unfit {
+    /// More nodes than the pool has compute nodes in total.
+    Nodes(usize, usize),
+    /// More bytes per node than a node holds.
+    Memory(u64, u64),
+}
+
+impl From<Unfit> for AdmitError {
+    fn from(u: Unfit) -> Self {
+        match u {
+            Unfit::Nodes(demanded, total) => AdmitError::NeverFits { demanded, total },
+            Unfit::Memory(demanded, capacity) => {
+                AdmitError::MemoryOversubscribed { demanded, capacity }
+            }
+        }
+    }
+}
+
+impl From<Unfit> for ReshapeError {
+    fn from(u: Unfit) -> Self {
+        match u {
+            Unfit::Nodes(demanded, total) => ReshapeError::NeverFits { demanded, total },
+            Unfit::Memory(demanded, capacity) => {
+                ReshapeError::Oversubscribed { demanded, capacity }
+            }
+        }
+    }
+}
+
 /// Why a spare draw is refused. Both variants are *collective verdicts*
 /// of the arbitration layer: the requesting tenant's cascade stops with
 /// a typed answer instead of silently consuming what another tenant was
@@ -376,18 +406,7 @@ impl ServicePool {
         if self.names.contains_key(&spec.name) {
             return Err(AdmitError::DuplicateName(spec.name));
         }
-        if spec.nodes > self.total_nodes {
-            return Err(AdmitError::NeverFits {
-                demanded: spec.nodes,
-                total: self.total_nodes,
-            });
-        }
-        if spec.mem_bytes_per_node > self.capacity_per_node {
-            return Err(AdmitError::MemoryOversubscribed {
-                demanded: spec.mem_bytes_per_node,
-                capacity: self.capacity_per_node,
-            });
-        }
+        self.check_fit(spec.nodes, spec.mem_bytes_per_node)?;
         if spec.spare_guarantee > self.spares_total {
             return Err(AdmitError::GuaranteeUnmeetable {
                 demanded: spec.spare_guarantee,
@@ -409,6 +428,19 @@ impl ServicePool {
                 position: self.queue.len() - 1,
             })
         }
+    }
+
+    /// Whether a shard of `nodes` nodes demanding `mem` bytes on each can
+    /// fit this pool at all — the one check admission and resize planning
+    /// map their typed never-fits refusals from.
+    fn check_fit(&self, nodes: usize, mem: u64) -> Result<(), Unfit> {
+        if nodes > self.total_nodes {
+            return Err(Unfit::Nodes(nodes, self.total_nodes));
+        }
+        if mem > self.capacity_per_node {
+            return Err(Unfit::Memory(mem, self.capacity_per_node));
+        }
+        Ok(())
     }
 
     fn fits_now(&self, spec: &TenantSpec) -> bool {
@@ -488,18 +520,7 @@ impl ServicePool {
         let Some(shard) = self.shards.get(&tenant) else {
             return Err(ReshapeError::UnknownTenant(tenant));
         };
-        if target > self.total_nodes {
-            return Err(ReshapeError::NeverFits {
-                demanded: target,
-                total: self.total_nodes,
-            });
-        }
-        if mem_bytes_per_node > self.capacity_per_node {
-            return Err(ReshapeError::Oversubscribed {
-                demanded: mem_bytes_per_node,
-                capacity: self.capacity_per_node,
-            });
-        }
+        self.check_fit(target, mem_bytes_per_node)?;
         let cur = shard.nodes.len();
         if target >= cur {
             let extra = target - cur;

@@ -17,8 +17,8 @@
 //! * [`engine`] — the communication kernels shared by all protocols:
 //!   stripe-parity encoding via group reduces and lost-rank
 //!   reconstruction.
-//! * [`protocol`] — the protocol layer: a `Protocol` trait with one
-//!   implementation per method (self-checkpoint plus the single- and
+//! * [`protocol`] — the protocol layer: one table row and one `make`
+//!   sequence per method (self-checkpoint plus the single- and
 //!   double-checkpoint baselines, Figures 2–5), the typed
 //!   [`Phase`] machine shared with failure injection and observation,
 //!   the pure recovery [`protocol::planner`], and the [`Checkpointer`]

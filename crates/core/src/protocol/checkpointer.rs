@@ -1,25 +1,44 @@
 //! The [`Checkpointer`] front end: segment lifecycle, the collective
-//! `make`/`recover` entry points, and the shared mechanics the
-//! `Protocol` implementations build on. Durable state moves only
-//! through the sequenced-op tokens of [`super::ops`], sealed via
+//! `make`/`recover` entry points, and the shared mechanics the methods'
+//! `make`/`restore` sequences (`methods`) build on. Durable state moves
+//! only through the sequenced-op tokens of [`super::ops`], sealed via
 //! [`Checkpointer::seal`] so every commit lands in the audit trail.
 
 use super::header::{self, Header, HeaderState};
 use super::ops::{self, OpRecord};
-use super::planner::SurvivorView;
-use super::proto::{protocol_impl, PhaseSpan, Protocol};
+use super::planner::{self, SurvivorView};
 use super::report::RecoveryReport;
+use super::table::{slot, MethodTable, SLOTS};
 use super::{
-    crc_table_bytes, CkptConfig, CkptStats, Phase, RecoverError, Recovery, RestoreSource,
-    RECOVER_PHASE_LABEL, RECOVER_PLAN_PROBE,
+    crc_table_bytes, CkptConfig, CkptStats, Phase, RecoverError, Recovery, RECOVER_PHASE_LABEL,
+    RECOVER_PLAN_PROBE,
 };
 use crate::memory::Method;
-use skt_cluster::{Event, EventBus, SegmentData, ShmSegment, Stopwatch};
+use skt_cluster::{Event, EventBus, Region, SegmentData, ShmSegment, Stopwatch};
 use skt_encoding::{ErasureCodec, GroupLayout};
 use skt_mps::{Comm, Fault, Payload, ReduceOp};
 use std::time::Duration;
 
 use crate::engine::encode_parity_stripes;
+
+/// An in-flight phase observation; [`PhaseSpan::end`] emits the matching
+/// [`Event::PhaseExit`].
+pub(crate) struct PhaseSpan {
+    bus: EventBus,
+    label: &'static str,
+    epoch: u64,
+    t0: Stopwatch,
+}
+
+impl PhaseSpan {
+    pub(crate) fn end(self) {
+        self.bus.emit(Event::PhaseExit {
+            label: self.label,
+            epoch: self.epoch,
+            elapsed: self.t0.elapsed(),
+        });
+    }
+}
 
 /// One rank's checkpointer, bound to its group communicator.
 ///
@@ -35,17 +54,13 @@ pub struct Checkpointer<'c> {
     pub(super) comm: Comm<'c>,
     pub(super) sync: Option<Comm<'c>>,
     pub(super) cfg: CkptConfig,
-    pub(super) proto: &'static dyn Protocol,
+    pub(super) table: &'static MethodTable,
     pub(super) codec: &'static dyn ErasureCodec,
     pub(super) bus: EventBus,
     pub(super) layout: GroupLayout,
     pub(super) b2_words: usize,
-    pub(super) work: ShmSegment,
-    pub(super) b: ShmSegment,
-    pub(super) c: ShmSegment,
-    pub(super) d: Option<ShmSegment>,
-    pub(super) b1: Option<ShmSegment>,
-    pub(super) c1: Option<ShmSegment>,
+    /// The method's `f64` segments, indexed by [`slot`].
+    pub(super) segs: [Option<ShmSegment>; SLOTS],
     pub(super) header: ShmSegment,
     pub(super) crc: ShmSegment,
     pub(super) attached: bool,
@@ -73,7 +88,7 @@ impl<'c> Checkpointer<'c> {
 
     fn init_inner(comm: Comm<'c>, sync: Option<Comm<'c>>, cfg: CkptConfig) -> (Self, bool) {
         assert!(cfg.a1_len > 0, "workspace must be non-empty");
-        let proto = protocol_impl(cfg.method);
+        let table = MethodTable::of(cfg.method);
         let codec = cfg.codec.resolve();
         let n = comm.size();
         let b2_words = 1 + cfg.a2_capacity.div_ceil(8);
@@ -85,17 +100,18 @@ impl<'c> Checkpointer<'c> {
         let me = ctx.world_rank();
         let shm = ctx.shm();
         let seg_name = |part: &str| format!("{}/r{}/{}", cfg.name, me, part);
-        let zeros_f64 = |len: usize| move || SegmentData::F64(vec![0.0; len]);
 
-        let (work, attached) = shm.get_or_create(&seg_name("work"), zeros_f64(padded));
-        let (b, _) = shm.get_or_create(&seg_name("b"), zeros_f64(padded));
-        let (c, _) = shm.get_or_create(&seg_name("c"), zeros_f64(parity));
-        let d = matches!(cfg.method, Method::SelfCkpt)
-            .then(|| shm.get_or_create(&seg_name("d"), zeros_f64(parity)).0);
-        let b1 = matches!(cfg.method, Method::Double)
-            .then(|| shm.get_or_create(&seg_name("b1"), zeros_f64(padded)).0);
-        let c1 = matches!(cfg.method, Method::Double)
-            .then(|| shm.get_or_create(&seg_name("c1"), zeros_f64(parity)).0);
+        let mut segs: [Option<ShmSegment>; SLOTS] = Default::default();
+        let mut attached = false;
+        for (r, is_parity) in table.regions() {
+            let len = if is_parity { parity } else { padded };
+            let (seg, found) =
+                shm.get_or_create(&seg_name(r.suffix()), || SegmentData::F64(vec![0.0; len]));
+            if r == Region::Work {
+                attached = found;
+            }
+            segs[slot(r).expect("every table region owns a slot")] = Some(seg);
+        }
         let (header, _) = shm.get_or_create(&seg_name("header"), || {
             SegmentData::Bytes(header::fresh_bytes())
         });
@@ -110,23 +126,18 @@ impl<'c> Checkpointer<'c> {
             HeaderState::Valid(h) => h,
             HeaderState::Invalid(_) => Header::default(),
         };
-        let epoch = proto.initial_epoch(&h);
+        let epoch = table.resume_epoch(&h);
         (
             Checkpointer {
                 comm,
                 sync,
                 cfg,
-                proto,
+                table,
                 codec,
                 bus,
                 layout,
                 b2_words,
-                work,
-                b,
-                c,
-                d,
-                b1,
-                c1,
+                segs,
                 header,
                 crc,
                 attached,
@@ -141,7 +152,7 @@ impl<'c> Checkpointer<'c> {
     /// Handle to the workspace segment. The application reads/writes the
     /// first [`Self::a1_len`] elements; the tail is protocol-owned (`B2`).
     pub fn workspace(&self) -> ShmSegment {
-        ShmSegment::clone(&self.work)
+        ShmSegment::clone(self.seg(Region::Work))
     }
 
     /// Application-visible workspace length (elements).
@@ -199,18 +210,29 @@ impl<'c> Checkpointer<'c> {
     /// Total SHM bytes this rank's protocol state occupies (workspace
     /// included) — compared against Table 1 in tests.
     pub fn shm_bytes(&self) -> usize {
-        let seg_bytes = |s: &ShmSegment| s.read().size_bytes();
-        seg_bytes(&self.work)
-            + seg_bytes(&self.b)
-            + seg_bytes(&self.c)
-            + self.d.as_ref().map_or(0, seg_bytes)
-            + self.b1.as_ref().map_or(0, seg_bytes)
-            + self.c1.as_ref().map_or(0, seg_bytes)
-            + seg_bytes(&self.header)
-            + seg_bytes(&self.crc)
+        self.segs
+            .iter()
+            .flatten()
+            .chain([&self.header, &self.crc])
+            .map(|s| s.read().size_bytes())
+            .sum()
     }
 
-    // ---- shared mechanics used by the Protocol implementations ----
+    // ---- shared mechanics used by the methods' make/restore sequences ----
+
+    /// The SHM segment backing a corruptible [`Region`], when this
+    /// method allocates it (`None` for the header, which embeds its own
+    /// CRC, and for the other methods' absent segments).
+    pub(super) fn region_seg(&self, r: Region) -> Option<&ShmSegment> {
+        self.segs[slot(r)?].as_ref()
+    }
+
+    /// [`Self::region_seg`] for a region the method's own table row
+    /// names.
+    pub(super) fn seg(&self, r: Region) -> &ShmSegment {
+        self.region_seg(r)
+            .expect("region named by the method's table row is allocated")
+    }
 
     /// A [`Stopwatch`] on the cluster's clock — all protocol timing goes
     /// through this so reports reproduce bit-for-bit under simulation.
@@ -230,11 +252,6 @@ impl<'c> Checkpointer<'c> {
             epoch: e,
             t0: self.clock(),
         }
-    }
-
-    /// Fire the failure-injection probe of a phase.
-    pub(super) fn phase_point(&self, p: Phase) -> Result<(), Fault> {
-        self.comm.ctx().failpoint(p.label())
     }
 
     /// Commit a prepared op against this checkpointer and record it in
@@ -258,21 +275,17 @@ impl<'c> Checkpointer<'c> {
         self.seal(p)
     }
 
-    /// This group's parity of `seg`'s contents (one ring reduce-scatter),
-    /// one stripe per role this rank owns. When `probe` is set the
-    /// failure probe fires after each ring fold and each delivered
-    /// stripe — `n` times per call.
-    pub(super) fn encode_of(
-        &self,
-        seg: &ShmSegment,
-        probe: Option<&str>,
-    ) -> Result<Vec<Vec<f64>>, Fault> {
-        let g = seg.read();
+    /// This group's parity of region `r`'s contents (one ring
+    /// reduce-scatter), one stripe per role this rank owns. When `probe`
+    /// is set the failure probe fires after each ring fold and each
+    /// delivered stripe — `n` times per call.
+    pub(super) fn encode_of(&self, r: Region, probe: Option<&str>) -> Result<Vec<Vec<f64>>, Fault> {
+        let g = self.seg(r).read();
         encode_parity_stripes(&self.comm, &self.layout, self.codec, g.try_as_f64()?, probe)
     }
 
-    /// Fire a labeled failure-injection probe (recovery-path yield
-    /// point).
+    /// Fire a labeled failure-injection probe (a phase's, or a
+    /// recovery-path yield point).
     pub(crate) fn probe(&self, label: &str) -> Result<(), Fault> {
         self.comm.ctx().failpoint(label)
     }
@@ -285,7 +298,7 @@ impl<'c> Checkpointer<'c> {
             self.cfg.a2_capacity
         );
         debug_assert!(a2.len().div_ceil(8) < self.b2_words, "B2 region overflow");
-        let mut g = self.work.write();
+        let mut g = self.seg(Region::Work).write();
         let v = g.try_as_f64_mut()?;
         if v.len() < self.cfg.a1_len + self.b2_words {
             return Err(Fault::Protocol("workspace segment wiped or truncated"));
@@ -351,6 +364,35 @@ impl<'c> Checkpointer<'c> {
         }
     }
 
+    /// Exchange `(fresh, header words)` across the group: one
+    /// [`SurvivorView`] per member, in group-rank order. A header that
+    /// fails its CRC proves nothing: its rank is advertised as fresh —
+    /// like one that came up `detached`, without segments — so the
+    /// planner rebuilds it instead of trusting forged epochs.
+    pub(super) fn gather_views(&self, detached: bool) -> Result<Vec<SurvivorView>, Fault> {
+        let (h, fresh) = match Header::classify(&self.header) {
+            HeaderState::Valid(h) => (h, detached),
+            HeaderState::Invalid(_) => (Header::default(), true),
+        };
+        let w = h.words().map(|w| w as i64);
+        let mine = Payload::I64(vec![fresh as i64, w[0], w[1], w[2], w[3]]);
+        Ok(self
+            .comm
+            .allgather(mine)?
+            .into_iter()
+            .map(Payload::into_i64)
+            .map(|v| SurvivorView {
+                fresh: v[0] != 0,
+                header: Header {
+                    d_epoch: v[1] as u64,
+                    bc_epoch: v[2] as u64,
+                    pair1_epoch: v[3] as u64,
+                    dirty_epoch: v[4] as u64,
+                },
+            })
+            .collect())
+    }
+
     /// One job-wide allreduce combining the unrecoverable flag (Min of
     /// its negation) and the restore epoch (Min).
     pub(super) fn global_agree(
@@ -372,23 +414,6 @@ impl<'c> Checkpointer<'c> {
         }
     }
 
-    pub(super) fn finish_restore(
-        &mut self,
-        epoch: u64,
-        source: RestoreSource,
-    ) -> Result<Recovery, RecoverError> {
-        let a2 = {
-            let g = self.work.read();
-            Self::read_b2(g.try_as_f64()?, self.cfg.a1_len, self.cfg.a2_capacity)
-        };
-        self.epoch = epoch;
-        self.attached = true;
-        self.comm.barrier()?;
-        // keep all groups aligned before the application resumes
-        self.sync_barrier()?;
-        Ok(Recovery::Restored { epoch, a2, source })
-    }
-
     // ---- the collective protocol entry points ----
 
     /// Make a checkpoint of the current workspace plus the serialized
@@ -404,11 +429,10 @@ impl<'c> Checkpointer<'c> {
         let sp = self.span(Phase::Serialize, e);
         self.write_b2(a2)?;
         sp.end();
-        self.phase_point(Phase::Serialize)?;
-        let proto = self.proto;
-        let stats = proto.make_phases(self, e)?;
+        self.probe(Phase::Serialize.label())?;
+        let stats = self.make_phases(e)?;
         self.epoch = e;
-        self.phase_point(Phase::Done)?;
+        self.probe(Phase::Done.label())?;
         Ok(stats)
     }
 
@@ -444,39 +468,9 @@ impl<'c> Checkpointer<'c> {
     fn recover_inner(&mut self, t0: &Stopwatch) -> Result<Recovery, RecoverError> {
         self.last_report = None;
         self.op_trail.clear();
-        // Exchange (fresh, header words) across the group. A header that
-        // fails its CRC proves nothing: advertise this rank as fresh so
-        // the planner rebuilds it instead of trusting forged epochs.
-        let (h, fresh) = match Header::classify(&self.header) {
-            HeaderState::Valid(h) => (h, !self.attached),
-            HeaderState::Invalid(_) => (Header::default(), true),
-        };
-        let w = h.words();
-        let mine = Payload::I64(vec![
-            fresh as i64,
-            w[0] as i64,
-            w[1] as i64,
-            w[2] as i64,
-            w[3] as i64,
-        ]);
-        let views: Vec<SurvivorView> = self
-            .comm
-            .allgather(mine)?
-            .into_iter()
-            .map(Payload::into_i64)
-            .map(|v| SurvivorView {
-                fresh: v[0] != 0,
-                header: Header {
-                    d_epoch: v[1] as u64,
-                    bc_epoch: v[2] as u64,
-                    pair1_epoch: v[3] as u64,
-                    dirty_epoch: v[4] as u64,
-                },
-            })
-            .collect();
-        let proto = self.proto;
+        let views = self.gather_views(!self.attached)?;
         let m = self.layout.parity_count();
-        let plan = proto.plan_recovery(&views, m);
+        let plan = planner::plan_recovery(self.cfg.method, &views, m);
         self.probe(RECOVER_PLAN_PROBE)?;
 
         // Job-wide agreement: any torn / over-failed group dooms the
@@ -502,27 +496,38 @@ impl<'c> Checkpointer<'c> {
             return Ok(Recovery::NoCheckpoint);
         }
 
-        let rec = proto.restore(self, &plan.lost, target, &plan.maxima)?;
-        if let Recovery::Restored { epoch, source, .. } = &rec {
-            let per_rank = ((self.layout.padded_len() + self.layout.parity_len()) * 8) as u64;
-            let rebuilt_bytes = plan.lost.len() as u64 * per_rank;
-            self.bus.emit(Event::RecoveryDecision {
-                source: source.name(),
-                epoch: *epoch,
-                rebuilt_bytes,
-            });
-            self.last_report = Some(RecoveryReport {
-                method: self.cfg.method,
-                source: *source,
-                epoch: *epoch,
-                lost: plan.lost.clone(),
-                epochs_seen: plan.maxima,
-                rebuilt_bytes,
-                elapsed: t0.elapsed(),
-                ops: self.op_trail.clone(),
-            });
-        }
-        Ok(rec)
+        let source = self.restore(&plan.lost, target, &plan.maxima)?;
+        let a2 = {
+            let g = self.seg(Region::Work).read();
+            Self::read_b2(g.try_as_f64()?, self.cfg.a1_len, self.cfg.a2_capacity)
+        };
+        self.epoch = target;
+        self.attached = true;
+        self.comm.barrier()?;
+        // keep all groups aligned before the application resumes
+        self.sync_barrier()?;
+        let per_rank = ((self.layout.padded_len() + self.layout.parity_len()) * 8) as u64;
+        let rebuilt_bytes = plan.lost.len() as u64 * per_rank;
+        self.bus.emit(Event::RecoveryDecision {
+            source: source.name(),
+            epoch: target,
+            rebuilt_bytes,
+        });
+        self.last_report = Some(RecoveryReport {
+            method: self.cfg.method,
+            source,
+            epoch: target,
+            lost: plan.lost,
+            epochs_seen: plan.maxima,
+            rebuilt_bytes,
+            elapsed: t0.elapsed(),
+            ops: self.op_trail.clone(),
+        });
+        Ok(Recovery::Restored {
+            epoch: target,
+            a2,
+            source,
+        })
     }
 
     /// Abandon all checkpoint state: zero the commit markers so future
@@ -542,14 +547,14 @@ impl<'c> Checkpointer<'c> {
     /// checkpoint copy and compare it with its checksum bit-exactly.
     /// Returns the group-wide verdict.
     ///
-    /// Which pair is checked is the method's call (`Protocol::verify_pair`):
-    /// for the double-checkpoint baseline the pairs alternate by epoch
-    /// parity and the *off* pair may legally hold a torn write.
+    /// The check targets the pair holding the current epoch: a method
+    /// with several checkpoint pairs alternates them, and the *off* pair
+    /// may legally hold a torn write.
     pub fn verify_integrity(&self) -> Result<bool, Fault> {
-        let (b_t, c_t) = self.proto.verify_pair(self);
-        let parity = self.encode_of(b_t, None)?;
+        let pair = self.table.written_at(self.epoch);
+        let parity = self.encode_of(pair.data, None)?;
         let ok = {
-            let c = c_t.read();
+            let c = self.seg(pair.parity).read();
             parity
                 .iter()
                 .flatten()

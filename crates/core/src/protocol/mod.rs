@@ -13,23 +13,26 @@
 //!   spare accounting) is a detectable two-phase
 //!   [`ops::Prepared`]`→`[`ops::Committed`] operation with an
 //!   idempotent replay path.
+//! * `table` — what each [`Method`] keeps, declared once: the regions it
+//!   allocates, its `(commit word, data, parity)` pairs, which pair an
+//!   epoch overwrites and which pair holds a target epoch. Segment
+//!   allocation, the CRC-slot layout, `verify_integrity`, `scrub` and
+//!   every restore read it.
 //! * `checkpointer` — the [`Checkpointer`] front end: segment
 //!   lifecycle, the collective `make`/`recover` entry points, shared
 //!   mechanics.
-//! * `proto` — the `Protocol` trait plumbing binding a [`Method`] to its
-//!   implementation.
+//! * `methods` — the three methods' `make` sequences and their `restore`
+//!   arms over one shared restore core: the only place (with the table
+//!   and the planner's proposal rule) that branches on [`Method`].
 //! * [`planner`] — group-consensus restore-source selection as pure,
 //!   unit-testable functions of survivor headers.
 //! * [`report`] — the [`RecoveryReport`] a successful recovery leaves
 //!   behind (including the op-level audit trail).
 //! * `regions` — the segment copy/fill plumbing, the per-stripe CRC32C
-//!   witness table, restore-source verification, and parity rebuilds —
+//!   witness table, the collective damage census, and parity rebuilds —
 //!   mechanics reachable only through [`ops`] (lint-enforced via
 //!   clippy's `disallowed-methods`).
 //! * `scrub` — the collective CRC scrub-and-repair pass.
-//! * `self_ckpt` / `single` / `double` — one `Protocol` implementation
-//!   per method. The `Checkpointer` resolves its implementation **once at
-//!   init** and never branches on [`Method`] in `make`/`recover` again.
 //!
 //! ## Segments (all in node-persistent SHM, names scoped per rank)
 //!
@@ -60,8 +63,8 @@
 //! certifies, so the discipline above is enforced by the type system.
 //! Recovery gathers every member's header, runs the pure
 //! [`planner::plan_recovery`] consensus, agrees job-wide on the minimum
-//! restorable epoch, and lets the method's `Protocol` implementation
-//! rebuild the lost ranks (up to the codec's parity count) from parity.
+//! restorable epoch, and rebuilds the lost ranks (up to the codec's
+//! parity count) from the pair the method's table row says holds it.
 //! The invariant — at least one of `(work, D)`, `(B, C)` is a committed
 //! consistent pair at every instant — is exercised by failure injection
 //! at every [`Phase`] in the integration tests.
@@ -73,22 +76,16 @@ pub mod planner;
 pub mod report;
 
 mod checkpointer;
-mod double;
-mod proto;
+mod methods;
 mod regions;
 mod scrub;
-mod self_ckpt;
-mod single;
-#[cfg(test)]
-mod tests;
+mod table;
 
 pub use checkpointer::Checkpointer;
 pub use header::{Header, HeaderState, HEADER_BYTES};
 pub use ops::{OpAction, OpRecord, OpState};
 pub use phase::Phase;
-pub use planner::{
-    choose_double_pair, choose_self_source, GroupPlan, HeaderMaxima, PairSlot, SurvivorView,
-};
+pub use planner::{GroupPlan, HeaderMaxima, SurvivorView};
 pub use regions::COPY_PROBE;
 pub use report::RecoveryReport;
 
@@ -286,3 +283,6 @@ impl std::fmt::Display for RecoverError {
 }
 
 impl std::error::Error for RecoverError {}
+
+#[cfg(test)]
+mod tests;

@@ -10,6 +10,7 @@
 //! * **tests** — the fault-sweep matrix iterates [`Phase::ALL`] instead of
 //!   keeping a private label list.
 
+use super::table::MethodTable;
 use crate::memory::Method;
 
 /// One window of the checkpoint protocol, in `make` order.
@@ -73,13 +74,15 @@ impl Phase {
         Phase::ALL.into_iter().find(|p| p.label() == label)
     }
 
-    /// Whether `method`'s `make` ever passes through this phase.
+    /// Whether `method`'s `make` ever passes through this phase: a method
+    /// that keeps a live pair commits it and then flushes it over the
+    /// checkpoint; one that does not copies over the checkpoint first.
     pub fn fires_in(self, method: Method) -> bool {
-        match method {
-            Method::SelfCkpt => !matches!(self, Phase::CopyB),
-            Method::Single | Method::Double => {
-                !matches!(self, Phase::CommitD | Phase::FlushB | Phase::FlushC)
-            }
+        let keeps_live_pair = MethodTable::of(method).live.is_some();
+        match self {
+            Phase::CommitD | Phase::FlushB | Phase::FlushC => keeps_live_pair,
+            Phase::CopyB => !keeps_live_pair,
+            _ => true,
         }
     }
 }

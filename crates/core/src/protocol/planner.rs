@@ -4,8 +4,8 @@
 //! threads, no SHM — so the paper's CASE 1 / CASE 2 verdicts (Figures
 //! 2–5) can be unit-tested against synthetic header sets directly. The
 //! [`Checkpointer`](super::Checkpointer) gathers one [`SurvivorView`] per
-//! group member, calls [`plan_recovery`], and then lets the method impl
-//! act on the [`GroupPlan`].
+//! group member, calls [`plan_recovery`], and then restores from the pair
+//! the method's table row says holds the agreed epoch.
 //!
 //! Consensus rule: take the group **MAX** of each commit marker over
 //! survivors. Every marker is written only after a group barrier, so "any
@@ -13,8 +13,7 @@
 //! for that phase is complete — even on ranks whose own header write was
 //! cut short by the abort.
 
-use super::header::Header;
-use super::RestoreSource;
+use super::header::{Header, HeaderWord};
 use crate::memory::Method;
 
 /// One group member's contribution to the recovery consensus.
@@ -58,6 +57,37 @@ pub struct HeaderMaxima {
     pub attempt: u64,
 }
 
+impl HeaderMaxima {
+    /// Component-wise MAX over the views that can be trusted (not
+    /// fresh); all zero when there is none.
+    pub(crate) fn over(views: &[SurvivorView]) -> Self {
+        let max_of = |f: fn(&Header) -> u64| {
+            views
+                .iter()
+                .filter(|v| !v.fresh)
+                .map(|v| f(&v.header))
+                .max()
+                .unwrap_or(0)
+        };
+        HeaderMaxima {
+            d: max_of(|h| h.d_epoch),
+            bc: max_of(|h| h.bc_epoch),
+            pair1: max_of(|h| h.pair1_epoch),
+            attempt: max_of(|h| h.dirty_epoch),
+        }
+    }
+
+    /// The maxima as a fixed array, in `HeaderWord` order.
+    pub(crate) fn words(&self) -> [u64; 4] {
+        [self.d, self.bc, self.pair1, self.attempt]
+    }
+
+    /// The maximum seen for one commit word.
+    pub(crate) fn word(&self, w: HeaderWord) -> u64 {
+        self.words()[w as usize]
+    }
+}
+
 /// What one group concludes from its survivors' headers.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct GroupPlan {
@@ -92,20 +122,7 @@ pub fn plan_recovery(method: Method, views: &[SurvivorView], parity: usize) -> G
     let all_fresh = lost_list.len() == views.len();
     let multi_loss = !all_fresh && lost_list.len() > parity;
     let lost = if all_fresh { Vec::new() } else { lost_list };
-    let max_of = |f: fn(&Header) -> u64| {
-        views
-            .iter()
-            .filter(|v| !v.fresh)
-            .map(|v| f(&v.header))
-            .max()
-            .unwrap_or(0)
-    };
-    let maxima = HeaderMaxima {
-        d: max_of(|h| h.d_epoch),
-        bc: max_of(|h| h.bc_epoch),
-        pair1: max_of(|h| h.pair1_epoch),
-        attempt: max_of(|h| h.dirty_epoch),
-    };
+    let maxima = HeaderMaxima::over(views);
     let (proposal, torn) = match method {
         // CASE 2 roll-forward: a committed D can outrank the committed
         // (B, C) and the workspace then stands in as the checkpoint.
@@ -126,43 +143,15 @@ pub fn plan_recovery(method: Method, views: &[SurvivorView], parity: usize) -> G
     }
 }
 
-/// Self method: which consistent pair serves the agreed target epoch.
-/// `(B, C)` is preferred when both pairs hold the target (they are then
-/// identical); `None` means the target is held by neither pair — a broken
-/// protocol invariant.
-pub fn choose_self_source(target: u64, maxima: &HeaderMaxima) -> Option<RestoreSource> {
-    if target == maxima.bc {
-        Some(RestoreSource::CheckpointAndChecksum)
-    } else if target == maxima.d {
-        Some(RestoreSource::WorkspaceAndChecksum)
-    } else {
-        None
-    }
-}
-
-/// Double method: which pair slot holds the agreed target epoch.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PairSlot {
-    /// Pair 0 (`b`, `c`) — odd epochs.
-    Primary,
-    /// Pair 1 (`b1`, `c1`) — even epochs.
-    Secondary,
-}
-
-/// Double method: select the pair committed at `target`.
-pub fn choose_double_pair(target: u64, maxima: &HeaderMaxima) -> Option<PairSlot> {
-    if maxima.bc == target {
-        Some(PairSlot::Primary)
-    } else if maxima.pair1 == target {
-        Some(PairSlot::Secondary)
-    } else {
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::table::{MethodTable, Pair, BC, WORK_D};
     use super::*;
+
+    /// The pair `method`'s table row says holds `target`.
+    fn holding(method: Method, target: u64, seen: &HeaderMaxima) -> Option<&'static Pair> {
+        MethodTable::of(method).holding(target, seen)
+    }
 
     fn hdr(d: u64, bc: u64, pair1: u64, dirty: u64) -> Header {
         Header {
@@ -195,8 +184,8 @@ mod tests {
         assert!(!plan.multi_loss && !plan.torn && !plan.all_fresh);
         assert_eq!(plan.proposal, 3);
         assert_eq!(
-            choose_self_source(plan.proposal, &plan.maxima),
-            Some(RestoreSource::CheckpointAndChecksum)
+            holding(Method::SelfCkpt, plan.proposal, &plan.maxima),
+            Some(&BC)
         );
     }
 
@@ -206,8 +195,8 @@ mod tests {
         let plan = plan_recovery(Method::SelfCkpt, &group(4, hdr(3, 2, 0, 0), Some(2)), 1);
         assert_eq!(plan.proposal, 3);
         assert_eq!(
-            choose_self_source(plan.proposal, &plan.maxima),
-            Some(RestoreSource::WorkspaceAndChecksum)
+            holding(Method::SelfCkpt, plan.proposal, &plan.maxima),
+            Some(&WORK_D)
         );
     }
 
@@ -221,8 +210,8 @@ mod tests {
         assert_eq!(plan.proposal, 3);
         let cross_group_target = 2; // MIN with the slower peer group
         assert_eq!(
-            choose_self_source(cross_group_target, &plan.maxima),
-            Some(RestoreSource::CheckpointAndChecksum)
+            holding(Method::SelfCkpt, cross_group_target, &plan.maxima),
+            Some(&BC)
         );
     }
 
@@ -262,18 +251,16 @@ mod tests {
 
     #[test]
     fn double_restores_from_the_newer_pair() {
-        // pair0@3, pair1@2: target 3 lives in the primary pair
+        // pair0@3, pair1@2: target 3 lives in pair 0
         let plan = plan_recovery(Method::Double, &group(4, hdr(0, 3, 2, 0), Some(1)), 1);
         assert_eq!(plan.proposal, 3);
+        let pairs = MethodTable::of(Method::Double).pairs;
         assert_eq!(
-            choose_double_pair(plan.proposal, &plan.maxima),
-            Some(PairSlot::Primary)
+            holding(Method::Double, plan.proposal, &plan.maxima),
+            Some(&pairs[0])
         );
         // a cross-group MIN of 2 would pick the other pair
-        assert_eq!(
-            choose_double_pair(2, &plan.maxima),
-            Some(PairSlot::Secondary)
-        );
+        assert_eq!(holding(Method::Double, 2, &plan.maxima), Some(&pairs[1]));
     }
 
     #[test]
@@ -324,7 +311,7 @@ mod tests {
             bc: 2,
             ..Default::default()
         };
-        assert_eq!(choose_self_source(5, &maxima), None);
-        assert_eq!(choose_double_pair(5, &maxima), None);
+        assert_eq!(holding(Method::SelfCkpt, 5, &maxima), None);
+        assert_eq!(holding(Method::Double, 5, &maxima), None);
     }
 }

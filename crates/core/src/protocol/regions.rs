@@ -9,6 +9,7 @@
 //! CRC-damaged or lost members per group are folded into the erasure set
 //! and rebuilt from the survivors' parity.
 
+use super::table::{slot, Pair, SLOTS};
 use super::{Checkpointer, RecoverError, RECOVER_REBUILD_PROBE};
 use crate::engine::reconstruct_multi;
 use skt_cluster::{Event, Region, ShmSegment};
@@ -22,26 +23,9 @@ use skt_mps::{Fault, Payload};
 /// just at the phase-boundary probes.
 pub const COPY_PROBE: &str = "ckpt-copy";
 
-/// Region order inside the per-rank CRC table segment. Each region owns
-/// `N-1` little-endian `u32` stripe-CRC slots; the parity-segment regions
-/// (`c`, `d`, `c1`) use the first `m` slots and the data regions the
-/// first `N-m` — both fit because `N-1 >= max(N-m, m)` for any valid
-/// `m <= N-1`. The header is absent on purpose — it carries its own
-/// embedded CRC — and the table itself is trusted metadata the injector's
-/// [`Region`] enum cannot target: a mismatch always means the *data*
-/// moved, never the witness.
-const CRC_REGIONS: [Region; 6] = [
-    Region::Work,
-    Region::CopyB,
-    Region::ParityC,
-    Region::ChecksumD,
-    Region::CopyB1,
-    Region::ParityC1,
-];
-
 /// Size of the per-rank CRC table segment for an `n`-member group.
 pub(crate) fn crc_table_bytes(n: usize) -> usize {
-    CRC_REGIONS.len() * (n - 1) * 4
+    SLOTS * (n - 1) * 4
 }
 
 impl<'c> Checkpointer<'c> {
@@ -169,21 +153,6 @@ impl<'c> Checkpointer<'c> {
         Ok(())
     }
 
-    /// The SHM segment backing a corruptible [`Region`], when this
-    /// method allocates it (`None` for the header, which embeds its own
-    /// CRC, and for the other methods' absent segments).
-    pub(super) fn region_seg(&self, r: Region) -> Option<&ShmSegment> {
-        match r {
-            Region::Work => Some(&self.work),
-            Region::CopyB => Some(&self.b),
-            Region::ParityC => Some(&self.c),
-            Region::ChecksumD => self.d.as_ref(),
-            Region::CopyB1 => self.b1.as_ref(),
-            Region::ParityC1 => self.c1.as_ref(),
-            _ => None,
-        }
-    }
-
     /// Freshly computed per-stripe CRCs of a region (`None` when the
     /// method doesn't allocate it). Data regions yield `N-m` stripe
     /// entries, the `m`-stripe parity segments yield `m`.
@@ -200,11 +169,8 @@ impl<'c> Checkpointer<'c> {
     }
 
     /// Byte range of a region's slots within the CRC table segment.
-    fn crc_slot_range(&self, r: Region) -> std::ops::Range<usize> {
-        let idx = CRC_REGIONS
-            .iter()
-            .position(|&x| x == r)
-            .expect("region has a CRC table slot");
+    pub(super) fn crc_slot_range(&self, r: Region) -> std::ops::Range<usize> {
+        let idx = slot(r).expect("region has a CRC table slot");
         let per = (self.comm.size() - 1) * 4;
         idx * per..(idx + 1) * per
     }
@@ -270,63 +236,68 @@ impl<'c> Checkpointer<'c> {
             .collect())
     }
 
-    /// Collective CRC verification of the restore-source `regions`
-    /// before a restore trusts them. Already-lost ranks are counted as
-    /// damaged by definition; CRC-damaged survivors are *merged into the
-    /// erasure set* — the returned ranks are what the parity rebuild must
-    /// restore, which it does bit-exactly. More damaged members than the
-    /// codec's parity count `m` exceed its correction power.
-    pub(crate) fn verify_sources(
+    /// The group half of the damage census: collective CRC verification
+    /// of `pair` before anything trusts it. Already-`lost` ranks are
+    /// counted as damaged by definition; CRC-damaged survivors are
+    /// *merged into the erasure set* — the returned ranks are what the
+    /// parity rebuild must restore, which it does bit-exactly. More
+    /// damaged members than the codec's parity count `m` exceed its
+    /// correction power: the second value is then this group's typed
+    /// verdict, to be handed to [`Self::job_verdict`].
+    pub(super) fn damage_census(
         &self,
         lost: &[usize],
-        regions: &[Region],
-    ) -> Result<Vec<usize>, RecoverError> {
+        pair: &Pair,
+    ) -> Result<(Vec<usize>, Option<String>), Fault> {
         let m = self.layout.parity_count();
-        let me = self.comm.rank();
-        let my_ok = if lost.contains(&me) {
-            false
-        } else {
-            let mut ok = true;
-            for &r in regions {
-                ok &= self.region_crc_ok(r)?;
-            }
-            ok
-        };
+        let my_ok = !lost.contains(&self.comm.rank())
+            && self.region_crc_ok(pair.data)?
+            && self.region_crc_ok(pair.parity)?;
         let bad = self.gather_bad_ranks(my_ok)?;
-        // Job-wide agreement on the worst group's damage count. An
-        // unrecoverable verdict kills no node, so if one group returned
-        // the error while its siblings proceeded into the restore
-        // collectives, the job would split between the two paths and
-        // hang. One reduce makes the verdict collective.
-        let worst = -self
-            .agree_min(-(bad.len().min(m + 1) as i64))
-            .map_err(RecoverError::Fault)?;
-        if worst as usize > m {
-            return Err(RecoverError::Unrecoverable(if bad.len() > m {
-                if m == 1 {
-                    format!(
-                        "checkpoint integrity: ranks {bad:?} of a {}-member group hold damaged \
-                         restore sources ({regions:?}); single parity can rebuild only one",
-                        self.comm.size()
-                    )
-                } else {
-                    format!(
-                        "checkpoint integrity: ranks {bad:?} of a {}-member group hold damaged \
-                         restore sources ({regions:?}); the {} code can rebuild at most {m}",
-                        self.comm.size(),
-                        self.codec.name()
-                    )
-                }
-            } else if m == 1 {
-                "checkpoint integrity: a sibling group's restore sources are damaged beyond \
-                 single-parity repair"
-                    .into()
+        let verdict = (bad.len() > m).then(|| {
+            let limit = if m == 1 {
+                "single parity can rebuild only one".to_string()
             } else {
-                "checkpoint integrity: a sibling group's restore sources are damaged beyond \
-                 the parity code's repair"
-                    .into()
-            }));
-        }
+                format!("the {} code can rebuild at most {m}", self.codec.name())
+            };
+            format!(
+                "checkpoint integrity: ranks {bad:?} of a {}-member group hold damaged restore \
+                 sources ({:?}); {limit}",
+                self.comm.size(),
+                [pair.data, pair.parity]
+            )
+        });
+        Ok((bad, verdict))
+    }
+
+    /// The damage census of a restore source, verdict included: what
+    /// every restore runs before it trusts `pair`.
+    pub(super) fn verify_sources(
+        &self,
+        lost: &[usize],
+        pair: &Pair,
+    ) -> Result<Vec<usize>, RecoverError> {
+        let (bad, damage) = self.damage_census(lost, pair)?;
+        self.job_verdict(damage)?;
         Ok(bad)
+    }
+
+    /// The job half of the damage census: agree job-wide on whether any
+    /// group is damaged beyond repair. An unrecoverable verdict kills no
+    /// node, so if one group returned the error while its siblings
+    /// proceeded into the next collectives, the job would split between
+    /// the two paths and hang. One reduce makes the verdict collective;
+    /// `damage` is this group's own verdict, if it has one.
+    pub(super) fn job_verdict(&self, damage: Option<String>) -> Result<(), RecoverError> {
+        let worst = self
+            .agree_min(-(damage.is_some() as i64))
+            .map_err(RecoverError::Fault)?;
+        if worst == 0 {
+            return Ok(());
+        }
+        Err(RecoverError::Unrecoverable(damage.unwrap_or_else(|| {
+            "checkpoint integrity: a sibling group is damaged beyond the parity code's repair"
+                .into()
+        })))
     }
 }

@@ -4,12 +4,9 @@
 //! ops ([`super::ops`]): a scrub re-entered after a crash detects which
 //! repairs already committed and skips them.
 
-use super::header::{Header, HeaderState};
 use super::ops::{self, OpAction};
+use super::planner::HeaderMaxima;
 use super::{Checkpointer, RecoverError, ScrubReport, SCRUB_PROBE};
-use crate::memory::Method;
-use skt_cluster::Region;
-use skt_mps::Payload;
 
 impl<'c> Checkpointer<'c> {
     /// Collective integrity *scrub*: verify the commit header and every
@@ -35,112 +32,44 @@ impl<'c> Checkpointer<'c> {
         self.op_trail.clear();
         self.probe(SCRUB_PROBE)?;
 
-        // 1. Headers: exchange (crc-valid, words) and take the group
-        // consensus (MAX per word over valid headers).
-        let (valid, words) = match Header::classify(&self.header) {
-            HeaderState::Valid(h) => (true, h.words()),
-            HeaderState::Invalid(_) => (false, [0u64; 4]),
-        };
-        let mine = Payload::I64(vec![
-            valid as i64,
-            words[0] as i64,
-            words[1] as i64,
-            words[2] as i64,
-            words[3] as i64,
-        ]);
-        let views: Vec<Vec<i64>> = self
-            .comm
-            .allgather(mine)?
-            .into_iter()
-            .map(Payload::into_i64)
-            .collect();
-        let mut consensus = [0u64; 4];
-        let mut any_valid = false;
-        for v in &views {
-            if v[0] != 0 {
-                any_valid = true;
-                for (c, w) in consensus.iter_mut().zip(&v[1..5]) {
-                    *c = (*c).max(*w as u64);
-                }
-            }
-        }
+        // 1. Headers: exchange them and take the group consensus (MAX
+        // per word over valid headers).
+        let views = self.gather_views(false)?;
+        let any_valid = views.iter().any(|v| !v.fresh);
+        let consensus = HeaderMaxima::over(&views);
         // A group with no valid header is beyond repair, but the error
         // exit must stay collective across sibling groups (see the
         // deferred verdict below): with all-zero consensus the pair list
         // stays empty, so the group simply falls through to it.
-        let m = self.layout.parity_count();
-        let mut worst_local: i64 = 0;
-        let mut damage: Option<String> = None;
-        if !any_valid {
-            worst_local = (m + 1) as i64;
-            damage = Some("scrub: every header in the group failed its CRC".into());
-        }
+        let mut damage =
+            (!any_valid).then(|| "scrub: every header in the group failed its CRC".to_string());
         let mut header_repaired = false;
         if any_valid {
-            let adopted = self.seal_replay(ops::HeaderAdopt::new(consensus))?;
+            let adopted = self.seal_replay(ops::HeaderAdopt::new(consensus.words()))?;
             header_repaired = adopted.record().action == OpAction::Replayed;
         }
-        let h = Header {
-            d_epoch: consensus[0],
-            bc_epoch: consensus[1],
-            pair1_epoch: consensus[2],
-            dirty_epoch: consensus[3],
-        };
 
         // 2. Committed pairs. Never-committed pairs are skipped: their
         // segments and CRC slots are both still zero-initialized, which
         // is not a checkpoint and must not be "verified" as one.
-        let mut pairs: Vec<(Region, Region)> = Vec::new();
-        if h.bc_epoch > 0 {
-            pairs.push((Region::CopyB, Region::ParityC));
-        }
-        if self.cfg.method == Method::Double && h.pair1_epoch > 0 {
-            pairs.push((Region::CopyB1, Region::ParityC1));
-        }
+        let pairs: Vec<_> = (self.table.pairs.iter())
+            .filter(|p| consensus.word(p.word) > 0)
+            .collect();
         let mut repaired = Vec::new();
-        for &(data_r, parity_r) in &pairs {
-            let my_ok = self.region_crc_ok(data_r)? && self.region_crc_ok(parity_r)?;
-            let bad = self.gather_bad_ranks(my_ok)?;
-            if bad.is_empty() {
-                continue;
-            }
-            if bad.len() <= m {
-                let _rebuilt =
-                    self.seal_replay(ops::RebuildOp::new(bad.clone(), data_r, parity_r))?;
+        for &pair in &pairs {
+            let (bad, beyond_repair) = self.damage_census(&[], pair)?;
+            if let Some(verdict) = beyond_repair {
+                damage.get_or_insert(verdict);
+            } else if !bad.is_empty() {
                 repaired.extend_from_slice(&bad);
-            } else {
-                worst_local = (m + 1) as i64;
-                damage.get_or_insert_with(|| {
-                    if m == 1 {
-                        format!(
-                            "scrub: ranks {bad:?} of a {}-member group hold damaged copies of \
-                             the ({data_r}, {parity_r}) pair; single parity can rebuild only one",
-                            self.comm.size()
-                        )
-                    } else {
-                        format!(
-                            "scrub: ranks {bad:?} of a {}-member group hold damaged copies of \
-                             the ({data_r}, {parity_r}) pair; the {} code can rebuild at most {m}",
-                            self.comm.size(),
-                            self.codec.name()
-                        )
-                    }
-                });
+                let _rebuilt =
+                    self.seal_replay(ops::RebuildOp::new(bad, pair.data, pair.parity))?;
             }
         }
         // Deferred job-wide verdict: every rank reduces once, so sibling
         // groups that finished their own (possibly repairing) pass exit
         // through the same path instead of hanging on a half-aborted job.
-        let worst = -self.agree_min(-worst_local).map_err(RecoverError::Fault)?;
-        if worst > m as i64 {
-            return Err(RecoverError::Unrecoverable(damage.unwrap_or_else(|| {
-                if m == 1 {
-                    "scrub: a sibling group is damaged beyond single-parity repair".into()
-                } else {
-                    "scrub: a sibling group is damaged beyond the parity code's repair".into()
-                }
-            })));
-        }
+        self.job_verdict(damage)?;
         Ok(ScrubReport {
             pairs_checked: pairs.len(),
             repaired,

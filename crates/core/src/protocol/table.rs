@@ -1,0 +1,156 @@
+//! What each checkpoint method keeps, declared once (paper Table 1:
+//! `A,B,C` / `A,2×(B,C)` / `A,B,C,D`; Figures 2–5 for which pair is
+//! trusted when): the regions a method allocates, its `(commit word,
+//! data, parity)` pairs, which pair epoch `e` overwrites and which pair
+//! holds a given target epoch. `init`, the segment lookup, the CRC-slot
+//! table, `verify_integrity`, `scrub`, the resume epoch and every
+//! restore read this table instead of restating it. To add a method: add
+//! a row here and a `make` function (plus its `restore` arm) in
+//! `methods`.
+
+use super::header::{Header, HeaderWord};
+use super::planner::HeaderMaxima;
+use crate::memory::Method;
+use skt_cluster::Region;
+
+/// A consistent `(data, parity)` pair and the commit word holding the
+/// epoch it was committed at.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct Pair {
+    pub(crate) word: HeaderWord,
+    pub(crate) data: Region,
+    pub(crate) parity: Region,
+}
+
+/// The committed checkpoint `(B, C)` every method keeps (pair 0).
+pub(crate) const BC: Pair = Pair {
+    word: HeaderWord::BcEpoch,
+    data: Region::CopyB,
+    parity: Region::ParityC,
+};
+
+/// The double method's second checkpoint pair.
+const B1C1: Pair = Pair {
+    word: HeaderWord::Pair1,
+    data: Region::CopyB1,
+    parity: Region::ParityC1,
+};
+
+/// The self method's `(work, D)`: the workspace acting as a checkpoint
+/// while `(B, C)` is overwritten.
+pub(crate) const WORK_D: Pair = Pair {
+    word: HeaderWord::DEpoch,
+    data: Region::Work,
+    parity: Region::ChecksumD,
+};
+
+/// One method's row. What it allocates follows from it: the workspace
+/// plus every pair's regions ([`MethodTable::regions`]).
+pub(crate) struct MethodTable {
+    /// The checkpoint pairs `make` rotates through, oldest overwritten
+    /// first — the pairs a scrub verifies and a restart resumes from.
+    pub(crate) pairs: &'static [Pair],
+    /// The live pair, consistent only between its commit and the next
+    /// application write (self method).
+    pub(crate) live: Option<Pair>,
+}
+
+/// `A, B, C`.
+static SINGLE: MethodTable = MethodTable {
+    pairs: &[BC],
+    live: None,
+};
+
+/// `A, 2 × (B, C)`.
+static DOUBLE: MethodTable = MethodTable {
+    pairs: &[BC, B1C1],
+    live: None,
+};
+
+/// `A, B, C, D`.
+static SELF_CKPT: MethodTable = MethodTable {
+    pairs: &[BC],
+    live: Some(WORK_D),
+};
+
+/// Number of region slots: the length of a `Checkpointer`'s segment array
+/// and the region count of the per-rank CRC table.
+pub(crate) const SLOTS: usize = 6;
+
+/// A corruptible `f64` region's slot: its index in the `Checkpointer`'s
+/// segment array and its position in the per-rank CRC table segment —
+/// the same for every method, and **on-disk layout**: never reorder.
+/// Each region owns `N-1` little-endian `u32` stripe-CRC slots; the
+/// parity regions (`c`, `d`, `c1`) use the first `m` and the data regions
+/// the first `N-m` — both fit because `N-1 >= max(N-m, m)` for any valid
+/// `m <= N-1`. The header has no slot on purpose — it carries its own
+/// embedded CRC — and the table itself is trusted metadata the injector's
+/// [`Region`] enum cannot target: a mismatch always means the *data*
+/// moved, never the witness.
+pub(crate) fn slot(r: Region) -> Option<usize> {
+    match r {
+        Region::Work => Some(0),
+        Region::CopyB => Some(1),
+        Region::ParityC => Some(2),
+        Region::ChecksumD => Some(3),
+        Region::CopyB1 => Some(4),
+        Region::ParityC1 => Some(5),
+        _ => None,
+    }
+}
+
+impl MethodTable {
+    /// The one place a [`Method`] maps to what it keeps.
+    pub(crate) fn of(method: Method) -> &'static MethodTable {
+        match method {
+            Method::Single => &SINGLE,
+            Method::Double => &DOUBLE,
+            Method::SelfCkpt => &SELF_CKPT,
+        }
+    }
+
+    /// Every pair the method can restore from, in the order a restore
+    /// prefers them: a committed checkpoint before the live pair (when
+    /// both hold the target they are identical).
+    fn sources(&self) -> impl Iterator<Item = &Pair> {
+        self.pairs.iter().chain(&self.live)
+    }
+
+    /// The `f64` segments the method allocates beside `header` and `crc`,
+    /// in creation order (segment names are [`Region::suffix`]), each
+    /// with whether it is a checksum segment (`m` stripes) rather than a
+    /// workspace-sized one.
+    pub(crate) fn regions(&self) -> impl Iterator<Item = (Region, bool)> + '_ {
+        let paired = self
+            .sources()
+            .flat_map(|p| [(p.data, false), (p.parity, true)]);
+        std::iter::once((Region::Work, false)).chain(paired.filter(|&(r, _)| r != Region::Work))
+    }
+
+    /// The checkpoint pair epoch `e`'s `make` overwrites — the *older*
+    /// one, so the newer stays consistent — and therefore the pair that
+    /// holds epoch `e` once it committed (the other may legally hold a
+    /// torn write).
+    pub(crate) fn written_at(&self, e: u64) -> &Pair {
+        let n = self.pairs.len() as u64;
+        &self.pairs[((e + n - 1) % n) as usize]
+    }
+
+    /// The pair committed at `target`, judged by the survivors' header
+    /// maxima; `None` means no pair holds it — a broken protocol
+    /// invariant.
+    pub(crate) fn holding(&self, target: u64, seen: &HeaderMaxima) -> Option<&Pair> {
+        self.sources().find(|p| seen.word(p.word) == target)
+    }
+
+    /// Epoch to resume at when re-attaching to existing segments: the
+    /// newest committed checkpoint pair.
+    pub(crate) fn resume_epoch(&self, h: &Header) -> u64 {
+        let words = h.words();
+        self.pairs
+            .iter()
+            .map(|p| words[p.word as usize])
+            .max()
+            .unwrap_or(0)
+    }
+}

@@ -1,4 +1,6 @@
+use super::table::MethodTable;
 use super::*;
+use crate::memory::MemoryBreakdown;
 use skt_cluster::{
     Cluster, ClusterConfig, CorruptPlan, Event, FailurePlan, Ranklist, Recorder, Region,
 };
@@ -393,6 +395,55 @@ fn scrub_rebuilds_a_crc_corrupt_header_from_group_consensus() {
 }
 
 #[test]
+fn double_scrub_checks_only_committed_pairs_and_repairs_the_second() {
+    let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 0)));
+    let rl = Ranklist::round_robin(N, N);
+    let outs = run_on_cluster(cluster, &rl, |ctx| {
+        let world = ctx.world();
+        let (mut ck, _) = Checkpointer::init(world, cfg(Method::Double));
+        let fill = |ck: &Checkpointer<'_>, e: u64| {
+            let ws = ck.workspace();
+            ws.write().as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), e));
+        };
+        // Epoch 1 commits pair 0 only: (b1, c1) is still zero-filled
+        // with zero CRC slots — not a checkpoint, so not scrubbed.
+        fill(&ck, 1);
+        ck.make(b"one")?;
+        let one = ck.scrub().map_err(|_| Fault::JobAborted)?;
+        // Epoch 2 commits pair 1; a flip in rank 1's `b1` is repaired
+        // from the pair's own parity `c1`.
+        fill(&ck, 2);
+        ck.make(b"two")?;
+        ctx.world().barrier()?;
+        if ctx.world_rank() == 0 {
+            let plan = CorruptPlan::new("now", 1, 1, Region::CopyB1, 9, 3);
+            assert!(ctx.cluster().corrupt_now(&plan));
+        }
+        ctx.world().barrier()?;
+        let two = ck.scrub().map_err(|_| Fault::JobAborted)?;
+        let ok = ck.verify_integrity()?;
+        let b1 = ctx
+            .shm()
+            .attach(&format!("test/r{}/b1", ctx.world_rank()))
+            .expect("second checkpoint copy exists");
+        let data = b1.read().as_f64()[..A1].to_vec();
+        Ok((one, two, ok, data))
+    })
+    .unwrap();
+    for (rank, (one, two, ok, data)) in outs.iter().enumerate() {
+        assert_eq!(one.pairs_checked, 1, "rank {rank}");
+        assert_eq!(one.repaired, Vec::<usize>::new(), "rank {rank}");
+        assert_eq!(two.pairs_checked, 2, "rank {rank}");
+        assert_eq!(two.repaired, vec![1], "rank {rank}");
+        assert!(
+            ok,
+            "rank {rank}: epoch 2's pair must verify after the repair"
+        );
+        assert_eq!(data, &pattern(rank, 2), "rank {rank} repaired copy");
+    }
+}
+
+#[test]
 fn restart_recovery_repairs_a_corrupted_survivor_bit_exactly() {
     // No node dies: the job exits normally, a bit silently flips in one
     // rank's checkpoint copy while the job is down, and the restart's
@@ -484,6 +535,85 @@ fn shm_usage_matches_table1() {
         let table1 = 2 * padded * N / (N - 1);
         assert_eq!(2 * padded + 2 * stripe, table1);
     }
+}
+
+/// The table is the on-disk contract. For `method`, under both parity
+/// counts: `init` creates exactly the table's regions plus `header` and
+/// `crc`, under the segment names `names` (what every earlier version
+/// wrote); every pair's regions are allocated and own the CRC-table byte
+/// range their fixed slot implies; and the footprint is Table 1's
+/// (`memory.rs`, which does not read the table) plus header and CRC table.
+fn init_creates_exactly_the_table_row(method: Method, names: &[&str]) {
+    for codec in [CodecSpec::default(), CodecSpec::Dual] {
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 0)));
+        let rl = Ranklist::round_robin(N, N);
+        let cfg = cfg(method).with_codec(codec);
+        run_on_cluster(cluster, &rl, |ctx| {
+            let (ck, attached) = Checkpointer::init(ctx.world(), cfg.clone());
+            assert!(!attached);
+            let table = MethodTable::of(method);
+            let scoped = |part: &str| format!("test/r{}/{part}", ctx.world_rank());
+            let mut created = ctx.shm().names();
+            created.sort();
+            let mut from_table: Vec<String> = (table.regions().map(|(r, _)| r.suffix()))
+                .chain(["header", "crc"])
+                .map(scoped)
+                .collect();
+            from_table.sort();
+            assert_eq!(created, from_table);
+            let mut literal: Vec<String> = names.iter().map(|n| scoped(n)).collect();
+            literal.sort();
+            assert_eq!(created, literal);
+
+            let per = (N - 1) * 4;
+            let slots = [
+                Region::Work,
+                Region::CopyB,
+                Region::ParityC,
+                Region::ChecksumD,
+                Region::CopyB1,
+                Region::ParityC1,
+            ];
+            for (i, r) in slots.into_iter().enumerate() {
+                assert_eq!(ck.crc_slot_range(r), i * per..(i + 1) * per, "{r}");
+            }
+            assert_eq!(crc_table_bytes(N), slots.len() * per);
+            for pair in table.pairs.iter().chain(&table.live) {
+                for r in [pair.data, pair.parity] {
+                    assert!(ck.region_seg(r).is_some(), "{r} allocated");
+                    assert!(slots.contains(&r), "{r} owns a CRC slot");
+                }
+            }
+
+            let l = ck.layout();
+            let m = l.parity_count();
+            let table1 = MemoryBreakdown::with_parity(method, l.padded_len(), N, m);
+            assert_eq!(
+                ck.shm_bytes(),
+                table1.total() * 8 + HEADER_BYTES + crc_table_bytes(N)
+            );
+            Ok(())
+        })
+        .unwrap();
+    }
+}
+
+#[test]
+fn single_init_creates_exactly_its_table_row() {
+    init_creates_exactly_the_table_row(Method::Single, &["work", "b", "c", "header", "crc"]);
+}
+
+#[test]
+fn double_init_creates_exactly_its_table_row() {
+    init_creates_exactly_the_table_row(
+        Method::Double,
+        &["work", "b", "c", "b1", "c1", "header", "crc"],
+    );
+}
+
+#[test]
+fn self_init_creates_exactly_its_table_row() {
+    init_creates_exactly_the_table_row(Method::SelfCkpt, &["work", "b", "c", "d", "header", "crc"]);
 }
 
 #[test]

@@ -47,6 +47,7 @@ use crate::simd::{self, GfBackend, SimdMode};
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Default cache block, in `f64` elements: 64 Ki elements = 512 KiB,
 /// sized to fit a typical per-core L2 alongside the second operand.
@@ -70,28 +71,6 @@ pub struct KernelConfig {
 impl Default for KernelConfig {
     fn default() -> Self {
         Self::global()
-    }
-}
-
-// 0 means "not initialised yet"; both values are always >= 1 once set.
-static G_THREADS: AtomicUsize = AtomicUsize::new(0);
-static G_CHUNK: AtomicUsize = AtomicUsize::new(0);
-// 0 = uninitialised, then 1 + the SimdMode discriminant.
-static G_SIMD: AtomicUsize = AtomicUsize::new(0);
-
-fn simd_to_raw(mode: SimdMode) -> usize {
-    match mode {
-        SimdMode::Auto => 1,
-        SimdMode::ForceScalar => 2,
-        SimdMode::ForceSimd => 3,
-    }
-}
-
-fn simd_from_raw(raw: usize) -> SimdMode {
-    match raw {
-        2 => SimdMode::ForceScalar,
-        3 => SimdMode::ForceSimd,
-        _ => SimdMode::Auto,
     }
 }
 
@@ -131,44 +110,19 @@ impl KernelConfig {
     /// The process-wide policy: `SKT_KERNEL_THREADS` /
     /// `SKT_KERNEL_CHUNK_LEN` / `SKT_KERNEL_SIMD` when set, otherwise
     /// `available_parallelism`, [`DEFAULT_CHUNK_LEN`] and
-    /// [`SimdMode::Auto`]. `threads` is the process-wide ceiling, not
-    /// the calling thread's share of it.
+    /// [`SimdMode::Auto`], read once per process. `threads` is the
+    /// process-wide ceiling, not the calling thread's share of it.
     #[must_use]
     pub fn global() -> Self {
-        let mut threads = G_THREADS.load(Ordering::Relaxed);
-        if threads == 0 {
-            threads = env_usize("SKT_KERNEL_THREADS")
-                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-                .max(1);
-            G_THREADS.store(threads, Ordering::Relaxed);
-        }
-        let mut chunk_len = G_CHUNK.load(Ordering::Relaxed);
-        if chunk_len == 0 {
-            chunk_len = env_usize("SKT_KERNEL_CHUNK_LEN")
-                .unwrap_or(DEFAULT_CHUNK_LEN)
-                .max(1);
-            G_CHUNK.store(chunk_len, Ordering::Relaxed);
-        }
-        let mut simd_raw = G_SIMD.load(Ordering::Relaxed);
-        if simd_raw == 0 {
-            let mode = std::env::var("SKT_KERNEL_SIMD")
+        static GLOBAL: OnceLock<KernelConfig> = OnceLock::new();
+        *GLOBAL.get_or_init(|| {
+            let threads = env_usize("SKT_KERNEL_THREADS")
+                .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+            let chunk_len = env_usize("SKT_KERNEL_CHUNK_LEN").unwrap_or(DEFAULT_CHUNK_LEN);
+            let simd = std::env::var("SKT_KERNEL_SIMD")
                 .map_or(SimdMode::Auto, |v| SimdMode::from_env_str(&v));
-            simd_raw = simd_to_raw(mode);
-            G_SIMD.store(simd_raw, Ordering::Relaxed);
-        }
-        KernelConfig {
-            threads,
-            chunk_len,
-            simd: simd_from_raw(simd_raw),
-        }
-    }
-
-    /// Install `self` as the process-wide policy returned by
-    /// [`KernelConfig::global`] (used by benchmarks to A/B variants).
-    pub fn set_global(self) {
-        G_THREADS.store(self.threads.max(1), Ordering::Relaxed);
-        G_CHUNK.store(self.chunk_len.max(1), Ordering::Relaxed);
-        G_SIMD.store(simd_to_raw(self.simd), Ordering::Relaxed);
+            KernelConfig::new(threads, chunk_len).with_simd(simd)
+        })
     }
 
     /// Workers a call made *on this thread* may use, the caller
@@ -675,27 +629,6 @@ mod tests {
         assert!(cfg.is_parallel_for(101));
         // clamping
         assert_eq!(KernelConfig::new(0, 0), KernelConfig::new(1, 1));
-    }
-
-    #[test]
-    fn global_config_is_settable() {
-        // Don't assert the ambient default (env-dependent); assert that
-        // set_global round-trips and clamps.
-        let prev = KernelConfig::global();
-        KernelConfig::new(3, 77).set_global();
-        assert_eq!(KernelConfig::global(), KernelConfig::new(3, 77));
-        KernelConfig {
-            threads: 0,
-            chunk_len: 0,
-            simd: SimdMode::Auto,
-        }
-        .set_global();
-        assert_eq!(KernelConfig::global(), KernelConfig::new(1, 1));
-        KernelConfig::serial()
-            .with_simd(SimdMode::ForceScalar)
-            .set_global();
-        assert_eq!(KernelConfig::global().simd, SimdMode::ForceScalar);
-        prev.set_global();
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use crate::report::Refusal;
 use crate::service::{CheckpointService, Repair, ServiceEvent, Tenant};
-use skt_cluster::{Cluster, Fault, NodeId, Ranklist, ReshapeError, TenantId};
+use skt_cluster::{Cluster, Fault, NodeId, Ranklist, ReshapeError, ResizePlan, TenantId};
 use skt_core::protocol::ops::{self, OpState, SequencedOp};
 use skt_core::protocol::{Header, HeaderState};
 use skt_core::{resize_group_size, Checkpointer, OpRecord};
@@ -550,12 +550,9 @@ impl CheckpointService {
             }
             Harvest::AllMissing => {
                 // the tenant never ran: pure node accounting, no image
-                let mem = Self::mem_demand(&tenant.cfg, target);
-                let usable = |n| self.cluster.node_usable(n);
-                let audit = self.pool.commit_resize(id, &plan, mem, usable);
-                self.admit_drained(audit.drained);
-                tenant.rl = Ranklist::explicit(plan.new_nodes());
-                tenant.cfg.group_size = new_g;
+                let mut new_cfg = tenant.cfg.clone();
+                new_cfg.group_size = new_g;
+                self.commit_layout(tenant, &plan, new_cfg);
                 let audit = ResizeAudit::new(now, cur, target, kind, "cold");
                 return Ok(ResizeAttempt::Resolved(audit));
             }
@@ -594,22 +591,38 @@ impl CheckpointService {
                 return charged.map(|()| ResizeAttempt::Faulted);
             }
         };
-        let mem = Self::mem_demand(&ctx.new_cfg, target);
-        let usable = |n| self.cluster.node_usable(n);
-        let pool_audit = self.pool.commit_resize(id, &plan, mem, usable);
-        // wipe the vacated (still-usable) nodes, and drop the old epoch's
-        // segments from the nodes we keep
-        let wiped = pool_audit.freed;
-        for &n in &wiped {
-            self.cluster.shm(n).wipe();
-        }
-        remove_prefix(&self.cluster, &ctx.new_rl, &format!("{}/", tenant.cfg.name));
-        self.admit_drained(pool_audit.drained);
-        tenant.cfg = ctx.new_cfg;
-        tenant.rl = ctx.new_rl;
+        let wiped = self.commit_layout(tenant, &plan, ctx.new_cfg);
         tenant.elastic.resize_epoch = epoch;
         let audit = ResizeAudit::installed(now, cur, target, kind, &rec, wiped);
         Ok(ResizeAttempt::Resolved(audit))
+    }
+
+    /// Commit `plan` for `tenant` under `new_cfg`: the pool moves the
+    /// shard (sized for the new layout), the vacated still-usable nodes
+    /// are wiped and a renamed namespace's old segments dropped from the
+    /// nodes kept, the tenants the freed capacity unblocks are admitted,
+    /// and the tenant adopts the layout. Returns the wiped nodes.
+    fn commit_layout(
+        &mut self,
+        tenant: &mut Tenant,
+        plan: &ResizePlan,
+        new_cfg: SktConfig,
+    ) -> Vec<NodeId> {
+        let new_rl = Ranklist::explicit(plan.new_nodes());
+        let mem = Self::mem_demand(&new_cfg, new_rl.len());
+        let usable = |n| self.cluster.node_usable(n);
+        let id = tenant.sched.tenant;
+        let audit = self.pool.commit_resize(id, plan, mem, usable);
+        for &n in &audit.freed {
+            self.cluster.shm(n).wipe();
+        }
+        if new_cfg.name != tenant.cfg.name {
+            remove_prefix(&self.cluster, &new_rl, &format!("{}/", tenant.cfg.name));
+        }
+        self.admit_drained(audit.drained);
+        tenant.cfg = new_cfg;
+        tenant.rl = new_rl;
+        audit.freed
     }
 }
 
