@@ -11,7 +11,11 @@
 # `mod name { … }` block or `mod name;` declaration fails the script —
 # production code below a test marker would silently drop out of the count.
 #
-#   ci/loc.sh            per-crate totals and the grand total
+# Under the grand total one more line, `aux`: every line of the Rust the
+# rule above never sees (`vendor/`, `crates/*/benches`, `crates/*/tests`,
+# `tests/`, `examples/`), so a deletion there shows in CHANGES.md too.
+#
+#   ci/loc.sh            per-crate totals, the grand total, and `aux`
 #   ci/loc.sh <crate>    per-file counts of crates/<crate>, then its total
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -64,3 +68,9 @@ for dir in crates/*/ .; do
     grand=$((grand + total))
 done
 printf '%6d  total\n' "$grand"
+aux=0
+for dir in vendor crates/*/benches crates/*/tests tests examples; do
+    [[ -d $dir ]] || continue # an unmatched glob, or a directory since deleted
+    aux=$((aux + $(find "$dir" -name '*.rs' -exec cat {} + | wc -l)))
+done
+printf '%6d  aux\n' "$aux"

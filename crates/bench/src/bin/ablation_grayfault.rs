@@ -1,12 +1,11 @@
-//! Criterion benchmarks of the gray-failure ladder: suspicion detection
-//! latency (virtual time from injection to declaration) swept over the
-//! heartbeat interval, and the end-to-end cost of a fence-and-migrate
-//! cycle swept over the parity codec.
+//! Ablation: the two costs of the gray-failure ladder (DESIGN.md §5i) —
+//! suspicion detection latency (virtual time from injection to
+//! declaration) swept over the heartbeat interval, and the end-to-end
+//! price of a fence-and-migrate cycle swept over the parity codec.
 //!
-//! `CRITERION_JSON_OUT=BENCH_grayfault.json cargo bench --bench grayfault`
-//! dumps the numbers for the committed baseline.
+//! Regenerate with: `cargo run --release -p skt-bench --bin ablation_grayfault`
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use skt_bench::Table;
 use skt_cluster::{
     Cluster, ClusterConfig, Event, FaultPlan, GrayPlan, HeartbeatConfig, Observer, Ranklist,
     Runtime, SimRuntime,
@@ -21,11 +20,18 @@ use std::time::{Duration, Instant};
 /// (m = 1, 2, 3) is well-formed.
 const NODES: usize = 4;
 const VICTIM: usize = 1;
+/// Sim seeds each row is the median over.
+const SEEDS: u64 = 5;
 
 fn skt_cfg(codec: CodecSpec) -> SktConfig {
     let mut cfg = SktConfig::new(HplConfig::new(48, 4, 7), NODES, 2);
     cfg.codec = codec;
     cfg
+}
+
+fn median(mut samples: Vec<Duration>) -> Duration {
+    samples.sort();
+    samples[samples.len() / 2]
 }
 
 /// Clock-reading observer: timestamps the gray injection and the first
@@ -87,24 +93,6 @@ fn detection_latency(interval: Duration, seed: u64) -> Duration {
     declared.saturating_sub(injected)
 }
 
-/// Detection latency vs heartbeat interval. The measurement is the
-/// *modeled* (virtual-clock) latency, so the numbers are deterministic;
-/// criterion's statistics simply confirm the model's linearity.
-fn bench_detection_interval(c: &mut Criterion) {
-    let mut g = c.benchmark_group("grayfault_detection");
-    g.sample_size(10);
-    for micros in [50u64, 100, 200, 400, 800] {
-        g.bench_function(BenchmarkId::new("interval_us", micros), |b| {
-            b.iter_custom(|iters| {
-                (0..iters)
-                    .map(|i| detection_latency(Duration::from_micros(micros), i))
-                    .sum()
-            });
-        });
-    }
-    g.finish();
-}
-
 /// One daemon run on the simulated clock, wall time of the whole ladder:
 /// with `gray` a non-healing 64× straggler is declared, probed, fenced,
 /// and its shard rebuilt onto the spare; without, the same solve runs
@@ -120,32 +108,74 @@ fn migration_run(codec: CodecSpec, gray: bool, seed: u64) -> Duration {
     let rl = Ranklist::round_robin(NODES, NODES);
     let t = Instant::now();
     let rep = run_with_daemon(cluster, &rl, &skt_cfg(codec), 3, Duration::from_millis(1))
-        .expect("bench runs must complete");
+        .expect("both runs must complete");
     let elapsed = t.elapsed();
     assert!(rep.output.hpl.passed, "residual must verify");
+    assert_eq!(rep.failures, usize::from(gray), "one migration, or none");
     elapsed
 }
 
-/// Fence-and-migrate cost vs parity codec (m = 1 XOR, m = 2 P+Q,
-/// m = 3 Reed-Solomon): heavier codecs pay more in the shard rebuild but
-/// nothing on the detection side.
-fn bench_migration_codec(c: &mut Criterion) {
-    let mut g = c.benchmark_group("grayfault_migration");
-    g.sample_size(10);
+fn main() {
+    println!("Ablation 1: suspicion detection latency vs heartbeat interval");
+    println!("(virtual clock, hang at panel 3, median of {SEEDS} sim seeds)\n");
+    let mut t = Table::new(vec!["interval (us)", "latency (us)", "latency / interval"]);
+    let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
+    for micros in [50u64, 100, 200, 400, 800] {
+        let interval = Duration::from_micros(micros);
+        let latency = median((0..SEEDS).map(|s| detection_latency(interval, s)).collect());
+        let ratio = latency.as_secs_f64() / interval.as_secs_f64();
+        t.row(vec![
+            micros.to_string(),
+            format!("{:.1}", latency.as_secs_f64() * 1e6),
+            format!("{ratio:.2}"),
+        ]);
+        (lo, hi) = (lo.min(ratio), hi.max(ratio));
+    }
+    t.print();
+    assert!(
+        hi <= 1.15 * lo,
+        "detection latency must be linear in the heartbeat interval: ratios {lo:.2}..{hi:.2}"
+    );
+    println!("\nShape check: the ratio stays within {lo:.2}..{hi:.2} (linear within 15%).\n");
+
+    println!("Ablation 2: fence-and-migrate cost vs parity codec");
+    println!("(wall time of a whole daemon run, 64x straggler at panel 3, median of {SEEDS} sim seeds)\n");
+    let mut t = Table::new(vec![
+        "codec",
+        "fault-free (ms)",
+        "migrate (ms)",
+        "migrate / fault-free",
+    ]);
     for (name, codec) in [
         ("single", CodecSpec::default()),
         ("dual", CodecSpec::Dual),
         ("rs3", CodecSpec::rs(3)),
     ] {
-        g.bench_function(BenchmarkId::new(name, "fault-free"), |b| {
-            b.iter_custom(|iters| (0..iters).map(|i| migration_run(codec, false, i)).sum());
-        });
-        g.bench_function(BenchmarkId::new(name, "migrate"), |b| {
-            b.iter_custom(|iters| (0..iters).map(|i| migration_run(codec, true, i)).sum());
-        });
+        // alternate the two, so a host that changes speed mid-table
+        // slows both columns alike
+        let (clean, migrate): (Vec<_>, Vec<_>) = (0..SEEDS)
+            .map(|s| {
+                (
+                    migration_run(codec, false, s),
+                    migration_run(codec, true, s),
+                )
+            })
+            .unzip();
+        let (clean, migrate) = (median(clean), median(migrate));
+        assert!(
+            migrate >= clean,
+            "{name}: a migration ({migrate:?}) cannot be cheaper than no fault ({clean:?})"
+        );
+        t.row(vec![
+            name.to_string(),
+            format!("{:.2}", clean.as_secs_f64() * 1e3),
+            format!("{:.2}", migrate.as_secs_f64() * 1e3),
+            format!("{:.2}", migrate.as_secs_f64() / clean.as_secs_f64()),
+        ]);
     }
-    g.finish();
+    t.print();
+    println!(
+        "\nShape check: every migrate run pays a probe, a fence and a shard rebuild on top of"
+    );
+    println!("the fault-free solve; every run's residual verified.");
 }
-
-criterion_group!(benches, bench_detection_interval, bench_migration_codec);
-criterion_main!(benches);

@@ -2,8 +2,9 @@
 //! # skt-bench
 //!
 //! Benchmark harness for the Self-Checkpoint / SKT-HPL reproduction: one
-//! binary per paper table/figure (see DESIGN.md §4) plus Criterion
-//! micro-benchmarks. Shared table-printing helpers live here.
+//! binary per paper table/figure and ablation (see DESIGN.md §4), beside
+//! the `cycle_budget` benchmark of record (its own package under
+//! `src/bin/cycle_budget/`). Shared table-printing helpers live here.
 
 pub mod table;
 

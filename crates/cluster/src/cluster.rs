@@ -7,7 +7,6 @@ use crate::failure::{
 };
 use crate::net::NetModel;
 use crate::shm::{SegmentData, ShmStore};
-use crate::storage::{Device, DeviceKind};
 use crate::suspicion::{ProbeVerdict, Suspicion, SuspicionMonitor};
 use parking_lot::Mutex;
 use skt_sim::{RealRuntime, Runtime, Stopwatch};
@@ -53,9 +52,6 @@ struct GrayState {
 pub struct Cluster {
     config: ClusterConfig,
     shm: Vec<ShmStore>,
-    hdd: Vec<Device>,
-    ssd: Vec<Device>,
-    pfs: Device,
     alive: Mutex<Vec<bool>>,
     spare_pool: Mutex<Vec<NodeId>>,
     job_abort: AtomicBool,
@@ -123,13 +119,6 @@ impl Cluster {
         Cluster {
             config,
             shm: (0..total).map(|_| ShmStore::new()).collect(),
-            hdd: (0..total)
-                .map(|_| Device::new(DeviceKind::Hdd).with_bus(events.clone()))
-                .collect(),
-            ssd: (0..total)
-                .map(|_| Device::new(DeviceKind::Ssd).with_bus(events.clone()))
-                .collect(),
-            pfs: Device::new(DeviceKind::Pfs).with_bus(events.clone()),
             alive: Mutex::new(vec![true; total]),
             spare_pool: Mutex::new((config.nodes..total).collect()),
             job_abort: AtomicBool::new(false),
@@ -434,23 +423,6 @@ impl Cluster {
     /// Shared-memory store of a node.
     pub fn shm(&self, node: NodeId) -> &ShmStore {
         &self.shm[node]
-    }
-
-    /// Local spinning disk of a node. Contents survive node power-off
-    /// (platters keep their data; the paper's BLCR runs recover from them
-    /// after the node is replaced — see DESIGN.md substitutions).
-    pub fn hdd(&self, node: NodeId) -> &Device {
-        &self.hdd[node]
-    }
-
-    /// Local SSD of a node (same persistence semantics as [`Self::hdd`]).
-    pub fn ssd(&self, node: NodeId) -> &Device {
-        &self.ssd[node]
-    }
-
-    /// The shared parallel file system.
-    pub fn pfs(&self) -> &Device {
-        &self.pfs
     }
 
     /// Network model used for modeled-time estimates.
@@ -999,13 +971,5 @@ mod tests {
         c.fence_node(2);
         assert_eq!(c.take_spare(), Some(1));
         assert_eq!(c.take_spare(), None);
-    }
-
-    #[test]
-    fn local_disk_survives_node_loss() {
-        let c = Cluster::new(ClusterConfig::new(1, 0));
-        c.hdd(0).write("ckpt", vec![1, 2, 3], 1);
-        c.kill_node(0);
-        assert!(c.hdd(0).read("ckpt", 1).is_some(), "platters keep data");
     }
 }

@@ -11,7 +11,8 @@
 //!   Linux `shmget` semantics — but is wiped when its *node* fails (power
 //!   off). Checkpoints of healthy nodes therefore outlive an aborted job.
 //! * **Storage devices** ([`storage`]): bandwidth/latency-modeled HDD, SSD
-//!   and ramfs block stores for the BLCR/SCR baselines of Table 3.
+//!   and ramfs block stores for the BLCR/SCR baselines of Table 3 (the
+//!   baseline's driver owns them; a [`Cluster`] holds none).
 //! * **A network model** ([`net`]): α-β (latency + inverse bandwidth) cost
 //!   model with per-node port sharing, used to extrapolate encoding times
 //!   to Tianhe-scale (Figure 13) without pretending the laptop is a
@@ -20,10 +21,11 @@
 //!   n-th time it passes probe L" plans, so the protocol's CASE 1 / CASE 2
 //!   failure windows (paper Figures 2–5) can each be exercised exactly.
 //! * **An observation bus** ([`events`]): upper layers (collectives, the
-//!   checkpoint protocol, storage) emit typed [`events::Event`]s into the
-//!   cluster-wide [`events::EventBus`]; harnesses subscribe
-//!   [`events::Observer`]s to collect phase timings and recovery
-//!   decisions without any layer keeping private timing state.
+//!   checkpoint protocol, the BLCR baseline's storage transfers) emit
+//!   typed [`events::Event`]s into the cluster-wide
+//!   [`events::EventBus`]; harnesses subscribe [`events::Observer`]s to
+//!   collect phase timings and recovery decisions without any layer
+//!   keeping private timing state.
 //! * **The cluster itself** ([`cluster`]): node inventory, spare pool,
 //!   rank-to-node mapping (the `ranklist` of §5.2), and MPI-style
 //!   whole-job abort on node failure.

@@ -5,9 +5,10 @@
 //! memory. The devices here *really store* the bytes (so BLCR-style
 //! recovery actually restores data) and additionally report the modeled
 //! transfer time so experiments can charge realistic I/O cost without
-//! wall-clock sleeping.
+//! wall-clock sleeping. A device knows no [`EventBus`](crate::EventBus):
+//! the job that charges a transfer (`skt-ftsim`'s BLCR baseline) emits
+//! the `StorageWrite` / `StorageRead` event for it on its cluster's bus.
 
-use crate::events::{Event, EventBus};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -21,9 +22,6 @@ pub enum DeviceKind {
     Ssd,
     /// RAM-backed file system: ~8 GB/s, ~1 µs.
     Ramfs,
-    /// Shared parallel file system: per-client ~200 MB/s, ~1 ms, and
-    /// heavily contended when many clients write at once.
-    Pfs,
 }
 
 impl DeviceKind {
@@ -33,7 +31,6 @@ impl DeviceKind {
             DeviceKind::Hdd => 100.0e6,
             DeviceKind::Ssd => 500.0e6,
             DeviceKind::Ramfs => 8.0e9,
-            DeviceKind::Pfs => 200.0e6,
         }
     }
 
@@ -43,18 +40,16 @@ impl DeviceKind {
             DeviceKind::Hdd => 8.0e-3,
             DeviceKind::Ssd => 1.0e-4,
             DeviceKind::Ramfs => 1.0e-6,
-            DeviceKind::Pfs => 1.0e-3,
         }
     }
 
     /// Canonical lowercase name, used as the `device` field of storage
-    /// [`Event`]s.
+    /// [`Event`](crate::Event)s.
     pub fn name(self) -> &'static str {
         match self {
             DeviceKind::Hdd => "hdd",
             DeviceKind::Ssd => "ssd",
             DeviceKind::Ramfs => "ramfs",
-            DeviceKind::Pfs => "pfs",
         }
     }
 }
@@ -65,7 +60,6 @@ pub struct Device {
     bandwidth: f64,
     latency: f64,
     blobs: Mutex<BTreeMap<String, Vec<u8>>>,
-    bus: Option<EventBus>,
 }
 
 impl Device {
@@ -76,15 +70,7 @@ impl Device {
             bandwidth: kind.bandwidth(),
             latency: kind.latency(),
             blobs: Mutex::new(BTreeMap::new()),
-            bus: None,
         }
-    }
-
-    /// Attach an [`EventBus`]; subsequent reads/writes emit storage events.
-    #[must_use]
-    pub fn with_bus(mut self, bus: EventBus) -> Self {
-        self.bus = Some(bus);
-        self
     }
 
     /// The device technology.
@@ -104,13 +90,6 @@ impl Device {
     /// Store a blob; returns the modeled write time.
     pub fn write(&self, name: &str, data: Vec<u8>, sharers: usize) -> Duration {
         let t = self.transfer_time(data.len(), sharers);
-        if let Some(bus) = &self.bus {
-            bus.emit(Event::StorageWrite {
-                device: self.kind.name(),
-                bytes: data.len() as u64,
-                modeled: t,
-            });
-        }
         self.blobs.lock().insert(name.to_string(), data);
         t
     }
@@ -120,13 +99,6 @@ impl Device {
         let blobs = self.blobs.lock();
         let data = blobs.get(name)?.clone();
         let t = self.transfer_time(data.len(), sharers);
-        if let Some(bus) = &self.bus {
-            bus.emit(Event::StorageRead {
-                device: self.kind.name(),
-                bytes: data.len() as u64,
-                modeled: t,
-            });
-        }
         Some((data, t))
     }
 
@@ -187,29 +159,5 @@ mod tests {
     fn zero_byte_transfer_still_pays_latency() {
         let d = Device::new(DeviceKind::Hdd);
         assert!(d.transfer_time(0, 1) >= Duration::from_millis(7));
-    }
-
-    #[test]
-    fn storage_events_reach_subscribed_observer() {
-        use crate::events::{EventBus, Recorder};
-        use std::sync::Arc;
-        let bus = EventBus::new();
-        let rec = Arc::new(Recorder::new());
-        bus.subscribe(Arc::clone(&rec) as _);
-        let d = Device::new(DeviceKind::Ssd).with_bus(bus);
-        d.write("blob", vec![0u8; 128], 1);
-        d.read("blob", 1).unwrap();
-        assert_eq!(
-            rec.count(|e| matches!(
-                e,
-                Event::StorageWrite {
-                    device: "ssd",
-                    bytes: 128,
-                    ..
-                }
-            )),
-            1
-        );
-        assert_eq!(rec.count(|e| matches!(e, Event::StorageRead { .. })), 1);
     }
 }

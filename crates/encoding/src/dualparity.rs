@@ -111,8 +111,8 @@ impl DualParity {
                         kernels::gf_mac(&mut qp, s.unwrap(), gf256::gpow(i), cfg);
                     }
                 }
-                kernels::gf_scale(&mut qp, gf256::inv(gf256::gpow(*x)), cfg);
-                vec![(*x, qp)]
+                let inv = gf256::inv(gf256::gpow(*x));
+                vec![(*x, kernels::gf_scaled_copies(&qp, &[inv], cfg).remove(0))]
             }
             // Two data stripes lost: solve the 2x2 system with P and Q.
             ([x, y], Some(p), Some(q)) => {
@@ -130,9 +130,8 @@ impl DualParity {
                 // => Dy = (qp ⊕ g^x·pp) / (g^x ⊕ g^y); Dx = pp ⊕ Dy
                 let gx = gf256::gpow(x);
                 let gy = gf256::gpow(y);
-                let mut dy = qp;
-                kernels::gf_mac(&mut dy, &pp, gx, cfg);
-                kernels::gf_scale(&mut dy, gf256::inv(gx ^ gy), cfg);
+                kernels::gf_mac(&mut qp, &pp, gx, cfg);
+                let dy = kernels::gf_scaled_copies(&qp, &[gf256::inv(gx ^ gy)], cfg).remove(0);
                 let mut dx = pp;
                 kernels::xor_accumulate(&mut dx, &dy, cfg);
                 vec![(x, dx), (y, dy)]

@@ -1,7 +1,7 @@
 //! Cache-blocked, multi-threaded accumulate / copy kernels.
 //!
 //! Every hot loop of the checkpoint path — the stripe reduces behind
-//! `MPI_Reduce`, the GF(2^8) scale / multiply-accumulate of the codec,
+//! `MPI_Reduce`, the GF(2^8) multiply / multiply-accumulate of the codec,
 //! and the `work → B` / `D → C` flush copies — is a streaming
 //! element-wise pass over large `f64` buffers. This module gives them
 //! one shared engine:
@@ -235,13 +235,6 @@ where
     for_each_block(cfg, blocks.len(), blocks, |(d, s)| op(d, s));
 }
 
-/// In-place variant of [`par_zip`]: run `op` over `buf` alone in cache
-/// blocks.
-fn par_inplace<A: Send>(cfg: KernelConfig, buf: &mut [A], op: impl Fn(&mut [A]) + Sync) {
-    let blocks = buf.chunks_mut(cfg.chunk_len);
-    for_each_block(cfg, blocks.len(), blocks, op);
-}
-
 /// 8-wide unrolled XOR over `u64` words with a scalar tail.
 fn xor_block_u64(acc: &mut [u64], x: &[u64]) {
     let mut a8 = acc.chunks_exact_mut(8);
@@ -347,25 +340,6 @@ pub fn floats_of(src: &[u64], cfg: KernelConfig) -> Vec<f64> {
     out
 }
 
-/// Byte-wise GF(256) scale of the byte view of `buf` by the scalar `c`,
-/// in place (the `D := c·D` steps of the parity solves). GF(2^8) acts on
-/// every byte independently, so the operation is element-wise,
-/// endian-agnostic, and bit-identical under any chunk/thread partition
-/// and any [`SimdMode`] backend.
-pub fn gf_scale(buf: &mut [f64], c: u8, cfg: KernelConfig) {
-    if c == 1 {
-        return;
-    }
-    if c == 0 {
-        buf.fill(0.0);
-        return;
-    }
-    let backend = GfBackend::select(cfg.simd);
-    par_inplace(cfg, buf, move |b| {
-        simd::gf_scale_bytes(simd::f64_bytes_mut(b), c, backend);
-    });
-}
-
 /// Run `op(destination block, source block, coefficient)` for every
 /// `(destination, coefficient)` of `dsts` over matching cache blocks of
 /// `src`, each source block read once while every destination takes its
@@ -402,14 +376,17 @@ fn par_zip_each(
     });
 }
 
-/// Out-of-place, multi-coefficient [`gf_scale`]: one fresh buffer
-/// `coeffs[i]·src` per coefficient (the codec's per-role contributions
-/// of one data stripe), all scaled products from **one** cache-blocked
-/// read of `src` — each block is scaled into every destination while it
-/// is cache-hot. A coefficient of 1 is a plain copy; every other
-/// destination starts as the allocator's zero pages and is written
-/// exactly once. Bit-identical to `src.to_vec()` followed by
-/// [`gf_scale`] under any partition and backend.
+/// Byte-wise GF(256) scale of the byte view of `src`, out of place and
+/// multi-coefficient: one fresh buffer `coeffs[i]·src` per coefficient
+/// (the codec's per-role contributions of one data stripe, and the
+/// `D := c·D` steps of the parity solves), all scaled products from
+/// **one** cache-blocked read of `src` — each block is scaled into every
+/// destination while it is cache-hot. A coefficient of 1 is a plain
+/// copy; every other destination starts as the allocator's zero pages
+/// and is written exactly once. GF(2^8) acts on every byte
+/// independently, so the operation is element-wise, endian-agnostic, and
+/// bit-identical under any chunk/thread partition and any [`SimdMode`]
+/// backend.
 #[must_use]
 pub fn gf_scaled_copies(src: &[f64], coeffs: &[u8], cfg: KernelConfig) -> Vec<Vec<f64>> {
     let mut outs: Vec<Vec<f64>> = coeffs
@@ -437,7 +414,8 @@ pub fn gf_scaled_copies(src: &[f64], coeffs: &[u8], cfg: KernelConfig) -> Vec<Ve
 
 /// Byte-wise GF(256) multiply-accumulate over byte views: `acc ^= c·x`
 /// (the parity accumulates of the RS/dual codes). Element-wise per byte,
-/// so bit-identical under any partition and backend (see [`gf_scale`]).
+/// so bit-identical under any partition and backend (see
+/// [`gf_scaled_copies`]).
 pub fn gf_mac(acc: &mut [f64], x: &[f64], c: u8, cfg: KernelConfig) {
     if c == 0 {
         return;
@@ -644,9 +622,8 @@ mod tests {
             let xb: Vec<u8> = x.iter().flat_map(|v| v.to_le_bytes()).collect();
             gf256::mac_slice(&mut mac_ref, &xb, c);
             for cfg in configs() {
-                let mut acc = base.clone();
-                gf_scale(&mut acc, c, cfg);
-                let got: Vec<u8> = acc.iter().flat_map(|v| v.to_le_bytes()).collect();
+                let scaled = gf_scaled_copies(&base, &[c], cfg).remove(0);
+                let got: Vec<u8> = scaled.iter().flat_map(|v| v.to_le_bytes()).collect();
                 assert_eq!(got, scale_ref, "scale c={c} cfg {cfg:?}");
 
                 let mut acc = base.clone();
@@ -672,9 +649,9 @@ mod tests {
         let caller = std::thread::current().id();
         for on_helper in [true, false] {
             let meet = std::sync::Barrier::new(2);
-            let mut buf = vec![0u64; 2];
+            let mut buf = [0u64; 2];
             let caught = catch_unwind(AssertUnwindSafe(|| {
-                par_inplace(KernelConfig::new(2, 1), &mut buf, |_| {
+                for_each_block(KernelConfig::new(2, 1), 2, buf.chunks_mut(1), |_| {
                     meet.wait();
                     let helper = std::thread::current().id() != caller;
                     assert!(helper != on_helper, "kernel: length mismatch in block");
@@ -779,37 +756,14 @@ mod tests {
                 let got = gf_scaled_copies(&src, &coeffs, cfg);
                 assert_eq!(got.len(), coeffs.len());
                 for (out, &c) in got.iter().zip(&coeffs) {
-                    let mut want = src.clone();
-                    gf_scale(
-                        &mut want,
-                        c,
-                        KernelConfig::serial().with_simd(SimdMode::ForceScalar),
-                    );
-                    assert!(
-                        out.len() == len
-                            && out
-                                .iter()
-                                .zip(&want)
-                                .all(|(a, b)| a.to_bits() == b.to_bits()),
-                        "len {len} c {c} cfg {cfg:?}"
-                    );
+                    let mut want: Vec<u8> = src.iter().flat_map(|v| v.to_le_bytes()).collect();
+                    gf256::scale_slice(&mut want, c);
+                    let out_bytes: Vec<u8> = out.iter().flat_map(|v| v.to_le_bytes()).collect();
+                    assert_eq!(out_bytes, want, "len {len} c {c} cfg {cfg:?}");
                 }
             }
         }
         assert!(gf_scaled_copies(&data(5, 1), &[], KernelConfig::serial()).is_empty());
-    }
-
-    #[test]
-    fn gf_scale_is_invertible() {
-        let mut buf = data(513, 13);
-        let orig = buf.clone();
-        let cfg = KernelConfig::new(4, 64);
-        gf_scale(&mut buf, 37, cfg);
-        gf_scale(&mut buf, gf256::inv(37), cfg);
-        assert!(buf
-            .iter()
-            .zip(&orig)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! hot loops.
 //!
 //! The erasure codecs spend almost all of their time in two byte
-//! streams — `buf[i] = c·buf[i]` / `dst[i] = c·src[i]` /
-//! `acc[i] ^= c·x[i]` over GF(2^8) for the Reed–Solomon parities, and
+//! streams — `dst[i] (= | ^=) c·src[i]` over GF(2^8) for the
+//! Reed–Solomon parities ([`gf_mul_bytes`] / [`gf_mac_bytes`]), and
 //! the CRC-32C walk of the flush witnesses and the scrub patrol.
 //! Both have well-known data-parallel formulations, so this module keeps
 //! one *reference* implementation (the full 256-entry multiplication row
@@ -13,7 +13,11 @@
 //!   is `LO[b & 0xF] ⊕ HI[b >> 4]` with two 16-entry tables, which is
 //!   exactly one `pshufb` pair per 16 (SSSE3) or 32 (AVX2) bytes. The
 //!   portable variant runs the same split-table math byte-wise, so every
-//!   backend computes the identical function.
+//!   backend computes the identical function. Each backend is **one**
+//!   body, generic over the store rule (`const XOR: bool`: overwrite the
+//!   destination with the product, or fold the product into it), under
+//!   one dispatcher; the two `pshufb` bodies hand their sub-vector tail
+//!   to the portable body of the same rule.
 //! * **CRC-32C**: slice-by-8 (eight interleaved tables, one 64-bit load
 //!   per step) and the SSE4.2 `crc32` instruction, which implements this
 //!   exact (Castagnoli, reflected) polynomial in hardware.
@@ -55,7 +59,7 @@ impl SimdMode {
     }
 }
 
-/// A GF(2^8) scale / multiply-accumulate implementation.
+/// A GF(2^8) multiply / multiply-accumulate implementation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GfBackend {
     /// Full 256-entry multiplication row, one lookup per byte — the
@@ -194,42 +198,23 @@ pub fn nibble_tables(c: u8) -> ([u8; 16], [u8; 16]) {
     (lo, hi)
 }
 
-fn scale_scalar(buf: &mut [u8], c: u8) {
-    let row = gf256::mul_table(c);
-    for b in buf.iter_mut() {
-        *b = row[*b as usize];
-    }
-}
-
-fn mac_scalar(acc: &mut [u8], x: &[u8], c: u8) {
-    let row = gf256::mul_table(c);
-    for (a, b) in acc.iter_mut().zip(x) {
-        *a ^= row[*b as usize];
-    }
-}
-
-fn mul_scalar(dst: &mut [u8], src: &[u8], c: u8) {
+/// The reference body: one lookup per byte in the full row of `c`.
+/// Every GF body is generic over the *store rule*: `XOR = false` stores
+/// `dst[i] = c·src[i]`, `XOR = true` folds `dst[i] ^= c·src[i]`.
+fn gf_scalar<const XOR: bool>(dst: &mut [u8], src: &[u8], c: u8) {
     let row = gf256::mul_table(c);
     for (d, s) in dst.iter_mut().zip(src) {
-        *d = row[*s as usize];
+        let p = row[*s as usize];
+        *d = if XOR { *d ^ p } else { p };
     }
 }
 
-fn scale_portable(buf: &mut [u8], lo: &[u8; 16], hi: &[u8; 16]) {
-    for b in buf.iter_mut() {
-        *b = lo[(*b & 0x0F) as usize] ^ hi[(*b >> 4) as usize];
-    }
-}
-
-fn mac_portable(acc: &mut [u8], x: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
-    for (a, b) in acc.iter_mut().zip(x) {
-        *a ^= lo[(*b & 0x0F) as usize] ^ hi[(*b >> 4) as usize];
-    }
-}
-
-fn mul_portable(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
+/// The split-table body, byte-wise — a backend of its own and the tail
+/// of both `pshufb` bodies.
+fn gf_portable<const XOR: bool>(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
     for (d, s) in dst.iter_mut().zip(src) {
-        *d = lo[(*s & 0x0F) as usize] ^ hi[(*s >> 4) as usize];
+        let p = lo[(*s & 0x0F) as usize] ^ hi[(*s >> 4) as usize];
+        *d = if XOR { *d ^ p } else { p };
     }
 }
 
@@ -238,44 +223,10 @@ mod x86 {
     use super::nibble_tables;
     use std::arch::x86_64::*;
 
+    /// # Safety
+    /// The CPU must support SSSE3.
     #[target_feature(enable = "ssse3")]
-    pub unsafe fn scale_ssse3(buf: &mut [u8], c: u8) {
-        let (lo, hi) = nibble_tables(c);
-        let tlo = _mm_loadu_si128(lo.as_ptr().cast());
-        let thi = _mm_loadu_si128(hi.as_ptr().cast());
-        let mask = _mm_set1_epi8(0x0F);
-        let mut chunks = buf.chunks_exact_mut(16);
-        for ch in &mut chunks {
-            let v = _mm_loadu_si128(ch.as_ptr().cast());
-            let ln = _mm_and_si128(v, mask);
-            let hn = _mm_and_si128(_mm_srli_epi64(v, 4), mask);
-            let r = _mm_xor_si128(_mm_shuffle_epi8(tlo, ln), _mm_shuffle_epi8(thi, hn));
-            _mm_storeu_si128(ch.as_mut_ptr().cast(), r);
-        }
-        super::scale_portable(chunks.into_remainder(), &lo, &hi);
-    }
-
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn mac_ssse3(acc: &mut [u8], x: &[u8], c: u8) {
-        let (lo, hi) = nibble_tables(c);
-        let tlo = _mm_loadu_si128(lo.as_ptr().cast());
-        let thi = _mm_loadu_si128(hi.as_ptr().cast());
-        let mask = _mm_set1_epi8(0x0F);
-        let mut a16 = acc.chunks_exact_mut(16);
-        let mut x16 = x.chunks_exact(16);
-        for (a, b) in (&mut a16).zip(&mut x16) {
-            let v = _mm_loadu_si128(b.as_ptr().cast());
-            let ln = _mm_and_si128(v, mask);
-            let hn = _mm_and_si128(_mm_srli_epi64(v, 4), mask);
-            let prod = _mm_xor_si128(_mm_shuffle_epi8(tlo, ln), _mm_shuffle_epi8(thi, hn));
-            let cur = _mm_loadu_si128(a.as_ptr().cast());
-            _mm_storeu_si128(a.as_mut_ptr().cast(), _mm_xor_si128(cur, prod));
-        }
-        super::mac_portable(a16.into_remainder(), x16.remainder(), &lo, &hi);
-    }
-
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn mul_ssse3(dst: &mut [u8], src: &[u8], c: u8) {
+    pub unsafe fn gf_ssse3<const XOR: bool>(dst: &mut [u8], src: &[u8], c: u8) {
         let (lo, hi) = nibble_tables(c);
         let tlo = _mm_loadu_si128(lo.as_ptr().cast());
         let thi = _mm_loadu_si128(hi.as_ptr().cast());
@@ -286,50 +237,19 @@ mod x86 {
             let v = _mm_loadu_si128(s.as_ptr().cast());
             let ln = _mm_and_si128(v, mask);
             let hn = _mm_and_si128(_mm_srli_epi64(v, 4), mask);
-            let r = _mm_xor_si128(_mm_shuffle_epi8(tlo, ln), _mm_shuffle_epi8(thi, hn));
+            let mut r = _mm_xor_si128(_mm_shuffle_epi8(tlo, ln), _mm_shuffle_epi8(thi, hn));
+            if XOR {
+                r = _mm_xor_si128(r, _mm_loadu_si128(d.as_ptr().cast()));
+            }
             _mm_storeu_si128(d.as_mut_ptr().cast(), r);
         }
-        super::mul_portable(d16.into_remainder(), s16.remainder(), &lo, &hi);
+        super::gf_portable::<XOR>(d16.into_remainder(), s16.remainder(), &lo, &hi);
     }
 
+    /// # Safety
+    /// The CPU must support AVX2.
     #[target_feature(enable = "avx2")]
-    pub unsafe fn scale_avx2(buf: &mut [u8], c: u8) {
-        let (lo, hi) = nibble_tables(c);
-        let tlo = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-        let thi = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-        let mask = _mm256_set1_epi8(0x0F);
-        let mut chunks = buf.chunks_exact_mut(32);
-        for ch in &mut chunks {
-            let v = _mm256_loadu_si256(ch.as_ptr().cast());
-            let ln = _mm256_and_si256(v, mask);
-            let hn = _mm256_and_si256(_mm256_srli_epi64(v, 4), mask);
-            let r = _mm256_xor_si256(_mm256_shuffle_epi8(tlo, ln), _mm256_shuffle_epi8(thi, hn));
-            _mm256_storeu_si256(ch.as_mut_ptr().cast(), r);
-        }
-        super::scale_portable(chunks.into_remainder(), &lo, &hi);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mac_avx2(acc: &mut [u8], x: &[u8], c: u8) {
-        let (lo, hi) = nibble_tables(c);
-        let tlo = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-        let thi = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-        let mask = _mm256_set1_epi8(0x0F);
-        let mut a32 = acc.chunks_exact_mut(32);
-        let mut x32 = x.chunks_exact(32);
-        for (a, b) in (&mut a32).zip(&mut x32) {
-            let v = _mm256_loadu_si256(b.as_ptr().cast());
-            let ln = _mm256_and_si256(v, mask);
-            let hn = _mm256_and_si256(_mm256_srli_epi64(v, 4), mask);
-            let prod = _mm256_xor_si256(_mm256_shuffle_epi8(tlo, ln), _mm256_shuffle_epi8(thi, hn));
-            let cur = _mm256_loadu_si256(a.as_ptr().cast());
-            _mm256_storeu_si256(a.as_mut_ptr().cast(), _mm256_xor_si256(cur, prod));
-        }
-        super::mac_portable(a32.into_remainder(), x32.remainder(), &lo, &hi);
-    }
-
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn mul_avx2(dst: &mut [u8], src: &[u8], c: u8) {
+    pub unsafe fn gf_avx2<const XOR: bool>(dst: &mut [u8], src: &[u8], c: u8) {
         let (lo, hi) = nibble_tables(c);
         let tlo = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
         let thi = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
@@ -340,10 +260,14 @@ mod x86 {
             let v = _mm256_loadu_si256(s.as_ptr().cast());
             let ln = _mm256_and_si256(v, mask);
             let hn = _mm256_and_si256(_mm256_srli_epi64(v, 4), mask);
-            let r = _mm256_xor_si256(_mm256_shuffle_epi8(tlo, ln), _mm256_shuffle_epi8(thi, hn));
+            let mut r =
+                _mm256_xor_si256(_mm256_shuffle_epi8(tlo, ln), _mm256_shuffle_epi8(thi, hn));
+            if XOR {
+                r = _mm256_xor_si256(r, _mm256_loadu_si256(d.as_ptr().cast()));
+            }
             _mm256_storeu_si256(d.as_mut_ptr().cast(), r);
         }
-        super::mul_portable(d32.into_remainder(), s32.remainder(), &lo, &hi);
+        super::gf_portable::<XOR>(d32.into_remainder(), s32.remainder(), &lo, &hi);
     }
 
     #[target_feature(enable = "sse4.2")]
@@ -361,106 +285,44 @@ mod x86 {
     }
 }
 
-/// `buf[i] := c · buf[i]` over GF(2^8), on the chosen backend.
-pub fn gf_scale_bytes(buf: &mut [u8], c: u8, backend: GfBackend) {
-    if c == 1 {
-        return;
-    }
-    if c == 0 {
-        buf.fill(0);
-        return;
-    }
+/// The one dispatcher: `dst (= | ^=) c·src` on the chosen backend.
+fn gf_apply<const XOR: bool>(dst: &mut [u8], src: &[u8], c: u8, backend: GfBackend) {
     match backend {
-        GfBackend::Scalar => scale_scalar(buf, c),
-        GfBackend::Portable => {
+        GfBackend::Scalar => gf_scalar::<XOR>(dst, src, c),
+        #[cfg(target_arch = "x86_64")]
+        // Safety: `select`/`available` only surface these backends
+        // after `is_x86_feature_detected!` confirmed the feature.
+        GfBackend::Ssse3 | GfBackend::Avx2 => unsafe {
+            if backend == GfBackend::Avx2 {
+                x86::gf_avx2::<XOR>(dst, src, c);
+            } else {
+                x86::gf_ssse3::<XOR>(dst, src, c);
+            }
+        },
+        // `Portable` — and a `pshufb` variant named off x86-64
+        _ => {
             let (lo, hi) = nibble_tables(c);
-            scale_portable(buf, &lo, &hi);
-        }
-        GfBackend::Ssse3 | GfBackend::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // Safety: `select`/`available` only surface these backends
-            // after `is_x86_feature_detected!` confirmed the feature.
-            unsafe {
-                if backend == GfBackend::Avx2 {
-                    x86::scale_avx2(buf, c);
-                } else {
-                    x86::scale_ssse3(buf, c);
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                let (lo, hi) = nibble_tables(c);
-                scale_portable(buf, &lo, &hi);
-            }
+            gf_portable::<XOR>(dst, src, &lo, &hi);
         }
     }
 }
 
-/// `dst[i] := c · src[i]` over GF(2^8), on the chosen backend — the
-/// out-of-place scale (`c = 1` is a copy, `c = 0` a clear).
+/// `dst[i] := c · src[i]` over GF(2^8), on the chosen backend (`c = 1`
+/// is a copy, `c = 0` a clear).
 pub fn gf_mul_bytes(dst: &mut [u8], src: &[u8], c: u8, backend: GfBackend) {
     assert_eq!(dst.len(), src.len(), "gf_mul_bytes: length mismatch");
-    if c == 1 {
-        dst.copy_from_slice(src);
-        return;
-    }
-    if c == 0 {
-        dst.fill(0);
-        return;
-    }
-    match backend {
-        GfBackend::Scalar => mul_scalar(dst, src, c),
-        GfBackend::Portable => {
-            let (lo, hi) = nibble_tables(c);
-            mul_portable(dst, src, &lo, &hi);
-        }
-        GfBackend::Ssse3 | GfBackend::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // Safety: backend presence implies the detected CPU feature.
-            unsafe {
-                if backend == GfBackend::Avx2 {
-                    x86::mul_avx2(dst, src, c);
-                } else {
-                    x86::mul_ssse3(dst, src, c);
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                let (lo, hi) = nibble_tables(c);
-                mul_portable(dst, src, &lo, &hi);
-            }
-        }
+    match c {
+        0 => dst.fill(0),
+        1 => dst.copy_from_slice(src),
+        _ => gf_apply::<false>(dst, src, c, backend),
     }
 }
 
 /// `acc[i] ^= c · x[i]` over GF(2^8), on the chosen backend.
 pub fn gf_mac_bytes(acc: &mut [u8], x: &[u8], c: u8, backend: GfBackend) {
     assert_eq!(acc.len(), x.len(), "gf_mac_bytes: length mismatch");
-    if c == 0 {
-        return;
-    }
-    match backend {
-        GfBackend::Scalar => mac_scalar(acc, x, c),
-        GfBackend::Portable => {
-            let (lo, hi) = nibble_tables(c);
-            mac_portable(acc, x, &lo, &hi);
-        }
-        GfBackend::Ssse3 | GfBackend::Avx2 => {
-            #[cfg(target_arch = "x86_64")]
-            // Safety: backend presence implies the detected CPU feature.
-            unsafe {
-                if backend == GfBackend::Avx2 {
-                    x86::mac_avx2(acc, x, c);
-                } else {
-                    x86::mac_ssse3(acc, x, c);
-                }
-            }
-            #[cfg(not(target_arch = "x86_64"))]
-            {
-                let (lo, hi) = nibble_tables(c);
-                mac_portable(acc, x, &lo, &hi);
-            }
-        }
+    if c != 0 {
+        gf_apply::<true>(acc, x, c, backend);
     }
 }
 
@@ -576,18 +438,16 @@ mod tests {
             let base = bytes(len, 1);
             let x = bytes(len, 2);
             for c in [0u8, 1, 2, 29, 254, 255] {
-                let mut want_scale = base.clone();
-                gf_scale_bytes(&mut want_scale, c, GfBackend::Scalar);
+                // the log/exp reference; `Scalar` is one of the backends
+                let mut want_mul = x.clone();
+                gf256::scale_slice(&mut want_mul, c);
                 let mut want_mac = base.clone();
-                gf_mac_bytes(&mut want_mac, &x, c, GfBackend::Scalar);
+                gf256::mac_slice(&mut want_mac, &x, c);
                 for backend in GfBackend::available() {
+                    // over a dirty destination: every byte is overwritten
                     let mut got = base.clone();
-                    gf_scale_bytes(&mut got, c, backend);
-                    assert_eq!(got, want_scale, "scale len={len} c={c} {backend:?}");
-                    // out of place over a dirty destination: the same bytes
-                    let mut got = x.clone();
-                    gf_mul_bytes(&mut got, &base, c, backend);
-                    assert_eq!(got, want_scale, "mul len={len} c={c} {backend:?}");
+                    gf_mul_bytes(&mut got, &x, c, backend);
+                    assert_eq!(got, want_mul, "mul len={len} c={c} {backend:?}");
                     let mut got = base.clone();
                     gf_mac_bytes(&mut got, &x, c, backend);
                     assert_eq!(got, want_mac, "mac len={len} c={c} {backend:?}");

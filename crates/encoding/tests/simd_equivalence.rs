@@ -1,6 +1,7 @@
-//! SIMD/scalar kernel-equivalence properties: every accelerated backend
-//! of the GF(2^8) multiply/axpy and CRC-32C kernels must produce bytes
-//! identical to the scalar reference for arbitrary lengths, values and
+//! SIMD/scalar kernel-equivalence properties: every backend of the
+//! GF(2^8) multiply / multiply-accumulate and CRC-32C kernels must produce
+//! bytes identical to the reference (`gf256`'s log/exp walk, the CRC
+//! table walk) for arbitrary lengths, values and
 //! (mis)alignments — including the sub-vector tails the `pshufb` and
 //! 8-byte-stride paths hand to their scalar remainders.
 //!
@@ -13,7 +14,7 @@
 use proptest::prelude::*;
 use skt_encoding::kernels::{self, KernelConfig};
 use skt_encoding::simd::{
-    crc32c_update, gf_mac_bytes, gf_mul_bytes, gf_scale_bytes, CrcBackend, GfBackend, SimdMode,
+    crc32c_update, gf_mac_bytes, gf_mul_bytes, CrcBackend, GfBackend, SimdMode,
 };
 use skt_encoding::{
     copy_with_stripe_crcs, crc32c_f64, gf256, stripe_crcs, Code, CodecSpec, ErasureCodec, Wire,
@@ -42,51 +43,98 @@ fn floats(len: usize, seed: u64) -> Vec<f64> {
         .collect()
 }
 
+/// A sampled coefficient: the clear / copy shortcuts (0, 1) a quarter of
+/// the time each, an arbitrary scalar otherwise.
+fn coeff(kind: u8, raw: u8) -> u8 {
+    if kind < 2 {
+        kind
+    } else {
+        raw
+    }
+}
+
 proptest! {
-    /// `buf[i] := c·buf[i]`: every available backend equals the scalar
-    /// reference at any length, offset and scalar — including c = 0 / 1
-    /// (the memset / no-op fast paths) and lengths below one vector.
+    /// `dst[i] := c·src[i]`: every available backend equals the log/exp
+    /// reference at any length, scalar and independently mis-aligned
+    /// destination and source — including c = 0 / 1 (the clear / copy
+    /// fast paths), lengths below one vector, and a dirty destination
+    /// whose bytes before the offset stay untouched.
     #[test]
-    fn gf_scale_backends_match_scalar(
+    fn gf_mul_backends_match_reference(
         len in 0usize..600,
-        offset in 0usize..33,
-        c in any::<u8>(),
+        d_off in 0usize..33,
+        s_off in 0usize..33,
+        c_kind in 0u8..4,
+        c_raw in any::<u8>(),
         seed in any::<u64>(),
     ) {
-        let base = bytes(len + offset, seed);
-        let mut want = base[offset..].to_vec();
-        gf_scale_bytes(&mut want, c, GfBackend::Scalar);
+        let c = coeff(c_kind, c_raw);
+        let dst0 = bytes(len + d_off, seed);
+        let src = bytes(len + s_off, seed ^ 0xABCD);
+        let mut want = src[s_off..].to_vec();
+        gf256::scale_slice(&mut want, c);
         for backend in GfBackend::available() {
-            let mut got = base.clone();
-            gf_scale_bytes(&mut got[offset..], c, backend);
+            let mut got = dst0.clone();
+            gf_mul_bytes(&mut got[d_off..], &src[s_off..], c, backend);
             prop_assert_eq!(
-                &got[offset..], want.as_slice(),
-                "scale: len={} offset={} c={} backend={:?}", len, offset, c, backend
+                &got[d_off..], want.as_slice(),
+                "mul: len={} d_off={} s_off={} c={} backend={:?}", len, d_off, s_off, c, backend
             );
-            prop_assert_eq!(&got[..offset], &base[..offset], "prefix untouched");
+            prop_assert_eq!(&got[..d_off], &dst0[..d_off], "prefix untouched");
         }
     }
 
-    /// `acc[i] ^= c·x[i]`: every available backend equals the scalar
+    /// `acc[i] ^= c·x[i]`: every available backend equals the log/exp
     /// reference, with independently mis-aligned accumulator and input.
     #[test]
-    fn gf_mac_backends_match_scalar(
+    fn gf_mac_backends_match_reference(
         len in 0usize..600,
         a_off in 0usize..33,
         x_off in 0usize..33,
-        c in any::<u8>(),
+        c_kind in 0u8..4,
+        c_raw in any::<u8>(),
         seed in any::<u64>(),
     ) {
+        let c = coeff(c_kind, c_raw);
         let acc0 = bytes(len + a_off, seed);
         let x = bytes(len + x_off, seed ^ 0xABCD);
         let mut want = acc0[a_off..].to_vec();
-        gf_mac_bytes(&mut want, &x[x_off..], c, GfBackend::Scalar);
+        gf256::mac_slice(&mut want, &x[x_off..], c);
         for backend in GfBackend::available() {
             let mut got = acc0.clone();
             gf_mac_bytes(&mut got[a_off..], &x[x_off..], c, backend);
             prop_assert_eq!(
                 &got[a_off..], want.as_slice(),
                 "mac: len={} a_off={} x_off={} c={} backend={:?}", len, a_off, x_off, c, backend
+            );
+            prop_assert_eq!(&got[..a_off], &acc0[..a_off], "prefix untouched");
+        }
+    }
+
+    /// The store rule is the only difference between the two entry
+    /// points: on every available backend `mac(acc, x, c)` equals `mul`
+    /// into a scratch buffer followed by a byte XOR into `acc`.
+    #[test]
+    fn gf_mac_is_mul_then_xor_on_every_backend(
+        len in 0usize..600,
+        a_off in 0usize..33,
+        x_off in 0usize..33,
+        c_kind in 0u8..4,
+        c_raw in any::<u8>(),
+        seed in any::<u64>(),
+    ) {
+        let c = coeff(c_kind, c_raw);
+        let acc0 = bytes(len + a_off, seed);
+        let x = bytes(len + x_off, seed ^ 0xABCD);
+        for backend in GfBackend::available() {
+            let mut scratch = bytes(len, seed ^ 0x1234);
+            gf_mul_bytes(&mut scratch, &x[x_off..], c, backend);
+            let want: Vec<u8> = acc0[a_off..].iter().zip(&scratch).map(|(a, p)| a ^ p).collect();
+            let mut got = acc0.clone();
+            gf_mac_bytes(&mut got[a_off..], &x[x_off..], c, backend);
+            prop_assert_eq!(
+                &got[a_off..], want.as_slice(),
+                "len={} a_off={} x_off={} c={} backend={:?}", len, a_off, x_off, c, backend
             );
         }
     }
@@ -150,17 +198,15 @@ proptest! {
         let base = floats(len, seed);
         let x = floats(len, seed ^ 0x5555);
         let reference = KernelConfig::serial().with_simd(SimdMode::ForceScalar);
-        let mut want_scale = base.clone();
-        kernels::gf_scale(&mut want_scale, c, reference);
+        let want_scale = kernels::gf_scaled_copies(&base, &[c], reference).remove(0);
         let mut want_mac = base.clone();
         kernels::gf_mac(&mut want_mac, &x, c, reference);
         for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
             let cfg = KernelConfig::new(threads, chunk).with_simd(mode);
-            let mut got = base.clone();
-            kernels::gf_scale(&mut got, c, cfg);
+            let got = kernels::gf_scaled_copies(&base, &[c], cfg).remove(0);
             prop_assert!(
                 got.iter().zip(&want_scale).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "gf_scale: len={} c={} cfg={:?}", len, c, cfg
+                "gf_scaled_copies: len={} c={} cfg={:?}", len, c, cfg
             );
             let mut got = base.clone();
             kernels::gf_mac(&mut got, &x, c, cfg);
@@ -195,16 +241,16 @@ const BUDGETS: [usize; 4] = [1, 2, 3, 8];
 /// 0 / 1 are the clear / copy fast paths, 0x53 and 0xff generic scalars.
 const COEFFS: [u8; 5] = [0, 1, 2, 0x53, 0xff];
 
-/// `dst := c·src` out of place equals today's `to_vec` + in-place scale
-/// on every available backend, at byte lengths that are not multiples
-/// of 16 and over a dirty destination.
+/// `dst := c·src` out of place equals a copy followed by the reference
+/// in-place scale (`gf256::scale_slice`) on every available backend, at
+/// byte lengths that are not multiples of 16 and over a dirty destination.
 #[test]
 fn gf_mul_out_of_place_matches_copy_then_scale_on_every_backend() {
     for len in [0usize, 1, 15, 16, 17, 31, 33, 100, 1000, 1001] {
         let src = bytes(len, 7);
         for c in COEFFS {
             let mut want = src.to_vec();
-            gf_scale_bytes(&mut want, c, GfBackend::Scalar);
+            gf256::scale_slice(&mut want, c);
             for backend in GfBackend::available() {
                 let mut got = bytes(len, 8);
                 gf_mul_bytes(&mut got, &src, c, backend);
@@ -214,8 +260,8 @@ fn gf_mul_out_of_place_matches_copy_then_scale_on_every_backend() {
     }
 }
 
-/// The multi-role contribution primitive equals per-role `to_vec` +
-/// `gf_scale`, and the codec's `contribs` its per-role `contrib`, for
+/// The multi-role contribution primitive equals one single-coefficient
+/// call per role, and the codec's `contribs` its per-role `contrib`, for
 /// every dispatch mode, worker budget and a stripe that ends in a short
 /// block.
 #[test]
@@ -228,8 +274,7 @@ fn multi_role_contributions_match_the_per_role_walk() {
                 let cfg = KernelConfig::new(threads, 16).with_simd(mode);
                 let got = kernels::gf_scaled_copies(&stripe, &COEFFS, cfg);
                 for (out, c) in got.iter().zip(COEFFS) {
-                    let mut want = stripe.to_vec();
-                    kernels::gf_scale(&mut want, c, reference);
+                    let want = kernels::gf_scaled_copies(&stripe, &[c], reference).remove(0);
                     assert!(
                         out.iter()
                             .zip(&want)

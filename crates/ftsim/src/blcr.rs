@@ -12,9 +12,12 @@
 //!
 //! The cost model: checkpoint time = real serialization time + the
 //! device's modeled transfer time (bandwidth shared among the node's
-//! ranks). HDD ≈ 100 MB/s, SSD ≈ 500 MB/s — the Table 3 ordering.
+//! ranks). HDD ≈ 100 MB/s, SSD ≈ 500 MB/s — the Table 3 ordering. Every
+//! transfer the model charges — one write per rank per checkpoint, the
+//! one restore read per rank on a restart — is also an
+//! `Event::StorageWrite` / `StorageRead` on the cluster's bus.
 
-use skt_cluster::{Device, DeviceKind};
+use skt_cluster::{Device, DeviceKind, Event};
 use skt_hpl::dist::BlockCyclic1D;
 use skt_hpl::elim::{back_substitute, generate, panel_step, verify};
 use skt_hpl::plain::{assemble_output, HplConfig};
@@ -94,6 +97,7 @@ pub fn run_blcr(ctx: &Ctx, cfg: &BlcrConfig, store: &BlcrStore) -> Result<SktOut
     let gen = MatGen::new(cfg.hpl.seed);
     let dev = store.device(me);
     let sharers = ctx.node_sharers();
+    let device = dev.kind().name();
     let slot_name = |s: u64| format!("{}/r{me}/slot{s}", cfg.name);
 
     // --- restore: newest epoch available on EVERY rank ---
@@ -130,6 +134,11 @@ pub fn run_blcr(ctx: &Ctx, cfg: &BlcrConfig, store: &BlcrStore) -> Result<SktOut
         let (blob, t_io) = dev.read(&slot_name(slot), sharers).ok_or(Fault::Protocol(
             "blcr: checkpoint slot vanished between inventory and read",
         ))?;
+        ctx.cluster().events().emit(Event::StorageRead {
+            device,
+            bytes: blob.len() as u64,
+            modeled: t_io,
+        });
         recover_io += t_io.as_secs_f64();
         let (k, data) = deserialize(&blob).ok_or(Fault::Protocol(
             "blcr: checkpoint blob torn below its epoch header",
@@ -165,7 +174,13 @@ pub fn run_blcr(ctx: &Ctx, cfg: &BlcrConfig, store: &BlcrStore) -> Result<SktOut
             // alternate slots by checkpoint ordinal so the previous
             // checkpoint survives until this one is complete
             let slot = (done as usize / cfg.ckpt_every) as u64 % 2;
+            let bytes = blob.len() as u64;
             let t_io = dev.write(&slot_name(slot), blob, sharers);
+            ctx.cluster().events().emit(Event::StorageWrite {
+                device,
+                bytes,
+                modeled: t_io,
+            });
             comm.barrier()?; // coordinated commit
             let wall = t.elapsed().as_secs_f64();
             ckpt_wall += wall;
@@ -200,7 +215,7 @@ pub fn run_blcr(ctx: &Ctx, cfg: &BlcrConfig, store: &BlcrStore) -> Result<SktOut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use skt_cluster::{Cluster, ClusterConfig, FailurePlan, Ranklist};
+    use skt_cluster::{Cluster, ClusterConfig, FailurePlan, Ranklist, Recorder};
     use skt_mps::run_on_cluster;
 
     fn cfg() -> BlcrConfig {
@@ -211,28 +226,50 @@ mod tests {
         }
     }
 
+    /// Storage events of `kind` on the bus whose byte count is one whole
+    /// checkpoint blob of `cfg()` (the epoch word + a rank's allocation).
+    fn blob_events(rec: &Recorder, write: bool, kind: &str) -> usize {
+        let blob = 8 + 8 * BlockCyclic1D::new(48, 4, 4, 0).alloc_len() as u64;
+        rec.count(|e| match *e {
+            Event::StorageWrite { device, bytes, .. } => write && device == kind && bytes == blob,
+            Event::StorageRead { device, bytes, .. } => !write && device == kind && bytes == blob,
+            _ => false,
+        })
+    }
+
     #[test]
     fn blcr_runs_and_checkpoints() {
         let cluster = Arc::new(Cluster::new(ClusterConfig::new(4, 0)));
+        let rec = Arc::new(Recorder::new());
+        cluster.events().subscribe(Arc::clone(&rec) as _);
         let rl = Ranklist::round_robin(4, 4);
         let store = BlcrStore::new(4, DeviceKind::Hdd);
         let outs = run_on_cluster(cluster, &rl, |ctx| run_blcr(ctx, &cfg(), &store)).unwrap();
         for o in outs {
             assert!(o.hpl.passed);
-            assert!(o.hpl.checkpoints > 0);
+            assert_eq!(o.hpl.checkpoints, 5, "panels 2, 4, 6, 8, 10 of 12");
             assert!(o.hpl.ckpt_seconds > 0.0, "device time must be charged");
         }
         assert!(store.used_bytes() > 0);
+        // one write per rank per checkpoint, nothing read on a fresh start
+        assert_eq!(blob_events(&rec, true, "hdd"), 5 * 4);
+        let reads = rec.count(|e| matches!(e, Event::StorageRead { .. }));
+        assert_eq!(reads, 0);
     }
 
     #[test]
     fn blcr_recovers_from_node_loss_via_disk() {
         let cluster = Arc::new(Cluster::new(ClusterConfig::new(4, 1)));
+        let rec = Arc::new(Recorder::new());
+        cluster.events().subscribe(Arc::clone(&rec) as _);
         let mut rl = Ranklist::round_robin(4, 4);
         let store = BlcrStore::new(4, DeviceKind::Ssd);
         cluster.arm_failure(FailurePlan::new(ITER_PROBE, 5, 2));
         let res = run_on_cluster(cluster.clone(), &rl, |ctx| run_blcr(ctx, &cfg(), &store));
         assert!(res.is_err());
+        // survivors may have started checkpoint 3 before they saw the abort
+        let before = blob_events(&rec, true, "ssd");
+        assert!((2 * 4..3 * 4).contains(&before), "{before} writes");
         cluster.reset_abort();
         rl.repair(&cluster).unwrap();
         let outs = run_on_cluster(cluster, &rl, |ctx| run_blcr(ctx, &cfg(), &store)).unwrap();
@@ -240,6 +277,11 @@ mod tests {
             assert!(o.hpl.passed, "residual {}", o.hpl.residual);
             assert_eq!(o.resumed_from_panel, 4, "resume from last disk checkpoint");
         }
+        // the restart: one charged restore read per rank (the slot
+        // inventory is not a transfer), then checkpoints 3, 4 and 5
+        let reads = rec.count(|e| matches!(e, Event::StorageRead { .. }));
+        assert_eq!((blob_events(&rec, false, "ssd"), reads), (4, 4));
+        assert_eq!(blob_events(&rec, true, "ssd") - before, 3 * 4);
     }
 
     #[test]

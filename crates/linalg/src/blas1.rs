@@ -1,50 +1,8 @@
-//! Level-1 BLAS kernels on contiguous (unit-stride) `f64` slices.
+//! The level-1 BLAS kernel LU needs, on a contiguous (unit-stride) `f64`
+//! slice.
 //!
 //! HPL only ever touches unit-stride column vectors (column-major storage),
-//! so the stride arguments of reference BLAS are omitted; every routine
-//! operates on `&[f64]` / `&mut [f64]` slices directly, which lets the
-//! compiler vectorize the loops.
-
-/// `x := alpha * x`.
-pub fn dscal(alpha: f64, x: &mut [f64]) {
-    if alpha == 1.0 {
-        return;
-    }
-    for v in x.iter_mut() {
-        *v *= alpha;
-    }
-}
-
-/// `y := alpha * x + y`. Panics if lengths differ.
-pub fn daxpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "daxpy: length mismatch");
-    if alpha == 0.0 {
-        return;
-    }
-    for (yi, xi) in y.iter_mut().zip(x.iter()) {
-        *yi += alpha * *xi;
-    }
-}
-
-/// Dot product `x . y`. Panics if lengths differ.
-pub fn ddot(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "ddot: length mismatch");
-    // Four partial sums so the reduction does not serialize on one
-    // accumulator; the compiler turns this into SIMD adds.
-    let mut s = [0.0f64; 4];
-    let chunks = x.len() / 4;
-    for c in 0..chunks {
-        let b = c * 4;
-        for l in 0..4 {
-            s[l] += x[b + l] * y[b + l];
-        }
-    }
-    let mut tail = 0.0;
-    for i in chunks * 4..x.len() {
-        tail += x[i] * y[i];
-    }
-    s[0] + s[1] + s[2] + s[3] + tail
-}
+//! so the stride argument of reference BLAS is omitted.
 
 /// Index of the element with the largest absolute value; `None` for an
 /// empty slice. Ties resolve to the lowest index, matching BLAS `idamax`.
@@ -64,78 +22,9 @@ pub fn idamax(x: &[f64]) -> Option<usize> {
     Some(best)
 }
 
-/// Swap the contents of two equal-length slices.
-pub fn dswap(x: &mut [f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "dswap: length mismatch");
-    for (a, b) in x.iter_mut().zip(y.iter_mut()) {
-        std::mem::swap(a, b);
-    }
-}
-
-/// `y := x`.
-pub fn dcopy(x: &[f64], y: &mut [f64]) {
-    assert_eq!(x.len(), y.len(), "dcopy: length mismatch");
-    y.copy_from_slice(x);
-}
-
-/// Euclidean norm with scaling to avoid overflow on large values.
-pub fn dnrm2(x: &[f64]) -> f64 {
-    let mut scale = 0.0f64;
-    let mut ssq = 1.0f64;
-    for &v in x {
-        if v != 0.0 {
-            let a = v.abs();
-            if scale < a {
-                let r = scale / a;
-                ssq = 1.0 + ssq * r * r;
-                scale = a;
-            } else {
-                let r = a / scale;
-                ssq += r * r;
-            }
-        }
-    }
-    scale * ssq.sqrt()
-}
-
-/// Sum of absolute values.
-pub fn dasum(x: &[f64]) -> f64 {
-    x.iter().map(|v| v.abs()).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn dscal_scales_in_place() {
-        let mut x = vec![1.0, -2.0, 3.0];
-        dscal(2.0, &mut x);
-        assert_eq!(x, vec![2.0, -4.0, 6.0]);
-    }
-
-    #[test]
-    fn dscal_by_one_is_identity() {
-        let mut x = vec![1.5, 2.5];
-        dscal(1.0, &mut x);
-        assert_eq!(x, vec![1.5, 2.5]);
-    }
-
-    #[test]
-    fn daxpy_accumulates() {
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y = vec![10.0, 20.0, 30.0];
-        daxpy(-2.0, &x, &mut y);
-        assert_eq!(y, vec![8.0, 16.0, 24.0]);
-    }
-
-    #[test]
-    fn ddot_matches_naive() {
-        let x: Vec<f64> = (0..37).map(|i| i as f64 * 0.5).collect();
-        let y: Vec<f64> = (0..37).map(|i| (i as f64).sin()).collect();
-        let naive: f64 = x.iter().zip(&y).map(|(a, b)| a * b).sum();
-        assert!((ddot(&x, &y) - naive).abs() < 1e-10 * naive.abs().max(1.0));
-    }
 
     #[test]
     fn idamax_finds_largest_magnitude() {
@@ -143,28 +32,5 @@ mod tests {
         assert_eq!(idamax(&[]), None);
         // ties resolve to the first occurrence
         assert_eq!(idamax(&[2.0, -2.0]), Some(0));
-    }
-
-    #[test]
-    fn dswap_exchanges() {
-        let mut x = vec![1.0, 2.0];
-        let mut y = vec![3.0, 4.0];
-        dswap(&mut x, &mut y);
-        assert_eq!(x, vec![3.0, 4.0]);
-        assert_eq!(y, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn dnrm2_handles_extreme_scales() {
-        let x = vec![3e200, 4e200];
-        assert!((dnrm2(&x) - 5e200).abs() < 1e190);
-        let y = vec![3.0, 4.0];
-        assert!((dnrm2(&y) - 5.0).abs() < 1e-12);
-        assert_eq!(dnrm2(&[]), 0.0);
-    }
-
-    #[test]
-    fn dasum_sums_magnitudes() {
-        assert_eq!(dasum(&[1.0, -2.0, 3.0]), 6.0);
     }
 }

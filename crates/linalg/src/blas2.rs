@@ -60,24 +60,6 @@ pub fn dgemv(
     }
 }
 
-/// Triangular solve `x := A^{-1} x` for a **lower** triangular, **unit**
-/// diagonal `n x n` matrix stored column-major with leading dimension
-/// `lda` (the `L` factor of LU).
-pub fn dtrsv(n: usize, a: &[f64], lda: usize, x: &mut [f64]) {
-    assert!(x.len() >= n, "dtrsv: x too short");
-    assert!(lda >= n.max(1), "dtrsv: lda < n");
-    for j in 0..n {
-        let xj = x[j];
-        if xj == 0.0 {
-            continue;
-        }
-        let col = &a[j * lda..j * lda + n];
-        for i in j + 1..n {
-            x[i] -= xj * col[i];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,29 +104,5 @@ mod tests {
         let mut y = vec![3.0, 5.0];
         dgemv(2, 2, 1.0, a.as_slice(), 2, &[0.0, 0.0], 2.0, &mut y);
         assert_eq!(y, vec![6.0, 10.0]);
-    }
-
-    #[test]
-    fn dtrsv_solves_unit_lower_system() {
-        // L = [[1,0],[2,1]], solve L x = [3, 8] -> x = [3, 2]
-        let l = Matrix::from_fn(2, 2, |i, j| match (i, j) {
-            (0, 0) | (1, 1) => 1.0,
-            (1, 0) => 2.0,
-            _ => 0.0,
-        });
-        let mut x = vec![3.0, 8.0];
-        dtrsv(2, l.as_slice(), 2, &mut x);
-        assert_eq!(x, vec![3.0, 2.0]);
-    }
-
-    #[test]
-    fn dtrsv_ignores_stored_diagonal() {
-        // unit-diagonal solve must not read the stored diagonal values
-        let mut l = Matrix::identity(3);
-        l[(0, 0)] = 99.0;
-        l[(2, 1)] = 1.0;
-        let mut x = vec![1.0, 1.0, 2.0];
-        dtrsv(3, l.as_slice(), 3, &mut x);
-        assert_eq!(x, vec![1.0, 1.0, 1.0]);
     }
 }

@@ -61,31 +61,6 @@ impl MatGen {
     pub fn rhs(&self, i: u64) -> f64 {
         self.entry(i, u64::MAX)
     }
-
-    /// Fill a column-major `rows x cols` local block whose top-left global
-    /// coordinate is `(row0, col0)`, writing into `buf` with leading
-    /// dimension `ld`.
-    pub fn fill_block(
-        &self,
-        buf: &mut [f64],
-        ld: usize,
-        rows: usize,
-        cols: usize,
-        row0: u64,
-        col0: u64,
-    ) {
-        assert!(ld >= rows, "fill_block: ld < rows");
-        assert!(
-            buf.len() >= ld * cols.max(1) - (ld - rows),
-            "fill_block: buffer too small"
-        );
-        for j in 0..cols {
-            let col = &mut buf[j * ld..j * ld + rows];
-            for (i, v) in col.iter_mut().enumerate() {
-                *v = self.entry(row0 + i as u64, col0 + j as u64);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,21 +97,6 @@ mod tests {
         }
         let mean = sum / (n * n) as f64;
         assert!(mean.abs() < 0.01, "mean {mean} too far from 0");
-    }
-
-    #[test]
-    fn fill_block_matches_pointwise_entries() {
-        let g = MatGen::new(5);
-        let (rows, cols, ld) = (4, 3, 6);
-        let mut buf = vec![0.0; ld * cols];
-        g.fill_block(&mut buf, ld, rows, cols, 10, 20);
-        for j in 0..cols {
-            for i in 0..rows {
-                assert_eq!(buf[i + j * ld], g.entry(10 + i as u64, 20 + j as u64));
-            }
-        }
-        // padding rows untouched
-        assert_eq!(buf[rows], 0.0);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! The crate provides the subset of BLAS/LAPACK functionality that
 //! High-Performance Linpack needs, implemented from scratch:
 //!
-//! * level-1 kernels ([`blas1`]): `dscal`, `daxpy`, `idamax`, `dswap`, …
-//! * level-2 kernels ([`blas2`]): `dger`, `dgemv`, `dtrsv`
+//! * the level-1 kernel ([`blas1`]) of the pivot search: `idamax`
+//! * level-2 kernels ([`blas2`]): `dger`, `dgemv`
 //! * level-3 kernels ([`blas3`]): a cache-blocked `dgemm` and the `dtrsm`
 //!   variants used by LU factorization
 //! * LU factorization ([`lu`]): unblocked `dgetf2`, blocked `dgetrf`,
@@ -33,13 +33,13 @@ pub mod matrix;
 pub mod norms;
 pub mod solve;
 
-pub use blas1::{dasum, daxpy, dcopy, ddot, dnrm2, dscal, dswap, idamax};
-pub use blas2::{dgemv, dger, dtrsv};
+pub use blas1::idamax;
+pub use blas2::{dgemv, dger};
 pub use blas3::{dgemm, dtrsm_llnu, dtrsm_lunn, Trans};
 pub use gen::MatGen;
 pub use lu::{dgetf2, dgetrf, dlaswp};
 pub use matrix::Matrix;
-pub use norms::{norm_inf_mat, norm_inf_vec, norm_one_mat};
+pub use norms::{norm_inf_mat, norm_inf_vec};
 pub use solve::{backward_sub, forward_sub_unit, solve_ref};
 
 /// Machine epsilon for `f64`, as used by the HPL residual check.

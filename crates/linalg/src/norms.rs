@@ -18,13 +18,6 @@ pub fn norm_inf_mat(a: &Matrix) -> f64 {
     norm_inf_vec(&row_sums)
 }
 
-/// One norm of a matrix: max column sum of absolute values.
-pub fn norm_one_mat(a: &Matrix) -> f64 {
-    (0..a.cols())
-        .map(|j| a.col(j).iter().map(|v| v.abs()).sum())
-        .fold(0.0, f64::max)
-}
-
 /// The scaled residual HPL reports:
 /// `||Ax - b||_inf / (eps * (||A||_inf * ||x||_inf + ||b||_inf) * n)`.
 ///
@@ -57,7 +50,6 @@ mod tests {
             _ => unreachable!(),
         });
         assert_eq!(norm_inf_mat(&a), 7.0); // row 1: 3+4
-        assert_eq!(norm_one_mat(&a), 6.0); // col 1: 2+4
         assert_eq!(norm_inf_vec(&[1.0, -9.0, 2.0]), 9.0);
     }
 
