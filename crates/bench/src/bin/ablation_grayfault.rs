@@ -7,7 +7,7 @@
 
 use skt_bench::Table;
 use skt_cluster::{
-    Cluster, ClusterConfig, Event, FaultPlan, GrayPlan, HeartbeatConfig, Observer, Ranklist,
+    Cluster, ClusterConfig, Event, FaultPlan, GrayKind, HeartbeatConfig, Observer, Ranklist,
     Runtime, SimRuntime,
 };
 use skt_encoding::CodecSpec;
@@ -78,7 +78,7 @@ fn detection_latency(interval: Duration, seed: u64) -> Duration {
     });
     cluster.events().subscribe(Arc::clone(&watch) as _);
     // arm after the config so the stall wake adopts the interval
-    cluster.arm_fault(FaultPlan::Gray(GrayPlan::hang(ITER_PROBE, 3, VICTIM)));
+    cluster.arm_failure(FaultPlan::gray(ITER_PROBE, 3, VICTIM, GrayKind::Hang));
     let rl = Ranklist::round_robin(NODES, NODES);
     run_with_daemon(
         cluster,
@@ -103,7 +103,12 @@ fn migration_run(codec: CodecSpec, gray: bool, seed: u64) -> Duration {
         SimRuntime::new(seed),
     ));
     if gray {
-        cluster.arm_fault(FaultPlan::Gray(GrayPlan::slow(ITER_PROBE, 3, VICTIM, 64)));
+        cluster.arm_failure(FaultPlan::gray(
+            ITER_PROBE,
+            3,
+            VICTIM,
+            GrayKind::Slow { factor: 64 },
+        ));
     }
     let rl = Ranklist::round_robin(NODES, NODES);
     let t = Instant::now();

@@ -2,9 +2,7 @@
 //! MPI-style whole-job abort on node failure.
 
 use crate::events::{Event, EventBus, Observer};
-use crate::failure::{
-    CorruptPlan, FailureInjector, FailurePlan, Fault, FaultAction, FaultPlan, GrayKind, GrayPlan,
-};
+use crate::failure::{FailureInjector, Fault, FaultAction, FaultPlan, GrayKind, Region};
 use crate::net::NetModel;
 use crate::shm::{SegmentData, ShmStore};
 use crate::suspicion::{ProbeVerdict, Suspicion, SuspicionMonitor};
@@ -42,6 +40,10 @@ impl ClusterConfig {
 #[derive(Clone, Copy, Debug)]
 struct GrayState {
     kind: GrayKind,
+    /// Virtual time the degradation began. For a [`GrayKind::Hang`] this
+    /// is when the node's heartbeat daemon froze — the one record of it;
+    /// the suspicion monitor is told it when scoring.
+    since: Duration,
     /// Virtual time at which the node spontaneously recovers; evaluated
     /// lazily by [`Cluster::gray_kind`].
     heal_at: Option<Duration>,
@@ -64,9 +66,6 @@ pub struct Cluster {
     /// Per-node fencing generation. Bumped by [`Self::fence_node`]; work
     /// launched under an older generation is a zombie and gets rejected.
     generation: Mutex<Vec<u64>>,
-    /// Per-node fenced flag: fenced nodes are alive but quarantined —
-    /// unusable for placement, their SHM frozen.
-    fenced: Mutex<Vec<bool>>,
     /// Heartbeat/suspicion monitor (consulted only when armed).
     monitor: SuspicionMonitor,
     /// Whether the suspicion layer is armed (a gray plan was armed or a
@@ -130,7 +129,6 @@ impl Cluster {
             runtime,
             gray: Mutex::new(vec![None; total]),
             generation: Mutex::new(vec![0; total]),
-            fenced: Mutex::new(vec![false; total]),
             monitor: SuspicionMonitor::default(),
             suspicion_on: AtomicBool::new(false),
             watched: Mutex::new(Vec::new()),
@@ -220,38 +218,29 @@ impl Cluster {
         *self.watched.lock() = set;
     }
 
-    /// Turn `plan.node` gray right now (normally reached via an armed
-    /// [`GrayPlan`] firing at its probe).
-    pub fn apply_gray(&self, plan: &GrayPlan) {
-        let now = self.runtime.now();
-        self.gray.lock()[plan.node] = Some(GrayState {
-            kind: plan.kind,
-            heal_at: plan.heal_after.map(|d| now + d),
-        });
-        self.enable_suspicion();
-        if matches!(plan.kind, GrayKind::Hang) {
-            self.monitor.hang(plan.node, now);
-        }
-        self.events.emit(Event::GrayInjected {
-            node: plan.node,
-            kind: plan.kind.label(),
-        });
-    }
-
     /// The node's current gray degradation, evaluating self-healing
     /// lazily: once the plan's `heal_after` deadline passes on the
-    /// virtual clock the state clears (and the hang flag with it), so an
+    /// virtual clock the state clears (and the hang-start with it), so an
     /// expired gray can never be observed, declared, or probed late.
-    pub fn gray_kind(&self, node: NodeId) -> Option<GrayKind> {
+    fn gray_state(&self, node: NodeId) -> Option<GrayState> {
         let mut gray = self.gray.lock();
         let state = gray[node]?;
         if state.heal_at.is_some_and(|at| self.runtime.now() >= at) {
             gray[node] = None;
-            drop(gray);
-            self.monitor.clear_hang(node);
             return None;
         }
-        Some(state.kind)
+        Some(state)
+    }
+
+    /// The node's current gray degradation, if any (healed lazily).
+    pub fn gray_kind(&self, node: NodeId) -> Option<GrayKind> {
+        self.gray_state(node).map(|s| s.kind)
+    }
+
+    /// When the node's heartbeat froze, if it is hung right now.
+    fn hung_since(&self, node: NodeId) -> Option<Duration> {
+        self.gray_state(node)
+            .and_then(|s| matches!(s.kind, GrayKind::Hang).then_some(s.since))
     }
 
     /// Is the node currently hard-hung? Rank code polls this to hold the
@@ -307,20 +296,17 @@ impl Cluster {
         }
         let peers: Vec<NodeId> = {
             let alive = self.alive.lock();
-            let fenced = self.fenced.lock();
             self.watched
                 .lock()
                 .iter()
                 .copied()
-                .filter(|&n| n != observer && alive[n] && !fenced[n])
+                .filter(|&n| n != observer && alive[n] && !self.node_fenced(n))
                 .collect()
         };
-        // lazy-heal pass first, so an expired gray is never declared late
-        for &n in &peers {
-            let _ = self.gray_kind(n);
-        }
-        let now = self.runtime.now();
-        if let Some(v) = self.monitor.worst(&peers, now) {
+        // reading a peer's hang-start is its lazy-heal pass too, so an
+        // expired gray is never declared late
+        let peers = peers.iter().map(|&n| (n, self.hung_since(n)));
+        if let Some(v) = self.monitor.worst(peers, self.runtime.now()) {
             let mut verdict = self.verdict.lock();
             if verdict.is_none() {
                 *verdict = Some(v);
@@ -368,16 +354,16 @@ impl Cluster {
             g[node] += 1;
             g[node]
         };
-        self.fenced.lock()[node] = true;
         self.shm[node].freeze();
         self.events.emit(Event::NodeFenced { node, generation });
         self.runtime.notify();
         generation
     }
 
-    /// Is the node fenced?
+    /// Is the node fenced? A node is fenced exactly while its SHM is
+    /// frozen — the store owns the fact.
     pub fn node_fenced(&self, node: NodeId) -> bool {
-        self.fenced.lock()[node]
+        self.shm[node].is_frozen()
     }
 
     /// The node's current fencing generation.
@@ -406,7 +392,6 @@ impl Cluster {
         self.monitor.forget(node);
         self.shm[node].thaw();
         self.shm[node].wipe();
-        self.fenced.lock()[node] = false;
         self.spare_pool.lock().push(node);
     }
 
@@ -499,20 +484,14 @@ impl Cluster {
         *self.verdict.lock() = None;
     }
 
-    /// Arm a failure plan (see [`FailurePlan`]).
-    pub fn arm_failure(&self, plan: FailurePlan) {
-        self.injector.arm(plan);
-    }
-
-    /// Arm any fault plan — a kill, a silent bit flip, or a gray
+    /// Arm a fault plan — a kill, a silent bit flip, or a gray
     /// degradation (see [`FaultPlan`]). Arming a gray plan arms the
     /// suspicion layer as a side effect.
-    pub fn arm_fault(&self, plan: impl Into<FaultPlan>) {
-        let plan = plan.into();
-        if plan.is_gray() {
+    pub fn arm_failure(&self, plan: FaultPlan) {
+        if matches!(plan.action, FaultAction::Gray { .. }) {
             self.enable_suspicion();
         }
-        self.injector.arm_fault(plan);
+        self.injector.arm(plan);
     }
 
     /// Disarm all fault plans.
@@ -520,16 +499,53 @@ impl Cluster {
         self.injector.clear();
     }
 
-    /// Apply a corruption immediately: flip the planned bit in the first
-    /// (name-sorted) segment on `plan.node` whose name ends with the
-    /// region's suffix. Offsets wrap modulo the region size so every
-    /// `(offset, bit)` pair is a valid flip somewhere in the region.
-    /// Returns `false` when the node has no such segment or it is empty
-    /// (e.g. a wiped node) — a corruption of nothing is a no-op.
-    pub fn corrupt_now(&self, plan: &CorruptPlan) -> bool {
-        let suffix = format!("/{}", plan.region.suffix());
-        let store = &self.shm[plan.node];
-        let Some(name) = store.names().into_iter().find(|n| n.ends_with(&suffix)) else {
+    /// Make `action` happen to `node` right now — the one door for a
+    /// fired plan ([`Self::failpoint`]), a clock-scheduled storm fault and
+    /// a test's immediate flip. Returns whether anything changed.
+    ///
+    /// * `Kill` — [`Self::kill_node`]; `false` if the node was already
+    ///   dead.
+    /// * `Corrupt` — flip the bit in the first (name-sorted) segment on
+    ///   `node` that is the region's. Offsets wrap modulo the region size
+    ///   so every `(offset, bit)` pair is a valid flip somewhere in the
+    ///   region. `false` when the node has no such segment or it is empty
+    ///   (e.g. a wiped node) — a corruption of nothing is a no-op.
+    /// * `Gray` — the node turns gray from now (replacing any earlier
+    ///   degradation, hang included) and the suspicion layer is armed;
+    ///   always `true`.
+    pub fn apply_fault(&self, node: NodeId, action: &FaultAction) -> bool {
+        match *action {
+            FaultAction::Kill => {
+                let was_alive = self.node_alive(node);
+                self.kill_node(node);
+                was_alive
+            }
+            FaultAction::Corrupt {
+                region,
+                offset,
+                bit,
+            } => self.flip_bit(node, region, offset, bit),
+            FaultAction::Gray { kind, heal_after } => {
+                let since = self.runtime.now();
+                self.gray.lock()[node] = Some(GrayState {
+                    kind,
+                    since,
+                    heal_at: heal_after.map(|d| since + d),
+                });
+                self.enable_suspicion();
+                self.events.emit(Event::GrayInjected {
+                    node,
+                    kind: kind.label(),
+                });
+                true
+            }
+        }
+    }
+
+    /// The `Corrupt` arm of [`Self::apply_fault`].
+    fn flip_bit(&self, node: NodeId, region: Region, offset: usize, bit: u8) -> bool {
+        let store = &self.shm[node];
+        let Some(name) = store.names().into_iter().find(|n| region.is_segment(n)) else {
             return false;
         };
         let Some(seg) = store.attach(&name) else {
@@ -538,24 +554,22 @@ impl Cluster {
         let mut g = seg.write();
         let flipped = match &mut *g {
             SegmentData::F64(v) if !v.is_empty() => {
-                let byte = plan.offset % (v.len() * 8);
-                let bit_pos = (byte % 8) * 8 + usize::from(plan.bit % 8);
+                let byte = offset % (v.len() * 8);
+                let bit_pos = (byte % 8) * 8 + usize::from(bit % 8);
                 v[byte / 8] = f64::from_bits(v[byte / 8].to_bits() ^ (1u64 << bit_pos));
                 true
             }
             SegmentData::Bytes(v) if !v.is_empty() => {
-                let byte = plan.offset % v.len();
-                v[byte] ^= 1u8 << (plan.bit % 8);
+                let byte = offset % v.len();
+                v[byte] ^= 1u8 << (bit % 8);
                 true
             }
             _ => false,
         };
         drop(g);
         if flipped {
-            self.events.emit(Event::CorruptionInjected {
-                node: plan.node,
-                region: plan.region.suffix(),
-            });
+            let region = region.suffix();
+            self.events.emit(Event::CorruptionInjected { node, region });
         }
         flipped
     }
@@ -564,21 +578,15 @@ impl Cluster {
     /// 1-based occurrence count for `label`. If an armed kill plan
     /// matches, the node is killed and `Err(Fault::NodeDead)` is returned
     /// to the dying rank; a matching corrupt plan flips its bit silently
-    /// and the rank continues. Otherwise this doubles as an abort check
-    /// so every rank notices a failure promptly.
+    /// and a gray plan degrades the node, and the rank continues.
+    /// Otherwise this doubles as an abort check so every rank notices a
+    /// failure promptly.
     pub fn failpoint(&self, node: NodeId, label: &str, count: u64) -> Result<(), Fault> {
-        match self.injector.fires(node, label, count) {
-            Some(FaultAction::Kill) => {
-                self.kill_node(node);
+        if let Some(action) = self.injector.fires(node, label, count) {
+            self.apply_fault(node, &action);
+            if action == FaultAction::Kill {
                 return Err(Fault::NodeDead(node));
             }
-            Some(FaultAction::Corrupt(plan)) => {
-                self.corrupt_now(&plan);
-            }
-            Some(FaultAction::Gray(plan)) => {
-                self.apply_gray(&plan);
-            }
-            None => {}
         }
         // heartbeat + peer evaluation ride on every probe pass
         self.heartbeat_step(node);
@@ -661,16 +669,6 @@ impl Ranklist {
         self.node_of_rank[rank]
     }
 
-    /// Ranks hosted on `node`.
-    pub fn ranks_on(&self, node: NodeId) -> Vec<usize> {
-        self.node_of_rank
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| **n == node)
-            .map(|(r, _)| r)
-            .collect()
-    }
-
     /// Number of ranks sharing the node of `rank` (device/port sharers).
     pub fn sharers_of(&self, rank: usize) -> usize {
         let node = self.node_of(rank);
@@ -707,6 +705,7 @@ impl Ranklist {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::FailurePlan;
 
     #[test]
     fn kill_node_wipes_shm_and_aborts_job() {
@@ -778,7 +777,6 @@ mod tests {
         assert_eq!(rr.node_of(0), 0);
         assert_eq!(rr.node_of(4), 0);
         assert_eq!(rr.node_of(5), 1);
-        assert_eq!(rr.ranks_on(1), vec![1, 5]);
         assert_eq!(rr.sharers_of(1), 2);
     }
 
@@ -809,17 +807,33 @@ mod tests {
         assert_eq!(rl.repair(&c), Err(0));
     }
 
-    #[test]
-    fn corrupt_now_flips_one_bit_and_emits() {
-        use crate::failure::Region;
-        let c = Cluster::new(ClusterConfig::new(1, 0));
+    fn recorder(c: &Cluster) -> Arc<crate::events::Recorder> {
         let rec = Arc::new(crate::events::Recorder::new());
         c.events()
             .subscribe(Arc::clone(&rec) as Arc<dyn crate::events::Observer>);
+        rec
+    }
+
+    fn flip(region: Region, offset: usize, bit: u8) -> FaultAction {
+        FaultAction::Corrupt {
+            region,
+            offset,
+            bit,
+        }
+    }
+
+    fn gray(kind: GrayKind) -> FaultPlan {
+        FaultPlan::gray("p", 1, 0, kind)
+    }
+
+    #[test]
+    fn apply_fault_flips_one_bit_and_emits() {
+        let c = Cluster::new(ClusterConfig::new(1, 0));
+        let rec = recorder(&c);
         c.shm(0)
             .get_or_create("job/r0/b", || crate::shm::SegmentData::F64(vec![0.0; 4]));
-        let plan = crate::failure::CorruptPlan::new("p", 1, 0, Region::CopyB, 9, 2);
-        assert!(c.corrupt_now(&plan));
+        let action = flip(Region::CopyB, 9, 2);
+        assert!(c.apply_fault(0, &action));
         let seg = c.shm(0).attach("job/r0/b").unwrap();
         // byte 9 lives in element 1; bit 2 of that byte is bit 10 of the word
         assert_eq!(seg.read().as_f64()[1].to_bits(), 1u64 << 10);
@@ -834,26 +848,136 @@ mod tests {
             1
         );
         // flipping again restores the original bits (xor involution)
-        assert!(c.corrupt_now(&plan));
+        assert!(c.apply_fault(0, &action));
         assert_eq!(seg.read().as_f64()[1].to_bits(), 0);
+        // offsets wrap modulo the region (32 bytes) and bits modulo 8
+        assert!(c.apply_fault(0, &flip(Region::CopyB, 32 + 9, 8 + 2)));
+        assert_eq!(seg.read().as_f64()[1].to_bits(), 1u64 << 10);
     }
 
+    /// The one door, as a table: every action × every state a node can
+    /// be in → "did anything change", the event (or its absence), and
+    /// for gray actions the armed suspicion layer and the lazy heal.
     #[test]
-    fn corrupt_now_on_missing_region_is_a_noop() {
-        use crate::failure::Region;
-        let c = Cluster::new(ClusterConfig::new(1, 0));
-        let plan = crate::failure::CorruptPlan::new("p", 1, 0, Region::Header, 0, 0);
-        assert!(!c.corrupt_now(&plan), "no segment to damage");
+    fn apply_fault_table() {
+        #[derive(Clone, Copy, Debug)]
+        enum NodeState {
+            Live,
+            Dead,
+            WithoutTheRegion,
+            WipedRegion,
+        }
+        use NodeState::*;
+        const N: NodeId = 1;
+        let heal = Duration::from_millis(1);
+        let gray_of = |kind| FaultAction::Gray {
+            kind,
+            heal_after: Some(heal),
+        };
+        let corrupt = Event::CorruptionInjected {
+            node: N,
+            region: "b",
+        };
+        let injected = |kind| Event::GrayInjected { node: N, kind };
+        // (action, [changed on Live, Dead, WithoutTheRegion, WipedRegion], event when changed)
+        let table: [(FaultAction, [bool; 4], Option<Event>); 5] = [
+            (FaultAction::Kill, [true, false, true, true], None),
+            (
+                flip(Region::CopyB, 77, 3),
+                [true, false, false, false],
+                Some(corrupt),
+            ),
+            (gray_of(GrayKind::Hang), [true; 4], Some(injected("hang"))),
+            (
+                gray_of(GrayKind::Slow { factor: 3 }),
+                [true; 4],
+                Some(injected("slow")),
+            ),
+            (
+                gray_of(GrayKind::LinkDegrade { factor: 3 }),
+                [true; 4],
+                Some(injected("link-degrade")),
+            ),
+        ];
+        for (action, changed, event) in table {
+            for (state, want) in [Live, Dead, WithoutTheRegion, WipedRegion]
+                .into_iter()
+                .zip(changed)
+            {
+                let case = format!("{action:?} on a {state:?} node");
+                let rt = skt_sim::SimRuntime::new(1);
+                let c = Cluster::new_with_runtime(ClusterConfig::new(2, 0), rt.clone());
+                let seg = |name: &str, len| {
+                    c.shm(N)
+                        .get_or_create(name, || SegmentData::F64(vec![0.0; len]));
+                };
+                match state {
+                    Live => seg("job/r1/b", 4),
+                    Dead => {
+                        seg("job/r1/b", 4);
+                        c.kill_node(N);
+                        c.reset_abort();
+                    }
+                    WithoutTheRegion => seg("job/r1/b1", 4),
+                    WipedRegion => seg("job/r1/b", 0),
+                }
+                let rec = recorder(&c);
+                assert_eq!(c.apply_fault(N, &action), want, "{case}");
+                let injections: Vec<Event> = rec
+                    .events()
+                    .into_iter()
+                    .filter(|e| {
+                        matches!(
+                            e,
+                            Event::CorruptionInjected { .. } | Event::GrayInjected { .. }
+                        )
+                    })
+                    .collect();
+                let expected: Vec<Event> = event.iter().filter(|_| want).cloned().collect();
+                assert_eq!(injections, expected, "{case}");
+                match action {
+                    FaultAction::Kill => {
+                        assert!(!c.node_alive(N), "{case}");
+                        assert_eq!(c.aborted(), want, "{case}: only a fresh death aborts");
+                        assert!(!c.suspicion_enabled(), "{case}");
+                    }
+                    FaultAction::Corrupt { .. } => {
+                        assert!(!c.aborted() && !c.suspicion_enabled(), "{case}: silent");
+                        if want {
+                            let seg = c.shm(N).attach("job/r1/b").unwrap();
+                            // byte 77 wraps to 77 % 32 = 13: element 1, byte 5, bit 3
+                            assert_eq!(seg.read().as_f64()[1].to_bits(), 1u64 << 43, "{case}");
+                        }
+                    }
+                    FaultAction::Gray { kind, .. } => {
+                        assert!(c.suspicion_enabled(), "{case}: arms the suspicion layer");
+                        assert_eq!(c.gray_kind(N), Some(kind), "{case}");
+                        rt.advance(heal - Duration::from_nanos(1));
+                        assert_eq!(c.gray_kind(N), Some(kind), "{case}: not healed early");
+                        rt.advance(Duration::from_nanos(1));
+                        assert_eq!(
+                            c.gray_kind(N),
+                            None,
+                            "{case}: healed lazily at the deadline"
+                        );
+                        assert_eq!(c.hung_since(N), None, "{case}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
     fn armed_corrupt_plan_fires_at_failpoint_without_killing() {
-        use crate::failure::{CorruptPlan, Region};
         let c = Cluster::new(ClusterConfig::new(1, 0));
         c.shm(0).get_or_create("job/r0/header", || {
             crate::shm::SegmentData::Bytes(vec![0; 8])
         });
-        c.arm_fault(CorruptPlan::new("computing", 2, 0, Region::Header, 3, 5));
+        c.arm_failure(FaultPlan::corrupt("computing", 2, 0, Region::Header, 3, 5));
+        assert!(
+            !c.suspicion_enabled(),
+            "a flip (like a kill) leaves the suspicion layer off"
+        );
         assert!(c.failpoint(0, "computing", 1).is_ok());
         assert!(
             c.failpoint(0, "computing", 2).is_ok(),
@@ -868,7 +992,7 @@ mod tests {
     #[test]
     fn mild_straggler_is_tolerated() {
         let c = Cluster::new(ClusterConfig::new(2, 0));
-        c.arm_fault(GrayPlan::slow("p", 1, 0, 4));
+        c.arm_failure(gray(GrayKind::Slow { factor: 4 }));
         assert!(c.suspicion_enabled(), "gray plan arms the suspicion layer");
         c.begin_job(&[0, 1]);
         for i in 1..=20 {
@@ -885,7 +1009,7 @@ mod tests {
     #[test]
     fn heavy_straggler_is_declared_by_a_peer() {
         let c = Cluster::new(ClusterConfig::new(2, 0));
-        c.arm_fault(GrayPlan::slow("p", 1, 0, 64));
+        c.arm_failure(gray(GrayKind::Slow { factor: 64 }));
         c.begin_job(&[0, 1]);
         // the straggler cannot declare itself…
         assert!(c.failpoint(0, "p", 1).is_ok());
@@ -908,8 +1032,13 @@ mod tests {
     fn hang_heals_lazily_on_the_virtual_clock() {
         let rt = skt_sim::SimRuntime::new(7);
         let c = Cluster::new_with_runtime(ClusterConfig::new(2, 0), rt.clone());
+        let hang = FaultAction::Gray {
+            kind: GrayKind::Hang,
+            heal_after: Some(Duration::from_millis(1)),
+        };
+        assert!(c.apply_fault(1, &hang));
+        // after the fault: `begin_job` is a no-op while suspicion is unarmed
         c.begin_job(&[0, 1]);
-        c.apply_gray(&GrayPlan::hang("p", 1, 1).heal_after(Duration::from_millis(1)));
         assert!(c.node_hung(1));
         assert_eq!(
             c.probe_node(1),
@@ -921,11 +1050,52 @@ mod tests {
         assert_eq!(c.evaluate_suspicion(0), None, "healed before declaration");
     }
 
+    /// A node's hang has one owner, the gray state: a later gray fault on
+    /// the same node (reachable with two ranks per node — the sharer
+    /// still passes probes) replaces the hang, lag included. While the
+    /// monitor kept its own `hung_since` the overwrite left it set, and
+    /// the node was declared suspect for a hang it no longer had.
+    #[test]
+    fn gray_overwrite_of_a_hung_node_drops_the_hang_lag() {
+        let rt = skt_sim::SimRuntime::new(5);
+        let c = Cluster::new_with_runtime(ClusterConfig::new(2, 0), rt.clone());
+        let interval = c.monitor().config().interval;
+        let of = |kind| FaultAction::Gray {
+            kind,
+            heal_after: None,
+        };
+        assert!(c.apply_fault(1, &of(GrayKind::Hang)));
+        c.begin_job(&[0, 1]);
+        rt.advance(interval * 5);
+        let score = |at| c.monitor().score(1, c.hung_since(1), at);
+        assert_eq!(score(rt.now()), 5, "five intervals of hang lag");
+        c.begin_job(&[0, 1]);
+        assert_eq!(
+            score(rt.now()),
+            5,
+            "the lag tracks the node: a relaunch keeps it"
+        );
+        assert!(c.apply_fault(1, &of(GrayKind::Slow { factor: 2 })));
+        rt.advance(interval * 20);
+        assert_eq!(c.gray_kind(1), Some(GrayKind::Slow { factor: 2 }));
+        assert_eq!(
+            score(rt.now()),
+            0,
+            "the score is the slowness EWMA only (no sample yet): no stale hang lag"
+        );
+        assert_eq!(c.evaluate_suspicion(0), None, "nothing to declare");
+        // the straggler's own probes feed the EWMA towards its factor
+        for i in 1..=40 {
+            assert!(c.failpoint(1, "p", i).is_ok());
+        }
+        assert_eq!(score(rt.now()), 1, "EWMA converging on factor 2 from below");
+    }
+
     #[test]
     fn degraded_link_inflates_cost_and_is_declared() {
         let rt = skt_sim::SimRuntime::new(3);
         let c = Cluster::new_with_runtime(ClusterConfig::new(2, 0), rt.clone());
-        c.arm_fault(GrayPlan::link_degrade("p", 1, 0, 1000));
+        c.arm_failure(gray(GrayKind::LinkDegrade { factor: 1000 }));
         c.begin_job(&[0, 1]);
         assert!(c.failpoint(0, "p", 1).is_ok());
         let healthy = c.net().p2p(1 << 20);

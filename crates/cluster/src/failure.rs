@@ -8,23 +8,27 @@
 //! node passes a named probe point*, so every window is exercised exactly
 //! and reproducibly.
 //!
-//! Three fault species share the probe-count trigger ([`FaultPlan`]):
+//! A [`FaultPlan`] is **when** × **what**, each said once: the
+//! probe-count trigger `(label, nth, node)` and a [`FaultAction`]:
 //!
-//! * **Kill** ([`FailurePlan`]) — power the node off: memory wiped, job
-//!   aborted. Probe points exist on the forward protocol *and* on the
-//!   recovery path, so cascading failures (a second node dying mid-rebuild)
-//!   are as targetable as first failures.
-//! * **Corrupt** ([`CorruptPlan`]) — flip one bit in one SHM checkpoint
-//!   [`Region`] of the node, silently: nothing aborts, nothing is wiped.
-//!   This models the DRAM bit flips that diskless in-memory checkpoints
-//!   are exposed to for the whole job lifetime; the CRC/scrub layer in
-//!   `skt-core` is what's expected to catch it.
-//! * **Gray** ([`GrayPlan`]) — degrade the node without killing it: a
-//!   straggler ([`GrayKind::Slow`]), a hard hang ([`GrayKind::Hang`]), or
+//! * **Kill** ([`FaultPlan::new`], a.k.a. [`FailurePlan`]) — power the
+//!   node off: memory wiped, job aborted. Probe points exist on the
+//!   forward protocol *and* on the recovery path, so cascading failures (a
+//!   second node dying mid-rebuild) are as targetable as first failures.
+//! * **Corrupt** ([`FaultPlan::corrupt`]) — flip one bit in one SHM
+//!   checkpoint [`Region`] of the node, silently: nothing aborts, nothing
+//!   is wiped. This models the DRAM bit flips that diskless in-memory
+//!   checkpoints are exposed to for the whole job lifetime; the CRC/scrub
+//!   layer in `skt-core` is what's expected to catch it.
+//! * **Gray** ([`FaultPlan::gray`]) — degrade the node without killing it:
+//!   a straggler ([`GrayKind::Slow`]), a hard hang ([`GrayKind::Hang`]), or
 //!   a degraded link ([`GrayKind::LinkDegrade`]). Nothing aborts and no
 //!   memory is lost; the suspicion layer (`crate::suspicion`) is what's
 //!   expected to notice. Gray faults optionally heal after a virtual
 //!   duration, which is what makes *false* suspicion testable.
+//!
+//! A clock-scheduled storm fault or a test's immediate flip is the same
+//! action through the same door, [`crate::Cluster::apply_fault`].
 
 use crate::cluster::NodeId;
 use parking_lot::Mutex;
@@ -102,35 +106,18 @@ impl std::fmt::Display for Fault {
 
 impl std::error::Error for Fault {}
 
-/// One-shot plan: kill `node` the `nth` time (1-based) any of its ranks
-/// passes the probe labeled `label`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FailurePlan {
-    /// Probe label, e.g. `"elimination-iter"`, `"encode"`, `"flush"`.
-    pub label: String,
-    /// 1-based occurrence count at which to fire.
-    pub nth: u64,
-    /// Victim node.
-    pub node: NodeId,
+/// The name of rank `rank`'s `part` segment of job `job` — the one place
+/// the protocol's SHM naming (`{job}/r{rank}/{part}`) is spelled. `part`
+/// is a [`Region::suffix`], or `"header"` / `"crc"` / an application part.
+#[must_use]
+pub fn segment_name(job: &str, rank: usize, part: &str) -> String {
+    format!("{job}/r{rank}/{part}")
 }
 
-impl FailurePlan {
-    /// Convenience constructor.
-    pub fn new(label: impl Into<String>, nth: u64, node: NodeId) -> Self {
-        let nth = nth.max(1);
-        FailurePlan {
-            label: label.into(),
-            nth,
-            node,
-        }
-    }
-}
-
-/// A per-rank SHM checkpoint region a [`CorruptPlan`] can target. The
-/// variants mirror the protocol's segment naming (`{job}/r{rank}/{part}`);
-/// the injector resolves a region to the matching segment on the victim
-/// node without the cluster layer knowing anything else about the
-/// protocol.
+/// A per-rank SHM checkpoint region a [`FaultAction::Corrupt`] can target.
+/// The variants mirror the `{part}` of [`segment_name`]; the injector
+/// resolves a region to the matching segment on the victim node without
+/// the cluster layer knowing anything else about the protocol.
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Region {
@@ -163,7 +150,7 @@ impl Region {
     ];
 
     /// The segment-name suffix this region corresponds to (the `{part}`
-    /// of `{job}/r{rank}/{part}`).
+    /// of [`segment_name`]).
     #[must_use]
     pub fn suffix(self) -> &'static str {
         match self {
@@ -176,53 +163,18 @@ impl Region {
             Region::Header => "header",
         }
     }
+
+    /// Whether `segment` names this region of some rank of some job.
+    pub(crate) fn is_segment(self, segment: &str) -> bool {
+        segment
+            .rsplit_once('/')
+            .is_some_and(|(_, part)| part == self.suffix())
+    }
 }
 
 impl std::fmt::Display for Region {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.suffix())
-    }
-}
-
-/// One-shot plan: the `nth` time (1-based) `node` passes the probe
-/// labeled `label`, flip bit `bit` of the byte at `offset` within the
-/// node's `region` segment — silently. Out-of-range offsets wrap modulo
-/// the region size, so sweeping arbitrary `(offset, bit)` pairs is always
-/// a valid single-bit corruption somewhere in the region.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CorruptPlan {
-    /// Probe label at which the flip lands.
-    pub label: String,
-    /// 1-based occurrence count at which to fire.
-    pub nth: u64,
-    /// Node whose SHM is corrupted (also the node whose probe triggers).
-    pub node: NodeId,
-    /// Which checkpoint region to damage.
-    pub region: Region,
-    /// Byte offset within the region (wrapped modulo its size).
-    pub offset: usize,
-    /// Bit within the byte (wrapped modulo 8).
-    pub bit: u8,
-}
-
-impl CorruptPlan {
-    /// Convenience constructor.
-    pub fn new(
-        label: impl Into<String>,
-        nth: u64,
-        node: NodeId,
-        region: Region,
-        offset: usize,
-        bit: u8,
-    ) -> Self {
-        CorruptPlan {
-            label: label.into(),
-            nth: nth.max(1),
-            node,
-            region,
-            offset,
-            bit,
-        }
     }
 }
 
@@ -271,149 +223,113 @@ impl std::fmt::Display for GrayKind {
     }
 }
 
-/// One-shot plan: the `nth` time (1-based) `node` passes the probe
-/// labeled `label`, the node turns gray — degraded per `kind` but alive,
-/// with its memory intact. When `heal_after` is set the node recovers by
-/// itself that much virtual time later (the straggler-that-recovers
-/// scenario false suspicions come from); `None` means it stays gray until
-/// the service fences and migrates around it.
+/// *What* breaks. Produced by a fired [`FaultPlan`], scheduled on the
+/// clock by a storm, or built on the spot by a test; applied by
+/// [`crate::Cluster::apply_fault`] either way.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FaultAction {
+    /// Power the node off.
+    Kill,
+    /// Flip bit `bit` of the byte at `offset` within the node's `region`
+    /// segment — silently; the rank continues untroubled. Out-of-range
+    /// offsets wrap modulo the region size, so sweeping arbitrary
+    /// `(offset, bit)` pairs is always a valid single-bit corruption
+    /// somewhere in the region.
+    Corrupt {
+        /// Which checkpoint region to damage.
+        region: Region,
+        /// Byte offset within the region (wrapped modulo its size).
+        offset: usize,
+        /// Bit within the byte (wrapped modulo 8).
+        bit: u8,
+    },
+    /// Turn the node gray — degraded per `kind` but alive, with its
+    /// memory intact. When `heal_after` is set the node recovers by itself
+    /// that much virtual time later (the straggler-that-recovers scenario
+    /// false suspicions come from); `None` means it stays gray until the
+    /// service fences and migrates around it.
+    Gray {
+        /// What kind of gray failure.
+        kind: GrayKind,
+        /// Virtual duration after which the node spontaneously recovers;
+        /// `None` = never.
+        heal_after: Option<Duration>,
+    },
+}
+
+/// One-shot plan — *when* × *what*: the `nth` time (1-based) any rank of
+/// `node` passes the probe labeled `label`, `action` happens to `node`.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct GrayPlan {
-    /// Probe label at which the degradation starts.
+pub struct FaultPlan {
+    /// Probe label, e.g. `"elimination-iter"`, `"encode"`, `"flush"`.
     pub label: String,
     /// 1-based occurrence count at which to fire.
     pub nth: u64,
-    /// The node that turns gray.
+    /// Victim node (also the node whose probe triggers).
     pub node: NodeId,
-    /// What kind of gray failure.
-    pub kind: GrayKind,
-    /// Virtual duration after which the node spontaneously recovers;
-    /// `None` = never.
-    pub heal_after: Option<Duration>,
+    /// What happens to it.
+    pub action: FaultAction,
 }
 
-impl GrayPlan {
-    /// A gray plan that never heals by itself.
-    pub fn new(label: impl Into<String>, nth: u64, node: NodeId, kind: GrayKind) -> Self {
-        GrayPlan {
+/// The kill plan's historical name: `FailurePlan::new(label, nth, node)`.
+pub type FailurePlan = FaultPlan;
+
+impl FaultPlan {
+    /// A kill plan: power `node` off at the trigger.
+    pub fn new(label: impl Into<String>, nth: u64, node: NodeId) -> Self {
+        Self::with(label, nth, node, FaultAction::Kill)
+    }
+
+    /// A plan for any action. `nth = 0` behaves as 1.
+    pub fn with(label: impl Into<String>, nth: u64, node: NodeId, action: FaultAction) -> Self {
+        FaultPlan {
             label: label.into(),
             nth: nth.max(1),
             node,
-            kind,
-            heal_after: None,
+            action,
         }
     }
 
-    /// Straggler plan: `factor`× slowdown.
-    pub fn slow(label: impl Into<String>, nth: u64, node: NodeId, factor: u32) -> Self {
-        Self::new(
-            label,
-            nth,
-            node,
-            GrayKind::Slow {
-                factor: factor.max(1),
-            },
-        )
+    /// A silent bit flip in `node`'s `region` at the trigger.
+    pub fn corrupt(
+        label: impl Into<String>,
+        nth: u64,
+        node: NodeId,
+        region: Region,
+        offset: usize,
+        bit: u8,
+    ) -> Self {
+        let action = FaultAction::Corrupt {
+            region,
+            offset,
+            bit,
+        };
+        Self::with(label, nth, node, action)
     }
 
-    /// Hard-hang plan.
-    pub fn hang(label: impl Into<String>, nth: u64, node: NodeId) -> Self {
-        Self::new(label, nth, node, GrayKind::Hang)
-    }
-
-    /// Link-degradation plan: `factor`× send cost.
-    pub fn link_degrade(label: impl Into<String>, nth: u64, node: NodeId, factor: u32) -> Self {
-        Self::new(
-            label,
-            nth,
-            node,
-            GrayKind::LinkDegrade {
-                factor: factor.max(1),
-            },
-        )
+    /// A gray plan that never heals by itself (see [`Self::heal_after`]).
+    /// `Slow` / `LinkDegrade` factors clamp to ≥ 1.
+    pub fn gray(label: impl Into<String>, nth: u64, node: NodeId, mut kind: GrayKind) -> Self {
+        if let GrayKind::Slow { factor } | GrayKind::LinkDegrade { factor } = &mut kind {
+            *factor = (*factor).max(1);
+        }
+        let heal_after = None;
+        Self::with(label, nth, node, FaultAction::Gray { kind, heal_after })
     }
 
     /// Builder: the node recovers by itself `d` of virtual time after
-    /// the fault fires.
+    /// the fault fires. Only a gray plan heals.
     #[must_use]
     pub fn heal_after(mut self, d: Duration) -> Self {
-        self.heal_after = Some(d);
+        let FaultAction::Gray { heal_after, .. } = &mut self.action else {
+            panic!(
+                "heal_after on a {:?} plan: only a gray fault heals",
+                self.action
+            );
+        };
+        *heal_after = Some(d);
         self
     }
-}
-
-/// A generalized one-shot fault: kill the node, silently flip a bit in
-/// one of its checkpoint regions, or degrade it gray. All fire on the
-/// same deterministic probe-count trigger.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FaultPlan {
-    /// Power the node off at the trigger.
-    Kill(FailurePlan),
-    /// Flip one bit in one SHM region at the trigger.
-    Corrupt(CorruptPlan),
-    /// Degrade the node (straggler / hang / bad link) at the trigger.
-    Gray(GrayPlan),
-}
-
-impl FaultPlan {
-    fn label(&self) -> &str {
-        match self {
-            FaultPlan::Kill(p) => &p.label,
-            FaultPlan::Corrupt(p) => &p.label,
-            FaultPlan::Gray(p) => &p.label,
-        }
-    }
-
-    fn nth(&self) -> u64 {
-        match self {
-            FaultPlan::Kill(p) => p.nth,
-            FaultPlan::Corrupt(p) => p.nth,
-            FaultPlan::Gray(p) => p.nth,
-        }
-    }
-
-    fn node(&self) -> NodeId {
-        match self {
-            FaultPlan::Kill(p) => p.node,
-            FaultPlan::Corrupt(p) => p.node,
-            FaultPlan::Gray(p) => p.node,
-        }
-    }
-
-    /// Whether this plan is a gray degradation (needs the suspicion
-    /// machinery armed).
-    pub fn is_gray(&self) -> bool {
-        matches!(self, FaultPlan::Gray(_))
-    }
-}
-
-impl From<FailurePlan> for FaultPlan {
-    fn from(p: FailurePlan) -> Self {
-        FaultPlan::Kill(p)
-    }
-}
-
-impl From<CorruptPlan> for FaultPlan {
-    fn from(p: CorruptPlan) -> Self {
-        FaultPlan::Corrupt(p)
-    }
-}
-
-impl From<GrayPlan> for FaultPlan {
-    fn from(p: GrayPlan) -> Self {
-        FaultPlan::Gray(p)
-    }
-}
-
-/// What a fired plan asks [`crate::Cluster::failpoint`] to do.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FaultAction {
-    /// Kill the probing node.
-    Kill,
-    /// Apply this bit flip and let the rank continue untroubled.
-    Corrupt(CorruptPlan),
-    /// Turn the probing node gray (it keeps running — degraded).
-    Gray(GrayPlan),
 }
 
 /// Holds armed plans; consulted by [`crate::Cluster::failpoint`].
@@ -428,14 +344,9 @@ impl FailureInjector {
         Self::default()
     }
 
-    /// Arm a kill plan. Multiple plans may be armed at once (e.g. to kill
-    /// two nodes in different groups).
-    pub fn arm(&self, plan: FailurePlan) {
-        self.arm_fault(plan.into());
-    }
-
-    /// Arm any fault plan (kill or corrupt).
-    pub fn arm_fault(&self, plan: FaultPlan) {
+    /// Arm a plan. Multiple plans may be armed at once (e.g. to kill two
+    /// nodes in different groups, or a kill beside a flip).
+    pub fn arm(&self, plan: FaultPlan) {
         self.plans.lock().push(plan);
     }
 
@@ -457,18 +368,8 @@ impl FailureInjector {
         let mut plans = self.plans.lock();
         let pos = plans
             .iter()
-            .position(|p| p.node() == node && p.label() == label && p.nth() == count)?;
-        match plans.remove(pos) {
-            FaultPlan::Kill(_) => Some(FaultAction::Kill),
-            FaultPlan::Corrupt(p) => Some(FaultAction::Corrupt(p)),
-            FaultPlan::Gray(p) => Some(FaultAction::Gray(p)),
-        }
-    }
-
-    /// Whether any armed plan is gray (used to arm the suspicion layer
-    /// when plans are armed directly on the injector).
-    pub fn any_gray(&self) -> bool {
-        self.plans.lock().iter().any(FaultPlan::is_gray)
+            .position(|p| p.node == node && p.label == label && p.nth == count)?;
+        Some(plans.remove(pos).action)
     }
 }
 
@@ -500,7 +401,7 @@ mod tests {
     fn nth_zero_clamps_to_one() {
         let p = FailurePlan::new("x", 0, 0);
         assert_eq!(p.nth, 1);
-        let c = CorruptPlan::new("x", 0, 0, Region::CopyB, 0, 0);
+        let c = FaultPlan::corrupt("x", 0, 0, Region::CopyB, 0, 0);
         assert_eq!(c.nth, 1);
     }
 
@@ -515,12 +416,17 @@ mod tests {
     #[test]
     fn corrupt_plan_fires_with_its_payload() {
         let inj = FailureInjector::new();
-        let plan = CorruptPlan::new("computing", 2, 1, Region::ParityC, 17, 3);
-        inj.arm_fault(plan.clone().into());
+        let plan = FaultPlan::corrupt("computing", 2, 1, Region::ParityC, 17, 3);
+        inj.arm(plan.clone());
         assert_eq!(inj.fires(1, "computing", 1), None);
+        assert_eq!(inj.fires(1, "computing", 2), Some(plan.action));
         assert_eq!(
-            inj.fires(1, "computing", 2),
-            Some(FaultAction::Corrupt(plan))
+            plan.action,
+            FaultAction::Corrupt {
+                region: Region::ParityC,
+                offset: 17,
+                bit: 3
+            }
         );
         assert_eq!(inj.armed(), 0);
     }
@@ -528,35 +434,50 @@ mod tests {
     #[test]
     fn kill_and_corrupt_plans_coexist() {
         let inj = FailureInjector::new();
-        inj.arm_fault(FailurePlan::new("p", 1, 0).into());
-        inj.arm_fault(CorruptPlan::new("p", 1, 1, Region::Header, 0, 0).into());
+        inj.arm(FailurePlan::new("p", 1, 0));
+        inj.arm(FaultPlan::corrupt("p", 1, 1, Region::Header, 0, 0));
         assert_eq!(inj.armed(), 2);
         assert_eq!(inj.fires(0, "p", 1), Some(FaultAction::Kill));
         assert!(matches!(
             inj.fires(1, "p", 1),
-            Some(FaultAction::Corrupt(_))
+            Some(FaultAction::Corrupt { .. })
         ));
     }
 
     #[test]
     fn gray_plan_fires_with_its_payload() {
         let inj = FailureInjector::new();
-        let plan = GrayPlan::hang("computing", 2, 3).heal_after(Duration::from_millis(1));
-        inj.arm_fault(plan.clone().into());
-        assert!(inj.any_gray());
+        let heal = Duration::from_millis(1);
+        inj.arm(FaultPlan::gray("computing", 2, 3, GrayKind::Hang).heal_after(heal));
         assert_eq!(inj.fires(3, "computing", 1), None);
-        assert_eq!(inj.fires(3, "computing", 2), Some(FaultAction::Gray(plan)));
-        assert!(!inj.any_gray());
+        assert_eq!(
+            inj.fires(3, "computing", 2),
+            Some(FaultAction::Gray {
+                kind: GrayKind::Hang,
+                heal_after: Some(heal)
+            })
+        );
+        assert_eq!(inj.armed(), 0);
     }
 
     #[test]
     fn gray_constructors_clamp_factors_and_nth() {
-        let s = GrayPlan::slow("p", 0, 1, 0);
+        let kind_of = |p: FaultPlan| match p.action {
+            FaultAction::Gray { kind, heal_after } => (kind, heal_after),
+            other => panic!("not a gray plan: {other:?}"),
+        };
+        let s = FaultPlan::gray("p", 0, 1, GrayKind::Slow { factor: 0 });
         assert_eq!(s.nth, 1);
-        assert_eq!(s.kind, GrayKind::Slow { factor: 1 });
-        let l = GrayPlan::link_degrade("p", 1, 1, 0);
-        assert_eq!(l.kind, GrayKind::LinkDegrade { factor: 1 });
+        assert_eq!(kind_of(s), (GrayKind::Slow { factor: 1 }, None));
+        let l = FaultPlan::gray("p", 1, 1, GrayKind::LinkDegrade { factor: 0 });
+        assert_eq!(kind_of(l), (GrayKind::LinkDegrade { factor: 1 }, None));
         assert_eq!(GrayKind::Hang.label(), "hang");
+    }
+
+    #[test]
+    #[should_panic(expected = "only a gray fault heals")]
+    fn heal_after_rejects_a_plan_that_cannot_heal() {
+        let _ = FailurePlan::new("p", 1, 0).heal_after(Duration::from_millis(1));
     }
 
     #[test]
@@ -582,5 +503,17 @@ mod tests {
         for r in Region::ALL {
             assert!(seen.insert(r.suffix()), "duplicate suffix {r}");
         }
+    }
+
+    #[test]
+    fn a_region_is_exactly_its_own_segments() {
+        for r in Region::ALL {
+            assert!(r.is_segment(&segment_name("job.e2", 13, r.suffix())));
+        }
+        // `b` is a suffix of nothing but `…/b`: not of `…/b1`, not of a
+        // job that merely ends in `b`
+        assert!(!Region::CopyB.is_segment(&segment_name("job", 0, "b1")));
+        assert!(!Region::CopyB.is_segment("jobb"));
+        assert!(!Region::Header.is_segment(&segment_name("job", 0, "crc")));
     }
 }

@@ -17,9 +17,12 @@
 //!   model with per-node port sharing, used to extrapolate encoding times
 //!   to Tianhe-scale (Figure 13) without pretending the laptop is a
 //!   supercomputer.
-//! * **Failure injection** ([`failure`]): deterministic "kill node X the
-//!   n-th time it passes probe L" plans, so the protocol's CASE 1 / CASE 2
-//!   failure windows (paper Figures 2–5) can each be exercised exactly.
+//! * **Failure injection** ([`failure`]): deterministic "do *what* to
+//!   node X the n-th time it passes probe L" plans ([`FaultPlan`] =
+//!   *when* × [`FaultAction`]: kill, silent bit flip, gray degradation),
+//!   so the protocol's CASE 1 / CASE 2 failure windows (paper Figures
+//!   2–5) can each be exercised exactly; [`Cluster::apply_fault`] is the
+//!   one door every action goes through, fired, timed or immediate.
 //! * **An observation bus** ([`events`]): upper layers (collectives, the
 //!   checkpoint protocol, the BLCR baseline's storage transfers) emit
 //!   typed [`events::Event`]s into the cluster-wide
@@ -46,8 +49,7 @@ pub mod suspicion;
 pub use cluster::{Cluster, ClusterConfig, NodeId, Ranklist};
 pub use events::{Event, EventBus, Observer, Recorder};
 pub use failure::{
-    CorruptPlan, FailureInjector, FailurePlan, Fault, FaultAction, FaultPlan, GrayKind, GrayPlan,
-    Region,
+    segment_name, FailureInjector, FailurePlan, Fault, FaultAction, FaultPlan, GrayKind, Region,
 };
 pub use net::{NetModel, NetModelError};
 pub use service::{

@@ -683,11 +683,6 @@ impl ServicePool {
         self.shards.get(&tenant).map(|s| s.nodes.as_slice())
     }
 
-    /// Spec of an *admitted* tenant.
-    pub fn spec_of(&self, tenant: TenantId) -> Option<&TenantSpec> {
-        self.shards.get(&tenant).map(|s| &s.spec)
-    }
-
     /// Remaining reserved spares of an admitted tenant.
     pub fn reserve_of(&self, tenant: TenantId) -> usize {
         self.shards.get(&tenant).map_or(0, |s| s.reserve)
@@ -985,7 +980,6 @@ mod tests {
         assert_eq!(audit.drained[0].0, TenantId(1));
         assert_eq!(audit.drained[0].1, vec![3, 4]);
         assert_eq!(p.nodes_of(TenantId(0)).unwrap(), &[0, 1, 2]);
-        assert_eq!(p.spec_of(TenantId(0)).unwrap().nodes, 3);
         // a vacated node that died is lost, not re-issued
         let plan = p.plan_resize(TenantId(0), 2, 1).unwrap();
         let audit = p.commit_resize(TenantId(0), &plan, 1, |n| n != 2);

@@ -84,19 +84,16 @@ pub enum ProbeVerdict {
     Unresponsive,
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct NodeBeat {
-    /// EWMA of excess per-step time, nanoseconds.
-    ewma_ns: u64,
-    /// When the node's heartbeat daemon froze (hang start), if it did.
-    hung_since: Option<Duration>,
-}
-
 /// The per-cluster suspicion monitor. All methods are cheap and
 /// lock-scoped; the cluster only consults it when suspicion is armed.
+///
+/// It owns the *slowness* signal only. Whether (and since when) a node is
+/// hung is the cluster's gray-fault state — a fact with one owner — and
+/// the monitor is told it at scoring time.
 pub struct SuspicionMonitor {
     cfg: Mutex<HeartbeatConfig>,
-    states: Mutex<BTreeMap<NodeId, NodeBeat>>,
+    /// Per-node EWMA of excess per-step time, nanoseconds.
+    ewma_ns: Mutex<BTreeMap<NodeId, u64>>,
 }
 
 impl Default for SuspicionMonitor {
@@ -110,7 +107,7 @@ impl SuspicionMonitor {
     pub fn new(cfg: HeartbeatConfig) -> Self {
         SuspicionMonitor {
             cfg: Mutex::new(cfg),
-            states: Mutex::new(BTreeMap::new()),
+            ewma_ns: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -130,20 +127,13 @@ impl SuspicionMonitor {
     }
 
     /// Start a fresh observation window for `nodes` (a job launch):
-    /// their slowness EWMAs reset to zero. Hang state is *not* cleared —
-    /// it tracks the node, not the job, and is managed by the cluster's
+    /// their slowness EWMAs reset to zero. A hang is untouched — it
+    /// tracks the node, not the job, and lives in the cluster's
     /// gray-fault bookkeeping.
     pub fn reset(&self, nodes: &[NodeId]) {
-        let mut states = self.states.lock();
+        let mut ewma = self.ewma_ns.lock();
         for &n in nodes {
-            let hung = states.get(&n).and_then(|b| b.hung_since);
-            states.insert(
-                n,
-                NodeBeat {
-                    ewma_ns: 0,
-                    hung_since: hung,
-                },
-            );
+            ewma.insert(n, 0);
         }
     }
 
@@ -152,57 +142,42 @@ impl SuspicionMonitor {
     /// step). Folds into the slowness EWMA with α = 1/4.
     pub fn sample(&self, node: NodeId, excess: Duration) {
         let excess_ns = excess.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let mut states = self.states.lock();
-        let b = states.entry(node).or_default();
-        b.ewma_ns = b.ewma_ns - b.ewma_ns / 4 + excess_ns / 4;
-    }
-
-    /// The node's heartbeat daemon froze at `since` (hang start).
-    pub fn hang(&self, node: NodeId, since: Duration) {
-        let mut states = self.states.lock();
-        states.entry(node).or_default().hung_since = Some(since);
-    }
-
-    /// The node's heartbeat daemon resumed (hang healed).
-    pub fn clear_hang(&self, node: NodeId) {
-        if let Some(b) = self.states.lock().get_mut(&node) {
-            b.hung_since = None;
-        }
+        let mut ewma = self.ewma_ns.lock();
+        let e = ewma.entry(node).or_default();
+        *e = *e - *e / 4 + excess_ns / 4;
     }
 
     /// Drop all observation state for `node` (recommissioning).
     pub fn forget(&self, node: NodeId) {
-        self.states.lock().remove(&node);
+        self.ewma_ns.lock().remove(&node);
     }
 
     /// The node's suspicion score at `now`, in whole heartbeat
-    /// intervals: `max(liveness lag, step slowness)`.
-    pub fn score(&self, node: NodeId, now: Duration) -> u32 {
-        let cfg = self.config();
-        let interval_ns = cfg.interval.as_nanos().max(1) as u64;
-        let states = self.states.lock();
-        let Some(b) = states.get(&node) else {
-            return 0;
-        };
-        let lag = match b.hung_since {
-            Some(t) => {
-                let lag_ns = now.saturating_sub(t).as_nanos().min(u128::from(u64::MAX)) as u64;
-                lag_ns / interval_ns
-            }
-            None => 0,
-        };
-        let slowness = b.ewma_ns / interval_ns;
+    /// intervals: `max(liveness lag, step slowness)`. `hung_since` is
+    /// when the node's heartbeat daemon froze, if it is hung right now.
+    pub fn score(&self, node: NodeId, hung_since: Option<Duration>, now: Duration) -> u32 {
+        let interval_ns = self.config().interval.as_nanos().max(1) as u64;
+        let lag = hung_since.map_or(0, |t| {
+            let lag_ns = now.saturating_sub(t).as_nanos().min(u128::from(u64::MAX)) as u64;
+            lag_ns / interval_ns
+        });
+        let slowness = self.ewma_ns.lock().get(&node).copied().unwrap_or(0) / interval_ns;
         lag.max(slowness).min(u64::from(u32::MAX)) as u32
     }
 
-    /// The worst over-threshold node among `nodes` at `now`, lowest id
-    /// winning ties — the deterministic declaration candidate. `None`
-    /// when every node scores at or below the threshold.
-    pub fn worst(&self, nodes: &[NodeId], now: Duration) -> Option<Suspicion> {
+    /// The worst over-threshold node among `nodes` (each with its
+    /// hang-start, see [`Self::score`]) at `now`, lowest id winning ties
+    /// — the deterministic declaration candidate. `None` when every node
+    /// scores at or below the threshold.
+    pub fn worst(
+        &self,
+        nodes: impl IntoIterator<Item = (NodeId, Option<Duration>)>,
+        now: Duration,
+    ) -> Option<Suspicion> {
         let threshold = self.config().threshold;
         let mut verdict: Option<Suspicion> = None;
-        for &n in nodes {
-            let score = self.score(n, now);
+        for (n, hung_since) in nodes {
+            let score = self.score(n, hung_since, now);
             if score > threshold && verdict.is_none_or(|v| score > v.score) {
                 verdict = Some(Suspicion { node: n, score });
             }
@@ -232,22 +207,26 @@ mod tests {
             m.sample(0, Duration::ZERO);
             m.sample(1, Duration::ZERO);
         }
-        assert_eq!(m.score(0, Duration::from_millis(50)), 0);
-        assert_eq!(m.worst(&[0, 1], Duration::from_millis(50)), None);
+        assert_eq!(m.score(0, None, Duration::from_millis(50)), 0);
+        assert_eq!(
+            m.worst([(0, None), (1, None)], Duration::from_millis(50)),
+            None
+        );
     }
 
     #[test]
     fn hang_lag_grows_with_time() {
         let m = monitor();
         m.reset(&[0]);
-        m.hang(0, Duration::from_millis(1));
-        assert_eq!(m.score(0, Duration::from_millis(1)), 0);
+        let since = Some(Duration::from_millis(1));
+        assert_eq!(m.score(0, since, Duration::from_millis(1)), 0);
         // 9 intervals after the freeze the score crosses threshold 8
-        assert_eq!(m.score(0, Duration::from_millis(1) + 9 * I), 9);
-        let v = m.worst(&[0], Duration::from_millis(1) + 9 * I).unwrap();
+        assert_eq!(m.score(0, since, Duration::from_millis(1) + 9 * I), 9);
+        let v = m
+            .worst([(0, since)], Duration::from_millis(1) + 9 * I)
+            .unwrap();
         assert_eq!(v, Suspicion { node: 0, score: 9 });
-        m.clear_hang(0);
-        assert_eq!(m.score(0, Duration::from_secs(1)), 0, "healed");
+        assert_eq!(m.score(0, None, Duration::from_secs(1)), 0, "healed");
     }
 
     #[test]
@@ -256,10 +235,18 @@ mod tests {
         m.reset(&[3]);
         // factor-32 straggler: each probe charges 32 intervals of excess
         m.sample(3, 32 * I);
-        assert_eq!(m.score(3, Duration::ZERO), 8, "one sample: at threshold");
-        assert_eq!(m.worst(&[3], Duration::ZERO), None, "not over it yet");
+        assert_eq!(
+            m.score(3, None, Duration::ZERO),
+            8,
+            "one sample: at threshold"
+        );
+        assert_eq!(
+            m.worst([(3, None)], Duration::ZERO),
+            None,
+            "not over it yet"
+        );
         m.sample(3, 32 * I);
-        assert!(m.score(3, Duration::ZERO) > 8, "two samples: over");
+        assert!(m.score(3, None, Duration::ZERO) > 8, "two samples: over");
     }
 
     #[test]
@@ -269,41 +256,41 @@ mod tests {
         for _ in 0..50 {
             m.sample(2, 4 * I); // factor-4 straggler, threshold 8
         }
-        assert!(m.score(2, Duration::ZERO) <= 4);
+        assert!(m.score(2, None, Duration::ZERO) <= 4);
         for _ in 0..20 {
             m.sample(2, Duration::ZERO); // healed: normal steps decay it
         }
-        assert_eq!(m.score(2, Duration::ZERO), 0);
+        assert_eq!(m.score(2, None, Duration::ZERO), 0);
     }
 
     #[test]
     fn worst_prefers_higher_score_then_lower_id() {
         let m = monitor();
         m.reset(&[0, 1, 2]);
-        m.hang(1, Duration::ZERO);
-        m.hang(2, Duration::ZERO);
         let at = 20 * I;
+        let frozen = Some(Duration::ZERO);
         // equal scores: lowest id wins
-        assert_eq!(m.worst(&[0, 1, 2], at).unwrap().node, 1);
-        m.clear_hang(1);
-        m.hang(1, 10 * I);
+        let tied = [(0, None), (1, frozen), (2, frozen)];
+        assert_eq!(m.worst(tied, at).unwrap().node, 1);
         // node 2 froze earlier, so it scores higher and wins
-        assert_eq!(m.worst(&[0, 1, 2], at).unwrap().node, 2);
+        let later = [(0, None), (1, Some(10 * I)), (2, frozen)];
+        assert_eq!(m.worst(later, at).unwrap().node, 2);
     }
 
     #[test]
-    fn reset_clears_slowness_but_keeps_hang() {
+    fn reset_clears_slowness_and_a_hang_is_the_callers_to_keep() {
         let m = monitor();
         m.reset(&[0]);
         m.sample(0, 100 * I);
-        m.hang(0, Duration::ZERO);
         m.reset(&[0]);
+        assert_eq!(m.score(0, None, 20 * I), 0, "slowness does not survive");
         assert_eq!(
-            m.score(0, 20 * I),
+            m.score(0, Some(Duration::ZERO), 20 * I),
             20,
-            "lag survives a relaunch; slowness does not"
+            "lag survives a relaunch: it is scored from the hang-start told"
         );
+        m.sample(0, 100 * I);
         m.forget(0);
-        assert_eq!(m.score(0, 20 * I), 0);
+        assert_eq!(m.score(0, None, 20 * I), 0);
     }
 }

@@ -40,12 +40,6 @@ impl Method {
             Method::SelfCkpt => "self-checkpoint",
         }
     }
-
-    /// Whether the method tolerates a node failure *during* checkpoint
-    /// updating.
-    pub fn fully_fault_tolerant(self) -> bool {
-        !matches!(self, Method::Single)
-    }
 }
 
 /// Fraction of total memory left for the application (Equations 2–4).
@@ -339,12 +333,5 @@ mod tests {
         }
         // m = 3 at n = 16 still leaves the self method > 40% available
         assert!(available_fraction_with_parity(Method::SelfCkpt, 16, 3) > 0.40);
-    }
-
-    #[test]
-    fn fault_tolerance_flags() {
-        assert!(!Method::Single.fully_fault_tolerant());
-        assert!(Method::Double.fully_fault_tolerant());
-        assert!(Method::SelfCkpt.fully_fault_tolerant());
     }
 }

@@ -14,7 +14,7 @@ use super::{
     RECOVER_PLAN_PROBE,
 };
 use crate::memory::Method;
-use skt_cluster::{Event, EventBus, Region, SegmentData, ShmSegment, Stopwatch};
+use skt_cluster::{segment_name, Event, EventBus, Region, SegmentData, ShmSegment, Stopwatch};
 use skt_encoding::{ErasureCodec, GroupLayout};
 use skt_mps::{Comm, Fault, Payload, ReduceOp};
 use std::time::Duration;
@@ -99,7 +99,7 @@ impl<'c> Checkpointer<'c> {
         let bus = ctx.cluster().events().clone();
         let me = ctx.world_rank();
         let shm = ctx.shm();
-        let seg_name = |part: &str| format!("{}/r{}/{}", cfg.name, me, part);
+        let seg_name = |part: &str| segment_name(&cfg.name, me, part);
 
         let mut segs: [Option<ShmSegment>; SLOTS] = Default::default();
         let mut attached = false;

@@ -231,9 +231,9 @@ impl<Op> Committed<Op> {
 /// Constructible only with evidence: [`HeaderCommit::after`] demands the
 /// [`Committed`] token of the data op the marker certifies, so "header
 /// write before data flush" is unrepresentable. The evidence-free
-/// constructors ([`HeaderCommit::attempt`], [`HeaderCommit::clear`])
-/// exist for markers that deliberately certify nothing — the single
-/// method's dirty attempt word.
+/// constructor [`HeaderCommit::attempt`] exists for the one marker that
+/// deliberately certifies nothing — the single method's dirty attempt
+/// word.
 pub(crate) struct HeaderCommit {
     word: HeaderWord,
     epoch: u64,

@@ -69,11 +69,6 @@ impl Phase {
         }
     }
 
-    /// Inverse of [`Self::label`].
-    pub fn from_label(label: &str) -> Option<Phase> {
-        Phase::ALL.into_iter().find(|p| p.label() == label)
-    }
-
     /// Whether `method`'s `make` ever passes through this phase: a method
     /// that keeps a live pair commits it and then flushes it over the
     /// checkpoint; one that does not copies over the checkpoint first.
@@ -104,14 +99,6 @@ impl From<Phase> for String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn labels_round_trip() {
-        for p in Phase::ALL {
-            assert_eq!(Phase::from_label(p.label()), Some(p));
-        }
-        assert_eq!(Phase::from_label("computing"), None);
-    }
 
     #[test]
     fn phase_arms_a_failure_plan() {

@@ -154,3 +154,17 @@ impl MethodTable {
             .unwrap_or(0)
     }
 }
+
+impl Header {
+    /// Whether this header records a commit under *any* method: some
+    /// pair's commit word is non-zero. The attempt marker (`Dirty`)
+    /// belongs to no pair and proves nothing; a commit word a future row
+    /// adds is covered by being in that row.
+    pub fn has_committed(&self) -> bool {
+        let words = self.words();
+        [&SINGLE, &DOUBLE, &SELF_CKPT]
+            .into_iter()
+            .flat_map(MethodTable::sources)
+            .any(|p| words[p.word as usize] != 0)
+    }
+}

@@ -2,7 +2,7 @@ use super::table::MethodTable;
 use super::*;
 use crate::memory::MemoryBreakdown;
 use skt_cluster::{
-    Cluster, ClusterConfig, CorruptPlan, Event, FailurePlan, Ranklist, Recorder, Region,
+    Cluster, ClusterConfig, Event, FailurePlan, FaultAction, Ranklist, Recorder, Region,
 };
 use skt_encoding::GroupLayout;
 use skt_mps::run_on_cluster;
@@ -10,6 +10,16 @@ use std::sync::Arc;
 
 const N: usize = 4;
 const A1: usize = 64;
+
+/// Flip one bit of `node`'s `region` right now; whether it landed.
+fn flip(cluster: &Cluster, node: usize, region: Region, offset: usize, bit: u8) -> bool {
+    let action = FaultAction::Corrupt {
+        region,
+        offset,
+        bit,
+    };
+    cluster.apply_fault(node, &action)
+}
 
 fn cfg(method: Method) -> CkptConfig {
     CkptConfig::new("test", method, A1, 64)
@@ -283,14 +293,7 @@ fn scrub_repairs_a_single_corrupt_stripe() {
         ck.make(b"four")?;
         // Silent single-bit flip in rank 2's committed checkpoint copy.
         if ctx.world_rank() == 0 {
-            assert!(ctx.cluster().corrupt_now(&CorruptPlan::new(
-                "now",
-                1,
-                2,
-                Region::CopyB,
-                13,
-                6
-            )));
+            assert!(flip(ctx.cluster(), 2, Region::CopyB, 13, 6));
         }
         ctx.world().barrier()?;
         let report = ck.scrub().map_err(|e| match e {
@@ -329,8 +332,8 @@ fn scrub_reports_two_damaged_members_as_unrecoverable() {
         // Two members of the same (B, C) pair damaged: beyond single parity.
         if ctx.world_rank() == 0 {
             let cl = ctx.cluster();
-            assert!(cl.corrupt_now(&CorruptPlan::new("now", 1, 1, Region::CopyB, 0, 0)));
-            assert!(cl.corrupt_now(&CorruptPlan::new("now", 1, 3, Region::ParityC, 21, 4)));
+            assert!(flip(cl, 1, Region::CopyB, 0, 0));
+            assert!(flip(cl, 3, Region::ParityC, 21, 4));
         }
         ctx.world().barrier()?;
         match ck.scrub() {
@@ -365,14 +368,7 @@ fn scrub_rebuilds_a_crc_corrupt_header_from_group_consensus() {
         ctx.world().barrier()?;
         // Any flipped bit breaks the header's own CRC seal.
         if ctx.world_rank() == 0 {
-            assert!(ctx.cluster().corrupt_now(&CorruptPlan::new(
-                "now",
-                1,
-                3,
-                Region::Header,
-                2,
-                5
-            )));
+            assert!(flip(ctx.cluster(), 3, Region::Header, 2, 5));
         }
         ctx.world().barrier()?;
         let first = ck.scrub().map_err(|_| Fault::JobAborted)?;
@@ -416,8 +412,7 @@ fn double_scrub_checks_only_committed_pairs_and_repairs_the_second() {
         ck.make(b"two")?;
         ctx.world().barrier()?;
         if ctx.world_rank() == 0 {
-            let plan = CorruptPlan::new("now", 1, 1, Region::CopyB1, 9, 3);
-            assert!(ctx.cluster().corrupt_now(&plan));
+            assert!(flip(ctx.cluster(), 1, Region::CopyB1, 9, 3));
         }
         ctx.world().barrier()?;
         let two = ck.scrub().map_err(|_| Fault::JobAborted)?;
@@ -461,7 +456,7 @@ fn restart_recovery_repairs_a_corrupted_survivor_bit_exactly() {
         Ok(())
     })
     .unwrap();
-    assert!(cluster.corrupt_now(&CorruptPlan::new("now", 1, 1, Region::CopyB, 77, 3)));
+    assert!(flip(&cluster, 1, Region::CopyB, 77, 3));
     let outs = run_on_cluster(cluster, &rl, |ctx| {
         let world = ctx.world();
         let (mut ck, _) = Checkpointer::init(world, cfg(Method::SelfCkpt));
@@ -496,8 +491,8 @@ fn two_corrupted_sources_fail_recovery_with_the_group_named() {
         Ok(())
     })
     .unwrap();
-    assert!(cluster.corrupt_now(&CorruptPlan::new("now", 1, 1, Region::CopyB, 8, 0)));
-    assert!(cluster.corrupt_now(&CorruptPlan::new("now", 1, 2, Region::CopyB, 8, 0)));
+    assert!(flip(&cluster, 1, Region::CopyB, 8, 0));
+    assert!(flip(&cluster, 2, Region::CopyB, 8, 0));
     let outs = run_on_cluster(cluster, &rl, |ctx| {
         let world = ctx.world();
         let (mut ck, _) = Checkpointer::init(world, cfg(Method::SelfCkpt));
@@ -614,6 +609,34 @@ fn double_init_creates_exactly_its_table_row() {
 #[test]
 fn self_init_creates_exactly_its_table_row() {
     init_creates_exactly_the_table_row(Method::SelfCkpt, &["work", "b", "c", "d", "header", "crc"]);
+}
+
+#[test]
+fn a_header_has_committed_once_any_pair_word_is_set() {
+    let fresh = Header::default();
+    assert!(!fresh.has_committed(), "created but never committed");
+    // the single method's attempt marker is not a commit
+    let attempted = Header {
+        dirty_epoch: 1,
+        ..fresh
+    };
+    assert!(!attempted.has_committed());
+    for committed in [
+        Header {
+            d_epoch: 1,
+            ..fresh
+        },
+        Header {
+            bc_epoch: 1,
+            ..fresh
+        },
+        Header {
+            pair1_epoch: 1,
+            ..fresh
+        },
+    ] {
+        assert!(committed.has_committed(), "{committed:?}");
+    }
 }
 
 #[test]
@@ -789,8 +812,8 @@ fn dual_codec_scrub_repairs_two_damaged_members() {
         ck.make(b"nine")?;
         if ctx.world_rank() == 0 {
             let cl = ctx.cluster();
-            assert!(cl.corrupt_now(&CorruptPlan::new("now", 1, 1, Region::CopyB, 0, 0)));
-            assert!(cl.corrupt_now(&CorruptPlan::new("now", 1, 3, Region::ParityC, 21, 4)));
+            assert!(flip(cl, 1, Region::CopyB, 0, 0));
+            assert!(flip(cl, 3, Region::ParityC, 21, 4));
         }
         ctx.world().barrier()?;
         let report = ck.scrub().map_err(|e| match e {

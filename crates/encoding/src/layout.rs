@@ -118,15 +118,6 @@ impl GroupLayout {
         !self.is_parity_owner(r, s)
     }
 
-    /// The parity role rank `r` plays in slot `s`, or `None` when it is
-    /// a data contributor there.
-    #[must_use]
-    pub fn parity_role(&self, r: usize, s: usize) -> Option<usize> {
-        assert!(r < self.n && s < self.n);
-        let i = (r + self.n - s) % self.n;
-        (i < self.m).then_some(i)
-    }
-
     /// The rank storing parity role `i` of slot `s`: `(s + i) mod N`.
     #[must_use]
     pub fn parity_owner(&self, s: usize, role: usize) -> usize {
@@ -282,7 +273,6 @@ mod tests {
         for s in 0..6 {
             assert_eq!(l.parity_owner(s, 0), s);
             assert_eq!(l.parity_slot(s, 0), s);
-            assert_eq!(l.parity_role(s, s), Some(0));
         }
         assert_eq!(l.parity_len(), l.stripe_len());
         assert_eq!(l.parity_range(0), 0..l.stripe_len());
@@ -307,9 +297,6 @@ mod tests {
         // rank 2 guards P of slot 2 and Q of slot 1
         assert_eq!(l.parity_slot(2, 0), 2);
         assert_eq!(l.parity_slot(2, 1), 1);
-        assert_eq!(l.parity_role(2, 2), Some(0));
-        assert_eq!(l.parity_role(2, 1), Some(1));
-        assert_eq!(l.parity_role(2, 0), None);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! one restore read per rank on a restart — is also an
 //! `Event::StorageWrite` / `StorageRead` on the cluster's bus.
 
-use skt_cluster::{Device, DeviceKind, Event};
+use skt_cluster::{segment_name, Device, DeviceKind, Event};
 use skt_hpl::dist::BlockCyclic1D;
 use skt_hpl::elim::{back_substitute, generate, panel_step, verify};
 use skt_hpl::plain::{assemble_output, HplConfig};
@@ -98,7 +98,7 @@ pub fn run_blcr(ctx: &Ctx, cfg: &BlcrConfig, store: &BlcrStore) -> Result<SktOut
     let dev = store.device(me);
     let sharers = ctx.node_sharers();
     let device = dev.kind().name();
-    let slot_name = |s: u64| format!("{}/r{me}/slot{s}", cfg.name);
+    let slot_name = |s: u64| segment_name(&cfg.name, me, &format!("slot{s}"));
 
     // --- restore: newest epoch available on EVERY rank ---
     let t_rec = ctx.stopwatch();

@@ -142,7 +142,7 @@ pub fn run_with_policy(
 mod tests {
     use super::*;
     use crate::report::{CyclePhase, SuspicionOutcome};
-    use skt_cluster::{ClusterConfig, CorruptPlan, FailurePlan, Fault, Region};
+    use skt_cluster::{ClusterConfig, FailurePlan, Fault, FaultAction, Region};
     use skt_core::RECOVER_COMMIT_PROBE;
     use skt_encoding::CodecSpec;
     use skt_hpl::{run_skt, HplConfig, ITER_PROBE};
@@ -382,7 +382,12 @@ mod tests {
         cluster.reset_abort();
         rl.repair(&cluster).unwrap();
         for node in [0, 1] {
-            assert!(cluster.corrupt_now(&CorruptPlan::new("now", 1, node, Region::CopyB, 9, 3)));
+            let flip = FaultAction::Corrupt {
+                region: Region::CopyB,
+                offset: 9,
+                bit: 3,
+            };
+            assert!(cluster.apply_fault(node, &flip));
         }
         let err = run_with_daemon(cluster, &rl, &c, 3, Duration::ZERO).unwrap_err();
         match err {
@@ -401,7 +406,7 @@ mod tests {
 
     #[test]
     fn daemon_exonerates_a_straggler_that_heals() {
-        use skt_cluster::{FaultPlan, GrayPlan, SimRuntime};
+        use skt_cluster::{FaultPlan, GrayKind, SimRuntime};
         // reference residual from a fault-free run of the same problem
         let ref_cluster = Arc::new(Cluster::new_with_runtime(
             ClusterConfig::new(4, 1),
@@ -416,9 +421,10 @@ mod tests {
             ClusterConfig::new(4, 1),
             SimRuntime::new(9),
         ));
-        cluster.arm_fault(FaultPlan::Gray(
-            GrayPlan::slow(ITER_PROBE, 3, 1, 64).heal_after(Duration::from_millis(50)),
-        ));
+        cluster.arm_failure(
+            FaultPlan::gray(ITER_PROBE, 3, 1, GrayKind::Slow { factor: 64 })
+                .heal_after(Duration::from_millis(50)),
+        );
         let rep = run_with_daemon(cluster.clone(), &rl, &cfg(), 3, Duration::from_secs(5)).unwrap();
         assert!(rep.output.hpl.passed);
         assert_eq!(
@@ -441,13 +447,13 @@ mod tests {
 
     #[test]
     fn daemon_fences_and_migrates_a_hung_node() {
-        use skt_cluster::{FaultPlan, GrayPlan, SimRuntime};
+        use skt_cluster::{FaultPlan, GrayKind, SimRuntime};
         let cluster = Arc::new(Cluster::new_with_runtime(
             ClusterConfig::new(4, 1),
             SimRuntime::new(11),
         ));
         let rl = Ranklist::round_robin(4, 4);
-        cluster.arm_fault(FaultPlan::Gray(GrayPlan::hang(ITER_PROBE, 3, 1)));
+        cluster.arm_failure(FaultPlan::gray(ITER_PROBE, 3, 1, GrayKind::Hang));
         let rep = run_with_daemon(cluster.clone(), &rl, &cfg(), 3, Duration::from_secs(5)).unwrap();
         assert!(rep.output.hpl.passed);
         assert_eq!(rep.history.suspicions.len(), 1);

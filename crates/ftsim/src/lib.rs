@@ -58,5 +58,5 @@ pub use report::{
 };
 pub use resize::{PendingResize, ResizeAudit, ResizeError};
 pub use service::{CheckpointService, ServiceConfig};
-pub use storm::{StormPlan, TimedFault, TimedKind};
+pub use storm::{StormPlan, TimedFault};
 pub use table3::{run_table3, MethodRow, Table3Config};

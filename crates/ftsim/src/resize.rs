@@ -23,7 +23,9 @@
 
 use crate::report::Refusal;
 use crate::service::{CheckpointService, Repair, ServiceEvent, Tenant};
-use skt_cluster::{Cluster, Fault, NodeId, Ranklist, ReshapeError, ResizePlan, TenantId};
+use skt_cluster::{
+    segment_name, Cluster, Fault, NodeId, Ranklist, Region, ReshapeError, ResizePlan, TenantId,
+};
 use skt_core::protocol::ops::{self, OpState, SequencedOp};
 use skt_core::protocol::{Header, HeaderState};
 use skt_core::{resize_group_size, Checkpointer, OpRecord};
@@ -304,7 +306,8 @@ fn harvest(cluster: &Cluster, cfg: &SktConfig, rl: &Ranklist) -> Harvest {
     let mut missing = 0usize;
     for r in 0..nranks {
         let node = rl.node_of(r);
-        let Some(seg) = cluster.shm(node).attach(&format!("{}/r{r}/work", cfg.name)) else {
+        let work = segment_name(&cfg.name, r, Region::Work.suffix());
+        let Some(seg) = cluster.shm(node).attach(&work) else {
             missing += 1;
             continue;
         };
@@ -392,16 +395,15 @@ impl SequencedOp<ResizeCtx> for ResizeOp {
             if shm.bytes_with_prefix(&prefix) > 0 {
                 any = true;
             }
-            let Some(work) = shm.attach(&format!("{}r{r}/work", prefix)) else {
-                continue;
-            };
-            let Some(header) = shm.attach(&format!("{}r{r}/header", prefix)) else {
+            let seg =
+                |region: Region| shm.attach(&segment_name(&ctx.new_cfg.name, r, region.suffix()));
+            let (Some(work), Some(header)) = (seg(Region::Work), seg(Region::Header)) else {
                 continue;
             };
             let HeaderState::Valid(h) = Header::classify(&header) else {
                 continue;
             };
-            if h.d_epoch.max(h.bc_epoch).max(h.pair1_epoch) == 0 {
+            if !h.has_committed() {
                 continue; // created but never committed
             }
             let g = work.read();
@@ -645,7 +647,7 @@ mod tests {
     use super::*;
     use crate::service::tests::{elastic_cfg, residual_bits, service, tenant_cfg};
     use crate::{PolicySpec, RetryPolicy, ServiceConfig, StormPlan, TenantOutcome};
-    use skt_cluster::ClusterConfig;
+    use skt_cluster::{ClusterConfig, FailurePlan};
     use skt_hpl::RESIZE_PROBE;
 
     #[test]
@@ -744,7 +746,7 @@ mod tests {
             svc.schedule_resize("elastic", Duration::from_micros(2), 6);
             // the grow stages nodes {4,5}; node 4's first resize-window
             // probe pass is the grow install → the kill lands inside it
-            let storm = StormPlan::none().kill_at_probe(RESIZE_PROBE, 4, 1);
+            let storm = StormPlan::none().arm(FailurePlan::new(RESIZE_PROBE, 1, 4));
             let rep = svc.run(&storm);
             let got = residual_bits(&rep, "elastic");
             assert_eq!(

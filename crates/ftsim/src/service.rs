@@ -620,7 +620,7 @@ pub(crate) fn node_set(rl: &Ranklist) -> Vec<NodeId> {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use skt_cluster::{ClusterConfig, FailurePlan, FaultPlan, GrayPlan};
+    use skt_cluster::{ClusterConfig, FailurePlan, FaultPlan, GrayKind};
     use skt_encoding::CodecSpec;
     use skt_hpl::{HplConfig, ITER_PROBE, RESIZE_PROBE};
 
@@ -797,7 +797,12 @@ pub(crate) mod tests {
         svc.register(tenant_cfg("bystander", 48), 2, 0).unwrap();
         // gray's shard is nodes {0,1}; node 1 straggles 64x from its 3rd
         // panel and never heals: probe says "slow", fence + migrate
-        let storm = StormPlan::none().gray(GrayPlan::slow(ITER_PROBE, 3, 1, 64));
+        let storm = StormPlan::none().arm(FaultPlan::gray(
+            ITER_PROBE,
+            3,
+            1,
+            GrayKind::Slow { factor: 64 },
+        ));
         let rep = svc.run(&storm);
         let g = rep.tenant("gray").unwrap();
         match &g.outcome {
@@ -837,8 +842,8 @@ pub(crate) mod tests {
         // (entry, nodes, ranks, its faults in firing order): a budget of
         // `b` arms the first `b + 1`. Probe counts are per launch and a
         // slice is 3 panels, so every `nth` is <= 3.
-        let kill = |probe, node, nth| FaultPlan::Kill(FailurePlan::new(probe, nth, node));
-        let hang = |node, nth| FaultPlan::Gray(GrayPlan::hang(ITER_PROBE, nth, node));
+        let kill = |probe, node, nth| FailurePlan::new(probe, nth, node);
+        let hang = |node, nth| FaultPlan::gray(ITER_PROBE, nth, node, GrayKind::Hang);
         let table: [(&str, usize, usize, [FaultPlan; 2]); 3] = [
             (
                 "crash",

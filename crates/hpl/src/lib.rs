@@ -41,6 +41,6 @@ pub use dist::BlockCyclic1D;
 pub use elim::{back_substitute, eliminate, generate, panel_step, verify, Verification};
 pub use plain::{run_plain, HplConfig, HplOutput};
 pub use skt::{
-    install_relayout, run_skt, run_skt_observed, run_skt_sliced, SktConfig, SktOutput, SktPause,
-    SktRun, A2_CAPACITY, RESIZE_PROBE,
+    install_relayout, run_skt, run_skt_sliced, SktConfig, SktOutput, SktPause, SktRun, A2_CAPACITY,
+    RESIZE_PROBE,
 };

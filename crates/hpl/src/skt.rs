@@ -135,35 +135,27 @@ pub struct SktPause {
 /// exist, then eliminate / back-substitute / verify. Returns when the
 /// solve completes; a node failure aborts with `Err`, after which the
 /// daemon repairs the ranklist and calls this again on the same cluster.
-pub fn run_skt(ctx: &Ctx, cfg: &SktConfig) -> Result<SktOutput, Fault> {
-    run_skt_observed(ctx, cfg, |_| {})
-}
-
-/// [`run_skt`] with a recovery observer: `on_recovery` is called by each
-/// rank as soon as its restore completes, *before* the elimination
-/// resumes. The daemon uses this to keep a [`RecoveryReport`] history
-/// that survives attempts which recover successfully and then lose a
-/// second node — the report would otherwise die with the job.
 ///
 /// Requires `cfg.panel_budget == 0` (a whole-job run); slice-scheduled
 /// jobs go through [`run_skt_sliced`].
-pub fn run_skt_observed<F>(ctx: &Ctx, cfg: &SktConfig, on_recovery: F) -> Result<SktOutput, Fault>
-where
-    F: Fn(&RecoveryReport),
-{
-    match run_skt_sliced(ctx, cfg, on_recovery)? {
+pub fn run_skt(ctx: &Ctx, cfg: &SktConfig) -> Result<SktOutput, Fault> {
+    match run_skt_sliced(ctx, cfg, |_| {})? {
         SktRun::Done(out) => Ok(out),
         SktRun::Paused(p) => panic!(
-            "run_skt_observed called with panel_budget {} (paused at panel {})",
+            "run_skt called with panel_budget {} (paused at panel {})",
             cfg.panel_budget, p.next_panel
         ),
     }
 }
 
-/// [`run_skt_observed`] under a panel budget: execute at most
-/// `cfg.panel_budget` panels (0 = unlimited), then checkpoint at the
-/// slice boundary and return [`SktRun::Paused`] instead of running to
-/// completion. This is how the multi-tenant service time-shares one
+/// [`run_skt`] under a panel budget, with a recovery observer: execute
+/// at most `cfg.panel_budget` panels (0 = unlimited), then checkpoint at
+/// the slice boundary and return [`SktRun::Paused`] instead of running to
+/// completion. `on_recovery` is called by each rank as soon as its
+/// restore completes, *before* the elimination resumes; the service uses
+/// it to keep a [`RecoveryReport`] history that survives attempts which
+/// recover successfully and then lose a second node — the report would
+/// otherwise die with the job. This is how the multi-tenant service time-shares one
 /// deterministic runtime between jobs: each tenant's world runs alone
 /// for one slice, parks its state in SHM, and yields the runtime.
 pub fn run_skt_sliced<F>(ctx: &Ctx, cfg: &SktConfig, on_recovery: F) -> Result<SktRun, Fault>

@@ -29,11 +29,6 @@ impl Platform {
         (self.mem_gib_per_node * (1u64 << 30) as f64 / self.cores_per_node as f64) as usize
     }
 
-    /// Peak GFLOPS per process.
-    pub fn peak_gflops_per_process(&self) -> f64 {
-        self.peak_gflops_per_node / self.cores_per_node as f64
-    }
-
     /// α-β network model with this platform's port sharing.
     pub fn net_model(&self) -> skt_cluster_free::NetModelParams {
         skt_cluster_free::NetModelParams {
@@ -116,12 +111,6 @@ mod tests {
         let bw1 = TIANHE_1A.p2p_gbps / TIANHE_1A.procs_per_port as f64;
         let bw2 = TIANHE_2.p2p_gbps / TIANHE_2.procs_per_port as f64;
         assert!(bw1 > bw2, "the §6.6 observation");
-    }
-
-    #[test]
-    fn peak_per_process_is_sane() {
-        assert!((TIANHE_1A.peak_gflops_per_process() - 140.0 / 12.0).abs() < 1e-9);
-        assert!((TIANHE_2.peak_gflops_per_process() - 422.0 / 24.0).abs() < 1e-9);
     }
 
     #[test]

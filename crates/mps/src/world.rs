@@ -2,11 +2,11 @@
 //! rank function to completion or whole-job abort.
 
 use crate::comm::{Comm, Envelope};
-use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
 use skt_cluster::{Cluster, ClusterConfig, Fault, NodeId, Ranklist, Runtime, YieldOutcome};
 use skt_encoding::kernels::RankThread;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,6 +27,8 @@ pub struct Ctx {
     cluster: Arc<Cluster>,
     ranklist: Ranklist,
     rx: Receiver<Envelope>,
+    /// One sender per rank, shared by all of them (`mpsc::Sender` is
+    /// `Sync` since Rust 1.72).
     txs: Arc<Vec<Sender<Envelope>>>,
     pub(crate) pending: RefCell<Vec<Envelope>>,
     fail_counts: RefCell<HashMap<String, u64>>,
@@ -274,10 +276,8 @@ impl Ctx {
                         }
                         self.pending.borrow_mut().push(env);
                     }
-                    Err(crossbeam::channel::RecvTimeoutError::Timeout) => continue,
-                    Err(crossbeam::channel::RecvTimeoutError::Disconnected) => {
-                        return Err(Fault::JobAborted)
-                    }
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => return Err(Fault::JobAborted),
                 },
             }
         }
@@ -312,7 +312,7 @@ where
             ranklist.node_of(r)
         );
     }
-    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded::<Envelope>()).unzip();
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..n).map(|_| channel::<Envelope>()).unzip();
     let txs = Arc::new(txs);
     let mut results: Vec<Option<Result<T, Fault>>> = (0..n).map(|_| None).collect();
     let nodes: Vec<NodeId> = (0..n).map(|r| ranklist.node_of(r)).collect();
@@ -517,12 +517,12 @@ mod tests {
 
     #[test]
     fn hung_node_is_declared_suspect_not_deadlocked() {
-        use skt_cluster::{GrayPlan, SimRuntime};
+        use skt_cluster::{FaultPlan, GrayKind, SimRuntime};
         let cluster = Arc::new(Cluster::new_with_runtime(
             ClusterConfig::new(2, 0),
             SimRuntime::new(11),
         ));
-        cluster.arm_fault(GrayPlan::hang("step", 2, 1));
+        cluster.arm_failure(FaultPlan::gray("step", 2, 1, GrayKind::Hang));
         let ranklist = Ranklist::round_robin(2, 2);
         let res: Result<Vec<()>, Fault> = run_on_cluster(cluster.clone(), &ranklist, |ctx| loop {
             ctx.failpoint("step")?;
@@ -541,14 +541,16 @@ mod tests {
 
     #[test]
     fn hang_that_heals_fast_completes_without_suspicion() {
-        use skt_cluster::{GrayPlan, SimRuntime};
+        use skt_cluster::{FaultPlan, GrayKind, SimRuntime};
         let cluster = Arc::new(Cluster::new_with_runtime(
             ClusterConfig::new(2, 0),
             SimRuntime::new(5),
         ));
         // heals after 3 heartbeat intervals — under the default threshold
         // of 8 no peer can accumulate enough lag to declare
-        cluster.arm_fault(GrayPlan::hang("step", 2, 1).heal_after(Duration::from_micros(600)));
+        cluster.arm_failure(
+            FaultPlan::gray("step", 2, 1, GrayKind::Hang).heal_after(Duration::from_micros(600)),
+        );
         let ranklist = Ranklist::round_robin(2, 2);
         let res = run_on_cluster(cluster.clone(), &ranklist, |ctx| {
             for i in 0..5 {

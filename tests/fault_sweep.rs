@@ -23,8 +23,8 @@
 //! property of the protocol, not of any particular interleaving.
 
 use self_checkpoint::cluster::{
-    explore_yield_kills, Cluster, ClusterConfig, CorruptPlan, FailurePlan, FaultPlan, GrayPlan,
-    Ranklist, Region, SimRuntime,
+    explore_yield_kills, Cluster, ClusterConfig, FailurePlan, FaultPlan, GrayKind, Ranklist,
+    Region, SimRuntime,
 };
 use self_checkpoint::core::{
     Checkpointer, CkptConfig, Method, Phase, RecoverError, Recovery, RestoreSource,
@@ -1048,14 +1048,8 @@ fn nested_recovery_sweep(method: Method, label: &'static str, seed: u64) -> Stri
                 cluster.arm_failure(FailurePlan::new(label, 1, INNER_VICTIM));
             }
             NestedFault::Flip => {
-                cluster.arm_fault(CorruptPlan::new(
-                    label,
-                    1,
-                    INNER_VICTIM,
-                    Region::CopyB,
-                    21,
-                    5,
-                ));
+                let flip = FaultPlan::corrupt(label, 1, INNER_VICTIM, Region::CopyB, 21, 5);
+                cluster.arm_failure(flip);
             }
         }
         let first = run_on_cluster(Arc::clone(&cluster), &rl, |ctx| {
@@ -1232,21 +1226,16 @@ impl GrayCase {
     /// link case heals slower: its suspicion score builds only from send
     /// excess (decaying under ordinary probes), so declaration takes
     /// more virtual time than a straggler's.
-    fn plan(self, heal: bool) -> GrayPlan {
-        let (p, heal_after) = match self {
-            GrayCase::Slow => (
-                GrayPlan::slow(ITER_PROBE, 3, GRAY_VICTIM, 64),
-                Duration::from_millis(50),
-            ),
-            GrayCase::Hang => (
-                GrayPlan::hang(ITER_PROBE, 3, GRAY_VICTIM),
-                Duration::from_millis(50),
-            ),
+    fn plan(self, heal: bool) -> FaultPlan {
+        let (kind, heal_after) = match self {
+            GrayCase::Slow => (GrayKind::Slow { factor: 64 }, Duration::from_millis(50)),
+            GrayCase::Hang => (GrayKind::Hang, Duration::from_millis(50)),
             GrayCase::Link => (
-                GrayPlan::link_degrade(ITER_PROBE, 3, GRAY_VICTIM, 1000),
+                GrayKind::LinkDegrade { factor: 1000 },
                 Duration::from_secs(1),
             ),
         };
+        let p = FaultPlan::gray(ITER_PROBE, 3, GRAY_VICTIM, kind);
         if heal {
             p.heal_after(heal_after)
         } else {
@@ -1312,7 +1301,7 @@ fn gray_cell(
         SimRuntime::new(seed),
     ));
     let rl = Ranklist::round_robin(N, N);
-    cluster.arm_fault(FaultPlan::Gray(case.plan(heal)));
+    cluster.arm_failure(case.plan(heal));
     let mut s = String::new();
     match run_with_daemon(
         Arc::clone(&cluster),

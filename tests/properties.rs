@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use self_checkpoint::cluster::{
-    Admission, Cluster, ClusterConfig, CorruptPlan, FailurePlan, FaultPlan, GrayPlan, Ranklist,
+    Admission, Cluster, ClusterConfig, FailurePlan, FaultAction, FaultPlan, GrayKind, Ranklist,
     Region, SimRuntime,
 };
 use self_checkpoint::core::{
@@ -107,11 +107,11 @@ fn sim_cycle(seed: u64, n: usize, method: Method, phase: Phase, victim: usize) -
 /// Two clean checkpoint epochs, a normal exit, the given bit flips while
 /// the job is down, then a restart recovery. `Ok` carries per-rank
 /// `(recovery, workspace, parity-verified)`; `Err` the job-wide
-/// unrecoverable verdict. Pure in `(seed, n, plans)`.
+/// unrecoverable verdict. Pure in `(seed, n, flips)`, a flip `(node, what)`.
 fn corrupted_restart(
     seed: u64,
     n: usize,
-    plans: &[CorruptPlan],
+    flips: &[(usize, FaultAction)],
 ) -> Result<Vec<(Recovery, Vec<f64>, bool)>, String> {
     let cluster = Arc::new(Cluster::new_with_runtime(
         ClusterConfig::new(n, 0),
@@ -132,8 +132,11 @@ fn corrupted_restart(
         Ok(())
     })
     .unwrap();
-    for p in plans {
-        assert!(cluster.corrupt_now(p), "corruption must land: {p:?}");
+    for (node, flip) in flips {
+        assert!(
+            cluster.apply_fault(*node, flip),
+            "corruption must land: {node} {flip:?}"
+        );
     }
     let failed = std::sync::Mutex::new(None);
     let outs = run_on_cluster(cluster, &rl, |ctx| {
@@ -545,9 +548,9 @@ proptest! {
         // workspace bit-exactly and leave a parity-clean checkpoint.
         let victim = victim % n;
         let region = SELF_REGIONS[region_idx];
-        let plan = CorruptPlan::new("restart", 1, victim, region, offset, bit);
+        let flip = FaultAction::Corrupt { region, offset, bit };
         let tag = format!("n{n}/victim{victim}/{region:?}/off{offset}/bit{bit}/seed{seed}");
-        let outs = match corrupted_restart(seed, n, &[plan]) {
+        let outs = match corrupted_restart(seed, n, &[(victim, flip)]) {
             Ok(outs) => outs,
             Err(msg) => panic!("{tag}: single flip must be repairable, got: {msg}"),
         };
@@ -587,12 +590,13 @@ proptest! {
         let (v1, v2) = (v1 % n, v2 % n);
         prop_assume!(v1 != v2);
         let pair = [Region::CopyB, Region::ParityC];
-        let plans = [
-            CorruptPlan::new("restart", 1, v1, pair[r1], offset, bit),
-            CorruptPlan::new("restart", 1, v2, pair[r2], offset.wrapping_add(3), bit ^ 1),
+        let flip = |region, offset, bit| FaultAction::Corrupt { region, offset, bit };
+        let flips = [
+            (v1, flip(pair[r1], offset, bit)),
+            (v2, flip(pair[r2], offset.wrapping_add(3), bit ^ 1)),
         ];
         let tag = format!("n{n}/v{v1}+v{v2}/seed{seed}");
-        match corrupted_restart(seed, n, &plans) {
+        match corrupted_restart(seed, n, &flips) {
             Err(msg) => {
                 let mut bad = [v1, v2];
                 bad.sort_unstable();
@@ -789,7 +793,8 @@ fn service_gray_run(
         }
     }
     let zombie = *shards[victim].last().unwrap();
-    let storm = StormPlan::none().gray(GrayPlan::slow(ITER_PROBE, nth, zombie, 64));
+    let slow = GrayKind::Slow { factor: 64 };
+    let storm = StormPlan::none().arm(FaultPlan::gray(ITER_PROBE, nth, zombie, slow));
     (svc.run(&storm).tenants, zombie, cluster)
 }
 
@@ -815,10 +820,10 @@ proptest! {
         let rl = Ranklist::round_robin(4, 4);
         // declaration needs one slow sample (factor/4 > 8); the heal
         // lands after it but well inside the daemon's 5 s detect latency
-        cluster.arm_fault(FaultPlan::Gray(
-            GrayPlan::slow(ITER_PROBE, nth, victim, factor)
+        cluster.arm_failure(
+            FaultPlan::gray(ITER_PROBE, nth, victim, GrayKind::Slow { factor })
                 .heal_after(Duration::from_millis(50)),
-        ));
+        );
         let rep = run_with_daemon(
             Arc::clone(&cluster),
             &rl,

@@ -11,7 +11,8 @@
 //! process runs byte-for-byte.
 
 use self_checkpoint::cluster::{
-    Admission, ArbitrationError, Cluster, ClusterConfig, NodeId, SimRuntime,
+    Admission, ArbitrationError, Cluster, ClusterConfig, FailurePlan, FaultAction, NodeId,
+    SimRuntime,
 };
 use self_checkpoint::encoding::CodecSpec;
 use self_checkpoint::ftsim::{
@@ -208,7 +209,8 @@ fn simultaneous_cross_tenant_losses_contend_for_spares() {
         svc.register(a, 2, 2).unwrap(); // both spares reserved for "insured"
                                         // both tenants lose a node at the same instant, between slices
         let at = Duration::from_millis(1);
-        let storm = StormPlan::none().kill_at(at, 0).kill_at(at, 3);
+        let kill = FaultAction::Kill;
+        let storm = StormPlan::none().timed(at, 0, kill).timed(at, 3, kill);
         svc.run(&storm)
     };
     let rep = run(7);
@@ -303,7 +305,7 @@ fn resize_churn_storm_is_seed_invariant_and_bit_exact() {
         // probe counts are per launch, so the panel kill must land
         // inside one 3-panel slice: victim's node dies at its 2nd panel
         let storm = StormPlan::none()
-            .kill_at_probe(RESIZE_PROBE, 4, 1)
+            .arm(FailurePlan::new(RESIZE_PROBE, 1, 4))
             .kill(10, 2);
         svc.run(&storm)
     };

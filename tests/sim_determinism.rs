@@ -12,7 +12,8 @@
 //!   so the CI `sim-determinism` job can diff it across *process* runs.
 
 use self_checkpoint::cluster::{
-    explore_yield_kills, Cluster, ClusterConfig, FailurePlan, Ranklist, Runtime, SimRuntime,
+    explore_yield_kills, Cluster, ClusterConfig, FailurePlan, FaultAction, Ranklist, Runtime,
+    SimRuntime,
 };
 use self_checkpoint::core::{
     Checkpointer, CkptConfig, Method, Phase, RecoverError, Recovery, RestoreSource,
@@ -143,7 +144,7 @@ fn service_report(seed: u64) -> String {
     }
     let storm = StormPlan::none()
         .kill(1, 5)
-        .kill_at(Duration::from_millis(1), 4);
+        .timed(Duration::from_millis(1), 4, FaultAction::Kill);
     let rep = svc.run(&storm);
     for t in &rep.tenants {
         assert!(
