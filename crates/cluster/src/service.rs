@@ -242,7 +242,8 @@ pub struct SpareGrant {
 }
 
 struct Shard {
-    spec: TenantSpec,
+    /// The admitted spec's name, for [`ServicePool::release`].
+    name: String,
     nodes: Vec<NodeId>,
     /// Remaining reserved spares of this tenant's guarantee.
     reserve: usize,
@@ -455,7 +456,7 @@ impl ServicePool {
             Shard {
                 reserve: spec.spare_guarantee,
                 nodes: nodes.clone(),
-                spec,
+                name: spec.name,
             },
         );
         nodes
@@ -469,7 +470,7 @@ impl ServicePool {
     pub fn release(&mut self, tenant: TenantId, alive: impl Fn(NodeId) -> bool) -> ReleaseAudit {
         let mut audit = ReleaseAudit::default();
         if let Some(shard) = self.shards.remove(&tenant) {
-            self.names.remove(&shard.spec.name);
+            self.names.remove(&shard.name);
             self.float += shard.reserve;
             audit = Self::vacate(&mut self.free, &shard.nodes, alive);
         }
@@ -571,8 +572,8 @@ impl ServicePool {
 
     /// Commit a previously planned resize: draw the staged nodes from
     /// the free pool, return the vacated *alive* nodes to it, rewrite
-    /// the shard and its spec, and drain the FIFO queue (a shrink can
-    /// admit a waiting tenant). Returns the audit of what moved.
+    /// the shard, and drain the FIFO queue (a shrink can admit a waiting
+    /// tenant). Returns the audit of what moved.
     ///
     /// The plan must still be consistent with the pool (the staged nodes
     /// free, the tenant admitted) — callers re-plan after any pool
@@ -581,7 +582,6 @@ impl ServicePool {
         &mut self,
         tenant: TenantId,
         plan: &ResizePlan,
-        mem_bytes_per_node: u64,
         alive: impl Fn(NodeId) -> bool,
     ) -> ReleaseAudit {
         let mut audit = ReleaseAudit::default();
@@ -593,8 +593,6 @@ impl ServicePool {
             self.free.retain(|n| !plan.add.contains(n));
             audit = Self::vacate(&mut self.free, &plan.vacate, alive);
             shard.nodes = plan.new_nodes();
-            shard.spec.nodes = shard.nodes.len();
-            shard.spec.mem_bytes_per_node = mem_bytes_per_node;
         }
         audit.drained = self.drain_queue();
         audit
@@ -974,7 +972,7 @@ mod tests {
         ));
         // shrink 5 -> 3 frees nodes 3,4 — enough to admit the waiter
         let plan = p.plan_resize(TenantId(0), 3, 1).unwrap();
-        let audit = p.commit_resize(TenantId(0), &plan, 1, |_| true);
+        let audit = p.commit_resize(TenantId(0), &plan, |_| true);
         assert_eq!(audit.freed, vec![3, 4]);
         assert_eq!(audit.drained.len(), 1);
         assert_eq!(audit.drained[0].0, TenantId(1));
@@ -982,7 +980,7 @@ mod tests {
         assert_eq!(p.nodes_of(TenantId(0)).unwrap(), &[0, 1, 2]);
         // a vacated node that died is lost, not re-issued
         let plan = p.plan_resize(TenantId(0), 2, 1).unwrap();
-        let audit = p.commit_resize(TenantId(0), &plan, 1, |n| n != 2);
+        let audit = p.commit_resize(TenantId(0), &plan, |n| n != 2);
         assert!(audit.freed.is_empty());
         assert_eq!(audit.lost, vec![2]);
         assert_eq!(p.free_nodes(), 0);
@@ -999,7 +997,7 @@ mod tests {
         assert_eq!(plan.keep, vec![2]);
         assert_eq!(plan.add, vec![0, 1]);
         assert_eq!(plan.vacate, vec![3, 4]);
-        p.commit_resize(TenantId(1), &plan, 1, |_| true);
+        p.commit_resize(TenantId(1), &plan, |_| true);
         assert_eq!(p.nodes_of(TenantId(1)).unwrap(), &[0, 1, 2]);
         // already packed: no further move
         assert_eq!(p.plan_relocate(TenantId(1)), None);

@@ -83,23 +83,27 @@ fn fold_stripe(
 /// This rank's freshly encoded parity stripes, one per parity role in
 /// role order (each `layout.stripe_len()` long), exactly as the ring
 /// delivered them: [`encode_parity`] without the assembly copy.
+///
+/// `with_data` lends the padded data buffer to one ring fold at a time,
+/// so whatever guards the buffer is released before the fold's probe and
+/// across every send and receive: a fault injected at the probe (or by
+/// another rank while this one waits) may write the buffer's segment.
 pub(crate) fn encode_parity_stripes(
     comm: &Comm<'_>,
     layout: &GroupLayout,
     codec: &dyn ErasureCodec,
-    data: &[f64],
+    with_data: impl Fn(&mut dyn FnMut(&[f64])) -> Result<(), Fault>,
     failpoint: Option<&str>,
 ) -> Result<Vec<Vec<f64>>, Fault> {
     let n = comm.size();
     let m = codec.parity_count();
     assert_eq!(n, layout.group_size(), "comm/layout size mismatch");
     assert_eq!(m, layout.parity_count(), "codec/layout parity mismatch");
-    assert_eq!(data.len(), layout.padded_len(), "data must be padded");
     let me = comm.rank();
     let probe = || failpoint.map_or(Ok(()), |label| comm.ctx().failpoint(label));
     let roles: Vec<usize> = (0..m).collect();
     let delivered = comm.reduce_scatter(m, |s, accs| {
-        fold_stripe(layout, codec, me, s, &roles, data, false, accs);
+        with_data(&mut |data| fold_stripe(layout, codec, me, s, &roles, data, false, accs))?;
         probe()
     })?;
     let mut my_parity = Vec::with_capacity(m);
@@ -126,7 +130,12 @@ pub fn encode_parity(
     data: &[f64],
     failpoint: Option<&str>,
 ) -> Result<Vec<f64>, Fault> {
-    Ok(encode_parity_stripes(comm, layout, codec, data, failpoint)?.concat())
+    assert_eq!(data.len(), layout.padded_len(), "data must be padded");
+    let lend = |fold: &mut dyn FnMut(&[f64])| {
+        fold(data);
+        Ok(())
+    };
+    Ok(encode_parity_stripes(comm, layout, codec, lend, failpoint)?.concat())
 }
 
 /// User tag of the finished syndrome of `role` in slot `s` on its way

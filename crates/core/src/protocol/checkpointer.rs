@@ -278,10 +278,15 @@ impl<'c> Checkpointer<'c> {
     /// This group's parity of region `r`'s contents (one ring
     /// reduce-scatter), one stripe per role this rank owns. When `probe`
     /// is set the failure probe fires after each ring fold and each
-    /// delivered stripe — `n` times per call.
+    /// delivered stripe — `n` times per call. The region's read guard is
+    /// taken per fold and dropped before the probe: a corrupt plan firing
+    /// there write-locks this very segment on this very thread.
     pub(super) fn encode_of(&self, r: Region, probe: Option<&str>) -> Result<Vec<Vec<f64>>, Fault> {
-        let g = self.seg(r).read();
-        encode_parity_stripes(&self.comm, &self.layout, self.codec, g.try_as_f64()?, probe)
+        let lend = |fold: &mut dyn FnMut(&[f64])| {
+            fold(self.seg(r).read().try_as_f64()?);
+            Ok(())
+        };
+        encode_parity_stripes(&self.comm, &self.layout, self.codec, lend, probe)
     }
 
     /// Fire a labeled failure-injection probe (a phase's, or a

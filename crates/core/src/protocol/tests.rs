@@ -2,7 +2,7 @@ use super::table::MethodTable;
 use super::*;
 use crate::memory::MemoryBreakdown;
 use skt_cluster::{
-    Cluster, ClusterConfig, Event, FailurePlan, FaultAction, Ranklist, Recorder, Region,
+    Cluster, ClusterConfig, Event, FailurePlan, FaultAction, FaultPlan, Ranklist, Recorder, Region,
 };
 use skt_encoding::GroupLayout;
 use skt_mps::run_on_cluster;
@@ -346,6 +346,41 @@ fn scrub_reports_two_damaged_members_as_unrecoverable() {
         assert!(msg.contains("single parity can rebuild only one"), "{msg}");
         assert!(msg.contains("[1, 3]"), "{msg}");
     }
+}
+
+#[test]
+fn corrupt_own_workspace_at_the_encode_probe_does_not_hang_the_make() {
+    // The encode probe fires on the firing rank's own thread, and a
+    // corrupt plan aimed at that rank's own workspace write-locks the
+    // very segment the ring is folding: a read guard held across the
+    // probe is a self-deadlock. Run under a watchdog so a reintroduced
+    // guard fails the test instead of hanging it.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let job = std::thread::spawn(move || {
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 0)));
+        let rl = Ranklist::round_robin(N, N);
+        let rec = Arc::new(Recorder::new());
+        cluster.events().subscribe(rec.clone());
+        cluster.arm_failure(FaultPlan::corrupt(Phase::Encode, 1, 1, Region::Work, 40, 3));
+        let verdicts = run_on_cluster(cluster, &rl, |ctx| {
+            let cfg = CkptConfig::new("test", Method::SelfCkpt, 256, 64);
+            let (mut ck, _) = Checkpointer::init(ctx.world(), cfg);
+            ck.make(b"x")?;
+            ck.verify_integrity()
+        });
+        let injected = rec.count(|e| matches!(e, Event::CorruptionInjected { .. }));
+        let _ = tx.send((verdicts, injected));
+    });
+    let (verdicts, injected) = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("make hung: a segment guard is held at the encode probe");
+    job.join().expect("the job thread reported and ended");
+    assert_eq!(injected, 1, "the flip landed, once");
+    // the flip sits in the live workspace before its witness is taken:
+    // whether the committed pair verifies is the protocol's answer to
+    // give, but every rank must get one, and the same one
+    let verdicts = verdicts.expect("the make and the verify return");
+    assert!(verdicts.iter().all(|v| *v == verdicts[0]), "{verdicts:?}");
 }
 
 #[test]

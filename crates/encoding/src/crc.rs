@@ -34,9 +34,9 @@ pub fn crc32c(bytes: &[u8]) -> u32 {
 }
 
 /// A GF(2) operator on CRC states: entry `i` is the image of bit `i`.
-type Gf2Matrix = [u32; 32];
+pub(crate) type Gf2Matrix = [u32; 32];
 
-fn gf2_matrix_times(mat: &Gf2Matrix, mut vec: u32) -> u32 {
+pub(crate) fn gf2_matrix_times(mat: &Gf2Matrix, mut vec: u32) -> u32 {
     let mut sum = 0;
     let mut i = 0;
     while vec != 0 {
@@ -56,7 +56,7 @@ fn gf2_matrix_mul(a: &Gf2Matrix, b: &Gf2Matrix) -> Gf2Matrix {
 /// The operator that advances a CRC through `len` zero bytes: the
 /// one-zero-bit shift raised to the `8·len`-th power by repeated
 /// squaring (the zlib `crc32_combine` construction).
-fn zero_shift(mut len: u64) -> Gf2Matrix {
+pub(crate) fn zero_shift(mut len: u64) -> Gf2Matrix {
     let mut power: Gf2Matrix = std::array::from_fn(|i| if i == 0 { POLY } else { 1 << (i - 1) });
     for _ in 0..3 {
         power = gf2_matrix_mul(&power, &power); // 1 bit -> 8 bits

@@ -17,7 +17,8 @@ use skt_encoding::simd::{
     crc32c_update, gf_mac_bytes, gf_mul_bytes, CrcBackend, GfBackend, SimdMode,
 };
 use skt_encoding::{
-    copy_with_stripe_crcs, crc32c_f64, gf256, stripe_crcs, Code, CodecSpec, ErasureCodec, Wire,
+    copy_with_stripe_crcs, crc32c, crc32c_f64, gf256, stripe_crcs, Code, CodecSpec, ErasureCodec,
+    Wire,
 };
 
 fn bytes(len: usize, seed: u64) -> Vec<u8> {
@@ -148,14 +149,18 @@ proptest! {
     }
 
     /// CRC-32C: every available backend advances an arbitrary in-flight
-    /// state over arbitrary bytes identically to the table walk.
+    /// state over arbitrary bytes identically to the table walk — half
+    /// the cases below one vector-tail's worth of bytes, half long enough
+    /// to cross the hardware walk's 3·256 B and 3·8 KiB blocks.
     #[test]
     fn crc_backends_match_table(
-        len in 0usize..600,
+        len in 0usize..65_000,
+        short in any::<bool>(),
         offset in 0usize..33,
         state in any::<u32>(),
         seed in any::<u64>(),
     ) {
+        let len = if short { len % 600 } else { len };
         let d = bytes(len + offset, seed);
         let want = crc32c_update(state, &d[offset..], CrcBackend::Table);
         for backend in CrcBackend::available() {
@@ -168,13 +173,16 @@ proptest! {
 
     /// CRC state composes over an arbitrary split point on every
     /// backend: update(update(s, a), b) == update(s, a ‖ b). This is
-    /// what the <8-byte and <16-byte tails rely on.
+    /// what the <8-byte and <16-byte tails rely on, and what lets a
+    /// caller stop anywhere inside one of the hardware walk's blocks.
     #[test]
     fn crc_update_composes_across_splits(
-        len in 0usize..400,
+        len in 0usize..65_000,
+        short in any::<bool>(),
         split_frac in 0usize..101,
         seed in any::<u64>(),
     ) {
+        let len = if short { len % 400 } else { len };
         let d = bytes(len, seed);
         let split = len * split_frac / 100;
         for backend in CrcBackend::available() {
@@ -233,6 +241,94 @@ proptest! {
             prop_assert_eq!(crc32c_f64(&d, cfg), want, "len={} cfg={:?}", len, cfg);
         }
     }
+}
+
+/// One 3·8 KiB block of the hardware CRC walk (three interleaved
+/// `crc32` chains over consecutive thirds), and one of its 3·256 B blocks.
+const LONG: usize = 3 * 8192;
+const SHORT: usize = 3 * 256;
+
+/// Every length at which the hardware walk changes shape — one byte
+/// either side of one and two blocks of each size, a long block followed
+/// by a short one, and all three regimes plus a byte tail at once — at
+/// every start alignment and from a zero, a fresh and a mid-stream
+/// state, against the table walk on every available backend. From the
+/// fresh state the process-wide entry point must agree too: that is the
+/// backend `SKT_KERNEL_SIMD` selects, so CI's two dispatch runs cover
+/// both ends of it.
+#[test]
+fn crc_backends_match_table_at_every_block_threshold() {
+    let lens = [
+        0,
+        7,
+        8,
+        255,
+        SHORT - 1,
+        SHORT,
+        SHORT + 1,
+        2 * SHORT - 1,
+        2 * SHORT,
+        LONG - 1,
+        LONG,
+        LONG + 1,
+        LONG + SHORT,
+        2 * LONG,
+        2 * LONG + 2 * SHORT + 77,
+    ];
+    let d = bytes(lens[lens.len() - 1] + 8, 21);
+    for len in lens {
+        for offset in 0..9 {
+            let d = &d[offset..offset + len];
+            for state in [0, !0, 0x1357_9BDF] {
+                let want = crc32c_update(state, d, CrcBackend::Table);
+                for backend in CrcBackend::available() {
+                    assert_eq!(
+                        crc32c_update(state, d, backend),
+                        want,
+                        "len={len} offset={offset} state={state:#x} {backend:?}"
+                    );
+                }
+                if state == !0 {
+                    assert_eq!(crc32c(d), !want, "len={len} offset={offset}");
+                }
+            }
+        }
+    }
+}
+
+/// A caller may stop a walk anywhere: a first part that ends inside a
+/// long block (so the second resumes from a mid-block state and sees
+/// different block boundaries than the whole) composes to the CRC of the
+/// whole on every backend.
+#[test]
+fn crc_split_inside_a_long_block_composes() {
+    let d = bytes(2 * LONG + SHORT + 5, 22);
+    for split in [1, 8191, 8192 + 3, LONG - 1, LONG + 8192 + 9, 2 * LONG + 1] {
+        for backend in CrcBackend::available() {
+            let whole = crc32c_update(!0, &d, backend);
+            let first = crc32c_update(!0, &d[..split], backend);
+            assert_eq!(
+                crc32c_update(first, &d[split..], backend),
+                whole,
+                "split={split} {backend:?}"
+            );
+        }
+    }
+}
+
+/// The stripe CRC table is on-disk layout: a CRC-32C is a fixed function
+/// of the bytes, whatever walk computes it. One long buffer (integer
+/// fill, so no libm in the way) pinned to the value every release so far
+/// has stored.
+#[test]
+fn long_buffer_crc_matches_the_golden_value() {
+    const GOLDEN: u32 = 0xFEEE_980F;
+    let d = bytes(3 * LONG + SHORT + 13, 23);
+    assert!(d.len() >= 64 << 10);
+    for backend in CrcBackend::available() {
+        assert_eq!(!crc32c_update(!0, &d, backend), GOLDEN, "{backend:?}");
+    }
+    assert_eq!(crc32c(&d), GOLDEN);
 }
 
 /// Worker budgets the one-pass kernels are swept over (the answers may

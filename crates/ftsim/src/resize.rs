@@ -600,10 +600,10 @@ impl CheckpointService {
     }
 
     /// Commit `plan` for `tenant` under `new_cfg`: the pool moves the
-    /// shard (sized for the new layout), the vacated still-usable nodes
-    /// are wiped and a renamed namespace's old segments dropped from the
-    /// nodes kept, the tenants the freed capacity unblocks are admitted,
-    /// and the tenant adopts the layout. Returns the wiped nodes.
+    /// shard, the vacated still-usable nodes are wiped and a renamed
+    /// namespace's old segments dropped from the nodes kept, the tenants
+    /// the freed capacity unblocks are admitted, and the tenant adopts
+    /// the layout. Returns the wiped nodes.
     fn commit_layout(
         &mut self,
         tenant: &mut Tenant,
@@ -611,10 +611,9 @@ impl CheckpointService {
         new_cfg: SktConfig,
     ) -> Vec<NodeId> {
         let new_rl = Ranklist::explicit(plan.new_nodes());
-        let mem = Self::mem_demand(&new_cfg, new_rl.len());
         let usable = |n| self.cluster.node_usable(n);
         let id = tenant.sched.tenant;
-        let audit = self.pool.commit_resize(id, plan, mem, usable);
+        let audit = self.pool.commit_resize(id, plan, usable);
         for &n in &audit.freed {
             self.cluster.shm(n).wipe();
         }
