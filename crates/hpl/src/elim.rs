@@ -60,14 +60,13 @@ pub fn panel_step(
                 .copy_from_slice(&storage[(pl0 + c) * ld + j0..(pl0 + c) * ld + n]);
         }
         let ipiv: Vec<i64> = piv.iter().map(|&p| (j0 + p) as i64).collect();
-        comm.bcast(owner, Payload::F64(panel.clone()))?;
-        comm.bcast(owner, Payload::I64(ipiv.clone()))?;
-        (panel, ipiv)
+        (Payload::F64(panel), Payload::I64(ipiv))
     } else {
-        let panel = comm.bcast(owner, Payload::Empty)?.into_f64();
-        let ipiv = comm.bcast(owner, Payload::Empty)?.into_i64();
-        (panel, ipiv)
+        (Payload::Empty, Payload::Empty)
     };
+    // `bcast` hands the root its own payload back, so nobody copies.
+    let panel = comm.bcast(owner, panel)?.into_f64();
+    let ipiv = comm.bcast(owner, ipiv)?.into_i64();
 
     // --- apply the panel's row interchanges to trailing local columns ---
     // Columns left of the panel hold already-final U rows / dead L rows

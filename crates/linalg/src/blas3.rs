@@ -1,7 +1,9 @@
-//! Level-3 BLAS kernels: the cache/register-blocked `dgemm` that dominates
+//! Level-3 BLAS kernels: the packed, register-tiled `dgemm` that dominates
 //! HPL runtime, and the two `dtrsm` variants LU factorization needs.
 //!
 //! All matrices are column-major with explicit leading dimensions.
+
+use std::cell::RefCell;
 
 /// Transposition flag for the `A` operand of [`dgemm`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -12,9 +14,19 @@ pub enum Trans {
     Yes,
 }
 
-const MR: usize = 4; // register tile rows
-const NR: usize = 4; // register tile cols
+const MR: usize = 8; // register tile rows: two 4-lane vectors
+const NR: usize = 6; // register tile cols: 2 x 6 = 12 accumulators of 16 registers
 const KC: usize = 256; // k-dimension cache block
+/// Elements of a thread's packed-`A` buffer (576 KiB, L2-resident beside
+/// the `C` columns streaming past it): one `KC` pass handles as many rows
+/// at a time as fit, so the buffer is bounded whatever the shape.
+const PACK_A_LEN: usize = 288 * KC;
+
+thread_local! {
+    /// Packed `A`, kept per thread so that a panel loop does not allocate
+    /// (and fault in) half a megabyte per trailing update.
+    static PACK_A: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
+}
 
 /// General matrix multiply `C := alpha * op(A) * B + beta * C`.
 ///
@@ -22,10 +34,29 @@ const KC: usize = 256; // k-dimension cache block
 ///   [`Trans::Yes`]), `B` is `k x n`, `C` is `m x n`.
 /// * `lda`, `ldb`, `ldc` are the leading dimensions of the stored arrays.
 ///
-/// The [`Trans::No`] path is register-tiled (4x4 accumulators) and blocked
-/// over `k`; this is the kernel the HPL trailing-matrix update spends its
-/// time in. The transposed path is a straightforward loop — it is only used
-/// by verification code.
+/// The [`Trans::No`] path is the kernel the HPL trailing-matrix update
+/// spends its time in. Per `KC`-deep block of `k` it packs `A` into
+/// zero-padded 8-row micro-panels and each 6-column sliver of `B` into a
+/// row-major strip, and runs one 8x6 register tile (12 vector
+/// accumulators) over the two; tiles that overhang `m` or `n` run the same
+/// kernel on a stack copy of their part of `C`.
+///
+/// **Numeric contract.** After the `beta` scaling, for each `KC` block in
+/// turn, `C[i,j] <- fma(alpha, s, C[i,j])` where `s` starts at `+0.0` and
+/// takes `s <- fma(A[i,p], B[p,j], s)` for `p` ascending through the block.
+/// Every element sees exactly this sequence wherever it falls in the
+/// tiling, so `C[i,j]` is a function of row `i` of `A` and column `j` of
+/// `B` alone: computing a matrix in one call or in any split by rows or
+/// columns gives the same bits (a resized SKT-HPL tenant relies on it).
+///
+/// Two kernels implement the contract, bit-identical by test. On x86-64
+/// with AVX2 and FMA (probed once per process by the standard library's
+/// feature cache) the tile runs on `std::arch` intrinsics; everywhere else
+/// a portable one written with [`f64::mul_add`] runs — at full speed where
+/// the target has a fused multiply-add instruction, but on x86 CPUs older
+/// than FMA each `mul_add` is a call into libm's software `fma`, correct
+/// and slow. The transposed path is a straightforward loop — it is only
+/// used by verification code.
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm(
     trans_a: Trans,
@@ -72,13 +103,15 @@ pub fn dgemm(
     }
 
     match trans_a {
-        Trans::No => dgemm_nn(m, n, k, alpha, a, lda, b, ldb, c, ldc),
+        Trans::No => dgemm_nn(Tile::detect(), m, n, k, alpha, a, lda, b, ldb, c, ldc),
         Trans::Yes => dgemm_tn(m, n, k, alpha, a, lda, b, ldb, c, ldc),
     }
 }
 
-/// `C += alpha * A * B`, no-transpose fast path.
+/// `C += alpha * A * B`, no-transpose fast path (contract in [`dgemm`]).
+#[allow(clippy::too_many_arguments)]
 fn dgemm_nn(
+    tile: Tile,
     m: usize,
     n: usize,
     k: usize,
@@ -90,119 +123,173 @@ fn dgemm_nn(
     c: &mut [f64],
     ldc: usize,
 ) {
-    // Block over k to keep the A panel in cache.
-    let mut p0 = 0;
-    while p0 < k {
+    let mut pa = PACK_A.take();
+    let mut pb = [0.0; KC * NR];
+    for p0 in (0..k).step_by(KC) {
         let kb = KC.min(k - p0);
-        // Full register tiles.
-        let m_tiles = m / MR;
-        let n_tiles = n / NR;
-        for jt in 0..n_tiles {
-            let j = jt * NR;
-            for it in 0..m_tiles {
-                let i = it * MR;
-                micro_kernel_4x4(kb, alpha, a, lda, b, ldb, c, ldc, i, j, p0);
+        let pb = &mut pb[..kb * NR];
+        let mc_max = PACK_A_LEN / kb / MR * MR;
+        for i0 in (0..m).step_by(mc_max) {
+            let mc = mc_max.min(m - i0);
+            let pa_len = mc.div_ceil(MR) * MR * kb;
+            if pa.len() < pa_len {
+                pa.resize(pa_len, 0.0);
             }
-            // Remainder rows for this column tile.
-            if m_tiles * MR < m {
-                edge_block(
-                    m_tiles * MR,
-                    m,
-                    j,
-                    j + NR,
-                    p0,
-                    kb,
-                    alpha,
-                    a,
-                    lda,
-                    b,
-                    ldb,
-                    c,
-                    ldc,
-                );
+            let pa = &mut pa[..pa_len];
+            pack_a(pa, &a[i0 + p0 * lda..], lda, mc, kb);
+            for j0 in (0..n).step_by(NR) {
+                let nr = NR.min(n - j0);
+                pack_b(pb, &b[p0 + j0 * ldb..], ldb, kb, nr);
+                for (ip, ap) in pa.chunks_exact(MR * kb).enumerate() {
+                    let i = i0 + ip * MR;
+                    let mr = MR.min(m - i);
+                    let cij = &mut c[i + j0 * ldc..];
+                    if mr == MR && nr == NR {
+                        tile.run(kb, alpha, ap, pb, cij, ldc);
+                        continue;
+                    }
+                    // An overhanging tile: the same kernel, on a copy of
+                    // the part of `C` that exists.
+                    let mut t = [0.0; MR * NR];
+                    for jj in 0..nr {
+                        t[jj * MR..][..mr].copy_from_slice(&cij[jj * ldc..][..mr]);
+                    }
+                    tile.run(kb, alpha, ap, pb, &mut t, MR);
+                    for jj in 0..nr {
+                        cij[jj * ldc..][..mr].copy_from_slice(&t[jj * MR..][..mr]);
+                    }
+                }
             }
         }
-        // Remainder columns (all rows).
-        if n_tiles * NR < n {
-            edge_block(0, m, n_tiles * NR, n, p0, kb, alpha, a, lda, b, ldb, c, ldc);
+    }
+    PACK_A.set(pa);
+}
+
+/// Pack the `mc x kb` block at `a[0]` into 8-row micro-panels: column `p`
+/// of panel `ip` (rows `8 ip ..` of the block) goes to
+/// `pa[(ip kb + p) 8 ..]`, zero-padded past row `mc`.
+fn pack_a(pa: &mut [f64], a: &[f64], lda: usize, mc: usize, kb: usize) {
+    for p in 0..kb {
+        for (ip, rows) in a[p * lda..][..mc].chunks(MR).enumerate() {
+            let dst = &mut pa[(ip * kb + p) * MR..][..MR];
+            dst[..rows.len()].copy_from_slice(rows);
+            dst[rows.len()..].fill(0.0);
         }
-        p0 += kb;
     }
 }
 
-/// 4x4 register-tile kernel: `C[i..i+4, j..j+4] += alpha * A[i..i+4, p0..p0+kb] * B[p0..p0+kb, j..j+4]`.
-#[allow(clippy::too_many_arguments)]
-#[inline]
-fn micro_kernel_4x4(
-    kb: usize,
-    alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
-    ldc: usize,
-    i: usize,
-    j: usize,
-    p0: usize,
-) {
+/// Pack the `kb x nr` block at `b[0]` into a 6-wide row-major sliver:
+/// row `p` goes to `pb[6 p ..]`, zero-padded past column `nr`.
+fn pack_b(pb: &mut [f64], b: &[f64], ldb: usize, kb: usize, nr: usize) {
+    if nr < NR {
+        pb.fill(0.0);
+    }
+    for jj in 0..nr {
+        for (p, &v) in b[jj * ldb..][..kb].iter().enumerate() {
+            pb[p * NR + jj] = v;
+        }
+    }
+}
+
+/// Which implementation of the 8x6 tile runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Tile {
+    /// Safe Rust on [`f64::mul_add`].
+    Portable,
+    /// AVX2 + FMA intrinsics.
+    #[cfg(target_arch = "x86_64")]
+    Avx2Fma,
+}
+
+impl Tile {
+    /// The fastest tile this CPU runs.
+    fn detect() -> Tile {
+        #[cfg(target_arch = "x86_64")]
+        {
+            if std::arch::is_x86_feature_detected!("avx2")
+                && std::arch::is_x86_feature_detected!("fma")
+            {
+                return Tile::Avx2Fma;
+            }
+        }
+        Tile::Portable
+    }
+
+    /// `C[0..8, 0..6] <- fma(alpha, A B, C)` for one packed micro-panel `a`
+    /// (`8 x kb`, column `p` at `a[8 p..]`), one packed sliver `b`
+    /// (`kb x 6`, row `p` at `b[6 p..]`) and the tile whose top-left
+    /// element is `c[0]`.
+    fn run(self, kb: usize, alpha: f64, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
+        assert!(
+            a.len() >= MR * kb && b.len() >= NR * kb,
+            "dgemm: short pack"
+        );
+        assert!(c.len() >= (NR - 1) * ldc + MR, "dgemm: tile outside c");
+        match self {
+            Tile::Portable => tile_portable(kb, alpha, a, b, c, ldc),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: only `detect` makes this variant, after probing both
+            // features; the two asserts above are the kernel's length
+            // requirements.
+            Tile::Avx2Fma => unsafe {
+                tile_avx2_fma(kb, alpha, a.as_ptr(), b.as_ptr(), c.as_mut_ptr(), ldc)
+            },
+        }
+    }
+}
+
+/// The reference statement of the tile; see [`Tile::run`] for the layout.
+fn tile_portable(kb: usize, alpha: f64, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
     let mut acc = [[0.0f64; MR]; NR];
-    // SAFETY: callers guarantee i+MR <= m <= lda bounds and j+NR <= n,
-    // p0+kb <= k; the slice-length asserts in `dgemm` established that the
-    // corresponding flat indices are in range.
-    unsafe {
-        for p in p0..p0 + kb {
-            let acol = a.get_unchecked(i + p * lda..i + p * lda + MR);
-            let a0 = *acol.get_unchecked(0);
-            let a1 = *acol.get_unchecked(1);
-            let a2 = *acol.get_unchecked(2);
-            let a3 = *acol.get_unchecked(3);
-            for (jj, accj) in acc.iter_mut().enumerate() {
-                let bv = *b.get_unchecked(p + (j + jj) * ldb);
-                accj[0] += a0 * bv;
-                accj[1] += a1 * bv;
-                accj[2] += a2 * bv;
-                accj[3] += a3 * bv;
+    for (ap, bp) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kb) {
+        for (accj, &bv) in acc.iter_mut().zip(bp) {
+            for (s, &av) in accj.iter_mut().zip(ap) {
+                *s = av.mul_add(bv, *s);
             }
         }
-        for (jj, accj) in acc.iter().enumerate() {
-            let cc = c.get_unchecked_mut(i + (j + jj) * ldc..i + (j + jj) * ldc + MR);
-            for ii in 0..MR {
-                *cc.get_unchecked_mut(ii) += alpha * accj[ii];
-            }
+    }
+    for (j, accj) in acc.iter().enumerate() {
+        for (cv, &s) in c[j * ldc..][..MR].iter_mut().zip(accj) {
+            *cv = alpha.mul_add(s, *cv);
         }
     }
 }
 
-/// Scalar fallback for tile edges: rows `[i0, i1)`, cols `[j0, j1)`.
-#[allow(clippy::too_many_arguments)]
-fn edge_block(
-    i0: usize,
-    i1: usize,
-    j0: usize,
-    j1: usize,
-    p0: usize,
+/// [`tile_portable`] on AVX2 + FMA: column `j` of the tile is the
+/// accumulator pair `acc[j]`, each step two loads of `A`, six broadcasts of
+/// `B` and twelve fused multiply-adds.
+///
+/// # Safety
+/// The CPU must support AVX2 and FMA; `a` must be readable for `8 kb`
+/// elements, `b` for `6 kb`, and `c` readable and writable for
+/// `5 ldc + 8`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn tile_avx2_fma(
     kb: usize,
     alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
     ldc: usize,
 ) {
-    for j in j0..j1 {
-        for p in p0..p0 + kb {
-            let t = alpha * b[p + j * ldb];
-            if t == 0.0 {
-                continue;
-            }
-            let acol = &a[i0 + p * lda..i1 + p * lda];
-            let ccol = &mut c[i0 + j * ldc..i1 + j * ldc];
-            for (cv, av) in ccol.iter_mut().zip(acol.iter()) {
-                *cv += t * *av;
-            }
+    use std::arch::x86_64::*;
+    let mut acc = [[_mm256_setzero_pd(); 2]; NR];
+    for p in 0..kb {
+        let a0 = _mm256_loadu_pd(a.add(p * MR));
+        let a1 = _mm256_loadu_pd(a.add(p * MR + 4));
+        for (j, accj) in acc.iter_mut().enumerate() {
+            let bv = _mm256_broadcast_sd(&*b.add(p * NR + j));
+            accj[0] = _mm256_fmadd_pd(a0, bv, accj[0]);
+            accj[1] = _mm256_fmadd_pd(a1, bv, accj[1]);
         }
+    }
+    let va = _mm256_set1_pd(alpha);
+    for (j, accj) in acc.iter().enumerate() {
+        let cj = c.add(j * ldc);
+        _mm256_storeu_pd(cj, _mm256_fmadd_pd(va, accj[0], _mm256_loadu_pd(cj)));
+        let cj = cj.add(4);
+        _mm256_storeu_pd(cj, _mm256_fmadd_pd(va, accj[1], _mm256_loadu_pd(cj)));
     }
 }
 
@@ -276,6 +363,14 @@ pub fn dtrsm_llnu(k: usize, n: usize, a: &[f64], lda: usize, b: &mut [f64], ldb:
 pub fn dtrsm_lunn(k: usize, n: usize, a: &[f64], lda: usize, b: &mut [f64], ldb: usize) {
     assert!(lda >= k.max(1), "dtrsm_lunn: lda < k");
     assert!(ldb >= k.max(1), "dtrsm_lunn: ldb < k");
+    assert!(
+        k == 0 || a.len() >= (k - 1) * lda + k,
+        "dtrsm_lunn: a too small"
+    );
+    assert!(
+        n == 0 || b.len() >= (n - 1) * ldb + k,
+        "dtrsm_lunn: b too small"
+    );
     for j in 0..n {
         let col = &mut b[j * ldb..j * ldb + k];
         for p in (0..k).rev() {
@@ -446,6 +541,118 @@ mod tests {
         assert_eq!(big_c[(3, 0)], 0.0);
     }
 
+    /// `len` values in (-1, 1) with full mantissas, distinct per `seed`.
+    fn fill(len: usize, seed: f64) -> Vec<f64> {
+        (0..len)
+            .map(|i| ((i as f64 + seed) * 0.618_033_988_749_895).sin())
+            .collect()
+    }
+
+    /// The `(m + 2 pad) x n` buffer holding `C` after
+    /// `C[..m, ..n] += alpha A B` on `tile`, `A` the top of an
+    /// `(m + pad) x k` buffer.
+    fn nn_on(tile: Tile, m: usize, n: usize, k: usize, alpha: f64, pad: usize) -> Vec<f64> {
+        let (lda, ldc) = (m + pad, m + 2 * pad);
+        let (a, b) = (fill(lda * k, 0.25), fill(k * n, 0.5));
+        let mut c = fill(ldc * n, 0.75);
+        dgemm_nn(tile, m, n, k, alpha, &a, lda, &b, k, &mut c, ldc);
+        c
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn portable_and_avx2_fma_tiles_agree_bit_for_bit() {
+        let tile = Tile::detect();
+        if tile == Tile::Portable {
+            println!("skipped: this CPU runs the portable tile only (no AVX2 + FMA)");
+            return;
+        }
+        let sizes = || (1..=20).chain([33, 65]);
+        for m in sizes() {
+            for n in sizes() {
+                for k in [1, 3, 32, KC + 1] {
+                    // 1/3: with a power of two the final fma is exact unfused too
+                    for alpha in [-1.0, 1.0, 0.5, 1.0 / 3.0] {
+                        let want = nn_on(Tile::Portable, m, n, k, alpha, 3);
+                        let got = nn_on(tile, m, n, k, alpha, 3);
+                        assert_eq!(bits(&got), bits(&want), "m={m} n={n} k={k} alpha={alpha}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overhanging_tiles_write_only_inside_c() {
+        // rows m..ldc of every column are not part of C
+        let (m, n, k, pad) = (13, 7, 5, 3);
+        let ldc = m + 2 * pad;
+        let before = fill(ldc * n, 0.75);
+        for tile in [Tile::Portable, Tile::detect()] {
+            let after = nn_on(tile, m, n, k, 1.0, pad);
+            for j in 0..n {
+                let below = j * ldc + m..(j + 1) * ldc;
+                assert_eq!(
+                    bits(&after[below.clone()]),
+                    bits(&before[below]),
+                    "{tile:?} wrote below column {j}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn result_does_not_depend_on_where_a_call_is_split() {
+        // an element's value depends on its row of A and its column of B,
+        // not on which tile of which call it falls in
+        let (m, n, k, alpha) = (19, 17, KC + 7, -1.0);
+        let a = Matrix::from_fn(m, k, |i, j| ((i * 31 + j * 17) % 101) as f64 / 7.0 - 6.0);
+        let b = Matrix::from_fn(k, n, |i, j| ((i * 7 + j * 3) % 89) as f64 / 3.0 - 5.0);
+        let c0 = Matrix::from_fn(m, n, |i, j| (i as f64 - j as f64) / 9.0);
+        let run = |rows: std::ops::Range<usize>, cols: std::ops::Range<usize>, c: &mut Matrix| {
+            let ldc = c.ld();
+            dgemm(
+                Trans::No,
+                rows.len(),
+                cols.len(),
+                k,
+                alpha,
+                &a.as_slice()[rows.start..],
+                a.ld(),
+                &b.as_slice()[cols.start * b.ld()..],
+                b.ld(),
+                1.0,
+                &mut c.as_mut_slice()[rows.start + cols.start * ldc..],
+                ldc,
+            );
+        };
+        let mut whole = c0.clone();
+        run(0..m, 0..n, &mut whole);
+        for s in 0..=n {
+            let mut c = c0.clone();
+            run(0..m, 0..s, &mut c);
+            run(0..m, s..n, &mut c);
+            assert_eq!(
+                bits(c.as_slice()),
+                bits(whole.as_slice()),
+                "columns split at {s}"
+            );
+        }
+        for s in 0..=m {
+            let mut c = c0.clone();
+            run(0..s, 0..n, &mut c);
+            run(s..m, 0..n, &mut c);
+            assert_eq!(
+                bits(c.as_slice()),
+                bits(whole.as_slice()),
+                "rows split at {s}"
+            );
+        }
+    }
+
     #[test]
     fn dtrsm_llnu_inverts_unit_lower() {
         let k = 8;
@@ -482,6 +689,22 @@ mod tests {
         let ldb = b.ld();
         dtrsm_lunn(k, 2, u.as_slice(), u.ld(), b.as_mut_slice(), ldb);
         assert!(b.max_abs_diff(&x_true) < 1e-10);
+    }
+
+    #[test]
+    #[should_panic(expected = "dtrsm_lunn: b too small")]
+    fn dtrsm_lunn_rejects_short_rhs() {
+        // two right-hand sides announced, one and a half supplied
+        let u = Matrix::identity(2);
+        let mut b = vec![1.0; 3];
+        dtrsm_lunn(2, 2, u.as_slice(), 2, &mut b, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "dtrsm_lunn: a too small")]
+    fn dtrsm_lunn_rejects_short_triangle() {
+        let mut b = vec![1.0; 2];
+        dtrsm_lunn(2, 1, &[1.0, 0.0, 0.0], 2, &mut b, 2);
     }
 
     #[test]
