@@ -30,31 +30,25 @@ use skt_mps::{Comm, Fault, Payload};
 /// Rebuilt `(padded data, parity segment)` of a lost rank.
 pub type Rebuilt = (Vec<f64>, Vec<f64>);
 
-/// Fold rank `me`'s data stripe of slot `s` into the in-flight
-/// accumulators of the parity roles `roles` (indices into `accs`): the
-/// cancelling contributions when `cancel`. An accumulator still at the
-/// identity receives the contribution itself; the others are updated in
-/// place, all from one read of the stripe.
+/// A lost rank's rebuilt `(data stripes, parity stripes)` — its `n − m`
+/// data stripes in stripe order and its `m` parity stripes in role
+/// order, each `layout.stripe_len()` long, exactly as the solve and the
+/// ring delivered them.
+pub(crate) type RebuiltStripes = (Vec<Vec<f64>>, Vec<Vec<f64>>);
+
+/// Fold the data stripe at codeword position `pos` of its slot into the
+/// in-flight accumulators of the parity roles `roles` (indices into
+/// `accs`): the cancelling contributions when `cancel`. An accumulator
+/// still at the identity receives the contribution itself; the others
+/// are updated in place, all from one read of the stripe.
 fn fold_stripe(
-    layout: &GroupLayout,
     codec: &dyn ErasureCodec,
-    me: usize,
-    s: usize,
+    pos: usize,
     roles: &[usize],
-    data: &[f64],
+    stripe: &[f64],
     cancel: bool,
     accs: &mut [Payload],
 ) {
-    if roles.is_empty() {
-        return;
-    }
-    let pos = layout
-        .codeword_pos(me, s)
-        .expect("a ring step visits a slot this rank holds data in");
-    let k = layout
-        .stripe_of_slot(me, s)
-        .expect("contributor has a stripe");
-    let stripe = layout.stripe(data, k);
     let kcfg = KernelConfig::global();
     let (live, mut bufs): (Vec<usize>, Vec<&mut [f64]>) = accs
         .iter_mut()
@@ -80,6 +74,18 @@ fn fold_stripe(
     }
 }
 
+/// Rank `me`'s data stripe of slot `s`: its index in the rank's padded
+/// buffer and its position in the slot's codeword.
+fn stripe_in_slot(layout: &GroupLayout, me: usize, s: usize) -> (usize, usize) {
+    let k = layout
+        .stripe_of_slot(me, s)
+        .expect("contributor has a stripe");
+    let pos = layout
+        .codeword_pos(me, s)
+        .expect("a ring step visits a slot this rank holds data in");
+    (k, pos)
+}
+
 /// This rank's freshly encoded parity stripes, one per parity role in
 /// role order (each `layout.stripe_len()` long), exactly as the ring
 /// delivered them: [`encode_parity`] without the assembly copy.
@@ -103,7 +109,10 @@ pub(crate) fn encode_parity_stripes(
     let probe = || failpoint.map_or(Ok(()), |label| comm.ctx().failpoint(label));
     let roles: Vec<usize> = (0..m).collect();
     let delivered = comm.reduce_scatter(m, |s, accs| {
-        with_data(&mut |data| fold_stripe(layout, codec, me, s, &roles, data, false, accs))?;
+        let (k, pos) = stripe_in_slot(layout, me, s);
+        with_data(&mut |data| {
+            fold_stripe(codec, pos, &roles, layout.stripe(data, k), false, accs)
+        })?;
         probe()
     })?;
     let mut my_parity = Vec::with_capacity(m);
@@ -144,22 +153,33 @@ fn syndrome_tag(layout: &GroupLayout, s: usize, role: usize) -> u64 {
     (s * layout.parity_count() + role) as u64
 }
 
-/// Rebuild the `lost` ranks' padded data buffers and parity segments
-/// from the survivors' `data` and per-rank `my_parity` segments (their
-/// `C` or `D`).
+/// Rebuild the `lost` ranks' stripes from the survivors' regions, which
+/// are lent, never copied: `with_data(k, fold)` lends a survivor's data
+/// stripe `k` and `with_parity(role, fold)` its parity stripe of `role`
+/// to one fold, in the idiom of [`encode_parity_stripes`] — whatever
+/// guards the region is held for that fold only, never across a send or
+/// receive. A lender is called exactly for the stripes the rebuild
+/// reads: a data stripe in phase A when its slot lost a data holder and
+/// in phase B when it lost a parity owner, a parity stripe when it
+/// completes a syndrome; a lost rank's lenders never. Every slot's
+/// codeword holds every rank once, so with any rank lost each surviving
+/// data stripe is lent at least once.
 ///
-/// Survivors pass their live buffers; a lost rank's `data`/`my_parity`
-/// contents are ignored (pass zeros of the right length). At most
-/// `codec.parity_count()` ranks may be lost. Returns
-/// `Some((data, parity))` at each lost rank, `None` elsewhere.
-pub fn reconstruct_multi(
+/// The lend is where a caller verifies a source (verify-at-lend, see
+/// `Checkpointer::rebuild_regions`): a lender that finds its stripe
+/// damaged must lend it all the same, so the rings keep their shape,
+/// and the caller agrees on what the lenders saw after this returns.
+///
+/// At most `codec.parity_count()` ranks may be lost. Returns
+/// `Some(stripes)` at each lost rank, `None` elsewhere.
+pub(crate) fn reconstruct_stripes(
     comm: &Comm<'_>,
     layout: &GroupLayout,
     codec: &dyn ErasureCodec,
     lost: &[usize],
-    data: &[f64],
-    my_parity: &[f64],
-) -> Result<Option<Rebuilt>, Fault> {
+    with_data: impl Fn(usize, &mut dyn FnMut(&[f64])) -> Result<(), Fault>,
+    with_parity: impl Fn(usize, &mut dyn FnMut(&[f64])) -> Result<(), Fault>,
+) -> Result<Option<RebuiltStripes>, Fault> {
     let n = comm.size();
     let m = codec.parity_count();
     assert_eq!(n, layout.group_size(), "comm/layout size mismatch");
@@ -172,12 +192,6 @@ pub fn reconstruct_multi(
         lost.len() <= m,
         "cannot rebuild {} erasures with {m} parity stripes",
         lost.len()
-    );
-    assert_eq!(data.len(), layout.padded_len(), "data must be padded");
-    assert_eq!(
-        my_parity.len(),
-        layout.parity_len(),
-        "parity length mismatch"
     );
     let me = comm.rank();
     let i_am_lost = lost.contains(&me);
@@ -203,18 +217,23 @@ pub fn reconstruct_multi(
 
     // Phase A. A syndrome is parity ⊕ cancel(surviving stripes) = the
     // combination of the erased stripes' contributions alone. The ring
-    // collects the cancelling contributions (a lost rank passes the
-    // accumulators on untouched) and ends at each role's owner …
+    // collects the cancelling contributions (a lost rank, and a slot
+    // that lost no data, pass the accumulators on untouched) and ends
+    // at each role's owner …
     let syndromes = comm.reduce_scatter(m, |s, accs| {
-        if !i_am_lost {
-            fold_stripe(layout, codec, me, s, &syndrome_roles(s), data, true, accs);
+        let roles = syndrome_roles(s);
+        if i_am_lost || roles.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let (k, pos) = stripe_in_slot(layout, me, s);
+        with_data(k, &mut |stripe| {
+            fold_stripe(codec, pos, &roles, stripe, true, accs)
+        })
     })?;
-    let mut rebuilt_data = i_am_lost.then(|| kernels::zeroed(layout.padded_len()));
-    if let Some(mine) = rebuilt_data.as_mut() {
+    let rebuilt_data = if i_am_lost {
         // … a lost rank takes the finished syndromes of every slot it
         // held data in and solves for its own stripe …
+        let mut mine = vec![Vec::new(); n - m];
         for s in (0..n).filter(|&s| layout.contributes(me, s)) {
             let erased: Vec<usize> = lost_holders(s)
                 .into_iter()
@@ -226,15 +245,14 @@ pub fn reconstruct_multi(
                 let syndrome = comm.recv(from, syndrome_tag(layout, s, role))?;
                 finished.push((role, syndrome.into_f64()));
             }
-            let my_pos = layout.codeword_pos(me, s).expect("holds data in the slot");
+            let (k, my_pos) = stripe_in_slot(layout, me, s);
             let at = erased
                 .iter()
                 .position(|&pos| pos == my_pos)
                 .expect("a lost data holder is among the erased positions");
-            let k = layout.stripe_of_slot(me, s).expect("lost contributor");
-            let solved = codec.solve(&erased, &finished, kcfg);
-            mine[layout.stripe_range(k)].copy_from_slice(&solved[at]);
+            mine[k] = codec.solve_at(&erased, at, &finished, kcfg);
         }
+        Some(mine)
     } else {
         // … which the role's owner completes with its parity stripe and
         // sends to those ranks only.
@@ -243,13 +261,12 @@ pub fn reconstruct_multi(
             if !syndrome_roles(s).contains(&role) {
                 continue;
             }
-            let parity = &my_parity[layout.parity_range(role)];
-            match (&mut acc, codec.wire()) {
+            with_parity(role, &mut |parity| match (&mut acc, codec.wire()) {
                 (Payload::Empty, _) => acc = Payload::F64(parity.to_vec()),
                 (Payload::F64(a), Wire::Bits) => kernels::xor_accumulate(a, parity, kcfg),
                 (Payload::F64(a), Wire::Floats) => kernels::sum_accumulate(a, parity, kcfg),
                 (other, _) => panic!("expected F64 accumulator, got {}", other.kind()),
-            }
+            })?;
             let mut holders = lost_holders(s);
             let last = holders
                 .pop()
@@ -260,25 +277,67 @@ pub fn reconstruct_multi(
             }
             comm.send(last, tag, acc)?;
         }
-    }
+        None
+    };
 
     // Phase B: re-encode each lost rank's parity roles from the (now
     // complete) group data — the encode ring, folding only into the
-    // accumulators that end at a lost rank. Lost contributors feed
-    // their freshly rebuilt data.
-    let my_data: &[f64] = rebuilt_data.as_deref().unwrap_or(data);
+    // accumulators that end at a lost rank. Lost contributors feed the
+    // stripes they just solved.
     let delivered = comm.reduce_scatter(m, |s, accs| {
         let roles: Vec<usize> = (0..m)
             .filter(|&role| lost.contains(&layout.parity_owner(s, role)))
             .collect();
-        fold_stripe(layout, codec, me, s, &roles, my_data, false, accs);
-        Ok(())
+        if roles.is_empty() {
+            return Ok(());
+        }
+        let (k, pos) = stripe_in_slot(layout, me, s);
+        let mut fold = |stripe: &[f64]| fold_stripe(codec, pos, &roles, stripe, false, accs);
+        match &rebuilt_data {
+            Some(mine) => {
+                fold(&mine[k]);
+                Ok(())
+            }
+            None => with_data(k, &mut fold),
+        }
     })?;
-    Ok(rebuilt_data.map(|d| {
-        let parity: Vec<f64> = delivered.into_iter().flat_map(Payload::into_f64).collect();
-        debug_assert_eq!(parity.len(), layout.parity_len());
-        (d, parity)
+    Ok(rebuilt_data.map(|data| {
+        let parity = delivered.into_iter().map(Payload::into_f64).collect();
+        (data, parity)
     }))
+}
+
+/// [`reconstruct_stripes`] over plain buffers, the rebuilt stripes
+/// concatenated: the survivors' padded `data` and per-rank `my_parity`
+/// segments (their `C` or `D`) in, `Some((data, parity))` out at each of
+/// the at most `codec.parity_count()` lost ranks, `None` elsewhere. A
+/// lost rank's buffers are never read (pass anything of the right
+/// length). Plain buffers carry no witness, so nothing is verified at
+/// the lend; the checkpoint's own rebuild lends its segments instead.
+pub fn reconstruct_multi(
+    comm: &Comm<'_>,
+    layout: &GroupLayout,
+    codec: &dyn ErasureCodec,
+    lost: &[usize],
+    data: &[f64],
+    my_parity: &[f64],
+) -> Result<Option<Rebuilt>, Fault> {
+    assert_eq!(data.len(), layout.padded_len(), "data must be padded");
+    assert_eq!(
+        my_parity.len(),
+        layout.parity_len(),
+        "parity length mismatch"
+    );
+    let lend_data = |k: usize, fold: &mut dyn FnMut(&[f64])| {
+        fold(layout.stripe(data, k));
+        Ok(())
+    };
+    let lend_parity = |role: usize, fold: &mut dyn FnMut(&[f64])| {
+        fold(&my_parity[layout.parity_range(role)]);
+        Ok(())
+    };
+    let rebuilt = reconstruct_stripes(comm, layout, codec, lost, lend_data, lend_parity)?;
+    Ok(rebuilt.map(|(data, parity)| (data.concat(), parity.concat())))
 }
 
 #[cfg(test)]
@@ -653,6 +712,125 @@ mod tests {
                 .iter()
                 .zip(&expect)
                 .all(|(x, y)| x.to_bits() == y.to_bits()));
+        }
+    }
+
+    /// Every subset of `0..n` with `1..=max` members, ascending.
+    fn lost_sets(n: usize, max: usize) -> Vec<Vec<usize>> {
+        (1u32..1 << n)
+            .filter(|bits| bits.count_ones() as usize <= max)
+            .map(|bits| (0..n).filter(|r| bits >> r & 1 == 1).collect())
+            .collect()
+    }
+
+    #[test]
+    fn lenders_are_called_for_exactly_the_stripes_a_rebuild_reads() {
+        use std::cell::RefCell;
+        for spec in [
+            CodecSpec::single(Code::Xor),
+            CodecSpec::single(Code::Sum),
+            CodecSpec::dual(),
+            CodecSpec::rs(2),
+            CodecSpec::rs(3),
+        ] {
+            let codec = spec.resolve();
+            let m = codec.parity_count();
+            let same = |a: &[f64], b: &[f64]| match codec.wire() {
+                Wire::Bits => a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits()),
+                Wire::Floats => a.iter().zip(b).all(|(x, y)| (x - y).abs() < 1e-9),
+            };
+            for n in (3..=5).filter(|&n| m < n) {
+                let layout = GroupLayout::new_with_parity(n, m, 4 * (n - m) - 1);
+                for lost in lost_sets(n, m) {
+                    let tag = format!("{spec:?} n={n} lost={lost:?}");
+                    let out = run_local(n, |ctx| {
+                        let w = ctx.world();
+                        let me = ctx.world_rank();
+                        let data = rank_data(me, layout.padded_len());
+                        let parity = encode_parity(&w, &layout, codec, &data, None)?;
+                        let i_am_lost = lost.contains(&me);
+                        let (lent_data, lent_parity) = (RefCell::new(vec![]), RefCell::new(vec![]));
+                        let lend_data = |k: usize, fold: &mut dyn FnMut(&[f64])| {
+                            assert!(!i_am_lost, "{tag}: lost rank {me} lent data stripe {k}");
+                            lent_data.borrow_mut().push(k);
+                            fold(layout.stripe(&data, k));
+                            Ok(())
+                        };
+                        let lend_parity = |role: usize, fold: &mut dyn FnMut(&[f64])| {
+                            assert!(!i_am_lost, "{tag}: lost rank {me} lent parity {role}");
+                            lent_parity.borrow_mut().push(role);
+                            fold(&parity[layout.parity_range(role)]);
+                            Ok(())
+                        };
+                        let stripes =
+                            reconstruct_stripes(&w, &layout, codec, &lost, lend_data, lend_parity)?;
+                        // the wrapper reads nothing of a lost rank's buffers
+                        let (d, p) = if i_am_lost {
+                            (
+                                vec![f64::NAN; layout.padded_len()],
+                                vec![f64::NAN; layout.parity_len()],
+                            )
+                        } else {
+                            (data.clone(), parity.clone())
+                        };
+                        let flat = reconstruct_multi(&w, &layout, codec, &lost, &d, &p)?;
+                        assert_eq!(
+                            stripes.as_ref().map(|(d, p)| (d.concat(), p.concat())),
+                            flat,
+                            "{tag}: rank {me}: the wrapper is the stripes, concatenated"
+                        );
+                        match &flat {
+                            Some((d, p)) => {
+                                assert!(i_am_lost, "{tag}: survivor {me} got a rebuild");
+                                assert!(same(d, &data), "{tag}: rank {me} data");
+                                assert!(same(p, &parity), "{tag}: rank {me} parity");
+                                // and, where a serial reference exists that
+                                // shares nothing with the ring or the codec:
+                                if let CodecSpec::Single(code) = spec {
+                                    let datasets: Vec<Vec<f64>> =
+                                        (0..n).map(|r| rank_data(r, layout.padded_len())).collect();
+                                    let slot = layout.parity_slot(me, 0);
+                                    let serial = sequential_parity(code, &layout, slot, &datasets);
+                                    assert!(same(p, &serial), "{tag}: rank {me} serial parity");
+                                }
+                            }
+                            None => assert!(!i_am_lost, "{tag}: lost rank {me} got nothing"),
+                        }
+                        Ok((lent_data.into_inner(), lent_parity.into_inner()))
+                    })
+                    .unwrap();
+                    // What the layout says a survivor must lend: a data
+                    // stripe once for phase A when its slot lost a data
+                    // holder and once for phase B when it lost a parity
+                    // owner; a parity stripe when it is among the slot's
+                    // lowest surviving roles, one per lost data holder.
+                    let lost_holders =
+                        |s: usize| lost.iter().filter(|&&l| layout.contributes(l, s)).count();
+                    let lost_owner =
+                        |s: usize| (0..m).any(|role| lost.contains(&layout.parity_owner(s, role)));
+                    for (r, (mut lent_data, lent_parity)) in out.into_iter().enumerate() {
+                        let (mut want_data, mut want_parity) = (vec![], vec![]);
+                        if !lost.contains(&r) {
+                            for s in (0..n).filter(|&s| layout.contributes(r, s)) {
+                                let k = layout.stripe_of_slot(r, s).unwrap();
+                                want_data.extend((lost_holders(s) > 0).then_some(k));
+                                want_data.extend(lost_owner(s).then_some(k));
+                            }
+                            for role in 0..m {
+                                let s = layout.parity_slot(r, role);
+                                let below = (0..role)
+                                    .filter(|&i| !lost.contains(&layout.parity_owner(s, i)))
+                                    .count();
+                                want_parity.extend((below < lost_holders(s)).then_some(role));
+                            }
+                        }
+                        lent_data.sort_unstable();
+                        want_data.sort_unstable();
+                        assert_eq!(lent_data, want_data, "{tag}: rank {r} data lends");
+                        assert_eq!(lent_parity, want_parity, "{tag}: rank {r} parity lends");
+                    }
+                }
+            }
         }
     }
 }

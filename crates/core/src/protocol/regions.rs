@@ -11,10 +11,11 @@
 
 use super::table::{slot, Pair, SLOTS};
 use super::{Checkpointer, RecoverError, RECOVER_REBUILD_PROBE};
-use crate::engine::reconstruct_multi;
+use crate::engine::reconstruct_stripes;
 use skt_cluster::{Event, Region, ShmSegment};
-use skt_encoding::{copy_with_stripe_crcs, stripe_crcs, KernelConfig};
+use skt_encoding::{copy_with_stripe_crcs, crc32c_f64, stripe_crcs, KernelConfig};
 use skt_mps::{Fault, Payload};
+use std::cell::Cell;
 
 /// Probe label fired at the start of every protocol segment copy
 /// (`copy_seg`). Gives the simulation a kill-capable yield point *inside*
@@ -100,11 +101,20 @@ impl<'c> Checkpointer<'c> {
     /// collectives so cascading failures can land mid-rebuild; each
     /// rebuilt rank's stripe CRCs are refreshed in the same no-yield
     /// block as the segment fills, so a kill at any yield point leaves
-    /// every rank's CRC table consistent with its data. Surviving
-    /// contributions are CRC re-verified at the moment they are read, so
-    /// corruption landing between the lost-set agreement and the
-    /// reconstruction aborts with a typed fault instead of poisoning the
-    /// rebuilt stripes.
+    /// every rank's CRC table consistent with its data.
+    ///
+    /// No region is copied: survivors lend their segments to
+    /// [`reconstruct_stripes`] a stripe and a fold at a time, and the
+    /// rebuilt stripes reach [`Self::fill_stripes`] as the solve and the
+    /// ring delivered them. **Verify-at-lend:** the lost set was agreed
+    /// from CRCs checked *before* these reads, and corruption landing
+    /// since would poison every rebuilt stripe and then be handed a
+    /// fresh witness below — damage the scrub could detect but never
+    /// locate. So [`Self::lend_verified`] checks each stripe against its
+    /// witness under the guard that lends it, and **one** agreement
+    /// after the last read and before the first fill turns a mismatch
+    /// anywhere into the same typed fault on every rank, nothing
+    /// mutated: on retry the stale witness makes that rank an erasure.
     pub(super) fn rebuild_regions(
         &self,
         lost: &[usize],
@@ -120,21 +130,16 @@ impl<'c> Checkpointer<'c> {
             .cloned()
             .ok_or(Fault::Protocol("rebuild: region not allocated by method"))?;
         self.probe(RECOVER_REBUILD_PROBE)?;
-        let (bd, pc) = {
-            let b = data_seg.read();
-            let c = parity_seg.read();
-            (b.try_as_f64()?.to_vec(), c.try_as_f64()?.to_vec())
-        };
-        // TOCTOU guard: the lost set was agreed from CRCs checked *before*
-        // this read. Corruption landing in that window would poison every
-        // rebuilt stripe and then be handed a fresh CRC witness below,
-        // leaving damage the scrub can detect (parity mismatch) but never
-        // locate. Re-verify each surviving contribution at the moment of
-        // use and abort before anything is mutated: on retry the stale
-        // witness downgrades that rank to one more erasure.
-        let my_ok = lost.contains(&self.comm.rank())
-            || (self.region_crc_ok(data_r)? && self.region_crc_ok(parity_r)?);
-        if !self.gather_bad_ranks(my_ok)?.is_empty() {
+        let clean = Cell::new(true);
+        let rebuilt = reconstruct_stripes(
+            &self.comm,
+            &self.layout,
+            self.codec,
+            lost,
+            |k, fold| self.lend_verified(data_r, &data_seg, k, &clean, fold),
+            |role, fold| self.lend_verified(parity_r, &parity_seg, role, &clean, fold),
+        )?;
+        if !self.gather_bad_ranks(clean.get())?.is_empty() {
             return Err(Fault::Protocol(
                 "rebuild: a source region changed under reconstruction (stale CRC witness)",
             ));
@@ -143,13 +148,40 @@ impl<'c> Checkpointer<'c> {
         // itself a sequenced op (`ops::RebuildOp`), and its fills + CRC
         // refresh form that op's single apply step.
         #[allow(clippy::disallowed_methods)]
-        if let Some((data, parity)) =
-            reconstruct_multi(&self.comm, &self.layout, self.codec, lost, &bd, &pc)?
-        {
-            self.fill_stripes(data_r, &data_seg, &[data])?;
-            self.fill_stripes(parity_r, &parity_seg, &[parity])?;
+        if let Some((data, parity)) = rebuilt {
+            self.fill_stripes(data_r, &data_seg, &data)?;
+            self.fill_stripes(parity_r, &parity_seg, &parity)?;
         }
         self.probe(RECOVER_REBUILD_PROBE)?;
+        Ok(())
+    }
+
+    /// Lend stripe `k` of region `r`'s `seg` to `fold` under the
+    /// segment's read guard — held for this call only, so never at a
+    /// probe or across a send or receive — after checking it against
+    /// its stored witness under that same guard. A mismatch clears
+    /// `clean` and the stripe is lent all the same (the rings keep their
+    /// shape). A wiped or resized segment is a [`Fault`], not a panic.
+    fn lend_verified(
+        &self,
+        r: Region,
+        seg: &ShmSegment,
+        k: usize,
+        clean: &Cell<bool>,
+        fold: &mut dyn FnMut(&[f64]),
+    ) -> Result<(), Fault> {
+        let len = self.layout.stripe_len();
+        let g = seg.read();
+        let stripe = g
+            .try_as_f64()?
+            .get(k * len..(k + 1) * len)
+            .ok_or(Fault::Protocol(
+                "segment wiped or resized under the protocol",
+            ))?;
+        if crc32c_f64(stripe, KernelConfig::global()) != self.stored_crc(r, k)? {
+            clean.set(false);
+        }
+        fold(stripe);
         Ok(())
     }
 
@@ -202,24 +234,29 @@ impl<'c> Checkpointer<'c> {
         Ok(())
     }
 
+    /// Region `r`'s stored witness of its stripe `k`.
+    fn stored_crc(&self, r: Region, k: usize) -> Result<u32, Fault> {
+        let range = self.crc_slot_range(r);
+        let g = self.crc.read();
+        g.try_as_bytes()?
+            .get(range)
+            .and_then(|tbl| tbl.get(k * 4..k * 4 + 4))
+            .map(|w| u32::from_le_bytes(w.try_into().expect("a four-byte slot")))
+            .ok_or(Fault::Protocol("crc table segment wiped or truncated"))
+    }
+
     /// Whether a region's current bytes still match its stored stripe
     /// CRCs (local check; absent regions are vacuously clean).
     pub(crate) fn region_crc_ok(&self, r: Region) -> Result<bool, Fault> {
         let Some(crcs) = self.region_crcs(r)? else {
             return Ok(true);
         };
-        let range = self.crc_slot_range(r);
-        let g = self.crc.read();
-        let b = g.try_as_bytes()?;
-        if b.len() < range.end {
-            return Err(Fault::Protocol("crc table segment wiped or truncated"));
+        for (k, c) in crcs.iter().enumerate() {
+            if self.stored_crc(r, k)? != *c {
+                return Ok(false);
+            }
         }
-        let tbl = &b[range];
-        Ok(crcs.iter().enumerate().all(|(i, c)| {
-            let mut w = [0u8; 4];
-            w.copy_from_slice(&tbl[i * 4..i * 4 + 4]);
-            u32::from_le_bytes(w) == *c
-        }))
+        Ok(true)
     }
 
     /// Collective: allgather a per-rank ok flag and return the ranks

@@ -1079,3 +1079,250 @@ fn a_fill_that_does_not_cover_the_segment_exactly_is_refused() {
     })
     .unwrap();
 }
+
+// ---------------------------------------------------------------------
+// The window between the damage census and a lent read
+// ---------------------------------------------------------------------
+
+use skt_cluster::{Runtime, SegmentData, SimRuntime, YieldOutcome};
+use std::cell::Cell;
+use std::sync::{Mutex, OnceLock, Weak};
+
+thread_local! {
+    /// The group rank whose body runs on this thread.
+    static ON_RANK: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Trigger {
+    /// Waiting for the victim to pass [`RECOVER_REBUILD_PROBE`].
+    Armed(u64),
+    /// Inside the rebuild: this many `"send"` yields to go.
+    Sends(u64),
+    Spent,
+}
+
+/// A [`SimRuntime`] that applies a [`FaultPlan`]'s action at a yield no
+/// probe label reaches: the plan's `nth` `"send"` yield on the victim
+/// rank's own thread after that rank entered a rebuild — a send of the
+/// syndrome ring, so the fault lands after the damage census and
+/// between two of the victim's lends. Everything else is the
+/// simulation's.
+struct FaultInsideRebuild {
+    sim: Arc<SimRuntime>,
+    cluster: OnceLock<Weak<Cluster>>,
+    rank: usize,
+    plan: FaultPlan,
+    trigger: Mutex<Trigger>,
+}
+
+impl Runtime for FaultInsideRebuild {
+    fn is_sim(&self) -> bool {
+        true
+    }
+    fn now(&self) -> Duration {
+        self.sim.now()
+    }
+    fn advance(&self, d: Duration) {
+        self.sim.advance(d)
+    }
+    fn begin_world(&self, nodes: &[usize]) {
+        self.sim.begin_world(nodes)
+    }
+    fn task_enter(&self, rank: usize) {
+        self.sim.task_enter(rank)
+    }
+    fn task_exit(&self, rank: usize) {
+        self.sim.task_exit(rank)
+    }
+    fn drive(&self) {
+        self.sim.drive()
+    }
+    fn park_blocked(&self) -> Option<YieldOutcome> {
+        self.sim.park_blocked()
+    }
+    fn notify(&self) {
+        self.sim.notify()
+    }
+    fn set_stall_wake(&self, step: Option<Duration>) {
+        self.sim.set_stall_wake(step)
+    }
+    fn phase_mark(&self, label: &'static str, enter: bool) {
+        self.sim.phase_mark(label, enter)
+    }
+    fn yield_now(&self, label: &str) -> YieldOutcome {
+        let out = self.sim.yield_now(label);
+        if ON_RANK.get() == Some(self.rank) {
+            let mut t = self.trigger.lock().unwrap();
+            *t = match (*t, label) {
+                (Trigger::Armed(nth), RECOVER_REBUILD_PROBE) => Trigger::Sends(nth),
+                (Trigger::Sends(1), "send") => {
+                    let cluster = self.cluster.get().and_then(Weak::upgrade).unwrap();
+                    assert!(cluster.apply_fault(self.plan.node, &self.plan.action));
+                    Trigger::Spent
+                }
+                (Trigger::Sends(left), "send") => Trigger::Sends(left - 1),
+                (t, _) => t,
+            };
+        }
+        out
+    }
+}
+
+/// Every byte of every segment on this rank's node.
+fn node_image(ctx: &skt_mps::Ctx) -> Vec<(String, Vec<u8>)> {
+    let shm = ctx.shm();
+    shm.names()
+        .into_iter()
+        .map(|name| {
+            let bytes = match &*shm.attach(&name).unwrap().read() {
+                SegmentData::F64(v) => v.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect(),
+                SegmentData::Bytes(b) => b.clone(),
+            };
+            (name, bytes)
+        })
+        .collect()
+}
+
+/// What a healing retry leaves on one rank: the verdict, the workspace,
+/// the rebuild op's record, and the group's integrity check.
+type Healed = (Recovery, Vec<f64>, Option<String>, bool);
+
+/// One group of `N` under `codec`: commit two epochs, lose rank 1
+/// between launches, then recover with one bit of survivor rank 2's
+/// `region` flipped at its `nth_send` send inside the rebuild. Returns
+/// what the retry after that attempt produced.
+fn flip_inside_rebuild(
+    codec: CodecSpec,
+    region: Region,
+    nth_send: u64,
+) -> Vec<Result<Healed, String>> {
+    const LOST: usize = 1;
+    const FLIPPED: usize = 2;
+    let tag = format!("{codec:?} {region:?} send#{nth_send}");
+    let layout = {
+        let c = cfg(Method::SelfCkpt);
+        let m = codec.parity_count();
+        GroupLayout::new_with_parity(N, m, c.a1_len + 1 + c.a2_capacity.div_ceil(8))
+    };
+    // Aim at a stripe the rebuild still has to read when the ring's
+    // sends run: the data stripe rank 2 folds into rank 1's lost parity
+    // (phase B), or the parity stripe that finishes a syndrome.
+    let stripe = match region {
+        Region::CopyB => (0..N)
+            .filter(|&s| layout.is_parity_owner(LOST, s))
+            .find_map(|s| layout.stripe_of_slot(FLIPPED, s))
+            .expect("rank 2 holds data in a slot whose parity rank 1 owned"),
+        _ => 0,
+    };
+    let offset = stripe * layout.stripe_len() * 8 + 13;
+    let rt = Arc::new(FaultInsideRebuild {
+        sim: SimRuntime::new(nth_send),
+        cluster: OnceLock::new(),
+        rank: FLIPPED,
+        plan: FaultPlan::corrupt("send", nth_send, FLIPPED, region, offset, 6),
+        trigger: Mutex::new(Trigger::Spent),
+    });
+    let cluster = Arc::new(Cluster::new_with_runtime(
+        ClusterConfig::new(N, 1),
+        Arc::clone(&rt) as Arc<dyn Runtime>,
+    ));
+    rt.cluster.set(Arc::downgrade(&cluster)).unwrap();
+    let mut rl = Ranklist::round_robin(N, N);
+    let ck_cfg = || cfg(Method::SelfCkpt).with_codec(codec);
+    run_on_cluster(Arc::clone(&cluster), &rl, |ctx| {
+        let (mut ck, _) = Checkpointer::init(ctx.world(), ck_cfg());
+        for e in 1..=2u64 {
+            let ws = ck.workspace();
+            ws.write().as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), e));
+            ck.make(&e.to_le_bytes())?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    cluster.kill_node(LOST);
+    cluster.reset_abort();
+    rl.repair(&cluster).unwrap();
+
+    // The faulted attempt: the launch returns — nobody parks — with the
+    // same typed fault on every rank and nothing of the lost rank's
+    // written.
+    *rt.trigger.lock().unwrap() = Trigger::Armed(rt.plan.nth);
+    let attempt = run_on_cluster(Arc::clone(&cluster), &rl, |ctx| {
+        ON_RANK.set(Some(ctx.world_rank()));
+        let (mut ck, _) = Checkpointer::init(ctx.world(), ck_cfg());
+        let before = node_image(ctx);
+        let out = ck.recover();
+        Ok((out, before == node_image(ctx)))
+    })
+    .unwrap_or_else(|f| panic!("{tag}: a rank left the attempt early: {f}"));
+    assert_eq!(*rt.trigger.lock().unwrap(), Trigger::Spent, "{tag}: fired");
+    for (rank, (out, untouched)) in attempt.iter().enumerate() {
+        assert!(
+            matches!(out, Err(RecoverError::Fault(Fault::Protocol(why)))
+                if why.contains("changed under reconstruction")),
+            "{tag}: rank {rank} got {out:?}"
+        );
+        if rank == LOST {
+            assert!(untouched, "{tag}: the lost rank's segments were written");
+        }
+    }
+
+    run_on_cluster(cluster, &rl, |ctx| {
+        let (mut ck, _) = Checkpointer::init(ctx.world(), ck_cfg());
+        Ok(match ck.recover() {
+            Ok(rec) => {
+                let data = ck.workspace().read().as_f64()[..A1].to_vec();
+                let ops = ck.last_report().expect("a restore reports").ops;
+                let rebuilt = ops
+                    .iter()
+                    .map(|o| o.op.clone())
+                    .find(|o| o.starts_with("rebuild:"));
+                Ok((rec, data, rebuilt, ck.verify_integrity()?))
+            }
+            Err(RecoverError::Unrecoverable(why)) => Err(why),
+            Err(RecoverError::Fault(f)) => return Err(f),
+        })
+    })
+    .unwrap_or_else(|f| panic!("{tag}: the retry faulted: {f}"))
+}
+
+/// The snapshot `rebuild_regions` used to take was also its guard
+/// against a source changing between the census and the read. Reading
+/// in place moves the guard to the read itself: whichever send of the
+/// syndrome ring the flip lands at, the stripe is still to be lent and
+/// the lend catches it.
+#[test]
+fn a_source_stripe_corrupted_inside_the_rebuild_is_refused_then_healed() {
+    let codec = CodecSpec::dual();
+    let ring_sends = ((N - 2) * 2) as u64;
+    for region in [Region::CopyB, Region::ParityC] {
+        for nth_send in 1..=ring_sends {
+            // the retry's census makes the flipped rank one more erasure
+            for (rank, out) in flip_inside_rebuild(codec, region, nth_send)
+                .into_iter()
+                .enumerate()
+            {
+                let (rec, data, rebuilt, intact) = out.expect("two erasures fit m = 2");
+                assert!(matches!(rec, Recovery::Restored { epoch: 2, .. }));
+                assert_eq!(data, pattern(rank, 2), "{region:?} rank {rank}");
+                assert_eq!(rebuilt.as_deref(), Some("rebuild:b+c[1, 2]"), "rank {rank}");
+                assert!(intact, "{region:?} rank {rank}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_source_stripe_corrupted_inside_the_rebuild_exceeds_single_parity() {
+    let ring_sends = (N - 1) as u64;
+    for region in [Region::CopyB, Region::ParityC] {
+        for nth_send in 1..=ring_sends {
+            for out in flip_inside_rebuild(CodecSpec::default(), region, nth_send) {
+                let why = out.expect_err("a lost and a damaged rank exceed m = 1");
+                assert!(why.contains("single parity can rebuild only one"), "{why}");
+                assert!(why.contains("[1, 2]"), "{why}");
+            }
+        }
+    }
+}

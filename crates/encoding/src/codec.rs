@@ -131,6 +131,21 @@ pub trait ErasureCodec: Sync + Send {
         syndromes: &[(usize, Vec<f64>)],
         cfg: KernelConfig,
     ) -> Vec<Vec<f64>>;
+
+    /// [`ErasureCodec::solve`] for the one erased position `erased[at]`
+    /// — what a lost rank runs: of a slot's erased stripes it keeps only
+    /// its own. Bit for bit `solve(erased, syndromes, cfg)[at]`, which
+    /// is also the default; a codec whose solve costs a pass per rebuilt
+    /// stripe overrides it to skip the others.
+    fn solve_at(
+        &self,
+        erased: &[usize],
+        at: usize,
+        syndromes: &[(usize, Vec<f64>)],
+        cfg: KernelConfig,
+    ) -> Vec<f64> {
+        self.solve(erased, syndromes, cfg).swap_remove(at)
+    }
 }
 
 /// Which erasure codec a checkpoint uses — the plain-data selector

@@ -308,8 +308,12 @@ pub fn copy(dst: &mut [f64], src: &[f64], cfg: KernelConfig) {
 }
 
 /// A fresh all-zero buffer (the codes' identity element). Left to the
-/// allocator on purpose: `vec![0.0; len]` comes straight from zeroed
-/// pages, which no thread fan-out can beat.
+/// allocator on purpose: `vec![0.0; len]` is `calloc`, which maps
+/// untouched zero pages instead of writing zeros. The pages are paid
+/// for on first touch, one fault each: a cold 8 MiB buffer costs
+/// 3.7–4.2 ms to touch on one thread and 7–16 ms per thread with four
+/// rank threads faulting at once (2-vCPU host, ≈ 1–2 ms/MiB) — so a
+/// buffer that is about to be overwritten whole is better not had.
 #[must_use]
 pub fn zeroed(len: usize) -> Vec<f64> {
     vec![0.0; len]

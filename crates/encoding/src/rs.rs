@@ -52,6 +52,7 @@ use crate::codec::{ErasureCodec, Wire};
 use crate::gf256;
 use crate::kernels::{self, KernelConfig};
 use std::borrow::Cow;
+use std::ops::Range;
 
 /// Which generator matrix a [`GfCodec`] encodes with (see module docs).
 /// The two are never aliased: `Power` with `m = 2` and `Cauchy` with
@@ -120,6 +121,55 @@ impl GfCodec {
             .map(|&r| erased.iter().map(|&x| self.coeff(r, x)).collect())
             .collect()
     }
+
+    /// The decode behind `solve` (every row) and `solve_at` (one): the
+    /// rebuilt stripes of the erased positions `erased[rows]`. The
+    /// inversion is of the whole system either way; only the asked-for
+    /// rows are multiplied out.
+    fn solve_rows(
+        &self,
+        erased: &[usize],
+        rows: Range<usize>,
+        syndromes: &[(usize, Vec<f64>)],
+        cfg: KernelConfig,
+    ) -> Vec<Vec<f64>> {
+        let e = erased.len();
+        assert!(
+            e <= self.m,
+            "{} corrects at most {} erasures, got {e}",
+            self.name,
+            self.m
+        );
+        assert!(
+            syndromes.len() >= e,
+            "{}: need {e} surviving roles, have {}",
+            self.name,
+            syndromes.len()
+        );
+        // Any e surviving roles suffice (see module docs); take the
+        // first e.
+        let chosen = &syndromes[..e];
+        let Some((_, first)) = chosen.first() else {
+            return Vec::new();
+        };
+        let roles: Vec<usize> = chosen.iter().map(|(r, _)| *r).collect();
+        let a_inv = gf256::invert_matrix(&self.submatrix(&roles, erased))
+            .expect("generator submatrices are nonsingular by construction");
+        // Column by column: every rebuilt stripe takes its term of one
+        // syndrome from a single read of that syndrome.
+        let column = |j: usize| {
+            a_inv[rows.clone()]
+                .iter()
+                .map(|row| row[j])
+                .collect::<Vec<u8>>()
+        };
+        let mut rebuilt = kernels::gf_scaled_copies(first, &column(0), cfg);
+        for (j, (_, s)) in chosen.iter().enumerate().skip(1) {
+            let mut accs: Vec<&mut [f64]> = rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
+            kernels::gf_mac_multi(&mut accs, s, &column(j), cfg);
+        }
+        rebuilt
+    }
 }
 
 impl ErasureCodec for GfCodec {
@@ -166,37 +216,20 @@ impl ErasureCodec for GfCodec {
         syndromes: &[(usize, Vec<f64>)],
         cfg: KernelConfig,
     ) -> Vec<Vec<f64>> {
-        let e = erased.len();
-        assert!(
-            e <= self.m,
-            "{} corrects at most {} erasures, got {e}",
-            self.name,
-            self.m
-        );
-        assert!(
-            syndromes.len() >= e,
-            "{}: need {e} surviving roles, have {}",
-            self.name,
-            syndromes.len()
-        );
-        // Any e surviving roles suffice (see module docs); take the
-        // first e.
-        let chosen = &syndromes[..e];
-        let Some((_, first)) = chosen.first() else {
-            return Vec::new();
-        };
-        let roles: Vec<usize> = chosen.iter().map(|(r, _)| *r).collect();
-        let a_inv = gf256::invert_matrix(&self.submatrix(&roles, erased))
-            .expect("generator submatrices are nonsingular by construction");
-        // Column by column: every rebuilt stripe takes its term of one
-        // syndrome from a single read of that syndrome.
-        let column = |j: usize| a_inv.iter().map(|row| row[j]).collect::<Vec<u8>>();
-        let mut rebuilt = kernels::gf_scaled_copies(first, &column(0), cfg);
-        for (j, (_, s)) in chosen.iter().enumerate().skip(1) {
-            let mut accs: Vec<&mut [f64]> = rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
-            kernels::gf_mac_multi(&mut accs, s, &column(j), cfg);
-        }
-        rebuilt
+        self.solve_rows(erased, 0..erased.len(), syndromes, cfg)
+    }
+
+    fn solve_at(
+        &self,
+        erased: &[usize],
+        at: usize,
+        syndromes: &[(usize, Vec<f64>)],
+        cfg: KernelConfig,
+    ) -> Vec<f64> {
+        assert!(at < erased.len(), "{}: no erased position {at}", self.name);
+        self.solve_rows(erased, at..at + 1, syndromes, cfg)
+            .pop()
+            .expect("one row asked for, one stripe rebuilt")
     }
 }
 
@@ -290,13 +323,16 @@ mod tests {
                             .map(|&r| (r, syndrome(codec, &data, &parity[r], r, &erased, len)))
                             .collect();
                         let got = codec.solve(&erased, &syn, KernelConfig::serial());
-                        for (g, &x) in got.iter().zip(&erased) {
+                        for (at, (g, &x)) in got.iter().zip(&erased).enumerate() {
                             assert!(
                                 g.iter()
                                     .zip(&data[x])
                                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                                 "{spec:?} erased {erased:?} roles {roles:?} pos {x}"
                             );
+                            // one row of the same decode, alone
+                            let one = codec.solve_at(&erased, at, &syn, KernelConfig::serial());
+                            assert!(one.iter().zip(g).all(|(a, b)| a.to_bits() == b.to_bits()));
                         }
                     }
                 }

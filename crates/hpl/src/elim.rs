@@ -14,16 +14,13 @@ const TAG_BACKSUB: u64 = 100;
 pub fn generate(dist: &BlockCyclic1D, gen: &MatGen, storage: &mut [f64]) {
     let n = dist.n();
     assert!(storage.len() >= dist.local_len(), "storage too small");
+    let rows = gen.row_hashes(n);
     for (lc, gc) in dist.owned_cols() {
         let col = &mut storage[lc * n..lc * n + n];
         if gc == dist.b_col() {
-            for (i, v) in col.iter_mut().enumerate() {
-                *v = gen.rhs(i as u64);
-            }
+            rows.fill_col(MatGen::RHS_COL, col);
         } else if gc < n {
-            for (i, v) in col.iter_mut().enumerate() {
-                *v = gen.entry(i as u64, gc as u64);
-            }
+            rows.fill_col(gc as u64, col);
         }
         // aux (ABFT checksum) columns are filled by their owner module
     }
@@ -216,13 +213,15 @@ pub fn verify(
     assert_eq!(x.len(), n, "solution length mismatch");
     let mut ax_part = vec![0.0; n];
     let mut rowsum_part = vec![0.0; n];
+    let rows = gen.row_hashes(n);
+    let mut col = vec![0.0; n];
     for (_, gc) in dist.owned_cols() {
         if gc >= n {
             continue; // aux or b column
         }
         let xj = x[gc];
-        for i in 0..n {
-            let a = gen.entry(i as u64, gc as u64);
+        rows.fill_col(gc as u64, &mut col);
+        for (i, a) in col.iter().enumerate() {
             ax_part[i] += a * xj;
             rowsum_part[i] += a.abs();
         }
@@ -236,9 +235,9 @@ pub fn verify(
 
     let mut rinf: f64 = 0.0;
     let mut binf: f64 = 0.0;
-    for i in 0..n {
-        let b = gen.rhs(i as u64);
-        rinf = rinf.max((ax[i] - b).abs());
+    rows.fill_col(MatGen::RHS_COL, &mut col);
+    for (axi, b) in ax.iter().zip(&col) {
+        rinf = rinf.max((axi - b).abs());
         binf = binf.max(b.abs());
     }
     let ainf = rowsum.iter().fold(0.0f64, |m, v| m.max(*v));

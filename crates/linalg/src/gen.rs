@@ -29,6 +29,9 @@ fn splitmix64(mut z: u64) -> u64 {
 }
 
 impl MatGen {
+    /// The column the right-hand side `b` lives at ([`Self::rhs`]).
+    pub const RHS_COL: u64 = u64::MAX;
+
     /// Create a generator for a given seed.
     pub fn new(seed: u64) -> Self {
         MatGen { seed }
@@ -39,27 +42,70 @@ impl MatGen {
         self.seed
     }
 
+    /// The row half of [`Self::raw`]: everything of the hash that does
+    /// not depend on the column.
+    #[inline]
+    fn row_hash(&self, i: u64) -> u64 {
+        splitmix64(self.seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+    }
+
+    /// The column half: the raw hash of column `j` in the row hashed to
+    /// `row_hash`. Two rounds in all, so that (i, j) and (j, i) diverge
+    /// and neighbouring indices decorrelate.
+    #[inline]
+    fn raw_in_row(row_hash: u64, j: u64) -> u64 {
+        splitmix64(row_hash ^ j.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+    }
+
+    /// The entry of column `j` in the row hashed to `row_hash`.
+    #[inline]
+    fn entry_in_row(row_hash: u64, j: u64) -> f64 {
+        // 53 random mantissa bits -> uniform in [0, 1), then centre.
+        let bits = Self::raw_in_row(row_hash, j) >> 11;
+        (bits as f64) * (1.0 / (1u64 << 53) as f64) - 0.5
+    }
+
     /// Raw 64-bit hash for coordinate `(i, j)`.
     #[inline]
     pub fn raw(&self, i: u64, j: u64) -> u64 {
-        // Mix the coordinates through two rounds so that (i, j) and (j, i)
-        // diverge and neighbouring indices decorrelate.
-        let a = splitmix64(self.seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        splitmix64(a ^ j.wrapping_mul(0xC2B2_AE3D_27D4_EB4F))
+        Self::raw_in_row(self.row_hash(i), j)
     }
 
     /// Matrix entry in `[-0.5, 0.5)`, HPL's distribution.
     #[inline]
     pub fn entry(&self, i: u64, j: u64) -> f64 {
-        // 53 random mantissa bits -> uniform in [0, 1), then centre.
-        let bits = self.raw(i, j) >> 11;
-        (bits as f64) * (1.0 / (1u64 << 53) as f64) - 0.5
+        Self::entry_in_row(self.row_hash(i), j)
     }
 
-    /// Right-hand-side entry `b[i]`; by convention column `u64::MAX`.
+    /// Right-hand-side entry `b[i]`; by convention column [`Self::RHS_COL`].
     #[inline]
     pub fn rhs(&self, i: u64) -> f64 {
-        self.entry(i, u64::MAX)
+        self.entry(i, Self::RHS_COL)
+    }
+
+    /// The row hashes of rows `0..n`: a caller that walks whole columns
+    /// computes them once and [`RowHashes::fill_col`] pays one hash round
+    /// per entry instead of [`Self::entry`]'s two.
+    #[must_use]
+    pub fn row_hashes(&self, n: usize) -> RowHashes {
+        RowHashes((0..n as u64).map(|i| self.row_hash(i)).collect())
+    }
+}
+
+/// The seed-and-row half of a [`MatGen`]'s hash for rows `0..n`
+/// ([`MatGen::row_hashes`]); the seed lives in here, so a column filled
+/// from it cannot belong to another generator.
+#[derive(Clone, Debug)]
+pub struct RowHashes(Vec<u64>);
+
+impl RowHashes {
+    /// Column `j` over these rows: `out[i] = entry(i, j)`, bit for bit
+    /// ([`MatGen::RHS_COL`] for the right-hand side).
+    pub fn fill_col(&self, j: u64, out: &mut [f64]) {
+        assert_eq!(out.len(), self.0.len(), "one row hash per entry");
+        for (v, &h) in out.iter_mut().zip(&self.0) {
+            *v = MatGen::entry_in_row(h, j);
+        }
     }
 }
 
@@ -97,6 +143,21 @@ mod tests {
         }
         let mean = sum / (n * n) as f64;
         assert!(mean.abs() < 0.01, "mean {mean} too far from 0");
+    }
+
+    #[test]
+    fn fill_col_is_entry_bit_for_bit() {
+        let g = MatGen::new(0x5EED);
+        let rows = g.row_hashes(64);
+        let mut col = vec![0.0; 64];
+        for j in 0..64 {
+            rows.fill_col(j, &mut col);
+            for (i, v) in col.iter().enumerate() {
+                assert_eq!(v.to_bits(), g.entry(i as u64, j).to_bits(), "({i}, {j})");
+            }
+        }
+        rows.fill_col(MatGen::RHS_COL, &mut col);
+        assert!((0..64).all(|i| col[i].to_bits() == g.rhs(i as u64).to_bits()));
     }
 
     #[test]

@@ -36,7 +36,7 @@ pub mod solve;
 pub use blas1::idamax;
 pub use blas2::{dgemv, dger};
 pub use blas3::{dgemm, dtrsm_llnu, dtrsm_lunn, Trans};
-pub use gen::MatGen;
+pub use gen::{MatGen, RowHashes};
 pub use lu::{dgetf2, dgetrf, dlaswp};
 pub use matrix::Matrix;
 pub use norms::{norm_inf_mat, norm_inf_vec};
