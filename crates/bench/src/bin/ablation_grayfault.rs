@@ -80,14 +80,11 @@ fn detection_latency(interval: Duration, seed: u64) -> Duration {
     // arm after the config so the stall wake adopts the interval
     cluster.arm_failure(FaultPlan::gray(ITER_PROBE, 3, VICTIM, GrayKind::Hang));
     let rl = Ranklist::round_robin(NODES, NODES);
-    run_with_daemon(
-        cluster,
-        &rl,
-        &skt_cfg(CodecSpec::default()),
-        3,
-        Duration::from_millis(1),
-    )
-    .expect("a hung node is migrated, never fatal");
+    let cfg = skt_cfg(CodecSpec::default());
+    let rep = run_with_daemon(cluster, &rl, &cfg, 3, Duration::from_millis(1));
+    rep.outcome
+        .completed()
+        .expect("a hung node is migrated, never fatal");
     let injected = watch.injected.lock().unwrap().expect("fault injected");
     let declared = watch.declared.lock().unwrap().expect("suspect declared");
     declared.saturating_sub(injected)
@@ -112,10 +109,10 @@ fn migration_run(codec: CodecSpec, gray: bool, seed: u64) -> Duration {
     }
     let rl = Ranklist::round_robin(NODES, NODES);
     let t = Instant::now();
-    let rep = run_with_daemon(cluster, &rl, &skt_cfg(codec), 3, Duration::from_millis(1))
-        .expect("both runs must complete");
+    let rep = run_with_daemon(cluster, &rl, &skt_cfg(codec), 3, Duration::from_millis(1));
     let elapsed = t.elapsed();
-    assert!(rep.output.hpl.passed, "residual must verify");
+    let out = rep.outcome.completed().expect("both runs must complete");
+    assert!(out.hpl.passed, "residual must verify");
     assert_eq!(rep.failures, usize::from(gray), "one migration, or none");
     elapsed
 }

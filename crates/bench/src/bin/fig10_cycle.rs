@@ -41,9 +41,10 @@ fn main() {
     cluster.arm_failure(FailurePlan::new(ITER_PROBE, 8, 3));
 
     let detect = Duration::from_secs_f64(TIANHE_2.detect_seconds);
-    let rep = run_with_daemon(cluster, &rl, &cfg, 3, detect).expect("daemon must finish the run");
+    let rep = run_with_daemon(cluster, &rl, &cfg, 3, detect);
+    let out = rep.outcome.completed().expect("daemon must finish the run");
     assert_eq!(rep.failures, 1, "exactly one injected failure");
-    assert!(rep.output.hpl.passed, "the restarted run must verify");
+    assert!(out.hpl.passed, "the restarted run must verify");
     let c = rep.cycles[0];
 
     println!("Figure 10: work-fail-detect-restart cycle phases\n");
@@ -76,12 +77,12 @@ fn main() {
         "Cycle total: {:.2} s across all phases.",
         c.total().as_secs_f64()
     );
-    match rep.output.recovery {
+    match &out.recovery {
         Some(report) => println!("Protocol report: {report}"),
         None => println!("Protocol report: none (run was never restored)"),
     }
     println!(
         "Run resumed from panel {} and passed verification (residual {:.3}).",
-        rep.output.resumed_from_panel, rep.output.hpl.residual
+        out.resumed_from_panel, out.hpl.residual
     );
 }

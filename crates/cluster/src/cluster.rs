@@ -378,23 +378,6 @@ impl Cluster {
         self.node_alive(node) && !self.node_fenced(node)
     }
 
-    /// Return a fenced node to service as a spare: its quarantined SHM is
-    /// wiped (stale generations must never be read), its gray state and
-    /// suspicion history are dropped, and it re-enters the spare pool.
-    /// Its generation stays bumped, so anything still holding the old
-    /// generation remains rejected.
-    pub fn recommission_node(&self, node: NodeId) {
-        assert!(
-            self.node_fenced(node),
-            "recommission_node({node}): node is not fenced"
-        );
-        self.gray.lock()[node] = None;
-        self.monitor.forget(node);
-        self.shm[node].thaw();
-        self.shm[node].wipe();
-        self.spare_pool.lock().push(node);
-    }
-
     /// Cluster shape.
     pub fn config(&self) -> ClusterConfig {
         self.config
@@ -1112,7 +1095,7 @@ mod tests {
     }
 
     #[test]
-    fn fencing_quarantines_and_recommission_returns_a_clean_spare() {
+    fn fencing_quarantines_a_live_node_like_a_dead_one() {
         let c = Cluster::new(ClusterConfig::new(2, 0));
         c.shm(1)
             .get_or_create("seg", || crate::shm::SegmentData::Bytes(vec![9; 8]));
@@ -1128,11 +1111,6 @@ mod tests {
         // repair treats the fenced node exactly like a dead one
         let mut rl = Ranklist::round_robin(2, 2);
         assert_eq!(rl.repair(&c), Err(1), "no spares to migrate onto");
-        c.recommission_node(1);
-        assert!(c.node_usable(1));
-        assert!(c.shm(1).is_empty(), "stale quarantined memory wiped");
-        assert_eq!(c.node_generation(1), 1, "generation stays bumped");
-        assert_eq!(c.take_spare(), Some(1), "recommissioned into the pool");
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use events::{Event, EventBus, Observer, Recorder};
 pub use failure::{
     segment_name, FailureInjector, FailurePlan, Fault, FaultAction, FaultPlan, GrayKind, Region,
 };
-pub use net::{NetModel, NetModelError};
+pub use net::NetModel;
 pub use service::{
     Admission, AdmitError, ArbitrationError, EventQueue, ReleaseAudit, ReshapeError, ResizePlan,
     ServicePool, SpareGrant, TenantId, TenantSpec,

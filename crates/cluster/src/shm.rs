@@ -110,7 +110,7 @@ pub type ShmSegment = Arc<RwLock<SegmentData>>;
 /// of the shared handle, so a zombie's late writes land in private memory
 /// that nothing else can ever read, and removes become no-ops. The real
 /// table is preserved untouched as quarantined evidence until the node is
-/// either recommissioned (wiped) or powered off.
+/// powered off; a fence is never lifted.
 #[derive(Default)]
 pub struct ShmStore {
     segments: Mutex<BTreeMap<String, ShmSegment>>,
@@ -173,11 +173,6 @@ impl ShmStore {
     /// can reach the real segments. Idempotent.
     pub fn freeze(&self) {
         self.frozen.store(true, Ordering::SeqCst);
-    }
-
-    /// Lift a freeze (recommissioning; the caller is expected to wipe).
-    pub fn thaw(&self) {
-        self.frozen.store(false, Ordering::SeqCst);
     }
 
     /// Is the store frozen?
@@ -343,11 +338,6 @@ mod tests {
         // and removes are refused
         assert!(!store.remove("s"));
         assert!(store.attach("s").is_some());
-        // thaw restores shared semantics
-        store.thaw();
-        let back = store.attach("s").unwrap();
-        back.write().as_bytes_mut()[0] = 5;
-        assert_eq!(real.read().as_bytes()[0], 5);
     }
 
     #[test]

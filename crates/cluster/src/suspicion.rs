@@ -147,11 +147,6 @@ impl SuspicionMonitor {
         *e = *e - *e / 4 + excess_ns / 4;
     }
 
-    /// Drop all observation state for `node` (recommissioning).
-    pub fn forget(&self, node: NodeId) {
-        self.ewma_ns.lock().remove(&node);
-    }
-
     /// The node's suspicion score at `now`, in whole heartbeat
     /// intervals: `max(liveness lag, step slowness)`. `hung_since` is
     /// when the node's heartbeat daemon froze, if it is hung right now.
@@ -289,8 +284,5 @@ mod tests {
             20,
             "lag survives a relaunch: it is scored from the hang-start told"
         );
-        m.sample(0, 100 * I);
-        m.forget(0);
-        assert_eq!(m.score(0, None, 20 * I), 0);
     }
 }

@@ -307,7 +307,7 @@ pub(crate) fn reconstruct_stripes(
     }))
 }
 
-/// [`reconstruct_stripes`] over plain buffers, the rebuilt stripes
+/// The crate's `reconstruct_stripes` over plain buffers, the rebuilt stripes
 /// concatenated: the survivors' padded `data` and per-rank `my_parity`
 /// segments (their `C` or `D`) in, `Some((data, parity))` out at each of
 /// the at most `codec.parity_count()` lost ranks, `None` elsewhere. A

@@ -9,8 +9,7 @@
 //! [`DirtyTracker`] instruments a workspace with chunk-granularity
 //! modification detection (content hashing, the software analogue of
 //! page-protection tracking), so that claim can be *measured* — see the
-//! `ablation_incremental` binary — and provides the incremental copy
-//! itself for applications where it does help (small working sets).
+//! `ablation_incremental` binary.
 
 /// Chunk-hash based modification tracker over an `f64` workspace.
 pub struct DirtyTracker {
@@ -74,24 +73,6 @@ impl DirtyTracker {
     pub fn dirty_fraction(&self, data: &[f64]) -> f64 {
         self.dirty_chunks(data).len() as f64 / self.chunks() as f64
     }
-
-    /// Incremental checkpoint: copy only dirty chunks into `backing`
-    /// (same length as the workspace) and refresh the baseline. Returns
-    /// the number of elements copied — the incremental method's cost,
-    /// against `len` for a full copy.
-    pub fn incremental_copy(&mut self, data: &[f64], backing: &mut [f64]) -> usize {
-        assert_eq!(backing.len(), self.len, "backing length mismatch");
-        let dirty = self.dirty_chunks(data);
-        let mut copied = 0;
-        for i in &dirty {
-            let lo = i * self.chunk;
-            let hi = (lo + self.chunk).min(self.len);
-            backing[lo..hi].copy_from_slice(&data[lo..hi]);
-            copied += hi - lo;
-        }
-        self.snapshot(data);
-        copied
-    }
 }
 
 #[cfg(test)]
@@ -122,21 +103,6 @@ mod tests {
     }
 
     #[test]
-    fn incremental_copy_moves_only_dirty_data() {
-        let mut data: Vec<f64> = (0..1000).map(|i| i as f64).collect();
-        let mut backing = data.clone();
-        let mut t = DirtyTracker::new(1000, 100);
-        t.snapshot(&data);
-        data[50] = -1.0;
-        data[950] = -2.0;
-        let copied = t.incremental_copy(&data, &mut backing);
-        assert_eq!(copied, 200, "two dirty chunks of 100");
-        assert_eq!(backing, data, "backing is now current");
-        // after the copy the baseline is refreshed
-        assert!(t.dirty_chunks(&data).is_empty());
-    }
-
-    #[test]
     fn ragged_tail_chunk_is_tracked() {
         let mut data = vec![0.0; 130];
         let mut t = DirtyTracker::new(130, 64);
@@ -144,9 +110,6 @@ mod tests {
         t.snapshot(&data);
         data[129] = 9.0;
         assert_eq!(t.dirty_chunks(&data), vec![2]);
-        let mut backing = vec![0.0; 130];
-        let copied = t.incremental_copy(&data, &mut backing);
-        assert_eq!(copied, 2, "tail chunk has only 2 elements");
     }
 
     #[test]

@@ -15,7 +15,16 @@
 //! dual P+Q codec, `m = 2`), each checksum copy grows to `mM/(N-m)` and
 //! the fractions generalise to `(N-m)/(2N)` (self), `(N-m)/(2N-m)`
 //! (single) and `(N-m)/(3N-m)` (double); `m = 1` reproduces the table
-//! above exactly. See [`available_fraction_with_parity`].
+//! above exactly.
+//!
+//! The code restates neither table: both are read off the method's row
+//! in `protocol::table`. With `k` checkpoint copies besides the workspace
+//! and `p` checksum copies, a rank keeps `(1+k)M + p·mM/(N-m)` and the
+//! application gets `(N-m)/((1+k)(N-m) + p·m)` — the three forms above,
+//! bit for bit in `f64`, because every term is a small integer.
+
+use crate::protocol::table::MethodTable;
+use skt_cluster::Region;
 
 /// Checkpoint method selector, shared across the workspace.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -42,25 +51,11 @@ impl Method {
     }
 }
 
-/// Fraction of total memory left for the application (Equations 2–4).
+/// Fraction of total memory left for the application (Equations 2–4):
+/// the breakdown's ratio at `M = n - 1`, where every checksum stripe is
+/// whole.
 pub fn available_fraction(method: Method, n: usize) -> f64 {
-    available_fraction_with_parity(method, n, 1)
-}
-
-/// [`available_fraction`] generalised to an erasure code with `parity`
-/// stripes per group: each checksum copy holds `parity` stripes of
-/// `ceil(M/(n-parity))` elements, so the paper's equations become
-/// `(n-m)/(2n)` (self), `(n-m)/(2n-m)` (single), `(n-m)/(3n-m)`
-/// (double) with `m = parity`. `parity = 1` is Equations 2–4 verbatim.
-pub fn available_fraction_with_parity(method: Method, n: usize, parity: usize) -> f64 {
-    assert!(parity >= 1, "need at least one parity stripe");
-    assert!(n > parity, "group needs at least one data stripe");
-    let (n, m) = (n as f64, parity as f64);
-    match method {
-        Method::SelfCkpt => (n - m) / (2.0 * n),
-        Method::Double => (n - m) / (3.0 * n - m),
-        Method::Single => (n - m) / (2.0 * n - m),
-    }
+    MemoryBreakdown::new(method, n - 1, n).available()
 }
 
 /// Per-part memory of one rank, in `f64` elements (Table 1 uses abstract
@@ -85,28 +80,25 @@ impl MemoryBreakdown {
 
     /// [`MemoryBreakdown::new`] generalised to `parity` stripes per
     /// group: each checksum copy holds `parity * ceil(m/(n-parity))`
-    /// elements, matching the erasure-codec stripe layout.
+    /// elements, matching the erasure-codec stripe layout. The copies
+    /// are the regions of the method's table row.
     pub fn with_parity(method: Method, m: usize, n: usize, parity: usize) -> Self {
         assert!(parity >= 1, "need at least one parity stripe");
         assert!(n > parity, "group needs at least one data stripe");
-        let cs = parity * m.div_ceil(n - parity);
-        match method {
-            Method::Single => MemoryBreakdown {
-                a: m,
-                checkpoints: m,
-                checksums: cs,
-            },
-            Method::Double => MemoryBreakdown {
-                a: m,
-                checkpoints: 2 * m,
-                checksums: 2 * cs,
-            },
-            Method::SelfCkpt => MemoryBreakdown {
-                a: m,
-                checkpoints: m,
-                checksums: 2 * cs,
-            },
+        let checksum = parity * m.div_ceil(n - parity);
+        let mut b = MemoryBreakdown {
+            a: m,
+            checkpoints: 0,
+            checksums: 0,
+        };
+        for (region, is_checksum) in MethodTable::of(method).regions() {
+            match (region, is_checksum) {
+                (Region::Work, _) => {}
+                (_, true) => b.checksums += checksum,
+                (_, false) => b.checkpoints += m,
+            }
         }
+        b
     }
 
     /// Total elements consumed.
@@ -142,6 +134,26 @@ pub fn max_workspace_len(method: Method, n: usize, budget_bytes: usize) -> usize
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const METHODS: [Method; 3] = [Method::Single, Method::Double, Method::SelfCkpt];
+
+    /// The paper's closed forms (Equations 2–4 at `m = 1`) and their
+    /// `m`-parity generalisation: the oracle the table-derived
+    /// accounting is checked against.
+    fn closed_form(method: Method, n: usize, m: usize) -> f64 {
+        let (n, m) = (n as f64, m as f64);
+        match method {
+            Method::SelfCkpt => (n - m) / (2.0 * n),
+            Method::Double => (n - m) / (3.0 * n - m),
+            Method::Single => (n - m) / (2.0 * n - m),
+        }
+    }
+
+    /// The available fraction under `m` parity stripes: the breakdown's
+    /// ratio at `M = n - m`, where every checksum stripe is whole.
+    fn fraction_with_parity(method: Method, n: usize, m: usize) -> f64 {
+        MemoryBreakdown::with_parity(method, n - m, n, m).available()
+    }
 
     #[test]
     fn equations_at_group_16_match_the_paper() {
@@ -186,7 +198,7 @@ mod tests {
     #[test]
     fn breakdown_available_matches_equations_for_all_methods() {
         let (m, n) = (3000, 4); // divisible by n-1
-        for method in [Method::Single, Method::Double, Method::SelfCkpt] {
+        for method in METHODS {
             let b = MemoryBreakdown::new(method, m, n);
             let expect = available_fraction(method, n);
             assert!(
@@ -202,7 +214,7 @@ mod tests {
     #[test]
     fn max_workspace_len_is_tight() {
         let budget = 64 << 20; // 64 MiB
-        for method in [Method::Single, Method::Double, Method::SelfCkpt] {
+        for method in METHODS {
             for n in [2, 8, 16] {
                 let m = max_workspace_len(method, n, budget);
                 let fits = MemoryBreakdown::new(method, m, n).total() * 8;
@@ -224,10 +236,10 @@ mod tests {
 
     #[test]
     fn parity_one_reproduces_the_paper_equations() {
-        for method in [Method::Single, Method::Double, Method::SelfCkpt] {
+        for method in METHODS {
             for n in [2, 4, 16, 32] {
                 let base = available_fraction(method, n);
-                let gen = available_fraction_with_parity(method, n, 1);
+                let gen = fraction_with_parity(method, n, 1);
                 assert!((base - gen).abs() < 1e-15, "{} n={n}", method.name());
             }
         }
@@ -237,11 +249,11 @@ mod tests {
     fn dual_parity_fractions_match_closed_forms() {
         // m = 2: self (n-2)/(2n), single (n-2)/(2n-2), double (n-2)/(3n-2).
         let n = 16.0;
-        let f = available_fraction_with_parity(Method::SelfCkpt, 16, 2);
+        let f = fraction_with_parity(Method::SelfCkpt, 16, 2);
         assert!((f - (n - 2.0) / (2.0 * n)).abs() < 1e-12);
-        let s = available_fraction_with_parity(Method::Single, 16, 2);
+        let s = fraction_with_parity(Method::Single, 16, 2);
         assert!((s - (n - 2.0) / (2.0 * n - 2.0)).abs() < 1e-12);
-        let d = available_fraction_with_parity(Method::Double, 16, 2);
+        let d = fraction_with_parity(Method::Double, 16, 2);
         assert!((d - (n - 2.0) / (3.0 * n - 2.0)).abs() < 1e-12);
         // the second stripe costs a little memory, never more than 1/n extra
         assert!(f < available_fraction(Method::SelfCkpt, 16));
@@ -251,9 +263,9 @@ mod tests {
     #[test]
     fn dual_parity_breakdown_matches_its_fraction() {
         let (m, n) = (2800, 16); // divisible by n-2
-        for method in [Method::Single, Method::Double, Method::SelfCkpt] {
+        for method in METHODS {
             let b = MemoryBreakdown::with_parity(method, m, n, 2);
-            let expect = available_fraction_with_parity(method, n, 2);
+            let expect = fraction_with_parity(method, n, 2);
             assert!(
                 (b.available() - expect).abs() < 1e-12,
                 "{}: {} vs {}",
@@ -268,26 +280,23 @@ mod tests {
     }
 
     #[test]
-    fn general_parity_fractions_match_closed_forms_for_m_1_through_4() {
-        // Table-driven closed forms: for every m, self (n-m)/(2n),
-        // single (n-m)/(2n-m), double (n-m)/(3n-m); m = 1 is byte-exact
-        // against Table 1's equations (checked exhaustively above).
-        for parity in 1..=4usize {
-            for n in [parity + 1, 8, 16, 32] {
-                let (nf, mf) = (n as f64, parity as f64);
-                let cases = [
-                    (Method::SelfCkpt, (nf - mf) / (2.0 * nf)),
-                    (Method::Single, (nf - mf) / (2.0 * nf - mf)),
-                    (Method::Double, (nf - mf) / (3.0 * nf - mf)),
-                ];
-                for (method, want) in cases {
-                    let got = available_fraction_with_parity(method, n, parity);
-                    assert!(
-                        (got - want).abs() < 1e-12,
-                        "{} n={n} m={parity}: {got} vs {want}",
+    fn table_derived_fractions_match_the_closed_forms_bit_for_bit() {
+        for n in 2..=32usize {
+            for m in 1..n {
+                for method in METHODS {
+                    let got = fraction_with_parity(method, n, m);
+                    let want = closed_form(method, n, m);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{} n={n} m={m}: {got} vs {want}",
                         method.name()
                     );
                 }
+            }
+            for method in METHODS {
+                let got = available_fraction(method, n);
+                assert_eq!(got.to_bits(), closed_form(method, n, 1).to_bits());
             }
         }
     }
@@ -299,9 +308,9 @@ mod tests {
             // breakdown lands on the closed form to full precision
             let n = 16;
             let m = 27720 / (n - parity) * (n - parity);
-            for method in [Method::Single, Method::Double, Method::SelfCkpt] {
+            for method in METHODS {
                 let b = MemoryBreakdown::with_parity(method, m, n, parity);
-                let expect = available_fraction_with_parity(method, n, parity);
+                let expect = fraction_with_parity(method, n, parity);
                 assert!(
                     (b.available() - expect).abs() < 1e-12,
                     "{} m={parity}: {} vs {expect}",
@@ -322,16 +331,16 @@ mod tests {
         // decreasing in m — each extra tolerated failure costs stripes —
         // and self-checkpoint keeps (n-m)/(2n) ≥ (n-m)/(2n) exactly.
         let n = 16;
-        for method in [Method::Single, Method::Double, Method::SelfCkpt] {
+        for method in METHODS {
             let mut prev = f64::INFINITY;
             for parity in 1..=4 {
-                let f = available_fraction_with_parity(method, n, parity);
+                let f = fraction_with_parity(method, n, parity);
                 assert!(f < prev, "{} m={parity} not decreasing", method.name());
                 assert!(f > 0.0);
                 prev = f;
             }
         }
         // m = 3 at n = 16 still leaves the self method > 40% available
-        assert!(available_fraction_with_parity(Method::SelfCkpt, 16, 3) > 0.40);
+        assert!(fraction_with_parity(Method::SelfCkpt, 16, 3) > 0.40);
     }
 }

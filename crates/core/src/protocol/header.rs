@@ -119,17 +119,6 @@ impl Header {
         })
     }
 
-    /// Decode a header segment. A wiped, mistyped or CRC-corrupt segment
-    /// is a [`Fault`], not a panic: the caller propagates it as the
-    /// job-abort path. Callers that can *handle* damage (recovery)
-    /// use [`Header::classify`] instead.
-    pub fn read(seg: &ShmSegment) -> Result<Header, Fault> {
-        match Self::classify(seg) {
-            HeaderState::Valid(h) => Ok(h),
-            HeaderState::Invalid(msg) => Err(Fault::Protocol(msg)),
-        }
-    }
-
     /// The words as a fixed array, in `HeaderWord` order.
     pub fn words(&self) -> [u64; 4] {
         [
@@ -141,8 +130,9 @@ impl Header {
     }
 }
 
-/// Write one commit marker and re-seal the CRC. Same fault semantics as
-/// [`Header::read`].
+/// Write one commit marker and re-seal the CRC. A wiped or mistyped
+/// segment is a [`Fault`], not a panic: the caller propagates it as the
+/// job-abort path.
 pub(crate) fn write_word(seg: &ShmSegment, word: HeaderWord, val: u64) -> Result<(), Fault> {
     let mut g = seg.write();
     let b = g.try_as_bytes_mut()?;
@@ -176,16 +166,13 @@ mod tests {
         let s = fresh_seg();
         write_word(&s, HeaderWord::BcEpoch, 7).unwrap();
         write_word(&s, HeaderWord::Dirty, 9).unwrap();
-        let h = Header::read(&s).unwrap();
-        assert_eq!(
-            h,
-            Header {
-                d_epoch: 0,
-                bc_epoch: 7,
-                pair1_epoch: 0,
-                dirty_epoch: 9,
-            }
-        );
+        let h = Header {
+            d_epoch: 0,
+            bc_epoch: 7,
+            pair1_epoch: 0,
+            dirty_epoch: 9,
+        };
+        assert_eq!(Header::classify(&s), HeaderState::Valid(h));
         assert_eq!(h.words(), [0, 7, 0, 9]);
     }
 
@@ -209,7 +196,7 @@ mod tests {
     fn wiped_segment_is_a_fault_not_a_panic() {
         // power-off clears the payload but stale handles survive
         let s = seg(SegmentData::Bytes(Vec::new()));
-        assert!(matches!(Header::read(&s), Err(Fault::Protocol(_))));
+        assert!(matches!(Header::classify(&s), HeaderState::Invalid(_)));
         assert!(matches!(
             write_word(&s, HeaderWord::DEpoch, 1),
             Err(Fault::Protocol(_))
@@ -219,8 +206,11 @@ mod tests {
     #[test]
     fn mistyped_segment_is_a_fault() {
         let s = seg(SegmentData::F64(vec![0.0; 5]));
-        assert!(matches!(Header::read(&s), Err(Fault::Protocol(_))));
         assert!(matches!(Header::classify(&s), HeaderState::Invalid(_)));
+        assert!(matches!(
+            write_word(&s, HeaderWord::DEpoch, 1),
+            Err(Fault::Protocol(_))
+        ));
     }
 
     #[test]

@@ -79,7 +79,7 @@ mod checkpointer;
 mod methods;
 mod regions;
 mod scrub;
-mod table;
+pub(crate) mod table;
 
 pub use checkpointer::Checkpointer;
 pub use header::{Header, HeaderState, HEADER_BYTES};
@@ -151,13 +151,6 @@ impl CkptConfig {
         }
     }
 
-    /// Switch the protocol method.
-    #[must_use]
-    pub fn with_method(mut self, method: Method) -> Self {
-        self.method = method;
-        self
-    }
-
     /// Switch the single-parity code (shorthand for
     /// [`Self::with_codec`] with [`CodecSpec::Single`]).
     #[must_use]
@@ -170,20 +163,6 @@ impl CkptConfig {
     #[must_use]
     pub fn with_codec(mut self, codec: CodecSpec) -> Self {
         self.codec = codec;
-        self
-    }
-
-    /// Change the workspace length (`A1`, in `f64` elements).
-    #[must_use]
-    pub fn with_a1_len(mut self, a1_len: usize) -> Self {
-        self.a1_len = a1_len;
-        self
-    }
-
-    /// Change the reserved small-state capacity (`A2`, in bytes).
-    #[must_use]
-    pub fn with_a2_capacity(mut self, a2_capacity: usize) -> Self {
-        self.a2_capacity = a2_capacity;
         self
     }
 }

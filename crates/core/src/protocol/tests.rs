@@ -11,6 +11,11 @@ use std::sync::Arc;
 const N: usize = 4;
 const A1: usize = 64;
 
+/// Probe the [`cycle`] helpers fire after each epoch's closing world
+/// barrier: a rank reaching it proves every rank committed that epoch's
+/// header, which [`Phase::Done`] (one rank's own commit) does not.
+const EPOCH_END: &str = "test-epoch-end";
+
 /// Flip one bit of `node`'s `region` right now; whether it landed.
 fn flip(cluster: &Cluster, node: usize, region: Region, offset: usize, bit: u8) -> bool {
     let action = FaultAction::Corrupt {
@@ -32,18 +37,19 @@ fn pattern(rank: usize, epoch: u64) -> Vec<f64> {
 }
 
 /// Run a full work→checkpoint→fail→repair→recover cycle with the
-/// failure armed at `(phase, nth)` on node `victim`; return the
+/// failure armed at `(probe, nth)` on node `victim`; return the
 /// recovery outcomes (and per-rank reports) observed on the relaunch.
+/// Each epoch ends with a world barrier and the [`EPOCH_END`] probe.
 fn cycle(
     method: Method,
-    phase: Phase,
+    probe: impl Into<String>,
     nth: u64,
     victim: usize,
     epochs_before_fail: u64,
 ) -> Vec<(Recovery, Vec<f64>, Option<RecoveryReport>)> {
     let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 1)));
     let mut rl = Ranklist::round_robin(N, N);
-    cluster.arm_failure(FailurePlan::new(phase, nth, victim));
+    cluster.arm_failure(FailurePlan::new(probe, nth, victim));
 
     // First run: write a pattern per epoch, checkpoint, keep going
     // until the injected failure kills the job.
@@ -57,6 +63,8 @@ fn cycle(
                 g.as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), e));
             }
             ck.make(&e.to_le_bytes())?;
+            ctx.world().barrier()?;
+            ctx.failpoint(EPOCH_END)?;
         }
         Ok(())
     });
@@ -94,9 +102,9 @@ fn assert_restored_epoch(outs: &[(Recovery, Vec<f64>, Option<RecoveryReport>)], 
 
 #[test]
 fn self_recovers_from_failure_during_computation() {
-    // Victim dies right after its 2nd completed checkpoint (Done
-    // probe) — the "failure in computing" CASE 1 of Figure 4.
-    let outs = cycle(Method::SelfCkpt, Phase::Done, 2, 1, 2);
+    // Victim dies right after the 2nd checkpoint committed on every
+    // rank — the "failure in computing" CASE 1 of Figure 4.
+    let outs = cycle(Method::SelfCkpt, EPOCH_END, 2, 1, 2);
     assert_restored_epoch(&outs, 2);
     assert!(matches!(
         outs[0].0,
@@ -155,13 +163,13 @@ fn double_recovers_from_failure_during_update() {
 
 #[test]
 fn double_recovers_from_failure_during_computation() {
-    let outs = cycle(Method::Double, Phase::Done, 2, 2, 2);
+    let outs = cycle(Method::Double, EPOCH_END, 2, 2, 2);
     assert_restored_epoch(&outs, 2);
 }
 
 #[test]
 fn single_recovers_from_failure_during_computation() {
-    let outs = cycle(Method::Single, Phase::Done, 2, 1, 2);
+    let outs = cycle(Method::Single, EPOCH_END, 2, 1, 2);
     assert_restored_epoch(&outs, 2);
 }
 
@@ -693,11 +701,7 @@ fn stats_report_sizes() {
 
 #[test]
 fn config_builder_round_trips() {
-    let c = CkptConfig::new("b", Method::Single, 8, 16)
-        .with_method(Method::SelfCkpt)
-        .with_code(Code::Sum)
-        .with_a1_len(32)
-        .with_a2_capacity(24);
+    let c = CkptConfig::new("b", Method::SelfCkpt, 32, 24).with_code(Code::Sum);
     assert_eq!(c.method, Method::SelfCkpt);
     assert_eq!(c.codec, CodecSpec::Single(Code::Sum));
     assert_eq!(c.a1_len, 32);
@@ -707,19 +711,19 @@ fn config_builder_round_trips() {
 
 /// [`cycle`] under the dual P+Q codec with *two* nodes of the group
 /// lost: the armed plan kills the first victim at the chosen
-/// `(phase, nth)` yield point, and the second node is powered off while
+/// `(probe, nth)` yield point, and the second node is powered off while
 /// the job aborts — before any recovery step runs, so the relaunch
 /// faces two erasures against the survivor state frozen at that window.
 fn dual_cycle(
     method: Method,
-    phase: Phase,
+    probe: impl Into<String>,
     nth: u64,
     victims: [usize; 2],
     epochs_before_fail: u64,
 ) -> Vec<(Recovery, Vec<f64>, Option<RecoveryReport>)> {
     let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 2)));
     let mut rl = Ranklist::round_robin(N, N);
-    cluster.arm_failure(FailurePlan::new(phase, nth, victims[0]));
+    cluster.arm_failure(FailurePlan::new(probe, nth, victims[0]));
     let dual = cfg(method).with_codec(CodecSpec::Dual);
     let c1 = dual.clone();
     let res = run_on_cluster(cluster.clone(), &rl, |ctx| {
@@ -732,6 +736,8 @@ fn dual_cycle(
                 g.as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), e));
             }
             ck.make(&e.to_le_bytes())?;
+            ctx.world().barrier()?;
+            ctx.failpoint(EPOCH_END)?;
         }
         Ok(())
     });
@@ -760,7 +766,7 @@ fn dual_cycle(
 fn dual_codec_recovers_two_losses_during_computation() {
     // Two members of the same group die in the same probe round after
     // their 2nd committed checkpoint; the P+Q codec rebuilds both.
-    let outs = dual_cycle(Method::SelfCkpt, Phase::Done, 2, [1, 2], 2);
+    let outs = dual_cycle(Method::SelfCkpt, EPOCH_END, 2, [1, 2], 2);
     assert_restored_epoch(&outs, 2);
     for (rank, (_, _, report)) in outs.iter().enumerate() {
         let r = report.clone().expect("restore must leave a report");

@@ -8,140 +8,50 @@
 //! shard is rebuilt from group parity inside `run_skt`'s recovery.
 //!
 //! That loop is the multi-tenant service's failure ladder
-//! ([`crate::service`]) run for one tenant; what it records — attempts,
-//! suspicions, the Figure 10 phase bars — lives in [`crate::report`].
+//! ([`crate::service`]) run for one tenant, and what it returns is that
+//! tenant's [`TenantReport`]: the outcome, the attempts, the suspicions,
+//! the Figure 10 phase bars ([`crate::report`]).
 
-use crate::report::{DaemonHistory, PhaseTimes, Refusal, RetryPolicy, TenantOutcome};
+use crate::report::{RetryPolicy, TenantReport};
 use crate::service::{CheckpointService, ServiceConfig};
 use crate::storm::StormPlan;
 use skt_cluster::{Cluster, Ranklist};
-use skt_hpl::{SktConfig, SktOutput};
+use skt_hpl::SktConfig;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// Outcome of a daemon-supervised run.
-#[derive(Clone, Debug)]
-pub struct CycleReport {
-    /// Number of job launches (1 = no failure).
-    pub launches: usize,
-    /// Failures survived.
-    pub failures: usize,
-    /// Result of the run that completed.
-    pub output: SktOutput,
-    /// Phase timings for each failure cycle, in order.
-    pub cycles: Vec<PhaseTimes>,
-    /// Everything the daemon learned across all attempts (faults, new
-    /// deaths, backoff, recovery reports) — the error-path history, kept
-    /// on success too.
-    pub history: DaemonHistory,
-}
-
-/// Why the daemon gave up. Every variant carries the full
-/// [`DaemonHistory`] so the caller sees what was tried, what died, and
-/// what recovery managed before the job was declared lost.
-#[derive(Debug)]
-#[non_exhaustive]
-pub enum DaemonError {
-    /// No spare node left to replace a failure.
-    OutOfSpares(DaemonHistory),
-    /// More failures than the configured budget.
-    TooManyFailures(DaemonHistory),
-    /// The job failed without losing a node — a protocol-level verdict
-    /// (e.g. a checkpoint group damaged beyond single-parity repair).
-    /// Replacement and retry cannot fix it; jobs wanting to survive
-    /// more simultaneous losses configure a codec with more parity
-    /// stripes ([`skt_encoding::CodecSpec::Rs`]).
-    Unrecoverable(DaemonHistory),
-}
-
-impl DaemonError {
-    /// The attempt history, whatever the variant.
-    pub fn history(&self) -> &DaemonHistory {
-        match self {
-            DaemonError::OutOfSpares(h)
-            | DaemonError::TooManyFailures(h)
-            | DaemonError::Unrecoverable(h) => h,
-        }
-    }
-}
-
-impl std::fmt::Display for DaemonError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DaemonError::OutOfSpares(h) => write!(
-                f,
-                "spare-node pool exhausted after {} failed attempts",
-                h.attempts.len()
-            ),
-            DaemonError::TooManyFailures(h) => {
-                write!(f, "gave up after {} failures", h.attempts.len())
-            }
-            DaemonError::Unrecoverable(h) => write!(
-                f,
-                "unrecoverable after {} attempts: {:?} (no node died; retry is futile)",
-                h.attempts.len(),
-                h.attempts.last().map(|a| a.fault)
-            ),
-        }
-    }
-}
-
-impl std::error::Error for DaemonError {}
 
 /// Supervise a fault-tolerant HPL run to completion, restarting through
 /// up to `max_failures` node losses. `detect_model` is the modeled
 /// failure-detection latency of the platform's job manager.
+///
+/// The job runs as the single pre-placed tenant of a
+/// [`CheckpointService`] — its shard the ranklist's node set, its float
+/// the whole spare pool, whole-job slices under the batched schedule and
+/// [`RetryPolicy::new`]'s backoff ([`ServiceConfig::new`]'s defaults) —
+/// so the failure ladder is the service's: *detect*, *classify*,
+/// *replace*, *back off*, relaunch. Never a panic or a hang: the
+/// report's [`outcome`](TenantReport::outcome) is the completed solve or
+/// a typed [`Refusal`](crate::report::Refusal) — `OutOfSpares`,
+/// `TooManyFailures`, or `Unrecoverable` when no node died (a tenant
+/// that owns every spare meets no contention) — and its `history` holds
+/// every attempt either way.
 pub fn run_with_daemon(
     cluster: Arc<Cluster>,
     ranklist: &Ranklist,
     cfg: &SktConfig,
     max_failures: usize,
     detect_model: Duration,
-) -> Result<CycleReport, DaemonError> {
-    let policy = RetryPolicy::new(max_failures, detect_model);
-    run_with_policy(cluster, ranklist, cfg, &policy)
-}
-
-/// [`run_with_daemon`] with an explicit [`RetryPolicy`]: the job runs as
-/// the single pre-placed tenant of a [`CheckpointService`] — its shard
-/// the ranklist's node set, its float the whole spare pool, whole-job
-/// slices under the batched schedule ([`ServiceConfig::new`]'s
-/// defaults) — so the failure ladder is the service's: *detect*,
-/// *classify* ([`DaemonError::Unrecoverable`] when no node died),
-/// *replace*, *back off*, relaunch. Never a panic or a hang: every exit
-/// is `Ok` or a typed [`DaemonError`] carrying the full history.
-pub fn run_with_policy(
-    cluster: Arc<Cluster>,
-    ranklist: &Ranklist,
-    cfg: &SktConfig,
-    policy: &RetryPolicy,
-) -> Result<CycleReport, DaemonError> {
-    let svc_cfg = ServiceConfig::new(policy.clone());
+) -> TenantReport {
+    let svc_cfg = ServiceConfig::new(RetryPolicy::new(max_failures, detect_model));
     let (svc, _) = CheckpointService::for_placed_job(cluster, svc_cfg, cfg, ranklist);
     let tr = svc.run(&StormPlan::none()).tenants.pop();
-    let tr = tr.expect("the placed tenant must have a report");
-    match tr.outcome {
-        TenantOutcome::Completed(output) => Ok(CycleReport {
-            launches: tr.launches,
-            failures: tr.launches - 1,
-            output,
-            cycles: tr.cycles,
-            history: tr.history,
-        }),
-        TenantOutcome::Refused(refusal) => Err(match refusal {
-            Refusal::TooManyFailures => DaemonError::TooManyFailures(tr.history),
-            Refusal::Unrecoverable => DaemonError::Unrecoverable(tr.history),
-            // a single tenant owns every spare: any contention verdict
-            // collapses to plain exhaustion
-            _ => DaemonError::OutOfSpares(tr.history),
-        }),
-    }
+    tr.expect("the placed tenant must have a report")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{CyclePhase, SuspicionOutcome};
+    use crate::report::{CyclePhase, Refusal, SuspicionOutcome};
     use skt_cluster::{ClusterConfig, FailurePlan, Fault, FaultAction, Region};
     use skt_core::RECOVER_COMMIT_PROBE;
     use skt_encoding::CodecSpec;
@@ -156,11 +66,11 @@ mod tests {
     fn daemon_completes_without_failures() {
         let cluster = Arc::new(Cluster::new(ClusterConfig::new(4, 0)));
         let rl = Ranklist::round_robin(4, 4);
-        let rep = run_with_daemon(cluster, &rl, &cfg(), 3, Duration::from_secs(5)).unwrap();
+        let rep = run_with_daemon(cluster, &rl, &cfg(), 3, Duration::from_secs(5));
         assert_eq!(rep.launches, 1);
         assert_eq!(rep.failures, 0);
         assert!(rep.cycles.is_empty());
-        assert!(rep.output.hpl.passed);
+        assert!(rep.outcome.completed().unwrap().hpl.passed);
     }
 
     #[test]
@@ -168,12 +78,12 @@ mod tests {
         let cluster = Arc::new(Cluster::new(ClusterConfig::new(4, 1)));
         let rl = Ranklist::round_robin(4, 4);
         cluster.arm_failure(FailurePlan::new(ITER_PROBE, 5, 1));
-        let rep =
-            run_with_daemon(cluster.clone(), &rl, &cfg(), 3, Duration::from_secs(63)).unwrap();
+        let rep = run_with_daemon(cluster.clone(), &rl, &cfg(), 3, Duration::from_secs(63));
         assert_eq!(rep.launches, 2);
         assert_eq!(rep.failures, 1);
-        assert!(rep.output.hpl.passed);
-        assert_eq!(rep.output.resumed_from_panel, 4);
+        let out = rep.outcome.completed().unwrap();
+        assert!(out.hpl.passed);
+        assert_eq!(out.resumed_from_panel, 4);
         assert_eq!(rep.cycles.len(), 1);
         let c = &rep.cycles[0];
         assert_eq!(
@@ -199,9 +109,9 @@ mod tests {
         // probe 3 — so the losses are strictly sequential, one per
         // relaunch, never a simultaneous pair healed in one cycle.
         cluster.arm_failure(FailurePlan::new(ITER_PROBE, 5, 2));
-        let rep = run_with_daemon(cluster, &rl, &cfg(), 5, Duration::from_secs(30)).unwrap();
+        let rep = run_with_daemon(cluster, &rl, &cfg(), 5, Duration::from_secs(30));
         assert_eq!(rep.failures, 2);
-        assert!(rep.output.hpl.passed);
+        assert!(rep.outcome.completed().unwrap().hpl.passed);
     }
 
     #[test]
@@ -222,14 +132,11 @@ mod tests {
             "first run must abort on the node loss"
         );
         cluster.kill_node(2);
-        let rep = run_with_daemon(cluster.clone(), &rl, &c, 3, Duration::from_secs(30)).unwrap();
+        let rep = run_with_daemon(cluster.clone(), &rl, &c, 3, Duration::from_secs(30));
         assert_eq!(rep.launches, 1, "one relaunch heals both losses");
-        assert!(
-            rep.output.hpl.passed,
-            "residual {}",
-            rep.output.hpl.residual
-        );
-        assert_eq!(rep.output.resumed_from_panel, 4);
+        let out = rep.outcome.completed().unwrap();
+        assert!(out.hpl.passed, "residual {}", out.hpl.residual);
+        assert_eq!(out.resumed_from_panel, 4);
         assert_eq!(cluster.spares_left(), 0, "both spares spent in one repair");
         let rec = rep.history.recoveries.last().expect("recovery ran");
         assert_eq!(rec.lost, vec![1, 2], "both replaced ranks rebuilt");
@@ -256,14 +163,11 @@ mod tests {
         );
         cluster.kill_node(2);
         cluster.kill_node(3);
-        let rep = run_with_daemon(cluster.clone(), &rl, &c, 3, Duration::from_secs(30)).unwrap();
+        let rep = run_with_daemon(cluster.clone(), &rl, &c, 3, Duration::from_secs(30));
         assert_eq!(rep.launches, 1, "one relaunch heals all three losses");
-        assert!(
-            rep.output.hpl.passed,
-            "residual {}",
-            rep.output.hpl.residual
-        );
-        assert_eq!(rep.output.resumed_from_panel, 4);
+        let out = rep.outcome.completed().unwrap();
+        assert!(out.hpl.passed, "residual {}", out.hpl.residual);
+        assert_eq!(out.resumed_from_panel, 4);
         assert_eq!(
             cluster.spares_left(),
             0,
@@ -278,15 +182,12 @@ mod tests {
         let cluster = Arc::new(Cluster::new(ClusterConfig::new(4, 0)));
         let rl = Ranklist::round_robin(4, 4);
         cluster.arm_failure(FailurePlan::new(ITER_PROBE, 2, 1));
-        let err = run_with_daemon(cluster, &rl, &cfg(), 3, Duration::ZERO).unwrap_err();
-        match err {
-            DaemonError::OutOfSpares(h) => {
-                assert_eq!(h.attempts.len(), 1);
-                assert_eq!(h.attempts[0].fault, Fault::NodeDead(1));
-                assert_eq!(h.attempts[0].newly_dead, vec![1]);
-            }
-            other => panic!("expected OutOfSpares, got {other}"),
-        }
+        let rep = run_with_daemon(cluster, &rl, &cfg(), 3, Duration::ZERO);
+        assert_eq!(rep.outcome.completed().unwrap_err(), &Refusal::OutOfSpares);
+        let h = &rep.history;
+        assert_eq!(h.attempts.len(), 1);
+        assert_eq!(h.attempts[0].fault, Fault::NodeDead(1));
+        assert_eq!(h.attempts[0].newly_dead, vec![1]);
     }
 
     #[test]
@@ -299,16 +200,12 @@ mod tests {
         let rl = Ranklist::round_robin(4, 4);
         cluster.arm_failure(FailurePlan::new(ITER_PROBE, 5, 2));
         cluster.arm_failure(FailurePlan::new(RECOVER_COMMIT_PROBE, 1, 1));
-        let rep =
-            run_with_daemon(cluster.clone(), &rl, &cfg(), 5, Duration::from_secs(30)).unwrap();
+        let rep = run_with_daemon(cluster.clone(), &rl, &cfg(), 5, Duration::from_secs(30));
         assert_eq!(rep.launches, 3);
         assert_eq!(rep.failures, 2);
-        assert!(
-            rep.output.hpl.passed,
-            "residual {}",
-            rep.output.hpl.residual
-        );
-        assert_eq!(rep.output.resumed_from_panel, 4);
+        let out = rep.outcome.completed().unwrap();
+        assert!(out.hpl.passed, "residual {}", out.hpl.residual);
+        assert_eq!(out.resumed_from_panel, 4);
         assert_eq!(cluster.spares_left(), 0, "both spares spent");
         assert_eq!(rep.history.attempts.len(), 2);
         assert_eq!(rep.history.attempts[0].fault, Fault::NodeDead(2));
@@ -334,8 +231,8 @@ mod tests {
     #[test]
     fn daemon_out_of_spares_carries_the_recovery_history() {
         // One spare: survive the first loss, recover, then lose another
-        // node later in the relaunch. The typed error must carry both
-        // attempt records and the completed recovery's report.
+        // node later in the relaunch. The typed refusal must come with
+        // both attempt records and the completed recovery's report.
         let cluster = Arc::new(Cluster::new(ClusterConfig::new(4, 1)));
         let rl = Ranklist::round_robin(4, 4);
         cluster.arm_failure(FailurePlan::new(ITER_PROBE, 5, 1));
@@ -343,26 +240,23 @@ mod tests {
         // checkpoint barrier at panel 6 would need node 1, which dies at
         // probe 5 — so this fires only in the (recovered) second attempt.
         cluster.arm_failure(FailurePlan::new(ITER_PROBE, 7, 2));
-        let err = run_with_daemon(cluster, &rl, &cfg(), 5, Duration::from_secs(30)).unwrap_err();
-        match err {
-            DaemonError::OutOfSpares(h) => {
-                assert_eq!(h.attempts.len(), 2);
-                assert_eq!(h.attempts[0].fault, Fault::NodeDead(1));
-                assert_eq!(h.attempts[1].fault, Fault::NodeDead(2));
-                assert_eq!(
-                    h.recoveries.len(),
-                    1,
-                    "attempt 2 completed its restore before dying"
-                );
-                assert_eq!(h.recoveries[0].epoch, 2, "restored the panel-4 checkpoint");
-                assert_eq!(
-                    h.attempts[1].backoff,
-                    Duration::ZERO,
-                    "no retry after give-up"
-                );
-            }
-            other => panic!("expected OutOfSpares, got {other}"),
-        }
+        let rep = run_with_daemon(cluster, &rl, &cfg(), 5, Duration::from_secs(30));
+        assert_eq!(rep.outcome.completed().unwrap_err(), &Refusal::OutOfSpares);
+        let h = &rep.history;
+        assert_eq!(h.attempts.len(), 2);
+        assert_eq!(h.attempts[0].fault, Fault::NodeDead(1));
+        assert_eq!(h.attempts[1].fault, Fault::NodeDead(2));
+        assert_eq!(
+            h.recoveries.len(),
+            1,
+            "attempt 2 completed its restore before dying"
+        );
+        assert_eq!(h.recoveries[0].epoch, 2, "restored the panel-4 checkpoint");
+        assert_eq!(
+            h.attempts[1].backoff,
+            Duration::ZERO,
+            "no retry after give-up"
+        );
     }
 
     #[test]
@@ -389,19 +283,19 @@ mod tests {
             };
             assert!(cluster.apply_fault(node, &flip));
         }
-        let err = run_with_daemon(cluster, &rl, &c, 3, Duration::ZERO).unwrap_err();
-        match err {
-            DaemonError::Unrecoverable(h) => {
-                assert_eq!(h.attempts.len(), 1);
-                assert!(h.attempts[0].newly_dead.is_empty(), "no node died");
-                assert!(matches!(
-                    h.attempts[0].fault,
-                    Fault::Protocol(m) if m.contains("single-parity")
-                ));
-                assert!(h.recoveries.is_empty(), "no restore completed");
-            }
-            other => panic!("expected Unrecoverable, got {other}"),
-        }
+        let rep = run_with_daemon(cluster, &rl, &c, 3, Duration::ZERO);
+        assert_eq!(
+            rep.outcome.completed().unwrap_err(),
+            &Refusal::Unrecoverable
+        );
+        let h = &rep.history;
+        assert_eq!(h.attempts.len(), 1);
+        assert!(h.attempts[0].newly_dead.is_empty(), "no node died");
+        assert!(matches!(
+            h.attempts[0].fault,
+            Fault::Protocol(m) if m.contains("single-parity")
+        ));
+        assert!(h.recoveries.is_empty(), "no restore completed");
     }
 
     #[test]
@@ -413,8 +307,8 @@ mod tests {
             SimRuntime::new(9),
         ));
         let rl = Ranklist::round_robin(4, 4);
-        let reference =
-            run_with_daemon(ref_cluster, &rl, &cfg(), 3, Duration::from_secs(5)).unwrap();
+        let reference = run_with_daemon(ref_cluster, &rl, &cfg(), 3, Duration::from_secs(5));
+        let reference = reference.outcome.completed().unwrap().hpl.residual;
 
         // node 1 straggles 64x from its 3rd panel but recovers by itself
         let cluster = Arc::new(Cluster::new_with_runtime(
@@ -425,11 +319,12 @@ mod tests {
             FaultPlan::gray(ITER_PROBE, 3, 1, GrayKind::Slow { factor: 64 })
                 .heal_after(Duration::from_millis(50)),
         );
-        let rep = run_with_daemon(cluster.clone(), &rl, &cfg(), 3, Duration::from_secs(5)).unwrap();
-        assert!(rep.output.hpl.passed);
+        let rep = run_with_daemon(cluster.clone(), &rl, &cfg(), 3, Duration::from_secs(5));
+        let out = rep.outcome.completed().unwrap();
+        assert!(out.hpl.passed);
         assert_eq!(
-            rep.output.hpl.residual.to_bits(),
-            reference.output.hpl.residual.to_bits(),
+            out.hpl.residual.to_bits(),
+            reference.to_bits(),
             "an exonerated resume must be bit-exact with the fault-free run"
         );
         assert_eq!(rep.history.suspicions.len(), 1);
@@ -454,8 +349,8 @@ mod tests {
         ));
         let rl = Ranklist::round_robin(4, 4);
         cluster.arm_failure(FaultPlan::gray(ITER_PROBE, 3, 1, GrayKind::Hang));
-        let rep = run_with_daemon(cluster.clone(), &rl, &cfg(), 3, Duration::from_secs(5)).unwrap();
-        assert!(rep.output.hpl.passed);
+        let rep = run_with_daemon(cluster.clone(), &rl, &cfg(), 3, Duration::from_secs(5));
+        assert!(rep.outcome.completed().unwrap().hpl.passed);
         assert_eq!(rep.history.suspicions.len(), 1);
         let s = &rep.history.suspicions[0];
         assert_eq!(s.node, 1);

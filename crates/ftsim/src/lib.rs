@@ -7,7 +7,8 @@
 //!   failure (from the launcher's exit status), replace lost nodes with
 //!   spares, rewrite the ranklist, and relaunch — the
 //!   work-fail-detect-restart cycle of Figure 10, with per-phase timing.
-//!   A single-tenant wrapper over [`service`].
+//!   It is [`service`] run for one placed tenant, and returns that
+//!   tenant's [`TenantReport`].
 //! * [`service`] — the multi-tenant checkpoint service: many
 //!   independent jobs sharded over one node pool, supervised by one
 //!   event-driven daemon loop (dispatch, slices, a single failure
@@ -50,7 +51,7 @@ pub mod storm;
 pub mod table3;
 
 pub use blcr::{run_blcr, BlcrConfig, BlcrStore};
-pub use daemon::{run_with_daemon, run_with_policy, CycleReport, DaemonError};
+pub use daemon::run_with_daemon;
 pub use policy::{PolicySpec, SchedState, TenantProfile, TenantSched};
 pub use report::{
     AttemptRecord, CyclePhase, DaemonHistory, PhaseTimes, Refusal, RetryPolicy, ServiceReport,

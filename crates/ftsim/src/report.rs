@@ -1,13 +1,14 @@
 //! What the supervisor reports: pure data and its formatting.
 //!
-//! The service engine ([`crate::service`]) fills these in and the
-//! single-job wrapper ([`crate::daemon`]) hands them on; nothing here
-//! touches a cluster. Per failed attempt: an [`AttemptRecord`], a
-//! Figure 10 [`PhaseTimes`] cycle, and for gray failures a
-//! [`SuspicionRecord`] — collected in a [`DaemonHistory`] under the
-//! [`RetryPolicy`] that budgets them. Per tenant: a [`TenantReport`]
-//! ending in a [`TenantOutcome`] (completed, or a typed [`Refusal`]),
-//! whose `fingerprint` is the canonical text the determinism jobs diff.
+//! The service engine ([`crate::service`]) fills these in, and the
+//! single-job daemon ([`crate::daemon`]) returns its one tenant's
+//! [`TenantReport`] as is; nothing here touches a cluster. Per failed
+//! attempt: an [`AttemptRecord`], a Figure 10 [`PhaseTimes`] cycle, and
+//! for gray failures a [`SuspicionRecord`] — collected in a
+//! [`DaemonHistory`] under the [`RetryPolicy`] that budgets them. Per
+//! tenant: a [`TenantReport`] ending in a [`TenantOutcome`] (completed,
+//! or a typed [`Refusal`]), whose `fingerprint` is the canonical text
+//! the determinism jobs diff.
 //!
 //! Figure 10 timing: *detect* is modeled (it is a property of the job
 //! manager — ~63 s on Tianhe-2, ~30 s on Tianhe-1A); *replace*,
@@ -165,7 +166,7 @@ pub struct SuspicionRecord {
 /// attempt plus every [`RecoveryReport`] harvested from relaunches —
 /// including relaunches that completed their recovery and *then* died,
 /// which is exactly the cascading-failure evidence a typed
-/// [`DaemonError`](crate::daemon::DaemonError) must carry.
+/// [`Refusal`] must come with.
 #[derive(Clone, Debug, Default)]
 pub struct DaemonHistory {
     /// One record per failed attempt.
@@ -263,6 +264,16 @@ pub enum TenantOutcome {
     Refused(Refusal),
 }
 
+impl TenantOutcome {
+    /// The completed solve, or the verdict that refused it.
+    pub fn completed(&self) -> Result<&SktOutput, &Refusal> {
+        match self {
+            TenantOutcome::Completed(out) => Ok(out),
+            TenantOutcome::Refused(r) => Err(r),
+        }
+    }
+}
+
 /// The service's full account of one tenant.
 #[derive(Clone, Debug)]
 pub struct TenantReport {
@@ -305,8 +316,7 @@ pub struct TenantReport {
     pub leaked_elsewhere: Vec<NodeId>,
     /// Fenced nodes still quarantining stale segments with this tenant's
     /// prefix — a zombie's frozen leftovers, **not** a leak: fencing
-    /// guarantees nothing reads or merges them, and recommissioning
-    /// wipes them.
+    /// guarantees nothing reads or merges them.
     pub fenced_stale: Vec<NodeId>,
 }
 

@@ -35,9 +35,9 @@
 //! draw already `Done` and skips it, and a resize replay after a kill
 //! inside the install window wipes the partials and re-installs.
 //!
-//! The single-job daemon ([`crate::daemon::run_with_policy`]) is now a
-//! thin wrapper over this engine: one tenant, whole-job slices, and the
-//! entire spare pool as its float.
+//! The single-job daemon ([`crate::daemon::run_with_daemon`]) is this
+//! engine with one tenant, whole-job slices, and the entire spare pool
+//! as its float; it returns that tenant's [`TenantReport`].
 
 use crate::admission::WaitList;
 use crate::policy::{PolicySpec, SchedState, TenantProfile, TenantSched};

@@ -15,8 +15,8 @@ use crate::elim::{back_substitute, generate, panel_step, verify};
 use crate::plain::{assemble_output, HplConfig, HplOutput};
 use crate::ITER_PROBE;
 use skt_core::{
-    group_color, Checkpointer, CkptConfig, GroupStrategy, Method, RecoverError, Recovery,
-    RecoveryReport,
+    group_color, validate_node_distinct, Checkpointer, CkptConfig, GroupStrategy, Method,
+    RecoverError, Recovery, RecoveryReport,
 };
 use skt_encoding::CodecSpec;
 use skt_linalg::MatGen;
@@ -162,6 +162,7 @@ pub fn run_skt_sliced<F>(ctx: &Ctx, cfg: &SktConfig, on_recovery: F) -> Result<S
 where
     F: Fn(&RecoveryReport),
 {
+    check_node_distinct(ctx, cfg)?;
     let world = ctx.world();
     let nranks = world.size();
     let me = world.rank();
@@ -311,6 +312,7 @@ pub fn install_relayout(
     columns: &[Vec<f64>],
     panel: u64,
 ) -> Result<(), Fault> {
+    check_node_distinct(ctx, cfg)?;
     let world = ctx.world();
     let nranks = world.size();
     let me = world.rank();
@@ -354,6 +356,14 @@ pub fn install_relayout(
     Ok(())
 }
 
+/// The §3.3 placement rule, checked on every rank before its group is
+/// formed: two members of one checkpoint group on one node make one node
+/// loss two erasures, which would otherwise surface only at recovery.
+fn check_node_distinct(ctx: &Ctx, cfg: &SktConfig) -> Result<(), Fault> {
+    validate_node_distinct(cfg.strategy, ctx.ranklist(), cfg.group_size)
+        .map_err(|_| Fault::Protocol("two members of one checkpoint group share a node"))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,6 +386,36 @@ mod tests {
             assert_eq!(o.resumed_from_panel, 0);
             assert!(!o.restarted_from_scratch);
         }
+    }
+
+    #[test]
+    fn a_group_sharing_a_node_is_refused_before_any_segment() {
+        let cfg = SktConfig::new(HplConfig::new(32, 4, 11), 4, 2);
+        // block(4, 2) puts ranks {0, 1} on node 0 and {2, 3} on node 1:
+        // the one group of 4 holds two members per node
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(2, 0)));
+        let outs = run_on_cluster(Arc::clone(&cluster), &Ranklist::block(4, 2), |ctx| {
+            let columns = vec![vec![0.0; cfg.hpl.n]; cfg.hpl.n + 1];
+            Ok((
+                run_skt(ctx, &cfg).map(drop),
+                install_relayout(ctx, &cfg, &columns, 1),
+            ))
+        })
+        .unwrap();
+        for (rank, (run, relayout)) in outs.into_iter().enumerate() {
+            for r in [run, relayout] {
+                assert!(
+                    matches!(r, Err(Fault::Protocol(m)) if m.contains("share a node")),
+                    "rank {rank}: {r:?}"
+                );
+            }
+        }
+        assert!((0..2).all(|n| cluster.shm(n).is_empty()), "no segment made");
+        // the same group over round_robin(4, 4) is node-distinct
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(4, 0)));
+        let rl = Ranklist::round_robin(4, 4);
+        let outs = run_on_cluster(cluster, &rl, |ctx| run_skt(ctx, &cfg)).unwrap();
+        assert!(outs.iter().all(|o| o.hpl.passed));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Communicators: point-to-point messaging, `MPI_Comm_split`,
 //! tree-based collectives (`bcast`, `reduce`, `allreduce`, `barrier`,
-//! `gather`, `allgather`, `scatter`) and the ring
+//! `gather`, `allgather`) and the ring
 //! [`Comm::reduce_scatter`] that carries the checkpoint encode.
 
 use crate::payload::{Payload, ReduceOp};
@@ -19,17 +19,6 @@ pub struct Envelope {
     pub(crate) tag: u64,
     /// The body.
     pub(crate) payload: Payload,
-}
-
-/// Shape of a communicator: used by tests to assert split results.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CommShape {
-    /// Communicator id.
-    pub id: u64,
-    /// World ranks of the members, in comm-rank order.
-    pub ranks: Vec<usize>,
-    /// This rank's position.
-    pub me: usize,
 }
 
 const USER_TAG_LIMIT: u64 = 1 << 32;
@@ -98,15 +87,6 @@ impl<'c> Comm<'c> {
     /// The communicator id (diagnostics).
     pub fn id(&self) -> u64 {
         self.id
-    }
-
-    /// Shape snapshot (for tests).
-    pub fn shape(&self) -> CommShape {
-        CommShape {
-            id: self.id,
-            ranks: self.ranks.clone(),
-            me: self.me,
-        }
     }
 
     /// The context this communicator is bound to.
@@ -379,30 +359,6 @@ impl<'c> Comm<'c> {
                 }
                 Ok(all)
             }
-        }
-    }
-
-    /// Scatter `parts` (one per rank, at `root`) to the ranks; every rank
-    /// gets its own part.
-    pub fn scatter(&self, root: usize, parts: Option<Vec<Payload>>) -> Result<Payload, Fault> {
-        let size = self.size();
-        let tag = self.alloc_tags(1);
-        if self.me == root {
-            let parts = parts.ok_or(Fault::Protocol("scatter: root must supply parts"))?;
-            if parts.len() != size {
-                return Err(Fault::Protocol("scatter: need one part per rank"));
-            }
-            let mut mine = Payload::Empty;
-            for (dst, p) in parts.into_iter().enumerate() {
-                if dst == root {
-                    mine = p;
-                } else {
-                    self.send_tagged(dst, tag, p)?;
-                }
-            }
-            Ok(mine)
-        } else {
-            self.recv_tagged(root, tag)
         }
     }
 
@@ -777,21 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn scatter_delivers_parts() {
-        let out = run_local(3, |ctx| {
-            let w = ctx.world();
-            let parts = if w.rank() == 0 {
-                Some((0..3).map(|i| Payload::F64(vec![i as f64 * 2.0])).collect())
-            } else {
-                None
-            };
-            Ok(w.scatter(0, parts)?.into_f64()[0])
-        })
-        .unwrap();
-        assert_eq!(out, vec![0.0, 2.0, 4.0]);
-    }
-
-    #[test]
     fn split_by_parity() {
         let out = run_local(6, |ctx| {
             let w = ctx.world();
@@ -857,24 +798,6 @@ mod tests {
         })
         .unwrap();
         assert_eq!(out, vec![42, 42, 20, 20]);
-    }
-
-    #[test]
-    fn scatter_misuse_is_a_typed_fault_not_a_panic() {
-        let out = run_local(2, |ctx| {
-            let w = ctx.world();
-            if w.rank() == 0 {
-                // root fails to supply parts: must surface as a Fault value
-                match w.scatter(0, None) {
-                    Err(Fault::Protocol(msg)) => Ok(msg.contains("root must supply")),
-                    other => panic!("expected protocol fault, got {other:?}"),
-                }
-            } else {
-                Ok(true) // non-root never enters the failed collective
-            }
-        })
-        .unwrap();
-        assert!(out.into_iter().all(|b| b));
     }
 
     #[test]

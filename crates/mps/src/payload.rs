@@ -23,20 +23,17 @@ pub enum Payload {
     U64(Vec<u64>),
     /// Signed integers (pivot indices, iteration counters).
     I64(Vec<i64>),
-    /// Raw bytes (serialized headers).
-    Bytes(Vec<u8>),
     /// Empty body (barriers, pure signals).
     Empty,
 }
 
 impl Payload {
-    /// Number of elements (bytes for `Bytes`, 0 for `Empty`).
+    /// Number of elements (0 for `Empty`).
     pub fn len(&self) -> usize {
         match self {
             Payload::F64(v) => v.len(),
             Payload::U64(v) => v.len(),
             Payload::I64(v) => v.len(),
-            Payload::Bytes(v) => v.len(),
             Payload::Empty => 0,
         }
     }
@@ -52,7 +49,6 @@ impl Payload {
             Payload::F64(v) => v.len() * 8,
             Payload::U64(v) => v.len() * 8,
             Payload::I64(v) => v.len() * 8,
-            Payload::Bytes(v) => v.len(),
             Payload::Empty => 0,
         }
     }
@@ -79,7 +75,6 @@ impl Payload {
             Payload::F64(_) => "F64",
             Payload::U64(_) => "U64",
             Payload::I64(_) => "I64",
-            Payload::Bytes(_) => "Bytes",
             Payload::Empty => "Empty",
         }
     }
@@ -92,7 +87,7 @@ pub enum ReduceOp {
     /// (wrapping), and `I64` (wrapping).
     Sum,
     /// Bitwise exclusive-or (`MPI_BXOR`); valid on `F64` (IEEE-754 bit
-    /// patterns), `U64` and `Bytes`.
+    /// patterns) and `U64`.
     Xor,
     /// Element-wise maximum; valid on `F64` and `I64`.
     Max,
@@ -138,11 +133,6 @@ impl ReduceOp {
             }
             (ReduceOp::Xor, Payload::U64(a), Payload::U64(b)) => {
                 kernels::xor_accumulate_u64(a, b, KernelConfig::global());
-            }
-            (ReduceOp::Xor, Payload::Bytes(a), Payload::Bytes(b)) => {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x ^= *y;
-                }
             }
             (ReduceOp::Max, Payload::F64(a), Payload::F64(b)) => {
                 for (x, y) in a.iter_mut().zip(b) {
@@ -257,7 +247,6 @@ mod tests {
     #[test]
     fn payload_sizes() {
         assert_eq!(Payload::F64(vec![0.0; 3]).size_bytes(), 24);
-        assert_eq!(Payload::Bytes(vec![0; 3]).size_bytes(), 3);
         assert_eq!(Payload::Empty.len(), 0);
         assert!(Payload::Empty.is_empty());
     }

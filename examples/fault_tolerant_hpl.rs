@@ -28,26 +28,23 @@ fn main() {
     println!("armed: node 5 powers off at its 10th panel\n");
 
     let cfg = SktConfig::new(HplConfig::new(n, nb, 42), group, ckpt_every);
-    let report = run_with_daemon(cluster, &ranklist, &cfg, 3, Duration::from_secs(63))
+    let report = run_with_daemon(cluster, &ranklist, &cfg, 3, Duration::from_secs(63));
+    let out = report
+        .outcome
+        .completed()
         .expect("daemon completes the run");
 
     println!("launches           : {}", report.launches);
     println!("failures survived  : {}", report.failures);
-    println!("resumed from panel : {}", report.output.resumed_from_panel);
-    println!("residual           : {:.4e}", report.output.hpl.residual);
+    println!("resumed from panel : {}", out.resumed_from_panel);
+    println!("residual           : {:.4e}", out.hpl.residual);
     println!(
         "verification       : {}",
-        if report.output.hpl.passed {
-            "PASSED"
-        } else {
-            "FAILED"
-        }
+        if out.hpl.passed { "PASSED" } else { "FAILED" }
     );
     println!(
         "performance        : {:.2} GFLOPS ({} checkpoints, {:.3}s checkpoint time)",
-        report.output.hpl.gflops_effective,
-        report.output.hpl.checkpoints,
-        report.output.hpl.ckpt_seconds
+        out.hpl.gflops_effective, out.hpl.checkpoints, out.hpl.ckpt_seconds
     );
     for (i, c) in report.cycles.iter().enumerate() {
         let bars: Vec<String> = c
@@ -56,9 +53,9 @@ fn main() {
             .collect();
         println!("cycle {i}: {}", bars.join("  "));
     }
-    if let Some(protocol_report) = report.output.recovery {
+    if let Some(protocol_report) = &out.recovery {
         println!("protocol           : {protocol_report}");
     }
-    assert!(report.output.hpl.passed);
+    assert!(out.hpl.passed);
     println!("\nSKT-HPL tolerated a permanent node loss and still passed HPL verification.");
 }

@@ -100,7 +100,7 @@ fn daemon_survives_three_sequential_node_losses() {
         for (nth, node) in VICTIMS {
             cluster.arm_failure(FailurePlan::new(ITER_PROBE, nth, node));
         }
-        run_with_daemon(cluster, &rl, &skt_cfg(), 5, Duration::from_millis(10)).unwrap()
+        run_with_daemon(cluster, &rl, &skt_cfg(), 5, Duration::from_millis(10))
     }) {
         let attempts = &rep.history.attempts;
         let mut dead: Vec<usize> = attempts
@@ -117,7 +117,8 @@ fn daemon_survives_three_sequential_node_losses() {
             groups.dedup();
             assert_eq!(groups.len(), a.newly_dead.len(), "seed {seed}: {a:?}");
         }
-        assert!(rep.output.hpl.passed, "seed {seed}");
+        let out = rep.outcome.completed().unwrap();
+        assert!(out.hpl.passed, "seed {seed}");
     }
 }
 

@@ -1198,7 +1198,7 @@ fn nested_fault_in_double_recovery_retry_heals_or_refuses() {
 // Gray-failure dimension: stragglers, hangs, degraded links
 // ---------------------------------------------------------------------
 
-use self_checkpoint::ftsim::{run_with_daemon, DaemonError, SuspicionOutcome};
+use self_checkpoint::ftsim::{run_with_daemon, Refusal, SuspicionOutcome};
 use self_checkpoint::hpl::{HplConfig, SktConfig, ITER_PROBE};
 use std::time::Duration;
 
@@ -1275,10 +1275,13 @@ fn gray_reference_residual(method: Method, codec: CodecSpec) -> u64 {
         &gray_skt_cfg(method, codec),
         3,
         Duration::from_secs(5),
-    )
-    .expect("fault-free reference must complete");
-    assert!(rep.output.hpl.passed);
-    rep.output.hpl.residual.to_bits()
+    );
+    let out = rep
+        .outcome
+        .completed()
+        .expect("fault-free reference must complete");
+    assert!(out.hpl.passed);
+    out.hpl.residual.to_bits()
 }
 
 /// One cell of the gray matrix, through the full daemon ladder: inject,
@@ -1303,15 +1306,16 @@ fn gray_cell(
     let rl = Ranklist::round_robin(N, N);
     cluster.arm_failure(case.plan(heal));
     let mut s = String::new();
-    match run_with_daemon(
+    let rep = run_with_daemon(
         Arc::clone(&cluster),
         &rl,
         &gray_skt_cfg(method, codec),
         3,
         Duration::from_secs(5),
-    ) {
-        Ok(rep) => {
-            assert!(rep.output.hpl.passed, "{tag}: residual failed");
+    );
+    match rep.outcome.completed() {
+        Ok(out) => {
+            assert!(out.hpl.passed, "{tag}: residual failed");
             assert_eq!(
                 rep.history.suspicions.len(),
                 1,
@@ -1329,7 +1333,7 @@ fn gray_cell(
                 );
                 assert_eq!(cluster.spares_left(), 1, "{tag}: no spare spent");
                 assert_eq!(
-                    rep.output.hpl.residual.to_bits(),
+                    out.hpl.residual.to_bits(),
                     reference,
                     "{tag}: exonerated resume must be bit-exact with the fault-free run"
                 );
@@ -1356,7 +1360,7 @@ fn gray_cell(
             }
             s.push_str(&format!(
                 "{case:?}/heal={heal}/{method:?}: completed residual={:016x}\n",
-                rep.output.hpl.residual.to_bits()
+                out.hpl.residual.to_bits()
             ));
             for sr in &rep.history.suspicions {
                 s.push_str(&format!(
@@ -1374,7 +1378,7 @@ fn gray_cell(
                 ));
             }
         }
-        Err(e @ DaemonError::Unrecoverable(_)) => {
+        Err(Refusal::Unrecoverable) => {
             // The suspicion abort can land inside a *baseline* method's
             // torn update window; with the victim's copy then quarantined
             // the group is beyond that method's repair — the documented
@@ -1382,12 +1386,13 @@ fn gray_cell(
             // such window.
             assert!(
                 method != Method::SelfCkpt,
-                "{tag}: self-checkpoint must never refuse: {e}"
+                "{tag}: self-checkpoint must never refuse: {:?}",
+                rep.history.attempts
             );
             s.push_str(&format!(
                 "{case:?}/heal={heal}/{method:?}: refused unrecoverable\n"
             ));
-            for sr in &e.history().suspicions {
+            for sr in &rep.history.suspicions {
                 s.push_str(&format!(
                     "  suspicion node={} probe={} outcome={}\n",
                     sr.node,
@@ -1396,7 +1401,7 @@ fn gray_cell(
                 ));
             }
         }
-        Err(other) => panic!("{tag}: daemon gave up: {other}"),
+        Err(other) => panic!("{tag}: daemon gave up: {other:?}"),
     }
     s.push_str(&format!(
         "  victim fenced={} alive={} spares_left={}\n",

@@ -756,10 +756,13 @@ fn gray_prop_reference() -> u64 {
             SimRuntime::new(0),
         ));
         let rl = Ranklist::round_robin(4, 4);
-        let rep = run_with_daemon(cluster, &rl, &gray_prop_cfg(), 3, Duration::from_secs(5))
+        let rep = run_with_daemon(cluster, &rl, &gray_prop_cfg(), 3, Duration::from_secs(5));
+        let out = rep
+            .outcome
+            .completed()
             .expect("fault-free reference must complete");
-        assert!(rep.output.hpl.passed);
-        rep.output.hpl.residual.to_bits()
+        assert!(out.hpl.passed);
+        out.hpl.residual.to_bits()
     })
 }
 
@@ -830,9 +833,9 @@ proptest! {
             &gray_prop_cfg(),
             3,
             Duration::from_secs(5),
-        )
-        .unwrap_or_else(|e| panic!("{tag}: daemon gave up: {e}"));
-        prop_assert!(rep.output.hpl.passed, "{}: residual failed", tag);
+        );
+        let out = rep.outcome.completed().unwrap_or_else(|r| panic!("{tag}: daemon gave up: {r:?}"));
+        prop_assert!(out.hpl.passed, "{}: residual failed", tag);
         prop_assert_eq!(
             rep.history.suspicions.len(), 1,
             "{}: exactly one suspicion adjudicated: {:?}", tag, rep.history.suspicions
@@ -844,7 +847,7 @@ proptest! {
         prop_assert!(!cluster.node_fenced(victim), "{}: exoneration never fences", tag);
         prop_assert_eq!(cluster.spares_left(), 1, "{}: no spare spent", tag);
         prop_assert_eq!(
-            rep.output.hpl.residual.to_bits(), reference,
+            out.hpl.residual.to_bits(), reference,
             "{}: exonerated resume must be bit-exact with the fault-free run", tag
         );
     }

@@ -111,13 +111,14 @@ fn daemon_report(seed: u64) -> String {
     cluster.arm_failure(FailurePlan::new(ITER_PROBE, 3, 0));
     cluster.arm_failure(FailurePlan::new(ITER_PROBE, 3, 2));
     let cfg = SktConfig::new(HplConfig::new(48, 4, 11), 2, 2);
-    let rep = run_with_daemon(cluster, &rl, &cfg, 5, Duration::from_secs(63)).unwrap();
-    assert!(rep.output.hpl.passed, "seed {seed}");
+    let rep = run_with_daemon(cluster, &rl, &cfg, 5, Duration::from_secs(63));
+    let out = rep.outcome.completed().unwrap();
+    assert!(out.hpl.passed, "seed {seed}");
     format!(
         "launches={} failures={} resumed={} cycles={:?} steps={} clock={:?}",
         rep.launches,
         rep.failures,
-        rep.output.resumed_from_panel,
+        out.resumed_from_panel,
         rep.cycles,
         rt.steps(),
         rt.now(),
