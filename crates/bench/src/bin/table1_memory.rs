@@ -1,11 +1,13 @@
 //! Table 1 — memory usage of the self-checkpoint mechanism per part
-//! (`A1+A2`, `B`, `C`, `D`, total `2MN/(N-1)`), validated against the
-//! live SHM segment sizes of a running checkpointer.
+//! (`A1+A2`, `B`, `C`, `D`, total `2MN/(N-1)`), validated byte for byte
+//! against the live SHM segments of a running checkpointer, whose commit
+//! header and stripe-CRC table are printed as parts of their own.
 //!
 //! Regenerate with: `cargo run -p skt-bench --bin table1_memory`
 
 use skt_bench::Table;
 use skt_cluster::{Cluster, ClusterConfig, Ranklist};
+use skt_core::protocol::{crc_table_bytes, HEADER_BYTES};
 use skt_core::{Checkpointer, CkptConfig, MemoryBreakdown, Method};
 use skt_mps::run_on_cluster;
 use std::sync::Arc;
@@ -47,21 +49,32 @@ fn main() {
             world,
             CkptConfig::new("table1", Method::SelfCkpt, live_a1, 0),
         );
-        Ok((
-            ck.shm_bytes(),
-            ck.layout().padded_len(),
-            ck.layout().stripe_len(),
-        ))
+        Ok((ck.shm_bytes(), ck.layout().padded_len()))
     })
     .unwrap();
-    let (shm, padded, stripe) = bytes[0];
-    println!("\nLive validation (group {live_n}, a1 = {live_a1} elements):");
-    println!("  SHM bytes per rank      : {shm}");
-    println!(
-        "  expected (2M + 2M/(N-1)): {} + 32B header",
-        (2 * padded + 2 * stripe) * 8
+    let (shm, padded) = bytes[0];
+    // Table 1's parts at the padded workspace, plus what a rank holds
+    // beyond them: the commit header and the stripe-CRC table.
+    let live = MemoryBreakdown::new(Method::SelfCkpt, padded, live_n);
+    let crc = crc_table_bytes(live_n);
+    let expect = live.total() * 8 + HEADER_BYTES + crc;
+    println!("\nLive validation (group {live_n}, a1 = {live_a1} elements, M = {padded} padded):");
+    let mut t = Table::new(vec!["Part", "Bytes per rank"]);
+    for (part, bytes) in [
+        ("A1+A2 (M)", live.a * 8),
+        ("B (M)", live.checkpoints * 8),
+        ("C + D (2M/(N-1))", live.checksums * 8),
+        ("header", HEADER_BYTES),
+        ("stripe-CRC table", crc),
+        ("expected total", expect),
+        ("live SHM segments", shm),
+    ] {
+        t.row(vec![part.to_string(), bytes.to_string()]);
+    }
+    t.print();
+    assert_eq!(
+        shm, expect,
+        "live segments must match Table 1 + header + CRC table"
     );
-    let expect = (2 * padded + 2 * stripe) * 8 + 32;
-    assert_eq!(shm, expect, "live segments must match Table 1");
     println!("  MATCH");
 }

@@ -86,10 +86,8 @@ pub use header::{Header, HeaderState, HEADER_BYTES};
 pub use ops::{OpAction, OpRecord, OpState};
 pub use phase::Phase;
 pub use planner::{GroupPlan, HeaderMaxima, SurvivorView};
-pub use regions::COPY_PROBE;
+pub use regions::{crc_table_bytes, COPY_PROBE};
 pub use report::RecoveryReport;
-
-pub(crate) use regions::crc_table_bytes;
 
 use skt_encoding::{Code, CodecSpec};
 use skt_mps::Fault;

@@ -24,8 +24,11 @@ use std::cell::Cell;
 /// just at the phase-boundary probes.
 pub const COPY_PROBE: &str = "ckpt-copy";
 
-/// Size of the per-rank CRC table segment for an `n`-member group.
-pub(crate) fn crc_table_bytes(n: usize) -> usize {
+/// Size in bytes of the per-rank stripe-CRC table segment for an
+/// `n`-member group: one CRC32C per stripe per region slot. With
+/// [`HEADER_BYTES`](super::HEADER_BYTES) it is what a rank's SHM holds
+/// beyond Table 1's regions.
+pub fn crc_table_bytes(n: usize) -> usize {
     SLOTS * (n - 1) * 4
 }
 

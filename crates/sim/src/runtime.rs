@@ -76,8 +76,9 @@ pub trait Runtime: Send + Sync {
 
     /// A blocking receive found no message. Under simulation the task
     /// parks until [`Self::notify`] and reports `Some(outcome)`; the real
-    /// runtime returns `None` and the caller falls back to its timed
-    /// `recv_timeout` poll.
+    /// runtime returns `None`, and the caller, having polled its mailbox
+    /// (yielding the core) for a short budget first, sleeps in a timed
+    /// `recv_timeout` before it re-checks for aborts.
     fn park_blocked(&self) -> Option<YieldOutcome> {
         None
     }

@@ -3,11 +3,10 @@
 //! method and group size, and the cluster-level totals must add up.
 
 use self_checkpoint::cluster::{Cluster, ClusterConfig, Ranklist};
+use self_checkpoint::core::protocol::{crc_table_bytes, HEADER_BYTES};
 use self_checkpoint::core::{available_fraction, Checkpointer, CkptConfig, Method};
 use self_checkpoint::mps::run_on_cluster;
 use std::sync::Arc;
-
-const HEADER_BYTES: usize = 32;
 
 fn live_fraction(method: Method, n: usize, a1: usize) -> (f64, usize) {
     let cluster = Arc::new(Cluster::new(ClusterConfig::new(n, 0)));
@@ -23,7 +22,10 @@ fn live_fraction(method: Method, n: usize, a1: usize) -> (f64, usize) {
     // the node-level SHM store must account exactly the same bytes
     let node_total: usize = (0..n).map(|node| cluster.shm(node).total_bytes()).sum();
     assert_eq!(node_total, total * n, "cluster-level accounting mismatch");
-    (app as f64 / (total - HEADER_BYTES) as f64, total)
+    // Equations 2–4 count the data regions; the header and the
+    // stripe-CRC table are the rank's only other bytes
+    let regions = total - HEADER_BYTES - crc_table_bytes(n);
+    (app as f64 / regions as f64, total)
 }
 
 #[test]
