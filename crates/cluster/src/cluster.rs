@@ -1,7 +1,7 @@
 //! The virtual cluster: node inventory, spare pool, rank placement, and
 //! MPI-style whole-job abort on node failure.
 
-use crate::events::{Event, EventBus, Observer};
+use crate::events::{Event, EventBus};
 use crate::failure::{FailureInjector, Fault, FaultAction, FaultPlan, GrayKind, Region};
 use crate::net::NetModel;
 use crate::shm::{SegmentData, ShmStore};
@@ -79,23 +79,6 @@ pub struct Cluster {
     verdict: Mutex<Option<Suspicion>>,
 }
 
-/// Bus observer that forwards protocol phase boundaries to the runtime,
-/// giving the simulation scheduler its per-task phase windows (what
-/// "kill the victim inside `FlushB`" targets).
-struct SimPhaseTracker {
-    rt: Arc<dyn Runtime>,
-}
-
-impl Observer for SimPhaseTracker {
-    fn on_event(&self, event: &Event) {
-        match *event {
-            Event::PhaseEnter { label, .. } => self.rt.phase_mark(label, true),
-            Event::PhaseExit { label, .. } => self.rt.phase_mark(label, false),
-            _ => {}
-        }
-    }
-}
-
 impl Cluster {
     /// Build a cluster on real threads and the wall clock. Node ids
     /// `0..nodes` start in the job pool; ids `nodes..nodes+spares` start
@@ -109,12 +92,6 @@ impl Cluster {
     /// cluster a deterministic function of `(config, seed)`.
     pub fn new_with_runtime(config: ClusterConfig, runtime: Arc<dyn Runtime>) -> Self {
         let total = config.total();
-        let events = EventBus::new();
-        if runtime.is_sim() {
-            events.subscribe(Arc::new(SimPhaseTracker {
-                rt: Arc::clone(&runtime),
-            }));
-        }
         Cluster {
             config,
             shm: (0..total).map(|_| ShmStore::new()).collect(),
@@ -125,7 +102,7 @@ impl Cluster {
             // Local-cluster-ish defaults; experiments override via
             // platform models where it matters.
             net: NetModel::new(2e-6, 12.5e9, 2),
-            events,
+            events: EventBus::new(),
             runtime,
             gray: Mutex::new(vec![None; total]),
             generation: Mutex::new(vec![0; total]),
@@ -399,7 +376,7 @@ impl Cluster {
     }
 
     /// The cluster-wide observation bus. Protocol layers emit into it;
-    /// harnesses subscribe [`Observer`]s.
+    /// harnesses subscribe [`Observer`](crate::events::Observer)s.
     pub fn events(&self) -> &EventBus {
         &self.events
     }

@@ -448,13 +448,12 @@ impl<'c> Checkpointer<'c> {
     /// segment holds the restored data and [`Self::last_report`] the
     /// decision trail.
     ///
-    /// The whole call runs inside the [`RECOVER_PHASE_LABEL`] phase
-    /// window, so under the sim runtime `explore_yield_kills` can arm a
-    /// second failure at every yield point of the recovery itself. Every
-    /// durable step is a sequenced op ([`super::ops`]): a *re-entered*
-    /// recovery detects which steps already committed and skips them
-    /// instead of redoing their work, and the audit trail of that
-    /// detect/replay pass lands in [`RecoveryReport::ops`].
+    /// The whole call runs inside the [`RECOVER_PHASE_LABEL`] phase span.
+    /// A second node may be lost at any of its yield points; every
+    /// durable step is a sequenced op ([`super::ops`]), so a
+    /// *re-entered* recovery detects which steps already committed and
+    /// skips them instead of redoing their work, and the audit trail of
+    /// that detect/replay pass lands in [`RecoveryReport::ops`].
     pub fn recover(&mut self) -> Result<Recovery, RecoverError> {
         let t0 = self.clock();
         self.bus.emit(Event::PhaseEnter {

@@ -95,13 +95,10 @@ use std::time::Duration;
 
 use crate::memory::Method;
 
-/// Phase-window label wrapped around the whole of [`Checkpointer::recover`]
-/// (emitted as `Event::PhaseEnter`/`Event::PhaseExit`). Under the sim
-/// runtime every yield inside recovery — the survivor allgather, the
-/// parity rebuild collectives, the restore copies, the commit barriers —
-/// is counted into this window, so `explore_yield_kills(.., "recover")`
-/// enumerates *cascading* failures: a second node dying at every
-/// recovery-phase interleaving point.
+/// Phase label wrapped around the whole of [`Checkpointer::recover`]
+/// (emitted as `Event::PhaseEnter`/`Event::PhaseExit`), so observers can
+/// time a recovery and attribute its bytes the way they do a `make`'s
+/// phases.
 pub const RECOVER_PHASE_LABEL: &str = "recover";
 
 /// Probe fired after the planner consensus, before the job-wide

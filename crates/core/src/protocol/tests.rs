@@ -1090,7 +1090,7 @@ fn a_fill_that_does_not_cover_the_segment_exactly_is_refused() {
 // The window between the damage census and a lent read
 // ---------------------------------------------------------------------
 
-use skt_cluster::{Runtime, SegmentData, SimRuntime, YieldOutcome};
+use skt_cluster::{Runtime, SegmentData, SimRuntime};
 use std::cell::Cell;
 use std::sync::{Mutex, OnceLock, Weak};
 
@@ -1144,7 +1144,7 @@ impl Runtime for FaultInsideRebuild {
     fn drive(&self) {
         self.sim.drive()
     }
-    fn park_blocked(&self) -> Option<YieldOutcome> {
+    fn park_blocked(&self) -> bool {
         self.sim.park_blocked()
     }
     fn notify(&self) {
@@ -1153,11 +1153,8 @@ impl Runtime for FaultInsideRebuild {
     fn set_stall_wake(&self, step: Option<Duration>) {
         self.sim.set_stall_wake(step)
     }
-    fn phase_mark(&self, label: &'static str, enter: bool) {
-        self.sim.phase_mark(label, enter)
-    }
-    fn yield_now(&self, label: &str) -> YieldOutcome {
-        let out = self.sim.yield_now(label);
+    fn yield_now(&self, label: &str) {
+        self.sim.yield_now(label);
         if ON_RANK.get() == Some(self.rank) {
             let mut t = self.trigger.lock().unwrap();
             *t = match (*t, label) {
@@ -1171,7 +1168,6 @@ impl Runtime for FaultInsideRebuild {
                 (t, _) => t,
             };
         }
-        out
     }
 }
 

@@ -2,7 +2,7 @@
 //! rank function to completion or whole-job abort.
 
 use crate::comm::{Comm, Envelope};
-use skt_cluster::{Cluster, ClusterConfig, Fault, NodeId, Ranklist, Runtime, YieldOutcome};
+use skt_cluster::{Cluster, ClusterConfig, Fault, NodeId, Ranklist, Runtime};
 use skt_encoding::kernels::RankThread;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -97,27 +97,14 @@ impl Ctx {
         self.cluster.stopwatch()
     }
 
-    /// Kill-capable simulation yield point. Under the real runtime this is
-    /// free; under [`SimRuntime`](skt_cluster::SimRuntime) the rank gives
-    /// up its time slice here, and an armed yield kill can choose this
-    /// exact point to take the node down — same death path as an armed
-    /// [`FailurePlan`](skt_cluster::FailurePlan) firing at a probe.
-    pub(crate) fn sim_yield(&self, label: &str) -> Result<(), Fault> {
-        if self.cluster.runtime().yield_now(label) == YieldOutcome::Killed {
-            self.cluster.kill_node(self.node);
-            return Err(Fault::NodeDead(self.node));
-        }
-        Ok(())
-    }
-
     /// Named failure probe: increments this rank's counter for `label`
     /// and consults the cluster's armed plans. Returns `Err` if this node
     /// just died or the job is aborted. Doubles as a simulation yield
-    /// point, so every probe is also a schedulable (and killable) instant
-    /// — and, when a hang plan fired here, the point where the node's
-    /// ranks stop making progress.
+    /// point, so every probe is also a schedulable instant — one a node
+    /// may be lost at — and, when a hang plan fired here, the point where
+    /// the node's ranks stop making progress.
     pub fn failpoint(&self, label: &str) -> Result<(), Fault> {
-        self.sim_yield(label)?;
+        self.cluster.runtime().yield_now(label);
         self.check_fence()?;
         let count = {
             let mut counts = self.fail_counts.borrow_mut();
@@ -158,14 +145,9 @@ impl Ctx {
         while self.cluster.node_hung(self.node) {
             self.check_abort()?;
             self.check_fence()?;
-            match self.cluster.runtime().park_blocked() {
-                Some(YieldOutcome::Continue) => {}
-                Some(YieldOutcome::Killed) => {
-                    self.cluster.kill_node(self.node);
-                    return Err(Fault::NodeDead(self.node));
-                }
+            if !self.cluster.runtime().park_blocked() {
                 // real time: the hang is wall-clock; sleep a poll tick
-                None => std::thread::sleep(POLL),
+                std::thread::sleep(POLL);
             }
         }
         Ok(())
@@ -210,7 +192,7 @@ impl Ctx {
     }
 
     pub(crate) fn raw_send(&self, dst_world: usize, env: Envelope) -> Result<(), Fault> {
-        self.sim_yield("send")?;
+        self.cluster.runtime().yield_now("send");
         self.hold_if_hung()?;
         self.check_abort()?;
         // A fenced zombie's messages are rejected at the source: they
@@ -275,32 +257,28 @@ impl Ctx {
             // abort wakes us (a timed poll would be a hidden wall-clock
             // dependency); in real time, the poll budget is spent, so
             // sleep in the timed wait.
-            match self.cluster.runtime().park_blocked() {
-                Some(YieldOutcome::Continue) => continue,
-                Some(YieldOutcome::Killed) => {
-                    self.cluster.kill_node(self.node);
-                    return Err(Fault::NodeDead(self.node));
-                }
-                None if self.cluster.runtime().is_sim() => {
-                    // A sim-world thread that is not a registered task
-                    // (service plumbing driving a rank body directly):
-                    // waiting out the poll on the wall clock would leave
-                    // the virtual clock frozen, making "timeouts" depend
-                    // on host speed. Charge the poll to the virtual clock
-                    // instead and re-check.
-                    self.cluster.runtime().advance(POLL);
-                    continue;
-                }
-                None => match self.rx.recv_timeout(POLL) {
-                    Ok(env) => {
-                        if pred(&env) {
-                            return Ok(env);
-                        }
-                        self.pending.borrow_mut().push(env);
+            if self.cluster.runtime().park_blocked() {
+                continue;
+            }
+            if self.cluster.runtime().is_sim() {
+                // A sim-world thread that is not a registered task
+                // (service plumbing driving a rank body directly):
+                // waiting out the poll on the wall clock would leave the
+                // virtual clock frozen, making "timeouts" depend on host
+                // speed. Charge the poll to the virtual clock instead and
+                // re-check.
+                self.cluster.runtime().advance(POLL);
+                continue;
+            }
+            match self.rx.recv_timeout(POLL) {
+                Ok(env) => {
+                    if pred(&env) {
+                        return Ok(env);
                     }
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => return Err(Fault::JobAborted),
-                },
+                    self.pending.borrow_mut().push(env);
+                }
+                Err(RecvTimeoutError::Timeout) => continue,
+                Err(RecvTimeoutError::Disconnected) => return Err(Fault::JobAborted),
             }
         }
     }

@@ -1,15 +1,8 @@
-//! Interleaving exploration on top of [`SimRuntime`].
-//!
-//! Two modes, mirroring how one actually hunts concurrency bugs:
-//!
-//! * [`explore`] — breadth: run the same scenario under a range of seeds,
-//!   each a different (but reproducible) interleaving, and collect every
-//!   outcome. Assert the invariants that must hold for *all* seeds.
-//! * [`explore_yield_kills`] — depth: first run the scenario unarmed to
-//!   count the kill-capable yield points a victim hits inside one label's
-//!   window, then re-run once per point with the victim killed exactly
-//!   there. This is "kill at every instant of `Phase::FlushB`" made
-//!   finite and exhaustive.
+//! Interleaving exploration on top of [`SimRuntime`]: run the same
+//! scenario under a range of seeds, each a different (but reproducible)
+//! interleaving, and collect every outcome, so a test can assert the
+//! invariants that must hold for *all* seeds. (Depth — a node lost at
+//! every instant of one run — is [`SimRuntime::on_step`]'s job.)
 
 use crate::sim::SimRuntime;
 use std::ops::Range;
@@ -31,141 +24,44 @@ pub fn explore<T>(
         .collect()
 }
 
-/// What [`explore_yield_kills`] found: one scenario outcome per
-/// kill-capable yield point in the targeted window.
-#[derive(Debug)]
-pub struct YieldKillReport<T> {
-    /// Number of kill-capable yield points the victim hit inside the
-    /// window on the unarmed run — the size of the explored space.
-    pub yield_points: u64,
-    /// Outcome of the unarmed (fault-free) run.
-    pub baseline: T,
-    /// `(n, outcome)` for each armed run that killed the victim at the
-    /// `n`th in-window yield, `n` in `1..=yield_points`.
-    pub outcomes: Vec<(u64, T)>,
-}
-
-/// Kill `victim_node` at *every* kill-capable yield point inside
-/// `label`'s window (a phase label like `"flush-b"`, or a probe label),
-/// re-running `scenario` from scratch each time on a fresh
-/// [`SimRuntime::new`]`(seed)`.
-///
-/// The unarmed recording run and the armed runs share the seed, and
-/// arming consumes no randomness, so every armed run replays the
-/// recording run's interleaving exactly up to the kill — the armed run
-/// explores the *consequence* of dying there, not a different history.
-///
-/// Panics if the recording run hits no yield points inside the window:
-/// an empty exploration would vacuously "pass".
-pub fn explore_yield_kills<T>(
-    seed: u64,
-    victim_node: usize,
-    label: &str,
-    mut scenario: impl FnMut(Arc<SimRuntime>) -> T,
-) -> YieldKillReport<T> {
-    let rt = SimRuntime::new(seed);
-    let baseline = scenario(Arc::clone(&rt));
-    let yield_points = rt.yield_count(victim_node, label);
-    assert!(
-        yield_points > 0,
-        "no kill-capable yield points for node {victim_node} in window '{label}' (seed {seed}): \
-         nothing to explore"
-    );
-    let outcomes = (1..=yield_points)
-        .map(|n| {
-            let rt = SimRuntime::new(seed);
-            rt.arm_yield_kill(victim_node, label, n);
-            (n, scenario(rt))
-        })
-        .collect();
-    YieldKillReport {
-        yield_points,
-        baseline,
-        outcomes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runtime::{Runtime, YieldOutcome};
+    use crate::runtime::Runtime;
     use std::sync::Mutex;
 
-    /// A two-task scenario: each task yields at "work" three times inside
-    /// a "win" phase window; returns (interleaving trace, who died).
-    fn scenario(rt: Arc<SimRuntime>) -> (Vec<usize>, Option<u64>) {
+    /// A two-task scenario: each task yields at "work" three times;
+    /// returns the interleaving trace.
+    fn scenario(rt: Arc<SimRuntime>) -> Vec<usize> {
         let trace = Mutex::new(Vec::new());
-        let died = Mutex::new(None);
         std::thread::scope(|scope| {
             rt.begin_world(&[0, 1]);
             for rank in 0..2usize {
                 let rt = Arc::clone(&rt);
-                let (trace, died) = (&trace, &died);
+                let trace = &trace;
                 scope.spawn(move || {
                     rt.task_enter(rank);
-                    rt.phase_mark("win", true);
-                    for i in 1..=3u64 {
+                    for _ in 0..3 {
                         trace.lock().unwrap().push(rank);
-                        if rt.yield_now("work") == YieldOutcome::Killed {
-                            *died.lock().unwrap() = Some(i);
-                            break;
-                        }
+                        rt.yield_now("work");
                     }
-                    rt.phase_mark("win", false);
                     rt.task_exit(rank);
                 });
             }
             rt.drive();
         });
-        (trace.into_inner().unwrap(), died.into_inner().unwrap())
+        trace.into_inner().unwrap()
     }
 
     #[test]
     fn explore_runs_every_seed_reproducibly() {
-        let a = explore(0..8, |_, rt| scenario(rt).0);
-        let b = explore(0..8, |_, rt| scenario(rt).0);
+        let a = explore(0..8, |_, rt| scenario(rt));
+        let b = explore(0..8, |_, rt| scenario(rt));
         assert_eq!(a.len(), 8);
         assert_eq!(a, b, "same seeds, same interleavings");
         assert!(
             a.iter().any(|(_, t)| t != &a[0].1),
             "8 seeds should produce more than one interleaving"
         );
-    }
-
-    #[test]
-    fn yield_kill_exploration_covers_every_point() {
-        let rep = explore_yield_kills(11, 1, "win", scenario);
-        assert_eq!(rep.yield_points, 3, "three in-window yields for node 1");
-        assert_eq!(rep.baseline.1, None, "unarmed run kills nobody");
-        for (n, (_, died)) in &rep.outcomes {
-            assert_eq!(died, &Some(*n), "armed run {n} dies at exactly yield {n}");
-        }
-    }
-
-    #[test]
-    fn armed_runs_replay_the_recording_prefix() {
-        let rep = explore_yield_kills(5, 0, "work", |rt| scenario(rt).0);
-        for (n, trace) in &rep.outcomes {
-            // the victim appears in the armed trace exactly as often as
-            // in the baseline prefix up to its nth appearance
-            let kills = *n as usize;
-            let victim_hits = trace.iter().filter(|&&r| r == 0).count();
-            assert_eq!(victim_hits, kills.min(3));
-            // and the prefix up to the kill matches the baseline run
-            let prefix_len = trace
-                .iter()
-                .enumerate()
-                .filter(|(_, &r)| r == 0)
-                .nth(kills - 1)
-                .map(|(i, _)| i + 1)
-                .unwrap();
-            assert_eq!(trace[..prefix_len], rep.baseline[..prefix_len]);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "nothing to explore")]
-    fn empty_window_is_an_error_not_a_pass() {
-        explore_yield_kills(0, 0, "no-such-window", scenario);
     }
 }

@@ -15,9 +15,13 @@
 //!   `(config, seed)`.
 //! * [`Stopwatch`] — duration measurement on the runtime's clock, used
 //!   by every report-producing layer instead of `Instant::now()`.
-//! * [`explore`] / [`explore_yield_kills`] — the interleaving
-//!   exploration harness: seed sweeps for breadth, kill-at-every-yield-
-//!   point-of-a-phase for depth.
+//! * [`SimRuntime::on_step`] — one callback before every scheduling
+//!   step, with every task at a yield point: it may read any node's
+//!   shared memory (the durable state a loss at that instant leaves) and
+//!   power a node off. A crash-state enumerator records one run through
+//!   it; a test kills a node live at a chosen step through it.
+//! * [`explore`] — seed sweeps: the same scenario under a range of
+//!   seeds, one reproducible interleaving each.
 //!
 //! This crate sits below `skt-cluster` (which re-exports the types upper
 //! layers need) and depends on nothing but std.
@@ -27,7 +31,7 @@ mod rng;
 mod runtime;
 mod sim;
 
-pub use explore::{explore, explore_yield_kills, YieldKillReport};
+pub use explore::explore;
 pub use rng::SplitMix64;
-pub use runtime::{RealRuntime, Runtime, Stopwatch, YieldOutcome};
+pub use runtime::{RealRuntime, Runtime, Stopwatch};
 pub use sim::{SimRuntime, QUANTUM};

@@ -16,17 +16,6 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What a kill-capable yield point should do next.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum YieldOutcome {
-    /// Keep running.
-    Continue,
-    /// An armed simulation kill fired on this task: the caller must kill
-    /// its own node and return `Fault::NodeDead`, exactly like an armed
-    /// `FailurePlan` firing at a probe.
-    Killed,
-}
-
 /// Scheduling and time source for one cluster's rank world.
 ///
 /// Implementations must be shareable across rank threads; all state is
@@ -66,21 +55,20 @@ pub trait Runtime: Send + Sync {
     /// simulation the launching thread lends itself out here.
     fn drive(&self) {}
 
-    /// Kill-capable yield point, labeled for the yield-point map (probe
-    /// labels like `"ckpt-flush-b"`, or `"send"`). Under simulation the
-    /// task gives up its slice and blocks until rescheduled; the return
-    /// value says whether an armed kill chose this exact yield.
-    fn yield_now(&self, _label: &str) -> YieldOutcome {
-        YieldOutcome::Continue
-    }
+    /// Yield point, labeled (a probe label like `"ckpt-flush-b"`, or
+    /// `"send"`) for the deadlock report. Under simulation the task gives
+    /// up its slice and blocks until rescheduled; the caller's next
+    /// action must be an abort check, so a node killed while the task
+    /// was descheduled is noticed before anything else happens.
+    fn yield_now(&self, _label: &str) {}
 
     /// A blocking receive found no message. Under simulation the task
-    /// parks until [`Self::notify`] and reports `Some(outcome)`; the real
-    /// runtime returns `None`, and the caller, having polled its mailbox
+    /// parks until [`Self::notify`] and this returns `true`; the real
+    /// runtime returns `false`, and the caller, having polled its mailbox
     /// (yielding the core) for a short budget first, sleeps in a timed
     /// `recv_timeout` before it re-checks for aborts.
-    fn park_blocked(&self) -> Option<YieldOutcome> {
-        None
+    fn park_blocked(&self) -> bool {
+        false
     }
 
     /// Wake every parked task (a message was delivered, or the job
@@ -95,11 +83,6 @@ pub trait Runtime: Send + Sync {
     /// restores the strict deadlock panic. No-op in real time, where the
     /// OS clock never stalls.
     fn set_stall_wake(&self, _step: Option<Duration>) {}
-
-    /// A protocol phase boundary crossed on the calling task (forwarded
-    /// from `Event::PhaseEnter`/`PhaseExit` by the cluster's bus
-    /// observer). Defines the phase *window* targeted kills aim into.
-    fn phase_mark(&self, _label: &'static str, _enter: bool) {}
 }
 
 /// Real threads, real time: the production runtime. Rank threads run
@@ -166,8 +149,8 @@ mod tests {
         let rt = RealRuntime::new();
         rt.begin_world(&[0, 1]);
         rt.task_enter(0);
-        assert_eq!(rt.yield_now("x"), YieldOutcome::Continue);
-        assert_eq!(rt.park_blocked(), None);
+        rt.yield_now("x");
+        assert!(!rt.park_blocked());
         rt.notify();
         rt.set_stall_wake(Some(Duration::from_micros(100)));
         rt.advance(Duration::from_secs(5));
