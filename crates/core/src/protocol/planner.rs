@@ -96,8 +96,8 @@ pub struct GroupPlan {
     pub lost: Vec<usize>,
     /// Every member is fresh — nothing to restore, start from scratch.
     pub all_fresh: bool,
-    /// More members lost than the codec has parity stripes: beyond the
-    /// code's repair power.
+    /// More members lost than the codec has parity stripes while a
+    /// survivor proves a commit: beyond the code's repair power.
     pub multi_loss: bool,
     /// Single method only: an update attempt outran the last commit, so
     /// `(B, C)` may be torn (paper Figure 2, CASE 2).
@@ -120,7 +120,12 @@ pub fn plan_recovery(method: Method, views: &[SurvivorView], parity: usize) -> G
         .map(|(i, _)| i)
         .collect();
     let all_fresh = lost_list.len() == views.len();
-    let multi_loss = !all_fresh && lost_list.len() > parity;
+    // More fresh members than parity stripes is beyond repair only when
+    // a survivor's header proves something committed; otherwise (a loss
+    // while the group first creates its segments) there is nothing to
+    // lose and the group starts over.
+    let committed = views.iter().any(|v| !v.fresh && v.header.has_committed());
+    let multi_loss = committed && lost_list.len() > parity;
     let lost = if all_fresh { Vec::new() } else { lost_list };
     let maxima = HeaderMaxima::over(views);
     let (proposal, torn) = match method {
@@ -292,6 +297,25 @@ mod tests {
         let plan = plan_recovery(Method::SelfCkpt, &views, 2);
         assert!(plan.multi_loss);
         assert_eq!(plan.lost, vec![0, 2, 4]);
+    }
+
+    #[test]
+    fn losses_before_any_commit_start_over() {
+        // A loss while the group first creates its segments: two members
+        // never attached, a third is lost, the survivor holds a fresh
+        // header. Nothing committed, so nothing is lost: start over.
+        let mut views = group(4, hdr(0, 0, 0, 0), Some(0));
+        views[2] = SurvivorView::lost();
+        views[3] = SurvivorView::lost();
+        let plan = plan_recovery(Method::SelfCkpt, &views, 1);
+        assert!(!plan.multi_loss, "no survivor proves a commit");
+        assert_eq!(plan.proposal, 0);
+        // the dirty word announces an attempt and proves nothing
+        views[1] = SurvivorView::survivor(hdr(0, 0, 0, 1));
+        assert!(!plan_recovery(Method::Single, &views, 1).multi_loss);
+        // one survivor proving a commit makes the same losses fatal
+        views[1] = SurvivorView::survivor(hdr(1, 0, 0, 0));
+        assert!(plan_recovery(Method::SelfCkpt, &views, 1).multi_loss);
     }
 
     #[test]
