@@ -11,196 +11,120 @@
 //! | self    | during computation    | roll back (CASE 1)              |
 //! | self    | during encode         | roll back (CASE 1)              |
 //! | self    | during flush          | **roll forward** from (A, D)    |
+//!
+//! Each case kills node 1 at one window of epoch 3's checkpoint under
+//! real threads and recovers on the same cluster
+//! (`crash_states::probe_cell`): the reference model, reading the memory
+//! the loss left, must agree with the recovery, every restore must be
+//! bit-exact with a passing parity check, and the verdict must be the one
+//! the paper's diagram names.
 
-use self_checkpoint::cluster::{Cluster, ClusterConfig, FailurePlan, Ranklist};
-use self_checkpoint::core::{
-    Checkpointer, CkptConfig, Method, Phase, RecoverError, Recovery, RestoreSource,
-};
-use self_checkpoint::mps::{run_on_cluster, Ctx, Fault};
-use std::sync::Arc;
+mod crash_states;
 
-const N: usize = 4;
-const A1: usize = 256;
-const TOTAL_EPOCHS: u64 = 4;
+use crash_states::model::{Refusal, Source, Verdict};
+use crash_states::{lose, probe_cell, recover, Config, Recording, N, SEED};
+use self_checkpoint::cluster::FailurePlan;
+use self_checkpoint::core::{Method, Phase};
+use self_checkpoint::encoding::CodecSpec;
 
-fn pattern(rank: usize, epoch: u64) -> Vec<f64> {
-    (0..A1)
-        .map(|i| (rank * 7919 + i) as f64 * 0.25 + epoch as f64)
-        .collect()
+/// Kill node 1 at the `nth` pass of `label` and recover.
+fn case(method: Method, label: impl Into<String>, nth: u64) -> Verdict {
+    let rec = Recording::new(Config::new(method, CodecSpec::default()), SEED);
+    let cell = probe_cell(&rec, FailurePlan::new(label, nth, 1));
+    cell.expect("the armed failure fires")
+        .unwrap_or_else(|e| panic!("{method:?}: {e}"))
 }
 
-fn writer(ctx: &Ctx, method: Method) -> Result<(), Fault> {
-    let world = ctx.world();
-    let (mut ck, _) = Checkpointer::init(world, CkptConfig::new("case", method, A1, 16));
-    for e in 1..=TOTAL_EPOCHS {
-        {
-            let ws = ck.workspace();
-            ws.write().as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), e));
-        }
-        ctx.failpoint("computing")?;
-        ck.make(&e.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Run until the armed failure, repair, recover; return per-rank
-/// (recovery outcome or unrecoverable-flag, workspace contents).
-fn run_case(
-    method: Method,
-    label: impl Into<String>,
-    nth: u64,
-) -> Result<Vec<(Recovery, Vec<f64>)>, String> {
-    let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 1)));
-    let mut rl = Ranklist::round_robin(N, N);
-    cluster.arm_failure(FailurePlan::new(label, nth, 1));
-    let first = run_on_cluster(Arc::clone(&cluster), &rl, |ctx| writer(ctx, method));
-    assert!(first.is_err(), "armed failure must abort the run");
-    cluster.reset_abort();
-    rl.repair(&cluster).unwrap();
-
-    let err = std::sync::Mutex::new(None);
-    let outs = run_on_cluster(cluster, &rl, |ctx| {
-        let world = ctx.world();
-        let (mut ck, _) = Checkpointer::init(world, CkptConfig::new("case", method, A1, 16));
-        match ck.recover() {
-            Ok(rec) => {
-                let ws = ck.workspace();
-                let data = ws.read().as_f64()[..A1].to_vec();
-                Ok(Some((rec, data)))
-            }
-            Err(RecoverError::Unrecoverable(msg)) => {
-                *err.lock().unwrap() = Some(msg);
-                Ok(None)
-            }
-            Err(RecoverError::Fault(f)) => Err(f),
-            Err(other) => panic!("unexpected recovery error: {other}"),
-        }
-    })
-    .unwrap();
-    if let Some(msg) = err.into_inner().unwrap() {
-        return Err(msg);
-    }
-    Ok(outs
-        .into_iter()
-        .map(|o| o.expect("consistent verdicts"))
-        .collect())
-}
-
-fn assert_epoch(outs: &[(Recovery, Vec<f64>)], epoch: u64) {
-    for (rank, (rec, data)) in outs.iter().enumerate() {
-        match rec {
-            Recovery::Restored { epoch: e, a2, .. } => {
-                assert_eq!(*e, epoch, "rank {rank} epoch");
-                assert_eq!(a2.as_slice(), epoch.to_le_bytes());
-            }
-            other => panic!("rank {rank}: {other:?}"),
-        }
-        assert_eq!(data, &pattern(rank, epoch), "rank {rank} workspace");
+fn rolled_back(epoch: u64) -> Verdict {
+    Verdict::Restored {
+        epoch,
+        source: Source::Checkpoint,
     }
 }
+
+const TORN: Verdict = Verdict::Unrecoverable(Refusal::TornSingle);
+/// Encode fires once per ring fold, `N` times per make.
+const ENCODE_3: u64 = 2 * N as u64 + 1;
 
 #[test]
 fn single_failure_during_computation_rolls_back() {
-    let outs = run_case(Method::Single, "computing", 3).unwrap();
-    assert_epoch(&outs, 2);
+    assert_eq!(case(Method::Single, "computing", 3), rolled_back(2));
 }
 
 #[test]
 fn single_failure_during_update_is_unrecoverable() {
-    let msg = run_case(Method::Single, Phase::CopyB, 3).unwrap_err();
-    assert!(msg.contains("inconsistent"), "{msg}");
+    assert_eq!(case(Method::Single, Phase::CopyB, 3), TORN);
 }
 
 #[test]
 fn single_failure_during_encode_is_unrecoverable() {
     // checksum being recomputed while B already overwritten: same flaw
-    let msg = run_case(Method::Single, Phase::Encode, 2 * N as u64 + 1).unwrap_err();
-    assert!(msg.contains("inconsistent"), "{msg}");
+    assert_eq!(case(Method::Single, Phase::Encode, ENCODE_3), TORN);
 }
 
 #[test]
 fn double_failure_during_computation_rolls_back() {
-    let outs = run_case(Method::Double, "computing", 3).unwrap();
-    assert_epoch(&outs, 2);
+    assert_eq!(case(Method::Double, "computing", 3), rolled_back(2));
 }
 
 #[test]
 fn double_failure_during_update_restores_intact_pair() {
-    let outs = run_case(Method::Double, Phase::CopyB, 3).unwrap();
-    assert_epoch(&outs, 2);
+    assert_eq!(case(Method::Double, Phase::CopyB, 3), rolled_back(2));
 }
 
 #[test]
 fn self_failure_during_computation_rolls_back() {
-    let outs = run_case(Method::SelfCkpt, "computing", 3).unwrap();
-    assert_epoch(&outs, 2);
+    assert_eq!(case(Method::SelfCkpt, "computing", 3), rolled_back(2));
 }
 
 #[test]
 fn self_failure_during_encode_uses_old_checkpoint() {
     // CASE 1 of Figure 4: failure while calculating the new checksum D
-    let outs = run_case(Method::SelfCkpt, Phase::Encode, 2 * N as u64 + 1).unwrap();
-    assert_epoch(&outs, 2);
+    assert_eq!(
+        case(Method::SelfCkpt, Phase::Encode, ENCODE_3),
+        rolled_back(2)
+    );
 }
 
 #[test]
 fn self_failure_during_flush_rolls_forward() {
     // CASE 2 of Figure 4: D committed, flush torn -> recover from (A, D)
     // at the *new* epoch, losing no progress.
-    let outs = run_case(Method::SelfCkpt, Phase::FlushB, 3).unwrap();
-    assert_epoch(&outs, 3);
-    assert!(outs
-        .iter()
-        .all(|(r, _)| matches!(r, Recovery::Restored { source, .. }
-            if *source == RestoreSource::WorkspaceAndChecksum)));
+    let forward = Verdict::Restored {
+        epoch: 3,
+        source: Source::Workspace,
+    };
+    assert_eq!(case(Method::SelfCkpt, Phase::FlushB, 3), forward);
 }
 
 #[test]
 fn self_failure_between_flush_copies_rolls_forward() {
-    let outs = run_case(Method::SelfCkpt, Phase::FlushC, 3).unwrap();
-    assert_epoch(&outs, 3);
+    let v = case(Method::SelfCkpt, Phase::FlushC, 3);
+    assert!(matches!(v, Verdict::Restored { epoch: 3, .. }), "{v:?}");
 }
 
 #[test]
 fn self_failure_right_after_a2_write_uses_old_checkpoint() {
-    let outs = run_case(Method::SelfCkpt, Phase::Serialize, 3).unwrap();
-    assert_epoch(&outs, 2);
+    assert_eq!(case(Method::SelfCkpt, Phase::Serialize, 3), rolled_back(2));
 }
 
 #[test]
 fn every_method_survives_failure_after_full_commit() {
     for method in [Method::Single, Method::Double, Method::SelfCkpt] {
-        let outs = run_case(method, Phase::Done, 3).unwrap();
-        assert_epoch(&outs, 3);
+        let v = case(method, Phase::Done, 3);
+        assert!(
+            matches!(v, Verdict::Restored { epoch: 3, .. }),
+            "{method:?}: {v:?}"
+        );
     }
 }
 
 #[test]
 fn two_lost_nodes_in_one_group_are_unrecoverable() {
-    let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 2)));
-    let mut rl = Ranklist::round_robin(N, N);
-    cluster.arm_failure(FailurePlan::new("computing", 3, 1));
-    assert!(run_on_cluster(Arc::clone(&cluster), &rl, |ctx| writer(
-        ctx,
-        Method::SelfCkpt
-    ))
-    .is_err());
-    // second node dies while the job is already down (double fault)
-    cluster.kill_node(2);
-    cluster.reset_abort();
-    rl.repair(&cluster).unwrap();
-    let outs = run_on_cluster(cluster, &rl, |ctx| {
-        let world = ctx.world();
-        let (mut ck, _) =
-            Checkpointer::init(world, CkptConfig::new("case", Method::SelfCkpt, A1, 16));
-        match ck.recover() {
-            Err(RecoverError::Unrecoverable(_)) => Ok(true),
-            other => panic!("expected unrecoverable, got {other:?}"),
-        }
-    })
-    .unwrap();
-    assert!(
-        outs.into_iter().all(|b| b),
-        "single parity cannot fix two losses"
-    );
+    // two members lost at once once everything committed: beyond single
+    // parity, refused instead of rebuilt wrong
+    let rec = Recording::new(Config::new(Method::SelfCkpt, CodecSpec::default()), SEED);
+    let done = rec.states().pop().expect("a recorded state");
+    let refused = Verdict::Unrecoverable(Refusal::TooManyErasures);
+    assert_eq!(recover(&rec, &lose(&done, 0b0110)), Ok(refused));
 }
