@@ -18,10 +18,10 @@ use skt_mps::{Fault, Payload};
 use std::cell::Cell;
 
 /// Probe label fired at the start of every protocol segment copy
-/// (`copy_seg`). Gives the simulation a kill-capable yield point *inside*
-/// each copy window (`FlushB`, `FlushC`, `CopyB`, and the restore
-/// copies), so the targeted explorer can take a node down mid-flush, not
-/// just at the phase-boundary probes.
+/// (`copy_seg`). Gives the simulation a yield point *inside* each copy
+/// window (`FlushB`, `FlushC`, `CopyB`, and the restore copies), so a
+/// node can be lost between two copies, not just at the phase-boundary
+/// probes.
 pub const COPY_PROBE: &str = "ckpt-copy";
 
 /// Size in bytes of the per-rank stripe-CRC table segment for an
