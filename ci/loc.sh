@@ -12,15 +12,17 @@
 # production code below a test marker would silently drop out of the count.
 #
 # Under the grand total one more line, `aux`: every line of the Rust the
-# rule above never sees (`vendor/`, `crates/*/benches`, `crates/*/tests`,
-# `tests/`, `examples/`), so a deletion there shows in CHANGES.md too.
+# rule above never sees (each counted file's lines from its first
+# `#[cfg(test)]` on, `src/**/tests.rs`, `vendor/`, `crates/*/benches`,
+# `crates/*/tests`, `tests/`, `examples/`), so a deletion there shows in
+# CHANGES.md too.
 #
 #   ci/loc.sh            per-crate totals, the grand total, and `aux`
 #   ci/loc.sh <crate>    per-file counts of crates/<crate>, then its total
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-count() { # non-test lines of one file; fails when code follows its tests
+count() { # "<non-test lines> <all lines>" of one file; fails when code follows its tests
     awk -v file="$1" '
         !marked && /#\[cfg\(test\)\]/ { marked = 1; next }
         !marked { n++; next }
@@ -36,7 +38,7 @@ count() { # non-test lines of one file; fails when code follows its tests
                 print "ci/loc.sh: " file ": #[cfg(test)] is not the start of a trailing test module" > "/dev/stderr"
                 exit 1
             }
-            print n + 0
+            print n + 0, NR
         }' "$1"
 }
 
@@ -48,6 +50,7 @@ if [[ $# -eq 1 ]]; then
     total=0
     while read -r f; do
         n=$(count "$f")
+        n=${n% *}
         printf '%6d  %s\n' "$n" "$f"
         total=$((total + n))
     done < <(files "crates/$1")
@@ -56,19 +59,21 @@ if [[ $# -eq 1 ]]; then
 fi
 
 grand=0
+aux=0
 for dir in crates/*/ .; do
     dir=${dir%/}
     [[ -d $dir/src ]] || continue
     total=0
     while read -r f; do
         n=$(count "$f") # on its own line: a failed self-check stops the script
-        total=$((total + n))
+        total=$((total + ${n% *}))
+        aux=$((aux + ${n#* } - ${n% *}))
     done < <(files "$dir")
     printf '%6d  %s\n' "$total" "$dir"
     grand=$((grand + total))
+    aux=$((aux + $(find "$dir/src" -name tests.rs ! -path '*/cycle_budget/*' -exec cat {} + | wc -l)))
 done
 printf '%6d  total\n' "$grand"
-aux=0
 for dir in vendor crates/*/benches crates/*/tests tests examples; do
     [[ -d $dir ]] || continue # an unmatched glob, or a directory since deleted
     aux=$((aux + $(find "$dir" -name '*.rs' -exec cat {} + | wc -l)))

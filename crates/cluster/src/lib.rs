@@ -61,4 +61,4 @@ pub use storage::{Device, DeviceKind};
 pub use suspicion::{HeartbeatConfig, ProbeVerdict, Suspicion, SuspicionMonitor};
 // The runtime seam lives in `skt-sim`; re-export it here so upper layers
 // (mps, core, ftsim) reach it through their existing cluster dependency.
-pub use skt_sim::{explore, RealRuntime, Runtime, SimRuntime, SplitMix64, Stopwatch};
+pub use skt_sim::{RealRuntime, Runtime, SimRuntime, SplitMix64, Stopwatch};

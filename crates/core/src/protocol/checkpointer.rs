@@ -46,10 +46,11 @@ impl PhaseSpan {
 /// *globally* consistent: all groups checkpoint the same epoch, and after
 /// a failure every group must restore the *same* epoch. Pass the job-wide
 /// communicator via [`Checkpointer::init_synced`]; it adds a cross-group
-/// barrier between the checksum commit and the flush (so no group starts
-/// overwriting its old checkpoint while another could still force a
-/// rollback past it), and recovery agrees on the global minimum of the
-/// groups' restorable epochs.
+/// barrier between the checksum commit and the flush, in `make` and in a
+/// roll-forward restore (so no group starts overwriting its old
+/// checkpoint while another could still force a rollback past it), and
+/// recovery agrees on the global minimum of the groups' restorable
+/// epochs.
 pub struct Checkpointer<'c> {
     pub(super) comm: Comm<'c>,
     pub(super) sync: Option<Comm<'c>>,

@@ -76,17 +76,16 @@ impl<'c> Checkpointer<'c> {
         pass: Pass,
     ) -> Result<Duration, Fault> {
         let _d = self.seal_in(pass, HeaderCommit::after(WORK_D.word, e, d_ready))?;
-        match pass {
-            // In make every group is here: wait for all of them (the
-            // cross-group gate of `init_synced`).
-            Pass::Make => {
-                self.probe(Phase::CommitD.label())?;
-                self.sync_barrier()?;
-            }
-            // In a restore the job already agreed on `e`, and other groups
-            // may be rolling back from (B, C) instead: wait for this group.
-            Pass::Replay => self.comm.barrier()?,
+        if pass == Pass::Make {
+            self.probe(Phase::CommitD.label())?;
         }
+        // The cross-group gate of `init_synced`: no group overwrites
+        // (B, C) before every group committed D@e on every member. In a
+        // restore, groups rolling back from (B, C) meet it after their
+        // own commits (`restore`); without it, a second loss of a group's
+        // only D@e holder could make that group propose e-1 to one whose
+        // (B, C) already hold e.
+        self.sync_barrier()?;
         let t1 = self.clock();
         let flush_b = self.flush_in(pass, Phase::FlushB, e, BC.data, WORK_D.data)?;
         let flush_c = self.flush_in(pass, Phase::FlushC, e, BC.parity, WORK_D.parity)?;
@@ -241,6 +240,11 @@ impl<'c> Checkpointer<'c> {
                 let _bc = self.seal_replay(
                     HeaderCommit::after(BC.word, target, &to_work).also_after(&to_d),
                 )?;
+                // meet the roll-forward groups at their cross-group gate
+                // (`commit_d_then_flush`)
+                if let Some(sync) = &self.sync {
+                    sync.barrier()?;
+                }
                 Ok(RestoreSource::CheckpointAndChecksum)
             }
         }

@@ -4,14 +4,9 @@
 //! fixed order; the phase is the single source of identity for
 //! * **failure injection** — [`Phase::label`] is the probe name a
 //!   [`FailurePlan`](skt_cluster::FailurePlan) is armed on (`FailurePlan::new`
-//!   accepts a `Phase` directly via `From<Phase> for String`),
+//!   accepts a `Phase` directly via `From<Phase> for String`), and
 //! * **observation** — phase enter/exit [`Event`](skt_cluster::Event)s
-//!   carry the same label, and
-//! * **tests** — the fault-sweep matrix iterates [`Phase::ALL`] instead of
-//!   keeping a private label list.
-
-use super::table::MethodTable;
-use crate::memory::Method;
+//!   carry the same label.
 
 /// One window of the checkpoint protocol, in `make` order.
 ///
@@ -43,18 +38,6 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Every phase, in protocol order. The fault-sweep tests iterate this
-    /// to land a failure in each window.
-    pub const ALL: [Phase; 7] = [
-        Phase::Serialize,
-        Phase::Encode,
-        Phase::CommitD,
-        Phase::FlushB,
-        Phase::FlushC,
-        Phase::CopyB,
-        Phase::Done,
-    ];
-
     /// Canonical probe label. These strings are the wire format shared
     /// with the failure injector and the event bus; they are stable.
     pub fn label(self) -> &'static str {
@@ -66,18 +49,6 @@ impl Phase {
             Phase::FlushC => "ckpt-flush-c",
             Phase::CopyB => "ckpt-copy-b",
             Phase::Done => "ckpt-done",
-        }
-    }
-
-    /// Whether `method`'s `make` ever passes through this phase: a method
-    /// that keeps a live pair commits it and then flushes it over the
-    /// checkpoint; one that does not copies over the checkpoint first.
-    pub fn fires_in(self, method: Method) -> bool {
-        let keeps_live_pair = MethodTable::of(method).live.is_some();
-        match self {
-            Phase::CommitD | Phase::FlushB | Phase::FlushC => keeps_live_pair,
-            Phase::CopyB => !keeps_live_pair,
-            _ => true,
         }
     }
 }
@@ -104,24 +75,5 @@ mod tests {
     fn phase_arms_a_failure_plan() {
         let plan = skt_cluster::FailurePlan::new(Phase::FlushB, 3, 1);
         assert_eq!(plan.label, "ckpt-flush-b");
-    }
-
-    #[test]
-    fn method_phase_sets_match_the_paper() {
-        // self: no baseline-style in-place copy window
-        assert!(!Phase::CopyB.fires_in(Method::SelfCkpt));
-        assert!(Phase::FlushB.fires_in(Method::SelfCkpt));
-        // baselines: no D commit / flush windows
-        for m in [Method::Single, Method::Double] {
-            assert!(Phase::CopyB.fires_in(m));
-            assert!(!Phase::CommitD.fires_in(m));
-            assert!(!Phase::FlushB.fires_in(m));
-        }
-        // shared windows
-        for m in [Method::SelfCkpt, Method::Single, Method::Double] {
-            assert!(Phase::Serialize.fires_in(m));
-            assert!(Phase::Encode.fires_in(m));
-            assert!(Phase::Done.fires_in(m));
-        }
     }
 }

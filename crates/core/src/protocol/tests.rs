@@ -11,11 +11,6 @@ use std::sync::Arc;
 const N: usize = 4;
 const A1: usize = 64;
 
-/// Probe the [`cycle`] helpers fire after each epoch's closing world
-/// barrier: a rank reaching it proves every rank committed that epoch's
-/// header, which [`Phase::Done`] (one rank's own commit) does not.
-const EPOCH_END: &str = "test-epoch-end";
-
 /// Flip one bit of `node`'s `region` right now; whether it landed.
 fn flip(cluster: &Cluster, node: usize, region: Region, offset: usize, bit: u8) -> bool {
     let action = FaultAction::Corrupt {
@@ -34,170 +29,6 @@ fn pattern(rank: usize, epoch: u64) -> Vec<f64> {
     (0..A1)
         .map(|i| (rank * 10_000 + i) as f64 + epoch as f64 * 0.5)
         .collect()
-}
-
-/// Run a full work→checkpoint→fail→repair→recover cycle with the
-/// failure armed at `(probe, nth)` on node `victim`; return the
-/// recovery outcomes (and per-rank reports) observed on the relaunch.
-/// Each epoch ends with a world barrier and the [`EPOCH_END`] probe.
-fn cycle(
-    method: Method,
-    probe: impl Into<String>,
-    nth: u64,
-    victim: usize,
-    epochs_before_fail: u64,
-) -> Vec<(Recovery, Vec<f64>, Option<RecoveryReport>)> {
-    let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 1)));
-    let mut rl = Ranklist::round_robin(N, N);
-    cluster.arm_failure(FailurePlan::new(probe, nth, victim));
-
-    // First run: write a pattern per epoch, checkpoint, keep going
-    // until the injected failure kills the job.
-    let res = run_on_cluster(cluster.clone(), &rl, |ctx| {
-        let world = ctx.world();
-        let (mut ck, _) = Checkpointer::init(world, cfg(method));
-        for e in 1..=epochs_before_fail + 2 {
-            {
-                let ws = ck.workspace();
-                let mut g = ws.write();
-                g.as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), e));
-            }
-            ck.make(&e.to_le_bytes())?;
-            ctx.world().barrier()?;
-            ctx.failpoint(EPOCH_END)?;
-        }
-        Ok(())
-    });
-    assert!(res.is_err(), "failure must abort the first run");
-
-    // Daemon: repair and relaunch; each rank recovers.
-    cluster.reset_abort();
-    rl.repair(&cluster).unwrap();
-    run_on_cluster(cluster, &rl, |ctx| {
-        let world = ctx.world();
-        let (mut ck, _) = Checkpointer::init(world, cfg(method));
-        let rec = ck.recover().map_err(|e| match e {
-            RecoverError::Fault(f) => f,
-            RecoverError::Unrecoverable(msg) => panic!("unrecoverable: {msg}"),
-        })?;
-        let ws = ck.workspace();
-        let data = ws.read().as_f64()[..A1].to_vec();
-        Ok((rec, data, ck.last_report()))
-    })
-    .unwrap()
-}
-
-fn assert_restored_epoch(outs: &[(Recovery, Vec<f64>, Option<RecoveryReport>)], expect_epoch: u64) {
-    for (rank, (rec, data, _)) in outs.iter().enumerate() {
-        match rec {
-            Recovery::Restored { epoch, a2, .. } => {
-                assert_eq!(*epoch, expect_epoch, "rank {rank}");
-                assert_eq!(a2.as_slice(), &expect_epoch.to_le_bytes(), "rank {rank} a2");
-            }
-            other => panic!("rank {rank}: expected restore, got {other:?}"),
-        }
-        assert_eq!(data, &pattern(rank, expect_epoch), "rank {rank} data");
-    }
-}
-
-#[test]
-fn self_recovers_from_failure_during_computation() {
-    // Victim dies right after the 2nd checkpoint committed on every
-    // rank — the "failure in computing" CASE 1 of Figure 4.
-    let outs = cycle(Method::SelfCkpt, EPOCH_END, 2, 1, 2);
-    assert_restored_epoch(&outs, 2);
-    assert!(matches!(
-        outs[0].0,
-        Recovery::Restored {
-            source: RestoreSource::CheckpointAndChecksum,
-            ..
-        }
-    ));
-}
-
-#[test]
-fn self_recovers_from_failure_during_encode() {
-    // Failure in the middle of computing checksum D of epoch 3 →
-    // roll back to (B, C) of epoch 2 (CASE 1 of Figure 4).
-    let outs = cycle(Method::SelfCkpt, Phase::Encode, 2 * N as u64 + 1, 2, 2);
-    assert_restored_epoch(&outs, 2);
-}
-
-#[test]
-fn self_recovers_from_failure_during_flush() {
-    // D of epoch 3 committed, failure while overwriting B → recover
-    // forward from (work, D) at epoch 3 (CASE 2 of Figure 4).
-    let outs = cycle(Method::SelfCkpt, Phase::FlushB, 3, 1, 2);
-    assert_restored_epoch(&outs, 3);
-    assert!(matches!(
-        outs[0].0,
-        Recovery::Restored {
-            source: RestoreSource::WorkspaceAndChecksum,
-            ..
-        }
-    ));
-}
-
-#[test]
-fn self_recovers_from_failure_at_d_commit() {
-    let outs = cycle(Method::SelfCkpt, Phase::CommitD, 3, 3, 2);
-    // all survivors committed D@3? The victim died *after* its own
-    // d-commit probe fired, i.e. after writing d=3; min over
-    // survivors decides. Either way the data must be a consistent
-    // epoch (2 or 3).
-    let epoch = match &outs[0].0 {
-        Recovery::Restored { epoch, .. } => *epoch,
-        o => panic!("{o:?}"),
-    };
-    assert!(epoch == 2 || epoch == 3, "epoch {epoch}");
-    assert_restored_epoch(&outs, epoch);
-}
-
-#[test]
-fn double_recovers_from_failure_during_update() {
-    // double checkpoint survives a failure during checkpoint update
-    // (overwrites the older pair) — Figure 3.
-    let outs = cycle(Method::Double, Phase::CopyB, 3, 1, 2);
-    assert_restored_epoch(&outs, 2);
-}
-
-#[test]
-fn double_recovers_from_failure_during_computation() {
-    let outs = cycle(Method::Double, EPOCH_END, 2, 2, 2);
-    assert_restored_epoch(&outs, 2);
-}
-
-#[test]
-fn single_recovers_from_failure_during_computation() {
-    let outs = cycle(Method::Single, EPOCH_END, 2, 1, 2);
-    assert_restored_epoch(&outs, 2);
-}
-
-#[test]
-#[should_panic(expected = "unrecoverable")]
-fn single_cannot_recover_from_failure_during_update() {
-    // the defining weakness (Figure 2 CASE 2): failure between B copy
-    // and C encode leaves the only checkpoint torn.
-    let _ = cycle(Method::Single, Phase::CopyB, 3, 1, 2);
-}
-
-#[test]
-fn recovery_report_describes_the_roll_forward() {
-    // Same CASE 2 setup as `self_recovers_from_failure_during_flush`;
-    // the report must name the workspace source, the lost rank, and the
-    // header maxima that led there (d=3 outran bc=2).
-    let outs = cycle(Method::SelfCkpt, Phase::FlushB, 3, 1, 2);
-    for (rank, (_, _, report)) in outs.iter().enumerate() {
-        let r = report.clone().expect("restore must leave a report");
-        assert_eq!(r.epoch, 3, "rank {rank}");
-        assert_eq!(r.source, RestoreSource::WorkspaceAndChecksum, "rank {rank}");
-        assert_eq!(r.method, Method::SelfCkpt);
-        assert_eq!(r.lost, vec![1], "rank {rank}");
-        assert_eq!((r.epochs_seen.d, r.epochs_seen.bc), (3, 2), "rank {rank}");
-        assert!(r.rebuilt_bytes > 0, "a lost rank was rebuilt");
-        let shown = r.to_string();
-        assert!(shown.contains("workspace+checksum"), "{shown}");
-    }
 }
 
 #[test]
@@ -707,133 +538,6 @@ fn config_builder_round_trips() {
     assert_eq!(c.a1_len, 32);
     assert_eq!(c.a2_capacity, 24);
     assert_eq!(c.name, "b");
-}
-
-/// [`cycle`] under the dual P+Q codec with *two* nodes of the group
-/// lost: the armed plan kills the first victim at the chosen
-/// `(probe, nth)` yield point, and the second node is powered off while
-/// the job aborts — before any recovery step runs, so the relaunch
-/// faces two erasures against the survivor state frozen at that window.
-fn dual_cycle(
-    method: Method,
-    probe: impl Into<String>,
-    nth: u64,
-    victims: [usize; 2],
-    epochs_before_fail: u64,
-) -> Vec<(Recovery, Vec<f64>, Option<RecoveryReport>)> {
-    let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 2)));
-    let mut rl = Ranklist::round_robin(N, N);
-    cluster.arm_failure(FailurePlan::new(probe, nth, victims[0]));
-    let dual = cfg(method).with_codec(CodecSpec::Dual);
-    let c1 = dual.clone();
-    let res = run_on_cluster(cluster.clone(), &rl, |ctx| {
-        let world = ctx.world();
-        let (mut ck, _) = Checkpointer::init(world, c1.clone());
-        for e in 1..=epochs_before_fail + 2 {
-            {
-                let ws = ck.workspace();
-                let mut g = ws.write();
-                g.as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), e));
-            }
-            ck.make(&e.to_le_bytes())?;
-            ctx.world().barrier()?;
-            ctx.failpoint(EPOCH_END)?;
-        }
-        Ok(())
-    });
-    assert!(res.is_err(), "failure must abort the first run");
-    // ranks are placed round-robin on as many nodes, so rank r is node r
-    cluster.kill_node(victims[1]);
-    assert_eq!(cluster.dead_nodes().len(), 2, "both victims must die");
-
-    cluster.reset_abort();
-    rl.repair(&cluster).unwrap();
-    run_on_cluster(cluster, &rl, |ctx| {
-        let world = ctx.world();
-        let (mut ck, _) = Checkpointer::init(world, dual.clone());
-        let rec = ck.recover().map_err(|e| match e {
-            RecoverError::Fault(f) => f,
-            RecoverError::Unrecoverable(msg) => panic!("unrecoverable: {msg}"),
-        })?;
-        let ws = ck.workspace();
-        let data = ws.read().as_f64()[..A1].to_vec();
-        Ok((rec, data, ck.last_report()))
-    })
-    .unwrap()
-}
-
-#[test]
-fn dual_codec_recovers_two_losses_during_computation() {
-    // Two members of the same group die in the same probe round after
-    // their 2nd committed checkpoint; the P+Q codec rebuilds both.
-    let outs = dual_cycle(Method::SelfCkpt, EPOCH_END, 2, [1, 2], 2);
-    assert_restored_epoch(&outs, 2);
-    for (rank, (_, _, report)) in outs.iter().enumerate() {
-        let r = report.clone().expect("restore must leave a report");
-        assert_eq!(r.lost, vec![1, 2], "rank {rank}");
-        assert!(r.rebuilt_bytes > 0, "rank {rank}");
-    }
-}
-
-#[test]
-fn dual_codec_recovers_two_losses_during_flush() {
-    // CASE 2 with two erasures: D@3 committed, both victims die while
-    // B is being overwritten → roll forward from (work, D) at epoch 3.
-    let outs = dual_cycle(Method::SelfCkpt, Phase::FlushB, 3, [0, 3], 2);
-    assert_restored_epoch(&outs, 3);
-    assert!(matches!(
-        outs[1].0,
-        Recovery::Restored {
-            source: RestoreSource::WorkspaceAndChecksum,
-            ..
-        }
-    ));
-    let r = outs[1].2.clone().expect("report");
-    assert_eq!(r.lost, vec![0, 3]);
-}
-
-#[test]
-fn dual_codec_double_method_recovers_two_losses_during_update() {
-    let outs = dual_cycle(Method::Double, Phase::CopyB, 3, [1, 3], 2);
-    assert_restored_epoch(&outs, 2);
-}
-
-#[test]
-fn single_parity_refuses_two_simultaneous_losses_with_a_typed_error() {
-    // The same double kill under the default m = 1 codec must surface
-    // the typed refusal, not wrong data.
-    let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 2)));
-    let mut rl = Ranklist::round_robin(N, N);
-    cluster.arm_failure(FailurePlan::new(Phase::Done, 2, 1));
-    let res = run_on_cluster(cluster.clone(), &rl, |ctx| {
-        let world = ctx.world();
-        let (mut ck, _) = Checkpointer::init(world, cfg(Method::SelfCkpt));
-        for e in 1..=4u64 {
-            {
-                let ws = ck.workspace();
-                ws.write().as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), e));
-            }
-            ck.make(&e.to_le_bytes())?;
-        }
-        Ok(())
-    });
-    assert!(res.is_err());
-    cluster.kill_node(2);
-    assert_eq!(cluster.dead_nodes().len(), 2);
-    cluster.reset_abort();
-    rl.repair(&cluster).unwrap();
-    let outs = run_on_cluster(cluster, &rl, |ctx| {
-        let world = ctx.world();
-        let (mut ck, _) = Checkpointer::init(world, cfg(Method::SelfCkpt));
-        match ck.recover() {
-            Err(RecoverError::Unrecoverable(msg)) => Ok(msg),
-            other => panic!("expected unrecoverable, got {other:?}"),
-        }
-    })
-    .unwrap();
-    for msg in outs {
-        assert!(msg.contains("more than one member"), "{msg}");
-    }
 }
 
 #[test]

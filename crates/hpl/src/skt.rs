@@ -111,24 +111,15 @@ pub enum SktRun {
     Paused(SktPause),
 }
 
-/// Progress bookkeeping of a paused slice (see [`SktRun::Paused`]).
+/// Accounting of a paused slice (see [`SktRun::Paused`]).
 #[derive(Clone, Debug)]
 pub struct SktPause {
-    /// First panel the *next* launch will execute (equals the panel
-    /// counter stored in the boundary checkpoint).
-    pub next_panel: usize,
-    /// Panels completed by this slice.
-    pub panels_done: usize,
     /// Checkpoints taken by this slice (scheduled + the boundary one).
     pub checkpoints: usize,
     /// Seconds this slice spent checkpointing.
     pub ckpt_seconds: f64,
     /// Seconds this slice spent recovering before its first panel.
     pub recover_seconds: f64,
-    /// The restore's account, when this slice began with a recovery.
-    pub recovery: Option<RecoveryReport>,
-    /// Panel index this slice started from.
-    pub resumed_from_panel: usize,
 }
 
 /// Run SKT-HPL (or a baseline protocol) once: recover if checkpoints
@@ -141,10 +132,7 @@ pub struct SktPause {
 pub fn run_skt(ctx: &Ctx, cfg: &SktConfig) -> Result<SktOutput, Fault> {
     match run_skt_sliced(ctx, cfg, |_| {})? {
         SktRun::Done(out) => Ok(out),
-        SktRun::Paused(p) => panic!(
-            "run_skt called with panel_budget {} (paused at panel {})",
-            cfg.panel_budget, p.next_panel
-        ),
+        SktRun::Paused(_) => panic!("run_skt called with panel_budget {}", cfg.panel_budget),
     }
 }
 
@@ -254,13 +242,9 @@ where
         }
         if pause {
             return Ok(SktRun::Paused(SktPause {
-                next_panel: done,
-                panels_done: done - start_panel,
                 checkpoints,
                 ckpt_seconds: ckpt_secs,
                 recover_seconds,
-                recovery: ck.last_report(),
-                resumed_from_panel: start_panel,
             }));
         }
     }

@@ -20,18 +20,14 @@
 //!   shared memory (the durable state a loss at that instant leaves) and
 //!   power a node off. A crash-state enumerator records one run through
 //!   it; a test kills a node live at a chosen step through it.
-//! * [`explore`] — seed sweeps: the same scenario under a range of
-//!   seeds, one reproducible interleaving each.
 //!
 //! This crate sits below `skt-cluster` (which re-exports the types upper
 //! layers need) and depends on nothing but std.
 
-mod explore;
 mod rng;
 mod runtime;
 mod sim;
 
-pub use explore::explore;
 pub use rng::SplitMix64;
 pub use runtime::{RealRuntime, Runtime, Stopwatch};
 pub use sim::{SimRuntime, QUANTUM};

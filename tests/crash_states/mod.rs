@@ -6,20 +6,29 @@
 //! is an abort check, so a loss at step `t` leaves exactly the memory
 //! the cluster held before step `t`, minus the lost nodes. One unarmed
 //! run therefore yields every crash state its schedule reaches: the
-//! per-step hook ([`SimRuntime::on_step`]) snapshots each member's
-//! memory, each (snapshot, members lost) pair is a crash state, equal
-//! ones are recovered once on a fresh cluster restored from the
-//! snapshot, and [`model::recover`] says what that recovery must return.
+//! per-step hook ([`SimRuntime::on_step`]) snapshots each rank's memory,
+//! each (snapshot, ranks lost) pair is a crash state, equal ones are
+//! recovered once on a fresh cluster restored from the snapshot, and
+//! [`model::recover`] says what that recovery must return in each group.
 //!
-//! * [`Recording::new`] — the scenario (`N` ranks, three makes), a
-//!   snapshot before every step, and golden region images taken at each
-//!   commit (what "a region holds epoch `e`" means to the model).
-//! * [`loss_sweep`] — every set of lost members at every state.
+//! * [`Config`] — the shape: method × codec over `groups` groups of `n`
+//!   members, one rank per node; several groups run under
+//!   [`Checkpointer::init_synced`].
+//! * [`Recording::new`] — the scenario (three makes), a snapshot before
+//!   every step, and golden region images taken at each commit (what "a
+//!   region holds epoch `e`" means to the model).
+//! * [`loss_sweep`] — every set of lost ranks at every state.
 //! * [`pair_sweep`] — a second loss at every step of first recoveries.
 //! * [`flip_sweep`] — one bit flipped in each region of each survivor.
 //! * [`live_kills`] — the premise, checked: a live kill at a step leaves
 //!   that snapshot minus the victim, and every rank names the victim.
 //! * [`probe_cell`] — a real-runtime probe kill, judged the same way.
+//!
+//! Every recovery is checked on every rank: a restore must be bit-exact
+//! with a passing parity check, its [`RecoveryReport`] must name the
+//! restored epoch, source and method, its lost members must be the ones
+//! that came back without a valid header ([`model::headerless`]) and its
+//! header maxima the group's ([`model::seen`]).
 #![allow(dead_code)] // each test binary uses part of the harness
 
 pub mod model;
@@ -29,24 +38,21 @@ use self_checkpoint::cluster::{
     Cluster, ClusterConfig, FailurePlan, Ranklist, SegmentData, SimRuntime,
 };
 use self_checkpoint::core::{
-    Checkpointer, CkptConfig, Method, RecoverError, Recovery, RestoreSource,
+    group_color, Checkpointer, CkptConfig, GroupStrategy, Method, RecoverError, Recovery,
+    RecoveryReport, RestoreSource,
 };
 use self_checkpoint::encoding::{crc32c, stripe_crcs, CodecSpec, KernelConfig};
 use self_checkpoint::mps::{run_on_cluster, Ctx, Fault};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
-/// Group size: one rank per node, one group.
-pub const N: usize = 4;
 /// Application workspace length (`f64`s per rank).
 pub const A1: usize = 256;
 /// Makes per recording: epoch 1 has nothing to fall back on, epoch 3 is
 /// the first where the double method overwrites a pair it already wrote.
 pub const EPOCHS: u64 = 3;
-/// The scheduler seed of the recordings.
+/// The scheduler seed of the single-group, four-member recordings.
 pub const SEED: u64 = 1;
-/// Every member, as a loss-set bit mask (bit `i`: member `i`).
-pub const ALL: u8 = (1 << N) - 1;
 const JOB: &str = "crash";
 
 /// Rank `rank`'s application data at epoch `epoch`.
@@ -56,16 +62,49 @@ pub fn pattern(rank: usize, epoch: u64) -> Vec<f64> {
         .collect()
 }
 
-/// One method × codec configuration.
+/// One recording's shape: method × codec over `groups` checkpoint groups
+/// of `n` members each, one rank per node.
 #[derive(Clone, Copy, Debug)]
 pub struct Config {
     pub method: Method,
     pub codec: CodecSpec,
+    /// Members per group.
+    pub n: usize,
+    /// Checkpoint groups.
+    pub groups: usize,
+    /// How ranks are dealt to groups.
+    pub strategy: GroupStrategy,
 }
 
 impl Config {
-    pub const fn new(method: Method, codec: CodecSpec) -> Self {
-        Config { method, codec }
+    /// One group of `n` members.
+    pub const fn new(method: Method, codec: CodecSpec, n: usize) -> Self {
+        Config {
+            method,
+            codec,
+            n,
+            groups: 1,
+            strategy: GroupStrategy::Contiguous,
+        }
+    }
+
+    /// The same groups, `groups` of them, dealt by `strategy`.
+    pub const fn grouped(self, groups: usize, strategy: GroupStrategy) -> Self {
+        Config {
+            groups,
+            strategy,
+            ..self
+        }
+    }
+
+    /// Ranks (and nodes) of the job.
+    pub fn ranks(&self) -> usize {
+        self.n * self.groups
+    }
+
+    /// Every rank, as a loss-set bit mask (bit `i`: rank `i`).
+    pub fn all(&self) -> u32 {
+        (1 << self.ranks()) - 1
     }
 
     /// Parity stripes per group: the erasures the codec repairs.
@@ -73,21 +112,57 @@ impl Config {
         self.codec.resolve().parity_count()
     }
 
+    /// The ranks of each group, in group-rank order.
+    pub fn members(&self) -> Vec<Vec<usize>> {
+        let mut groups = vec![Vec::new(); self.groups];
+        for rank in 0..self.ranks() {
+            groups[group_color(self.strategy, rank, self.ranks(), self.n) as usize].push(rank);
+        }
+        groups
+    }
+
+    /// A job's view (one entry per rank) as one view per group.
+    fn split(&self, view: &[Member]) -> Vec<Vec<Member>> {
+        let members = self.members();
+        members
+            .iter()
+            .map(|g| g.iter().map(|&r| view[r].clone()).collect())
+            .collect()
+    }
+
     pub fn label(&self) -> String {
-        format!("{:?}/{}", self.method, self.codec.name())
+        let strided = if self.strategy == GroupStrategy::Strided {
+            " strided"
+        } else {
+            ""
+        };
+        let (method, codec) = (self.method, self.codec.name());
+        format!("{method:?}/{codec} {}x{}{strided}", self.groups, self.n)
     }
 
     fn ckpt(&self) -> CkptConfig {
         CkptConfig::new(JOB, self.method, A1, 16).with_codec(self.codec)
     }
+
+    /// This rank's checkpointer: over the whole world for one group,
+    /// over its group and synced job-wide for several.
+    fn checkpointer<'c>(&self, ctx: &'c Ctx) -> Result<Checkpointer<'c>, Fault> {
+        let world = ctx.world();
+        if self.groups == 1 {
+            return Ok(Checkpointer::init(world, self.ckpt()).0);
+        }
+        let me = world.rank();
+        let group = world.split(group_color(self.strategy, me, self.ranks(), self.n), me)?;
+        Ok(Checkpointer::init_synced(group, world, self.ckpt()).0)
+    }
 }
 
-/// One member's shared memory: every segment, sorted by name.
+/// One rank's shared memory: every segment, sorted by name.
 pub type Image = Vec<(String, SegmentData)>;
-/// The members' memory at one instant (`None`: lost).
-pub type State = [Option<Arc<Image>>; N];
-/// The members' image hashes at one instant (`None`: lost).
-type Snap = [Option<u64>; N];
+/// The ranks' memory at one instant (`None`: lost).
+pub type State = Vec<Option<Arc<Image>>>;
+/// The ranks' image hashes at one instant (`None`: lost).
+type Snap = Vec<Option<u64>>;
 /// Images by content hash, and the snapshots observed so far.
 type Log = Arc<Mutex<(HashMap<u64, Arc<Image>>, Vec<Snap>)>>;
 
@@ -120,19 +195,23 @@ fn observe(images: &mut HashMap<u64, Arc<Image>>, cluster: &Cluster, node: usize
 }
 
 fn state_of(images: &HashMap<u64, Arc<Image>>, snap: &Snap) -> State {
-    std::array::from_fn(|i| snap[i].map(|h| Arc::clone(&images[&h])))
+    snap.iter()
+        .map(|h| h.map(|h| Arc::clone(&images[&h])))
+        .collect()
 }
 
-/// Install a per-step hook on `rt` logging each member's memory (member
-/// `i` runs on `rl.node_of(i)`).
+/// Install a per-step hook on `rt` logging each rank's memory (rank `i`
+/// runs on `rl.node_of(i)`).
 fn observe_steps(rt: &SimRuntime, cluster: &Arc<Cluster>, log: &Log, rl: Ranklist) {
     let (weak, log) = (Arc::downgrade(cluster), Arc::clone(log));
     rt.on_step(move |_| {
         if let Some(cluster) = weak.upgrade() {
             let (images, snaps) = &mut *log.lock().unwrap();
-            snaps.push(std::array::from_fn(|i| {
-                Some(observe(images, &cluster, rl.node_of(i)))
-            }));
+            snaps.push(
+                (0..rl.len())
+                    .map(|i| Some(observe(images, &cluster, rl.node_of(i))))
+                    .collect(),
+            );
         }
     });
 }
@@ -172,7 +251,7 @@ fn decode_header(seg: Option<&SegmentData>) -> Option<Words> {
 }
 
 /// Segment suffix of each region of [`Reg::ALL`], in the order of the
-/// stripe-CRC table — the protocol's on-disk layout: `N - 1` LE `u32`
+/// stripe-CRC table — the protocol's on-disk layout: `n - 1` LE `u32`
 /// slots per region.
 const PARTS: [&str; 6] = ["work", "b", "c", "d", "b1", "c1"];
 
@@ -187,7 +266,7 @@ type Golden = BTreeMap<(usize, u64), (Vec<f64>, Vec<f64>)>;
 fn writer(ctx: &Ctx, cfg: &Config, golden: &Mutex<Golden>) -> Result<(), Fault> {
     ctx.check_abort()?;
     let rank = ctx.world_rank();
-    let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.ckpt());
+    let mut ck = cfg.checkpointer(ctx)?;
     for e in 1..=EPOCHS {
         ck.workspace().write().as_f64_mut()[..A1].copy_from_slice(&pattern(rank, e));
         ctx.failpoint("computing")?;
@@ -223,11 +302,11 @@ impl Recording {
     pub fn new(cfg: Config, seed: u64) -> Recording {
         let rt = SimRuntime::new(seed);
         let cluster = Arc::new(Cluster::new_with_runtime(
-            ClusterConfig::new(N, 0),
+            ClusterConfig::new(cfg.ranks(), 0),
             rt.clone(),
         ));
         let log = Log::default();
-        let rl = Ranklist::round_robin(N, N);
+        let rl = Ranklist::round_robin(cfg.ranks(), cfg.ranks());
         observe_steps(&rt, &cluster, &log, rl.clone());
         let golden = Mutex::default();
         run_on_cluster(Arc::clone(&cluster), &rl, |ctx| writer(ctx, &cfg, &golden))
@@ -245,16 +324,16 @@ impl Recording {
 
     /// The distinct snapshots in first-seen order, each with the first
     /// step it was seen before.
-    fn distinct(&self) -> Vec<(Snap, u64)> {
+    fn distinct(&self) -> Vec<(&Snap, u64)> {
         let mut seen = std::collections::HashSet::new();
         (1..)
             .zip(&self.snaps)
-            .filter(|(_, s)| seen.insert(**s))
-            .map(|(step, s)| (*s, step))
+            .filter(|(_, s)| seen.insert(*s))
+            .map(|(step, s)| (s, step))
             .collect()
     }
 
-    /// The distinct group states, in first-seen order (what a loss
+    /// The distinct job states, in first-seen order (what a loss
     /// sweep's [`Sweep::states`] indexes).
     pub fn states(&self) -> Vec<State> {
         self.distinct()
@@ -263,14 +342,19 @@ impl Recording {
             .collect()
     }
 
-    /// What the model sees in a group state.
+    /// What the model sees in a job state, rank by rank.
     pub fn view(&self, state: &State) -> Vec<Member> {
-        (0..N)
+        (0..self.cfg.ranks())
             .map(|r| self.member(r, state[r].as_deref()))
             .collect()
     }
 
-    /// What the model sees in one member's memory.
+    /// The model's verdict for each group of a job state's view.
+    pub fn model(&self, view: &[Member]) -> Result<Vec<Verdict>, String> {
+        model::recover(self.cfg.method, self.cfg.m(), &self.cfg.split(view))
+    }
+
+    /// What the model sees in one rank's memory.
     fn member(&self, rank: usize, img: Option<&Image>) -> Member {
         let Some(img) = img.filter(|i| segment(i, rank, "work").is_some()) else {
             return Member::Gone;
@@ -279,8 +363,8 @@ impl Recording {
             Some(SegmentData::Bytes(b)) => b.as_slice(),
             _ => &[],
         };
-        let per = (N - 1) * 4;
-        let stripe_len = f64s(segment(img, rank, "work")).len() / (N - self.cfg.m());
+        let per = (self.cfg.n - 1) * 4;
+        let stripe_len = f64s(segment(img, rank, "work")).len() / (self.cfg.n - self.cfg.m());
         let regions = (0..PARTS.len())
             .filter_map(|slot| {
                 let (r, part) = (Reg::ALL[slot], PARTS[slot]);
@@ -308,53 +392,91 @@ impl Recording {
     }
 }
 
-/// `state` with the members in `lost` wiped.
-pub fn lose(state: &State, lost: u8) -> State {
-    std::array::from_fn(|i| state[i].clone().filter(|_| lost & (1 << i) == 0))
+/// `state` (or a snapshot) with the ranks in `lost` wiped.
+pub fn lose<T: Clone>(state: &[Option<T>], lost: u32) -> Vec<Option<T>> {
+    (0..state.len())
+        .map(|i| state[i].clone().filter(|_| lost & (1 << i) == 0))
+        .collect()
 }
 
-fn lose_snap(snap: &Snap, lost: u8) -> Snap {
-    std::array::from_fn(|i| snap[i].filter(|_| lost & (1 << i) == 0))
+/// The model's [`Source`] of a protocol one.
+fn source_of(source: RestoreSource) -> Source {
+    match source {
+        RestoreSource::WorkspaceAndChecksum => Source::Workspace,
+        _ => Source::Checkpoint,
+    }
 }
 
 /// One rank's recovery, judged on the rank: the verdict it reached (a
-/// restore only if bit-exact with a passing parity check), or why not.
-fn recover_rank(ctx: &Ctx, cfg: &Config) -> Result<Result<Verdict, String>, Fault> {
+/// restore only if bit-exact with a passing parity check) and its
+/// report, or why not.
+fn recover_rank(
+    ctx: &Ctx,
+    cfg: &Config,
+) -> Result<Result<(Verdict, Option<RecoveryReport>), String>, Fault> {
     ctx.check_abort()?;
     let rank = ctx.world_rank();
-    let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.ckpt());
+    let mut ck = cfg.checkpointer(ctx)?;
+    let refused = |why| Ok((Verdict::Unrecoverable(why), None));
     Ok(match ck.recover() {
-        Ok(Recovery::NoCheckpoint) => Ok(Verdict::NoCheckpoint),
+        Ok(Recovery::NoCheckpoint) => Ok((Verdict::NoCheckpoint, ck.last_report())),
         Ok(Recovery::Restored { epoch, a2, source }) => {
             let intact = ck.verify_integrity()?;
             let data = ck.workspace().read().as_f64()[..A1].to_vec();
-            let source = match source {
-                RestoreSource::WorkspaceAndChecksum => Source::Workspace,
-                _ => Source::Checkpoint,
-            };
             let exact = a2 == epoch.to_le_bytes() && bits_eq(&data, &pattern(rank, epoch));
+            let source = source_of(source);
             match (exact, intact) {
-                (true, true) => Ok(Verdict::Restored { epoch, source }),
+                (true, true) => Ok((Verdict::Restored { epoch, source }, ck.last_report())),
                 (false, _) => Err(format!("rank {rank} restored epoch {epoch}: wrong bytes")),
                 (_, false) => Err(format!("rank {rank} restored epoch {epoch}: bad parity")),
             }
         }
         Err(RecoverError::Unrecoverable(msg)) if msg.contains("inconsistent") => {
-            Ok(Verdict::Unrecoverable(Refusal::TornSingle))
+            refused(Refusal::TornSingle)
         }
+        // a group beyond repair refuses for the whole job
         Err(RecoverError::Unrecoverable(msg))
-            if msg.contains("more than") || msg.contains("rebuild") =>
+            if msg.contains("more than") || msg.contains("rebuild") || msg.contains("sibling") =>
         {
-            Ok(Verdict::Unrecoverable(Refusal::TooManyErasures))
+            refused(Refusal::TooManyErasures)
         }
         Err(RecoverError::Fault(f)) => return Err(f),
         Err(other) => Err(format!("rank {rank}: untyped refusal: {other}")),
     })
 }
 
-/// Launch recovery on every rank of `rl`: the verdict all agreed on, or
-/// what went wrong (a fault, a panic, a disagreement).
-fn run_recovery(cluster: &Arc<Cluster>, rl: &Ranklist, cfg: &Config) -> Result<Verdict, String> {
+/// Whether `report` is the account of `verdict` over `group` under
+/// `cfg`: a restore's epoch, source and method; as lost, the members
+/// that came back without a valid header, with bytes rebuilt for them;
+/// and as the header maxima, the group MAX of every commit word. No
+/// restore, no report.
+fn accounts_for(
+    report: &Option<RecoveryReport>,
+    verdict: Verdict,
+    group: &[Member],
+    cfg: &Config,
+) -> bool {
+    let (Verdict::Restored { epoch, source }, Some(r)) = (verdict, report) else {
+        return report.is_none();
+    };
+    let (seen, max) = (&r.epochs_seen, model::seen(group));
+    let lost = model::headerless(group);
+    (r.epoch, source_of(r.source), r.method) == (epoch, source, cfg.method)
+        && r.lost == lost
+        && (r.rebuilt_bytes == 0) == lost.is_empty()
+        && [seen.d, seen.bc, seen.pair1, seen.attempt] == [max.d, max.bc, max.pair1, max.dirty]
+}
+
+/// Launch recovery on every rank of `rl` over memory the model sees as
+/// `view`: the verdict each group's ranks agreed on, or what went wrong
+/// (a fault, a panic, a disagreement, a report that does not account
+/// for the restore).
+fn run_recovery(
+    cluster: &Arc<Cluster>,
+    rl: &Ranklist,
+    cfg: &Config,
+    view: &[Member],
+) -> Result<Vec<Verdict>, String> {
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         run_on_cluster(Arc::clone(cluster), rl, |ctx| recover_rank(ctx, cfg))
     }));
@@ -367,21 +489,37 @@ fn run_recovery(cluster: &Arc<Cluster>, rl: &Ranklist, cfg: &Config) -> Result<V
             return Err(format!("recovery panicked: {}", msg.unwrap_or("?")));
         }
     };
-    let first = outs[0].clone()?;
-    for (rank, out) in outs.into_iter().enumerate() {
-        if out.clone()? != first {
-            return Err(format!("rank {rank} got {out:?}, rank 0 got {first:?}"));
+    let mut verdicts = Vec::new();
+    for (group, members) in cfg.members().into_iter().zip(cfg.split(view)) {
+        let (first, _) = outs[group[0]].clone()?;
+        for &rank in &group {
+            let (verdict, report) = outs[rank].clone()?;
+            if verdict != first {
+                return Err(format!(
+                    "rank {rank} got {verdict:?}, rank {} got {first:?}",
+                    group[0]
+                ));
+            }
+            if !accounts_for(&report, verdict, &members, cfg) {
+                return Err(format!("rank {rank}: {verdict:?} but report {report:?}"));
+            }
         }
+        verdicts.push(first);
     }
-    Ok(first)
+    Ok(verdicts)
 }
 
 /// Recover `state` on a fresh cluster restored from it; with `log`, the
 /// recovery's own steps are observed into it.
-fn recover_state(rec: &Recording, state: &State, log: Option<&Log>) -> Result<Verdict, String> {
+fn recover_state(
+    rec: &Recording,
+    state: &State,
+    log: Option<&Log>,
+) -> Result<Vec<Verdict>, String> {
+    let ranks = rec.cfg.ranks();
     let rt = SimRuntime::new(rec.seed);
     let cluster = Arc::new(Cluster::new_with_runtime(
-        ClusterConfig::new(N, N),
+        ClusterConfig::new(ranks, ranks),
         rt.clone(),
     ));
     for (node, img) in state.iter().enumerate() {
@@ -393,44 +531,59 @@ fn recover_state(rec: &Recording, state: &State, log: Option<&Log>) -> Result<Ve
         }
     }
     cluster.reset_abort();
-    let mut rl = Ranklist::round_robin(N, N);
+    let mut rl = Ranklist::round_robin(ranks, ranks);
     rl.repair(&cluster).expect("enough spares");
     if let Some(log) = log {
         observe_steps(&rt, &cluster, log, rl.clone());
     }
-    run_recovery(&cluster, &rl, &rec.cfg)
+    run_recovery(&cluster, &rl, &rec.cfg, &rec.view(state))
 }
 
-/// Recover `state` on a fresh cluster: the verdict every rank agreed on
-/// (restores checked bit-exact), or what went wrong.
-pub fn recover(rec: &Recording, state: &State) -> Result<Verdict, String> {
+/// Recover `state` on a fresh cluster: the verdict each group's ranks
+/// agreed on (restores and their reports checked), or what went wrong.
+pub fn recover(rec: &Recording, state: &State) -> Result<Vec<Verdict>, String> {
     recover_state(rec, state, None)
 }
 
 /// [`recover`], also returning the memory before every step of it.
-pub fn recover_observed(rec: &Recording, state: &State) -> (Result<Verdict, String>, Vec<State>) {
+pub fn recover_observed(
+    rec: &Recording,
+    state: &State,
+) -> (Result<Vec<Verdict>, String>, Vec<State>) {
     let log = Log::default();
-    let verdict = recover_state(rec, state, Some(&log));
+    let verdicts = recover_state(rec, state, Some(&log));
     let (images, snaps) = &*log.lock().unwrap();
-    (verdict, snaps.iter().map(|s| state_of(images, s)).collect())
+    (
+        verdicts,
+        snaps.iter().map(|s| state_of(images, s)).collect(),
+    )
+}
+
+/// A job's verdicts as the report prints them: one per group, `" | "`
+/// between groups.
+fn show(verdicts: &[Verdict]) -> String {
+    let shown: Vec<String> = verdicts.iter().map(|v| format!("{v:?}")).collect();
+    shown.join(" | ")
 }
 
 /// The result of one enumeration.
 #[derive(Default)]
 pub struct Sweep {
     pub name: String,
+    /// Ranks of the job.
+    pub ranks: usize,
     /// Scheduling steps observed (every recorded run's).
     pub steps: u64,
     /// Kill instants covered: (observed step, loss set) pairs.
     pub instants: u64,
-    /// The distinct pre-loss group states, as the model sees them.
+    /// The distinct pre-loss job states, as the model sees them.
     pub states: Vec<Vec<Member>>,
-    /// (pre-loss state, loss set, verdict) of each distinct crash state,
-    /// in first-seen order.
-    pub cases: Vec<(usize, u8, Verdict)>,
-    /// The verdict of every (pre-loss state, loss set) covered, equal
+    /// (pre-loss state, loss set, per-group verdicts) of each distinct
+    /// crash state, in first-seen order.
+    pub cases: Vec<(usize, u32, Vec<Verdict>)>,
+    /// The verdicts of every (pre-loss state, loss set) covered, equal
     /// crash states included.
-    pub table: HashMap<(usize, u8), Verdict>,
+    pub table: HashMap<(usize, u32), Vec<Verdict>>,
     /// Disagreements with the model, broken invariants and panics.
     pub findings: Vec<String>,
 }
@@ -440,15 +593,16 @@ impl Sweep {
         let name = format!("{} seed={} {what}", rec.cfg.label(), rec.seed);
         Sweep {
             name,
+            ranks: rec.cfg.ranks(),
             steps: rec.steps,
             ..Sweep::default()
         }
     }
 
     /// The model's view of pre-loss state `pre` with `lost` gone.
-    pub fn view(&self, pre: usize, lost: u8) -> Vec<Member> {
+    pub fn view(&self, pre: usize, lost: u32) -> Vec<Member> {
         let mut v = self.states[pre].clone();
-        (0..N)
+        (0..self.ranks)
             .filter(|i| lost & (1 << i) != 0)
             .for_each(|i| v[i] = Member::Gone);
         v
@@ -461,16 +615,16 @@ impl Sweep {
         rec: &Recording,
         state: &State,
         pre: usize,
-        lost: u8,
+        lost: u32,
         log: Option<&Log>,
-    ) -> Option<Verdict> {
-        let group = rec.view(state);
+    ) -> Option<Vec<Verdict>> {
+        let view = rec.view(state);
         let got = recover_state(rec, state, log);
-        let tag = format!("{} state {pre} lost {lost:04b}: {group:?}", self.name);
-        match model::recover(rec.cfg.method, rec.cfg.m(), &group) {
-            Ok(want) if got == Ok(want) => {
-                self.table.insert((pre, lost), want);
-                self.cases.push((pre, lost, want));
+        let tag = format!("{} state {pre} lost {lost:b}: {view:?}", self.name);
+        match rec.model(&view) {
+            Ok(want) if got.as_ref() == Ok(&want) => {
+                self.table.insert((pre, lost), want.clone());
+                self.cases.push((pre, lost, want.clone()));
                 return Some(want);
             }
             Ok(want) => self
@@ -501,7 +655,7 @@ impl Sweep {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for (pre, lost, v) in &self.cases {
             *hist.entry(v).or_insert(0) += 1;
-            for b in format!("{pre}|{lost}|{v:?};").bytes() {
+            for b in format!("{pre}|{lost}|{};", show(v)).bytes() {
                 h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
@@ -515,29 +669,37 @@ impl Sweep {
             self.findings.len()
         );
         hist.iter()
-            .for_each(|(v, n)| s.push_str(&format!("  {v:?}: {n}\n")));
+            .for_each(|(v, n)| s.push_str(&format!("  {}: {n}\n", show(v))));
         s + &format!("  verdicts={h:016x}\n")
     }
 }
 
-/// At every distinct state of `rec`, lose every set of members whose
-/// size is in `sizes` at once; recover each distinct crash state once.
+/// At every distinct state of `rec`, lose every set of ranks whose size
+/// is in `sizes` at once; recover each distinct crash state once.
 pub fn loss_sweep(rec: &Recording, sizes: std::ops::RangeInclusive<usize>) -> Sweep {
-    let mut sweep = Sweep::new(rec, &format!("losses={}..={}", sizes.start(), sizes.end()));
-    let sets: Vec<u8> = (1..=ALL)
+    let sets: Vec<u32> = (1..=rec.cfg.all())
         .filter(|l| sizes.contains(&(l.count_ones() as usize)))
         .collect();
+    let what = format!("losses={}..={}", sizes.start(), sizes.end());
+    sets_sweep(rec, &what, &sets)
+}
+
+/// At every distinct state of `rec`, lose each of `sets` at once;
+/// recover each distinct crash state once.
+pub fn sets_sweep(rec: &Recording, what: &str, sets: &[u32]) -> Sweep {
+    let mut sweep = Sweep::new(rec, what);
     sweep.instants = rec.steps * sets.len() as u64;
     let mut seen = HashMap::new();
     for (snap, _) in rec.distinct() {
-        let state = state_of(&rec.images, &snap);
+        let state = state_of(&rec.images, snap);
         let pre = sweep.states.len();
         sweep.states.push(rec.view(&state));
-        for &lost in &sets {
-            let verdict = *seen
-                .entry(lose_snap(&snap, lost))
-                .or_insert_with(|| sweep.judge(rec, &lose(&state, lost), pre, lost, None));
-            if let Some(v) = verdict {
+        for &lost in sets {
+            let verdicts = seen
+                .entry(lose(snap, lost))
+                .or_insert_with(|| sweep.judge(rec, &lose(&state, lost), pre, lost, None))
+                .clone();
+            if let Some(v) = verdicts {
                 sweep.table.insert((pre, lost), v);
             }
         }
@@ -549,13 +711,13 @@ pub fn loss_sweep(rec: &Recording, sizes: std::ops::RangeInclusive<usize>) -> Sw
 /// The distinct single-loss crash states of `rec` whose victim is in
 /// `victims`, in first-seen order: (snapshot minus the victim, the first
 /// step it was seen before, victim).
-fn single_losses(rec: &Recording, victims: u8) -> Vec<(Snap, u64, usize)> {
+fn single_losses(rec: &Recording, victims: u32) -> Vec<(Snap, u64, usize)> {
     let mut seen = std::collections::HashSet::new();
     let mut out = Vec::new();
     for (snap, step) in rec.distinct() {
-        for v in (0..N).filter(|v| victims & (1 << v) != 0) {
-            if seen.insert(lose_snap(&snap, 1 << v)) {
-                out.push((lose_snap(&snap, 1 << v), step, v));
+        for v in (0..rec.cfg.ranks()).filter(|v| victims & (1 << v) != 0) {
+            if seen.insert(lose(snap, 1 << v)) {
+                out.push((lose(snap, 1 << v), step, v));
             }
         }
     }
@@ -564,10 +726,10 @@ fn single_losses(rec: &Recording, victims: u8) -> Vec<(Snap, u64, usize)> {
 
 /// Second losses: recover every distinct single-loss state of `rec`
 /// whose victim is in `victims` while observing the recovery's steps,
-/// then lose each member at every one of them and recover each distinct
+/// then lose each rank at every one of them and recover each distinct
 /// resulting state once.
-pub fn pair_sweep(rec: &Recording, victims: u8) -> Sweep {
-    let what = format!("pairs first={victims:04b}");
+pub fn pair_sweep(rec: &Recording, victims: u32) -> Sweep {
+    let what = format!("pairs first={victims:0w$b}", w = rec.cfg.ranks());
     let mut sweep = Sweep::new(rec, &what);
     let log = Log::default();
     let mut firsts = Sweep::new(rec, &what);
@@ -577,17 +739,17 @@ pub fn pair_sweep(rec: &Recording, victims: u8) -> Sweep {
     }
     let (images, snaps) = std::mem::take(&mut *log.lock().unwrap());
     sweep.steps = snaps.len() as u64;
-    sweep.instants = sweep.steps * N as u64;
+    sweep.instants = sweep.steps * sweep.ranks as u64;
     sweep.findings = firsts.findings;
-    let mut pre_of: HashMap<Snap, usize> = HashMap::new();
+    let mut pre_of: HashMap<&Snap, usize> = HashMap::new();
     let mut seen = std::collections::HashSet::new();
     for snap in &snaps {
-        for j in 0..N {
-            if !seen.insert(lose_snap(snap, 1 << j)) {
+        for j in 0..sweep.ranks {
+            if !seen.insert(lose(snap, 1 << j)) {
                 continue;
             }
             let state = state_of(&images, snap);
-            let pre = *pre_of.entry(*snap).or_insert_with(|| {
+            let pre = *pre_of.entry(snap).or_insert_with(|| {
                 sweep.states.push(rec.view(&state));
                 sweep.states.len() - 1
             });
@@ -603,10 +765,10 @@ pub fn pair_sweep(rec: &Recording, victims: u8) -> Sweep {
 /// of the header's `(B, C)` word — and recover.
 pub fn flip_sweep(rec: &Recording) -> Sweep {
     let mut sweep = Sweep::new(rec, "flips");
-    for (pre, (snap, _, v)) in single_losses(rec, ALL).into_iter().enumerate() {
+    for (pre, (snap, _, v)) in single_losses(rec, rec.cfg.all()).into_iter().enumerate() {
         let state = state_of(&rec.images, &snap);
         sweep.states.push(rec.view(&state));
-        for i in (0..N).filter(|&i| i != v) {
+        for i in (0..sweep.ranks).filter(|&i| i != v) {
             let img = state[i].as_ref().expect("a survivor");
             for k in (0..img.len()).filter(|&k| !img[k].0.ends_with("/crc")) {
                 let mut hit = (**img).clone();
@@ -629,39 +791,51 @@ pub fn flip_sweep(rec: &Recording) -> Sweep {
 }
 
 /// The memory every node of `cluster` holds now (`None`: dead node).
-fn snap_of(cluster: &Cluster, images: &mut HashMap<u64, Arc<Image>>) -> Snap {
-    std::array::from_fn(|i| Some(observe(images, cluster, i)).filter(|_| cluster.node_alive(i)))
+fn snap_of(cluster: &Cluster, ranks: usize, images: &mut HashMap<u64, Arc<Image>>) -> Snap {
+    (0..ranks)
+        .map(|i| Some(observe(images, cluster, i)).filter(|_| cluster.node_alive(i)))
+        .collect()
 }
 
-/// Every rank's result of the scenario on `cluster` (armed to lose a
-/// node), the memory the loss left, the model's verdict for it, and the
-/// recovery on the same cluster once the lost node is replaced.
-#[allow(clippy::type_complexity)]
-fn run_to_loss(
-    rec: &Recording,
-    cluster: &Arc<Cluster>,
-) -> (
-    Vec<Result<(), Fault>>,
-    Snap,
-    Result<Verdict, String>,
-    Result<Verdict, String>,
-) {
+/// What a loss left: every rank's result of the scenario, the memory
+/// left behind, the model's verdicts for it, and the recovery's.
+struct Aftermath {
+    outs: Vec<Result<(), Fault>>,
+    left: Snap,
+    want: Result<Vec<Verdict>, String>,
+    got: Result<Vec<Verdict>, String>,
+}
+
+/// Run the scenario on `cluster` (armed to lose a node), power off the
+/// nodes in `also` once the job aborted, read the memory left, and
+/// recover on the same cluster once the lost nodes are replaced.
+fn run_to_loss(rec: &Recording, cluster: &Arc<Cluster>, also: u32) -> Aftermath {
     let (golden, cfg) = (Mutex::default(), rec.cfg);
-    let mut rl = Ranklist::round_robin(N, N);
+    let mut rl = Ranklist::round_robin(cfg.ranks(), cfg.ranks());
     let outs = run_on_cluster(Arc::clone(cluster), &rl, |ctx| {
         Ok(writer(ctx, &cfg, &golden))
     })
     .expect("every rank returns its own result");
+    (0..cfg.ranks())
+        .filter(|i| also & (1 << i) != 0)
+        .for_each(|i| cluster.kill_node(i));
     let mut images = HashMap::new();
-    let left = snap_of(cluster, &mut images);
-    let want = model::recover(cfg.method, cfg.m(), &rec.view(&state_of(&images, &left)));
+    let left = snap_of(cluster, cfg.ranks(), &mut images);
+    let view = rec.view(&state_of(&images, &left));
+    let want = rec.model(&view);
     cluster.reset_abort();
     rl.repair(cluster).expect("a spare");
-    (outs, left, want, run_recovery(cluster, &rl, &cfg))
+    let got = run_recovery(cluster, &rl, &cfg, &view);
+    Aftermath {
+        outs,
+        left,
+        want,
+        got,
+    }
 }
 
 /// The premise, checked live: for every distinct single-loss state of
-/// `rec` whose verdict `pick` selects, rerun the scenario and power the
+/// `rec` whose verdicts `pick` selects, rerun the scenario and power the
 /// victim off through the hook at the step the state was first seen.
 /// Every rank still running must return `NodeDead(victim)`, the memory
 /// left behind must be that snapshot minus the victim, and its recovery
@@ -670,16 +844,15 @@ fn run_to_loss(
 pub fn live_kills(rec: &Recording, pick: impl Fn(Verdict) -> bool) -> usize {
     let mut findings = Vec::new();
     let mut kills = 0;
-    for (snap, step, v) in single_losses(rec, ALL) {
-        let group = rec.view(&state_of(&rec.images, &snap));
-        let want = match model::recover(rec.cfg.method, rec.cfg.m(), &group) {
-            Ok(want) if pick(want) => want,
+    for (snap, step, v) in single_losses(rec, rec.cfg.all()) {
+        let want = match rec.model(&rec.view(&state_of(&rec.images, &snap))) {
+            Ok(want) if want.iter().all(|&w| pick(w)) => want,
             _ => continue, // not selected, or the sweeps' finding
         };
         kills += 1;
         let rt = SimRuntime::new(rec.seed);
         let cluster = Arc::new(Cluster::new_with_runtime(
-            ClusterConfig::new(N, 1),
+            ClusterConfig::new(rec.cfg.ranks(), 1),
             rt.clone(),
         ));
         let weak = Arc::downgrade(&cluster);
@@ -688,23 +861,25 @@ pub fn live_kills(rec: &Recording, pick: impl Fn(Verdict) -> bool) -> usize {
                 c.kill_node(v);
             }
         });
-        let (outs, left, _, got) = run_to_loss(rec, &cluster);
+        let after = run_to_loss(rec, &cluster, 0);
         // a rank still running at the kill names the victim; one that
         // had already returned kept its result
+        let outs = &after.outs;
         let named = outs.contains(&Err(Fault::NodeDead(v)));
         let attributed = outs
             .iter()
             .all(|o| *o == Ok(()) || *o == Err(Fault::NodeDead(v)));
-        if !(named && attributed && left == snap && got == Ok(want)) {
+        if !(named && attributed && after.left == snap && after.got == Ok(want.clone())) {
             findings.push(format!(
                 "{} live kill of node {v} before step {step}: ranks {outs:?}, memory \
-                 left {}, model {want:?}, recovery {got:?}",
+                 left {}, model {want:?}, recovery {:?}",
                 rec.cfg.label(),
-                if left == snap {
+                if after.left == snap {
                     "as snapshotted"
                 } else {
                     "differs"
                 },
+                after.got,
             ));
         }
     }
@@ -713,20 +888,26 @@ pub fn live_kills(rec: &Recording, pick: impl Fn(Verdict) -> bool) -> usize {
 }
 
 /// One real-runtime cell: arm `plan` (a kill) under the real runtime,
-/// run the scenario to the loss, read the memory it left behind and
-/// recover on the same cluster. The model, reading that memory, is the
-/// oracle. `None` when the plan never fired (the method has no such
-/// probe); otherwise the model's verdict, or the disagreement.
-pub fn probe_cell(rec: &Recording, plan: FailurePlan) -> Option<Result<Verdict, String>> {
-    let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 1)));
+/// run the scenario to the loss, power off the nodes in `also` while the
+/// job aborts, read the memory left behind and recover on the same
+/// cluster. The model, reading that memory, is the oracle. `None` when
+/// the plan never fired (the method has no such probe); otherwise the
+/// model's verdicts, or the disagreement.
+pub fn probe_cell(
+    rec: &Recording,
+    plan: FailurePlan,
+    also: u32,
+) -> Option<Result<Vec<Verdict>, String>> {
+    let spares = 1 + also.count_ones() as usize;
+    let cluster = Arc::new(Cluster::new(ClusterConfig::new(rec.cfg.ranks(), spares)));
     cluster.arm_failure(plan);
-    let (outs, _, want, got) = run_to_loss(rec, &cluster);
-    if outs.iter().all(Result::is_ok) {
+    let after = run_to_loss(rec, &cluster, also);
+    if after.outs.iter().all(Result::is_ok) {
         return None;
     }
-    Some(match want {
+    Some(match after.want {
         Err(broken) => Err(format!("invariant: {broken}")),
-        Ok(want) if got == Ok(want) => Ok(want),
-        Ok(want) => Err(format!("model {want:?}, recovery {got:?}")),
+        Ok(want) if after.got.as_ref() == Ok(&want) => Ok(want),
+        Ok(want) => Err(format!("model {want:?}, recovery {:?}", after.got)),
     })
 }

@@ -1,9 +1,9 @@
 //! A reference model of the paper's recovery rules, written from the
-//! paper (Figures 2–5) rather than from the implementation: it reads one
-//! group's durable state at a crash instant and says what `recover` must
-//! return. It does no I/O and shares no code with the protocol's planner,
-//! method table or restore sequences, so agreement between the two is
-//! evidence, not tautology.
+//! paper (Figures 2–5, §3.3) rather than from the implementation: it
+//! reads each group's durable state at a crash instant and says what
+//! `recover` must return in each group. It does no I/O and shares no code
+//! with the protocol's planner, method table or restore sequences, so
+//! agreement between the two is evidence, not tautology.
 //!
 //! The rules:
 //!
@@ -11,23 +11,31 @@
 //!   that passes its CRC. Commit words are written after a group
 //!   barrier, so the group MAX of each word over those members says what
 //!   committed.
-//! * **CASE 1 / CASE 2.** Self-checkpoint restores the newer of `D` and
+//! * **CASE 1 / CASE 2.** Self-checkpoint proposes the newer of `D` and
 //!   `(B, C)`: `(work, D)` when only `D` committed at that epoch (CASE 2,
-//!   roll forward), `(B, C)` otherwise (CASE 1). Single restores its one
+//!   roll forward), `(B, C)` otherwise (CASE 1). Single proposes its one
 //!   pair, and refuses when an update attempt outran the last commit
 //!   (Figure 2, CASE 2: the only checkpoint may be torn). Double
-//!   restores the pair committed later (Figure 3).
+//!   proposes the pair committed later (Figure 3).
 //! * **Erasures.** Lost members, members with an invalid header and
 //!   members whose source regions fail their CRC witness are rebuilt from
 //!   parity: at most `m` of them. More than `m` members without a header
 //!   is a refusal only when a surviving header proves something
 //!   committed; otherwise there is nothing to lose and the answer is
 //!   to start over.
+//! * **Groups.** The job recovers as one: a refusal in any group refuses
+//!   every group (a group with no reason of its own reports a group
+//!   beyond repair), a group with no header anywhere starts the job over,
+//!   and otherwise every group restores the *minimum* proposal from the
+//!   pair committed at that epoch — `(B, C)` before the live pair when
+//!   both hold it. The cross-group gate (no group flushes `(B, C)` before
+//!   every group committed `D`) is what keeps that pair intact in a group
+//!   that proposed more.
 //!
 //! A state in which the rules pick a source that some trusted member
 //! does not actually hold at the chosen epoch (its bytes are another
-//! epoch's under a valid witness) is a broken protocol invariant: the
-//! model reports it instead of a verdict.
+//! epoch's under a valid witness), or no pair at all, is a broken
+//! protocol invariant: the model reports it instead of a verdict.
 
 use self_checkpoint::core::Method;
 
@@ -136,63 +144,128 @@ pub enum Source {
     Workspace,
 }
 
-/// The verdict for `group` (one entry per member, in group-rank order)
-/// under `method` with an `m`-parity codec, or the broken invariant that
-/// leaves no right answer.
-pub fn recover(method: Method, m: usize, group: &[Member]) -> Result<Verdict, String> {
-    let headerless: Vec<usize> = (0..group.len())
+/// The members that come back without a valid header (lost, or a header
+/// failing its CRC): what a restore rebuilds before it reads any CRC, and
+/// what its report names as lost.
+pub fn headerless(group: &[Member]) -> Vec<usize> {
+    (0..group.len())
         .filter(|&i| group[i].words().is_none())
-        .collect();
-    if headerless.len() == group.len() {
-        return Ok(Verdict::NoCheckpoint);
-    }
-    let trusted = group.iter().filter_map(Member::words);
-    let proof = trusted.clone().any(|w| w.prove_a_commit());
-    let seen = trusted.fold(Words::default(), Words::max);
+        .collect()
+}
 
+/// The group MAX of each commit word over the members with a valid
+/// header.
+pub fn seen(group: &[Member]) -> Words {
+    group
+        .iter()
+        .filter_map(Member::words)
+        .fold(Words::default(), Words::max)
+}
+
+/// The epoch `group` proposes to restore (0: nothing to restore), or its
+/// reason to refuse.
+fn propose(method: Method, m: usize, group: &[Member]) -> Result<u64, Refusal> {
+    let headerless = headerless(group).len();
+    if headerless == group.len() {
+        return Ok(0);
+    }
+    let proof = group
+        .iter()
+        .filter_map(Member::words)
+        .any(|w| w.prove_a_commit());
+    let seen = seen(group);
     if method == Method::Single && seen.dirty > seen.bc {
-        return Ok(Verdict::Unrecoverable(Refusal::TornSingle));
+        return Err(Refusal::TornSingle);
     }
-    if proof && headerless.len() > m {
-        return Ok(Verdict::Unrecoverable(Refusal::TooManyErasures));
+    if proof && headerless > m {
+        return Err(Refusal::TooManyErasures);
     }
-    let (epoch, data, parity) = match method {
-        Method::SelfCkpt if seen.d > seen.bc => (seen.d, Reg::Work, Reg::D),
-        Method::SelfCkpt | Method::Single => (seen.bc, Reg::B, Reg::C),
-        Method::Double if seen.pair1 > seen.bc => (seen.pair1, Reg::B1, Reg::C1),
-        Method::Double => (seen.bc, Reg::B, Reg::C),
+    Ok(match method {
+        Method::SelfCkpt => seen.d.max(seen.bc),
+        Method::Single => seen.bc,
+        Method::Double => seen.bc.max(seen.pair1),
+    })
+}
+
+/// The pair `group` restores `epoch` from: the first of the method's
+/// pairs — `(B, C)`, then `(B1, C1)` or the live `(work, D)` — whose
+/// commit word says `epoch`.
+fn holding(method: Method, group: &[Member], epoch: u64) -> Result<(Reg, Reg), String> {
+    let seen = seen(group);
+    let pairs: &[(u64, Reg, Reg)] = match method {
+        Method::Single => &[(seen.bc, Reg::B, Reg::C)],
+        Method::Double => &[(seen.bc, Reg::B, Reg::C), (seen.pair1, Reg::B1, Reg::C1)],
+        Method::SelfCkpt => &[(seen.bc, Reg::B, Reg::C), (seen.d, Reg::Work, Reg::D)],
     };
-    if epoch == 0 {
-        return Ok(Verdict::NoCheckpoint);
-    }
+    pairs
+        .iter()
+        .find(|p| p.0 == epoch)
+        .map(|&(_, data, parity)| (data, parity))
+        .ok_or_else(|| format!("no pair holds the agreed epoch {epoch}: {seen:?}"))
+}
+
+/// The members of `group` a restore from `(data, parity)` rebuilds:
+/// those without a header and those whose source fails its witness.
+fn erasures(group: &[Member], data: Reg, parity: Reg) -> Vec<usize> {
     let witnessed = |r: Option<RegionState>| r.is_some_and(|s| s.witnessed);
-    let erasures: Vec<usize> = (0..group.len())
+    let headerless = headerless(group);
+    (0..group.len())
         .filter(|&i| {
             headerless.contains(&i)
                 || !witnessed(group[i].region(data))
                 || !witnessed(group[i].region(parity))
         })
-        .collect();
-    if erasures.len() > m {
-        return Ok(Verdict::Unrecoverable(Refusal::TooManyErasures));
+        .collect()
+}
+
+/// The verdict for each of `groups` (one entry per member, in group-rank
+/// order) of one job under `method` with an `m`-parity codec, or the
+/// broken invariant that leaves no right answer.
+pub fn recover(method: Method, m: usize, groups: &[Vec<Member>]) -> Result<Vec<Verdict>, String> {
+    let proposals: Vec<_> = groups.iter().map(|g| propose(method, m, g)).collect();
+    if proposals.iter().any(Result::is_err) {
+        let why = |p: &Result<u64, Refusal>| p.err().unwrap_or(Refusal::TooManyErasures);
+        return Ok(proposals
+            .iter()
+            .map(|p| Verdict::Unrecoverable(why(p)))
+            .collect());
     }
-    for (i, member) in group.iter().enumerate() {
-        if erasures.contains(&i) {
-            continue;
-        }
-        for r in [data, parity] {
-            let held = member.region(r).and_then(|s| s.epoch);
-            if held != Some(epoch) {
-                return Err(format!(
-                    "the rules restore epoch {epoch} from ({data:?}, {parity:?}), but member \
-                     {i}'s {r:?} holds {held:?} under a valid witness"
-                ));
+    let epoch = proposals.into_iter().flatten().min().unwrap_or(0);
+    if epoch == 0 {
+        return Ok(vec![Verdict::NoCheckpoint; groups.len()]);
+    }
+    let sources = groups
+        .iter()
+        .map(|g| holding(method, g, epoch))
+        .collect::<Result<Vec<_>, _>>()?;
+    let beyond =
+        |(g, &(data, parity)): (&Vec<Member>, &(Reg, Reg))| erasures(g, data, parity).len() > m;
+    if groups.iter().zip(&sources).any(beyond) {
+        let refused = Verdict::Unrecoverable(Refusal::TooManyErasures);
+        return Ok(vec![refused; groups.len()]);
+    }
+    let mut verdicts = Vec::new();
+    for (group, &(data, parity)) in groups.iter().zip(&sources) {
+        let erased = erasures(group, data, parity);
+        for (i, member) in group.iter().enumerate() {
+            if erased.contains(&i) {
+                continue;
+            }
+            for r in [data, parity] {
+                let held = member.region(r).and_then(|s| s.epoch);
+                if held != Some(epoch) {
+                    return Err(format!(
+                        "the rules restore epoch {epoch} from ({data:?}, {parity:?}), but member \
+                         {i}'s {r:?} holds {held:?} under a valid witness"
+                    ));
+                }
             }
         }
+        let source = match data {
+            Reg::Work => Source::Workspace,
+            _ => Source::Checkpoint,
+        };
+        verdicts.push(Verdict::Restored { epoch, source });
     }
-    let source = match data {
-        Reg::Work => Source::Workspace,
-        _ => Source::Checkpoint,
-    };
-    Ok(Verdict::Restored { epoch, source })
+    Ok(verdicts)
 }

@@ -3,7 +3,7 @@
 //! protocols, codes, and multiple sequential failures.
 
 use self_checkpoint::cluster::{
-    explore, Cluster, ClusterConfig, DeviceKind, FailurePlan, Ranklist,
+    Cluster, ClusterConfig, DeviceKind, FailurePlan, Ranklist, SimRuntime,
 };
 use self_checkpoint::encoding::{Code, CodecSpec};
 use self_checkpoint::ftsim::{run_blcr, run_with_daemon, BlcrConfig, BlcrStore};
@@ -94,14 +94,14 @@ fn daemon_survives_three_sequential_node_losses() {
     // victims die, no launch costs one group of 2 both its members
     // (m = 1 could not rebuild that), and the solve passes.
     const VICTIMS: [(u64, usize); 3] = [(3, 0), (2, 1), (4, 3)];
-    for (seed, rep) in explore(0..8, |_, rt| {
+    for seed in 0..8 {
+        let rt = SimRuntime::new(seed);
         let cluster = Arc::new(Cluster::new_with_runtime(ClusterConfig::new(RANKS, 3), rt));
         let rl = Ranklist::round_robin(RANKS, RANKS);
         for (nth, node) in VICTIMS {
             cluster.arm_failure(FailurePlan::new(ITER_PROBE, nth, node));
         }
-        run_with_daemon(cluster, &rl, &skt_cfg(), 5, Duration::from_millis(10))
-    }) {
+        let rep = run_with_daemon(cluster, &rl, &skt_cfg(), 5, Duration::from_millis(10));
         let attempts = &rep.history.attempts;
         let mut dead: Vec<usize> = attempts
             .iter()

@@ -5,12 +5,12 @@
 
 use proptest::prelude::*;
 use self_checkpoint::cluster::{
-    Admission, Cluster, ClusterConfig, FailurePlan, FaultAction, FaultPlan, GrayKind, Ranklist,
-    Region, SimRuntime,
+    Admission, Cluster, ClusterConfig, FaultAction, FaultPlan, GrayKind, Ranklist, Region,
+    SimRuntime,
 };
 use self_checkpoint::core::{
-    available_fraction, Checkpointer, CkptConfig, MemoryBreakdown, Method, Phase, RecoverError,
-    Recovery, RestoreSource,
+    available_fraction, Checkpointer, CkptConfig, MemoryBreakdown, Method, RecoverError, Recovery,
+    RestoreSource,
 };
 use self_checkpoint::encoding::{kernels, Code, CodecSpec, DualParity, GroupLayout, KernelConfig};
 use self_checkpoint::ftsim::{
@@ -31,77 +31,6 @@ fn sim_pattern(rank: usize, epoch: u64) -> Vec<f64> {
     (0..SIM_A1)
         .map(|i| (rank * 6007 + i) as f64 * 0.5 + epoch as f64)
         .collect()
-}
-
-/// What a simulated fault cycle produced, job-wide.
-enum SimOutcome {
-    NeverFired,
-    Torn(String),
-    Recovered(Vec<(Recovery, Vec<f64>, bool)>),
-}
-
-/// One full checkpoint/fail/recover cycle on a fresh [`SimRuntime`]:
-/// arm `phase` on node `victim` of an `n`-rank group, write five epochs,
-/// then repair and collectively recover. Pure in `(n, phase, victim,
-/// seed)`.
-fn sim_cycle(seed: u64, n: usize, method: Method, phase: Phase, victim: usize) -> SimOutcome {
-    let nth = if phase == Phase::Encode {
-        2 * n as u64 + 1
-    } else {
-        3
-    };
-    let cluster = Arc::new(Cluster::new_with_runtime(
-        ClusterConfig::new(n, 1),
-        SimRuntime::new(seed),
-    ));
-    let mut rl = Ranklist::round_robin(n, n);
-    cluster.arm_failure(FailurePlan::new(phase, nth, victim));
-    let cfg = CkptConfig::new("prop-sim", method, SIM_A1, 16);
-    let first = run_on_cluster(Arc::clone(&cluster), &rl, |ctx| {
-        let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.clone());
-        for e in 1..=5u64 {
-            {
-                let ws = ck.workspace();
-                ws.write().as_f64_mut()[..SIM_A1]
-                    .copy_from_slice(&sim_pattern(ctx.world_rank(), e));
-            }
-            ctx.failpoint("computing")?;
-            ck.make(&e.to_le_bytes())?;
-        }
-        Ok(())
-    });
-    if first.is_ok() {
-        return SimOutcome::NeverFired;
-    }
-    assert_eq!(cluster.dead_nodes(), vec![victim], "only the victim dies");
-    cluster.reset_abort();
-    rl.repair(&cluster).unwrap();
-    let torn = std::sync::Mutex::new(None);
-    let outs = run_on_cluster(cluster, &rl, |ctx| {
-        let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.clone());
-        match ck.recover() {
-            Ok(rec) => {
-                let ok = ck.verify_integrity()?;
-                let data = {
-                    let ws = ck.workspace();
-                    let g = ws.read();
-                    g.as_f64()[..SIM_A1].to_vec()
-                };
-                Ok(Some((rec, data, ok)))
-            }
-            Err(RecoverError::Unrecoverable(msg)) => {
-                *torn.lock().unwrap() = Some(msg);
-                Ok(None)
-            }
-            Err(RecoverError::Fault(f)) => Err(f),
-            Err(other) => panic!("unexpected recovery error: {other}"),
-        }
-    })
-    .unwrap();
-    if let Some(msg) = torn.into_inner().unwrap() {
-        return SimOutcome::Torn(msg);
-    }
-    SimOutcome::Recovered(outs.into_iter().map(|o| o.unwrap()).collect())
 }
 
 /// Two clean checkpoint epochs, a normal exit, the given bit flips while
@@ -445,90 +374,6 @@ proptest! {
         dgemm(Trans::No, m, n, k, 1.0, a.as_slice(), lda, b.as_slice(), ldb, 0.0, c.as_mut_slice(), ldc);
         let r = a.matmul_ref(&b);
         prop_assert!(c.max_abs_diff(&r) < 1e-12 * k as f64);
-    }
-
-    #[test]
-    fn sim_fault_cycle_recovers_bit_exactly_or_reports_torn_update(
-        seed in any::<u64>(),
-        n in 2usize..9,
-        victim in 0usize..8,
-        phase_idx in 0usize..7,
-        method_idx in 0usize..3,
-    ) {
-        let victim = victim % n;
-        let phase = Phase::ALL[phase_idx];
-        let method = [Method::SelfCkpt, Method::Single, Method::Double][method_idx];
-        let cc = RestoreSource::CheckpointAndChecksum;
-        let wd = RestoreSource::WorkspaceAndChecksum;
-        // The paper's case analysis, for a failure in epoch 3's make.
-        // CommitD and Done are commit edges: the victim dies with its
-        // marker written while the survivors' header writes race the
-        // abort, so recovery lands on whichever consistent state the
-        // surviving markers prove — and the single method, whose only
-        // checkpoint is updated in place, must conservatively give up
-        // when no survivor can prove the final commit (Edge torn_ok).
-        enum Want {
-            Never,
-            /// (allowed epochs, pinned source, torn give-up also allowed)
-            Rec(&'static [u64], Option<RestoreSource>, bool),
-        }
-        let want = match (method, phase) {
-            (m, p) if !p.fires_in(m) => Want::Never,
-            // Figure 2 CASE 2: inside the update window the only
-            // checkpoint is presumed torn — unless every survivor was
-            // still parked at the gate barrier (dirty marker unwritten,
-            // B untouched), in which case the old pair is provably
-            // intact and still serves epoch 2.
-            (Method::Single, Phase::CopyB | Phase::Encode) => Want::Rec(&[2], Some(cc), true),
-            (Method::SelfCkpt, Phase::Serialize | Phase::Encode) => Want::Rec(&[2], Some(cc), false),
-            (Method::SelfCkpt, Phase::CommitD) => Want::Rec(&[2, 3], None, false),
-            (Method::SelfCkpt, Phase::FlushB | Phase::FlushC) => Want::Rec(&[3], Some(wd), false),
-            (Method::SelfCkpt, Phase::Done) => Want::Rec(&[3], None, false),
-            (Method::Single, Phase::Done) => Want::Rec(&[3], None, true),
-            (Method::Double, Phase::Done) => Want::Rec(&[2, 3], None, false),
-            _ => Want::Rec(&[2], Some(cc), false),
-        };
-        let tag = format!("{method:?}/{phase}/n{n}/victim{victim}/seed{seed}");
-        match (want, sim_cycle(seed, n, method, phase, victim)) {
-            (Want::Never, SimOutcome::NeverFired) => {}
-            (Want::Rec(_, _, true), SimOutcome::Torn(msg)) => {
-                prop_assert!(msg.contains("inconsistent"), "{}: wrong reason: {}", tag, msg);
-            }
-            (Want::Rec(epochs, source, _), SimOutcome::Recovered(outs)) => {
-                prop_assert_eq!(outs.len(), n, "{}: all ranks report", &tag);
-                let e0 = match &outs[0].0 {
-                    Recovery::Restored { epoch, .. } => *epoch,
-                    other => panic!("{tag}: rank 0 got {other:?}"),
-                };
-                prop_assert!(epochs.contains(&e0), "{}: epoch {} not in {:?}", tag, e0, epochs);
-                for (rank, (rec, data, intact)) in outs.iter().enumerate() {
-                    match rec {
-                        Recovery::Restored { epoch, a2, source: got } => {
-                            prop_assert_eq!(*epoch, e0, "{}: rank {} epoch", &tag, rank);
-                            prop_assert_eq!(a2.as_slice(), e0.to_le_bytes(), "{}: rank {} A2", &tag, rank);
-                            if let Some(want_src) = source {
-                                prop_assert_eq!(*got, want_src, "{}: rank {} source", &tag, rank);
-                            }
-                        }
-                        other => panic!("{tag}: rank {rank} got {other:?}"),
-                    }
-                    prop_assert!(*intact, "{}: rank {} parity check", tag, rank);
-                    // bit-exact: XOR-parity recovery must not perturb a ulp
-                    let expect = sim_pattern(rank, e0);
-                    for (i, (a, b)) in data.iter().zip(&expect).enumerate() {
-                        prop_assert_eq!(a.to_bits(), b.to_bits(), "{}: rank {} word {}", &tag, rank, i);
-                    }
-                }
-            }
-            (_, got) => {
-                let d = match got {
-                    SimOutcome::NeverFired => "never fired".into(),
-                    SimOutcome::Torn(m) => format!("torn: {m}"),
-                    SimOutcome::Recovered(o) => format!("recovered: {:?}", o[0].0),
-                };
-                panic!("{tag}: outcome {d} does not match the case analysis");
-            }
-        }
     }
 
     #[test]

@@ -37,6 +37,7 @@ const EPOCHS: u64 = 5;
 const SELF_XOR: Config = Config::new(
     Method::SelfCkpt,
     CodecSpec::Single(self_checkpoint::encoding::Code::Xor),
+    N,
 );
 
 fn pattern(rank: usize, epoch: u64) -> Vec<f64> {
@@ -231,8 +232,8 @@ fn encode_kills_at_every_yield_point_roll_back() {
 #[test]
 fn live_kills_leave_the_snapshot_for_the_baseline_methods() {
     for cfg in [
-        Config::new(Method::Single, CodecSpec::default()),
-        Config::new(Method::Double, CodecSpec::default()),
+        Config::new(Method::Single, CodecSpec::default(), N),
+        Config::new(Method::Double, CodecSpec::default(), N),
     ] {
         assert!(live_kills(&Recording::new(cfg, SEED), |_| true) > 0);
     }
