@@ -29,12 +29,12 @@
 //! Each rank's workspace `A1` (plus a small mirrored state area `B2`)
 //! lives in node-persistent shared memory. A checkpoint epoch `e` is:
 //! serialize app state into `B2`; group-reduce the stripe parities of
-//! `A1‖B2` into the fresh checksum `D`; barrier; *commit D*; copy
-//! `A1‖B2 → B` and `D → C`; barrier; *commit BC*. At every instant at
-//! least one of `(A1‖B2, D)` and `(B, C)` is a committed, consistent
-//! pair, so up to `m` lost ranks per group can always be rebuilt, where
-//! `m` is the configured erasure codec's parity count (`1` for the
-//! paper's XOR/SUM codes, `2` for the dual P+Q codec) — the failed
+//! `A1‖B2` into `X(e)` (`D` at odd epochs, `C` at even ones: never the
+//! committed `P(e-1)`); barrier; *commit D*; copy `A1‖B2 → B`; barrier;
+//! *commit BC*. At every instant one of `(A1‖B2, X(d))` and `(B, X(bc))`
+//! is a committed, consistent pair, so up to `m` lost ranks per group can
+//! be rebuilt, where `m` is the configured erasure codec's parity count
+//! (`1` for the paper's XOR/SUM codes, `2` for the dual P+Q codec) — the failed
 //! ranks' stripes are recomputed from the survivors and the parity, the
 //! defining trick being that the application's own memory serves as the
 //! checkpoint while `B` is being overwritten.

@@ -552,14 +552,13 @@ impl<'c> Checkpointer<'c> {
     /// checkpoint copy and compare it with its checksum bit-exactly.
     /// Returns the group-wide verdict.
     ///
-    /// The check targets the pair holding the current epoch: a method
-    /// with several checkpoint pairs alternates them, and the *off* pair
-    /// may legally hold a torn write.
+    /// The check targets the pair (and parity region) holding the current
+    /// epoch: the *off* pair or region may legally hold a torn write.
     pub fn verify_integrity(&self) -> Result<bool, Fault> {
         let pair = self.table.written_at(self.epoch);
         let parity = self.encode_of(pair.data, None)?;
         let ok = {
-            let c = self.seg(pair.parity).read();
+            let c = self.seg(pair.parity(self.epoch)).read();
             parity
                 .iter()
                 .flatten()

@@ -27,9 +27,9 @@ const PAYLOAD_BYTES: usize = 32;
 /// Which commit marker a write targets.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum HeaderWord {
-    /// Self method: the fresh checksum `D` committed this epoch.
+    /// Self method: the live pair `(work, X(e))` committed this epoch.
     DEpoch = 0,
-    /// Self/single: `(B, C)` committed this epoch; double: pair-0 epoch.
+    /// Single: `(B, C)`, self: `(B, X(e))` committed; double: pair 0.
     BcEpoch = 1,
     /// Double method: pair-1 epoch.
     Pair1 = 2,
@@ -50,7 +50,7 @@ impl HeaderWord {
 /// A decoded header: one rank's view of what committed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Header {
-    /// Epoch of the last committed fresh checksum `D` (self method).
+    /// Epoch of the last committed live pair `(work, X(e))` (self method).
     pub d_epoch: u64,
     /// Epoch of the last committed `(B, C)` pair (pair 0 for double).
     pub bc_epoch: u64,

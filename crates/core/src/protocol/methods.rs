@@ -3,9 +3,12 @@
 //! keeps is the table's business (`table`); this module only orders the
 //! sequenced ops ([`super::ops`]) over them.
 //!
-//! * **self-checkpoint** (paper Figures 4–5): one checkpoint copy `B`, a
-//!   committed checksum `C`, and a fresh checksum `D`, with the workspace
-//!   itself doubling as a checkpoint while `B` is overwritten.
+//! * **self-checkpoint** (paper Figures 4–5): one checkpoint copy `B` and
+//!   two checksum regions `C` and `D`, with the workspace itself doubling
+//!   as a checkpoint while `B` is overwritten. Epoch `e` encodes into
+//!   `X(e)` (the table's alternating parity region), so the committed
+//!   checkpoint `(B, X(bc))` and the live pair `(work, X(d))` need no
+//!   parity copy between them.
 //! * **single** (Figure 2): one `(B, C)` updated **in place** — cheap,
 //!   but a failure during the update leaves the only checkpoint torn (its
 //!   documented flaw, flagged by the planner's torn-update detector).
@@ -16,7 +19,7 @@ use super::ops::{
     self, Committed, FlushCommit, HeaderCommit, ParityCommit, RebuildOp, SequencedOp,
 };
 use super::planner::HeaderMaxima;
-use super::table::{Pair, BC, WORK_D};
+use super::table::{Pair, BC, B_X, WORK_X};
 use super::{Checkpointer, CkptStats, Phase, RecoverError, RestoreSource, RECOVER_COMMIT_PROBE};
 use crate::memory::Method;
 use skt_cluster::Region;
@@ -44,16 +47,18 @@ impl<'c> Checkpointer<'c> {
     }
 
     fn make_self(&mut self, e: u64) -> Result<CkptStats, Fault> {
-        // (2) encode parity of `work` into D. The parity fill CRCs the
-        // fresh (work, D) pair in the same no-yield block: any rank past
+        // (2) encode parity of `work` into X(e), the region that does not
+        // hold the committed checkpoint's P(e-1). The parity fill CRCs the
+        // fresh (work, X(e)) pair in the same no-yield block: any rank past
         // the commit has matching data and witness.
         let t0 = self.clock();
         let sp = self.span(Phase::Encode, e);
-        let parity = self.encode_of(WORK_D.data, Some(Phase::Encode.label()))?;
+        let x = WORK_X.parity(e);
+        let parity = self.encode_of(WORK_X.data, Some(Phase::Encode.label()))?;
         let d_fill = self.seal(ops::prepare(ParityCommit::new(
-            WORK_D.parity,
+            x,
             &parity,
-            &[WORK_D.data, WORK_D.parity],
+            &[WORK_X.data, x],
         )))?;
         self.comm.barrier()?;
         sp.end();
@@ -63,37 +68,42 @@ impl<'c> Checkpointer<'c> {
     }
 
     /// CASE 2's commit order, shared by `make` and the roll-forward
-    /// restore. With every member's `(work, D)@e` complete (the caller's
-    /// barrier): (3) commit `D@e`; wait until every member has, since a
-    /// failure before that could still force a rollback to `(B, C)@e-1`;
-    /// only then (4) overwrite `(B, C)` from `(work, D)`, which stand in
-    /// as the consistent pair meanwhile, and (5) commit it group-wide.
-    /// Returns the flush time.
+    /// restore. With every member's `(work, X(e))@e` complete (the
+    /// caller's barrier, `d_ready` its parity): (3) commit `D@e`; wait
+    /// until every member has, since a failure before that could still
+    /// force a rollback to `(B, X(e-1))@e-1`; only then (4) overwrite `B`
+    /// from `work`, which stands in with `X(e)` as the consistent pair
+    /// meanwhile, and (5) commit `(B, X(e))` group-wide. Returns the flush
+    /// time.
     fn commit_d_then_flush<T>(
         &mut self,
         e: u64,
         d_ready: &Committed<T>,
         pass: Pass,
     ) -> Result<Duration, Fault> {
-        let _d = self.seal_in(pass, HeaderCommit::after(WORK_D.word, e, d_ready))?;
+        let _d = self.seal_in(pass, HeaderCommit::after(WORK_X.word, e, d_ready))?;
         if pass == Pass::Make {
             self.probe(Phase::CommitD.label())?;
         }
-        // The cross-group gate of `init_synced`: no group overwrites
-        // (B, C) before every group committed D@e on every member. In a
-        // restore, groups rolling back from (B, C) meet it after their
-        // own commits (`restore`); without it, a second loss of a group's
+        // The cross-group gate of `init_synced`: no group overwrites B
+        // before every group committed D@e on every member. In a restore,
+        // groups rolling back from (B, X(e-1)) meet it after their own
+        // commits (`restore`); without it, a second loss of a group's
         // only D@e holder could make that group propose e-1 to one whose
-        // (B, C) already hold e.
+        // B already holds e.
         self.sync_barrier()?;
         let t1 = self.clock();
-        let flush_b = self.flush_in(pass, Phase::FlushB, e, BC.data, WORK_D.data)?;
-        let flush_c = self.flush_in(pass, Phase::FlushC, e, BC.parity, WORK_D.parity)?;
+        let flush_b = match pass {
+            Pass::Make => self.flush_phase(Phase::FlushB, e, B_X.data, WORK_X.data)?,
+            Pass::Replay => {
+                self.seal_replay(FlushCommit::new(B_X.data, WORK_X.data, "recover-flush"))?
+            }
+        };
         self.comm.barrier()?;
         let flush = t1.elapsed();
         let _bc = self.seal_in(
             pass,
-            HeaderCommit::after(BC.word, e, &flush_b).also_after(&flush_c),
+            HeaderCommit::after(B_X.word, e, &flush_b).also_after(d_ready),
         )?;
         Ok(flush)
     }
@@ -108,22 +118,6 @@ impl<'c> Checkpointer<'c> {
         match pass {
             Pass::Make => self.seal(ops::prepare(op)),
             Pass::Replay => self.seal_replay(op),
-        }
-    }
-
-    /// A flush copy `dst ← src`: `phase`'s observed copy in `make`, a
-    /// replayed copy in a restore.
-    fn flush_in(
-        &mut self,
-        pass: Pass,
-        phase: Phase,
-        e: u64,
-        dst: Region,
-        src: Region,
-    ) -> Result<Committed<FlushCommit>, Fault> {
-        match pass {
-            Pass::Make => self.flush_phase(phase, e, dst, src),
-            Pass::Replay => self.seal_replay(FlushCommit::new(dst, src, "recover-flush")),
         }
     }
 
@@ -171,9 +165,9 @@ impl<'c> Checkpointer<'c> {
         let sp = self.span(Phase::Encode, e);
         let parity = self.encode_of(pair.data, Some(Phase::Encode.label()))?;
         let encoded = self.seal(ops::prepare(ParityCommit::new(
-            pair.parity,
+            pair.parity(e),
             &parity,
-            &[pair.parity],
+            &[pair.parity(e)],
         )))?;
         self.comm.barrier()?;
         sp.end();
@@ -208,37 +202,31 @@ impl<'c> Checkpointer<'c> {
                     // CASE 2: encode of the target epoch committed
                     // somewhere; the flush may be torn. The workspace is
                     // the checkpoint: the app never regained control
-                    // after the encode, so the (work, D) CRCs written
-                    // there still witness the exact bytes trusted. Once
-                    // the lost members' (work, D) are rebuilt, finish
-                    // the interrupted make in make's own order: D@target
-                    // on every member before (B, C) is touched, so a
+                    // after the encode, so the (work, X(target)) CRCs
+                    // written there still witness the exact bytes
+                    // trusted. Once the lost members' pair is rebuilt,
+                    // finish the interrupted make in make's own order:
+                    // D@target on every member before B is touched, so a
                     // second loss mid-flush still rolls forward.
-                    let (rebuilt, ()) = self.restore_core(lost, src, |_| Ok(()))?;
+                    let (rebuilt, ()) = self.restore_core(lost, src, target, |_| Ok(()))?;
                     self.commit_d_then_flush(target, &rebuilt, Pass::Replay)?;
                     return Ok(RestoreSource::WorkspaceAndChecksum);
                 }
                 // CASE 1: normal rollback to the committed checkpoint —
                 // also the cross-group case "another group proposed e-1":
-                // the pre-flush sync gate guarantees our (B, C)@e-1 is
-                // then still intact. The copies restore the invariant
-                // that D mirrors C after a rollback; (B, C) is never
-                // written, so a second loss mid-copy rolls back again.
-                let (rebuilt, (to_work, to_d)) = self.restore_core(lost, src, |ck| {
-                    Ok((
-                        ck.seal_replay(FlushCommit::new(WORK_D.data, src.data, "recover-restore"))?,
-                        ck.seal_replay(FlushCommit::new(
-                            WORK_D.parity,
-                            src.parity,
-                            "recover-restore",
-                        ))?,
-                    ))
+                // the pre-flush sync gate guarantees our (B, X(e-1)) is
+                // then still intact, since epoch e encoded into X(e).
+                // One copy makes (work, X(target)) consistent again; B
+                // and X(target) are never written, so a second loss
+                // mid-copy rolls back again.
+                let (rebuilt, to_work) = self.restore_core(lost, src, target, |ck| {
+                    ck.seal_replay(FlushCommit::new(WORK_X.data, src.data, "recover-restore"))
                 })?;
                 let _d = self.seal_replay(
-                    HeaderCommit::after(WORK_D.word, target, &rebuilt).also_after(&to_d),
+                    HeaderCommit::after(WORK_X.word, target, &to_work).also_after(&rebuilt),
                 )?;
                 let _bc = self.seal_replay(
-                    HeaderCommit::after(BC.word, target, &to_work).also_after(&to_d),
+                    HeaderCommit::after(B_X.word, target, &to_work).also_after(&rebuilt),
                 )?;
                 // meet the roll-forward groups at their cross-group gate
                 // (`commit_d_then_flush`)
@@ -268,7 +256,7 @@ impl<'c> Checkpointer<'c> {
         src: &Pair,
         target: u64,
     ) -> Result<RestoreSource, RecoverError> {
-        let (rebuilt, to_work) = self.restore_core(lost, src, |ck| {
+        let (rebuilt, to_work) = self.restore_core(lost, src, target, |ck| {
             ck.seal_replay(FlushCommit::new(Region::Work, src.data, "recover-restore"))
         })?;
         let _h =
@@ -276,10 +264,10 @@ impl<'c> Checkpointer<'c> {
         Ok(RestoreSource::CheckpointAndChecksum)
     }
 
-    /// The restore core every method shares: CRC-verify the source pair
-    /// before trusting it — silently corrupted survivors are downgraded
-    /// to erasures and rebuilt alongside (or instead of) the lost ranks —
-    /// then run the method's `copies` out of it, fire
+    /// The restore core every method shares: CRC-verify the source pair at
+    /// `target` before trusting it — silently corrupted survivors are
+    /// downgraded to erasures and rebuilt alongside (or instead of) the
+    /// lost ranks — then run the method's `copies` out of it, fire
     /// [`RECOVER_COMMIT_PROBE`] and pass the group barrier. What comes
     /// back are the evidence tokens the caller's header commits are built
     /// from. Every step is a replay-sequenced op, so a re-entered restore
@@ -288,10 +276,11 @@ impl<'c> Checkpointer<'c> {
         &mut self,
         lost: &[usize],
         src: &Pair,
+        target: u64,
         copies: impl FnOnce(&mut Self) -> Result<T, Fault>,
     ) -> Result<(Committed<RebuildOp>, T), RecoverError> {
-        let lost = self.verify_sources(lost, src)?;
-        let rebuilt = self.seal_replay(RebuildOp::new(lost, src.data, src.parity))?;
+        let lost = self.verify_sources(lost, src, target)?;
+        let rebuilt = self.seal_replay(RebuildOp::new(lost, src.data, src.parity(target)))?;
         let copied = copies(self)?;
         self.probe(RECOVER_COMMIT_PROBE)?;
         self.comm.barrier()?;

@@ -45,17 +45,20 @@
 //! |----------|-------------------|------|
 //! | `work`   | padded `A1 + B2`  | application workspace `A1` plus the mirrored small-state area `B2`; *is itself a checkpoint* while `B` is overwritten |
 //! | `b`      | same as `work`    | checkpoint copy `B` (double method: `b0`,`b1`) |
-//! | `c`      | `m` stripes       | committed checksum `C` (double: `c0`,`c1`) |
-//! | `d`      | `m` stripes       | fresh checksum `D` (self method only) |
+//! | `c`      | `m` stripes       | checksum `C` (double: `c0`,`c1`); self method: `X(e)` at even epochs |
+//! | `d`      | `m` stripes       | checksum `D`, self method only: `X(e)` at odd epochs |
 //! | `header` | 40 bytes          | epochs + commit markers + header CRC |
 //! | `crc`    | `6·(N-1)` u32     | per-stripe CRC32C table over the data segments |
 //!
 //! ## Commit discipline (self-checkpoint, epoch `e`)
 //!
+//! Epoch `e` encodes into `X(e)` — `D` for odd `e`, `C` for even `e` — never
+//! over the committed `P(e-1)`, so the paper's final `D → C` copy is gone.
+//!
 //! 1. serialize app state into `B2` ([`Phase::Serialize`]);
-//! 2. group-encode parity of `work` into `D` ([`Phase::Encode`]);
+//! 2. group-encode parity of `work` into `X(e)` ([`Phase::Encode`]);
 //! 3. **barrier**, then mark `d_epoch = e` ([`Phase::CommitD`]);
-//! 4. copy `work → B`, `D → C` ([`Phase::FlushB`], [`Phase::FlushC`]);
+//! 4. copy `work → B` ([`Phase::FlushB`]);
 //! 5. **barrier**, then mark `bc_epoch = e` ([`Phase::Done`]).
 //!
 //! Each commit point is a sequenced op: the marker write is only
@@ -65,9 +68,9 @@
 //! [`planner::plan_recovery`] consensus, agrees job-wide on the minimum
 //! restorable epoch, and rebuilds the lost ranks (up to the codec's
 //! parity count) from the pair the method's table row says holds it.
-//! The invariant — at least one of `(work, D)`, `(B, C)` is a committed
-//! consistent pair at every instant — is exercised by failure injection
-//! at every [`Phase`] in the integration tests.
+//! The invariant — one of `(work, X(d_epoch))` and `(B, X(bc_epoch))` is
+//! always a committed, consistent pair — is checked at every crash state
+//! of the integration tests' recordings against a reference model.
 
 pub mod header;
 pub mod ops;
@@ -169,7 +172,7 @@ pub struct CkptStats {
     pub epoch: u64,
     /// Time spent in the parity encode (communication phase).
     pub encode: Duration,
-    /// Time spent copying `work → B`, `D → C` (local memory phase).
+    /// Time spent copying `work → B` (local memory phase).
     pub flush: Duration,
     /// Bytes of checkpoint data this rank protects (size of `B`).
     pub checkpoint_bytes: usize,
@@ -198,9 +201,9 @@ pub enum Recovery {
 #[non_exhaustive]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RestoreSource {
-    /// `(B, C)` — the committed checkpoint (CASE 1 / normal rollback).
+    /// `(B, C)` / `(B, X(e))` — the committed checkpoint (CASE 1).
     CheckpointAndChecksum,
-    /// `(work, D)` — the workspace acting as its own checkpoint (CASE 2;
+    /// `(work, X(e))` — the workspace acting as its own checkpoint (CASE 2;
     /// unique to the self-checkpoint method).
     WorkspaceAndChecksum,
 }

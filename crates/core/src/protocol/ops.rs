@@ -400,8 +400,8 @@ impl<'c> SequencedOp<Checkpointer<'c>> for FlushCommit {
 
 /// Commit freshly encoded parity — one stripe per role, as the reduces
 /// delivered them — into a checksum segment plus the CRC witnesses of
-/// every region the encode certifies (the self method's D fill
-/// witnesses `(work, D)` as a pair).
+/// every region the encode certifies (the self method's fill witnesses
+/// `(work, X(e))` as a pair).
 pub(crate) struct ParityCommit<'a> {
     dst: Region,
     stripes: &'a [Vec<f64>],

@@ -11,7 +11,7 @@
 /// One window of the checkpoint protocol, in `make` order.
 ///
 /// The self-checkpoint method (paper Figure 4) runs
-/// `Serialize → Encode → CommitD → FlushB → FlushC → Done`;
+/// `Serialize → Encode → CommitD → FlushB → Done`;
 /// the single/double baselines (Figures 2–3) run
 /// `Serialize → CopyB → Encode → Done`.
 #[non_exhaustive]
@@ -24,11 +24,9 @@ pub enum Phase {
     Encode,
     /// The fresh checksum `D` committed (`d_epoch` written) — self method.
     CommitD,
-    /// `work → B` flushed, `D → C` still pending (the CASE 2 window) —
-    /// self method.
+    /// `work → B` flushed, the commit of `(B, X(e))` still pending (the
+    /// CASE 2 window) — self method.
     FlushB,
-    /// `D → C` flushed, final commit still pending — self method.
-    FlushC,
     /// `work → B` copied over the live checkpoint — the baselines'
     /// inconsistency window (single: the *only* copy; double: the older
     /// pair).
@@ -46,7 +44,6 @@ impl Phase {
             Phase::Encode => "ckpt-encode",
             Phase::CommitD => "ckpt-d-commit",
             Phase::FlushB => "ckpt-flush-b",
-            Phase::FlushC => "ckpt-flush-c",
             Phase::CopyB => "ckpt-copy-b",
             Phase::Done => "ckpt-done",
         }

@@ -150,7 +150,7 @@ pub fn plan_recovery(method: Method, views: &[SurvivorView], parity: usize) -> G
 
 #[cfg(test)]
 mod tests {
-    use super::super::table::{MethodTable, Pair, BC, WORK_D};
+    use super::super::table::{MethodTable, Pair, B_X, WORK_X};
     use super::*;
 
     /// The pair `method`'s table row says holds `target`.
@@ -190,33 +190,33 @@ mod tests {
         assert_eq!(plan.proposal, 3);
         assert_eq!(
             holding(Method::SelfCkpt, plan.proposal, &plan.maxima),
-            Some(&BC)
+            Some(&B_X)
         );
     }
 
     #[test]
     fn committed_d_rolls_forward_from_workspace() {
-        // D@3 committed group-wide, flush torn: recover from (work, D)
+        // D@3 committed group-wide, flush torn: recover from (work, X(3))
         let plan = plan_recovery(Method::SelfCkpt, &group(4, hdr(3, 2, 0, 0), Some(2)), 1);
         assert_eq!(plan.proposal, 3);
         assert_eq!(
             holding(Method::SelfCkpt, plan.proposal, &plan.maxima),
-            Some(&WORK_D)
+            Some(&WORK_X)
         );
     }
 
     #[test]
     fn cross_group_minimum_falls_back_to_bc_at_previous_epoch() {
-        // (B,C)@e-1 fallback: our group committed D@3, but a peer group
+        // (B, X(e-1)) fallback: our group committed D@3, but a peer group
         // only proposed 2 — the job-wide MIN forces target 2, which our
-        // intact (B, C)@2 must serve (the pre-flush sync gate guarantees
+        // intact (B, X(2)) must serve (the pre-flush sync gate guarantees
         // it still exists).
         let plan = plan_recovery(Method::SelfCkpt, &group(4, hdr(3, 2, 0, 0), None), 1);
         assert_eq!(plan.proposal, 3);
         let cross_group_target = 2; // MIN with the slower peer group
         assert_eq!(
             holding(Method::SelfCkpt, cross_group_target, &plan.maxima),
-            Some(&BC)
+            Some(&B_X)
         );
     }
 

@@ -19,9 +19,8 @@ use std::cell::Cell;
 
 /// Probe label fired at the start of every protocol segment copy
 /// (`copy_seg`). Gives the simulation a yield point *inside* each copy
-/// window (`FlushB`, `FlushC`, `CopyB`, and the restore copies), so a
-/// node can be lost between two copies, not just at the phase-boundary
-/// probes.
+/// window (`FlushB`, `CopyB`, and the restore copies), so a node can be
+/// lost as a copy starts, not just at the phase-boundary probes.
 pub const COPY_PROBE: &str = "ckpt-copy";
 
 /// Size in bytes of the per-rank stripe-CRC table segment for an
@@ -277,22 +276,24 @@ impl<'c> Checkpointer<'c> {
     }
 
     /// The group half of the damage census: collective CRC verification
-    /// of `pair` before anything trusts it. Already-`lost` ranks are
-    /// counted as damaged by definition; CRC-damaged survivors are
-    /// *merged into the erasure set* — the returned ranks are what the
-    /// parity rebuild must restore, which it does bit-exactly. More
-    /// damaged members than the codec's parity count `m` exceed its
-    /// correction power: the second value is then this group's typed
-    /// verdict, to be handed to [`Self::job_verdict`].
+    /// of `pair` at epoch `e` before anything trusts it. Already-`lost`
+    /// ranks are damaged by definition; CRC-damaged survivors are *merged
+    /// into the erasure set* — the returned ranks are what the parity
+    /// rebuild must restore, which it does bit-exactly. More damaged
+    /// members than the codec's parity count `m` exceed its correction
+    /// power: the second value is then this group's typed verdict, to be
+    /// handed to [`Self::job_verdict`].
     pub(super) fn damage_census(
         &self,
         lost: &[usize],
         pair: &Pair,
+        e: u64,
     ) -> Result<(Vec<usize>, Option<String>), Fault> {
         let m = self.layout.parity_count();
+        let sources = [pair.data, pair.parity(e)];
         let my_ok = !lost.contains(&self.comm.rank())
-            && self.region_crc_ok(pair.data)?
-            && self.region_crc_ok(pair.parity)?;
+            && self.region_crc_ok(sources[0])?
+            && self.region_crc_ok(sources[1])?;
         let bad = self.gather_bad_ranks(my_ok)?;
         let verdict = (bad.len() > m).then(|| {
             let limit = if m == 1 {
@@ -302,22 +303,22 @@ impl<'c> Checkpointer<'c> {
             };
             format!(
                 "checkpoint integrity: ranks {bad:?} of a {}-member group hold damaged restore \
-                 sources ({:?}); {limit}",
+                 sources ({sources:?}); {limit}",
                 self.comm.size(),
-                [pair.data, pair.parity]
             )
         });
         Ok((bad, verdict))
     }
 
     /// The damage census of a restore source, verdict included: what
-    /// every restore runs before it trusts `pair`.
+    /// every restore runs before it trusts `pair` at epoch `e`.
     pub(super) fn verify_sources(
         &self,
         lost: &[usize],
         pair: &Pair,
+        e: u64,
     ) -> Result<Vec<usize>, RecoverError> {
-        let (bad, damage) = self.damage_census(lost, pair)?;
+        let (bad, damage) = self.damage_census(lost, pair, e)?;
         self.job_verdict(damage)?;
         Ok(bad)
     }

@@ -24,10 +24,11 @@ impl<'c> Checkpointer<'c> {
     ///   correction power: reported as [`RecoverError::Unrecoverable`],
     ///   never silently restored.
     ///
-    /// The live workspace (and the self method's fresh checksum `D`
-    /// between commits) is deliberately out of scope: the application
-    /// mutates it at will, so its CRCs are only meaningful on the
-    /// recovery path, where `verify_sources` checks them.
+    /// Each pair's parity region is read at its consensus epoch: the self
+    /// method's other checksum region (stale `P(e-1)`) is out of scope,
+    /// and so is the live workspace: the application mutates it at will,
+    /// so its CRCs are only meaningful on the recovery path, where
+    /// `verify_sources` checks them.
     pub fn scrub(&mut self) -> Result<ScrubReport, RecoverError> {
         self.op_trail.clear();
         self.probe(SCRUB_PROBE)?;
@@ -57,13 +58,14 @@ impl<'c> Checkpointer<'c> {
             .collect();
         let mut repaired = Vec::new();
         for &pair in &pairs {
-            let (bad, beyond_repair) = self.damage_census(&[], pair)?;
+            let e = consensus.word(pair.word);
+            let (bad, beyond_repair) = self.damage_census(&[], pair, e)?;
             if let Some(verdict) = beyond_repair {
                 damage.get_or_insert(verdict);
             } else if !bad.is_empty() {
                 repaired.extend_from_slice(&bad);
                 let _rebuilt =
-                    self.seal_replay(ops::RebuildOp::new(bad, pair.data, pair.parity))?;
+                    self.seal_replay(ops::RebuildOp::new(bad, pair.data, pair.parity(e)))?;
             }
         }
         // Deferred job-wide verdict: every rank reduces once, so sibling

@@ -2,11 +2,11 @@
 //! `A,B,C` / `A,2×(B,C)` / `A,B,C,D`; Figures 2–5 for which pair is
 //! trusted when): the regions a method allocates, its `(commit word,
 //! data, parity)` pairs, which pair epoch `e` overwrites and which pair
-//! holds a given target epoch. `init`, the segment lookup, the CRC-slot
-//! table, `verify_integrity`, `scrub`, the resume epoch and every
-//! restore read this table instead of restating it. To add a method: add
-//! a row here and a `make` function (plus its `restore` arm) in
-//! `methods`.
+//! holds a given target epoch (its parity region read at that epoch).
+//! `init`, the segment lookup, the CRC-slot table, `verify_integrity`,
+//! `scrub`, the resume epoch and every restore read this table instead of
+//! restating it. To add a method: add a row here and a `make` function
+//! (plus its `restore` arm) in `methods`.
 
 use super::header::{Header, HeaderWord};
 use super::planner::HeaderMaxima;
@@ -14,35 +14,41 @@ use crate::memory::Method;
 use skt_cluster::Region;
 
 /// A consistent `(data, parity)` pair and the commit word holding the
-/// epoch it was committed at.
+/// epoch `e` it was committed at; `parity[e % 2]` holds its parity.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Pair {
     pub(crate) word: HeaderWord,
     pub(crate) data: Region,
-    pub(crate) parity: Region,
+    parity: [Region; 2],
 }
 
-/// The committed checkpoint `(B, C)` every method keeps (pair 0).
-pub(crate) const BC: Pair = Pair {
-    word: HeaderWord::BcEpoch,
-    data: Region::CopyB,
-    parity: Region::ParityC,
-};
+impl Pair {
+    const fn new(word: HeaderWord, data: Region, parity: [Region; 2]) -> Pair {
+        Pair { word, data, parity }
+    }
+
+    /// The region holding this pair's parity at its committed epoch `e`.
+    pub(crate) fn parity(&self, e: u64) -> Region {
+        self.parity[(e % 2) as usize]
+    }
+}
+
+/// The single and double methods' committed checkpoint `(B, C)` (pair 0).
+pub(crate) const BC: Pair = Pair::new(HeaderWord::BcEpoch, Region::CopyB, [Region::ParityC; 2]);
 
 /// The double method's second checkpoint pair.
-const B1C1: Pair = Pair {
-    word: HeaderWord::Pair1,
-    data: Region::CopyB1,
-    parity: Region::ParityC1,
-};
+const B1C1: Pair = Pair::new(HeaderWord::Pair1, Region::CopyB1, [Region::ParityC1; 2]);
 
-/// The self method's `(work, D)`: the workspace acting as a checkpoint
-/// while `(B, C)` is overwritten.
-pub(crate) const WORK_D: Pair = Pair {
-    word: HeaderWord::DEpoch,
-    data: Region::Work,
-    parity: Region::ChecksumD,
-};
+/// The self method's `X(e)`: `C` at even epochs, `D` at odd ones. Epoch
+/// `e` encodes into the region not holding `P(e-1)`, so no parity is ever
+/// copied (the paper copies `D → C` at the end of every make).
+const X: [Region; 2] = [Region::ParityC, Region::ChecksumD];
+
+/// The self method's committed checkpoint `(B, X(bc))`.
+pub(crate) const B_X: Pair = Pair::new(HeaderWord::BcEpoch, Region::CopyB, X);
+
+/// The self method's `(work, X(d))`: the workspace as its own checkpoint.
+pub(crate) const WORK_X: Pair = Pair::new(HeaderWord::DEpoch, Region::Work, X);
 
 /// One method's row. What it allocates follows from it: the workspace
 /// plus every pair's regions ([`MethodTable::regions`]).
@@ -69,8 +75,8 @@ static DOUBLE: MethodTable = MethodTable {
 
 /// `A, B, C, D`.
 static SELF_CKPT: MethodTable = MethodTable {
-    pairs: &[BC],
-    live: Some(WORK_D),
+    pairs: &[B_X],
+    live: Some(WORK_X),
 };
 
 /// Number of region slots: the length of a `Checkpointer`'s segment array
@@ -117,14 +123,16 @@ impl MethodTable {
     }
 
     /// The `f64` segments the method allocates beside `header` and `crc`,
-    /// in creation order (segment names are [`Region::suffix`]), each
-    /// with whether it is a checksum segment (`m` stripes) rather than a
+    /// in slot order (segment names are [`Region::suffix`]), each with
+    /// whether it is a checksum segment (`m` stripes) rather than a
     /// workspace-sized one.
-    pub(crate) fn regions(&self) -> impl Iterator<Item = (Region, bool)> + '_ {
-        let paired = self
-            .sources()
-            .flat_map(|p| [(p.data, false), (p.parity, true)]);
-        std::iter::once((Region::Work, false)).chain(paired.filter(|&(r, _)| r != Region::Work))
+    pub(crate) fn regions(&self) -> Vec<(Region, bool)> {
+        let data = std::iter::once(Region::Work).chain(self.sources().map(|p| p.data));
+        let parity = self.sources().flat_map(|p| p.parity.map(|r| (r, true)));
+        let mut all: Vec<_> = data.map(|r| (r, false)).chain(parity).collect();
+        all.sort_by_key(|&(r, _)| slot(r));
+        all.dedup();
+        all
     }
 
     /// The checkpoint pair epoch `e`'s `make` overwrites — the *older*

@@ -31,43 +31,46 @@ fn pattern(rank: usize, epoch: u64) -> Vec<f64> {
         .collect()
 }
 
+/// One self-method make per codec: every rank enters every phase once,
+/// and the only bytes the make moves are the `work → B` flush — one
+/// padded checkpoint per rank, no parity. The encode lands in the parity
+/// region the next commit word points at, so no `D → C` copy (the
+/// paper's `ckpt-flush-c` phase) follows it.
 #[test]
 fn make_emits_observable_phase_events() {
-    let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 0)));
-    let rl = Ranklist::round_robin(N, N);
-    let rec = Arc::new(Recorder::new());
-    cluster.events().subscribe(rec.clone());
-    run_on_cluster(cluster.clone(), &rl, |ctx| {
-        let world = ctx.world();
-        let (mut ck, _) = Checkpointer::init(world, cfg(Method::SelfCkpt));
-        ck.make(b"x")?;
-        Ok(())
-    })
-    .unwrap();
-    // every rank enters every self-method phase once per make
-    for phase in [
-        Phase::Serialize,
-        Phase::Encode,
-        Phase::FlushB,
-        Phase::FlushC,
-    ] {
-        let enters =
-            rec.count(|e| matches!(e, Event::PhaseEnter { label, .. } if *label == phase.label()));
-        assert_eq!(enters, N, "{phase} enters");
-    }
-    // the encode spans the barrier, so its total is measurably nonzero
-    assert!(rec.phase_total(Phase::Encode.label()) > Duration::ZERO);
-    // the flush copies report their traffic: one padded checkpoint per rank
-    let copied: u64 = rec
-        .events()
-        .iter()
-        .filter_map(|e| match e {
-            Event::BytesMoved { label, bytes } if *label == Phase::FlushB.label() => Some(*bytes),
-            _ => None,
+    for codec in [CodecSpec::Single(Code::Xor), CodecSpec::Rs { m: 2 }] {
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 0)));
+        let rl = Ranklist::round_robin(N, N);
+        let rec = Arc::new(Recorder::new());
+        cluster.events().subscribe(rec.clone());
+        let cfg = cfg(Method::SelfCkpt).with_codec(codec);
+        run_on_cluster(cluster.clone(), &rl, |ctx| {
+            let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.clone());
+            ck.make(b"x")?;
+            Ok(())
         })
-        .sum();
-    let padded = GroupLayout::new(N, A1 + 1 + 64usize.div_ceil(8)).padded_len();
-    assert_eq!(copied, (N * padded * 8) as u64);
+        .unwrap();
+        let enters = |label: &str| {
+            rec.count(|e| matches!(e, Event::PhaseEnter { label: l, .. } if *l == label))
+        };
+        for phase in [Phase::Serialize, Phase::Encode, Phase::FlushB] {
+            assert_eq!(enters(phase.label()), N, "{codec:?}: {phase} enters");
+        }
+        assert_eq!(enters("ckpt-flush-c"), 0, "{codec:?}: no parity flush");
+        // the encode spans the barrier, so its total is measurably nonzero
+        assert!(rec.phase_total(Phase::Encode.label()) > Duration::ZERO);
+        let moved: u64 = rec
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::BytesMoved { bytes, .. } => Some(*bytes),
+                _ => None,
+            })
+            .sum();
+        let m = codec.parity_count();
+        let padded = GroupLayout::new_with_parity(N, m, A1 + 1 + 64usize.div_ceil(8)).padded_len();
+        assert_eq!(moved, (N * padded * 8) as u64, "{codec:?}: bytes moved");
+    }
 }
 
 #[test]
@@ -168,11 +171,12 @@ fn scrub_reports_two_damaged_members_as_unrecoverable() {
             ws.write().as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), 1));
         }
         ck.make(b"one")?;
-        // Two members of the same (B, C) pair damaged: beyond single parity.
+        // Two members of the same (B, X(1)) pair damaged: beyond single
+        // parity. Epoch 1's parity region X(1) is D.
         if ctx.world_rank() == 0 {
             let cl = ctx.cluster();
             assert!(flip(cl, 1, Region::CopyB, 0, 0));
-            assert!(flip(cl, 3, Region::ParityC, 21, 4));
+            assert!(flip(cl, 3, Region::ChecksumD, 21, 4));
         }
         ctx.world().barrier()?;
         match ck.scrub() {
@@ -354,6 +358,82 @@ fn restart_recovery_repairs_a_corrupted_survivor_bit_exactly() {
     }
 }
 
+/// What one rank saw of a restart after a flip: the integrity check, the
+/// scrub, then the recovery after node 1 was lost and the workspace it
+/// left.
+type AfterFlip = (bool, ScrubReport, Recovery, Vec<f64>);
+
+/// `epochs` self-method makes, one bit of rank 2's `region` flipped while
+/// the job is down, a restart that verifies and scrubs, then node 1 lost
+/// and a recovery.
+fn flip_after_makes(epochs: u64, region: Region) -> Vec<AfterFlip> {
+    let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 1)));
+    let mut rl = Ranklist::round_robin(N, N);
+    let body = |ctx: &skt_mps::Ctx| {
+        let (mut ck, _) = Checkpointer::init(ctx.world(), cfg(Method::SelfCkpt));
+        for e in 1..=epochs {
+            let ws = ck.workspace();
+            ws.write().as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), e));
+            ck.make(&e.to_le_bytes())?;
+        }
+        Ok(())
+    };
+    run_on_cluster(cluster.clone(), &rl, body).unwrap();
+    assert!(flip(&cluster, 2, region, 25, 5));
+    let checked = run_on_cluster(cluster.clone(), &rl, |ctx| {
+        let (mut ck, _) = Checkpointer::init(ctx.world(), cfg(Method::SelfCkpt));
+        let ok = ck.verify_integrity()?;
+        let report = ck.scrub().map_err(|_| Fault::JobAborted)?;
+        Ok((ok, report))
+    })
+    .unwrap();
+    cluster.kill_node(1);
+    cluster.reset_abort();
+    rl.repair(&cluster).unwrap();
+    let recovered = run_on_cluster(cluster, &rl, |ctx| {
+        let (mut ck, _) = Checkpointer::init(ctx.world(), cfg(Method::SelfCkpt));
+        let rec = ck.recover().map_err(|_| Fault::JobAborted)?;
+        let data = ck.workspace().read().as_f64()[..A1].to_vec();
+        Ok((rec, data))
+    })
+    .unwrap();
+    checked
+        .into_iter()
+        .zip(recovered)
+        .map(|((ok, report), (rec, data))| (ok, report, rec, data))
+        .collect()
+}
+
+/// After make `e` the self method's two checksum regions hold `P(e)` in
+/// `X(e)` (`D` at odd epochs, `C` at even ones) and the stale `P(e-1)` in
+/// `X(e+1)`, each under a valid witness. A flip in the stale region is
+/// never trusted, so nothing finds or repairs it and a one-loss recovery
+/// is still bit-exact; the same flip in `X(e)` is found and rebuilt.
+#[test]
+fn stale_parity_is_never_trusted() {
+    for e in [2u64, 3] {
+        let (live, stale) = if e % 2 == 1 {
+            (Region::ChecksumD, Region::ParityC)
+        } else {
+            (Region::ParityC, Region::ChecksumD)
+        };
+        for (region, repaired) in [(stale, vec![]), (live, vec![2])] {
+            let tag = format!("epoch {e}, flip in {region}");
+            for (rank, (ok, report, rec, data)) in flip_after_makes(e, region).iter().enumerate() {
+                assert_eq!(*ok, region == stale, "{tag}: rank {rank} integrity");
+                assert_eq!(report.repaired, repaired, "{tag}: rank {rank} scrub");
+                let restored = Recovery::Restored {
+                    epoch: e,
+                    a2: e.to_le_bytes().to_vec(),
+                    source: RestoreSource::CheckpointAndChecksum,
+                };
+                assert_eq!(*rec, restored, "{tag}: rank {rank}");
+                assert_eq!(data, &pattern(rank, e), "{tag}: rank {rank} data");
+            }
+        }
+    }
+}
+
 #[test]
 fn two_corrupted_sources_fail_recovery_with_the_group_named() {
     let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 0)));
@@ -424,10 +504,11 @@ fn init_creates_exactly_the_table_row(method: Method, names: &[&str]) {
             let scoped = |part: &str| format!("test/r{}/{part}", ctx.world_rank());
             let mut created = ctx.shm().names();
             created.sort();
-            let mut from_table: Vec<String> = (table.regions().map(|(r, _)| r.suffix()))
-                .chain(["header", "crc"])
-                .map(scoped)
-                .collect();
+            let mut from_table: Vec<String> =
+                (table.regions().into_iter().map(|(r, _)| r.suffix()))
+                    .chain(["header", "crc"])
+                    .map(scoped)
+                    .collect();
             from_table.sort();
             assert_eq!(created, from_table);
             let mut literal: Vec<String> = names.iter().map(|n| scoped(n)).collect();
@@ -448,7 +529,7 @@ fn init_creates_exactly_the_table_row(method: Method, names: &[&str]) {
             }
             assert_eq!(crc_table_bytes(N), slots.len() * per);
             for pair in table.pairs.iter().chain(&table.live) {
-                for r in [pair.data, pair.parity] {
+                for r in [pair.data, pair.parity(0), pair.parity(1)] {
                     assert!(ck.region_seg(r).is_some(), "{r} allocated");
                     assert!(slots.contains(&r), "{r} owns a CRC slot");
                 }
@@ -555,10 +636,11 @@ fn dual_codec_scrub_repairs_two_damaged_members() {
             ws.write().as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), 9));
         }
         ck.make(b"nine")?;
+        // the committed pair is (B, X(1)) = (B, D)
         if ctx.world_rank() == 0 {
             let cl = ctx.cluster();
             assert!(flip(cl, 1, Region::CopyB, 0, 0));
-            assert!(flip(cl, 3, Region::ParityC, 21, 4));
+            assert!(flip(cl, 3, Region::ChecksumD, 21, 4));
         }
         ctx.world().barrier()?;
         let report = ck.scrub().map_err(|e| match e {
@@ -658,12 +740,15 @@ fn sum_code_round_trips_through_recovery() {
 fn one_make_leaves_the_golden_durable_bytes() {
     use skt_encoding::{crc32c, crc32c_f64, KernelConfig};
     const LEN: usize = 200;
-    // Taken at the parent of the commit that fused the flush CRC.
+    // Taken at the parent of the commit that fused the flush CRC. The
+    // self method's rows were re-taken when its parity began to alternate
+    // with the epoch: epoch 1 encodes into `D` (the same bytes as before)
+    // and no longer copies it into `C`, which stays zero and unwitnessed.
     let golden: [(CodecSpec, Method, [u32; 4]); 9] = [
         (
             CodecSpec::Single(Code::Xor),
             Method::SelfCkpt,
-            [0x97ac_42f9, 0xf5b6_65a5, 0xf5b6_65a5, 0x6bc2_d1e1],
+            [0x97ac_42f9, 0xace9_8cd7, 0xf5b6_65a5, 0x06e0_976b],
         ),
         (
             CodecSpec::Single(Code::Xor),
@@ -678,7 +763,7 @@ fn one_make_leaves_the_golden_durable_bytes() {
         (
             CodecSpec::Dual,
             Method::SelfCkpt,
-            [0xec13_5efc, 0x8e14_4bfa, 0x8e14_4bfa, 0x2295_aea7],
+            [0xec13_5efc, 0x8c43_f4e0, 0x8e14_4bfa, 0xa5e8_0a3c],
         ),
         (
             CodecSpec::Dual,
@@ -693,7 +778,7 @@ fn one_make_leaves_the_golden_durable_bytes() {
         (
             CodecSpec::Rs { m: 2 },
             Method::SelfCkpt,
-            [0xec13_5efc, 0x7a80_087e, 0x7a80_087e, 0xa752_9164],
+            [0xec13_5efc, 0x8c43_f4e0, 0x7a80_087e, 0x4294_5688],
         ),
         (
             CodecSpec::Rs { m: 2 },

@@ -2,7 +2,7 @@
 //!
 //! Every hot loop of the checkpoint path — the stripe reduces behind
 //! `MPI_Reduce`, the GF(2^8) multiply / multiply-accumulate of the codec,
-//! and the `work → B` / `D → C` flush copies — is a streaming
+//! and the `work → B` flush and restore copies — is a streaming
 //! element-wise pass over large `f64` buffers. This module gives them
 //! one shared engine:
 //!

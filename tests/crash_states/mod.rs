@@ -256,7 +256,8 @@ fn decode_header(seg: Option<&SegmentData>) -> Option<Words> {
 const PARTS: [&str; 6] = ["work", "b", "c", "d", "b1", "c1"];
 
 /// Rank `r`'s (workspace, parity) images right after its make of epoch
-/// `e` committed; the parity is the region whose commit word names `e`.
+/// `e` committed; the parity is the region the model reads for the pair
+/// whose commit word names `e`.
 type Golden = BTreeMap<(usize, u64), (Vec<f64>, Vec<f64>)>;
 
 /// The scenario's rank body: three makes over [`pattern`], each commit's
@@ -276,11 +277,15 @@ fn writer(ctx: &Ctx, cfg: &Config, golden: &Mutex<Golden>) -> Result<(), Fault> 
             seg.expect("a protocol segment").read().clone()
         };
         let w = decode_header(Some(&read("header"))).expect("a committed header");
-        let (part, _) = [("d", w.d), ("c", w.bc), ("c1", w.pair1)]
+        let (_, _, parity) = model::pairs(cfg.method, w)
             .into_iter()
-            .find(|&(_, word)| word == e)
-            .expect("some parity region is committed at e");
-        let [work, parity] = ["work", part].map(|p| f64s(Some(&read(p))).to_vec());
+            .find(|&(word, _, _)| word == e)
+            .expect("some pair is committed at e");
+        let slot = Reg::ALL
+            .iter()
+            .position(|&r| r == parity)
+            .expect("a region");
+        let [work, parity] = ["work", PARTS[slot]].map(|p| f64s(Some(&read(p))).to_vec());
         golden.lock().unwrap().insert((rank, e), (work, parity));
     }
     Ok(())

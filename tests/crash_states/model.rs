@@ -11,12 +11,21 @@
 //!   that passes its CRC. Commit words are written after a group
 //!   barrier, so the group MAX of each word over those members says what
 //!   committed.
-//! * **CASE 1 / CASE 2.** Self-checkpoint proposes the newer of `D` and
-//!   `(B, C)`: `(work, D)` when only `D` committed at that epoch (CASE 2,
-//!   roll forward), `(B, C)` otherwise (CASE 1). Single proposes its one
-//!   pair, and refuses when an update attempt outran the last commit
-//!   (Figure 2, CASE 2: the only checkpoint may be torn). Double
-//!   proposes the pair committed later (Figure 3).
+//! * **CASE 1 / CASE 2.** Self-checkpoint proposes the newer of its two
+//!   commit words: the live pair `(work, X(d))` when only the `d` word
+//!   names that epoch (CASE 2, roll forward), the checkpoint `(B, X(bc))`
+//!   otherwise (CASE 1). Single proposes its one pair, and refuses when
+//!   an update attempt outran the last commit (Figure 2, CASE 2: the only
+//!   checkpoint may be torn). Double proposes the pair committed later
+//!   (Figure 3).
+//! * **Alternating parity.** Self-checkpoint's parity at epoch `e` lives
+//!   in `X(e)`: `D` at odd epochs, `C` at even ones. This deviates from
+//!   the paper, whose `make` encodes into `D` and ends by copying
+//!   `D → C`, so that its checkpoint is always `(B, C)`; here epoch `e`
+//!   encodes into the region that does not hold `P(e-1)` and nothing is
+//!   copied, so a pair is read at the epoch its commit word records. The
+//!   other region holds a stale or not-yet-committed parity that no rule
+//!   trusts. The baselines' parity regions are fixed.
 //! * **Erasures.** Lost members, members with an invalid header and
 //!   members whose source regions fail their CRC witness are rebuilt from
 //!   parity: at most `m` of them. More than `m` members without a header
@@ -27,10 +36,10 @@
 //!   every group (a group with no reason of its own reports a group
 //!   beyond repair), a group with no header anywhere starts the job over,
 //!   and otherwise every group restores the *minimum* proposal from the
-//!   pair committed at that epoch — `(B, C)` before the live pair when
-//!   both hold it. The cross-group gate (no group flushes `(B, C)` before
-//!   every group committed `D`) is what keeps that pair intact in a group
-//!   that proposed more.
+//!   pair committed at that epoch — the checkpoint before the live pair
+//!   when both hold it. The cross-group gate (no group flushes `B` before
+//!   every group committed `D`) is what keeps the checkpoint intact in a
+//!   group that proposed more.
 //!
 //! A state in which the rules pick a source that some trusted member
 //! does not actually hold at the chosen epoch (its bytes are another
@@ -136,8 +145,9 @@ pub enum Verdict {
     Unrecoverable(Refusal),
 }
 
-/// The consistent pair a restore reads: a committed checkpoint `(B, C)`
-/// or `(B1, C1)`, or the workspace as its own checkpoint `(work, D)`.
+/// The consistent pair a restore reads: a committed checkpoint (`(B, C)`,
+/// `(B1, C1)` or the self method's `(B, X(bc))`), or the workspace as its
+/// own checkpoint `(work, X(d))`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Source {
     Checkpoint,
@@ -187,20 +197,36 @@ fn propose(method: Method, m: usize, group: &[Member]) -> Result<u64, Refusal> {
     })
 }
 
+/// The self method's parity region at epoch `e`, `X(e)`.
+fn alternating(e: u64) -> Reg {
+    if e % 2 == 1 {
+        Reg::D
+    } else {
+        Reg::C
+    }
+}
+
+/// The method's pairs under commit words `w`, in the order a restore
+/// prefers them, each as (commit word, data, parity at that word's epoch).
+pub fn pairs(method: Method, w: Words) -> Vec<(u64, Reg, Reg)> {
+    match method {
+        Method::Single => vec![(w.bc, Reg::B, Reg::C)],
+        Method::Double => vec![(w.bc, Reg::B, Reg::C), (w.pair1, Reg::B1, Reg::C1)],
+        Method::SelfCkpt => vec![
+            (w.bc, Reg::B, alternating(w.bc)),
+            (w.d, Reg::Work, alternating(w.d)),
+        ],
+    }
+}
+
 /// The pair `group` restores `epoch` from: the first of the method's
-/// pairs — `(B, C)`, then `(B1, C1)` or the live `(work, D)` — whose
-/// commit word says `epoch`.
+/// [`pairs`] whose commit word says `epoch`.
 fn holding(method: Method, group: &[Member], epoch: u64) -> Result<(Reg, Reg), String> {
     let seen = seen(group);
-    let pairs: &[(u64, Reg, Reg)] = match method {
-        Method::Single => &[(seen.bc, Reg::B, Reg::C)],
-        Method::Double => &[(seen.bc, Reg::B, Reg::C), (seen.pair1, Reg::B1, Reg::C1)],
-        Method::SelfCkpt => &[(seen.bc, Reg::B, Reg::C), (seen.d, Reg::Work, Reg::D)],
-    };
-    pairs
-        .iter()
+    pairs(method, seen)
+        .into_iter()
         .find(|p| p.0 == epoch)
-        .map(|&(_, data, parity)| (data, parity))
+        .map(|(_, data, parity)| (data, parity))
         .ok_or_else(|| format!("no pair holds the agreed epoch {epoch}: {seen:?}"))
 }
 

@@ -277,12 +277,15 @@ fn the_model_reproduces_the_papers_case_analysis() {
     use Reg::*;
     let one =
         |method, m, group: [Member; 4]| model::recover(method, m, &[group.to_vec()]).map(|v| v[0]);
+    // The self method's parity alternates, X(e) = D at odd e and C at even
+    // e, so at epoch 3 the paper's roles hold: P(3) is encoded into D over
+    // the stale P(1), and (B, C) is the checkpoint at epoch 2.
     #[rustfmt::skip]
     let figures = [
         // Figure 4, CASE 1: D@3 not committed; roll back to (B, C)@2.
-        ("self, encoding D", SelfCkpt, [2, 2, 0, 0], &[(B, 2), (C, 2), (D, 2)][..], back(2)),
-        // Figure 5, CASE 2: D@3 committed, (B, C) being overwritten;
-        // roll forward from (work, D)@3.
+        ("self, encoding D", SelfCkpt, [2, 2, 0, 0], &[(B, 2), (C, 2), (D, 1)][..], back(2)),
+        // Figure 5, CASE 2: D@3 committed, B being overwritten; roll
+        // forward from (work, D)@3.
         ("self, flushing B", SelfCkpt, [3, 2, 0, 0], &[(Work, 3), (D, 3), (B, 3), (C, 2)], forward(3)),
         // Figure 2: (B, C)@2 intact before the update, maybe torn in it.
         ("single, computing", Single, [0, 2, 0, 2], &[(B, 2), (C, 2)], back(2)),
@@ -311,15 +314,15 @@ fn the_model_reproduces_the_papers_case_analysis() {
     ];
     assert_eq!(one(SelfCkpt, 1, gone), Ok(Verdict::NoCheckpoint));
     // a trusted member holding another epoch under a valid witness is a
-    // broken invariant, not a verdict
-    let stale = member([1, 1, 0, 0], &[(B, 2), (C, 1)]);
+    // broken invariant, not a verdict (epoch 1's pair is (B, D))
+    let stale = member([1, 1, 0, 0], &[(B, 2), (D, 1)]);
     let broken = [stale.clone(), Member::Gone, stale.clone(), stale];
     assert!(one(SelfCkpt, 1, broken).is_err());
 
     // §3.3: group 0 committed D@3 behind the gate, group 1 lost a member
     // while encoding it; both restore (B, C)@2
     let gated = member([3, 2, 0, 0], &[(Work, 3), (D, 3), (B, 2), (C, 2)]);
-    let encoding = member([2, 2, 0, 0], &[(Work, 3), (B, 2), (C, 2), (D, 2)]);
+    let encoding = member([2, 2, 0, 0], &[(Work, 3), (B, 2), (C, 2), (D, 1)]);
     let lost_1 = vec![
         encoding.clone(),
         Member::Gone,
@@ -373,7 +376,7 @@ fn a_loss_while_the_group_creates_its_segments_starts_over() {
 
 /// A second loss late in a SelfCkpt roll-forward. In epoch 2's make one
 /// member alone had committed `D@2` when another was lost; recovery rolls
-/// forward from `(work, D)@2` and flushes it into `(B, C)`. The member
+/// forward from `(work, X(2))@2` and flushes `work` into `B`. The member
 /// holding the only `D@2` is lost as soon as any other member's `B` holds
 /// epoch 2. Two erasures are within `m = 2`: the next recovery must
 /// still roll forward to epoch 2, not rebuild epoch 1 through a `B` that
@@ -418,7 +421,7 @@ fn a_second_loss_late_in_a_roll_forward_heals_to_the_rolled_forward_epoch() {
 /// A second loss while two groups roll forward together. In a make, one
 /// member of group 0 alone had committed `D@e` (group 1 had too) when
 /// another member of group 0 was lost; recovery rolls both groups
-/// forward to `e`. Group 1 must not flush `(B, C)@e` before every member
+/// forward to `e`. Group 1 must not flush `B@e` before every member
 /// of group 0 committed `D@e`: losing the one holder in that window left
 /// group 0 proposing `e - 1`, which group 1 could no longer restore (the
 /// restore had panicked with "agreed epoch … is held by no pair"). Every
@@ -529,7 +532,6 @@ fn self_checkpoint_recovers_across_every_probe_window() {
             (Phase::Encode.label(), ENCODE_3, 2, 0, &[back(2)]),
             (Phase::CommitD.label(), 3, 3, 0, &[back(2), forward(3)]),
             (Phase::FlushB.label(), 3, 1, 0, &[forward(3)]),
-            (Phase::FlushC.label(), 3, 1, 0, &[forward(3)]),
             (Phase::Done.label(), 3, 1, 0, &[back(3), forward(3)]),
             (Phase::Done.label(), 2, 1, 0b0100, &[BEYOND]),
             (Phase::CopyB.label(), 3, 1, 0, &[]),
@@ -575,7 +577,6 @@ fn double_checkpoint_matrix_rolls_back_to_intact_pair() {
             (Phase::Encode.label(), ENCODE_3, 1, 0, &[back(2)]),
             (Phase::Done.label(), 3, 1, 0, &[back(3)]),
             (Phase::CommitD.label(), 3, 1, 0, &[]),
-            (Phase::FlushC.label(), 3, 1, 0, &[]),
         ],
     );
     probe_matrix(

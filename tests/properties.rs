@@ -388,8 +388,9 @@ proptest! {
         // One silent bit flip anywhere in one rank's checkpoint state is
         // within the code's correction power: either the CRCs catch it
         // and the erasure rebuild repairs it, or the flip lands in state
-        // the restore overwrites anyway (workspace, checksum D, header
-        // padding). Both ways the restart must restore every rank's
+        // the restore overwrites anyway (workspace, header padding) or
+        // never trusts (checksum D, which after epoch 2 holds the stale
+        // P(1)). Both ways the restart must restore every rank's
         // workspace bit-exactly and leave a parity-clean checkpoint.
         let victim = victim % n;
         let region = SELF_REGIONS[region_idx];
@@ -429,9 +430,9 @@ proptest! {
         offset in any::<usize>(),
         bit in any::<u8>(),
     ) {
-        // Two damaged members of the same (B, C) pair exceed single
-        // parity: recovery must refuse with a verdict naming exactly the
-        // damaged ranks — never restore silently wrong data.
+        // Two damaged members of the same (B, X(2)) = (B, C) pair exceed
+        // single parity: recovery must refuse with a verdict naming
+        // exactly the damaged ranks — never restore silently wrong data.
         let (v1, v2) = (v1 % n, v2 % n);
         prop_assume!(v1 != v2);
         let pair = [Region::CopyB, Region::ParityC];

@@ -26,7 +26,7 @@ mod crash_states;
 use crash_states::model::{Refusal, Source, Verdict};
 use crash_states::{lose, probe_cell, recover, Config, Recording, SEED};
 use self_checkpoint::cluster::FailurePlan;
-use self_checkpoint::core::{Method, Phase};
+use self_checkpoint::core::{Method, Phase, COPY_PROBE};
 use self_checkpoint::encoding::CodecSpec;
 
 /// Members of the group.
@@ -106,9 +106,14 @@ fn self_failure_during_flush_rolls_forward() {
 }
 
 #[test]
-fn self_failure_between_flush_copies_rolls_forward() {
-    let v = case(Method::SelfCkpt, Phase::FlushC, 3);
-    assert!(matches!(v, Verdict::Restored { epoch: 3, .. }), "{v:?}");
+fn self_failure_as_the_flush_starts_rolls_forward() {
+    // past the cross-group gate every member committed D@3, so a loss as
+    // the victim starts its `work → B` copy rolls forward too
+    let forward = Verdict::Restored {
+        epoch: 3,
+        source: Source::Workspace,
+    };
+    assert_eq!(case(Method::SelfCkpt, COPY_PROBE, 3), forward);
 }
 
 #[test]

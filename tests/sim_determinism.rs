@@ -186,9 +186,9 @@ fn daemon_cycle_timings_are_reproducible_on_the_virtual_clock() {
 }
 
 /// The premise of the crash-state enumeration, checked live where the
-/// paper rolls forward (Figure 5, CASE 2: `D@e` committed, `(B, C)`
-/// being flushed): for every single-loss state of a SelfCkpt recording
-/// whose verdict is a restore from `(work, D)`, the victim's node is
+/// paper rolls forward (Figure 5, CASE 2: `D@e` committed, `B` being
+/// flushed): for every single-loss state of a SelfCkpt recording whose
+/// verdict is a restore from `(work, X(e))`, the victim's node is
 /// powered off through the per-step hook at the step the state was first
 /// seen. Every rank returns `NodeDead(victim)`, the memory left behind is
 /// that snapshot minus the victim byte for byte, and recovery rolls
@@ -208,7 +208,7 @@ fn flush_b_kills_at_every_yield_point_roll_forward() {
 }
 
 /// The same premise where the paper rolls back (Figure 4, CASE 1): every
-/// single-loss state whose verdict is a restore from `(B, C)` — a loss
+/// single-loss state whose verdict is a restore from `(B, X(e))` — a loss
 /// during the computation or the encode ring, before anyone committed
 /// `D@e` — or, in epoch 1, starting over.
 #[test]
