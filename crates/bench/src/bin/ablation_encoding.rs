@@ -7,7 +7,7 @@
 use skt_bench::Table;
 use skt_cluster::{Cluster, ClusterConfig, NetModel, Ranklist};
 use skt_core::{Checkpointer, CkptConfig, Method};
-use skt_encoding::Code;
+use skt_encoding::{Code, CodecSpec};
 use skt_models::TIANHE_1A;
 use skt_mps::run_on_cluster;
 use std::sync::Arc;
@@ -17,8 +17,8 @@ fn measured_encode(code: Code, group: usize, a1: usize) -> f64 {
     let rl = Ranklist::round_robin(group, group);
     let outs = run_on_cluster(cluster, &rl, |ctx| {
         let world = ctx.world();
-        let mut cfg = CkptConfig::new(format!("abl-{}", code.name()), Method::SelfCkpt, a1, 0);
-        cfg = cfg.with_code(code);
+        let cfg = CkptConfig::new(format!("abl-{}", code.name()), Method::SelfCkpt, a1, 0)
+            .with_codec(CodecSpec::Single(code));
         let (mut ck, _) = Checkpointer::init(world, cfg);
         ck.make(&[])?; // warm-up
         let mut best = f64::INFINITY;

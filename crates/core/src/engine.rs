@@ -358,10 +358,14 @@ mod tests {
         slot: usize,
         datasets: &[Vec<f64>],
     ) -> Vec<f64> {
-        let mut acc = code.zero(layout.stripe_len());
+        let serial = KernelConfig::serial();
+        let mut acc = kernels::zeroed(layout.stripe_len());
         for (r, d) in datasets.iter().enumerate() {
             if let Some(k) = layout.stripe_of_slot(r, slot) {
-                code.accumulate(&mut acc, layout.stripe(d, k));
+                match code {
+                    Code::Xor => kernels::xor_accumulate(&mut acc, layout.stripe(d, k), serial),
+                    Code::Sum => kernels::sum_accumulate(&mut acc, layout.stripe(d, k), serial),
+                }
             }
         }
         acc

@@ -92,7 +92,7 @@ pub use planner::{GroupPlan, HeaderMaxima, SurvivorView};
 pub use regions::{crc_table_bytes, COPY_PROBE};
 pub use report::RecoveryReport;
 
-use skt_encoding::{Code, CodecSpec};
+use skt_encoding::CodecSpec;
 use skt_mps::Fault;
 use std::time::Duration;
 
@@ -147,14 +147,6 @@ impl CkptConfig {
             a1_len,
             a2_capacity,
         }
-    }
-
-    /// Switch the single-parity code (shorthand for
-    /// [`Self::with_codec`] with [`CodecSpec::Single`]).
-    #[must_use]
-    pub fn with_code(mut self, code: Code) -> Self {
-        self.codec = CodecSpec::Single(code);
-        self
     }
 
     /// Switch the erasure codec (parity count follows the codec).

@@ -4,7 +4,7 @@ use crate::memory::MemoryBreakdown;
 use skt_cluster::{
     Cluster, ClusterConfig, Event, FailurePlan, FaultAction, FaultPlan, Ranklist, Recorder, Region,
 };
-use skt_encoding::GroupLayout;
+use skt_encoding::{Code, GroupLayout};
 use skt_mps::run_on_cluster;
 use std::sync::Arc;
 
@@ -613,7 +613,7 @@ fn stats_report_sizes() {
 
 #[test]
 fn config_builder_round_trips() {
-    let c = CkptConfig::new("b", Method::SelfCkpt, 32, 24).with_code(Code::Sum);
+    let c = CkptConfig::new("b", Method::SelfCkpt, 32, 24).with_codec(CodecSpec::Single(Code::Sum));
     assert_eq!(c.method, Method::SelfCkpt);
     assert_eq!(c.codec, CodecSpec::Single(Code::Sum));
     assert_eq!(c.a1_len, 32);
@@ -693,7 +693,7 @@ fn sum_code_round_trips_through_recovery() {
     let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 1)));
     let mut rl = Ranklist::round_robin(N, N);
     cluster.arm_failure(FailurePlan::new(Phase::Done, 1, 0));
-    let sum_cfg = cfg(Method::SelfCkpt).with_code(Code::Sum);
+    let sum_cfg = cfg(Method::SelfCkpt).with_codec(CodecSpec::Single(Code::Sum));
     let c2 = sum_cfg.clone();
     let res: Result<Vec<()>, Fault> = run_on_cluster(cluster.clone(), &rl, |ctx| {
         let world = ctx.world();

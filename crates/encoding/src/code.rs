@@ -7,11 +7,9 @@
 //! patterns*) and often faster; SUM is supported for completeness and for
 //! platforms where a numeric reduce is preferable.
 //!
-//! The element loops run on the [`crate::kernels`] engine: the plain
-//! methods use the process-wide [`KernelConfig`], the `_with` variants
-//! take an explicit policy.
-
-use crate::kernels::{self, KernelConfig};
+//! [`Code`] only selects the operator: encoding and rebuilding run
+//! through the [`crate::codec`] it resolves to, whose element loops are
+//! the [`crate::kernels`] accumulates.
 
 /// Parity code over `f64` stripes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -25,71 +23,6 @@ pub enum Code {
 }
 
 impl Code {
-    /// The identity element buffer (all zero bits / all `0.0`).
-    #[must_use]
-    pub fn zero(self, len: usize) -> Vec<f64> {
-        kernels::zeroed(len)
-    }
-
-    /// `acc := acc ⊕ x` element-wise, under the process-wide
-    /// [`KernelConfig`].
-    pub fn accumulate(self, acc: &mut [f64], x: &[f64]) {
-        self.accumulate_with(acc, x, KernelConfig::global());
-    }
-
-    /// `acc := acc ⊕ x` element-wise under an explicit kernel policy.
-    pub fn accumulate_with(self, acc: &mut [f64], x: &[f64], cfg: KernelConfig) {
-        assert_eq!(acc.len(), x.len(), "accumulate: length mismatch");
-        match self {
-            Code::Xor => kernels::xor_accumulate(acc, x, cfg),
-            Code::Sum => kernels::sum_accumulate(acc, x, cfg),
-        }
-    }
-
-    /// `acc := acc ⊖ x` element-wise (the recovery direction). For XOR
-    /// this is the same operation; for SUM it subtracts.
-    pub fn cancel(self, acc: &mut [f64], x: &[f64]) {
-        self.cancel_with(acc, x, KernelConfig::global());
-    }
-
-    /// `acc := acc ⊖ x` element-wise under an explicit kernel policy.
-    pub fn cancel_with(self, acc: &mut [f64], x: &[f64], cfg: KernelConfig) {
-        assert_eq!(acc.len(), x.len(), "cancel: length mismatch");
-        match self {
-            Code::Xor => kernels::xor_accumulate(acc, x, cfg),
-            Code::Sum => kernels::sub_accumulate(acc, x, cfg),
-        }
-    }
-
-    /// Parity of a set of stripes: `⊕_i stripes[i]`.
-    #[must_use]
-    pub fn parity(
-        self,
-        len: usize,
-        stripes: impl IntoIterator<Item = impl AsRef<[f64]>>,
-    ) -> Vec<f64> {
-        let mut acc = self.zero(len);
-        for s in stripes {
-            self.accumulate(&mut acc, s.as_ref());
-        }
-        acc
-    }
-
-    /// Reconstruct the missing stripe from the parity and every surviving
-    /// stripe: `missing = parity ⊖ ⊕_i survivors[i]`.
-    #[must_use]
-    pub fn reconstruct(
-        self,
-        parity: &[f64],
-        survivors: impl IntoIterator<Item = impl AsRef<[f64]>>,
-    ) -> Vec<f64> {
-        let mut out = parity.to_vec();
-        for s in survivors {
-            self.cancel(&mut out, s.as_ref());
-        }
-        out
-    }
-
     /// The `MPI_Op`-style name the paper uses for this code.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -103,82 +36,6 @@ impl Code {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn stripes() -> Vec<Vec<f64>> {
-        vec![
-            vec![1.5, -2.25, 1e300, 0.0],
-            vec![3.0, 0.5, -1e-300, -0.0],
-            vec![-7.125, 42.0, 1.0, 123.456],
-        ]
-    }
-
-    #[test]
-    fn xor_reconstruction_is_bit_exact() {
-        let s = stripes();
-        let parity = Code::Xor.parity(4, &s);
-        for missing in 0..3 {
-            let survivors: Vec<&Vec<f64>> = s
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != missing)
-                .map(|(_, v)| v)
-                .collect();
-            let rec = Code::Xor.reconstruct(&parity, survivors);
-            for (a, b) in rec.iter().zip(&s[missing]) {
-                assert_eq!(a.to_bits(), b.to_bits(), "XOR must be bit-exact");
-            }
-        }
-    }
-
-    #[test]
-    fn sum_reconstruction_is_close() {
-        let s = stripes();
-        let parity = Code::Sum.parity(4, &s);
-        for missing in 0..3 {
-            let survivors: Vec<&Vec<f64>> = s
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != missing)
-                .map(|(_, v)| v)
-                .collect();
-            let rec = Code::Sum.reconstruct(&parity, survivors);
-            for (a, b) in rec.iter().zip(&s[missing]) {
-                let tol = 1e-9 * b.abs().max(1.0) + 1e300 * 1e-15; // catastrophic-cancel headroom
-                assert!((a - b).abs() <= tol, "{a} vs {b}");
-            }
-        }
-    }
-
-    #[test]
-    fn xor_handles_nan_bit_patterns() {
-        // XOR of valid floats can produce NaN bit patterns; they must
-        // round-trip as bits.
-        let a = vec![f64::from_bits(0x7FF8_0000_0000_0001)]; // a NaN
-        let b = vec![1.0];
-        let parity = Code::Xor.parity(1, [&a, &b]);
-        let rec = Code::Xor.reconstruct(&parity, [&b]);
-        assert_eq!(rec[0].to_bits(), a[0].to_bits());
-    }
-
-    #[test]
-    fn parity_of_nothing_is_zero() {
-        let p = Code::Xor.parity(3, Vec::<Vec<f64>>::new());
-        assert_eq!(p, vec![0.0; 3]);
-    }
-
-    #[test]
-    fn accumulate_is_associative_for_xor() {
-        let s = stripes();
-        let mut left = s[0].clone();
-        Code::Xor.accumulate(&mut left, &s[1]);
-        Code::Xor.accumulate(&mut left, &s[2]);
-        let mut right = s[1].clone();
-        Code::Xor.accumulate(&mut right, &s[2]);
-        Code::Xor.accumulate(&mut right, &s[0]);
-        for (a, b) in left.iter().zip(&right) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
 
     #[test]
     fn names_match_mpi_ops() {

@@ -36,12 +36,13 @@
 //! a receive still counts as live, so its share idles until it returns.
 //!
 //! The process-wide default configuration comes from the environment:
-//! `SKT_KERNEL_THREADS` (default: `available_parallelism`),
-//! `SKT_KERNEL_CHUNK_LEN` in elements (default [`DEFAULT_CHUNK_LEN`]),
-//! and `SKT_KERNEL_SIMD` (`0` forces the scalar reference kernels, `1`
+//! `SKT_KERNEL_THREADS` (default: `available_parallelism`) and
+//! `SKT_KERNEL_SIMD` (`0` forces the scalar reference kernels, `1`
 //! forces the accelerated ones, unset probes the CPU — see
-//! [`SimdMode`]). With the default chunk length, buffers of ≤ 512 KiB
-//! always run on the caller alone — there is a single block.
+//! [`SimdMode`]); the cache block is always [`DEFAULT_CHUNK_LEN`], so
+//! buffers of ≤ 512 KiB run on the caller alone — there is a single
+//! block. A test that needs the threaded path on small buffers passes
+//! an explicit [`KernelConfig::new`], e.g. `KernelConfig::new(8, 64)`.
 
 use crate::simd::{self, GfBackend, SimdMode};
 use std::cell::Cell;
@@ -74,10 +75,6 @@ impl Default for KernelConfig {
     }
 }
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
-}
-
 impl KernelConfig {
     /// Explicit policy; both parameters are clamped to at least 1. The
     /// kernel dispatch defaults to [`SimdMode::Auto`]; use
@@ -107,21 +104,22 @@ impl KernelConfig {
         KernelConfig { simd, ..self }
     }
 
-    /// The process-wide policy: `SKT_KERNEL_THREADS` /
-    /// `SKT_KERNEL_CHUNK_LEN` / `SKT_KERNEL_SIMD` when set, otherwise
-    /// `available_parallelism`, [`DEFAULT_CHUNK_LEN`] and
-    /// [`SimdMode::Auto`], read once per process. `threads` is the
-    /// process-wide ceiling, not the calling thread's share of it.
+    /// The process-wide policy: `SKT_KERNEL_THREADS` / `SKT_KERNEL_SIMD`
+    /// when set, otherwise `available_parallelism` and
+    /// [`SimdMode::Auto`], with the [`DEFAULT_CHUNK_LEN`] block, read
+    /// once per process. `threads` is the process-wide ceiling, not the
+    /// calling thread's share of it.
     #[must_use]
     pub fn global() -> Self {
         static GLOBAL: OnceLock<KernelConfig> = OnceLock::new();
         *GLOBAL.get_or_init(|| {
-            let threads = env_usize("SKT_KERNEL_THREADS")
+            let threads = std::env::var("SKT_KERNEL_THREADS")
+                .ok()
+                .and_then(|v| v.trim().parse().ok())
                 .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
-            let chunk_len = env_usize("SKT_KERNEL_CHUNK_LEN").unwrap_or(DEFAULT_CHUNK_LEN);
             let simd = std::env::var("SKT_KERNEL_SIMD")
                 .map_or(SimdMode::Auto, |v| SimdMode::from_env_str(&v));
-            KernelConfig::new(threads, chunk_len).with_simd(simd)
+            KernelConfig::new(threads, DEFAULT_CHUNK_LEN).with_simd(simd)
         })
     }
 

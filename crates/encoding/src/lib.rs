@@ -15,18 +15,19 @@
 //!
 //! * [`layout`] — the stripe/slot geometry (who stores which parity,
 //!   which stripe of which rank belongs to which slot).
-//! * [`code`] — the two single-failure reduce operators the paper
-//!   supports through `MPI_Reduce`: bitwise XOR on `f64` bit patterns
-//!   (`MPI_BXOR`, exact) and numeric SUM (`MPI_SUM`, subject to
-//!   rounding), with their sequential reference encode/reconstruct.
+//! * [`code`] — the selector between the two single-failure reduce
+//!   operators the paper supports through `MPI_Reduce`: bitwise XOR on
+//!   `f64` bit patterns (`MPI_BXOR`, exact) and numeric SUM (`MPI_SUM`,
+//!   subject to rounding).
 //! * [`rs`] — the one linear code over GF(2^8) the checkpoint path
 //!   encodes with: the paper's XOR parity (`m = 1`), RAID-6 P+Q
 //!   (`m = 2`) and Cauchy Reed–Solomon (any `m`) are the same
 //!   contrib/solve with a different generator row; decoding is
 //!   Gauss–Jordan elimination over [`gf256`]. The paper names RAID-6 /
 //!   Reed-Solomon as the extension path (§2.1).
-//! * [`dualparity`] — the direct (non-distributed) P+Q encoder, kept as
-//!   the reference the `Dual` generator is checked against.
+//! * [`dualparity`] — the reference encoder: the direct
+//!   (non-distributed) P+Q encode the `Dual` generator is checked
+//!   against; it has no decoder, since every rebuild goes through [`rs`].
 //! * [`codec`] — the [`ErasureCodec`] abstraction the protocol stack
 //!   programs against and the [`CodecSpec`] selector: the GF(2^8) code
 //!   for every XOR-wire spec, plus the SUM codec.

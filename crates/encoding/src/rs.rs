@@ -16,7 +16,7 @@
 //!
 //! `Power` with `m = 1` is the paper's plain parity (`c = 1`,
 //! `CodecSpec::Single(Code::Xor)`); with `m = 2` it is P+Q (`c = (1,
-//! g^pos)`, `CodecSpec::Dual`, byte-identical to
+//! g^pos)`, `CodecSpec::Dual`, byte-identical to the reference encoder
 //! [`DualParity`](crate::dualparity::DualParity)). It stops at two
 //! roles because larger row-subsets of a Vandermonde matrix over
 //! GF(2^8) can be singular. `Cauchy` (`CodecSpec::Rs { m }`) draws its

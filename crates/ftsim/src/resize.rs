@@ -16,7 +16,9 @@
 //! window leaves partial new-layout segments, and the replay's detect
 //! classifies them `NotStarted | InFlight | Done` — partials are wiped
 //! and re-installed, a committed image is recognized and skipped — so
-//! recovery-of-resize is idempotent by construction. The old layout's
+//! recovery-of-resize is idempotent by construction. `ResizeOp::detect`
+//! is the one replay check: `install_relayout` only ever runs on the
+//! empty namespace `apply` leaves, and refuses any other. The old layout's
 //! checkpoints are untouched until the new image commits: the new
 //! layout lives in an epoch-suffixed SHM namespace (`{base}@e{k}`), and
 //! the old epoch is wiped only after the pool reshape commits.

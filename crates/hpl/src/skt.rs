@@ -285,11 +285,13 @@ where
 /// [`run_skt_sliced`] launch resumes from exactly the boundary the old
 /// layout parked at.
 ///
-/// Idempotent by construction: a replay that finds the new layout's
-/// checkpoint already committed at `panel` returns `Ok` without writing
-/// anything; a commit at a *different* panel is a torn boundary and
-/// errs. [`RESIZE_PROBE`] fires before segment creation and again
-/// before the commit, so armed kills can land inside the window.
+/// Precondition: the new layout's SHM namespace is empty on every rank.
+/// The caller owns replay — the service's `ResizeOp` skips an install
+/// that already committed and wipes a partial one before calling this
+/// again — so a rank that finds segments errs with [`Fault::Protocol`]
+/// on every rank, before anything is written. [`RESIZE_PROBE`] fires
+/// before segment creation and again before the commit, so armed kills
+/// can land inside the window.
 pub fn install_relayout(
     ctx: &Ctx,
     cfg: &SktConfig,
@@ -308,23 +310,9 @@ pub fn install_relayout(
     ctx.failpoint(RESIZE_PROBE)?;
     let ck_cfg = CkptConfig::new(cfg.name.clone(), cfg.method, dist.alloc_len(), A2_CAPACITY)
         .with_codec(cfg.codec);
-    let (mut ck, _) = Checkpointer::init_synced(gcomm, world.clone(), ck_cfg);
-    match ck.recover() {
-        Ok(Recovery::Restored { a2, .. }) => {
-            let got = u64::from_le_bytes(a2.as_slice().try_into().expect("panel counter"));
-            return if got == panel {
-                Ok(()) // a previous attempt committed this boundary: replay skips
-            } else {
-                Err(Fault::Protocol(
-                    "resize target committed a different boundary",
-                ))
-            };
-        }
-        Ok(Recovery::NoCheckpoint) => {}
-        Err(RecoverError::Fault(f)) => return Err(f),
-        // partial segments survived the pre-apply wipe (e.g. on a node
-        // that died and came back): unrecoverable here means re-stage
-        Err(_) => return Err(Fault::Protocol("resize target holds torn segments")),
+    let (mut ck, attached) = Checkpointer::init_synced(gcomm, world.clone(), ck_cfg);
+    if ck.agree_min(-i64::from(attached))? < 0 {
+        return Err(Fault::Protocol("resize target namespace is not empty"));
     }
     {
         let ws = ck.workspace();
@@ -400,6 +388,29 @@ mod tests {
         let rl = Ranklist::round_robin(4, 4);
         let outs = run_on_cluster(cluster, &rl, |ctx| run_skt(ctx, &cfg)).unwrap();
         assert!(outs.iter().all(|o| o.hpl.passed));
+    }
+
+    #[test]
+    fn install_relayout_refuses_a_namespace_that_is_not_empty() {
+        // Replay belongs to the caller: a second install over the same
+        // namespace errs on every rank instead of adopting its segments.
+        let cfg = base_cfg(32);
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(4, 0)));
+        let rl = Ranklist::round_robin(4, 4);
+        let columns = vec![vec![1.0; cfg.hpl.n]; cfg.hpl.n + 1];
+        let install = || {
+            run_on_cluster(Arc::clone(&cluster), &rl, |ctx| {
+                Ok(install_relayout(ctx, &cfg, &columns, 3))
+            })
+            .unwrap()
+        };
+        assert!(install().iter().all(Result::is_ok));
+        for (rank, r) in install().into_iter().enumerate() {
+            assert!(
+                matches!(r, Err(Fault::Protocol(m)) if m.contains("not empty")),
+                "rank {rank}: {r:?}"
+            );
+        }
     }
 
     #[test]

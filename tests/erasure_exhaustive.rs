@@ -1,8 +1,9 @@
-//! Exhaustive erasure-pattern sweep for the generalized RS codec layer:
-//! for every group size `n ∈ {4, 6, 8}` and parity count `m ∈ {1, 2, 3}`,
-//! **every** `C(n, m')`-choose subset of lost group members (for every
-//! `m' ≤ m`) is rebuilt bit-exactly through the distributed
-//! encode/reconstruct engine.
+//! Exhaustive erasure-pattern sweep for the GF(2^8) codec layer: for
+//! every group size `n ∈ {4, 6, 8}` and every XOR-wire codec — the
+//! paper's single XOR parity, P+Q (`Dual`) and Cauchy `Rs { m }` for
+//! `m ∈ {1, 2, 3}` — **every** `C(n, m')`-choose subset of lost group
+//! members (for every `m' ≤ m`) is rebuilt bit-exactly through the
+//! distributed encode/reconstruct engine.
 //!
 //! Losing a *member* erases both its data stripes and the parity roles
 //! it owned (the layout spreads `m` parity roles round-robin across the
@@ -17,7 +18,7 @@
 
 use self_checkpoint::cluster::{Cluster, ClusterConfig, Ranklist, SimRuntime};
 use self_checkpoint::core::{encode_parity, reconstruct_multi};
-use self_checkpoint::encoding::{CodecSpec, GroupLayout};
+use self_checkpoint::encoding::{Code, CodecSpec, GroupLayout};
 use self_checkpoint::mps::run_on_cluster;
 use std::sync::Arc;
 
@@ -25,9 +26,24 @@ use std::sync::Arc;
 /// stripe count in the sweep, so layout padding is always exercised.
 const A1: usize = 21;
 
+/// Words no arithmetic may touch on the way: a NaN with a payload, both
+/// infinities, negative zero and a subnormal. Each rank holds them in
+/// its first words, rotated by rank, so a rebuild must carry every one
+/// bit for bit.
+const SPECIAL: [f64; 5] = [
+    f64::from_bits(0x7FF8_0000_0000_0001),
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    -0.0,
+    f64::MIN_POSITIVE / 2.0,
+];
+
 fn rank_data(rank: usize, len: usize) -> Vec<f64> {
     (0..len)
         .map(|i| {
+            if i < SPECIAL.len() {
+                return SPECIAL[(i + rank) % SPECIAL.len()];
+            }
             let x = (rank as u64 * 7919 + i as u64)
                 .wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 .wrapping_add(0xD1B5_4A32_D192_ED03);
@@ -58,11 +74,12 @@ fn subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
     out
 }
 
-/// Run one `(n, m, lost, seed)` cell: encode, zero the lost members,
+/// Run one `(n, spec, lost, seed)` cell: encode, zero the lost members,
 /// reconstruct, assert bit-exact data *and* parity, and return a
 /// fingerprint of the rebuilt bits for the seed-invariance check.
-fn run_cell(n: usize, m: usize, lost: &[usize], seed: u64) -> u64 {
-    let codec = CodecSpec::rs(m).resolve();
+fn run_cell(n: usize, spec: CodecSpec, lost: &[usize], seed: u64) -> u64 {
+    let codec = spec.resolve();
+    let m = codec.parity_count();
     let layout = GroupLayout::new_with_parity(n, m, A1);
     let cluster = Arc::new(Cluster::new_with_runtime(
         ClusterConfig::new(n, 0),
@@ -90,7 +107,7 @@ fn run_cell(n: usize, m: usize, lost: &[usize], seed: u64) -> u64 {
     })
     .unwrap();
 
-    let tag = format!("n={n} m={m} lost={lost:?} seed={seed}");
+    let tag = format!("n={n} {spec:?} lost={lost:?} seed={seed}");
     let mut fingerprint = 0u64;
     for (rank, (rebuilt, true_parity)) in outs.iter().enumerate() {
         if lost.contains(&rank) {
@@ -116,17 +133,24 @@ fn run_cell(n: usize, m: usize, lost: &[usize], seed: u64) -> u64 {
     fingerprint
 }
 
-/// The full sweep for one group size: every `m`, every loss multiplicity
-/// up to `m`, every member subset, two scheduler seeds, identical bits.
+/// The full sweep for one group size: every codec, every loss
+/// multiplicity up to its `m`, every member subset, two scheduler seeds,
+/// identical bits.
 fn sweep(n: usize) {
-    for m in [1usize, 2, 3] {
-        for e in 1..=m {
+    for spec in [
+        CodecSpec::Single(Code::Xor),
+        CodecSpec::Dual,
+        CodecSpec::rs(1),
+        CodecSpec::rs(2),
+        CodecSpec::rs(3),
+    ] {
+        for e in 1..=spec.parity_count() {
             for lost in subsets(n, e) {
-                let fp0 = run_cell(n, m, &lost, 0);
-                let fp1 = run_cell(n, m, &lost, 1);
+                let fp0 = run_cell(n, spec, &lost, 0);
+                let fp1 = run_cell(n, spec, &lost, 1);
                 assert_eq!(
                     fp0, fp1,
-                    "n={n} m={m} lost={lost:?}: rebuilt bits differ across scheduler seeds"
+                    "n={n} {spec:?} lost={lost:?}: rebuilt bits differ across scheduler seeds"
                 );
             }
         }

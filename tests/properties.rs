@@ -1,5 +1,5 @@
 //! Property-based tests (proptest) on the core data structures and
-//! invariants: stripe geometry, parity codes, dual parity, the parallel
+//! invariants: stripe geometry, the SUM parity code, the parallel
 //! kernels, the deterministic generator, memory equations, and the
 //! efficiency model.
 
@@ -12,7 +12,7 @@ use self_checkpoint::core::{
     available_fraction, Checkpointer, CkptConfig, MemoryBreakdown, Method, RecoverError, Recovery,
     RestoreSource,
 };
-use self_checkpoint::encoding::{kernels, Code, CodecSpec, DualParity, GroupLayout, KernelConfig};
+use self_checkpoint::encoding::{kernels, Code, CodecSpec, GroupLayout, KernelConfig};
 use self_checkpoint::ftsim::{
     run_with_daemon, CheckpointService, PolicySpec, RetryPolicy, ServiceConfig, StormPlan,
     SuspicionOutcome, TenantOutcome, TenantReport,
@@ -120,90 +120,32 @@ proptest! {
     }
 
     #[test]
-    fn xor_parity_reconstructs_any_lost_stripe(
+    fn sum_parity_reconstructs_within_tolerance(
         n in 2usize..8,
         len in 1usize..64,
         seed in any::<u64>(),
         lost in 0usize..8,
     ) {
+        // The SUM codec's own encode and syndrome solve, folded the way
+        // the wire folds them: parity adds every stripe, the syndrome
+        // takes the survivors back out, and the solve returns the loss.
         let lost = lost % n;
-        let gen = MatGen::new(seed);
-        let stripes: Vec<Vec<f64>> = (0..n)
-            .map(|r| (0..len).map(|i| gen.entry(r as u64, i as u64) * 1e6).collect())
-            .collect();
-        let parity = Code::Xor.parity(len, &stripes);
-        let survivors: Vec<&Vec<f64>> =
-            stripes.iter().enumerate().filter(|(i, _)| *i != lost).map(|(_, s)| s).collect();
-        let rec = Code::Xor.reconstruct(&parity, survivors);
-        for (a, b) in rec.iter().zip(&stripes[lost]) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn sum_parity_reconstructs_within_tolerance(
-        n in 2usize..8,
-        len in 1usize..64,
-        seed in any::<u64>(),
-    ) {
+        let codec = CodecSpec::Single(Code::Sum).resolve();
+        let serial = KernelConfig::serial();
         let gen = MatGen::new(seed);
         let stripes: Vec<Vec<f64>> = (0..n)
             .map(|r| (0..len).map(|i| gen.entry(r as u64, i as u64) * 100.0).collect())
             .collect();
-        let parity = Code::Sum.parity(len, &stripes);
-        let survivors: Vec<&Vec<f64>> = stripes.iter().skip(1).collect();
-        let rec = Code::Sum.reconstruct(&parity, survivors);
-        for (a, b) in rec.iter().zip(&stripes[0]) {
-            prop_assert!((a - b).abs() < 1e-9, "{} vs {}", a, b);
+        let mut syndrome = vec![0.0; len];
+        for (pos, s) in stripes.iter().enumerate() {
+            codec.accumulate(&[0], pos, s, false, &mut [syndrome.as_mut_slice()], serial);
         }
-    }
-
-    #[test]
-    fn dual_parity_fixes_every_pair_of_erasures(
-        k in 1usize..8,
-        len in 1usize..32,
-        seed in any::<u64>(),
-    ) {
-        // Exhaustive over the erasure space: for a random payload, EVERY
-        // pair among {D_0..D_{k-1}, P, Q} is erased in turn and recovery
-        // must be bit-exact — two data stripes (P+Q solve), data+P
-        // (Q-only solve), data+Q (XOR), and both parities (re-encode).
-        let gen = MatGen::new(seed);
-        let data: Vec<Vec<f64>> = (0..k)
-            .map(|r| (0..len).map(|i| gen.entry(r as u64, i as u64) * 1e9).collect())
-            .collect();
-        let dp = DualParity::new(k, len);
-        let refs: Vec<&[f64]> = data.iter().map(|s| s.as_slice()).collect();
-        let (p, q) = dp.encode(&refs);
-        // indices 0..k are data stripes, k is P, k+1 is Q
-        for x in 0..k + 2 {
-            for y in x + 1..k + 2 {
-                let stripes: Vec<Option<&[f64]>> = data
-                    .iter()
-                    .enumerate()
-                    .map(|(i, s)| if i == x || i == y { None } else { Some(s.as_slice()) })
-                    .collect();
-                let pp = if x == k || y == k { None } else { Some(&p[..]) };
-                let qq = if x == k + 1 || y == k + 1 { None } else { Some(&q[..]) };
-                let rec = dp.recover(&stripes, pp, qq);
-                for (i, d) in data.iter().enumerate() {
-                    for (j, (a, b)) in rec[i].iter().zip(d).enumerate() {
-                        prop_assert_eq!(
-                            a.to_bits(), b.to_bits(),
-                            "erasures ({},{}) stripe {} word {}", x, y, i, j
-                        );
-                    }
-                }
-                // a lost parity is re-derivable from the restored stripes
-                let rrefs: Vec<&[f64]> = rec.iter().map(|s| s.as_slice()).collect();
-                let (p2, q2) = dp.encode(&rrefs);
-                for (a, b) in p2.iter().zip(&p) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "P re-encode ({},{})", x, y);
-                }
-                for (a, b) in q2.iter().zip(&q) {
-                    prop_assert_eq!(a.to_bits(), b.to_bits(), "Q re-encode ({},{})", x, y);
-                }
-            }
+        for (pos, s) in stripes.iter().enumerate().filter(|&(pos, _)| pos != lost) {
+            codec.accumulate(&[0], pos, s, true, &mut [syndrome.as_mut_slice()], serial);
+        }
+        let rec = codec.solve(&[lost], &[(0, syndrome)], serial).remove(0);
+        for (a, b) in rec.iter().zip(&stripes[lost]) {
+            prop_assert!((a - b).abs() < 1e-9, "{} vs {}", a, b);
         }
     }
 
@@ -304,14 +246,21 @@ proptest! {
         let gen = MatGen::new(seed);
         let base: Vec<f64> = (0..len).map(|i| gen.entry(5, i as u64)).collect();
         let x: Vec<f64> = (0..len).map(|i| gen.entry(6, i as u64)).collect();
+        // each code's encode and cancel kernels: XOR both ways, SUM
+        // adds then subtracts
         let cfg = KernelConfig::new(threads, chunk);
-        for code in [Code::Xor, Code::Sum] {
+        type Fold = fn(&mut [f64], &[f64], KernelConfig);
+        let folds: [(Fold, Fold); 2] = [
+            (kernels::xor_accumulate, kernels::xor_accumulate),
+            (kernels::sum_accumulate, kernels::sub_accumulate),
+        ];
+        for (encode, cancel) in folds {
             let mut serial = base.clone();
-            code.accumulate_with(&mut serial, &x, KernelConfig::serial());
-            code.cancel_with(&mut serial, &x, KernelConfig::serial());
+            encode(&mut serial, &x, KernelConfig::serial());
+            cancel(&mut serial, &x, KernelConfig::serial());
             let mut par = base.clone();
-            code.accumulate_with(&mut par, &x, cfg);
-            code.cancel_with(&mut par, &x, cfg);
+            encode(&mut par, &x, cfg);
+            cancel(&mut par, &x, cfg);
             for (a, r) in par.iter().zip(&serial) {
                 prop_assert_eq!(a.to_bits(), r.to_bits());
             }
