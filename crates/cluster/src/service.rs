@@ -9,10 +9,9 @@
 //! * **Shard map** — each admitted tenant owns a *disjoint* set of
 //!   compute nodes, so no node ever hosts two tenants' ranks or SHM
 //!   checkpoints. Isolation is structural, not policed.
-//! * **Admission control** — a tenant whose node-count or per-node
-//!   memory demand cannot be met *right now* is queued (FIFO, no
-//!   overtaking); one whose demand can *never* be met is rejected with a
-//!   typed [`AdmitError`].
+//! * **Admission control** — a tenant whose node-count demand cannot be
+//!   met *right now* is queued (FIFO, no overtaking); one whose demand
+//!   can *never* be met is rejected with a typed [`AdmitError`].
 //! * **Spare arbitration** — every tenant may reserve a spare-node
 //!   guarantee at admission. Draws come from the tenant's own reserve
 //!   first, then the unreserved float; a cascade that would have to dip
@@ -45,9 +44,6 @@ pub struct TenantSpec {
     pub name: String,
     /// Compute nodes demanded (the tenant's shard size).
     pub nodes: usize,
-    /// Bytes of node memory the job will pin per node (workspace +
-    /// checkpoint + checksum regions).
-    pub mem_bytes_per_node: u64,
     /// Spares this tenant wants *guaranteed* for its own recoveries.
     /// Zero means best-effort: draw from the float only.
     pub spare_guarantee: usize,
@@ -88,13 +84,6 @@ pub enum AdmitError {
         /// Compute nodes the pool has in total.
         total: usize,
     },
-    /// The per-node memory demand exceeds a node's capacity.
-    MemoryOversubscribed {
-        /// Bytes demanded per node.
-        demanded: u64,
-        /// Bytes a node can hold.
-        capacity: u64,
-    },
     /// The spare guarantee exceeds the pool's total spare count.
     GuaranteeUnmeetable {
         /// Spares demanded as a guarantee.
@@ -116,9 +105,6 @@ impl std::fmt::Display for AdmitError {
                     "shard of {demanded} nodes can never fit a {total}-node pool"
                 )
             }
-            AdmitError::MemoryOversubscribed { demanded, capacity } => {
-                write!(f, "{demanded} B/node demanded, nodes hold {capacity} B")
-            }
             AdmitError::GuaranteeUnmeetable { demanded, total } => {
                 write!(
                     f,
@@ -131,36 +117,6 @@ impl std::fmt::Display for AdmitError {
 }
 
 impl std::error::Error for AdmitError {}
-
-/// A demand the pool can never meet, as `(demanded, limit)`.
-enum Unfit {
-    /// More nodes than the pool has compute nodes in total.
-    Nodes(usize, usize),
-    /// More bytes per node than a node holds.
-    Memory(u64, u64),
-}
-
-impl From<Unfit> for AdmitError {
-    fn from(u: Unfit) -> Self {
-        match u {
-            Unfit::Nodes(demanded, total) => AdmitError::NeverFits { demanded, total },
-            Unfit::Memory(demanded, capacity) => {
-                AdmitError::MemoryOversubscribed { demanded, capacity }
-            }
-        }
-    }
-}
-
-impl From<Unfit> for ReshapeError {
-    fn from(u: Unfit) -> Self {
-        match u {
-            Unfit::Nodes(demanded, total) => ReshapeError::NeverFits { demanded, total },
-            Unfit::Memory(demanded, capacity) => {
-                ReshapeError::Oversubscribed { demanded, capacity }
-            }
-        }
-    }
-}
 
 /// Why a spare draw is refused. Both variants are *collective verdicts*
 /// of the arbitration layer: the requesting tenant's cascade stops with
@@ -249,10 +205,10 @@ struct Shard {
     reserve: usize,
 }
 
-/// How a shard's node set would change under a resize or relocation.
-/// Computed by [`ServicePool::plan_resize`] / [`ServicePool::plan_relocate`]
-/// *without consuming anything*, so a refusal downstream is free; the
-/// caller materializes the move and then [`ServicePool::commit_resize`]s.
+/// How a shard's node set would change under a resize. Computed by
+/// [`ServicePool::plan_resize`] *without consuming anything*, so a
+/// refusal downstream is free; the caller materializes the move and then
+/// [`ServicePool::commit_resize`]s.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ResizePlan {
     /// Shard nodes retained across the resize (ascending).
@@ -296,13 +252,6 @@ pub enum ReshapeError {
         /// Free nodes actually available.
         free: usize,
     },
-    /// The post-resize per-node memory demand exceeds node capacity.
-    Oversubscribed {
-        /// Bytes demanded per node after the resize.
-        demanded: u64,
-        /// Bytes a node can hold.
-        capacity: u64,
-    },
 }
 
 impl ReshapeError {
@@ -312,7 +261,6 @@ impl ReshapeError {
             ReshapeError::UnknownTenant(_) => "unknown-tenant",
             ReshapeError::NeverFits { .. } => "never-fits",
             ReshapeError::WouldStarve { .. } => "grow-would-starve",
-            ReshapeError::Oversubscribed { .. } => "oversubscribed",
         }
     }
 }
@@ -335,9 +283,6 @@ impl std::fmt::Display for ReshapeError {
                 f,
                 "{tenant}: grow needs {requested} free node(s), pool has {free}"
             ),
-            ReshapeError::Oversubscribed { demanded, capacity } => {
-                write!(f, "{demanded} B/node demanded, nodes hold {capacity} B")
-            }
         }
     }
 }
@@ -365,7 +310,6 @@ pub struct ReleaseAudit {
 /// (via `Ranklist::repair` / `Cluster::take_spare`) and reports back
 /// with [`ServicePool::reassign`].
 pub struct ServicePool {
-    capacity_per_node: u64,
     total_nodes: usize,
     free: Vec<NodeId>,
     shards: BTreeMap<TenantId, Shard>,
@@ -378,14 +322,12 @@ pub struct ServicePool {
 
 impl ServicePool {
     /// A pool over `compute` nodes (typically `0..nodes`) with `spares`
-    /// spare nodes and `capacity_per_node` bytes of memory per node
-    /// (`u64::MAX` for "don't model memory").
-    pub fn new(compute: Vec<NodeId>, spares: usize, capacity_per_node: u64) -> Self {
+    /// spare nodes.
+    pub fn new(compute: Vec<NodeId>, spares: usize) -> Self {
         let mut free = compute;
         free.sort_unstable();
         free.dedup();
         ServicePool {
-            capacity_per_node,
             total_nodes: free.len(),
             free,
             shards: BTreeMap::new(),
@@ -407,7 +349,12 @@ impl ServicePool {
         if self.names.contains_key(&spec.name) {
             return Err(AdmitError::DuplicateName(spec.name));
         }
-        self.check_fit(spec.nodes, spec.mem_bytes_per_node)?;
+        if spec.nodes > self.total_nodes {
+            return Err(AdmitError::NeverFits {
+                demanded: spec.nodes,
+                total: self.total_nodes,
+            });
+        }
         if spec.spare_guarantee > self.spares_total {
             return Err(AdmitError::GuaranteeUnmeetable {
                 demanded: spec.spare_guarantee,
@@ -429,19 +376,6 @@ impl ServicePool {
                 position: self.queue.len() - 1,
             })
         }
-    }
-
-    /// Whether a shard of `nodes` nodes demanding `mem` bytes on each can
-    /// fit this pool at all — the one check admission and resize planning
-    /// map their typed never-fits refusals from.
-    fn check_fit(&self, nodes: usize, mem: u64) -> Result<(), Unfit> {
-        if nodes > self.total_nodes {
-            return Err(Unfit::Nodes(nodes, self.total_nodes));
-        }
-        if mem > self.capacity_per_node {
-            return Err(Unfit::Memory(mem, self.capacity_per_node));
-        }
-        Ok(())
     }
 
     fn fits_now(&self, spec: &TenantSpec) -> bool {
@@ -505,23 +439,22 @@ impl ServicePool {
         dropped
     }
 
-    /// Plan a resize of `tenant`'s shard to `target` nodes with
-    /// `mem_bytes_per_node` demanded after the resize. Pure preview:
+    /// Plan a resize of `tenant`'s shard to `target` nodes. Pure preview:
     /// nothing is drawn or vacated until [`ServicePool::commit_resize`].
     ///
     /// Grows stage the lowest free nodes (same ascending draw as
     /// admission); shrinks vacate the highest shard nodes, so repeated
     /// resizes keep every shard packed toward low node ids.
-    pub fn plan_resize(
-        &self,
-        tenant: TenantId,
-        target: usize,
-        mem_bytes_per_node: u64,
-    ) -> Result<ResizePlan, ReshapeError> {
+    pub fn plan_resize(&self, tenant: TenantId, target: usize) -> Result<ResizePlan, ReshapeError> {
         let Some(shard) = self.shards.get(&tenant) else {
             return Err(ReshapeError::UnknownTenant(tenant));
         };
-        self.check_fit(target, mem_bytes_per_node)?;
+        if target > self.total_nodes {
+            return Err(ReshapeError::NeverFits {
+                demanded: target,
+                total: self.total_nodes,
+            });
+        }
         let cur = shard.nodes.len();
         if target >= cur {
             let extra = target - cur;
@@ -548,26 +481,6 @@ impl ServicePool {
                 vacate,
             })
         }
-    }
-
-    /// Plan a same-size relocation that packs `tenant`'s shard onto the
-    /// lowest node ids reachable from its current set plus the free
-    /// pool — the defragmenter's move. Returns `None` when the shard is
-    /// already as low as it can get (no strict improvement).
-    pub fn plan_relocate(&self, tenant: TenantId) -> Option<ResizePlan> {
-        let shard = self.shards.get(&tenant)?;
-        let mut candidates: Vec<NodeId> = shard.nodes.iter().chain(&self.free).copied().collect();
-        candidates.sort_unstable();
-        candidates.truncate(shard.nodes.len());
-        let in_shard = shard.nodes.iter().copied();
-        let (keep, vacate): (Vec<NodeId>, Vec<NodeId>) =
-            in_shard.partition(|n| candidates.contains(n));
-        let mut add = candidates;
-        add.retain(|n| !shard.nodes.contains(n));
-        if add.is_empty() {
-            return None; // already packed as low as possible
-        }
-        Some(ResizePlan { keep, add, vacate })
     }
 
     /// Commit a previously planned resize: draw the staged nodes from
@@ -766,13 +679,12 @@ mod tests {
         TenantSpec {
             name: name.into(),
             nodes,
-            mem_bytes_per_node: 1 << 20,
             spare_guarantee: guarantee,
         }
     }
 
     fn pool(nodes: usize, spares: usize) -> ServicePool {
-        ServicePool::new((0..nodes).collect(), spares, 1 << 30)
+        ServicePool::new((0..nodes).collect(), spares)
     }
 
     #[test]
@@ -841,12 +753,6 @@ mod tests {
                 total: 1
             }
         );
-        let mut fat = spec("fat", 2, 0);
-        fat.mem_bytes_per_node = (1 << 30) + 1;
-        assert!(matches!(
-            p.admit(fat).unwrap_err(),
-            AdmitError::MemoryOversubscribed { .. }
-        ));
         assert_eq!(
             p.admit(spec("", 0, 0)).unwrap_err(),
             AdmitError::ZeroNodes("".into())
@@ -915,33 +821,26 @@ mod tests {
         let mut p = pool(8, 0);
         p.admit(spec("a", 4, 0)).unwrap(); // nodes 0..4
                                            // grow 4 -> 6 stages the two lowest free nodes, consumes nothing yet
-        let grow = p.plan_resize(TenantId(0), 6, 1).unwrap();
+        let grow = p.plan_resize(TenantId(0), 6).unwrap();
         assert_eq!(grow.keep, vec![0, 1, 2, 3]);
         assert_eq!(grow.add, vec![4, 5]);
         assert!(grow.vacate.is_empty());
         assert_eq!(p.free_nodes(), 4, "planning consumes nothing");
         // shrink 4 -> 2 vacates the two highest shard nodes
-        let shrink = p.plan_resize(TenantId(0), 2, 1).unwrap();
+        let shrink = p.plan_resize(TenantId(0), 2).unwrap();
         assert_eq!(shrink.keep, vec![0, 1]);
         assert!(shrink.add.is_empty());
         assert_eq!(shrink.vacate, vec![2, 3]);
         // typed refusals, nothing consumed
         assert_eq!(
-            p.plan_resize(TenantId(0), 9, 1).unwrap_err(),
+            p.plan_resize(TenantId(0), 9).unwrap_err(),
             ReshapeError::NeverFits {
                 demanded: 9,
                 total: 8
             }
         );
         assert_eq!(
-            p.plan_resize(TenantId(0), 4, (1 << 30) + 1).unwrap_err(),
-            ReshapeError::Oversubscribed {
-                demanded: (1 << 30) + 1,
-                capacity: 1 << 30
-            }
-        );
-        assert_eq!(
-            p.plan_resize(TenantId(9), 2, 1).unwrap_err(),
+            p.plan_resize(TenantId(9), 2).unwrap_err(),
             ReshapeError::UnknownTenant(TenantId(9))
         );
         assert_eq!(p.free_nodes(), 4);
@@ -953,7 +852,7 @@ mod tests {
         p.admit(spec("a", 3, 0)).unwrap();
         p.admit(spec("b", 2, 0)).unwrap();
         assert_eq!(
-            p.plan_resize(TenantId(0), 5, 1).unwrap_err(),
+            p.plan_resize(TenantId(0), 5).unwrap_err(),
             ReshapeError::WouldStarve {
                 tenant: TenantId(0),
                 requested: 2,
@@ -971,7 +870,7 @@ mod tests {
             Admission::Queued { .. }
         ));
         // shrink 5 -> 3 frees nodes 3,4 — enough to admit the waiter
-        let plan = p.plan_resize(TenantId(0), 3, 1).unwrap();
+        let plan = p.plan_resize(TenantId(0), 3).unwrap();
         let audit = p.commit_resize(TenantId(0), &plan, |_| true);
         assert_eq!(audit.freed, vec![3, 4]);
         assert_eq!(audit.drained.len(), 1);
@@ -979,28 +878,11 @@ mod tests {
         assert_eq!(audit.drained[0].1, vec![3, 4]);
         assert_eq!(p.nodes_of(TenantId(0)).unwrap(), &[0, 1, 2]);
         // a vacated node that died is lost, not re-issued
-        let plan = p.plan_resize(TenantId(0), 2, 1).unwrap();
+        let plan = p.plan_resize(TenantId(0), 2).unwrap();
         let audit = p.commit_resize(TenantId(0), &plan, |n| n != 2);
         assert!(audit.freed.is_empty());
         assert_eq!(audit.lost, vec![2]);
         assert_eq!(p.free_nodes(), 0);
-    }
-
-    #[test]
-    fn relocate_packs_the_shard_toward_low_ids() {
-        let mut p = pool(8, 0);
-        p.admit(spec("a", 2, 0)).unwrap(); // 0,1
-        p.admit(spec("b", 3, 0)).unwrap(); // 2,3,4
-                                           // release a: b now sits above a free hole at 0,1
-        p.release(TenantId(0), |_| true);
-        let plan = p.plan_relocate(TenantId(1)).unwrap();
-        assert_eq!(plan.keep, vec![2]);
-        assert_eq!(plan.add, vec![0, 1]);
-        assert_eq!(plan.vacate, vec![3, 4]);
-        p.commit_resize(TenantId(1), &plan, |_| true);
-        assert_eq!(p.nodes_of(TenantId(1)).unwrap(), &[0, 1, 2]);
-        // already packed: no further move
-        assert_eq!(p.plan_relocate(TenantId(1)), None);
     }
 
     #[test]

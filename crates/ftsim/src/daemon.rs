@@ -26,8 +26,8 @@ use std::time::Duration;
 ///
 /// The job runs as the single pre-placed tenant of a
 /// [`CheckpointService`] — its shard the ranklist's node set, its float
-/// the whole spare pool, whole-job slices under the batched schedule and
-/// [`RetryPolicy::new`]'s backoff ([`ServiceConfig::new`]'s defaults) —
+/// the whole spare pool, whole-job slices under the batched schedule
+/// ([`ServiceConfig::new`]'s defaults) and [`RetryPolicy::backoff`] —
 /// so the failure ladder is the service's: *detect*, *classify*,
 /// *replace*, *back off*, relaunch. Never a panic or a hang: the
 /// report's [`outcome`](TenantReport::outcome) is the completed solve or
@@ -380,21 +380,16 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RetryPolicy {
-            max_failures: 9,
-            detect: Duration::ZERO,
-            backoff_base: Duration::from_secs(1),
-            backoff_cap: Duration::from_secs(8),
-        };
+        let p = RetryPolicy::new(9, Duration::ZERO);
         assert_eq!(p.backoff(0), Duration::from_secs(1), "0 behaves as 1");
-        assert_eq!(p.backoff(1), Duration::from_secs(1));
-        assert_eq!(p.backoff(2), Duration::from_secs(2));
-        assert_eq!(p.backoff(3), Duration::from_secs(4));
-        assert_eq!(p.backoff(4), Duration::from_secs(8));
-        assert_eq!(p.backoff(10), Duration::from_secs(8), "capped");
+        for (failure, secs) in (1..=6).zip([1, 2, 4, 8, 16, 32]) {
+            assert_eq!(p.backoff(failure), Duration::from_secs(secs));
+        }
+        assert_eq!(p.backoff(7), Duration::from_secs(60), "capped");
+        assert_eq!(p.backoff(10), Duration::from_secs(60), "capped");
         assert_eq!(
             p.backoff(64),
-            Duration::from_secs(8),
+            Duration::from_secs(60),
             "shift-safe far past the cap"
         );
     }

@@ -20,13 +20,14 @@
 //!   and suspicion records, Figure 10 phase times, the retry policy,
 //!   per-tenant reports and their fingerprints.
 //! * [`policy`] — slice-scheduling policies: a plain [`PolicySpec`]
-//!   enum whose `next` picks the ready tenant with the smallest key.
+//!   enum whose `next` picks from the FIFO ready set (sticky under
+//!   `Batched`, the front under `RoundRobin`).
 //! * [`resize`] — tenant elasticity between slices: each tenant's
 //!   pending requests and audit, the attempt at a clean boundary
 //!   (harvest the boundary checkpoint, re-install it under the new
 //!   layout via a sequenced op, then — and only then — move the node
-//!   accounting), defragmentation, and the typed [`ResizeError`], which
-//!   wraps the pool ledger's own refusal.
+//!   accounting), and the typed [`ResizeError`], which wraps the pool
+//!   ledger's own refusal.
 //! * [`blcr`] — the BLCR baseline: transparent process-level
 //!   checkpointing of the whole rank state to a (bandwidth-modeled)
 //!   HDD/SSD block device, with restart from disk (Table 3's
@@ -52,12 +53,12 @@ pub mod table3;
 
 pub use blcr::{run_blcr, BlcrConfig, BlcrStore};
 pub use daemon::run_with_daemon;
-pub use policy::{PolicySpec, SchedState, TenantProfile, TenantSched};
+pub use policy::PolicySpec;
 pub use report::{
     AttemptRecord, CyclePhase, DaemonHistory, PhaseTimes, Refusal, RetryPolicy, ServiceReport,
     SuspicionOutcome, SuspicionRecord, TenantOutcome, TenantReport,
 };
-pub use resize::{PendingResize, ResizeAudit, ResizeError};
+pub use resize::{ResizeAudit, ResizeError};
 pub use service::{CheckpointService, ServiceConfig};
 pub use storm::{StormPlan, TimedFault};
 pub use table3::{run_table3, MethodRow, Table3Config};

@@ -183,6 +183,11 @@ pub struct DaemonHistory {
     pub suspicions: Vec<SuspicionRecord>,
 }
 
+/// Backoff before the first retry; doubles on each consecutive failure.
+const BACKOFF_BASE: Duration = Duration::from_secs(1);
+/// Upper bound on the doubling backoff.
+const BACKOFF_CAP: Duration = Duration::from_secs(60);
+
 /// Retry policy of the daemon's restart loop.
 #[derive(Clone, Debug)]
 pub struct RetryPolicy {
@@ -190,34 +195,26 @@ pub struct RetryPolicy {
     pub max_failures: usize,
     /// Modeled failure-detection latency (job-manager property).
     pub detect: Duration,
-    /// Backoff before the first retry; doubles on each consecutive
-    /// failure. Charged to the cluster's [`Runtime`](skt_cluster::Runtime)
-    /// clock, so it is virtual under simulation and never sleeps a test.
-    pub backoff_base: Duration,
-    /// Upper bound on the doubling backoff.
-    pub backoff_cap: Duration,
 }
 
 impl RetryPolicy {
-    /// Policy with the defaults used by
-    /// [`run_with_daemon`](crate::daemon::run_with_daemon): 1 s base
-    /// backoff capped at 60 s.
+    /// A failure budget and a detect latency.
     pub fn new(max_failures: usize, detect: Duration) -> Self {
         RetryPolicy {
             max_failures,
             detect,
-            backoff_base: Duration::from_secs(1),
-            backoff_cap: Duration::from_secs(60),
         }
     }
 
     /// Backoff before retrying after the `failures`-th consecutive
-    /// failure (1-based; 0 behaves as 1): `base * 2^(failures-1)`, capped.
+    /// failure (1-based; 0 behaves as 1): 1 s doubled per failure, capped
+    /// at 60 s. Charged to the cluster's
+    /// [`Runtime`](skt_cluster::Runtime) clock, so it is virtual under
+    /// simulation and never sleeps a test.
     pub fn backoff(&self, failures: usize) -> Duration {
-        let doubled = self
-            .backoff_base
-            .saturating_mul(1u32 << failures.saturating_sub(1).min(31) as u32);
-        doubled.min(self.backoff_cap)
+        let doubled =
+            BACKOFF_BASE.saturating_mul(1u32 << failures.saturating_sub(1).min(31) as u32);
+        doubled.min(BACKOFF_CAP)
     }
 }
 
@@ -300,7 +297,7 @@ pub struct TenantReport {
     /// trail of every spare draw done on this tenant's behalf.
     pub history: DaemonHistory,
     /// Every resize attempt on this tenant, in order: grows, shrinks,
-    /// defrag relocations, and their typed refusals.
+    /// no-ops, and their typed refusals.
     pub resizes: Vec<ResizeAudit>,
     /// Nodes whose SHM the service wiped on this tenant's behalf:
     /// vacated at resize commits, plus the released shard itself unless

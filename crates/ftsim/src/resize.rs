@@ -1,5 +1,5 @@
-//! Tenant elasticity: grow, shrink, or relocate a tenant's shard
-//! between slices, through the boundary checkpoint.
+//! Tenant elasticity: grow or shrink a tenant's shard between slices,
+//! through the boundary checkpoint.
 //!
 //! The self-checkpoint invariant makes this legal: at a slice boundary
 //! the workspace *is* the checkpoint — a committed, globally consistent
@@ -26,7 +26,7 @@
 use crate::report::Refusal;
 use crate::service::{CheckpointService, Repair, ServiceEvent, Tenant};
 use skt_cluster::{
-    segment_name, Cluster, Fault, NodeId, Ranklist, Region, ReshapeError, ResizePlan, TenantId,
+    segment_name, Cluster, Fault, NodeId, Ranklist, Region, ReshapeError, ResizePlan,
 };
 use skt_core::protocol::ops::{self, OpState, SequencedOp};
 use skt_core::protocol::{Header, HeaderState};
@@ -55,8 +55,8 @@ pub enum ResizeError {
     /// path still works — only the resize is refused.
     TornBoundary,
     /// The pool ledger refused to plan the reshape — the grow would
-    /// starve the free pool, the target can never fit, or a node would
-    /// be oversubscribed — in the ledger's own words.
+    /// starve the free pool, or the target can never fit — in the
+    /// ledger's own words.
     Pool(ReshapeError),
 }
 
@@ -100,7 +100,7 @@ pub struct ResizeAudit {
     pub from: usize,
     /// Rank count after (== `from` when refused).
     pub to: usize,
-    /// `grow`, `shrink`, `relocate`, or `noop`.
+    /// `grow`, `shrink`, or `noop`.
     pub kind: &'static str,
     /// `committed` (through the sequenced op), `cold` (no boundary
     /// image existed; pure node accounting), or `refused`.
@@ -187,22 +187,13 @@ impl ResizeAudit {
     }
 }
 
-/// A pending resize on a tenant, attempted at its next slice top.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum PendingResize {
-    /// Grow or shrink to this rank count.
-    Target(usize),
-    /// Same-size defragmentation move onto lower node ids.
-    Relocate,
-}
-
 /// A tenant's elasticity state. Owned by this module: the engine only
 /// delivers requests, reports how each launch parked, and collects the
 /// audit when the tenant ends.
 pub(crate) struct Elasticity {
-    /// Resize requests not yet resolved, attempted FIFO at clean
-    /// boundaries.
-    pending_resize: VecDeque<PendingResize>,
+    /// Target rank counts of the resize requests not yet resolved,
+    /// attempted FIFO at clean boundaries.
+    pending_resize: VecDeque<usize>,
     /// True when the tenant's parked state is a committed boundary
     /// checkpoint (initially, and after every clean park); false after
     /// a launch died mid-slice. Resizes only move boundary images.
@@ -224,9 +215,10 @@ impl Elasticity {
         }
     }
 
-    /// Queue a request behind those already pending.
-    pub(crate) fn request(&mut self, req: PendingResize) {
-        self.pending_resize.push_back(req);
+    /// Queue a request to resize to `target` ranks behind those already
+    /// pending.
+    pub(crate) fn request(&mut self, target: usize) {
+        self.pending_resize.push_back(target);
     }
 
     /// A launch ended: `clean` when it parked at a boundary checkpoint,
@@ -449,32 +441,6 @@ impl CheckpointService {
         self.queue.push(at, ServiceEvent::Resize { name, target });
     }
 
-    /// Preemptive defragmentation: when no resize is in flight anywhere,
-    /// nominate the *smallest* shard that has a strictly better (lower
-    /// node-id) placement for relocation through the resize machinery.
-    /// One nomination at a time; convergence is guaranteed because every
-    /// committed relocation strictly lowers the nominee's node-id sum
-    /// and a packed shard yields no plan.
-    pub(crate) fn maybe_defrag(&mut self) {
-        let in_flight = |t: &Tenant| !t.elastic.pending_resize.is_empty();
-        if self.tenants.values().any(in_flight) {
-            return;
-        }
-        let mut order: Vec<(usize, TenantId)> = self
-            .tenants
-            .keys()
-            .filter_map(|&id| self.pool.nodes_of(id).map(|s| (s.len(), id)))
-            .collect();
-        order.sort_unstable();
-        for (_, id) in order {
-            if self.pool.plan_relocate(id).is_some() {
-                let nominee = self.tenants.get_mut(&id).expect("nominee is active");
-                nominee.elastic.request(PendingResize::Relocate);
-                return;
-            }
-        }
-    }
-
     /// The resize step of a slice top: when the tenant is parked at a
     /// clean boundary, attempt its oldest pending request. `Ok(false)`
     /// when the slice must not launch: the shard (or staged nodes) took
@@ -484,10 +450,10 @@ impl CheckpointService {
         if !tenant.elastic.clean_boundary {
             return Ok(true);
         }
-        let Some(req) = tenant.elastic.pending_resize.front().cloned() else {
+        let Some(&target) = tenant.elastic.pending_resize.front() else {
             return Ok(true);
         };
-        match self.attempt_resize(tenant, req)? {
+        match self.attempt_resize(tenant, target)? {
             ResizeAttempt::Resolved(audit) => {
                 tenant.elastic.audits.push(audit);
                 tenant.elastic.pending_resize.pop_front();
@@ -505,44 +471,34 @@ impl CheckpointService {
     fn attempt_resize(
         &mut self,
         tenant: &mut Tenant,
-        req: PendingResize,
+        target: usize,
     ) -> Result<ResizeAttempt, Refusal> {
         let now = self.cluster.now();
-        let id = tenant.sched.tenant;
         let cur = tenant.rl.len();
-        let m = tenant.cfg.codec.parity_count();
-        let (plan, target, kind) = match req {
-            PendingResize::Relocate => (self.pool.plan_relocate(id), cur, "relocate"),
-            PendingResize::Target(t) if t == cur => (None, cur, "noop"),
-            PendingResize::Target(t) => {
-                let kind = if t > cur { "grow" } else { "shrink" };
-                let planned = match resize_group_size(cur, tenant.cfg.group_size, t, m) {
-                    None => Err(ResizeError::ShrinkBelowMinGroup {
-                        requested: t,
-                        min: (m + 1).max(2),
-                    }),
-                    Some(_) => self
-                        .pool
-                        .plan_resize(id, t, Self::mem_demand(&tenant.cfg, t))
-                        .map_err(ResizeError::Pool),
-                };
-                match planned {
-                    Ok(p) => (Some(p), t, kind),
-                    Err(err) => {
-                        let audit = ResizeAudit::refused(now, cur, kind, err);
-                        return Ok(ResizeAttempt::Resolved(audit));
-                    }
-                }
-            }
-        };
-        let Some(plan) = plan else {
-            // already at the target, or already packed (or the free pool
-            // moved on): no-op
+        if target == cur {
             let audit = ResizeAudit::new(now, cur, cur, "noop", "committed");
             return Ok(ResizeAttempt::Resolved(audit));
+        }
+        let kind = if target > cur { "grow" } else { "shrink" };
+        let m = tenant.cfg.codec.parity_count();
+        let planned = match resize_group_size(cur, tenant.cfg.group_size, target, m) {
+            None => Err(ResizeError::ShrinkBelowMinGroup {
+                requested: target,
+                min: (m + 1).max(2),
+            }),
+            Some(new_g) => self
+                .pool
+                .plan_resize(tenant.id, target)
+                .map(|plan| (plan, new_g))
+                .map_err(ResizeError::Pool),
         };
-        let new_g = resize_group_size(cur, tenant.cfg.group_size, target, m)
-            .expect("legal group size checked above (relocations keep the rank count)");
+        let (plan, new_g) = match planned {
+            Ok(planned) => planned,
+            Err(err) => {
+                let audit = ResizeAudit::refused(now, cur, kind, err);
+                return Ok(ResizeAttempt::Resolved(audit));
+            }
+        };
         let (columns, panel) = match harvest(&self.cluster, &tenant.cfg, &tenant.rl) {
             // a node died and was replaced since the park: the next
             // slice's group recovery rebuilds the missing workspaces;
@@ -614,8 +570,7 @@ impl CheckpointService {
     ) -> Vec<NodeId> {
         let new_rl = Ranklist::explicit(plan.new_nodes());
         let usable = |n| self.cluster.node_usable(n);
-        let id = tenant.sched.tenant;
-        let audit = self.pool.commit_resize(id, plan, usable);
+        let audit = self.pool.commit_resize(tenant.id, plan, usable);
         for &n in &audit.freed {
             self.cluster.shm(n).wipe();
         }
@@ -648,7 +603,7 @@ mod tests {
     use super::*;
     use crate::service::tests::{elastic_cfg, residual_bits, service, tenant_cfg};
     use crate::{PolicySpec, RetryPolicy, ServiceConfig, StormPlan, TenantOutcome};
-    use skt_cluster::{ClusterConfig, FailurePlan};
+    use skt_cluster::{ClusterConfig, FailurePlan, TenantId};
     use skt_hpl::RESIZE_PROBE;
 
     #[test]
@@ -665,7 +620,7 @@ mod tests {
     #[test]
     fn resize_error_labels_are_stable() {
         let t0 = TenantId(0);
-        let table: [(ResizeError, &str, &str); 6] = [
+        let table: [(ResizeError, &str, &str); 5] = [
             (
                 ResizeError::ShrinkBelowMinGroup {
                     requested: 1,
@@ -697,14 +652,6 @@ mod tests {
                 }),
                 "never-fits",
                 "resize to 9 nodes can never fit a 4-node pool",
-            ),
-            (
-                ResizeError::Pool(ReshapeError::Oversubscribed {
-                    demanded: 2,
-                    capacity: 1,
-                }),
-                "oversubscribed",
-                "2 B/node demanded, nodes hold 1 B",
             ),
             (
                 ResizeError::Pool(ReshapeError::UnknownTenant(t0)),
@@ -848,41 +795,6 @@ mod tests {
         let r = &t.resizes[0];
         assert_eq!((r.kind, r.outcome, r.from, r.to), ("grow", "cold", 2, 3));
         assert!(r.op.is_none(), "no image, no sequenced install");
-    }
-
-    #[test]
-    fn defrag_relocates_the_smallest_parked_shard_toward_low_ids() {
-        let cluster = Arc::new(Cluster::new(ClusterConfig::new(6, 0)));
-        let mut cfg = ServiceConfig::new(RetryPolicy::new(3, Duration::from_secs(5)));
-        cfg.slice_panels = 3;
-        cfg.schedule = PolicySpec::RoundRobin;
-        cfg.defrag = true;
-        let mut svc = CheckpointService::new(cluster, cfg);
-        svc.register(tenant_cfg("early", 32), 2, 0).unwrap(); // nodes {0,1}, 8 panels → finishes first
-        svc.register(tenant_cfg("late", 48), 2, 0).unwrap(); // nodes {2,3}, 12 panels
-        let rep = svc.run(&StormPlan::none());
-        let late = rep.tenant("late").unwrap();
-        match &late.outcome {
-            TenantOutcome::Completed(out) => assert!(out.hpl.passed),
-            other => panic!("late should complete after relocating, got {other:?}"),
-        }
-        let reloc: Vec<&ResizeAudit> = late
-            .resizes
-            .iter()
-            .filter(|r| r.kind == "relocate")
-            .collect();
-        assert_eq!(reloc.len(), 1, "one defrag move: {:?}", late.resizes);
-        assert_eq!(reloc[0].outcome, "committed", "a parked image migrates");
-        assert_eq!(
-            reloc[0].wiped,
-            vec![2, 3],
-            "the vacated mid-pool nodes are wiped for the free list"
-        );
-        assert!(
-            late.leaked_elsewhere.is_empty(),
-            "{:?}",
-            late.leaked_elsewhere
-        );
     }
 
     /// Two requests delivered at the *same* virtual instant apply in

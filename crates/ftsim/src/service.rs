@@ -22,11 +22,10 @@
 //!   ([`skt_hpl::run_skt_sliced`]): a tenant runs alone for a bounded
 //!   number of panels, parks its state in SHM (the self-checkpoint
 //!   move), and yields. *Which* tenant runs next is decided by the
-//!   configured [`PolicySpec`] — the dispatch loop only maintains the
+//!   configured [`PolicySpec`] — the dispatch loop only keeps the FIFO
 //!   ready set and runs the tenant [`PolicySpec::next`] names.
-//! * **Elasticity** ([`crate::resize`]) — a tenant can grow, shrink,
-//!   or (with [`ServiceConfig::defrag`] on) be relocated toward low
-//!   node ids *between* slices, through the boundary checkpoint.
+//! * **Elasticity** ([`crate::resize`]) — a tenant can grow or shrink
+//!   *between* slices, through the boundary checkpoint.
 //!
 //! Every tenant mutation of cluster state (spare draws / ranklist
 //! repair / resize installs) flows through the sequenced-op layer
@@ -40,12 +39,12 @@
 //! as its float; it returns that tenant's [`TenantReport`].
 
 use crate::admission::WaitList;
-use crate::policy::{PolicySpec, SchedState, TenantProfile, TenantSched};
+use crate::policy::PolicySpec;
 use crate::report::{
     AttemptRecord, CyclePhase, DaemonHistory, PhaseTimes, Refusal, RetryPolicy, ServiceReport,
     SuspicionOutcome, SuspicionRecord, TenantOutcome, TenantReport,
 };
-use crate::resize::{Elasticity, PendingResize};
+use crate::resize::Elasticity;
 use crate::storm::{StormPlan, TimedFault};
 use skt_cluster::{
     ArbitrationError, Cluster, EventQueue, Fault, NodeId, ProbeVerdict, Ranklist, ServicePool,
@@ -66,35 +65,25 @@ pub struct ServiceConfig {
     pub policy: RetryPolicy,
     /// Panels per scheduling slice (0 = run each launch to completion).
     pub slice_panels: usize,
-    /// Modeled memory capacity of one node, for admission control
-    /// (`u64::MAX` = don't model memory).
-    pub node_mem_bytes: u64,
     /// Slice scheduling policy, consulted at each dispatch.
     pub schedule: PolicySpec,
-    /// Between slices, compact the free pool: relocate the smallest
-    /// shard with a better (lower-id) placement through the resize
-    /// machinery, so freed mid-pool nodes migrate to the high end where
-    /// grows and admissions draw contiguously.
-    pub defrag: bool,
 }
 
 impl ServiceConfig {
-    /// Batched whole-job scheduling with unmodeled memory.
+    /// Batched whole-job scheduling.
     pub fn new(policy: RetryPolicy) -> Self {
         ServiceConfig {
             policy,
             slice_panels: 0,
-            node_mem_bytes: u64::MAX,
             schedule: PolicySpec::Batched,
-            defrag: false,
         }
     }
 }
 
 /// One active (admitted, not yet finished) tenant.
 pub(crate) struct Tenant {
-    /// Its row in the scheduler's ready set: id, profile, ready time.
-    pub(crate) sched: TenantSched,
+    /// Its id, assigned at registration.
+    pub(crate) id: TenantId,
     /// Registration name: SHM prefix owner; resize epochs nest under it.
     pub(crate) base: String,
     /// Live config; `cfg.name` carries the current resize epoch's
@@ -120,18 +109,11 @@ impl Tenant {
         id: TenantId,
         cfg: SktConfig,
         rl: Ranklist,
-        profile: TenantProfile,
         queued_at: Duration,
         now: Duration,
     ) -> Self {
         Tenant {
-            sched: TenantSched {
-                tenant: id,
-                class: profile.class,
-                deadline: profile.deadline,
-                enqueued_at: now,
-                ready_seq: 0,
-            },
+            id,
             base: cfg.name.clone(),
             cfg,
             rl,
@@ -169,9 +151,9 @@ pub struct CheckpointService {
     pub(crate) tenants: BTreeMap<TenantId, Tenant>,
     pub(crate) admission: WaitList,
     pub(crate) queue: EventQueue<ServiceEvent>,
-    /// Runnable tenants, in ready order; the policy picks from here.
+    /// Runnable tenants, in the order they became ready; the policy
+    /// picks from here.
     ready: Vec<TenantId>,
-    ready_seq: u64,
     /// Tenant that ran the most recent slice (policy stickiness).
     last: Option<TenantId>,
     pub(crate) reports: Vec<TenantReport>,
@@ -184,7 +166,7 @@ impl CheckpointService {
     pub fn new(cluster: Arc<Cluster>, cfg: ServiceConfig) -> Self {
         let cc = cluster.config();
         let compute: Vec<NodeId> = (0..cc.nodes).filter(|&n| cluster.node_usable(n)).collect();
-        let pool = ServicePool::new(compute, cluster.spares_left(), cfg.node_mem_bytes);
+        let pool = ServicePool::new(compute, cluster.spares_left());
         Self::over(cluster, cfg, pool, false)
     }
 
@@ -203,7 +185,6 @@ impl CheckpointService {
             admission: WaitList::default(),
             queue: EventQueue::new(),
             ready: Vec::new(),
-            ready_seq: 0,
             last: None,
             reports: Vec::new(),
         }
@@ -226,8 +207,8 @@ impl CheckpointService {
                 .next_at()
                 .is_some_and(|at| at <= self.cluster.now())
             {
-                let (at, ev) = self.queue.pop().expect("peeked non-empty");
-                self.dispatch(at, ev);
+                let (_, ev) = self.queue.pop().expect("peeked non-empty");
+                self.dispatch(ev);
             }
             if self.ready.is_empty() {
                 // idle: advance the clock to the next event, or stop
@@ -238,19 +219,10 @@ impl CheckpointService {
                 if at > now {
                     self.cluster.runtime().advance(at - now);
                 }
-                self.dispatch(at, ev);
+                self.dispatch(ev);
                 continue;
             }
-            if self.cfg.defrag {
-                self.maybe_defrag();
-            }
-            let ready = self.ready.iter();
-            let scheds: Vec<TenantSched> = ready.map(|id| self.tenants[id].sched.clone()).collect();
-            let pick = self.cfg.schedule.next(&SchedState {
-                now: self.cluster.now(),
-                last: self.last,
-                ready: &scheds,
-            });
+            let pick = self.cfg.schedule.next(&self.ready, self.last);
             self.ready.retain(|&t| t != pick);
             self.last = Some(pick);
             self.step_tenant(pick);
@@ -263,22 +235,19 @@ impl CheckpointService {
         }
     }
 
-    fn dispatch(&mut self, at: Duration, ev: ServiceEvent) {
+    /// Deliver one event. A `Ready` event is always pushed at the
+    /// current clock, so appending it keeps the ready set FIFO.
+    fn dispatch(&mut self, ev: ServiceEvent) {
         match ev {
             ServiceEvent::Storm(tf) => self.apply_timed(tf),
             ServiceEvent::Ready(id) => {
-                if let Some(t) = self.tenants.get_mut(&id) {
-                    if !self.ready.contains(&id) {
-                        t.sched.enqueued_at = at;
-                        t.sched.ready_seq = self.ready_seq;
-                        self.ready_seq += 1;
-                        self.ready.push(id);
-                    }
+                if self.tenants.contains_key(&id) && !self.ready.contains(&id) {
+                    self.ready.push(id);
                 }
             }
             ServiceEvent::Resize { name, target } => {
                 if let Some(t) = self.tenants.values_mut().find(|t| t.base == name) {
-                    t.elastic.request(PendingResize::Target(target));
+                    t.elastic.request(target);
                 }
             }
         }
@@ -328,7 +297,7 @@ impl CheckpointService {
         if dead == 0 {
             return Ok(());
         }
-        match self.pool.draw_spares(tenant.sched.tenant, dead) {
+        match self.pool.draw_spares(tenant.id, dead) {
             Ok(_) => {}
             Err(e @ ArbitrationError::WouldStarve { .. }) => {
                 return Err(Refusal::SpareContention(e));
@@ -345,8 +314,7 @@ impl CheckpointService {
             // die too; the ledger learns it here)
             Err(_) => return Err(Refusal::OutOfSpares),
         }
-        self.pool
-            .reassign(tenant.sched.tenant, node_set(&tenant.rl));
+        self.pool.reassign(tenant.id, node_set(&tenant.rl));
         Ok(())
     }
 
@@ -531,7 +499,7 @@ impl CheckpointService {
     /// old-epoch leftovers are audited exactly like live ones.
     fn finish(&mut self, tenant: Tenant, outcome: TenantOutcome) {
         let now = self.cluster.now();
-        let id = tenant.sched.tenant;
+        let id = tenant.id;
         let prefix_slash = format!("{}/", tenant.base);
         let prefix_epoch = format!("{}@", tenant.base);
         let shard: Vec<NodeId> = match self.pool.nodes_of(id) {
@@ -701,40 +669,6 @@ pub(crate) mod tests {
         let a = rep.tenant("a").unwrap().finished_at;
         let b = rep.tenant("b").unwrap().finished_at;
         assert!(b > a, "registration order round-robin: a finishes first");
-    }
-
-    #[test]
-    fn priority_policy_runs_the_higher_class_to_completion_first() {
-        let mut svc = service(4, 0, 3, PolicySpec::Priority { aging_us: 0 });
-        svc.register_profiled(
-            tenant_cfg("low", 32),
-            2,
-            0,
-            TenantProfile {
-                class: 0,
-                deadline: None,
-            },
-        )
-        .unwrap();
-        svc.register_profiled(
-            tenant_cfg("high", 32),
-            2,
-            0,
-            TenantProfile {
-                class: 5,
-                deadline: None,
-            },
-        )
-        .unwrap();
-        let rep = svc.run(&StormPlan::none());
-        let low = rep.tenant("low").unwrap();
-        let high = rep.tenant("high").unwrap();
-        assert!(matches!(low.outcome, TenantOutcome::Completed(_)));
-        assert!(matches!(high.outcome, TenantOutcome::Completed(_)));
-        assert!(
-            high.finished_at < low.finished_at,
-            "class 5 preempts class 0 even though it registered second"
-        );
     }
 
     #[test]
