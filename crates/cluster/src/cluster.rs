@@ -4,6 +4,7 @@
 use crate::events::{Event, EventBus};
 use crate::failure::{FailureInjector, Fault, FaultAction, FaultPlan, GrayKind, Region};
 use crate::net::NetModel;
+use crate::pool::BufferPool;
 use crate::shm::{SegmentData, ShmStore};
 use crate::suspicion::{ProbeVerdict, Suspicion, SuspicionMonitor};
 use parking_lot::Mutex;
@@ -54,6 +55,8 @@ struct GrayState {
 pub struct Cluster {
     config: ClusterConfig,
     shm: Vec<ShmStore>,
+    /// Recycled node memory and stripe buffers (see [`BufferPool`]).
+    pool: BufferPool,
     alive: Mutex<Vec<bool>>,
     spare_pool: Mutex<Vec<NodeId>>,
     job_abort: AtomicBool,
@@ -95,6 +98,7 @@ impl Cluster {
         Cluster {
             config,
             shm: (0..total).map(|_| ShmStore::new()).collect(),
+            pool: BufferPool::new(),
             alive: Mutex::new(vec![true; total]),
             spare_pool: Mutex::new((config.nodes..total).collect()),
             job_abort: AtomicBool::new(false),
@@ -370,6 +374,12 @@ impl Cluster {
         &self.shm[node]
     }
 
+    /// The cluster's buffer pool: where a powered-off node's segment
+    /// payloads go and new segments and engine stripes come from.
+    pub fn pool(&self) -> &BufferPool {
+        &self.pool
+    }
+
     /// Network model used for modeled-time estimates.
     pub fn net(&self) -> NetModel {
         self.net
@@ -399,7 +409,10 @@ impl Cluster {
 
     /// Power off a node: its memory (SHM included) is destroyed and the
     /// whole running job aborts, which is what every mainstream MPI
-    /// runtime does on a node loss (§1 of the paper).
+    /// runtime does on a node loss (§1 of the paper). Destroyed means
+    /// unreachable: the segment table is cleared and stale handles see
+    /// empty payloads, while the payloads themselves are recycled into
+    /// [`Self::pool`] for the spares that replace the node.
     pub fn kill_node(&self, node: NodeId) {
         {
             let mut alive = self.alive.lock();
@@ -408,7 +421,7 @@ impl Cluster {
             }
             alive[node] = false;
         }
-        self.shm[node].wipe();
+        self.shm[node].wipe(&self.pool);
         self.job_abort.store(true, Ordering::SeqCst);
         // parked peers must wake to observe the abort
         self.runtime.notify();

@@ -32,6 +32,10 @@
 //! * **The cluster itself** ([`cluster`]): node inventory, spare pool,
 //!   rank-to-node mapping (the `ranklist` of §5.2), and MPI-style
 //!   whole-job abort on node failure.
+//! * **A buffer pool** ([`pool`]): the cluster's one store of recycled
+//!   `f64` buffers — a powered-off node's memory becomes a spare's
+//!   segments, and the checkpoint engine's stripes come from and go back
+//!   to it, so neither is page-faulted in afresh.
 //! * **Multi-tenant service substrate** ([`service`]): disjoint shard
 //!   placement over a common node pool, admission control with a FIFO
 //!   wait queue, reservation-aware spare arbitration, and the
@@ -41,6 +45,7 @@ pub mod cluster;
 pub mod events;
 pub mod failure;
 pub mod net;
+pub mod pool;
 pub mod service;
 pub mod shm;
 pub mod storage;
@@ -52,6 +57,7 @@ pub use failure::{
     segment_name, FailureInjector, FailurePlan, Fault, FaultAction, FaultPlan, GrayKind, Region,
 };
 pub use net::NetModel;
+pub use pool::BufferPool;
 pub use service::{
     Admission, AdmitError, ArbitrationError, EventQueue, ReleaseAudit, ReshapeError, ResizePlan,
     ServicePool, SpareGrant, TenantId, TenantSpec,

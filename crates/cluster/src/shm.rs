@@ -10,8 +10,15 @@
 //! headers / serialized state) so application code works on `f64` slices
 //! directly — the workspace *is* the checkpoint, per the self-checkpoint
 //! design.
+//!
+//! Power-off ([`ShmStore::wipe`]) clears the table and hands every `F64`
+//! payload to the cluster's [`BufferPool`], leaving an empty payload
+//! behind for any stale handle: the dead node's memory becomes the next
+//! spare's segments (which start all-zero all the same) instead of being
+//! returned to the OS and page-faulted in again.
 
 use crate::failure::Fault;
+use crate::pool::BufferPool;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -212,26 +219,21 @@ impl ShmStore {
         self.segments.lock().keys().cloned().collect()
     }
 
-    /// Power-off: drop the whole segment table, and best-effort clear the
-    /// payloads of segments nobody holds locked. The table clear is what
-    /// matters semantically (no restarted rank can ever re-attach); the
-    /// payload clear additionally makes stale handles observe the data
-    /// loss. Clearing uses `try_write` so that a *dying* rank that still
-    /// holds a guard on its own segment (e.g. mid-encode) cannot deadlock
-    /// the power-off.
-    pub fn wipe(&self) {
+    /// Power-off: drop the whole segment table, and best-effort take the
+    /// payloads of segments nobody holds locked, `F64` ones into `pool`.
+    /// The table clear is what matters semantically (no restarted rank
+    /// can ever re-attach); taking the payloads additionally makes stale
+    /// handles observe the data loss (an empty payload) and recycles the
+    /// node's memory. It uses `try_write` so that a *dying* rank that
+    /// still holds a guard on its own segment (e.g. mid-encode) cannot
+    /// deadlock the power-off.
+    pub fn wipe(&self, pool: &BufferPool) {
         let mut map = self.segments.lock();
         for seg in map.values() {
             if let Some(mut g) = seg.try_write() {
                 match &mut *g {
-                    SegmentData::F64(v) => {
-                        v.clear();
-                        v.shrink_to_fit();
-                    }
-                    SegmentData::Bytes(v) => {
-                        v.clear();
-                        v.shrink_to_fit();
-                    }
+                    SegmentData::F64(v) => pool.give(std::mem::take(v)),
+                    SegmentData::Bytes(v) => *v = Vec::new(),
                 }
             }
         }
@@ -285,7 +287,7 @@ mod tests {
     fn wipe_clears_even_held_handles() {
         let store = ShmStore::new();
         let (seg, _) = store.get_or_create("m", || SegmentData::F64(vec![1.0; 4]));
-        store.wipe();
+        store.wipe(&BufferPool::new());
         assert!(store.is_empty());
         assert!(
             seg.read().as_f64().is_empty(),

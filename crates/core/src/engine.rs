@@ -23,26 +23,69 @@
 //! the lost *data*. Phase B re-encodes the lost ranks' *parity* from
 //! the now complete group data, folding only into the accumulators
 //! that end at a lost rank.
+//!
+//! Every stripe buffer the engine starts — a ring's step-0
+//! accumulators ([`ErasureCodec::contribs_into`]), a syndrome's copy (for
+//! a second lost holder, or of the owner's parity stripe when no survivor
+//! folded into it) and a lost rank's solve output
+//! ([`ErasureCodec::solve_at_into`]) — is a [`BufferPool`] buffer,
+//! overwritten whole before it is read. Payloads move through the
+//! channels, so a buffer goes back to the pool where it ends up:
+//! delivered parity once the protocol has committed and flushed it, or
+//! `verify_integrity` has compared it; a lost rank's rebuilt stripes and
+//! the syndromes its solves consumed once `fill_stripes` has stored them.
+//! That is past the rebuild's closing agreement, so every rank's takes
+//! precede every give and the loan peak does not depend on the schedule.
+//! A buffer dropped on a fault path is simply freed.
 
+use skt_cluster::BufferPool;
 use skt_encoding::{kernels, ErasureCodec, GroupLayout, KernelConfig, Wire};
 use skt_mps::{Comm, Fault, Payload};
 
 /// Rebuilt `(padded data, parity segment)` of a lost rank.
 pub type Rebuilt = (Vec<f64>, Vec<f64>);
 
-/// A lost rank's rebuilt `(data stripes, parity stripes)` — its `n − m`
-/// data stripes in stripe order and its `m` parity stripes in role
-/// order, each `layout.stripe_len()` long, exactly as the solve and the
-/// ring delivered them.
-pub(crate) type RebuiltStripes = (Vec<Vec<f64>>, Vec<Vec<f64>>);
+/// A lost rank's rebuild in pool buffers `layout.stripe_len()` long: its
+/// `n − m` data stripes in stripe order and its `m` parity stripes in
+/// role order, as the solves and the ring delivered them, and the spent
+/// syndromes the solves consumed.
+pub(crate) struct RebuiltStripes {
+    pub(crate) data: Vec<Vec<f64>>,
+    pub(crate) parity: Vec<Vec<f64>>,
+    pub(crate) syndromes: Vec<Vec<f64>>,
+}
+
+impl RebuiltStripes {
+    /// Every buffer, for [`give_back`].
+    pub(crate) fn into_buffers(self) -> impl Iterator<Item = Vec<f64>> {
+        self.data
+            .into_iter()
+            .chain(self.parity)
+            .chain(self.syndromes)
+    }
+}
+
+/// The buffer pool of the cluster `comm` runs on.
+fn pool<'a>(comm: &'a Comm<'_>) -> &'a BufferPool {
+    comm.ctx().cluster().pool()
+}
+
+/// A pooled copy of `src`.
+fn pooled_copy(pool: &BufferPool, src: &[f64], kcfg: KernelConfig) -> Vec<f64> {
+    let mut copy = pool.take(src.len());
+    kernels::copy(&mut copy, src, kcfg);
+    copy
+}
 
 /// Fold the data stripe at codeword position `pos` of its slot into the
 /// in-flight accumulators of the parity roles `roles` (indices into
 /// `accs`): the cancelling contributions when `cancel`. An accumulator
-/// still at the identity receives the contribution itself; the others
-/// are updated in place, all from one read of the stripe.
+/// still at the identity receives the contribution itself, written into
+/// a buffer from `pool`; the others are updated in place, all from one
+/// read of the stripe.
 fn fold_stripe(
     codec: &dyn ErasureCodec,
+    pool: &BufferPool,
     pos: usize,
     roles: &[usize],
     stripe: &[f64],
@@ -66,10 +109,10 @@ fn fold_stripe(
         .copied()
         .filter(|role| !live.contains(role))
         .collect();
-    for (&role, c) in fresh
-        .iter()
-        .zip(codec.contribs(&fresh, pos, stripe, cancel, kcfg))
-    {
+    let mut started: Vec<Vec<f64>> = fresh.iter().map(|_| pool.take(stripe.len())).collect();
+    let mut outs: Vec<&mut [f64]> = started.iter_mut().map(Vec::as_mut_slice).collect();
+    codec.contribs_into(&fresh, pos, stripe, cancel, &mut outs, kcfg);
+    for (&role, c) in fresh.iter().zip(started) {
         accs[role] = Payload::F64(c);
     }
 }
@@ -88,7 +131,8 @@ fn stripe_in_slot(layout: &GroupLayout, me: usize, s: usize) -> (usize, usize) {
 
 /// This rank's freshly encoded parity stripes, one per parity role in
 /// role order (each `layout.stripe_len()` long), exactly as the ring
-/// delivered them: [`encode_parity`] without the assembly copy.
+/// delivered them: [`encode_parity`] without the assembly copy. They are
+/// pool buffers; the caller gives them back when done.
 ///
 /// `with_data` lends the padded data buffer to one ring fold at a time,
 /// so whatever guards the buffer is released before the fold's probe and
@@ -106,12 +150,14 @@ pub(crate) fn encode_parity_stripes(
     assert_eq!(n, layout.group_size(), "comm/layout size mismatch");
     assert_eq!(m, layout.parity_count(), "codec/layout parity mismatch");
     let me = comm.rank();
+    let pool = pool(comm);
     let probe = || failpoint.map_or(Ok(()), |label| comm.ctx().failpoint(label));
     let roles: Vec<usize> = (0..m).collect();
     let delivered = comm.reduce_scatter(m, |s, accs| {
         let (k, pos) = stripe_in_slot(layout, me, s);
         with_data(&mut |data| {
-            fold_stripe(codec, pos, &roles, layout.stripe(data, k), false, accs)
+            let stripe = layout.stripe(data, k);
+            fold_stripe(codec, pool, pos, &roles, stripe, false, accs)
         })?;
         probe()
     })?;
@@ -144,7 +190,18 @@ pub fn encode_parity(
         fold(data);
         Ok(())
     };
-    Ok(encode_parity_stripes(comm, layout, codec, lend, failpoint)?.concat())
+    let stripes = encode_parity_stripes(comm, layout, codec, lend, failpoint)?;
+    let parity = stripes.concat();
+    give_back(comm, stripes);
+    Ok(parity)
+}
+
+/// Return stripes the engine handed out to the pool of `comm`'s cluster.
+pub(crate) fn give_back(comm: &Comm<'_>, stripes: impl IntoIterator<Item = Vec<f64>>) {
+    let pool = pool(comm);
+    for s in stripes {
+        pool.give(s);
+    }
 }
 
 /// User tag of the finished syndrome of `role` in slot `s` on its way
@@ -171,7 +228,8 @@ fn syndrome_tag(layout: &GroupLayout, s: usize, role: usize) -> u64 {
 /// and the caller agrees on what the lenders saw after this returns.
 ///
 /// At most `codec.parity_count()` ranks may be lost. Returns
-/// `Some(stripes)` at each lost rank, `None` elsewhere.
+/// `Some(stripes)` at each lost rank, `None` elsewhere; the stripes are
+/// pool buffers, which the caller gives back once it has stored them.
 pub(crate) fn reconstruct_stripes(
     comm: &Comm<'_>,
     layout: &GroupLayout,
@@ -196,6 +254,7 @@ pub(crate) fn reconstruct_stripes(
     let me = comm.rank();
     let i_am_lost = lost.contains(&me);
     let kcfg = KernelConfig::global();
+    let pool = pool(comm);
 
     // Per slot: the lost ranks holding data there (ascending, so their
     // codeword positions ascend too), and as many surviving parity
@@ -227,9 +286,10 @@ pub(crate) fn reconstruct_stripes(
         }
         let (k, pos) = stripe_in_slot(layout, me, s);
         with_data(k, &mut |stripe| {
-            fold_stripe(codec, pos, &roles, stripe, true, accs)
+            fold_stripe(codec, pool, pos, &roles, stripe, true, accs)
         })
     })?;
+    let mut spent = Vec::new();
     let rebuilt_data = if i_am_lost {
         // … a lost rank takes the finished syndromes of every slot it
         // held data in and solves for its own stripe …
@@ -250,7 +310,10 @@ pub(crate) fn reconstruct_stripes(
                 .iter()
                 .position(|&pos| pos == my_pos)
                 .expect("a lost data holder is among the erased positions");
-            mine[k] = codec.solve_at(&erased, at, &finished, kcfg);
+            let mut stripe = pool.take(layout.stripe_len());
+            codec.solve_at_into(&erased, at, &finished, &mut stripe, kcfg);
+            spent.extend(finished.into_iter().map(|(_, syndrome)| syndrome));
+            mine[k] = stripe;
         }
         Some(mine)
     } else {
@@ -262,20 +325,21 @@ pub(crate) fn reconstruct_stripes(
                 continue;
             }
             with_parity(role, &mut |parity| match (&mut acc, codec.wire()) {
-                (Payload::Empty, _) => acc = Payload::F64(parity.to_vec()),
+                (Payload::Empty, _) => acc = Payload::F64(pooled_copy(pool, parity, kcfg)),
                 (Payload::F64(a), Wire::Bits) => kernels::xor_accumulate(a, parity, kcfg),
                 (Payload::F64(a), Wire::Floats) => kernels::sum_accumulate(a, parity, kcfg),
                 (other, _) => panic!("expected F64 accumulator, got {}", other.kind()),
             })?;
+            let syndrome = acc.into_f64();
             let mut holders = lost_holders(s);
             let last = holders
                 .pop()
                 .expect("a syndrome role implies a lost holder");
             let tag = syndrome_tag(layout, s, role);
             for l in holders {
-                comm.send(l, tag, acc.clone())?;
+                comm.send(l, tag, Payload::F64(pooled_copy(pool, &syndrome, kcfg)))?;
             }
-            comm.send(last, tag, acc)?;
+            comm.send(last, tag, Payload::F64(syndrome))?;
         }
         None
     };
@@ -292,7 +356,7 @@ pub(crate) fn reconstruct_stripes(
             return Ok(());
         }
         let (k, pos) = stripe_in_slot(layout, me, s);
-        let mut fold = |stripe: &[f64]| fold_stripe(codec, pos, &roles, stripe, false, accs);
+        let mut fold = |stripe: &[f64]| fold_stripe(codec, pool, pos, &roles, stripe, false, accs);
         match &rebuilt_data {
             Some(mine) => {
                 fold(&mine[k]);
@@ -301,9 +365,10 @@ pub(crate) fn reconstruct_stripes(
             None => with_data(k, &mut fold),
         }
     })?;
-    Ok(rebuilt_data.map(|data| {
-        let parity = delivered.into_iter().map(Payload::into_f64).collect();
-        (data, parity)
+    Ok(rebuilt_data.map(|data| RebuiltStripes {
+        data,
+        parity: delivered.into_iter().map(Payload::into_f64).collect(),
+        syndromes: spent,
     }))
 }
 
@@ -337,7 +402,11 @@ pub fn reconstruct_multi(
         Ok(())
     };
     let rebuilt = reconstruct_stripes(comm, layout, codec, lost, lend_data, lend_parity)?;
-    Ok(rebuilt.map(|(data, parity)| (data.concat(), parity.concat())))
+    Ok(rebuilt.map(|stripes| {
+        let flat = (stripes.data.concat(), stripes.parity.concat());
+        give_back(comm, stripes.into_buffers());
+        flat
+    }))
 }
 
 #[cfg(test)]
@@ -779,7 +848,9 @@ mod tests {
                         };
                         let flat = reconstruct_multi(&w, &layout, codec, &lost, &d, &p)?;
                         assert_eq!(
-                            stripes.as_ref().map(|(d, p)| (d.concat(), p.concat())),
+                            stripes
+                                .as_ref()
+                                .map(|r| (r.data.concat(), r.parity.concat())),
                             flat,
                             "{tag}: rank {me}: the wrapper is the stripes, concatenated"
                         );

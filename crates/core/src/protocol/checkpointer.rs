@@ -19,7 +19,7 @@ use skt_encoding::{ErasureCodec, GroupLayout};
 use skt_mps::{Comm, Fault, Payload, ReduceOp};
 use std::time::Duration;
 
-use crate::engine::encode_parity_stripes;
+use crate::engine::{encode_parity_stripes, give_back};
 
 /// An in-flight phase observation; [`PhaseSpan::end`] emits the matching
 /// [`Event::PhaseExit`].
@@ -100,14 +100,17 @@ impl<'c> Checkpointer<'c> {
         let bus = ctx.cluster().events().clone();
         let me = ctx.world_rank();
         let shm = ctx.shm();
+        let pool = ctx.cluster().pool();
         let seg_name = |part: &str| segment_name(&cfg.name, me, part);
 
         let mut segs: [Option<ShmSegment>; SLOTS] = Default::default();
         let mut attached = false;
         for (r, is_parity) in table.regions() {
             let len = if is_parity { parity } else { padded };
-            let (seg, found) =
-                shm.get_or_create(&seg_name(r.suffix()), || SegmentData::F64(vec![0.0; len]));
+            // a powered-off node's memory, zeroed, when the pool has it
+            let (seg, found) = shm.get_or_create(&seg_name(r.suffix()), || {
+                SegmentData::F64(pool.take_zeroed(len))
+            });
             if r == Region::Work {
                 attached = found;
             }
@@ -277,7 +280,8 @@ impl<'c> Checkpointer<'c> {
     }
 
     /// This group's parity of region `r`'s contents (one ring
-    /// reduce-scatter), one stripe per role this rank owns. When `probe`
+    /// reduce-scatter), one stripe per role this rank owns, in pool
+    /// buffers the caller gives back (`engine::give_back`). When `probe`
     /// is set the failure probe fires after each ring fold and each
     /// delivered stripe — `n` times per call. The region's read guard is
     /// taken per fold and dropped before the probe: a corrupt plan firing
@@ -565,6 +569,7 @@ impl<'c> Checkpointer<'c> {
                 .zip(c.try_as_f64()?)
                 .all(|(a, b)| a.to_bits() == b.to_bits())
         };
+        give_back(&self.comm, parity);
         let verdict = self
             .comm
             .allreduce(ReduceOp::Min, Payload::I64(vec![ok as i64]))?

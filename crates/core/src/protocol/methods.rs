@@ -21,6 +21,7 @@ use super::ops::{
 use super::planner::HeaderMaxima;
 use super::table::{Pair, BC, B_X, WORK_X};
 use super::{Checkpointer, CkptStats, Phase, RecoverError, RestoreSource, RECOVER_COMMIT_PROBE};
+use crate::engine::give_back;
 use crate::memory::Method;
 use skt_cluster::Region;
 use skt_mps::Fault;
@@ -64,6 +65,7 @@ impl<'c> Checkpointer<'c> {
         sp.end();
         let encode = t0.elapsed();
         let flush = self.commit_d_then_flush(e, &d_fill, Pass::Make)?;
+        give_back(&self.comm, parity);
         Ok(self.stats(e, encode, flush))
     }
 
@@ -175,6 +177,7 @@ impl<'c> Checkpointer<'c> {
         let _h = self.seal(ops::prepare(
             HeaderCommit::after(pair.word, e, &copy).also_after(&encoded),
         ))?;
+        give_back(&self.comm, parity);
         Ok(self.stats(e, encode, flush))
     }
 

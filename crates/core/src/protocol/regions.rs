@@ -11,7 +11,7 @@
 
 use super::table::{slot, Pair, SLOTS};
 use super::{Checkpointer, RecoverError, RECOVER_REBUILD_PROBE};
-use crate::engine::reconstruct_stripes;
+use crate::engine::{give_back, reconstruct_stripes};
 use skt_cluster::{Event, Region, ShmSegment};
 use skt_encoding::{copy_with_stripe_crcs, crc32c_f64, stripe_crcs, KernelConfig};
 use skt_mps::{Fault, Payload};
@@ -150,9 +150,10 @@ impl<'c> Checkpointer<'c> {
         // itself a sequenced op (`ops::RebuildOp`), and its fills + CRC
         // refresh form that op's single apply step.
         #[allow(clippy::disallowed_methods)]
-        if let Some((data, parity)) = rebuilt {
-            self.fill_stripes(data_r, &data_seg, &data)?;
-            self.fill_stripes(parity_r, &parity_seg, &parity)?;
+        if let Some(stripes) = rebuilt {
+            self.fill_stripes(data_r, &data_seg, &stripes.data)?;
+            self.fill_stripes(parity_r, &parity_seg, &stripes.parity)?;
+            give_back(&self.comm, stripes.into_buffers());
         }
         self.probe(RECOVER_REBUILD_PROBE)?;
         Ok(())

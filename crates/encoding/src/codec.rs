@@ -3,8 +3,9 @@
 //!
 //! * the GF(2^8) linear code of [`crate::rs`], which serves every
 //!   XOR-wire spec ([`CodecSpec::Single`]`(`[`Code::Xor`]`)`,
-//!   [`CodecSpec::Dual`], [`CodecSpec::Rs`]) through one `contrib` and
-//!   one `solve`, differing only in the generator row;
+//!   [`CodecSpec::Dual`], [`CodecSpec::Rs`]) through one
+//!   `contribs_into` and one `solve_into`, differing only in the
+//!   generator row;
 //! * the paper's numeric [`Code::Sum`] single parity, a different
 //!   algebra (float add, negate to cancel) with its own tiny codec.
 //!
@@ -13,20 +14,25 @@
 //! the group by a ring reduce-scatter. A codec therefore only supplies
 //! local math —
 //!
-//! * [`ErasureCodec::contribs`]: what a slot's first contributor starts
-//!   the reductions with — its data stripe pre-scaled by each role's
-//!   generator coefficient (so the combine itself stays a plain bitwise
-//!   XOR), every requested role produced from one cache-blocked read of
-//!   the stripe; or the contributions that *remove* a previously encoded
-//!   stripe from the parity accumulations — recovery builds per-role
-//!   syndromes this way. [`ErasureCodec::contrib`] is its one-role
-//!   encode form;
+//! * [`ErasureCodec::contribs_into`]: what a slot's first contributor
+//!   starts the reductions with — its data stripe pre-scaled by each
+//!   role's generator coefficient (so the combine itself stays a plain
+//!   bitwise XOR), every requested role produced from one cache-blocked
+//!   read of the stripe; or the contributions that *remove* a
+//!   previously encoded stripe from the parity accumulations — recovery
+//!   builds per-role syndromes this way;
 //! * [`ErasureCodec::accumulate`]: what every later contributor does —
 //!   the same contributions combined straight into the accumulators it
 //!   was handed, the scale fused into the combine, again from one read
 //!   of the stripe and with no contribution buffer in between;
-//! * [`ErasureCodec::solve`]: the local solve turning surviving-role
-//!   syndromes into the erased data stripes.
+//! * [`ErasureCodec::solve_into`]: the local solve turning
+//!   surviving-role syndromes into the erased data stripes, or into the
+//!   one a lost rank keeps ([`ErasureCodec::solve_at_into`]).
+//!
+//! The `_into` forms overwrite buffers the caller owns — in a cluster,
+//! recycled ones from its buffer pool. [`ErasureCodec::contribs`],
+//! [`ErasureCodec::contrib`] and [`ErasureCodec::solve`] are thin
+//! allocating wrappers over them for callers without a pool.
 //!
 //! All buffer loops run on the chunked [`crate::kernels`] engine.
 //! Configuration enters through [`CodecSpec`], the plain-data selector
@@ -35,6 +41,7 @@
 use crate::code::Code;
 use crate::kernels::{self, KernelConfig};
 use crate::rs::{self, GfCodec};
+use std::ops::Range;
 use std::sync::OnceLock;
 
 /// How a codec's reduce contributions travel and combine on the wire.
@@ -72,12 +79,26 @@ pub trait ErasureCodec: Sync + Send {
     fn wire(&self) -> Wire;
 
     /// The contributions of the data stripe at codeword position `pos`
-    /// to the parity roles `roles` of its slot, one buffer per role in
-    /// `roles` order, all produced from one cache-blocked read of
-    /// `stripe`. With `cancel` they are the contributions that take the
+    /// to the parity roles `roles` of its slot, written over `outs` (one
+    /// buffer per role in `roles` order, each as long as `stripe`), all
+    /// produced from one cache-blocked read of `stripe`. Every element
+    /// of every output is overwritten, so the outputs may be recycled
+    /// buffers. With `cancel` they are the contributions that take the
     /// stripe back *out* of those roles (syndrome building during
     /// recovery); XOR is self-inverse, so for [`Wire::Bits`] codecs
     /// cancelling is re-contributing.
+    fn contribs_into(
+        &self,
+        roles: &[usize],
+        pos: usize,
+        stripe: &[f64],
+        cancel: bool,
+        outs: &mut [&mut [f64]],
+        cfg: KernelConfig,
+    );
+
+    /// [`ErasureCodec::contribs_into`] into fresh buffers, one per role
+    /// in `roles` order.
     fn contribs(
         &self,
         roles: &[usize],
@@ -85,7 +106,15 @@ pub trait ErasureCodec: Sync + Send {
         stripe: &[f64],
         cancel: bool,
         cfg: KernelConfig,
-    ) -> Vec<Vec<f64>>;
+    ) -> Vec<Vec<f64>> {
+        let mut outs: Vec<Vec<f64>> = roles
+            .iter()
+            .map(|_| kernels::zeroed(stripe.len()))
+            .collect();
+        let mut bufs: Vec<&mut [f64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+        self.contribs_into(roles, pos, stripe, cancel, &mut bufs, cfg);
+        outs
+    }
 
     /// Fold the contributions of the data stripe at codeword position
     /// `pos` into the in-flight accumulators of the parity roles
@@ -113,38 +142,63 @@ pub trait ErasureCodec: Sync + Send {
             .expect("one contribution per role")
     }
 
-    /// Solve for the erased codeword positions `erased` (ascending)
-    /// given the syndromes of the surviving parity roles. A syndrome is
-    /// the role's parity combined with the cancel-contributions of every
-    /// *surviving* data stripe, so it equals the combination of the
-    /// erased stripes' contributions alone. Returns one rebuilt stripe
-    /// per entry of `erased`, in the same order.
+    /// Solve for the erased codeword positions `erased[rows]`, written
+    /// over `outs` (one buffer per row, each as long as a syndrome;
+    /// every element overwritten), given the syndromes of the surviving
+    /// parity roles. A syndrome is the role's parity combined with the
+    /// cancel-contributions of every *surviving* data stripe, so it
+    /// equals the combination of the erased stripes' contributions
+    /// alone. `erased` is the whole ascending erasure set, whichever
+    /// rows are asked for: a lost rank rebuilds only its own
+    /// ([`ErasureCodec::solve_at_into`]), and a codec whose solve costs a
+    /// pass per rebuilt stripe skips the others.
     ///
     /// # Panics
     ///
     /// If `erased.len() > parity_count()` or the surviving roles cannot
     /// determine the erased stripes — callers rule that out from group
     /// membership before recovery.
+    fn solve_into(
+        &self,
+        erased: &[usize],
+        rows: Range<usize>,
+        syndromes: &[(usize, Vec<f64>)],
+        outs: &mut [&mut [f64]],
+        cfg: KernelConfig,
+    );
+
+    /// [`ErasureCodec::solve_into`] for every erased position, into
+    /// fresh buffers in `erased` order.
     fn solve(
         &self,
         erased: &[usize],
         syndromes: &[(usize, Vec<f64>)],
         cfg: KernelConfig,
-    ) -> Vec<Vec<f64>>;
+    ) -> Vec<Vec<f64>> {
+        let len = syndromes.first().map_or(0, |(_, s)| s.len());
+        let mut outs: Vec<Vec<f64>> = erased.iter().map(|_| kernels::zeroed(len)).collect();
+        let mut bufs: Vec<&mut [f64]> = outs.iter_mut().map(Vec::as_mut_slice).collect();
+        self.solve_into(erased, 0..erased.len(), syndromes, &mut bufs, cfg);
+        outs
+    }
 
-    /// [`ErasureCodec::solve`] for the one erased position `erased[at]`
-    /// — what a lost rank runs: of a slot's erased stripes it keeps only
-    /// its own. Bit for bit `solve(erased, syndromes, cfg)[at]`, which
-    /// is also the default; a codec whose solve costs a pass per rebuilt
-    /// stripe overrides it to skip the others.
-    fn solve_at(
+    /// [`ErasureCodec::solve_into`] for the one erased position
+    /// `erased[at]` — what a lost rank runs: of a slot's erased stripes
+    /// it keeps only its own.
+    fn solve_at_into(
         &self,
         erased: &[usize],
         at: usize,
         syndromes: &[(usize, Vec<f64>)],
+        out: &mut [f64],
         cfg: KernelConfig,
-    ) -> Vec<f64> {
-        self.solve(erased, syndromes, cfg).swap_remove(at)
+    ) {
+        assert!(
+            at < erased.len(),
+            "{}: no erased position {at}",
+            self.name()
+        );
+        self.solve_into(erased, at..at + 1, syndromes, &mut [out], cfg);
     }
 }
 
@@ -238,25 +292,24 @@ impl ErasureCodec for SumCodec {
         Wire::Floats
     }
 
-    fn contribs(
+    fn contribs_into(
         &self,
         roles: &[usize],
         _pos: usize,
         stripe: &[f64],
         cancel: bool,
+        outs: &mut [&mut [f64]],
         cfg: KernelConfig,
-    ) -> Vec<Vec<f64>> {
-        roles
-            .iter()
-            .map(|&role| {
-                assert_eq!(role, 0, "single parity has one role");
-                if cancel {
-                    kernels::negated(stripe, cfg)
-                } else {
-                    stripe.to_vec()
-                }
-            })
-            .collect()
+    ) {
+        assert_eq!(roles.len(), outs.len(), "one output per role");
+        for (&role, out) in roles.iter().zip(outs) {
+            assert_eq!(role, 0, "single parity has one role");
+            if cancel {
+                kernels::negate_into(out, stripe, cfg);
+            } else {
+                kernels::copy(out, stripe, cfg);
+            }
+        }
     }
 
     fn accumulate(
@@ -280,22 +333,26 @@ impl ErasureCodec for SumCodec {
         }
     }
 
-    fn solve(
+    fn solve_into(
         &self,
         erased: &[usize],
+        rows: Range<usize>,
         syndromes: &[(usize, Vec<f64>)],
-        _cfg: KernelConfig,
-    ) -> Vec<Vec<f64>> {
-        match erased {
-            [] => Vec::new(),
-            [_] => {
-                let (role, s) = syndromes
-                    .first()
-                    .expect("single parity: the parity role must survive");
-                assert_eq!(*role, 0);
-                vec![s.clone()]
-            }
-            _ => panic!("SUM corrects at most 1 erasures, got {}", erased.len()),
+        outs: &mut [&mut [f64]],
+        cfg: KernelConfig,
+    ) {
+        assert!(
+            erased.len() <= 1,
+            "SUM corrects at most 1 erasures, got {}",
+            erased.len()
+        );
+        assert_eq!(rows.len(), outs.len(), "one output per row");
+        if let [out] = outs {
+            let (role, s) = syndromes
+                .first()
+                .expect("single parity: the parity role must survive");
+            assert_eq!(*role, 0);
+            kernels::copy(out, s, cfg);
         }
     }
 }

@@ -305,13 +305,15 @@ pub fn copy(dst: &mut [f64], src: &[f64], cfg: KernelConfig) {
     par_zip(cfg, dst, src, |d, s| d.copy_from_slice(s));
 }
 
-/// A fresh all-zero buffer (the codes' identity element). Left to the
-/// allocator on purpose: `vec![0.0; len]` is `calloc`, which maps
-/// untouched zero pages instead of writing zeros. The pages are paid
-/// for on first touch, one fault each: a cold 8 MiB buffer costs
-/// 3.7–4.2 ms to touch on one thread and 7–16 ms per thread with four
-/// rank threads faulting at once (2-vCPU host, ≈ 1–2 ms/MiB) — so a
-/// buffer that is about to be overwritten whole is better not had.
+/// A fresh all-zero buffer (the codes' identity element), for callers
+/// outside a cluster: tests, probes and the codecs' allocating forms.
+/// It is `vec![0.0; len]`, i.e. `calloc`, and that does not make it
+/// cheap. In the steady state of a checkpoint loop glibc has trimmed or
+/// unmapped the last released buffer of this size, so `calloc` returns
+/// fresh pages, each faulted in on first touch: 6.0 ms per 8 MiB on one
+/// thread and 14.4 ms with four rank threads faulting at once (2-vCPU
+/// host), against 0.66 ms to rewrite 8 MiB that is already resident.
+/// Inside a cluster, stripes come from its `BufferPool` instead.
 #[must_use]
 pub fn zeroed(len: usize) -> Vec<f64> {
     vec![0.0; len]
@@ -378,46 +380,34 @@ fn par_zip_each(
     });
 }
 
-/// Byte-wise GF(256) scale of the byte view of `src`, out of place and
-/// multi-coefficient: one fresh buffer `coeffs[i]·src` per coefficient
-/// (the codec's per-role contributions of one data stripe, and the
-/// `D := c·D` steps of the parity solves), all scaled products from
-/// **one** cache-blocked read of `src` — each block is scaled into every
-/// destination while it is cache-hot. A coefficient of 1 is a plain
-/// copy; every other destination starts as the allocator's zero pages
-/// and is written exactly once. GF(2^8) acts on every byte
+/// Byte-wise GF(256) scale of the byte view of `src` into buffers:
+/// `dsts[i] := coeffs[i]·src` for every `i` (the codec's per-role
+/// contributions of one data stripe, and the `D := c·D` steps of the
+/// parity solves), all scaled products from **one** cache-blocked read
+/// of `src` — each block is scaled into every destination while it is
+/// cache-hot. Every destination element is overwritten (a coefficient
+/// of 1 copies, 0 writes zeros), so the destinations' old contents never
+/// matter: they can be recycled buffers. GF(2^8) acts on every byte
 /// independently, so the operation is element-wise, endian-agnostic, and
 /// bit-identical under any chunk/thread partition and any [`SimdMode`]
 /// backend.
-#[must_use]
-pub fn gf_scaled_copies(src: &[f64], coeffs: &[u8], cfg: KernelConfig) -> Vec<Vec<f64>> {
-    let mut outs: Vec<Vec<f64>> = coeffs
-        .iter()
-        .map(|&c| {
-            if c == 1 {
-                src.to_vec()
-            } else {
-                zeroed(src.len())
-            }
-        })
-        .collect();
-    let scaled = outs
+pub fn gf_scale_into(dsts: &mut [&mut [f64]], src: &[f64], coeffs: &[u8], cfg: KernelConfig) {
+    assert_eq!(dsts.len(), coeffs.len(), "one coefficient per destination");
+    let scaled = dsts
         .iter_mut()
         .zip(coeffs)
-        .filter(|(_, &c)| c != 1)
-        .map(|(out, &c)| (out.as_mut_slice(), c))
+        .map(|(dst, &c)| (&mut **dst, c))
         .collect();
     let backend = GfBackend::select(cfg.simd);
     par_zip_each(cfg, scaled, src, |d, s, c| {
         simd::gf_mul_bytes(simd::f64_bytes_mut(d), simd::f64_bytes(s), c, backend);
     });
-    outs
 }
 
 /// Byte-wise GF(256) multiply-accumulate over byte views: `acc ^= c·x`
 /// (the parity accumulates of the RS/dual codes). Element-wise per byte,
 /// so bit-identical under any partition and backend (see
-/// [`gf_scaled_copies`]).
+/// [`gf_scale_into`]).
 pub fn gf_mac(acc: &mut [f64], x: &[f64], c: u8, cfg: KernelConfig) {
     if c == 0 {
         return;
@@ -452,16 +442,13 @@ pub fn gf_mac_multi(accs: &mut [&mut [f64]], x: &[f64], coeffs: &[u8], cfg: Kern
     });
 }
 
-/// Element-wise negation of `src` (the SUM code's cancel-by-reduce trick).
-#[must_use]
-pub fn negated(src: &[f64], cfg: KernelConfig) -> Vec<f64> {
-    let mut out = vec![0.0f64; src.len()];
-    par_zip(cfg, &mut out, src, |d, s| {
+/// `dst := -src` element-wise (the SUM code's cancel-by-reduce trick).
+pub fn negate_into(dst: &mut [f64], src: &[f64], cfg: KernelConfig) {
+    par_zip(cfg, dst, src, |d, s| {
         for (p, q) in d.iter_mut().zip(s) {
             *p = -q;
         }
     });
-    out
 }
 
 #[cfg(test)]
@@ -592,7 +579,8 @@ mod tests {
                 .iter()
                 .zip(&src)
                 .all(|(a, b)| a.to_bits() == b.to_bits()));
-            let neg = negated(&src, cfg);
+            let mut neg = back;
+            negate_into(&mut neg, &src, cfg);
             assert!(neg
                 .iter()
                 .zip(&src)
@@ -624,7 +612,8 @@ mod tests {
             let xb: Vec<u8> = x.iter().flat_map(|v| v.to_le_bytes()).collect();
             gf256::mac_slice(&mut mac_ref, &xb, c);
             for cfg in configs() {
-                let scaled = gf_scaled_copies(&base, &[c], cfg).remove(0);
+                let mut scaled = x.clone();
+                gf_scale_into(&mut [&mut scaled], &base, &[c], cfg);
                 let got: Vec<u8> = scaled.iter().flat_map(|v| v.to_le_bytes()).collect();
                 assert_eq!(got, scale_ref, "scale c={c} cfg {cfg:?}");
 
@@ -755,8 +744,10 @@ mod tests {
         for len in [0usize, 1, 63, 64, 65, 777] {
             let src = data(len, 31);
             for cfg in configs() {
-                let got = gf_scaled_copies(&src, &coeffs, cfg);
-                assert_eq!(got.len(), coeffs.len());
+                // stale destinations: every element must be overwritten
+                let mut got: Vec<Vec<f64>> = coeffs.iter().map(|_| vec![f64::NAN; len]).collect();
+                let mut dsts: Vec<&mut [f64]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+                gf_scale_into(&mut dsts, &src, &coeffs, cfg);
                 for (out, &c) in got.iter().zip(&coeffs) {
                     let mut want: Vec<u8> = src.iter().flat_map(|v| v.to_le_bytes()).collect();
                     gf256::scale_slice(&mut want, c);
@@ -765,7 +756,7 @@ mod tests {
                 }
             }
         }
-        assert!(gf_scaled_copies(&data(5, 1), &[], KernelConfig::serial()).is_empty());
+        gf_scale_into(&mut [], &data(5, 1), &[], KernelConfig::serial());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! tolerate any `m` simultaneous erasures in the slot's codeword. The
 //! paper's BXOR checksum, RAID-6 P+Q and general Reed–Solomon are the
 //! same code with a different generator row, so they share one
-//! `coeff`, one `contrib` and one `solve`.
+//! `coeff`, one `contribs_into` and one `solve_into`.
 //!
 //! # Generators
 //!
@@ -34,7 +34,7 @@
 //! wire combine is plain bitwise XOR ([`Wire::Bits`]), so the reduction
 //! result *is* the parity. The first contributor of a slot produces all
 //! roles from one cache-blocked read of its stripe
-//! ([`kernels::gf_scaled_copies`]); every later one folds its stripe
+//! ([`kernels::gf_scale_into`]); every later one folds its stripe
 //! straight into the accumulators it was handed
 //! ([`kernels::gf_mac_multi`]), the scale fused into the combine.
 //!
@@ -43,7 +43,7 @@
 //! `solve` picks the first `e` surviving role syndromes, inverts the
 //! `e×e` generator submatrix with [`gf256::invert_matrix`]
 //! (Gauss–Jordan over the field), and rebuilds the erased stripes
-//! syndrome by syndrome: [`kernels::gf_scaled_copies`] starts every
+//! syndrome by syndrome: [`kernels::gf_scale_into`] starts every
 //! stripe from one read of the first syndrome, [`kernels::gf_mac_multi`]
 //! adds each further one — the same chunked, SIMD-dispatched kernels as
 //! encoding.
@@ -121,55 +121,6 @@ impl GfCodec {
             .map(|&r| erased.iter().map(|&x| self.coeff(r, x)).collect())
             .collect()
     }
-
-    /// The decode behind `solve` (every row) and `solve_at` (one): the
-    /// rebuilt stripes of the erased positions `erased[rows]`. The
-    /// inversion is of the whole system either way; only the asked-for
-    /// rows are multiplied out.
-    fn solve_rows(
-        &self,
-        erased: &[usize],
-        rows: Range<usize>,
-        syndromes: &[(usize, Vec<f64>)],
-        cfg: KernelConfig,
-    ) -> Vec<Vec<f64>> {
-        let e = erased.len();
-        assert!(
-            e <= self.m,
-            "{} corrects at most {} erasures, got {e}",
-            self.name,
-            self.m
-        );
-        assert!(
-            syndromes.len() >= e,
-            "{}: need {e} surviving roles, have {}",
-            self.name,
-            syndromes.len()
-        );
-        // Any e surviving roles suffice (see module docs); take the
-        // first e.
-        let chosen = &syndromes[..e];
-        let Some((_, first)) = chosen.first() else {
-            return Vec::new();
-        };
-        let roles: Vec<usize> = chosen.iter().map(|(r, _)| *r).collect();
-        let a_inv = gf256::invert_matrix(&self.submatrix(&roles, erased))
-            .expect("generator submatrices are nonsingular by construction");
-        // Column by column: every rebuilt stripe takes its term of one
-        // syndrome from a single read of that syndrome.
-        let column = |j: usize| {
-            a_inv[rows.clone()]
-                .iter()
-                .map(|row| row[j])
-                .collect::<Vec<u8>>()
-        };
-        let mut rebuilt = kernels::gf_scaled_copies(first, &column(0), cfg);
-        for (j, (_, s)) in chosen.iter().enumerate().skip(1) {
-            let mut accs: Vec<&mut [f64]> = rebuilt.iter_mut().map(Vec::as_mut_slice).collect();
-            kernels::gf_mac_multi(&mut accs, s, &column(j), cfg);
-        }
-        rebuilt
-    }
 }
 
 impl ErasureCodec for GfCodec {
@@ -185,16 +136,17 @@ impl ErasureCodec for GfCodec {
         Wire::Bits
     }
 
-    fn contribs(
+    fn contribs_into(
         &self,
         roles: &[usize],
         pos: usize,
         stripe: &[f64],
         _cancel: bool,
+        outs: &mut [&mut [f64]],
         cfg: KernelConfig,
-    ) -> Vec<Vec<f64>> {
+    ) {
         let coeffs: Vec<u8> = roles.iter().map(|&role| self.coeff(role, pos)).collect();
-        kernels::gf_scaled_copies(stripe, &coeffs, cfg)
+        kernels::gf_scale_into(outs, stripe, &coeffs, cfg);
     }
 
     fn accumulate(
@@ -210,26 +162,51 @@ impl ErasureCodec for GfCodec {
         kernels::gf_mac_multi(accs, stripe, &coeffs, cfg);
     }
 
-    fn solve(
+    /// The inversion is of the whole system whichever rows are asked
+    /// for; only the asked-for rows are multiplied out.
+    fn solve_into(
         &self,
         erased: &[usize],
+        rows: Range<usize>,
         syndromes: &[(usize, Vec<f64>)],
+        outs: &mut [&mut [f64]],
         cfg: KernelConfig,
-    ) -> Vec<Vec<f64>> {
-        self.solve_rows(erased, 0..erased.len(), syndromes, cfg)
-    }
-
-    fn solve_at(
-        &self,
-        erased: &[usize],
-        at: usize,
-        syndromes: &[(usize, Vec<f64>)],
-        cfg: KernelConfig,
-    ) -> Vec<f64> {
-        assert!(at < erased.len(), "{}: no erased position {at}", self.name);
-        self.solve_rows(erased, at..at + 1, syndromes, cfg)
-            .pop()
-            .expect("one row asked for, one stripe rebuilt")
+    ) {
+        let e = erased.len();
+        assert!(
+            e <= self.m,
+            "{} corrects at most {} erasures, got {e}",
+            self.name,
+            self.m
+        );
+        assert!(
+            syndromes.len() >= e,
+            "{}: need {e} surviving roles, have {}",
+            self.name,
+            syndromes.len()
+        );
+        // Any e surviving roles suffice (see module docs); take the
+        // first e.
+        assert_eq!(rows.len(), outs.len(), "one output per row");
+        let chosen = &syndromes[..e];
+        let Some((_, first)) = chosen.first() else {
+            return;
+        };
+        let roles: Vec<usize> = chosen.iter().map(|(r, _)| *r).collect();
+        let a_inv = gf256::invert_matrix(&self.submatrix(&roles, erased))
+            .expect("generator submatrices are nonsingular by construction");
+        // Column by column: every rebuilt stripe takes its term of one
+        // syndrome from a single read of that syndrome.
+        let column = |j: usize| {
+            a_inv[rows.clone()]
+                .iter()
+                .map(|row| row[j])
+                .collect::<Vec<u8>>()
+        };
+        kernels::gf_scale_into(outs, first, &column(0), cfg);
+        for (j, (_, s)) in chosen.iter().enumerate().skip(1) {
+            kernels::gf_mac_multi(outs, s, &column(j), cfg);
+        }
     }
 }
 
@@ -330,8 +307,16 @@ mod tests {
                                     .all(|(a, b)| a.to_bits() == b.to_bits()),
                                 "{spec:?} erased {erased:?} roles {roles:?} pos {x}"
                             );
-                            // one row of the same decode, alone
-                            let one = codec.solve_at(&erased, at, &syn, KernelConfig::serial());
+                            // one row of the same decode, alone, over a
+                            // stale buffer
+                            let mut one = vec![f64::NAN; len];
+                            codec.solve_at_into(
+                                &erased,
+                                at,
+                                &syn,
+                                &mut one,
+                                KernelConfig::serial(),
+                            );
                             assert!(one.iter().zip(g).all(|(a, b)| a.to_bits() == b.to_bits()));
                         }
                     }

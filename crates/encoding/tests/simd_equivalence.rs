@@ -206,15 +206,17 @@ proptest! {
         let base = floats(len, seed);
         let x = floats(len, seed ^ 0x5555);
         let reference = KernelConfig::serial().with_simd(SimdMode::ForceScalar);
-        let want_scale = kernels::gf_scaled_copies(&base, &[c], reference).remove(0);
+        let mut want_scale = vec![f64::NAN; len];
+        kernels::gf_scale_into(&mut [&mut want_scale], &base, &[c], reference);
         let mut want_mac = base.clone();
         kernels::gf_mac(&mut want_mac, &x, c, reference);
         for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
             let cfg = KernelConfig::new(threads, chunk).with_simd(mode);
-            let got = kernels::gf_scaled_copies(&base, &[c], cfg).remove(0);
+            let mut got = x.clone();
+            kernels::gf_scale_into(&mut [&mut got], &base, &[c], cfg);
             prop_assert!(
                 got.iter().zip(&want_scale).all(|(a, b)| a.to_bits() == b.to_bits()),
-                "gf_scaled_copies: len={} c={} cfg={:?}", len, c, cfg
+                "gf_scale_into: len={} c={} cfg={:?}", len, c, cfg
             );
             let mut got = base.clone();
             kernels::gf_mac(&mut got, &x, c, cfg);
@@ -357,7 +359,8 @@ fn gf_mul_out_of_place_matches_copy_then_scale_on_every_backend() {
 }
 
 /// The multi-role contribution primitive equals one single-coefficient
-/// call per role, and the codec's `contribs` its per-role `contrib`, for
+/// call per role, and the codec's `contribs_into` over stale buffers its
+/// per-role `contribs`, for
 /// every dispatch mode, worker budget and a stripe that ends in a short
 /// block.
 #[test]
@@ -368,9 +371,12 @@ fn multi_role_contributions_match_the_per_role_walk() {
         for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
             for threads in BUDGETS {
                 let cfg = KernelConfig::new(threads, 16).with_simd(mode);
-                let got = kernels::gf_scaled_copies(&stripe, &COEFFS, cfg);
+                let mut got: Vec<Vec<f64>> = COEFFS.iter().map(|_| vec![f64::NAN; len]).collect();
+                let mut dsts: Vec<&mut [f64]> = got.iter_mut().map(Vec::as_mut_slice).collect();
+                kernels::gf_scale_into(&mut dsts, &stripe, &COEFFS, cfg);
                 for (out, c) in got.iter().zip(COEFFS) {
-                    let want = kernels::gf_scaled_copies(&stripe, &[c], reference).remove(0);
+                    let mut want = vec![0.0; len];
+                    kernels::gf_scale_into(&mut [&mut want], &stripe, &[c], reference);
                     assert!(
                         out.iter()
                             .zip(&want)
@@ -388,7 +394,12 @@ fn multi_role_contributions_match_the_per_role_walk() {
                     let codec: &dyn ErasureCodec = spec.resolve();
                     let roles: Vec<usize> = (0..codec.parity_count()).rev().collect();
                     for cancel in [false, true] {
-                        let all = codec.contribs(&roles, 2, &stripe, cancel, cfg);
+                        // over stale buffers: every element is overwritten
+                        let mut all: Vec<Vec<f64>> =
+                            roles.iter().map(|_| vec![f64::NAN; len]).collect();
+                        let mut outs: Vec<&mut [f64]> =
+                            all.iter_mut().map(Vec::as_mut_slice).collect();
+                        codec.contribs_into(&roles, 2, &stripe, cancel, &mut outs, cfg);
                         for (out, &role) in all.iter().zip(&roles) {
                             let want = codec
                                 .contribs(&[role], 2, &stripe, cancel, reference)

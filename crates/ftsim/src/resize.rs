@@ -572,7 +572,7 @@ impl CheckpointService {
         let usable = |n| self.cluster.node_usable(n);
         let audit = self.pool.commit_resize(tenant.id, plan, usable);
         for &n in &audit.freed {
-            self.cluster.shm(n).wipe();
+            self.cluster.shm(n).wipe(self.cluster.pool());
         }
         if new_cfg.name != tenant.cfg.name {
             remove_prefix(&self.cluster, &new_rl, &format!("{}/", tenant.cfg.name));

@@ -528,7 +528,7 @@ impl CheckpointService {
         let mut wiped: Vec<NodeId> = resizes.iter().flat_map(|r| &r.wiped).copied().collect();
         if !self.adopted {
             for &n in &release.freed {
-                self.cluster.shm(n).wipe();
+                self.cluster.shm(n).wipe(self.cluster.pool());
             }
             wiped.extend(release.freed.iter().copied());
         }

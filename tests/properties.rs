@@ -230,8 +230,9 @@ proptest! {
         for (a, b) in back.iter().zip(&src) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
-        let neg = kernels::negated(&src, cfg);
-        for (a, b) in neg.iter().zip(&src) {
+        // over the stale copy: every element is overwritten
+        kernels::negate_into(&mut dst, &src, cfg);
+        for (a, b) in dst.iter().zip(&src) {
             prop_assert_eq!(a.to_bits(), (-b).to_bits());
         }
     }

@@ -1,15 +1,24 @@
-//! The allocation budget of `recover()`.
+//! The allocation budgets of `recover()`, `make()` and
+//! `Checkpointer::init`.
 //!
-//! A rebuild reads the survivors' segments in place and hands the lost
-//! ranks' stripes to their segments as the solve and the ring delivered
-//! them, so what a rank may allocate inside `recover()` is a count of
-//! stripes the layout dictates — the ring accumulators it starts, the
-//! syndromes it copies for a second lost holder, the stripes it solves
-//! — and nothing the size of a region: no snapshot of `B` and `C`
-//! (`padded_len + parity_len`), no scratch image of the rebuilt data (a
-//! second `padded_len`). This binary counts bytes per rank thread with
-//! its own `#[global_allocator]` and holds each role to the most such
-//! stripes `(n, m, |lost|)` allow it.
+//! Cold, a rebuild reads the survivors' segments in place and hands the
+//! lost ranks' stripes to their segments as the solve and the ring
+//! delivered them, so what a rank may allocate inside `recover()` is a
+//! count of stripes the layout dictates — the ring accumulators it
+//! starts, the syndromes it copies for a second lost holder, the stripes
+//! it solves — and nothing the size of a region: no snapshot of `B` and
+//! `C` (`padded_len + parity_len`), no scratch image of the rebuilt data
+//! (a second `padded_len`).
+//!
+//! Warm, not even those. Every stripe the engine starts comes from the
+//! cluster's buffer pool and goes back to it once stored, and a
+//! powered-off node's segments go there too. So a second kill → recover
+//! of the same ranks, a spare's `init` after a kill, and every `make()`
+//! after the first allocate nothing stripe- or segment-sized: each rank
+//! stays within `SLACK`.
+//!
+//! This binary counts bytes per rank thread with its own
+//! `#[global_allocator]`.
 
 use self_checkpoint::cluster::{Cluster, ClusterConfig, Ranklist};
 use self_checkpoint::core::{Checkpointer, CkptConfig, Method, Recovery};
@@ -164,5 +173,135 @@ fn recover_allocates_stripes_never_regions() {
             "{role} rank {r} allocated {bytes} B inside recover(); at most {stripes} stripes \
              + slack allow {bound} B (a snapshot of its regions would be {region_bytes} B)"
         );
+    }
+}
+
+/// A self-checkpoint group of `N` ranks under `codec`, with `a1_len`
+/// sized so every stripe is `STRIPE_LEN` long.
+fn warm_cfg(codec: CodecSpec) -> CkptConfig {
+    let b2_words = 1 + A2_CAPACITY.div_ceil(8);
+    let a1_len = (N - codec.parity_count()) * STRIPE_LEN - b2_words;
+    CkptConfig::new("warm", Method::SelfCkpt, a1_len, A2_CAPACITY).with_codec(codec)
+}
+
+/// Every rank's count must be at most `SLACK`: nothing stripe-sized.
+fn assert_within_slack(what: &str, during: &[u64]) {
+    for (r, &bytes) in during.iter().enumerate() {
+        assert!(
+            bytes <= SLACK,
+            "rank {r} allocated {bytes} B in {what}; a warm pool allows {SLACK} B of slack \
+             and no stripe ({} B)",
+            STRIPE_LEN * 8
+        );
+    }
+}
+
+/// Power off `lost`'s nodes and repair the ranklist onto spares.
+fn kill_and_repair(cluster: &Cluster, rl: &mut Ranklist, lost: &[usize]) {
+    for &l in lost {
+        cluster.kill_node(rl.node_of(l));
+    }
+    cluster.reset_abort();
+    rl.repair(cluster).unwrap();
+}
+
+/// One launch that makes epoch 1 of a pattern workspace.
+fn make_epoch_one(cluster: &Arc<Cluster>, rl: &Ranklist, cfg: &CkptConfig) {
+    run_on_cluster(Arc::clone(cluster), rl, |ctx| {
+        let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.clone());
+        let a1_len = ck.a1_len();
+        ck.workspace().write().as_f64_mut()[..a1_len]
+            .copy_from_slice(&pattern(ctx.world_rank(), a1_len));
+        ck.make(&[7])?;
+        Ok(())
+    })
+    .unwrap();
+}
+
+/// A rebuild's stripes all come from and go back to the cluster's pool,
+/// so once one kill → recover of two ranks has run, a second of the
+/// same two ranks finds every stripe it needs there.
+#[test]
+fn a_second_recover_of_the_same_ranks_allocates_nothing() {
+    let cfg = warm_cfg(CodecSpec::Rs { m: M });
+    let lost = [1usize, 2];
+    let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 2 * lost.len())));
+    let mut rl = Ranklist::round_robin(N, N);
+    make_epoch_one(&cluster, &rl, &cfg);
+    for round in 0..2 {
+        kill_and_repair(&cluster, &mut rl, &lost);
+        let during = run_on_cluster(Arc::clone(&cluster), &rl, |ctx| {
+            let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.clone());
+            let before = allocated();
+            let rec = ck.recover();
+            let during = allocated() - before;
+            assert!(matches!(rec, Ok(Recovery::Restored { epoch: 1, .. })));
+            let a1_len = ck.a1_len();
+            if ck.workspace().read().as_f64()[..a1_len] != pattern(ctx.world_rank(), a1_len)[..] {
+                return Err(Fault::Protocol("the warm recovery is not bit-exact"));
+            }
+            Ok(during)
+        })
+        .unwrap();
+        if round == 1 {
+            assert_within_slack("a second recover()", &during);
+        }
+    }
+}
+
+/// Power-off recycles a node's segment payloads, so the spares that
+/// replace two dead nodes build their segments from that memory: no rank's
+/// `Checkpointer::init` allocates a segment.
+#[test]
+fn a_spares_init_after_a_kill_allocates_nothing() {
+    let cfg = warm_cfg(CodecSpec::Rs { m: M });
+    let lost = [1usize, 2];
+    let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, lost.len())));
+    let mut rl = Ranklist::round_robin(N, N);
+    make_epoch_one(&cluster, &rl, &cfg);
+    kill_and_repair(&cluster, &mut rl, &lost);
+    let during = run_on_cluster(Arc::clone(&cluster), &rl, |ctx| {
+        let before = allocated();
+        let (ck, attached) = Checkpointer::init(ctx.world(), cfg.clone());
+        let during = allocated() - before;
+        assert_eq!(attached, !lost.contains(&ctx.world_rank()));
+        let zero = ck
+            .workspace()
+            .read()
+            .as_f64()
+            .iter()
+            .all(|x| x.to_bits() == 0);
+        if !attached && !zero {
+            return Err(Fault::Protocol("a spare's workspace must start all-zero"));
+        }
+        Ok(during)
+    })
+    .unwrap();
+    assert_within_slack("Checkpointer::init", &during);
+}
+
+/// The encode ring's step-0 accumulators come from the pool and the
+/// delivered parity goes back after the flush, so from the second
+/// `make()` on a group allocates no stripe.
+#[test]
+fn second_and_later_makes_allocate_nothing() {
+    for codec in [CodecSpec::default(), CodecSpec::Rs { m: M }] {
+        let cfg = warm_cfg(codec);
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 0)));
+        let during = run_on_cluster(cluster, &Ranklist::round_robin(N, N), |ctx| {
+            let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.clone());
+            let mut during = Vec::new();
+            for e in 1..=3u8 {
+                let before = allocated();
+                ck.make(&[e])?;
+                during.push(allocated() - before);
+            }
+            Ok(during)
+        })
+        .unwrap();
+        for make in 1..3 {
+            let per_rank: Vec<u64> = during.iter().map(|d| d[make]).collect();
+            assert_within_slack(&format!("{} make {}", codec.name(), make + 1), &per_rank);
+        }
     }
 }
