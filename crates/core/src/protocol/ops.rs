@@ -344,9 +344,12 @@ impl<'c> SequencedOp<Checkpointer<'c>> for MarkerReset {
     }
 }
 
-/// Commit a whole-segment copy `dst ← src` plus `dst`'s stripe-CRC
-/// witness refresh, in the existing no-yield data+CRC block (one fused
-/// pass: each block is CRC'd at its destination as it lands).
+/// Commit a whole-segment copy `dst ← src` and `dst`'s stripe-CRC
+/// witness in one no-yield data+CRC block. A witnessed source (a pair's
+/// data region) hands its stored witness over and nothing is CRC'd, so
+/// a source changed since its encode or rebuild lands in `dst`
+/// detectably damaged rather than freshly witnessed; the double and
+/// single methods' unwitnessed workspace is CRC'd at the destination.
 pub(crate) struct FlushCommit {
     dst: Region,
     src: Region,
@@ -388,13 +391,7 @@ impl<'c> SequencedOp<Checkpointer<'c>> for FlushCommit {
     }
 
     fn apply(&self, ck: &mut Checkpointer<'c>) -> Result<(), Fault> {
-        let (Some(dst), Some(src)) = (
-            ck.region_seg(self.dst).cloned(),
-            ck.region_seg(self.src).cloned(),
-        ) else {
-            return Err(Fault::Protocol("flush: region not allocated by method"));
-        };
-        ck.copy_seg(self.dst, &dst, &src, self.label)
+        ck.copy_seg(self.dst, self.src, self.label)
     }
 }
 

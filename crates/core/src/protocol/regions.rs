@@ -13,7 +13,7 @@ use super::table::{slot, Pair, SLOTS};
 use super::{Checkpointer, RecoverError, RECOVER_REBUILD_PROBE};
 use crate::engine::{give_back, reconstruct_stripes};
 use skt_cluster::{Event, Region, ShmSegment};
-use skt_encoding::{copy_with_stripe_crcs, crc32c_f64, stripe_crcs, KernelConfig};
+use skt_encoding::{copy_with_stripe_crcs, crc32c_f64, kernels, stripe_crcs, KernelConfig};
 use skt_mps::{Fault, Payload};
 use std::cell::Cell;
 
@@ -32,23 +32,44 @@ pub fn crc_table_bytes(n: usize) -> usize {
 }
 
 impl<'c> Checkpointer<'c> {
-    /// Whole-segment copy `dst ← src` of region `r` on the blocked
-    /// multi-threaded kernel, witnessed (see [`Self::fill_stripes`]),
-    /// with a [`Event::BytesMoved`] record. A wiped or resized segment
-    /// (stale handle on a powered-off node) is a [`Fault`], not a panic.
+    /// Whole-segment copy `dst ← src` on the blocked multi-threaded
+    /// kernel, with a [`Event::BytesMoved`] record. A copy produces no
+    /// bytes, so when `src` carries a witness (it is a pair's data region,
+    /// witnessed where its bytes were produced: the encode, a rebuild)
+    /// the copy **carries it**: `src`'s stripe-CRC slots become `dst`'s
+    /// and nothing is CRC'd. A source changed since its witness thus
+    /// lands in `dst` detectably damaged instead of freshly blessed. The
+    /// double and single methods' workspace carries none and is CRC'd at
+    /// the destination ([`Self::fill_stripes`]). Bytes and witness move
+    /// in one no-yield block after [`COPY_PROBE`]. An unallocated region
+    /// or a wiped or resized segment is a [`Fault`], not a panic.
     pub(super) fn copy_seg(
         &self,
-        r: Region,
-        dst: &ShmSegment,
-        src: &ShmSegment,
+        dst_r: Region,
+        src_r: Region,
         label: &'static str,
     ) -> Result<(), Fault> {
+        let (Some(dst), Some(src)) = (self.region_seg(dst_r), self.region_seg(src_r)) else {
+            return Err(Fault::Protocol("flush: region not allocated by method"));
+        };
         self.comm.ctx().failpoint(COPY_PROBE)?;
         let s = src.read();
         let sv = s.try_as_f64()?;
-        // a gated mutator built on the gated fill: still one commit point
-        #[allow(clippy::disallowed_methods)]
-        self.fill_stripes(r, dst, &[sv])?;
+        if self.table.witnessed(src_r) {
+            let mut d = dst.write();
+            let dv = d.try_as_f64_mut()?;
+            if dv.len() != sv.len() {
+                return Err(Fault::Protocol(
+                    "segment wiped or resized under the protocol",
+                ));
+            }
+            kernels::copy(dv, sv, KernelConfig::global());
+            self.carry_crcs(dst_r, src_r)?;
+        } else {
+            // a gated mutator built on the gated fill: still one commit point
+            #[allow(clippy::disallowed_methods)]
+            self.fill_stripes(dst_r, dst, &[sv])?;
+        }
         self.bus.emit(Event::BytesMoved {
             label,
             bytes: (sv.len() * 8) as u64,
@@ -60,11 +81,13 @@ impl<'c> Checkpointer<'c> {
     /// (each a whole number of stripes, except that the last may end
     /// short) and store the stripe CRCs of what landed, in one pass:
     /// each cache block is CRC'd **at its destination** right after it
-    /// is copied. Pure local compute — **no yield points** — so the
-    /// bytes and their witness commit together. The parts must cover the
-    /// segment exactly: a wiped or resized segment (stale handle on a
-    /// powered-off node) or a short part is a [`Fault`], not a panic,
-    /// and nothing is written.
+    /// is copied. This is how *produced* bytes — encoded parity, rebuilt
+    /// stripes — get their witness; a copy of witnessed bytes carries the
+    /// source's instead ([`Self::copy_seg`]). Pure local compute — **no
+    /// yield points** — so the bytes and their witness commit together.
+    /// The parts must cover the segment exactly: a wiped or resized
+    /// segment (stale handle on a powered-off node) or a short part is a
+    /// [`Fault`], not a panic, and nothing is written.
     pub(super) fn fill_stripes(
         &self,
         r: Region,
@@ -188,21 +211,6 @@ impl<'c> Checkpointer<'c> {
         Ok(())
     }
 
-    /// Freshly computed per-stripe CRCs of a region (`None` when the
-    /// method doesn't allocate it). Data regions yield `N-m` stripe
-    /// entries, the `m`-stripe parity segments yield `m`.
-    fn region_crcs(&self, r: Region) -> Result<Option<Vec<u32>>, Fault> {
-        let Some(seg) = self.region_seg(r) else {
-            return Ok(None);
-        };
-        let g = seg.read();
-        Ok(Some(stripe_crcs(
-            g.try_as_f64()?,
-            self.layout.stripe_len(),
-            KernelConfig::global(),
-        )))
-    }
-
     /// Byte range of a region's slots within the CRC table segment.
     pub(super) fn crc_slot_range(&self, r: Region) -> std::ops::Range<usize> {
         let idx = slot(r).expect("region has a CRC table slot");
@@ -225,14 +233,31 @@ impl<'c> Checkpointer<'c> {
         Ok(())
     }
 
+    /// Store region `src`'s stripe witnesses as region `dst`'s: the CRC
+    /// half of a copy ([`Self::copy_seg`]). Both are data regions, so the
+    /// whole slot range moves.
+    fn carry_crcs(&self, dst: Region, src: Region) -> Result<(), Fault> {
+        let (to, from) = (self.crc_slot_range(dst), self.crc_slot_range(src));
+        let mut g = self.crc.write();
+        let tbl = g.try_as_bytes_mut()?;
+        if tbl.len() < to.end.max(from.end) {
+            return Err(Fault::Protocol("crc table segment wiped or truncated"));
+        }
+        tbl.copy_within(from, to.start);
+        Ok(())
+    }
+
     /// Recompute and store the stripe CRCs of the given regions. Pure
     /// local compute — **no yield points** — so calling it right after a
     /// commit keeps the forward protocol's interleaving space unchanged.
     pub(crate) fn update_region_crcs(&self, regions: &[Region]) -> Result<(), Fault> {
         for &r in regions {
-            if let Some(crcs) = self.region_crcs(r)? {
-                self.store_crcs(r, &crcs)?;
-            }
+            let Some(seg) = self.region_seg(r) else {
+                continue;
+            };
+            let stripe_len = self.layout.stripe_len();
+            let crcs = stripe_crcs(seg.read().try_as_f64()?, stripe_len, KernelConfig::global());
+            self.store_crcs(r, &crcs)?;
         }
         Ok(())
     }
@@ -249,13 +274,17 @@ impl<'c> Checkpointer<'c> {
     }
 
     /// Whether a region's current bytes still match its stored stripe
-    /// CRCs (local check; absent regions are vacuously clean).
+    /// CRCs (local check; absent regions are vacuously clean). Stripes
+    /// are CRC'd one at a time under one read guard, and the first
+    /// mismatch answers: a fresh or damaged region costs one stripe, not
+    /// the whole region.
     pub(crate) fn region_crc_ok(&self, r: Region) -> Result<bool, Fault> {
-        let Some(crcs) = self.region_crcs(r)? else {
+        let Some(seg) = self.region_seg(r) else {
             return Ok(true);
         };
-        for (k, c) in crcs.iter().enumerate() {
-            if self.stored_crc(r, k)? != *c {
+        let g = seg.read();
+        for (k, stripe) in g.try_as_f64()?.chunks(self.layout.stripe_len()).enumerate() {
+            if crc32c_f64(stripe, KernelConfig::global()) != self.stored_crc(r, k)? {
                 return Ok(false);
             }
         }

@@ -122,6 +122,14 @@ impl MethodTable {
         self.pairs.iter().chain(&self.live)
     }
 
+    /// Whether region `r` carries a current stripe witness whenever a
+    /// protocol copy reads it: the data region of one of the method's
+    /// pairs, committed or live. The double and single methods'
+    /// workspace is in no pair, and nothing witnesses it.
+    pub(crate) fn witnessed(&self, r: Region) -> bool {
+        self.sources().any(|p| p.data == r)
+    }
+
     /// The `f64` segments the method allocates beside `header` and `crc`,
     /// in slot order (segment names are [`Region::suffix`]), each with
     /// whether it is a checksum segment (`m` stripes) rather than a

@@ -434,6 +434,172 @@ fn stale_parity_is_never_trusted() {
     }
 }
 
+/// The encode witnesses `work` and the flush copies it into `B`: a bit
+/// flipped in rank 2's workspace between the two (at the `CommitD`
+/// probe) must reach `B` under the encode's witness, not a fresh one.
+/// The scrub then finds rank 2's copy damaged and rebuilds the
+/// pre-flip bytes from parity, under single and double parity alike.
+#[test]
+fn a_workspace_flip_after_the_encode_witness_is_repaired_not_blessed() {
+    for codec in [CodecSpec::Single(Code::Xor), CodecSpec::Rs { m: 2 }] {
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 0)));
+        let rl = Ranklist::round_robin(N, N);
+        cluster.arm_failure(FaultPlan::corrupt(
+            Phase::CommitD,
+            1,
+            2,
+            Region::Work,
+            100,
+            5,
+        ));
+        let cfg = cfg(Method::SelfCkpt).with_codec(codec);
+        let outs = run_on_cluster(cluster, &rl, |ctx| {
+            let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.clone());
+            let ws = ck.workspace();
+            ws.write().as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), 1));
+            ck.make(b"one")?;
+            let report = ck.scrub().map_err(|e| match e {
+                RecoverError::Fault(f) => f,
+                RecoverError::Unrecoverable(m) => panic!("{codec:?}: unrecoverable: {m}"),
+            })?;
+            let ok = ck.verify_integrity()?;
+            let b = ctx.shm().attach(&format!("test/r{}/b", ctx.world_rank()));
+            let data = b.expect("checkpoint copy exists").read().as_f64()[..A1].to_vec();
+            Ok((report.repaired, ok, data))
+        })
+        .unwrap();
+        for (rank, (repaired, ok, data)) in outs.iter().enumerate() {
+            assert_eq!(repaired, &vec![2], "{codec:?}: rank {rank} scrub");
+            assert!(ok, "{codec:?}: rank {rank} integrity");
+            assert_eq!(data, &pattern(rank, 1), "{codec:?}: rank {rank} B");
+        }
+    }
+}
+
+/// Whether every region of every committed pair — and, with `live`, the
+/// self method's `(work, X(d))` — matches its stored witness. Pair words
+/// come from this rank's header.
+fn witnesses_exact(ck: &Checkpointer, live: bool) -> Result<bool, Fault> {
+    let header::HeaderState::Valid(h) = header::Header::classify(&ck.header) else {
+        return Ok(false);
+    };
+    let words = h.words();
+    let pairs = ck
+        .table
+        .pairs
+        .iter()
+        .chain(ck.table.live.iter().filter(|_| live));
+    for pair in pairs {
+        let e = words[pair.word as usize];
+        if e > 0 && !(ck.region_crc_ok(pair.data)? && ck.region_crc_ok(pair.parity(e))?) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// Copies carry their source's witness instead of computing one, so a
+/// carried witness must never go stale when nothing is corrupted: after
+/// every make, a rollback to the committed checkpoint (CASE 1), the self
+/// method's roll-forward (CASE 2) and a scrub, every committed pair of
+/// every method and codec matches its witness — and right after a make,
+/// the self method's live pair too.
+#[test]
+fn carried_witnesses_stay_exact_through_make_restore_and_scrub() {
+    for method in [Method::SelfCkpt, Method::Double, Method::Single] {
+        for codec in [CodecSpec::Single(Code::Xor), CodecSpec::Rs { m: 2 }] {
+            let tag = format!("{method:?} {codec:?}");
+            let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 2)));
+            let mut rl = Ranklist::round_robin(N, N);
+            let cfg = cfg(method).with_codec(codec);
+            let live = method == Method::SelfCkpt;
+            let relaunch = |rl: &mut Ranklist| {
+                cluster.reset_abort();
+                rl.repair(&cluster).unwrap();
+            };
+            let make = |ck: &mut Checkpointer, rank: usize, e: u64| -> Result<bool, Fault> {
+                let ws = ck.workspace();
+                ws.write().as_f64_mut()[..A1].copy_from_slice(&pattern(rank, e));
+                ck.make(&e.to_le_bytes())?;
+                witnesses_exact(ck, live)
+            };
+            let recover = |ck: &mut Checkpointer| -> Result<Recovery, Fault> {
+                ck.recover().map_err(|e| match e {
+                    RecoverError::Fault(f) => f,
+                    RecoverError::Unrecoverable(m) => panic!("{tag}: unrecoverable: {m}"),
+                })
+            };
+
+            // two makes, then node 1 lost while the application computes
+            cluster.arm_failure(FailurePlan::new("computing", 1, 1));
+            let lost: Result<Vec<()>, _> = run_on_cluster(cluster.clone(), &rl, |ctx| {
+                let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.clone());
+                for e in 1..=2 {
+                    assert!(make(&mut ck, ctx.world_rank(), e)?, "{tag}: make {e}");
+                }
+                loop {
+                    ctx.failpoint("computing")?;
+                }
+            });
+            assert!(lost.is_err(), "{tag}: the loss fired");
+            relaunch(&mut rl);
+
+            // CASE 1: roll back to epoch 2's checkpoint; then (self
+            // method) node 2 lost in epoch 3's flush, after D@3
+            if live {
+                cluster.arm_failure(FailurePlan::new(Phase::FlushB, 1, 2));
+            }
+            let case1 = run_on_cluster(cluster.clone(), &rl, |ctx| {
+                let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.clone());
+                let rec = recover(&mut ck)?;
+                assert!(
+                    matches!(rec, Recovery::Restored { epoch: 2, .. }),
+                    "{tag}: {rec:?}"
+                );
+                assert!(witnesses_exact(&ck, live)?, "{tag}: after the rollback");
+                if live {
+                    make(&mut ck, ctx.world_rank(), 3)?;
+                }
+                Ok(())
+            });
+            assert_eq!(case1.is_err(), live, "{tag}: the flush loss fired");
+            if live {
+                relaunch(&mut rl);
+            }
+            let epoch = if live { 3 } else { 2 };
+
+            // CASE 2 (self method): roll forward to epoch 3; then a make
+            // and a scrub
+            let outs = run_on_cluster(cluster.clone(), &rl, |ctx| {
+                let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.clone());
+                let rec = recover(&mut ck)?;
+                let restored = witnesses_exact(&ck, live)?;
+                let made = make(&mut ck, ctx.world_rank(), epoch + 1)?;
+                let report = ck.scrub().map_err(|_| Fault::JobAborted)?;
+                Ok((rec, restored, made, report, witnesses_exact(&ck, live)?))
+            })
+            .unwrap_or_else(|f| panic!("{tag}: {f}"));
+            for (rank, (rec, restored, made, report, scrubbed)) in outs.iter().enumerate() {
+                let t = format!("{tag}: rank {rank}");
+                match rec {
+                    Recovery::Restored {
+                        epoch: e, source, ..
+                    } => {
+                        assert_eq!(*e, epoch, "{t}");
+                        let case2 = RestoreSource::WorkspaceAndChecksum;
+                        assert_eq!(*source == case2, live, "{t}: {source:?}");
+                    }
+                    other => panic!("{t}: {other:?}"),
+                }
+                assert!(restored, "{t}: after the restore");
+                assert!(made, "{t}: after the make");
+                assert!(report.repaired.is_empty(), "{t}: {report:?}");
+                assert!(scrubbed, "{t}: after the scrub");
+            }
+        }
+    }
+}
+
 #[test]
 fn two_corrupted_sources_fail_recovery_with_the_group_named() {
     let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 0)));

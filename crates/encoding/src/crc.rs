@@ -9,8 +9,13 @@
 //! buffers are shared with the call's scoped helper threads — the per-block
 //! CRCs are stitched together with the exact GF(2) combine, so the
 //! parallel result is bit-identical to the serial walk for every policy.
-//! [`copy_with_stripe_crcs`] fuses the witness into the flush copy: each
-//! block is CRC'd at its destination while it is still cache-hot.
+//! [`copy_with_stripe_crcs`] fuses the witness into a fill of *produced*
+//! bytes — encoded parity, rebuilt stripes, and the baseline methods'
+//! copy of a workspace nothing has witnessed: each block is CRC'd at its
+//! destination while it is still cache-hot. A copy of bytes that already
+//! carry a witness does not come here: the protocol copies the source's
+//! stored stripe CRCs along with the bytes, so a source changed since its
+//! witness stays detectable at the destination.
 //!
 //! The Castagnoli polynomial (`0x1EDC6F41`, reflected `0x82F63B78`) is
 //! the iSCSI / SCTP / SSE4.2 `crc32` polynomial — the conventional choice
@@ -170,7 +175,10 @@ pub fn stripe_crcs(data: &[f64], stripe_len: usize, cfg: KernelConfig) -> Vec<u3
 /// still cache-hot, and the per-block CRCs are stitched per stripe. The
 /// witness therefore covers the bytes that landed, exactly as a separate
 /// `copy` + `stripe_crcs(dst)` would, for one read of each instead of
-/// two.
+/// two. It is for bytes being produced (a parity or rebuild fill) or
+/// copied out of an unwitnessed source: a copy of witnessed bytes should
+/// carry their witness instead of taking a new one, which would bless any
+/// change made to the source since.
 #[must_use]
 pub fn copy_with_stripe_crcs(
     dst: &mut [f64],
