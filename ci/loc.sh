@@ -17,7 +17,13 @@
 # `crates/*/tests`, `tests/`, `examples/`), so a deletion there shows in
 # CHANGES.md too.
 #
-#   ci/loc.sh            per-crate totals, the grand total, and `aux`
+# Last, the benchmark package on a line of its own, in neither the total
+# nor `aux`: every line of its `src/**/*.rs`, tests included (its files
+# keep test-only helpers inside `impl` blocks, which the rule above would
+# reject).
+#
+#   ci/loc.sh            per-crate totals, the grand total, `aux`, and the
+#                        benchmark package
 #   ci/loc.sh <crate>    per-file counts of crates/<crate>, then its total
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -79,3 +85,6 @@ for dir in vendor crates/*/benches crates/*/tests tests examples; do
     aux=$((aux + $(find "$dir" -name '*.rs' -exec cat {} + | wc -l)))
 done
 printf '%6d  aux\n' "$aux"
+bench=crates/bench/src/bin/cycle_budget
+printf '%6d  %s (benchmark package, not in the total)\n' \
+    "$(find "$bench/src" -name '*.rs' -exec cat {} + | wc -l)" "$bench"

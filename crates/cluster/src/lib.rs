@@ -36,17 +36,12 @@
 //!   `f64` buffers — a powered-off node's memory becomes a spare's
 //!   segments, and the checkpoint engine's stripes come from and go back
 //!   to it, so neither is page-faulted in afresh.
-//! * **Multi-tenant service substrate** ([`service`]): disjoint shard
-//!   placement over a common node pool, admission control with a FIFO
-//!   wait queue, reservation-aware spare arbitration, and the
-//!   deterministic event queue the service daemon's loop pops from.
 
 pub mod cluster;
 pub mod events;
 pub mod failure;
 pub mod net;
 pub mod pool;
-pub mod service;
 pub mod shm;
 pub mod storage;
 pub mod suspicion;
@@ -58,10 +53,6 @@ pub use failure::{
 };
 pub use net::NetModel;
 pub use pool::BufferPool;
-pub use service::{
-    Admission, AdmitError, ArbitrationError, EventQueue, ReleaseAudit, ReshapeError, ResizePlan,
-    ServicePool, SpareGrant, TenantId, TenantSpec,
-};
 pub use shm::{SegmentData, ShmSegment, ShmStore};
 pub use storage::{Device, DeviceKind};
 pub use suspicion::{HeartbeatConfig, ProbeVerdict, Suspicion, SuspicionMonitor};

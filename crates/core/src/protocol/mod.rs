@@ -214,7 +214,10 @@ impl RestoreSource {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ScrubReport {
     /// Committed `(checkpoint, checksum)` pairs whose CRC tables were
-    /// checked group-wide.
+    /// checked group-wide: 1 once anything committed — the newest pair,
+    /// the one `verify_integrity` checks; the double method's older pair
+    /// is what the next make overwrites, and a make that died inside it
+    /// left it torn — 0 before.
     pub pairs_checked: usize,
     /// Group ranks whose pair was CRC-damaged and erasure-rebuilt from
     /// the survivors' parity (at most the codec's parity count per pair).

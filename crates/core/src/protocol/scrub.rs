@@ -1,5 +1,5 @@
-//! The collective integrity scrub: verify the commit header and every
-//! committed `(checkpoint, checksum)` pair against their stored CRCs,
+//! The collective integrity scrub: verify the commit header and the
+//! newest committed `(checkpoint, checksum)` pair against their stored CRCs,
 //! and repair what the erasure codec can repair. Repairs are sequenced
 //! ops ([`super::ops`]): a scrub re-entered after a crash detects which
 //! repairs already committed and skips them.
@@ -9,9 +9,9 @@ use super::planner::HeaderMaxima;
 use super::{Checkpointer, RecoverError, ScrubReport, SCRUB_PROBE};
 
 impl<'c> Checkpointer<'c> {
-    /// Collective integrity *scrub*: verify the commit header and every
-    /// **committed** `(checkpoint, checksum)` pair against their stored
-    /// CRCs, and repair what the erasure codec can repair.
+    /// Collective integrity *scrub*: verify the commit header and the
+    /// **newest committed** `(checkpoint, checksum)` pair against their
+    /// stored CRCs, and repair what the erasure codec can repair.
     ///
     /// * A CRC-corrupt header adopts the group-consensus commit words
     ///   (valid headers agree between makes — every word is written only
@@ -40,8 +40,8 @@ impl<'c> Checkpointer<'c> {
         let consensus = HeaderMaxima::over(&views);
         // A group with no valid header is beyond repair, but the error
         // exit must stay collective across sibling groups (see the
-        // deferred verdict below): with all-zero consensus the pair list
-        // stays empty, so the group simply falls through to it.
+        // deferred verdict below): with all-zero consensus no pair is
+        // checked, so the group simply falls through to it.
         let mut damage =
             (!any_valid).then(|| "scrub: every header in the group failed its CRC".to_string());
         let mut header_repaired = false;
@@ -50,14 +50,18 @@ impl<'c> Checkpointer<'c> {
             header_repaired = adopted.record().action == OpAction::Replayed;
         }
 
-        // 2. Committed pairs. Never-committed pairs are skipped: their
+        // 2. The newest committed pair — the one `verify_integrity`
+        // checks. An older pair is the one the next make overwrites: a
+        // make that died inside it left its members torn, and rebuilding
+        // one from the survivors' mixed bytes would bless garbage under a
+        // valid witness. Never-committed pairs are skipped: their
         // segments and CRC slots are both still zero-initialized, which
         // is not a checkpoint and must not be "verified" as one.
-        let pairs: Vec<_> = (self.table.pairs.iter())
+        let newest = (self.table.pairs.iter())
             .filter(|p| consensus.word(p.word) > 0)
-            .collect();
+            .max_by_key(|p| consensus.word(p.word));
         let mut repaired = Vec::new();
-        for &pair in &pairs {
+        if let Some(pair) = newest {
             let e = consensus.word(pair.word);
             let (bad, beyond_repair) = self.damage_census(&[], pair, e)?;
             if let Some(verdict) = beyond_repair {
@@ -73,7 +77,7 @@ impl<'c> Checkpointer<'c> {
         // through the same path instead of hanging on a half-aborted job.
         self.job_verdict(damage)?;
         Ok(ScrubReport {
-            pairs_checked: pairs.len(),
+            pairs_checked: usize::from(newest.is_some()),
             repaired,
             header_repaired,
         })

@@ -306,13 +306,70 @@ fn double_scrub_checks_only_committed_pairs_and_repairs_the_second() {
     for (rank, (one, two, ok, data)) in outs.iter().enumerate() {
         assert_eq!(one.pairs_checked, 1, "rank {rank}");
         assert_eq!(one.repaired, Vec::<usize>::new(), "rank {rank}");
-        assert_eq!(two.pairs_checked, 2, "rank {rank}");
+        // only the newest pair, epoch 2's (b1, c1), is checked
+        assert_eq!(two.pairs_checked, 1, "rank {rank}");
         assert_eq!(two.repaired, vec![1], "rank {rank}");
         assert!(
             ok,
             "rank {rank}: epoch 2's pair must verify after the repair"
         );
         assert_eq!(data, &pattern(rank, 2), "rank {rank} repaired copy");
+    }
+}
+
+/// A double-method make killed inside its copy leaves the pair it was
+/// overwriting torn, and the recovery goes back to the other pair's
+/// epoch. A scrub then checks only that pair — the one
+/// `verify_integrity` checks — and must not "repair" node 1's member of
+/// the torn pair from the survivors' mixed bytes: nothing is rebuilt and
+/// every rank's pair-0 segments stay byte-identical.
+#[test]
+fn scrub_after_a_torn_double_make_leaves_the_overwritten_pair_alone() {
+    for codec in [CodecSpec::Single(Code::Xor), CodecSpec::Rs { m: 2 }] {
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(N, 1)));
+        let mut rl = Ranklist::round_robin(N, N);
+        // epoch 3 overwrites pair 0 (b, c), which holds epoch 1
+        cluster.arm_failure(FailurePlan::new(Phase::CopyB, 3, 1));
+        let cfg = cfg(Method::Double).with_codec(codec);
+        let made = run_on_cluster(cluster.clone(), &rl, |ctx| {
+            let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.clone());
+            for e in 1..=3u64 {
+                let ws = ck.workspace();
+                ws.write().as_f64_mut()[..A1].copy_from_slice(&pattern(ctx.world_rank(), e));
+                ck.make(&e.to_le_bytes())?;
+            }
+            Ok(())
+        });
+        assert!(made.is_err(), "{codec:?}: node 1 dies in epoch 3's make");
+        cluster.reset_abort();
+        rl.repair(&cluster).unwrap();
+        let outs = run_on_cluster(cluster, &rl, |ctx| {
+            let (mut ck, _) = Checkpointer::init(ctx.world(), cfg.clone());
+            let rec = ck.recover().map_err(|_| Fault::JobAborted)?;
+            let pair0 = || {
+                ["b", "c"].map(|r| {
+                    let seg = ctx.shm().attach(&format!("test/r{}/{r}", ctx.world_rank()));
+                    seg.expect("pair-0 segment exists").read().as_f64().to_vec()
+                })
+            };
+            let before = pair0();
+            let report = ck.scrub().map_err(|_| Fault::JobAborted)?;
+            let untouched = pair0() == before;
+            let ok = ck.verify_integrity()?;
+            Ok((rec, report, untouched, ok))
+        })
+        .unwrap();
+        for (rank, (rec, report, untouched, ok)) in outs.iter().enumerate() {
+            let tag = format!("{codec:?}: rank {rank}");
+            assert!(
+                matches!(rec, Recovery::Restored { epoch: 2, .. }),
+                "{tag}: {rec:?}"
+            );
+            assert_eq!(report.pairs_checked, 1, "{tag}");
+            assert_eq!(report.repaired, Vec::<usize>::new(), "{tag}");
+            assert!(untouched, "{tag}: the torn pair 0 was rewritten");
+            assert!(ok, "{tag}: epoch 2's pair must verify");
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! Admission: how a job becomes a tenant of the service.
 //!
-//! A registration is put to the pool ledger ([`ServicePool::admit`]) as
+//! A registration is put to the pool ledger (`ServicePool::admit`) as
 //! a node count and a spare guarantee: admitted tenants are activated at
 //! once, queued ones wait here — with the config and registration time
 //! their activation needs — until a release or a shrink frees capacity,
@@ -8,11 +8,10 @@
 //! Tenants still waiting when the service runs out of events are
 //! reported [`Refusal::AdmissionStarved`].
 
+use crate::ledger::{Admission, AdmitError, ServicePool, TenantId, TenantSpec};
 use crate::report::{Refusal, TenantOutcome, TenantReport};
 use crate::service::{node_set, CheckpointService, ServiceConfig, ServiceEvent, Tenant};
-use skt_cluster::{
-    Admission, AdmitError, Cluster, NodeId, Ranklist, ServicePool, TenantId, TenantSpec,
-};
+use skt_cluster::{Cluster, NodeId, Ranklist};
 use skt_hpl::SktConfig;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -83,7 +82,6 @@ impl CheckpointService {
             Admission::Queued { tenant, .. } => {
                 self.admission.waiting.insert(*tenant, (cfg, now));
             }
-            other => unreachable!("unknown admission variant: {other:?}"),
         }
         Ok(adm)
     }

@@ -15,7 +15,11 @@
 //!   ladder, the terminal audit) — the ReStore direction of the
 //!   ROADMAP. Its other halves own their state in modules of their own:
 //!   [`admission`] (registration, the wait list, activation), [`storm`]
-//!   (armed and clock-scheduled fault plans) and [`resize`].
+//!   (armed and clock-scheduled fault plans) and [`resize`], over a
+//!   crate-private ledger (disjoint shards, the FIFO admission queue,
+//!   reservation-aware spare accounting, the deterministic event queue)
+//!   that refuses in the service's own types ([`Refusal`],
+//!   [`ResizeError`], [`AdmitError`]).
 //! * [`report`] — what the supervisor reports, as pure data: attempt
 //!   and suspicion records, Figure 10 phase times, the retry policy,
 //!   per-tenant reports and their fingerprints.
@@ -26,8 +30,7 @@
 //!   pending requests and audit, the attempt at a clean boundary
 //!   (harvest the boundary checkpoint, re-install it under the new
 //!   layout via a sequenced op, then — and only then — move the node
-//!   accounting), and the typed [`ResizeError`], which wraps the pool
-//!   ledger's own refusal.
+//!   accounting), and the typed [`ResizeError`].
 //! * [`blcr`] — the BLCR baseline: transparent process-level
 //!   checkpointing of the whole rank state to a (bandwidth-modeled)
 //!   HDD/SSD block device, with restart from disk (Table 3's
@@ -44,6 +47,7 @@
 pub mod admission;
 pub mod blcr;
 pub mod daemon;
+mod ledger;
 pub mod policy;
 pub mod report;
 pub mod resize;
@@ -53,6 +57,7 @@ pub mod table3;
 
 pub use blcr::{run_blcr, BlcrConfig, BlcrStore};
 pub use daemon::run_with_daemon;
+pub use ledger::{Admission, AdmitError, TenantId};
 pub use policy::PolicySpec;
 pub use report::{
     AttemptRecord, CyclePhase, DaemonHistory, PhaseTimes, Refusal, RetryPolicy, ServiceReport,

@@ -17,7 +17,7 @@
 //! * [`PolicySpec::RoundRobin`] — the front of the ready set: after each
 //!   slice the tenant re-queues behind every other runnable tenant.
 
-use skt_cluster::TenantId;
+use crate::ledger::TenantId;
 use std::fmt;
 
 /// A slice-scheduling policy: plain data (`Copy`, comparable, storable

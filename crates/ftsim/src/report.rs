@@ -15,8 +15,9 @@
 //! *recover* and *checkpoint* are measured on the virtual cluster;
 //! *restart* is a clamped stand-in (see [`CyclePhase::Restart`]).
 
+use crate::ledger::TenantId;
 use crate::resize::ResizeAudit;
-use skt_cluster::{ArbitrationError, Fault, NodeId, TenantId};
+use skt_cluster::{Fault, NodeId};
 use skt_core::{OpRecord, RecoveryReport};
 use skt_hpl::SktOutput;
 use std::time::Duration;
@@ -231,9 +232,22 @@ pub enum Refusal {
     /// (e.g. a checkpoint group damaged beyond the codec's repair);
     /// replacement and retry cannot fix it.
     Unrecoverable,
-    /// The arbitration layer refused the cascade: granting it would dip
-    /// into spares reserved for other tenants' guarantees.
-    SpareContention(ArbitrationError),
+    /// The spare ledger refused the cascade: the pool still holds
+    /// spares, but granting the draw would dip into those reserved for
+    /// other tenants' guarantees.
+    SpareContention {
+        /// The refused tenant.
+        tenant: TenantId,
+        /// Spares the cascade needs.
+        requested: usize,
+        /// What remains of the tenant's own reservation.
+        own_reserve: usize,
+        /// Unreserved spares available to anyone.
+        float: usize,
+        /// Spares currently reserved for *other* tenants — the quantity
+        /// this refusal protects.
+        reserved_elsewhere: usize,
+    },
     /// Still waiting for admission when the service ran out of events —
     /// capacity never freed up.
     AdmissionStarved,
@@ -246,7 +260,7 @@ impl Refusal {
             Refusal::OutOfSpares => "out-of-spares",
             Refusal::TooManyFailures => "too-many-failures",
             Refusal::Unrecoverable => "unrecoverable",
-            Refusal::SpareContention(_) => "spare-contention",
+            Refusal::SpareContention { .. } => "spare-contention",
             Refusal::AdmissionStarved => "admission-starved",
         }
     }
@@ -374,7 +388,17 @@ impl TenantReport {
             }
             TenantOutcome::Refused(r) => {
                 let detail = match r {
-                    Refusal::SpareContention(e) => format!(" {e}"),
+                    Refusal::SpareContention {
+                        tenant,
+                        requested,
+                        own_reserve,
+                        float,
+                        reserved_elsewhere,
+                    } => format!(
+                        " {tenant}: drawing {requested} spare(s) would starve other tenants' \
+                         guarantees (own reserve {own_reserve}, float {float}, \
+                         {reserved_elsewhere} reserved elsewhere)"
+                    ),
                     _ => String::new(),
                 };
                 let _ = writeln!(s, "  refused {}{detail}", r.label());
@@ -466,5 +490,39 @@ impl ServiceReport {
             .iter()
             .map(|t| t.fingerprint(timings))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The contention refusal's fingerprint line names every number the
+    /// ledger weighed; the determinism jobs diff it across processes.
+    #[test]
+    fn spare_contention_fingerprint_line_is_pinned() {
+        let refusal = Refusal::SpareContention {
+            tenant: TenantId(3),
+            requested: 2,
+            own_reserve: 1,
+            float: 0,
+            reserved_elsewhere: 11,
+        };
+        let outcome = TenantOutcome::Refused(refusal);
+        let report = TenantReport::new(
+            TenantId(3),
+            "job03".into(),
+            outcome,
+            Duration::ZERO,
+            Duration::ZERO,
+        );
+        let fp = report.fingerprint(false);
+        assert_eq!(
+            fp.lines().nth(1),
+            Some(
+                "  refused spare-contention t3: drawing 2 spare(s) would starve other tenants' \
+                 guarantees (own reserve 1, float 0, 11 reserved elsewhere)"
+            )
+        );
     }
 }

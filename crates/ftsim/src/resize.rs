@@ -9,7 +9,7 @@
 //! **install** them under the new block-cyclic distribution and commit
 //! a fresh boundary checkpoint for the new group layout
 //! ([`skt_hpl::install_relayout`]), and only then move the node
-//! accounting ([`ServicePool::commit_resize`](skt_cluster::ServicePool)).
+//! accounting (the ledger's `ServicePool::commit_resize`).
 //!
 //! The install is wrapped in a sequenced `ResizeOp`
 //! ([`skt_core::protocol::ops`]): a kill landing inside the resize
@@ -23,11 +23,10 @@
 //! layout lives in an epoch-suffixed SHM namespace (`{base}@e{k}`), and
 //! the old epoch is wiped only after the pool reshape commits.
 
+use crate::ledger::{ResizePlan, TenantId};
 use crate::report::Refusal;
 use crate::service::{CheckpointService, Repair, ServiceEvent, Tenant};
-use skt_cluster::{
-    segment_name, Cluster, Fault, NodeId, Ranklist, Region, ReshapeError, ResizePlan,
-};
+use skt_cluster::{segment_name, Cluster, Fault, NodeId, Ranklist, Region};
 use skt_core::protocol::ops::{self, OpState, SequencedOp};
 use skt_core::protocol::{Header, HeaderState};
 use skt_core::{resize_group_size, Checkpointer, OpRecord};
@@ -54,10 +53,22 @@ pub enum ResizeError {
     /// panel (or a B2 counter is unreadable). The tenant's own recovery
     /// path still works — only the resize is refused.
     TornBoundary,
-    /// The pool ledger refused to plan the reshape — the grow would
-    /// starve the free pool, or the target can never fit — in the
-    /// ledger's own words.
-    Pool(ReshapeError),
+    /// The target shard exceeds the pool's total compute-node count.
+    NeverFits {
+        /// Nodes demanded.
+        demanded: usize,
+        /// Compute nodes the pool has in total.
+        total: usize,
+    },
+    /// The grow needs more free nodes than the pool holds right now.
+    WouldStarve {
+        /// The refused tenant.
+        tenant: TenantId,
+        /// Extra nodes the grow needs.
+        requested: usize,
+        /// Free nodes actually available.
+        free: usize,
+    },
 }
 
 impl ResizeError {
@@ -66,7 +77,8 @@ impl ResizeError {
         match self {
             ResizeError::ShrinkBelowMinGroup { .. } => "shrink-below-min-group",
             ResizeError::TornBoundary => "torn-boundary",
-            ResizeError::Pool(e) => e.label(),
+            ResizeError::NeverFits { .. } => "never-fits",
+            ResizeError::WouldStarve { .. } => "grow-would-starve",
         }
     }
 }
@@ -81,7 +93,20 @@ impl std::fmt::Display for ResizeError {
                 )
             }
             ResizeError::TornBoundary => write!(f, "boundary checkpoint torn across ranks"),
-            ResizeError::Pool(e) => write!(f, "{e}"),
+            ResizeError::NeverFits { demanded, total } => {
+                write!(
+                    f,
+                    "resize to {demanded} nodes can never fit a {total}-node pool"
+                )
+            }
+            ResizeError::WouldStarve {
+                tenant,
+                requested,
+                free,
+            } => write!(
+                f,
+                "{tenant}: grow needs {requested} free node(s), pool has {free}"
+            ),
         }
     }
 }
@@ -489,8 +514,7 @@ impl CheckpointService {
             Some(new_g) => self
                 .pool
                 .plan_resize(tenant.id, target)
-                .map(|plan| (plan, new_g))
-                .map_err(ResizeError::Pool),
+                .map(|plan| (plan, new_g)),
         };
         let (plan, new_g) = match planned {
             Ok(planned) => planned,
@@ -603,7 +627,7 @@ mod tests {
     use super::*;
     use crate::service::tests::{elastic_cfg, residual_bits, service, tenant_cfg};
     use crate::{PolicySpec, RetryPolicy, ServiceConfig, StormPlan, TenantOutcome};
-    use skt_cluster::{ClusterConfig, FailurePlan, TenantId};
+    use skt_cluster::{ClusterConfig, FailurePlan};
     use skt_hpl::RESIZE_PROBE;
 
     #[test]
@@ -619,8 +643,7 @@ mod tests {
 
     #[test]
     fn resize_error_labels_are_stable() {
-        let t0 = TenantId(0);
-        let table: [(ResizeError, &str, &str); 5] = [
+        let table: [(ResizeError, &str, &str); 4] = [
             (
                 ResizeError::ShrinkBelowMinGroup {
                     requested: 1,
@@ -634,29 +657,22 @@ mod tests {
                 "torn-boundary",
                 "boundary checkpoint torn across ranks",
             ),
-            // the pool's refusals keep their labels through the wrapper
-            // and speak in the ledger's own words
             (
-                ResizeError::Pool(ReshapeError::WouldStarve {
-                    tenant: t0,
+                ResizeError::WouldStarve {
+                    tenant: TenantId(0),
                     requested: 2,
                     free: 0,
-                }),
+                },
                 "grow-would-starve",
                 "t0: grow needs 2 free node(s), pool has 0",
             ),
             (
-                ResizeError::Pool(ReshapeError::NeverFits {
+                ResizeError::NeverFits {
                     demanded: 9,
                     total: 4,
-                }),
+                },
                 "never-fits",
                 "resize to 9 nodes can never fit a 4-node pool",
-            ),
-            (
-                ResizeError::Pool(ReshapeError::UnknownTenant(t0)),
-                "unknown-tenant",
-                "t0: not an admitted tenant",
             ),
         ];
         for (e, label, text) in table {
@@ -770,11 +786,11 @@ mod tests {
         assert_eq!((r.kind, r.outcome), ("grow", "refused"));
         assert_eq!(
             r.refusal,
-            Some(ResizeError::Pool(ReshapeError::WouldStarve {
+            Some(ResizeError::WouldStarve {
                 tenant: a.tenant,
                 requested: 2,
                 free: 0
-            }))
+            })
         );
         let b = rep.tenant("b").unwrap();
         assert!(matches!(b.outcome, TenantOutcome::Completed(_)));

@@ -5,10 +5,11 @@
 //! guards one application, but nothing in it is per-application — group
 //! parity, sequenced recovery ops, and the ranklist-repair cycle compose
 //! into a reusable service once three problems are solved, and this
-//! module solves them on top of the [`skt_cluster::service`] substrate:
+//! module solves them on top of the service's ledger (the crate-private
+//! `ledger` module):
 //!
 //! * **Sharding + admission** ([`crate::admission`]) — each tenant gets
-//!   a disjoint node shard ([`ServicePool`]); demand that can't be met
+//!   a disjoint node shard (`ServicePool`); demand that can't be met
 //!   now queues FIFO, demand that can never be met is rejected typed.
 //! * **Spare arbitration** — a tenant's recovery cascade draws spares
 //!   through the reservation ledger; a draw that would starve another
@@ -17,7 +18,7 @@
 //! * **Event-driven supervision** — the paper's single blocking
 //!   work-fail-detect-restart cycle (§5.2) becomes a per-tenant state
 //!   machine with one failure ladder, advanced from a deterministic
-//!   [`EventQueue`] on the cluster's [`Runtime`](skt_cluster::Runtime)
+//!   `EventQueue` on the cluster's [`Runtime`](skt_cluster::Runtime)
 //!   clock. Jobs time-share the runtime in *slices*
 //!   ([`skt_hpl::run_skt_sliced`]): a tenant runs alone for a bounded
 //!   number of panels, parks its state in SHM (the self-checkpoint
@@ -39,6 +40,7 @@
 //! as its float; it returns that tenant's [`TenantReport`].
 
 use crate::admission::WaitList;
+use crate::ledger::{EventQueue, ServicePool, TenantId};
 use crate::policy::PolicySpec;
 use crate::report::{
     AttemptRecord, CyclePhase, DaemonHistory, PhaseTimes, Refusal, RetryPolicy, ServiceReport,
@@ -46,10 +48,7 @@ use crate::report::{
 };
 use crate::resize::Elasticity;
 use crate::storm::{StormPlan, TimedFault};
-use skt_cluster::{
-    ArbitrationError, Cluster, EventQueue, Fault, NodeId, ProbeVerdict, Ranklist, ServicePool,
-    Stopwatch, TenantId,
-};
+use skt_cluster::{Cluster, Fault, NodeId, ProbeVerdict, Ranklist, Stopwatch};
 use skt_core::protocol::ops::{self, SpareDraw};
 use skt_core::RecoveryReport;
 use skt_hpl::{run_skt_sliced, SktConfig, SktOutput, SktRun};
@@ -297,13 +296,7 @@ impl CheckpointService {
         if dead == 0 {
             return Ok(());
         }
-        match self.pool.draw_spares(tenant.id, dead) {
-            Ok(_) => {}
-            Err(e @ ArbitrationError::WouldStarve { .. }) => {
-                return Err(Refusal::SpareContention(e));
-            }
-            Err(_) => return Err(Refusal::OutOfSpares),
-        }
+        self.pool.draw_spares(tenant.id, dead)?;
         // Physical draw through the sequenced op: replays detect a draw
         // already `Done` and skip it; the record is audit evidence.
         let drawn = ops::prepare_replay(SpareDraw::new(&self.cluster), &tenant.rl)
@@ -502,10 +495,7 @@ impl CheckpointService {
         let id = tenant.id;
         let prefix_slash = format!("{}/", tenant.base);
         let prefix_epoch = format!("{}@", tenant.base);
-        let shard: Vec<NodeId> = match self.pool.nodes_of(id) {
-            Some(nodes) => nodes.to_vec(),
-            None => node_set(&tenant.rl),
-        };
+        let shard = self.pool.nodes_of(id).to_vec();
         let mut foreign: Vec<String> = shard
             .iter()
             .flat_map(|&n| self.cluster.shm(n).names())
@@ -707,15 +697,15 @@ pub(crate) mod tests {
         let rep = svc.run(&storm);
         let g = rep.tenant("gambler").unwrap();
         match &g.outcome {
-            TenantOutcome::Refused(Refusal::SpareContention(ArbitrationError::WouldStarve {
+            TenantOutcome::Refused(Refusal::SpareContention {
                 requested,
                 reserved_elsewhere,
                 ..
-            })) => {
+            }) => {
                 assert_eq!(*requested, 1);
                 assert_eq!(*reserved_elsewhere, 1);
             }
-            other => panic!("expected WouldStarve, got {other:?}"),
+            other => panic!("expected SpareContention, got {other:?}"),
         }
         let i = rep.tenant("insured").unwrap();
         assert!(

@@ -5,8 +5,7 @@
 
 use proptest::prelude::*;
 use self_checkpoint::cluster::{
-    Admission, Cluster, ClusterConfig, FaultAction, FaultPlan, GrayKind, Ranklist, Region,
-    SimRuntime,
+    Cluster, ClusterConfig, FaultAction, FaultPlan, GrayKind, Ranklist, Region, SimRuntime,
 };
 use self_checkpoint::core::{
     available_fraction, Checkpointer, CkptConfig, MemoryBreakdown, Method, RecoverError, Recovery,
@@ -14,8 +13,8 @@ use self_checkpoint::core::{
 };
 use self_checkpoint::encoding::{kernels, Code, CodecSpec, GroupLayout, KernelConfig};
 use self_checkpoint::ftsim::{
-    run_with_daemon, CheckpointService, PolicySpec, RetryPolicy, ServiceConfig, StormPlan,
-    SuspicionOutcome, TenantOutcome, TenantReport,
+    run_with_daemon, Admission, CheckpointService, PolicySpec, RetryPolicy, ServiceConfig,
+    StormPlan, SuspicionOutcome, TenantOutcome, TenantReport,
 };
 use self_checkpoint::hpl::{HplConfig, SktConfig, ITER_PROBE};
 use self_checkpoint::linalg::{dgemm, solve_ref, MatGen, Matrix, Trans};
