@@ -18,13 +18,10 @@
 //! `Event::StorageWrite` / `StorageRead` on the cluster's bus.
 
 use skt_cluster::{segment_name, Device, DeviceKind, Event};
-use skt_hpl::dist::BlockCyclic1D;
-use skt_hpl::elim::{back_substitute, generate, panel_step, verify};
-use skt_hpl::plain::{assemble_output, HplConfig};
-use skt_hpl::{SktOutput, ITER_PROBE};
-use skt_linalg::MatGen;
+use skt_hpl::{solve, BlockCyclic1D, HplConfig, Kept, Shard, SktOutput, Start};
 use skt_mps::{Ctx, Fault, Payload, ReduceOp};
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Per-rank persistent disks, owned by the driver so they outlive job
 /// launches (a rank's disk follows it to a replacement node).
@@ -39,16 +36,6 @@ impl BlcrStore {
             devices: (0..nranks).map(|_| Device::new(kind)).collect(),
         })
     }
-
-    /// Rank `r`'s disk.
-    pub fn device(&self, r: usize) -> &Device {
-        &self.devices[r]
-    }
-
-    /// Total checkpoint bytes currently on all disks.
-    pub fn used_bytes(&self) -> usize {
-        self.devices.iter().map(|d| d.used_bytes()).sum()
-    }
 }
 
 /// BLCR run configuration.
@@ -62,160 +49,117 @@ pub struct BlcrConfig {
     pub name: String,
 }
 
-fn serialize(k: u64, storage: &[f64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(8 + storage.len() * 8);
-    out.extend_from_slice(&k.to_le_bytes());
-    for v in storage {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
-}
-
-/// Decode a checkpoint blob. `None` for anything shorter than its epoch
-/// header — a torn disk blob reads as absent, never as a panic.
-fn deserialize(blob: &[u8]) -> Option<(u64, Vec<f64>)> {
-    let head = blob.get(..8)?;
-    let mut w = [0u8; 8];
-    w.copy_from_slice(head);
-    let k = u64::from_le_bytes(w);
-    let data = blob[8..]
-        .chunks_exact(8)
-        .map(|c| {
-            w.copy_from_slice(c);
-            f64::from_le_bytes(w)
-        })
-        .collect();
-    Some((k, data))
-}
-
 /// Run HPL under BLCR-style disk checkpointing. The same `store` must be
 /// passed to every (re)launch of one logical run.
 pub fn run_blcr(ctx: &Ctx, cfg: &BlcrConfig, store: &BlcrStore) -> Result<SktOutput, Fault> {
-    let comm = ctx.world();
-    let me = comm.rank();
-    let dist = BlockCyclic1D::new(cfg.hpl.n, cfg.hpl.nb, comm.size(), me);
-    let gen = MatGen::new(cfg.hpl.seed);
-    let dev = store.device(me);
-    let sharers = ctx.node_sharers();
-    let device = dev.kind().name();
-    let slot_name = |s: u64| segment_name(&cfg.name, me, &format!("slot{s}"));
+    let me = ctx.world_rank();
+    let dist = BlockCyclic1D::new(cfg.hpl.n, cfg.hpl.nb, ctx.nranks(), me);
+    let mut disk = Disk {
+        every: cfg.ckpt_every,
+        slots: [0, 1].map(|s| segment_name(&cfg.name, me, &format!("slot{s}"))),
+        dev: &store.devices[me],
+        sharers: ctx.node_sharers(),
+        matrix: vec![0.0; dist.alloc_len()],
+    };
+    Ok(solve(ctx, &dist, cfg.hpl.seed, &mut disk, cfg.ckpt_every, 0)?.done())
+}
 
-    // --- restore: newest epoch available on EVERY rank ---
-    let t_rec = ctx.stopwatch();
-    let mut local: Vec<(u64, u64)> = Vec::new(); // (k, slot)
-    for s in 0..2u64 {
-        if let Some((blob, _)) = dev.read(&slot_name(s), sharers) {
-            if let Some(head) = blob.get(..8) {
-                let mut w = [0u8; 8];
-                w.copy_from_slice(head);
-                local.push((u64::from_le_bytes(w), s));
-            }
-        }
-    }
-    let my_best = local.iter().map(|(k, _)| *k).max().unwrap_or(0);
-    let common = comm
-        .allreduce(ReduceOp::Min, Payload::I64(vec![my_best as i64]))?
-        .into_i64()[0] as u64;
+/// BLCR's shard: a heap matrix, kept as a whole-state blob in one of two
+/// alternating disk slots.
+struct Disk<'a> {
+    every: usize,
+    slots: [String; 2],
+    dev: &'a Device,
+    sharers: usize,
+    matrix: Vec<f64>,
+}
 
-    let mut storage;
-    let start_panel;
-    let mut recover_io = 0.0f64;
-    if common > 0 {
-        // The two-slot discipline makes the agreed epoch held here, but
-        // every step stays fallible: a disagreeing inventory yields a
-        // typed fault, not a panic mid-collective.
-        let slot = local
+impl Shard for Disk<'_> {
+    /// The newest epoch available on EVERY rank. The inventory's read
+    /// of the agreed slot is the one charged restore read.
+    fn restore(&mut self, ctx: &Ctx) -> Result<Start, Fault> {
+        // (epoch, blob, modeled read time) of each slot; a blob torn
+        // below its epoch word reads as absent, never as a panic
+        let mut held: Vec<(u64, Vec<u8>, Duration)> = self
+            .slots
             .iter()
-            .find(|(k, _)| *k == common)
-            .map(|(_, s)| *s)
+            .filter_map(|slot| {
+                let (blob, t_io) = self.dev.read(slot, self.sharers)?;
+                Some((
+                    u64::from_le_bytes(blob.get(..8)?.try_into().ok()?),
+                    blob,
+                    t_io,
+                ))
+            })
+            .collect();
+        let my_best = held.iter().map(|h| h.0).max().unwrap_or(0);
+        let common = ctx
+            .world()
+            .allreduce(ReduceOp::Min, Payload::I64(vec![my_best as i64]))?
+            .into_i64()[0] as u64;
+        if common == 0 {
+            return Ok(Start::Fresh);
+        }
+        // The two-slot discipline makes the agreed epoch held here, but a
+        // disagreeing inventory yields a typed fault, not a panic
+        // mid-collective.
+        let at = held
+            .iter()
+            .position(|h| h.0 == common)
             .ok_or(Fault::Protocol(
                 "blcr: agreed epoch not present in local slots",
             ))?;
-        let (blob, t_io) = dev.read(&slot_name(slot), sharers).ok_or(Fault::Protocol(
-            "blcr: checkpoint slot vanished between inventory and read",
-        ))?;
+        let (_, blob, t_io) = held.swap_remove(at);
         ctx.cluster().events().emit(Event::StorageRead {
-            device,
+            device: self.dev.kind().name(),
             bytes: blob.len() as u64,
             modeled: t_io,
         });
-        recover_io += t_io.as_secs_f64();
-        let (k, data) = deserialize(&blob).ok_or(Fault::Protocol(
-            "blcr: checkpoint blob torn below its epoch header",
-        ))?;
-        debug_assert_eq!(k, common);
-        storage = data;
-        start_panel = common as usize;
-    } else {
-        storage = vec![0.0; dist.alloc_len()];
-        generate(&dist, &gen, &mut storage);
-        start_panel = 0;
+        self.matrix = blob[8..]
+            .chunks_exact(8)
+            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+            .collect();
+        Ok(Start::Resume {
+            panel: common as usize,
+            modeled: t_io.as_secs_f64(),
+        })
     }
-    let recover_seconds = t_rec.elapsed().as_secs_f64() + recover_io;
-    comm.barrier()?;
 
-    // --- eliminate with coordinated disk checkpoints ---
-    let mut ckpt_secs = 0.0f64; // reported cost: real serialize + modeled device
-    let mut ckpt_wall = 0.0f64; // real wall time actually spent, to subtract
-    let mut checkpoints = 0usize;
-    let nba = dist.nblocks_a();
-    let t0 = ctx.stopwatch();
-    for k in start_panel..nba {
-        panel_step(&comm, &dist, &mut storage, k)?;
-        ctx.failpoint(ITER_PROBE)?;
-        let done = (k + 1) as u64;
-        if cfg.ckpt_every > 0
-            && (done as usize).is_multiple_of(cfg.ckpt_every)
-            && (done as usize) < nba
-        {
-            let t = ctx.stopwatch();
-            let blob = serialize(done, &storage);
-            ctx.failpoint("blcr-write")?;
-            // alternate slots by checkpoint ordinal so the previous
-            // checkpoint survives until this one is complete
-            let slot = (done as usize / cfg.ckpt_every) as u64 % 2;
-            let bytes = blob.len() as u64;
-            let t_io = dev.write(&slot_name(slot), blob, sharers);
-            ctx.cluster().events().emit(Event::StorageWrite {
-                device,
-                bytes,
-                modeled: t_io,
-            });
-            comm.barrier()?; // coordinated commit
-            let wall = t.elapsed().as_secs_f64();
-            ckpt_wall += wall;
-            ckpt_secs += wall + t_io.as_secs_f64();
-            checkpoints += 1;
+    fn lend<R>(&mut self, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        f(&mut self.matrix)
+    }
+
+    /// Serialize, write the slot this checkpoint's ordinal names (so the
+    /// previous checkpoint survives until this one is complete), and
+    /// commit with a barrier.
+    fn keep(&mut self, ctx: &Ctx, done: usize) -> Result<Kept, Fault> {
+        let mut blob = Vec::with_capacity(8 + self.matrix.len() * 8);
+        blob.extend_from_slice(&(done as u64).to_le_bytes());
+        for v in &self.matrix {
+            blob.extend_from_slice(&v.to_le_bytes());
         }
+        ctx.failpoint("blcr-write")?;
+        let slot = &self.slots[done / self.every % 2];
+        let bytes = blob.len() as u64;
+        let t_io = self.dev.write(slot, blob, self.sharers);
+        ctx.cluster().events().emit(Event::StorageWrite {
+            device: self.dev.kind().name(),
+            bytes,
+            modeled: t_io,
+        });
+        ctx.world().barrier()?; // coordinated commit
+        Ok(Kept {
+            encode: 0.0,
+            modeled: t_io.as_secs_f64(),
+        })
     }
-    let x = back_substitute(&comm, &dist, &storage)?;
-    let compute = (t0.elapsed().as_secs_f64() - ckpt_wall).max(1e-9);
-
-    let v = verify(&comm, &dist, &gen, &x)?;
-    let hpl = assemble_output(
-        ctx,
-        cfg.hpl.n,
-        compute,
-        ckpt_secs,
-        0.0,
-        checkpoints,
-        v.residual,
-        v.passed,
-    )?;
-    Ok(SktOutput {
-        hpl,
-        resumed_from_panel: start_panel,
-        restarted_from_scratch: false,
-        recover_seconds,
-        // BLCR restores from disk blobs, outside the protocol layer
-        recovery: None,
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use skt_cluster::{Cluster, ClusterConfig, FailurePlan, Ranklist, Recorder};
+    use skt_hpl::ITER_PROBE;
     use skt_mps::run_on_cluster;
 
     fn cfg() -> BlcrConfig {
@@ -250,7 +194,7 @@ mod tests {
             assert_eq!(o.hpl.checkpoints, 5, "panels 2, 4, 6, 8, 10 of 12");
             assert!(o.hpl.ckpt_seconds > 0.0, "device time must be charged");
         }
-        assert!(store.used_bytes() > 0);
+        assert!(store.devices.iter().any(|d| d.used_bytes() > 0));
         // one write per rank per checkpoint, nothing read on a fresh start
         assert_eq!(blob_events(&rec, true, "hdd"), 5 * 4);
         let reads = rec.count(|e| matches!(e, Event::StorageRead { .. }));

@@ -31,14 +31,14 @@
 //!   (harvest the boundary checkpoint, re-install it under the new
 //!   layout via a sequenced op, then — and only then — move the node
 //!   accounting), and the typed [`ResizeError`].
-//! * [`blcr`] — the BLCR baseline: transparent process-level
-//!   checkpointing of the whole rank state to a (bandwidth-modeled)
-//!   HDD/SSD block device, with restart from disk (Table 3's
-//!   `BLCR+HDD` / `BLCR+SSD` rows).
-//! * [`table3`] — the end-to-end comparison driver that produces the
-//!   rows of Table 3: each method sized to the memory its protocol
-//!   leaves available, run for performance, then subjected to a
-//!   power-off to test recovery.
+//! * [`blcr`] — the BLCR baseline: the whole rank state kept on a
+//!   (bandwidth-modeled) HDD/SSD block device in two alternating slots,
+//!   with restart from disk (Table 3's `BLCR+HDD` / `BLCR+SSD` rows). It
+//!   is a [`Shard`](skt_hpl::Shard) of the one HPL solve loop.
+//! * [`table3`] — Table 3: one row function run once per
+//!   method — size it to the memory its protocol leaves available, a
+//!   clean run, a power-off, repair, a relaunch that must resume from
+//!   the last checkpoint.
 //!
 //! The SCR-in-RAM baseline needs no module of its own: it is
 //! [`skt_hpl::run_skt`] with [`Method::Double`](skt_core::Method), which

@@ -11,8 +11,10 @@
 use crate::blcr::{run_blcr, BlcrConfig, BlcrStore};
 use skt_cluster::{Cluster, ClusterConfig, DeviceKind, FailurePlan, Ranklist};
 use skt_core::{max_workspace_len, Method};
-use skt_hpl::{run_abft, run_plain, run_skt, HplConfig, SktConfig};
-use skt_mps::run_on_cluster;
+use skt_hpl::{
+    run_abft, run_plain, run_skt, HplConfig, HplOutput, SktConfig, SktOutput, ITER_PROBE,
+};
+use skt_mps::{run_on_cluster, Ctx, Fault};
 use std::sync::Arc;
 
 /// Experiment shape.
@@ -58,164 +60,137 @@ pub struct MethodRow {
     pub recovered: bool,
 }
 
-fn fresh_cluster(cfg: &Table3Config, spares: usize) -> (Arc<Cluster>, Ranklist) {
-    let cluster = Arc::new(Cluster::new(ClusterConfig::new(cfg.nodes, spares)));
-    let rl = Ranklist::round_robin(cfg.nranks, cfg.nodes);
-    (cluster, rl)
+/// Where a Table 3 method keeps its shard — all that `row` needs to
+/// know of it.
+#[derive(Clone, Copy, Debug)]
+enum Keep {
+    /// A heap matrix nothing keeps (the original HPL).
+    Never,
+    /// A heap matrix with ABFT checksum columns.
+    Checksums,
+    /// BLCR: whole-state blobs on a per-rank disk of this kind.
+    Disk(DeviceKind),
+    /// The SHM workspace, kept by this checkpoint protocol.
+    Memory(Method),
 }
 
-fn interval_for(n: usize, nb: usize, ckpts: usize) -> usize {
-    ((n / nb) / (ckpts + 1)).max(1)
+/// Produce all six rows of Table 3: one `row` per method.
+pub fn run_table3(cfg: &Table3Config) -> Vec<MethodRow> {
+    let mut rows: Vec<MethodRow> = [
+        ("Original HPL", Keep::Never),
+        ("ABFT", Keep::Checksums),
+        ("BLCR+HDD", Keep::Disk(DeviceKind::Hdd)),
+        ("BLCR+SSD", Keep::Disk(DeviceKind::Ssd)),
+        ("SCR+Memory", Keep::Memory(Method::Double)),
+        ("SKT-HPL", Keep::Memory(Method::SelfCkpt)),
+    ]
+    .into_iter()
+    .map(|(name, keep)| {
+        // in-memory methods carve their checkpoints out of the budget (so
+        // they solve smaller problems); the others have all of it
+        let avail = match keep {
+            Keep::Memory(method) => max_workspace_len(method, cfg.group_size, cfg.budget_elems * 8),
+            _ => cfg.budget_elems,
+        };
+        let n = match keep {
+            Keep::Checksums => abft_n(cfg),
+            _ => HplConfig::max_n_for_budget(avail, cfg.nb, cfg.nranks),
+        };
+        row(cfg, name, keep, n, avail)
+    })
+    .collect();
+    let base = rows[0].gflops;
+    for r in &mut rows {
+        r.normalized_eff = r.gflops / base;
+    }
+    rows
+}
+
+/// One row: a clean run for the performance columns, then a power-off at
+/// the first panel past a checkpoint, repair, and a relaunch. The method
+/// recovered when every rank of the relaunch passes having resumed from
+/// that checkpoint — a relaunch that starts over did not recover.
+fn row(cfg: &Table3Config, name: &str, keep: Keep, n: usize, avail: usize) -> MethodRow {
+    let hpl = HplConfig::new(n, cfg.nb, cfg.seed);
+    let every = ((n / cfg.nb) / (cfg.ckpts_per_run + 1)).max(1);
+    let mut skt = SktConfig::new(hpl, cfg.group_size, every);
+    skt.name = format!("t3-{name}");
+    if let Keep::Memory(method) = keep {
+        skt.method = method;
+    }
+    let blcr = BlcrConfig {
+        hpl,
+        ckpt_every: every,
+        name: skt.name.clone(),
+    };
+    // one launch on this rank: its solve and the panel it resumed from
+    let launch = |ctx: &Ctx, disks: Option<&BlcrStore>| -> Result<(HplOutput, usize), Fault> {
+        let resumed = |out: SktOutput| (out.hpl, out.resumed_from_panel);
+        match keep {
+            Keep::Never => Ok((run_plain(ctx, &hpl)?, 0)),
+            Keep::Checksums => {
+                let out = run_abft(ctx, &hpl)?;
+                assert!(out.checksum_ok, "the ABFT invariant must hold");
+                Ok((out.hpl, 0))
+            }
+            Keep::Disk(_) => run_blcr(ctx, &blcr, disks.expect("BLCR disks")).map(resumed),
+            Keep::Memory(_) => run_skt(ctx, &skt).map(resumed),
+        }
+    };
+    // one logical run on a fresh cluster with disks of its own; `kill`
+    // powers a node off, then repairs and relaunches
+    let run = |kill: bool| {
+        let cluster = Arc::new(Cluster::new(ClusterConfig::new(cfg.nodes, kill as usize)));
+        let mut rl = Ranklist::round_robin(cfg.nranks, cfg.nodes);
+        let disks = match keep {
+            Keep::Disk(kind) => Some(BlcrStore::new(cfg.nranks, kind)),
+            _ => None,
+        };
+        let go = |rl: &Ranklist| {
+            run_on_cluster(Arc::clone(&cluster), rl, |ctx| {
+                launch(ctx, disks.as_deref())
+            })
+        };
+        if kill {
+            cluster.arm_failure(FailurePlan::new(
+                ITER_PROBE,
+                every as u64 + 1,
+                cfg.nodes / 2,
+            ));
+            assert!(go(&rl).is_err(), "{name}: a power-off must abort the run");
+            cluster.reset_abort();
+            rl.repair(&cluster).unwrap();
+        }
+        go(&rl).unwrap()
+    };
+    let (perf, _) = run(false)[0];
+    MethodRow {
+        name: name.into(),
+        n,
+        runtime: perf.compute_seconds,
+        ckpt_time: perf.ckpt_seconds,
+        checkpoints: perf.checkpoints,
+        gflops: perf.gflops_effective,
+        avail_elems: avail,
+        normalized_eff: 0.0, // set by `run_table3` against the first row
+        recovered: run(true)
+            .iter()
+            .all(|(out, from)| out.passed && *from == every),
+    }
 }
 
 /// Largest ABFT-compatible problem size fitting the budget.
 fn abft_n(cfg: &Table3Config) -> usize {
     let step = cfg.nb * cfg.nranks;
-    let mut n = step;
-    loop {
-        let next = n + step;
-        let d = skt_hpl::abft::abft_dist(&HplConfig::new(next, cfg.nb, cfg.seed), cfg.nranks, 0);
-        if d.alloc_len() > cfg.budget_elems {
-            return n;
-        }
-        n = next;
-    }
-}
-
-/// Produce all six rows of Table 3. Each method runs twice: once clean
-/// (performance) and once with a power-off at mid-run (recovery check).
-pub fn run_table3(cfg: &Table3Config) -> Vec<MethodRow> {
-    let mut rows = Vec::new();
-    let budget_bytes = cfg.budget_elems * 8;
-    let victim = cfg.nodes / 2;
-
-    // --- Original HPL ---
-    let n_full = HplConfig::max_n_for_budget(cfg.budget_elems, cfg.nb, cfg.nranks);
-    let hpl_full = HplConfig::new(n_full, cfg.nb, cfg.seed);
-    let (cl, rl) = fresh_cluster(cfg, 0);
-    let out = run_on_cluster(cl, &rl, |ctx| run_plain(ctx, &hpl_full)).unwrap()[0];
-    let base_gflops = out.gflops_effective;
-    // power-off: the job dies and nothing persists — unrecoverable
-    let (cl, rl) = fresh_cluster(cfg, 1);
-    cl.arm_failure(FailurePlan::new(skt_hpl::ITER_PROBE, 2, victim));
-    let crash = run_on_cluster(cl, &rl, |ctx| run_plain(ctx, &hpl_full));
-    assert!(crash.is_err(), "power-off must abort the original HPL");
-    rows.push(MethodRow {
-        name: "Original HPL".into(),
-        n: n_full,
-        runtime: out.compute_seconds,
-        ckpt_time: 0.0,
-        checkpoints: 0,
-        gflops: out.gflops_effective,
-        avail_elems: cfg.budget_elems,
-        normalized_eff: 1.0,
-        recovered: false,
-    });
-
-    // --- ABFT ---
-    let n_abft = abft_n(cfg);
-    let hpl_abft = HplConfig::new(n_abft, cfg.nb, cfg.seed);
-    let (cl, rl) = fresh_cluster(cfg, 0);
-    let abft = run_on_cluster(cl, &rl, |ctx| run_abft(ctx, &hpl_abft)).unwrap()[0];
-    assert!(
-        abft.checksum_ok,
-        "ABFT invariant must hold in the clean run"
-    );
-    let (cl, rl) = fresh_cluster(cfg, 1);
-    cl.arm_failure(FailurePlan::new(skt_hpl::ITER_PROBE, 2, victim));
-    assert!(run_on_cluster(cl, &rl, |ctx| run_abft(ctx, &hpl_abft)).is_err());
-    rows.push(MethodRow {
-        name: "ABFT".into(),
-        n: n_abft,
-        runtime: abft.hpl.compute_seconds,
-        ckpt_time: 0.0,
-        checkpoints: 0,
-        gflops: abft.hpl.gflops_effective,
-        avail_elems: cfg.budget_elems,
-        normalized_eff: abft.hpl.gflops_effective / base_gflops,
-        recovered: false,
-    });
-
-    // --- BLCR + HDD / SSD ---
-    for (label, kind) in [("BLCR+HDD", DeviceKind::Hdd), ("BLCR+SSD", DeviceKind::Ssd)] {
-        let bl_cfg = BlcrConfig {
-            hpl: hpl_full,
-            ckpt_every: interval_for(n_full, cfg.nb, cfg.ckpts_per_run),
-            name: format!("t3-{label}"),
-        };
-        // clean performance run
-        let (cl, rl) = fresh_cluster(cfg, 0);
-        let store = BlcrStore::new(cfg.nranks, kind);
-        let perf = run_on_cluster(cl, &rl, |ctx| run_blcr(ctx, &bl_cfg, &store))
-            .unwrap()
-            .swap_remove(0);
-        // power-off + restart from disk
-        let (cl, mut rl) = fresh_cluster(cfg, 1);
-        let store = BlcrStore::new(cfg.nranks, kind);
-        cl.arm_failure(FailurePlan::new(
-            skt_hpl::ITER_PROBE,
-            (bl_cfg.ckpt_every + 1) as u64,
-            victim,
-        ));
-        assert!(run_on_cluster(cl.clone(), &rl, |ctx| run_blcr(ctx, &bl_cfg, &store)).is_err());
-        cl.reset_abort();
-        rl.repair(&cl).unwrap();
-        let rec = run_on_cluster(cl, &rl, |ctx| run_blcr(ctx, &bl_cfg, &store)).unwrap();
-        rows.push(MethodRow {
-            name: label.into(),
-            n: n_full,
-            runtime: perf.hpl.compute_seconds,
-            ckpt_time: perf.hpl.ckpt_seconds,
-            checkpoints: perf.hpl.checkpoints,
-            gflops: perf.hpl.gflops_effective,
-            avail_elems: cfg.budget_elems,
-            normalized_eff: perf.hpl.gflops_effective / base_gflops,
-            recovered: rec.iter().all(|o| o.hpl.passed),
-        });
-    }
-
-    // --- SCR in RAM (double checkpoint) and SKT-HPL (self checkpoint) ---
-    for (label, method) in [
-        ("SCR+Memory", Method::Double),
-        ("SKT-HPL", Method::SelfCkpt),
-    ] {
-        let avail = max_workspace_len(method, cfg.group_size, budget_bytes);
-        let n = HplConfig::max_n_for_budget(avail, cfg.nb, cfg.nranks);
-        let mut scfg = SktConfig::new(HplConfig::new(n, cfg.nb, cfg.seed), cfg.group_size, 0);
-        scfg.method = method;
-        scfg.ckpt_every = interval_for(n, cfg.nb, cfg.ckpts_per_run);
-        scfg.name = format!("t3-{label}");
-        // clean performance run
-        let (cl, rl) = fresh_cluster(cfg, 0);
-        let perf = run_on_cluster(cl, &rl, |ctx| run_skt(ctx, &scfg))
-            .unwrap()
-            .swap_remove(0);
-        // power-off + in-memory recovery
-        let (cl, mut rl) = fresh_cluster(cfg, 1);
-        cl.arm_failure(FailurePlan::new(
-            skt_hpl::ITER_PROBE,
-            (scfg.ckpt_every + 1) as u64,
-            victim,
-        ));
-        assert!(run_on_cluster(cl.clone(), &rl, |ctx| run_skt(ctx, &scfg)).is_err());
-        cl.reset_abort();
-        rl.repair(&cl).unwrap();
-        let rec = run_on_cluster(cl, &rl, |ctx| run_skt(ctx, &scfg)).unwrap();
-        rows.push(MethodRow {
-            name: label.into(),
-            n,
-            runtime: perf.hpl.compute_seconds,
-            ckpt_time: perf.hpl.ckpt_seconds,
-            checkpoints: perf.hpl.checkpoints,
-            gflops: perf.hpl.gflops_effective,
-            avail_elems: avail,
-            normalized_eff: perf.hpl.gflops_effective / base_gflops,
-            recovered: rec
-                .iter()
-                .all(|o| o.hpl.passed && !o.restarted_from_scratch),
-        });
-    }
-    rows
+    let fits = |n| {
+        let d = skt_hpl::abft::abft_dist(&HplConfig::new(n, cfg.nb, cfg.seed), cfg.nranks, 0);
+        d.alloc_len() <= cfg.budget_elems
+    };
+    (2..)
+        .map(|k| k * step)
+        .take_while(|&n| fits(n))
+        .last()
+        .unwrap_or(step)
 }
 
 #[cfg(test)]
@@ -239,18 +214,16 @@ mod tests {
         let get = |name: &str| rows.iter().find(|r| r.name == name).unwrap();
 
         let orig = get("Original HPL");
-        let abft = get("ABFT");
         let hdd = get("BLCR+HDD");
         let ssd = get("BLCR+SSD");
         let scr = get("SCR+Memory");
         let skt = get("SKT-HPL");
 
-        // recovery verdicts (the paper's last column)
-        assert!(
-            !orig.recovered && !abft.recovered,
-            "no persistence, no recovery"
-        );
-        assert!(hdd.recovered && ssd.recovered && scr.recovered && skt.recovered);
+        // recovery verdicts (the paper's last column): a recovered
+        // relaunch resumed from the checkpoint before the kill on every
+        // rank, so a method that silently regenerates fails here
+        let recovered: Vec<bool> = rows.iter().map(|r| r.recovered).collect();
+        assert_eq!(recovered, [false, false, true, true, true, true]);
 
         // memory: SKT-HPL fits a larger problem than SCR (more available
         // memory), both smaller than the original
@@ -271,6 +244,38 @@ mod tests {
         // every method that solves must verify
         for r in &rows {
             assert!(r.gflops > 0.0, "{}", r.name);
+        }
+    }
+
+    #[test]
+    fn methods_share_one_accounting() {
+        // one (n, nb, ckpt_every) and one armed kill for every method:
+        // n = 48, nb = 4 is 12 panels, a keep after panels 4 and 8, the
+        // kill at the 5th panel
+        let cfg = Table3Config {
+            nranks: 4,
+            nodes: 4,
+            budget_elems: 48 * 48,
+            nb: 4,
+            group_size: 2,
+            ckpts_per_run: 2,
+            seed: 33,
+        };
+        let row = |keep| row(&cfg, "shared", keep, 48, cfg.budget_elems);
+        for keep in [Keep::Never, Keep::Checksums] {
+            let r = row(keep);
+            assert_eq!((r.checkpoints, r.ckpt_time), (0, 0.0), "{keep:?}");
+            assert!(!r.recovered, "{keep:?}: nothing kept, nothing resumed");
+        }
+        for keep in [
+            Keep::Disk(DeviceKind::Ssd),
+            Keep::Memory(Method::Double),
+            Keep::Memory(Method::SelfCkpt),
+        ] {
+            let r = row(keep);
+            assert_eq!(r.checkpoints, 2, "{keep:?}");
+            // every rank of the relaunch resumed from panel 4
+            assert!(r.recovered, "{keep:?}");
         }
     }
 }

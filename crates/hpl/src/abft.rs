@@ -14,9 +14,8 @@
 //! fraction of flops).
 
 use crate::dist::BlockCyclic1D;
-use crate::elim::{back_substitute, eliminate, generate, verify};
-use crate::plain::{assemble_output, HplConfig, HplOutput};
-use skt_linalg::MatGen;
+use crate::elim::solve;
+use crate::plain::{HplConfig, HplOutput};
 use skt_mps::{Ctx, Fault, Payload, ReduceOp};
 
 /// Result of an ABFT-HPL run.
@@ -42,32 +41,6 @@ pub fn abft_dist(cfg: &HplConfig, nranks: usize, me: usize) -> BlockCyclic1D {
     );
     let aux = (nba / nranks) * cfg.nb;
     BlockCyclic1D::with_aux(cfg.n, cfg.nb, aux, nranks, me)
-}
-
-/// Fill the checksum columns: aux block `g` holds the element-wise sum of
-/// A-blocks `g*nranks .. (g+1)*nranks`. Pure function of the generator,
-/// so every rank fills its own aux columns without communication.
-pub fn generate_checksums(dist: &BlockCyclic1D, gen: &MatGen, storage: &mut [f64]) {
-    let n = dist.n();
-    let nb = dist.nb();
-    let nranks = dist.nranks();
-    for (lc, gc) in dist.owned_cols() {
-        if gc < n || gc >= dist.b_col() {
-            continue;
-        }
-        let aux_idx = gc - n;
-        let group = aux_idx / nb;
-        let off = aux_idx % nb;
-        let col = &mut storage[lc * n..lc * n + n];
-        for (i, v) in col.iter_mut().enumerate() {
-            let mut s = 0.0;
-            for b in 0..nranks {
-                let src_col = (group * nranks + b) * nb + off;
-                s += gen.entry(i as u64, src_col as u64);
-            }
-            *v = s;
-        }
-    }
 }
 
 /// Check the post-elimination invariant. The fully-transformed checksum
@@ -125,32 +98,18 @@ pub fn verify_checksums(
     Ok(all_ok)
 }
 
-/// Run ABFT-HPL: plain HPL over the checksum-augmented matrix, verifying
-/// the ABFT invariant at the end. No persistent state — a node loss is
-/// fatal.
+/// Run ABFT-HPL: plain HPL over the checksum-augmented matrix (the
+/// generator fills the checksum columns), auditing the ABFT invariant
+/// after the solve. No persistent state — a node loss is fatal.
 pub fn run_abft(ctx: &Ctx, cfg: &HplConfig) -> Result<AbftOutput, Fault> {
     let comm = ctx.world();
     let dist = abft_dist(cfg, comm.size(), comm.rank());
-    let gen = MatGen::new(cfg.seed);
-    let mut storage = vec![0.0; dist.alloc_len()];
-    generate(&dist, &gen, &mut storage);
-    generate_checksums(&dist, &gen, &mut storage);
-    comm.barrier()?;
-
-    let t0 = ctx.stopwatch();
-    eliminate(&comm, &dist, &mut storage, 0, |_, _| {
-        ctx.failpoint(crate::ITER_PROBE)
-    })?;
-    let x = back_substitute(&comm, &dist, &storage)?;
-    let compute = t0.elapsed().as_secs_f64();
-
-    let checksum_ok = verify_checksums(&comm, &dist, &storage)?;
-    let v = verify(&comm, &dist, &gen, &x)?;
-    let hpl = assemble_output(ctx, cfg.n, compute, 0.0, 0.0, 0, v.residual, v.passed)?;
+    let mut heap = vec![0.0; dist.alloc_len()];
+    let hpl = solve(ctx, &dist, cfg.seed, &mut heap, 0, 0)?.done().hpl;
     Ok(AbftOutput {
         hpl,
         overhead_cols: dist.aux_cols() as f64 / cfg.n as f64,
-        checksum_ok,
+        checksum_ok: verify_checksums(&comm, &dist, &heap)?,
     })
 }
 
@@ -190,11 +149,12 @@ mod tests {
             let cfg = HplConfig::new(16, 4, 5);
             let comm = ctx.world();
             let dist = abft_dist(&cfg, comm.size(), comm.rank());
-            let gen = MatGen::new(cfg.seed);
             let mut storage = vec![0.0; dist.alloc_len()];
-            generate(&dist, &gen, &mut storage);
-            generate_checksums(&dist, &gen, &mut storage);
-            eliminate(&comm, &dist, &mut storage, 0, |_, _| Ok(()))?;
+            solve(ctx, &dist, cfg.seed, &mut storage, 0, 0)?;
+            assert!(
+                verify_checksums(&comm, &dist, &storage)?,
+                "intact before the damage"
+            );
             if ctx.world_rank() == 0 {
                 // corrupt a *U-part* entry: global column 8 (rank 0's
                 // local column 4), row 2 — above the diagonal, so it is

@@ -1,18 +1,26 @@
-//! The distributed elimination engine: panel factorization, panel
+//! The distributed elimination engine — panel factorization, panel
 //! broadcast, row interchanges, trailing-matrix update, back
-//! substitution, and residual verification — HPL's four steps (§5.1 of
-//! the paper) over the 1-D block-cyclic layout of [`crate::dist`].
+//! substitution, and residual verification: HPL's four steps (§5.1 of
+//! the paper) over the 1-D block-cyclic layout of [`crate::dist`] — and
+//! [`solve`], the one loop every HPL method runs them in.
 
 use crate::dist::BlockCyclic1D;
-use skt_linalg::{dgemm, dgemv, dgetf2, dtrsm_llnu, dtrsm_lunn, MatGen, Trans, EPS};
-use skt_mps::{Comm, Fault, Payload, ReduceOp};
+use crate::plain::HplOutput;
+use crate::skt::{SktOutput, SktPause, SktRun};
+use crate::ITER_PROBE;
+use skt_core::RecoveryReport;
+use skt_linalg::{dgemm, dgemv, dgetf2, dtrsm_llnu, dtrsm_lunn, hpl_flops, MatGen, Trans, EPS};
+use skt_mps::{Comm, Ctx, Fault, Payload, ReduceOp};
 
 /// User tag for the back-substitution pipeline messages.
 const TAG_BACKSUB: u64 = 100;
 
-/// Fill this rank's shard of `[A | b]` from the deterministic generator.
+/// Fill this rank's shard of `[A | b]` from the deterministic generator,
+/// and of `[A | S | b]` when the layout carries ABFT checksum columns:
+/// aux block `g` holds the element-wise sum of A-blocks
+/// `g*nranks .. (g+1)*nranks`.
 pub fn generate(dist: &BlockCyclic1D, gen: &MatGen, storage: &mut [f64]) {
-    let n = dist.n();
+    let (n, nb, nranks) = (dist.n(), dist.nb(), dist.nranks());
     assert!(storage.len() >= dist.local_len(), "storage too small");
     let rows = gen.row_hashes(n);
     for (lc, gc) in dist.owned_cols() {
@@ -21,8 +29,14 @@ pub fn generate(dist: &BlockCyclic1D, gen: &MatGen, storage: &mut [f64]) {
             rows.fill_col(MatGen::RHS_COL, col);
         } else if gc < n {
             rows.fill_col(gc as u64, col);
+        } else {
+            let (group, off) = ((gc - n) / nb, (gc - n) % nb);
+            for (i, v) in col.iter_mut().enumerate() {
+                *v = (0..nranks).fold(0.0, |s, b| {
+                    s + gen.entry(i as u64, ((group * nranks + b) * nb + off) as u64)
+                });
+            }
         }
-        // aux (ABFT checksum) columns are filled by their owner module
     }
 }
 
@@ -120,21 +134,141 @@ pub fn panel_step(
     Ok(())
 }
 
-/// Run the whole elimination, calling `hook(k)` after each completed
-/// panel (the SKT-HPL checkpoint hook). `from` allows resuming after a
-/// restore.
-pub fn eliminate(
-    comm: &Comm<'_>,
-    dist: &BlockCyclic1D,
-    storage: &mut [f64],
-    from: usize,
-    mut hook: impl FnMut(usize, &mut [f64]) -> Result<(), Fault>,
-) -> Result<(), Fault> {
-    for k in from..dist.nblocks_a() {
-        panel_step(comm, dist, storage, k)?;
-        hook(k, storage)?;
+/// Where one method keeps its rank's shard of `[A | b]`: the only part
+/// of an HPL method that [`solve`] does not run itself.
+pub trait Shard {
+    /// Bring back the newest kept state (collective).
+    fn restore(&mut self, ctx: &Ctx) -> Result<Start, Fault>;
+    /// Lend the shard to `f` for one step.
+    fn lend<R>(&mut self, f: impl FnOnce(&mut [f64]) -> R) -> R;
+    /// Keep the shard as of `done` completed panels (collective).
+    fn keep(&mut self, ctx: &Ctx, done: usize) -> Result<Kept, Fault>;
+    /// The protocol's account of the restore, when one happened.
+    fn report(&self) -> Option<RecoveryReport> {
+        None
     }
-    Ok(())
+}
+
+/// Where a launch starts, as [`Shard::restore`] found the kept state.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Start {
+    /// Nothing kept: generate `[A | b]` and start at panel 0.
+    Fresh,
+    /// The kept state was torn (the single-checkpoint flaw): generate
+    /// and start the whole computation over.
+    Scratch,
+    /// Resume after `panel` panels; `modeled` is the device time the
+    /// read was charged beyond its wall time.
+    Resume { panel: usize, modeled: f64 },
+}
+
+/// What one [`Shard::keep`] reports beyond its wall time, seconds.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Kept {
+    /// The parity-encode part of the wall time.
+    pub encode: f64,
+    /// Modeled device time charged on top of the wall time.
+    pub modeled: f64,
+}
+
+/// A heap shard (the original HPL, ABFT): nothing outlives the job, so
+/// every launch generates and nothing is ever kept.
+impl Shard for Vec<f64> {
+    fn restore(&mut self, _: &Ctx) -> Result<Start, Fault> {
+        Ok(Start::Fresh)
+    }
+
+    fn lend<R>(&mut self, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        f(self)
+    }
+
+    fn keep(&mut self, _: &Ctx, _: usize) -> Result<Kept, Fault> {
+        unreachable!("a heap shard is never kept")
+    }
+}
+
+/// The one solve loop of every HPL method: restore or generate, barrier,
+/// then per panel `panel_step` → [`ITER_PROBE`] → a keep every
+/// `ckpt_every` panels (0 = never; timed, and taken out of compute),
+/// then back-substitute → verify → one [`HplOutput`]. With a nonzero
+/// `panel_budget` it keeps and returns [`SktRun::Paused`] after that many
+/// panels while work remains. The shard is lent for one step at a time,
+/// never across the probe or a keep: a corrupt plan write-locks an SHM
+/// workspace at the probe, and a keep reads it.
+pub fn solve(
+    ctx: &Ctx,
+    dist: &BlockCyclic1D,
+    seed: u64,
+    shard: &mut impl Shard,
+    ckpt_every: usize,
+    panel_budget: usize,
+) -> Result<SktRun, Fault> {
+    let world = ctx.world();
+    let gen = MatGen::new(seed);
+    let t_rec = ctx.stopwatch();
+    let start = shard.restore(ctx)?;
+    let (from, modeled) = match start {
+        Start::Resume { panel, modeled } => (panel, modeled),
+        Start::Fresh | Start::Scratch => {
+            shard.lend(|s| generate(dist, &gen, s));
+            (0, 0.0)
+        }
+    };
+    let recover_seconds = t_rec.elapsed().as_secs_f64() + modeled;
+    world.barrier()?;
+
+    let nba = dist.nblocks_a();
+    let (mut ckpt, mut ckpt_wall, mut encode, mut checkpoints) = (0.0, 0.0, 0.0, 0);
+    let t0 = ctx.stopwatch();
+    for k in from..nba {
+        shard.lend(|s| panel_step(&world, dist, s, k))?;
+        ctx.failpoint(ITER_PROBE)?;
+        let done = k + 1;
+        // The slice boundary keeps even off the schedule: the next
+        // launch resumes from this exact panel.
+        let pause = panel_budget > 0 && done - from >= panel_budget && done < nba;
+        if pause || (ckpt_every > 0 && done % ckpt_every == 0 && done < nba) {
+            let tc = ctx.stopwatch();
+            let kept = shard.keep(ctx, done)?;
+            let wall = tc.elapsed().as_secs_f64();
+            ckpt_wall += wall;
+            ckpt += wall + kept.modeled;
+            encode += kept.encode;
+            checkpoints += 1;
+        }
+        if pause {
+            return Ok(SktRun::Paused(SktPause {
+                checkpoints,
+                ckpt_seconds: ckpt,
+                recover_seconds,
+            }));
+        }
+    }
+    let x = shard.lend(|s| back_substitute(&world, dist, s))?;
+    let compute = (t0.elapsed().as_secs_f64() - ckpt_wall).max(1e-9);
+    let v = verify(&world, dist, &gen, &x)?;
+    // report the slowest rank's times (the job's wall time)
+    let maxed = world
+        .allreduce(ReduceOp::Max, Payload::F64(vec![compute, ckpt, encode]))?
+        .into_f64();
+    let flops = hpl_flops(dist.n() as u64);
+    Ok(SktRun::Done(SktOutput {
+        hpl: HplOutput {
+            n: dist.n(),
+            compute_seconds: maxed[0],
+            ckpt_seconds: maxed[1],
+            encode_seconds: maxed[2],
+            checkpoints,
+            gflops_compute: flops / maxed[0] / 1e9,
+            gflops_effective: flops / (maxed[0] + maxed[1]) / 1e9,
+            residual: v.residual,
+            passed: v.passed,
+        },
+        resumed_from_panel: from,
+        restarted_from_scratch: start == Start::Scratch,
+        recover_seconds,
+        recovery: shard.report(),
+    }))
 }
 
 /// Distributed back substitution `U x = y` where `U` and the transformed
@@ -255,17 +389,47 @@ mod tests {
     use skt_linalg::{solve_ref, Matrix};
     use skt_mps::run_local;
 
-    fn run_hpl(nranks: usize, n: usize, nb: usize, seed: u64) -> Vec<(Vec<f64>, Verification)> {
+    /// A shard that keeps a snapshot of itself and can resume from one
+    /// (the restart path of SKT-HPL, without the protocol).
+    struct Snapshots {
+        m: Vec<f64>,
+        resume: Option<(usize, Vec<f64>)>,
+        kept: Vec<(usize, Vec<f64>)>,
+    }
+
+    impl Shard for Snapshots {
+        fn restore(&mut self, _: &Ctx) -> Result<Start, Fault> {
+            Ok(match self.resume.take() {
+                Some((panel, m)) => {
+                    self.m = m;
+                    Start::Resume {
+                        panel,
+                        modeled: 0.0,
+                    }
+                }
+                None => Start::Fresh,
+            })
+        }
+
+        fn lend<R>(&mut self, f: impl FnOnce(&mut [f64]) -> R) -> R {
+            f(&mut self.m)
+        }
+
+        fn keep(&mut self, _: &Ctx, done: usize) -> Result<Kept, Fault> {
+            self.kept.push((done, self.m.clone()));
+            Ok(Kept::default())
+        }
+    }
+
+    /// Solve on a heap shard; each rank's solution `x` and verdict.
+    fn run_hpl(nranks: usize, n: usize, nb: usize, seed: u64) -> Vec<(Vec<f64>, HplOutput)> {
         run_local(nranks, move |ctx| {
             let comm = ctx.world();
             let dist = BlockCyclic1D::new(n, nb, comm.size(), comm.rank());
-            let gen = MatGen::new(seed);
-            let mut storage = vec![0.0; dist.alloc_len()];
-            generate(&dist, &gen, &mut storage);
-            eliminate(&comm, &dist, &mut storage, 0, |_, _| Ok(()))?;
-            let x = back_substitute(&comm, &dist, &storage)?;
-            let v = verify(&comm, &dist, &gen, &x)?;
-            Ok((x, v))
+            let mut heap = vec![0.0; dist.alloc_len()];
+            let out = solve(ctx, &dist, seed, &mut heap, 0, 0)?.done();
+            assert_eq!((out.resumed_from_panel, out.hpl.checkpoints), (0, 0));
+            Ok((back_substitute(&comm, &dist, &heap)?, out.hpl))
         })
         .unwrap()
     }
@@ -310,35 +474,35 @@ mod tests {
 
     #[test]
     fn resume_mid_elimination_gives_same_answer() {
-        // eliminate the first half, snapshot, continue — then replay the
-        // second half from the snapshot: the restart path of SKT-HPL.
+        // keep at half the panels and finish — then resume a second
+        // launch from that keep: the restart path of SKT-HPL.
         let (p, n, nb, seed) = (2, 24, 4, 9);
         let outs = run_local(p, move |ctx| {
             let comm = ctx.world();
             let dist = BlockCyclic1D::new(n, nb, comm.size(), comm.rank());
-            let gen = MatGen::new(seed);
-            let mut storage = vec![0.0; dist.alloc_len()];
-            generate(&dist, &gen, &mut storage);
             let half = dist.nblocks_a() / 2;
-            for k in 0..half {
-                panel_step(&comm, &dist, &mut storage, k)?;
-            }
-            let snapshot = storage.clone();
-            // finish normally
-            for k in half..dist.nblocks_a() {
-                panel_step(&comm, &dist, &mut storage, k)?;
-            }
-            let x1 = back_substitute(&comm, &dist, &storage)?;
-            // replay from snapshot (what recovery does)
-            let mut storage2 = snapshot;
-            for k in half..dist.nblocks_a() {
-                panel_step(&comm, &dist, &mut storage2, k)?;
-            }
-            let x2 = back_substitute(&comm, &dist, &storage2)?;
-            Ok((x1, x2))
+            let mut first = Snapshots {
+                m: vec![0.0; dist.alloc_len()],
+                resume: None,
+                kept: Vec::new(),
+            };
+            let out1 = solve(ctx, &dist, seed, &mut first, half, 0)?.done();
+            let x1 = back_substitute(&comm, &dist, &first.m)?;
+            assert_eq!(out1.hpl.checkpoints, 1, "panel {half} of {}", 2 * half);
+            // replay from the keep (what recovery does)
+            let mut second = Snapshots {
+                m: Vec::new(),
+                resume: first.kept.pop(),
+                kept: Vec::new(),
+            };
+            let out2 = solve(ctx, &dist, seed, &mut second, 0, 0)?.done();
+            assert_eq!(out2.resumed_from_panel, half);
+            let x2 = back_substitute(&comm, &dist, &second.m)?;
+            Ok((x1, x2, out2.hpl.passed))
         })
         .unwrap();
-        for (x1, x2) in outs {
+        for (x1, x2, passed) in outs {
+            assert!(passed);
             assert_eq!(x1, x2, "resumed run must be bit-identical");
         }
     }

@@ -17,8 +17,10 @@
 //! * [`abft`] — ABFT-HPL: checksum-column algebra that tolerates data
 //!   loss only while the runtime survives — it cannot outlive a real
 //!   node power-off (Table 3's "NO").
-//! * [`elim`]/[`dist`] — the shared elimination engine and the 1-D
-//!   block-cyclic layout.
+//! * [`elim`]/[`dist`] — the shared elimination engine, the one solve
+//!   loop every variant runs ([`solve`], over a [`Shard`] that says where
+//!   the matrix lives and how it is kept), and the 1-D block-cyclic
+//!   layout.
 //! * [`calibrate`] — dgemm peak measurement, the "theoretical peak" of
 //!   the virtual cluster for efficiency reporting.
 
@@ -38,7 +40,9 @@ pub const ITER_PROBE: &str = "hpl-iter";
 pub use abft::{run_abft, AbftOutput};
 pub use calibrate::{efficiency, peak_gflops};
 pub use dist::BlockCyclic1D;
-pub use elim::{back_substitute, eliminate, generate, panel_step, verify, Verification};
+pub use elim::{
+    back_substitute, generate, panel_step, solve, verify, Kept, Shard, Start, Verification,
+};
 pub use plain::{run_plain, HplConfig, HplOutput};
 pub use skt::{
     install_relayout, run_skt, run_skt_sliced, SktConfig, SktOutput, SktPause, SktRun, A2_CAPACITY,

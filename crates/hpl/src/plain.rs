@@ -2,9 +2,8 @@
 //! fault-tolerant variant is normalized against.
 
 use crate::dist::BlockCyclic1D;
-use crate::elim::{back_substitute, eliminate, generate, verify};
-use skt_linalg::{hpl_flops, MatGen};
-use skt_mps::{Ctx, Fault, Payload, ReduceOp};
+use crate::elim::solve;
+use skt_mps::{Ctx, Fault};
 
 /// Problem configuration shared by all HPL variants.
 #[derive(Clone, Copy, Debug)]
@@ -66,61 +65,13 @@ pub struct HplOutput {
     pub passed: bool,
 }
 
-/// Combine per-rank timings into the job-level [`HplOutput`]
-/// (allreduce-max over ranks). Shared by every HPL variant, including
-/// the BLCR baseline in `skt-ftsim`.
-#[allow(clippy::too_many_arguments)]
-#[doc(hidden)]
-pub fn assemble_output(
-    ctx: &Ctx,
-    n: usize,
-    compute: f64,
-    ckpt: f64,
-    encode: f64,
-    checkpoints: usize,
-    residual: f64,
-    passed: bool,
-) -> Result<HplOutput, Fault> {
-    // report the slowest rank's times (the job's wall time)
-    let w = ctx.world();
-    let maxed = w
-        .allreduce(ReduceOp::Max, Payload::F64(vec![compute, ckpt, encode]))?
-        .into_f64();
-    let (compute, ckpt, encode) = (maxed[0], maxed[1], maxed[2]);
-    let flops = hpl_flops(n as u64);
-    Ok(HplOutput {
-        n,
-        compute_seconds: compute,
-        ckpt_seconds: ckpt,
-        encode_seconds: encode,
-        checkpoints,
-        gflops_compute: flops / compute / 1e9,
-        gflops_effective: flops / (compute + ckpt) / 1e9,
-        residual,
-        passed,
-    })
-}
-
 /// Run the original HPL: generate, eliminate, back-substitute, verify.
 /// The matrix lives in plain heap memory — a node failure loses
 /// everything, which is the "Original HPL / recover: NO" row of Table 3.
 pub fn run_plain(ctx: &Ctx, cfg: &HplConfig) -> Result<HplOutput, Fault> {
-    let comm = ctx.world();
-    let dist = BlockCyclic1D::new(cfg.n, cfg.nb, comm.size(), comm.rank());
-    let gen = MatGen::new(cfg.seed);
-    let mut storage = vec![0.0; dist.alloc_len()];
-    generate(&dist, &gen, &mut storage);
-    comm.barrier()?;
-
-    let t0 = ctx.stopwatch();
-    eliminate(&comm, &dist, &mut storage, 0, |_, _| {
-        ctx.failpoint(crate::ITER_PROBE)
-    })?;
-    let x = back_substitute(&comm, &dist, &storage)?;
-    let compute = t0.elapsed().as_secs_f64();
-
-    let v = verify(&comm, &dist, &gen, &x)?;
-    assemble_output(ctx, cfg.n, compute, 0.0, 0.0, 0, v.residual, v.passed)
+    let dist = BlockCyclic1D::new(cfg.n, cfg.nb, ctx.nranks(), ctx.world_rank());
+    let mut heap = vec![0.0; dist.alloc_len()];
+    Ok(solve(ctx, &dist, cfg.seed, &mut heap, 0, 0)?.done().hpl)
 }
 
 #[cfg(test)]

@@ -11,15 +11,13 @@
 //! checkpointed panel.
 
 use crate::dist::BlockCyclic1D;
-use crate::elim::{back_substitute, generate, panel_step, verify};
-use crate::plain::{assemble_output, HplConfig, HplOutput};
-use crate::ITER_PROBE;
+use crate::elim::{solve, Kept, Shard, Start};
+use crate::plain::{HplConfig, HplOutput};
 use skt_core::{
     group_color, validate_node_distinct, Checkpointer, CkptConfig, GroupStrategy, Method,
     RecoverError, Recovery, RecoveryReport,
 };
 use skt_encoding::CodecSpec;
-use skt_linalg::MatGen;
 use skt_mps::{Ctx, Fault};
 
 /// Failure-injection probe inside [`install_relayout`]'s window: fires
@@ -111,6 +109,17 @@ pub enum SktRun {
     Paused(SktPause),
 }
 
+impl SktRun {
+    /// The finished solve; panics on a paused slice, which only a launch
+    /// with a panel budget produces.
+    pub fn done(self) -> SktOutput {
+        match self {
+            SktRun::Done(out) => out,
+            SktRun::Paused(_) => panic!("a solve paused without a panel budget"),
+        }
+    }
+}
+
 /// Accounting of a paused slice (see [`SktRun::Paused`]).
 #[derive(Clone, Debug)]
 pub struct SktPause {
@@ -130,10 +139,7 @@ pub struct SktPause {
 /// Requires `cfg.panel_budget == 0` (a whole-job run); slice-scheduled
 /// jobs go through [`run_skt_sliced`].
 pub fn run_skt(ctx: &Ctx, cfg: &SktConfig) -> Result<SktOutput, Fault> {
-    match run_skt_sliced(ctx, cfg, |_| {})? {
-        SktRun::Done(out) => Ok(out),
-        SktRun::Paused(_) => panic!("run_skt called with panel_budget {}", cfg.panel_budget),
-    }
+    Ok(run_skt_sliced(ctx, cfg, |_| {})?.done())
 }
 
 /// [`run_skt`] under a panel budget, with a recovery observer: execute
@@ -150,129 +156,85 @@ pub fn run_skt_sliced<F>(ctx: &Ctx, cfg: &SktConfig, on_recovery: F) -> Result<S
 where
     F: Fn(&RecoveryReport),
 {
-    check_node_distinct(ctx, cfg)?;
-    let world = ctx.world();
-    let nranks = world.size();
-    let me = world.rank();
-    let dist = BlockCyclic1D::new(cfg.hpl.n, cfg.hpl.nb, nranks, me);
-    let gen = MatGen::new(cfg.hpl.seed);
-
-    // checkpoint group
-    let color = group_color(cfg.strategy, me, nranks, cfg.group_size);
-    let gcomm = world.split(color, me)?;
-    let ck_cfg = CkptConfig::new(cfg.name.clone(), cfg.method, dist.alloc_len(), A2_CAPACITY)
-        .with_codec(cfg.codec);
-    // job-wide sync communicator: keeps every group's commits and the
-    // recovery epoch globally consistent
-    let (mut ck, _) = Checkpointer::init_synced(gcomm, world.clone(), ck_cfg);
-
-    // recover or generate
-    let mut start_panel = 0usize;
-    let mut from_scratch = false;
-    let t_rec = ctx.stopwatch();
-    match ck.recover() {
-        Ok(Recovery::Restored { a2, .. }) => {
-            start_panel =
-                u64::from_le_bytes(a2.as_slice().try_into().expect("panel counter")) as usize;
-        }
-        Ok(Recovery::NoCheckpoint) => {
-            let ws = ck.workspace();
-            let mut g = ws.write();
-            generate(&dist, &gen, &mut g.as_f64_mut()[..dist.alloc_len()]);
-        }
-        Err(RecoverError::Unrecoverable(_)) if cfg.method == Method::Single => {
-            // the single-checkpoint flaw: checkpoint torn mid-update.
-            // Restart the whole computation from generated data.
-            ck.reset()?;
-            from_scratch = true;
-            let ws = ck.workspace();
-            let mut g = ws.write();
-            generate(&dist, &gen, &mut g.as_f64_mut()[..dist.alloc_len()]);
-        }
-        Err(RecoverError::Unrecoverable(_)) => {
-            // Methods that promise recoverability hit this only when a
-            // checkpoint group is damaged beyond the codec's repair
-            // power (more damaged members than parity stripes). Surface
-            // it instead of silently regenerating: the daemon classifies
-            // a failure with no node death as unrecoverable and stops
-            // retrying; jobs wanting to survive more losses configure
-            // a codec with more parity stripes (`CodecSpec::Rs`).
-            return Err(Fault::Protocol(if cfg.codec.parity_count() == 1 {
-                "checkpoint group damaged beyond single-parity repair"
-            } else {
-                "checkpoint group damaged beyond the parity code's repair"
-            }));
-        }
-        Err(RecoverError::Fault(f)) => return Err(f),
-        // `RecoverError` is non-exhaustive; future variants are protocol
-        // outcomes this harness does not know how to continue from.
-        Err(other) => panic!("unexpected recovery error: {other}"),
-    }
-    let recover_seconds = t_rec.elapsed().as_secs_f64();
-    if let Some(report) = ck.last_report() {
-        on_recovery(&report);
-    }
-    world.barrier()?;
-
-    // elimination with checkpoint hook
-    let ws = ck.workspace();
-    let mut ckpt_secs = 0.0f64;
-    let mut encode_secs = 0.0f64;
-    let mut checkpoints = 0usize;
-    let nba = dist.nblocks_a();
-    let t0 = ctx.stopwatch();
-    for k in start_panel..nba {
-        {
-            let mut g = ws.write();
-            panel_step(&world, &dist, &mut g.as_f64_mut()[..], k)?;
-        }
-        ctx.failpoint(ITER_PROBE)?;
-        let done = k + 1;
-        // Slice boundary: budget spent and work remains. Checkpoint here
-        // (even off the ckpt_every schedule — the next launch resumes
-        // from this exact panel) and yield the runtime to the service.
-        let pause = cfg.panel_budget > 0 && done - start_panel >= cfg.panel_budget && done < nba;
-        let scheduled = cfg.ckpt_every > 0 && done % cfg.ckpt_every == 0 && done < nba;
-        if scheduled || pause {
-            let tc = ctx.stopwatch();
-            let stats = ck.make(&(done as u64).to_le_bytes())?;
-            ckpt_secs += tc.elapsed().as_secs_f64();
-            encode_secs += stats.encode.as_secs_f64();
-            checkpoints += 1;
-        }
-        if pause {
-            return Ok(SktRun::Paused(SktPause {
-                checkpoints,
-                ckpt_seconds: ckpt_secs,
-                recover_seconds,
-            }));
-        }
-    }
-    let x = {
-        let g = ws.read();
-        back_substitute(&world, &dist, g.as_f64())?
+    let (dist, ck, _) = checkpointer(ctx, cfg, None)?;
+    let mut shard = Workspace {
+        ck,
+        cfg,
+        on_recovery,
     };
-    let mut compute = t0.elapsed().as_secs_f64();
-    compute -= ckpt_secs; // checkpoint time reported separately
-
-    let v = verify(&world, &dist, &gen, &x)?;
-    let hpl = assemble_output(
+    solve(
         ctx,
-        cfg.hpl.n,
-        compute,
-        ckpt_secs,
-        encode_secs,
-        checkpoints,
-        v.residual,
-        v.passed,
-    )?;
-    Ok(SktRun::Done(SktOutput {
-        hpl,
-        resumed_from_panel: start_panel,
-        restarted_from_scratch: from_scratch,
-        recover_seconds,
-        recovery: ck.last_report(),
-    }))
+        &dist,
+        cfg.hpl.seed,
+        &mut shard,
+        cfg.ckpt_every,
+        cfg.panel_budget,
+    )
+}
+
+/// SKT-HPL's shard: the checkpointer's SHM workspace, kept by
+/// [`Checkpointer::make`] with the panel counter as `A2`.
+struct Workspace<'a, F> {
+    ck: Checkpointer<'a>,
+    cfg: &'a SktConfig,
+    on_recovery: F,
+}
+
+impl<F: Fn(&RecoveryReport)> Shard for Workspace<'_, F> {
+    fn restore(&mut self, _: &Ctx) -> Result<Start, Fault> {
+        let start = match self.ck.recover() {
+            Ok(Recovery::Restored { a2, .. }) => Start::Resume {
+                panel: u64::from_le_bytes(a2.as_slice().try_into().expect("panel counter"))
+                    as usize,
+                modeled: 0.0,
+            },
+            Ok(Recovery::NoCheckpoint) => Start::Fresh,
+            Err(RecoverError::Unrecoverable(_)) if self.cfg.method == Method::Single => {
+                // the single-checkpoint flaw: checkpoint torn mid-update.
+                // Restart the whole computation from generated data.
+                self.ck.reset()?;
+                Start::Scratch
+            }
+            Err(RecoverError::Unrecoverable(_)) => {
+                // Methods that promise recoverability hit this only when a
+                // checkpoint group is damaged beyond the codec's repair
+                // power (more damaged members than parity stripes). Surface
+                // it instead of silently regenerating: the daemon classifies
+                // a failure with no node death as unrecoverable and stops
+                // retrying; jobs wanting to survive more losses configure
+                // a codec with more parity stripes (`CodecSpec::Rs`).
+                return Err(Fault::Protocol(if self.cfg.codec.parity_count() == 1 {
+                    "checkpoint group damaged beyond single-parity repair"
+                } else {
+                    "checkpoint group damaged beyond the parity code's repair"
+                }));
+            }
+            Err(RecoverError::Fault(f)) => return Err(f),
+            // `RecoverError` is non-exhaustive; future variants are protocol
+            // outcomes this harness does not know how to continue from.
+            Err(other) => panic!("unexpected recovery error: {other}"),
+        };
+        if let Some(report) = self.ck.last_report() {
+            (self.on_recovery)(&report);
+        }
+        Ok(start)
+    }
+
+    fn lend<R>(&mut self, f: impl FnOnce(&mut [f64]) -> R) -> R {
+        f(self.ck.workspace().write().as_f64_mut())
+    }
+
+    fn keep(&mut self, _: &Ctx, done: usize) -> Result<Kept, Fault> {
+        let stats = self.ck.make(&(done as u64).to_le_bytes())?;
+        Ok(Kept {
+            encode: stats.encode.as_secs_f64(),
+            modeled: 0.0,
+        })
+    }
+
+    fn report(&self) -> Option<RecoveryReport> {
+        self.ck.last_report()
+    }
 }
 
 /// Install a harvested matrix under a **new** block-cyclic layout and
@@ -298,19 +260,9 @@ pub fn install_relayout(
     columns: &[Vec<f64>],
     panel: u64,
 ) -> Result<(), Fault> {
-    check_node_distinct(ctx, cfg)?;
-    let world = ctx.world();
-    let nranks = world.size();
-    let me = world.rank();
     let n = cfg.hpl.n;
-    let dist = BlockCyclic1D::new(n, cfg.hpl.nb, nranks, me);
     debug_assert_eq!(columns.len(), n + 1, "need every global column incl. b");
-    let color = group_color(cfg.strategy, me, nranks, cfg.group_size);
-    let gcomm = world.split(color, me)?;
-    ctx.failpoint(RESIZE_PROBE)?;
-    let ck_cfg = CkptConfig::new(cfg.name.clone(), cfg.method, dist.alloc_len(), A2_CAPACITY)
-        .with_codec(cfg.codec);
-    let (mut ck, attached) = Checkpointer::init_synced(gcomm, world.clone(), ck_cfg);
+    let (dist, mut ck, attached) = checkpointer(ctx, cfg, Some(RESIZE_PROBE))?;
     if ck.agree_min(-i64::from(attached))? < 0 {
         return Err(Fault::Protocol("resize target namespace is not empty"));
     }
@@ -322,23 +274,43 @@ pub fn install_relayout(
             v[lc * n..lc * n + n].copy_from_slice(&columns[gc]);
         }
     }
-    world.barrier()?;
+    ctx.world().barrier()?;
     ctx.failpoint(RESIZE_PROBE)?;
     ck.make(&panel.to_le_bytes())?;
     Ok(())
 }
 
-/// The §3.3 placement rule, checked on every rank before its group is
-/// formed: two members of one checkpoint group on one node make one node
-/// loss two erasures, which would otherwise surface only at recovery.
-fn check_node_distinct(ctx: &Ctx, cfg: &SktConfig) -> Result<(), Fault> {
+/// This rank's distribution and checkpointer under `cfg` (`true` when
+/// it attached to existing segments). The §3.3 placement rule is checked
+/// first, on every rank: two members of one checkpoint group on one node
+/// make one node loss two erasures, which would otherwise surface only at
+/// recovery. `probe` fires between the group split and segment creation.
+fn checkpointer<'c>(
+    ctx: &'c Ctx,
+    cfg: &SktConfig,
+    probe: Option<&str>,
+) -> Result<(BlockCyclic1D, Checkpointer<'c>, bool), Fault> {
     validate_node_distinct(cfg.strategy, ctx.ranklist(), cfg.group_size)
-        .map_err(|_| Fault::Protocol("two members of one checkpoint group share a node"))
+        .map_err(|_| Fault::Protocol("two members of one checkpoint group share a node"))?;
+    let world = ctx.world();
+    let (nranks, me) = (world.size(), world.rank());
+    let dist = BlockCyclic1D::new(cfg.hpl.n, cfg.hpl.nb, nranks, me);
+    let gcomm = world.split(group_color(cfg.strategy, me, nranks, cfg.group_size), me)?;
+    if let Some(label) = probe {
+        ctx.failpoint(label)?;
+    }
+    let ck_cfg = CkptConfig::new(cfg.name.clone(), cfg.method, dist.alloc_len(), A2_CAPACITY)
+        .with_codec(cfg.codec);
+    // job-wide sync communicator: keeps every group's commits and the
+    // recovery epoch globally consistent
+    let (ck, attached) = Checkpointer::init_synced(gcomm, world, ck_cfg);
+    Ok((dist, ck, attached))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ITER_PROBE;
     use skt_cluster::{Cluster, ClusterConfig, FailurePlan, Ranklist};
     use skt_mps::run_on_cluster;
     use std::sync::Arc;
