@@ -94,12 +94,17 @@ impl Device {
         t
     }
 
-    /// Read a blob back, with its modeled read time.
-    pub fn read(&self, name: &str, sharers: usize) -> Option<(Vec<u8>, Duration)> {
+    /// Read a blob: lend its stored bytes to `f` under the device lock
+    /// and return `f`'s result with the blob's modeled read time.
+    pub fn read_with<R>(
+        &self,
+        name: &str,
+        sharers: usize,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Option<(R, Duration)> {
         let blobs = self.blobs.lock();
-        let data = blobs.get(name)?.clone();
-        let t = self.transfer_time(data.len(), sharers);
-        Some((data, t))
+        let data = blobs.get(name)?;
+        Some((f(data), self.transfer_time(data.len(), sharers)))
     }
 
     /// Remove a blob.
@@ -147,12 +152,12 @@ mod tests {
         let data = vec![7u8; 1000];
         let tw = d.write("ckpt", data.clone(), 2);
         assert!(tw > Duration::ZERO);
-        let (back, tr) = d.read("ckpt", 2).unwrap();
+        let (back, tr) = d.read_with("ckpt", 2, <[u8]>::to_vec).unwrap();
         assert_eq!(back, data);
         assert!(tr > Duration::ZERO);
         assert_eq!(d.used_bytes(), 1000);
         assert!(d.remove("ckpt"));
-        assert!(d.read("ckpt", 1).is_none());
+        assert!(d.read_with("ckpt", 1, |_| ()).is_none());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The [`Checkpointer`] front end: segment lifecycle, the collective
 //! `make`/`recover` entry points, and the shared mechanics the methods'
 //! `make`/`restore` sequences (`methods`) build on. Durable state moves
-//! only through the sequenced-op tokens of [`super::ops`], sealed via
+//! only through the sequenced ops of [`super::ops`], sealed via
 //! [`Checkpointer::seal`] so every commit lands in the audit trail.
 
 use super::header::{self, Header, HeaderState};
@@ -38,6 +38,15 @@ impl PhaseSpan {
             elapsed: self.t0.elapsed(),
         });
     }
+}
+
+/// How [`Checkpointer::seal`] commits an op: forward inside `make`
+/// ([`ops::apply`]), or replayed — detect first, skip what already
+/// committed ([`ops::replay`]) — inside a restore, a scrub or a reset.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(super) enum Pass {
+    Make,
+    Replay,
 }
 
 /// One rank's checkpointer, bound to its group communicator.
@@ -258,25 +267,19 @@ impl<'c> Checkpointer<'c> {
         }
     }
 
-    /// Commit a prepared op against this checkpointer and record it in
-    /// the audit trail. The one gate every durable protocol mutation
+    /// Commit `op` against this checkpointer as `pass` says and record it
+    /// in the audit trail. The one gate every durable protocol mutation
     /// passes through.
-    pub(super) fn seal<Op>(&mut self, p: ops::Prepared<Op>) -> Result<ops::Committed<Op>, Fault>
+    pub(super) fn seal<Op>(&mut self, pass: Pass, op: Op) -> Result<ops::Committed, Fault>
     where
         Op: ops::SequencedOp<Self>,
     {
-        let tok = p.commit(self)?;
+        let tok = match pass {
+            Pass::Make => ops::apply(op, self)?,
+            Pass::Replay => ops::replay(op, self)?,
+        };
         self.op_trail.push(tok.record().clone());
         Ok(tok)
-    }
-
-    /// Replay-path shorthand: detect, then commit-or-skip, then record.
-    pub(super) fn seal_replay<Op>(&mut self, op: Op) -> Result<ops::Committed<Op>, Fault>
-    where
-        Op: ops::SequencedOp<Self>,
-    {
-        let p = ops::prepare_replay(op, &*self)?;
-        self.seal(p)
     }
 
     /// This group's parity of region `r`'s contents (one ring
@@ -546,7 +549,7 @@ impl<'c> Checkpointer<'c> {
     /// baseline torn mid-update) and the caller restarts the computation.
     /// A wiped header segment is a [`Fault`], not a panic.
     pub fn reset(&mut self) -> Result<(), Fault> {
-        let _zeroed = self.seal_replay(ops::MarkerReset)?;
+        let _zeroed = self.seal(Pass::Replay, ops::MarkerReset)?;
         self.epoch = 0;
         self.attached = true;
         Ok(())

@@ -15,9 +15,8 @@
 //! * **double** (Figure 3): two `(B, C)` pairs alternating by epoch —
 //!   fully fault tolerant, at the cost of most of the node's memory.
 
-use super::ops::{
-    self, Committed, FlushCommit, HeaderCommit, ParityCommit, RebuildOp, SequencedOp,
-};
+use super::checkpointer::Pass;
+use super::ops::{Committed, FlushCommit, HeaderCommit, ParityCommit, RebuildOp};
 use super::planner::HeaderMaxima;
 use super::table::{Pair, BC, B_X, WORK_X};
 use super::{Checkpointer, CkptStats, Phase, RecoverError, RestoreSource, RECOVER_COMMIT_PROBE};
@@ -26,14 +25,6 @@ use crate::memory::Method;
 use skt_cluster::Region;
 use skt_mps::Fault;
 use std::time::Duration;
-
-/// How a shared commit sequence runs: forward inside `make` (phase spans
-/// and probes), or replayed inside a restore.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Pass {
-    Make,
-    Replay,
-}
 
 impl<'c> Checkpointer<'c> {
     /// Run the method's protocol phases for epoch `e` (the shared
@@ -56,11 +47,7 @@ impl<'c> Checkpointer<'c> {
         let sp = self.span(Phase::Encode, e);
         let x = WORK_X.parity(e);
         let parity = self.encode_of(WORK_X.data, Some(Phase::Encode.label()))?;
-        let d_fill = self.seal(ops::prepare(ParityCommit::new(
-            x,
-            &parity,
-            &[WORK_X.data, x],
-        )))?;
+        let d_fill = self.seal(Pass::Make, ParityCommit::new(x, &parity, &[WORK_X.data, x]))?;
         self.comm.barrier()?;
         sp.end();
         let encode = t0.elapsed();
@@ -77,13 +64,13 @@ impl<'c> Checkpointer<'c> {
     /// from `work`, which stands in with `X(e)` as the consistent pair
     /// meanwhile, and (5) commit `(B, X(e))` group-wide. Returns the flush
     /// time.
-    fn commit_d_then_flush<T>(
+    fn commit_d_then_flush(
         &mut self,
         e: u64,
-        d_ready: &Committed<T>,
+        d_ready: &Committed,
         pass: Pass,
     ) -> Result<Duration, Fault> {
-        let _d = self.seal_in(pass, HeaderCommit::after(WORK_X.word, e, d_ready))?;
+        let _d = self.seal(pass, HeaderCommit::after(WORK_X.word, e, d_ready))?;
         if pass == Pass::Make {
             self.probe(Phase::CommitD.label())?;
         }
@@ -97,30 +84,18 @@ impl<'c> Checkpointer<'c> {
         let t1 = self.clock();
         let flush_b = match pass {
             Pass::Make => self.flush_phase(Phase::FlushB, e, B_X.data, WORK_X.data)?,
-            Pass::Replay => {
-                self.seal_replay(FlushCommit::new(B_X.data, WORK_X.data, "recover-flush"))?
-            }
+            Pass::Replay => self.seal(
+                Pass::Replay,
+                FlushCommit::new(B_X.data, WORK_X.data, "recover-flush"),
+            )?,
         };
         self.comm.barrier()?;
         let flush = t1.elapsed();
-        let _bc = self.seal_in(
+        let _bc = self.seal(
             pass,
             HeaderCommit::after(B_X.word, e, &flush_b).also_after(d_ready),
         )?;
         Ok(flush)
-    }
-
-    /// Commit `op` forward (`make`) or as a replay (a restore: detect
-    /// first, skip what already committed).
-    fn seal_in<Op: SequencedOp<Self>>(
-        &mut self,
-        pass: Pass,
-        op: Op,
-    ) -> Result<Committed<Op>, Fault> {
-        match pass {
-            Pass::Make => self.seal(ops::prepare(op)),
-            Pass::Replay => self.seal_replay(op),
-        }
     }
 
     /// One observed copy phase: `dst ← src` inside `phase`'s span, then
@@ -131,9 +106,9 @@ impl<'c> Checkpointer<'c> {
         e: u64,
         dst: Region,
         src: Region,
-    ) -> Result<Committed<FlushCommit>, Fault> {
+    ) -> Result<Committed, Fault> {
         let sp = self.span(phase, e);
-        let copied = self.seal(ops::prepare(FlushCommit::new(dst, src, phase.label())))?;
+        let copied = self.seal(Pass::Make, FlushCommit::new(dst, src, phase.label()))?;
         sp.end();
         self.probe(phase.label())?;
         Ok(copied)
@@ -150,7 +125,7 @@ impl<'c> Checkpointer<'c> {
         // may be torn and recovery must give up — the method's documented
         // flaw (paper Figure 2, CASE 2). An evidence-free op by design:
         // the dirty word certifies nothing, it *announces*.
-        let _mark = self.seal(ops::prepare(HeaderCommit::attempt(e)))?;
+        let _mark = self.seal(Pass::Make, HeaderCommit::attempt(e))?;
         self.make_copy_encode(e)
     }
 
@@ -166,17 +141,15 @@ impl<'c> Checkpointer<'c> {
         let t0 = self.clock();
         let sp = self.span(Phase::Encode, e);
         let parity = self.encode_of(pair.data, Some(Phase::Encode.label()))?;
-        let encoded = self.seal(ops::prepare(ParityCommit::new(
-            pair.parity(e),
-            &parity,
-            &[pair.parity(e)],
-        )))?;
+        let px = pair.parity(e);
+        let encoded = self.seal(Pass::Make, ParityCommit::new(px, &parity, &[px]))?;
         self.comm.barrier()?;
         sp.end();
         let encode = t0.elapsed();
-        let _h = self.seal(ops::prepare(
+        let _h = self.seal(
+            Pass::Make,
             HeaderCommit::after(pair.word, e, &copy).also_after(&encoded),
-        ))?;
+        )?;
         give_back(&self.comm, parity);
         Ok(self.stats(e, encode, flush))
     }
@@ -195,7 +168,7 @@ impl<'c> Checkpointer<'c> {
             Method::Single => {
                 // the only pair this method has
                 let source = self.restore_checkpoint(lost, &BC, target)?;
-                let _mark = self.seal_replay(HeaderCommit::attempt(target))?;
+                let _mark = self.seal(Pass::Replay, HeaderCommit::attempt(target))?;
                 Ok(source)
             }
             Method::Double => self.restore_checkpoint(lost, self.holding(target, seen), target),
@@ -223,12 +196,17 @@ impl<'c> Checkpointer<'c> {
                 // and X(target) are never written, so a second loss
                 // mid-copy rolls back again.
                 let (rebuilt, to_work) = self.restore_core(lost, src, target, |ck| {
-                    ck.seal_replay(FlushCommit::new(WORK_X.data, src.data, "recover-restore"))
+                    ck.seal(
+                        Pass::Replay,
+                        FlushCommit::new(WORK_X.data, src.data, "recover-restore"),
+                    )
                 })?;
-                let _d = self.seal_replay(
+                let _d = self.seal(
+                    Pass::Replay,
                     HeaderCommit::after(WORK_X.word, target, &to_work).also_after(&rebuilt),
                 )?;
-                let _bc = self.seal_replay(
+                let _bc = self.seal(
+                    Pass::Replay,
                     HeaderCommit::after(B_X.word, target, &to_work).also_after(&rebuilt),
                 )?;
                 // meet the roll-forward groups at their cross-group gate
@@ -260,10 +238,15 @@ impl<'c> Checkpointer<'c> {
         target: u64,
     ) -> Result<RestoreSource, RecoverError> {
         let (rebuilt, to_work) = self.restore_core(lost, src, target, |ck| {
-            ck.seal_replay(FlushCommit::new(Region::Work, src.data, "recover-restore"))
+            ck.seal(
+                Pass::Replay,
+                FlushCommit::new(Region::Work, src.data, "recover-restore"),
+            )
         })?;
-        let _h =
-            self.seal_replay(HeaderCommit::after(src.word, target, &to_work).also_after(&rebuilt))?;
+        let _h = self.seal(
+            Pass::Replay,
+            HeaderCommit::after(src.word, target, &to_work).also_after(&rebuilt),
+        )?;
         Ok(RestoreSource::CheckpointAndChecksum)
     }
 
@@ -281,9 +264,12 @@ impl<'c> Checkpointer<'c> {
         src: &Pair,
         target: u64,
         copies: impl FnOnce(&mut Self) -> Result<T, Fault>,
-    ) -> Result<(Committed<RebuildOp>, T), RecoverError> {
+    ) -> Result<(Committed, T), RecoverError> {
         let lost = self.verify_sources(lost, src, target)?;
-        let rebuilt = self.seal_replay(RebuildOp::new(lost, src.data, src.parity(target)))?;
+        let rebuilt = self.seal(
+            Pass::Replay,
+            RebuildOp::new(lost, src.data, src.parity(target)),
+        )?;
         let copied = copies(self)?;
         self.probe(RECOVER_COMMIT_PROBE)?;
         self.comm.barrier()?;

@@ -9,10 +9,10 @@
 //! * [`header`] — the 32-byte commit header every method stores its
 //!   commit markers in.
 //! * [`ops`] — the sequenced-op layer: every durable mutation (header
-//!   write, flush commit, parity fill, rebuild, scrub repair, daemon
-//!   spare accounting) is a detectable two-phase
-//!   [`ops::Prepared`]`→`[`ops::Committed`] operation with an
-//!   idempotent replay path.
+//!   write, flush commit, parity fill, rebuild, scrub repair) is a
+//!   detectable operation, run forward by [`ops::apply`] or replayed
+//!   idempotently by [`ops::replay`]; either returns the
+//!   [`ops::Committed`] token later commits demand as evidence.
 //! * `table` — what each [`Method`] keeps, declared once: the regions it
 //!   allocates, its `(commit word, data, parity)` pairs, which pair an
 //!   epoch overwrites and which pair holds a target epoch. Segment

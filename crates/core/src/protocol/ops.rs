@@ -1,32 +1,27 @@
-//! Typestate-sequenced commit points: every mutation of durable
-//! checkpoint state is a two-phase **detectable operation** in the
-//! Memento (PLDI 2023) sense.
+//! Sequenced commit points: every mutation of durable checkpoint state
+//! is a **detectable operation** in the Memento (PLDI 2023) sense.
 //!
 //! The protocol's crash consistency rests on a commit *order* (data
 //! flush before header write, roll-forward from the consistent pair).
 //! This module makes that order a property of the type system instead of
 //! a convention spread over `make`/`recover`/`scrub`:
 //!
-//! * [`prepare`] / [`prepare_replay`] yield a [`Prepared<Op>`] token —
-//!   `#[must_use]`, so an announced-but-never-committed mutation is a
-//!   compile-time warning, not a latent torn state.
-//! * [`Prepared::commit`] consumes the token, runs the op's `apply`
-//!   inside the existing no-yield data+CRC block, and yields a
-//!   [`Committed<Op>`] token carrying the [`OpRecord`] audit entry.
-//! * A `Committed` token is the *evidence* later ops demand:
-//!   `HeaderCommit::after` (crate-internal) will not construct a
-//!   header-commit op
-//!   without a committed predecessor, so "header write after data
-//!   flush" cannot be reordered by a refactor without failing to
-//!   compile.
-//!
-//! On replay paths (recovery of a recovery, scrub, daemon relaunch)
-//! [`prepare_replay`] first runs the op's [`SequencedOp::detect`], which
-//! classifies the post-crash state as [`OpState::NotStarted`] /
-//! [`OpState::InFlight`] / [`OpState::Done`]. A `Done` op is skipped —
-//! committing it is idempotent by construction — and the skip is
-//! recorded in the audit trail, so a re-entered recovery both converges
-//! and *explains itself* ([`crate::protocol::RecoveryReport::ops`]).
+//! * [`apply`] runs an op on the forward path, where the protocol
+//!   executes in order, and records it `not-started:applied`.
+//! * [`replay`] runs an op on a replay path (a restore, recovery of a
+//!   recovery, scrub, a daemon relaunch): the op's
+//!   [`SequencedOp::detect`] first classifies the post-crash state as
+//!   [`OpState::NotStarted`] / [`OpState::InFlight`] /
+//!   [`OpState::Done`]. A `Done` op is skipped, anything else is applied
+//!   again (every op is idempotent), and the verdict lands in the audit
+//!   trail, so a re-entered recovery both converges and *explains
+//!   itself* ([`crate::protocol::RecoveryReport::ops`]).
+//! * Both return a `#[must_use]` [`Committed`] token carrying the
+//!   [`OpRecord`] audit entry. The token is the *evidence* later ops
+//!   demand: `HeaderCommit::after` (crate-internal) will not construct a
+//!   header-commit op without a committed predecessor, so "header write
+//!   after data flush" cannot be reordered by a refactor without failing
+//!   to compile.
 //!
 //! The clippy `disallowed-methods` gate (see `clippy.toml`) forbids the
 //! raw mechanics (`header::write_word`, `copy_seg`, `fill_stripes`,
@@ -36,7 +31,7 @@
 
 use super::checkpointer::Checkpointer;
 use super::header::{self, Header, HeaderState, HeaderWord};
-use skt_cluster::{Cluster, Ranklist, Region};
+use skt_cluster::Region;
 use skt_mps::Fault;
 
 /// What [`SequencedOp::detect`] found in post-crash state.
@@ -64,7 +59,7 @@ impl OpState {
     }
 }
 
-/// What [`Prepared::commit`] did about the op.
+/// What [`apply`] or [`replay`] did about the op.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpAction {
     /// Forward path: applied without a detect pass.
@@ -111,9 +106,10 @@ impl std::fmt::Display for OpRecord {
     }
 }
 
-/// A detectable, idempotently replayable mutation of durable checkpoint
-/// state, generic over the context it mutates (the [`Checkpointer`] for
-/// protocol ops, a [`Ranklist`] for the daemon's spare accounting).
+/// A detectable, idempotently replayable mutation of durable state,
+/// generic over the context it mutates: the [`Checkpointer`] for the
+/// protocol's ops, their own contexts for the service's spare draw and
+/// resize install (`skt-ftsim`).
 pub trait SequencedOp<Ctx: ?Sized> {
     /// Deterministic self-description for the audit trail.
     fn name(&self) -> String;
@@ -128,84 +124,23 @@ pub trait SequencedOp<Ctx: ?Sized> {
     fn apply(&self, ctx: &mut Ctx) -> Result<(), Fault>;
 }
 
-/// A prepared-but-uncommitted op. Dropping it without committing is a
-/// protocol bug — hence `#[must_use]`.
-#[must_use = "a prepared op must be committed (or the mutation never becomes durable)"]
-pub struct Prepared<Op> {
-    op: Op,
-    detected: OpState,
-    replay: bool,
-}
-
 /// Proof that an op committed; carries the audit record and serves as
 /// the evidence token later ops in the sequence demand.
 #[must_use = "hold the committed token: it is the evidence the next op in the sequence requires"]
-pub struct Committed<Op> {
-    op: Op,
+pub struct Committed {
     record: OpRecord,
 }
 
-/// Forward-path entry: no detect pass (the caller is executing the
-/// protocol in order, not replaying after a crash).
-pub fn prepare<Op>(op: Op) -> Prepared<Op> {
-    Prepared {
-        op,
-        detected: OpState::NotStarted,
-        replay: false,
-    }
-}
-
-/// Replay-path entry: run [`SequencedOp::detect`] against the post-crash
-/// state first, so [`Prepared::commit`] can skip an op that already
-/// completed ([`OpState::Done`]) instead of redoing its work.
-pub fn prepare_replay<Ctx: ?Sized, Op: SequencedOp<Ctx>>(
-    op: Op,
-    ctx: &Ctx,
-) -> Result<Prepared<Op>, Fault> {
-    let detected = op.detect(ctx)?;
-    Ok(Prepared {
-        op,
-        detected,
-        replay: true,
-    })
-}
-
-impl<Op> Prepared<Op> {
-    /// What the detect pass saw (always [`OpState::NotStarted`] on the
-    /// forward path).
-    pub fn detected(&self) -> OpState {
-        self.detected
-    }
-
-    /// Consume the prepare token: apply the op (unless a replay detect
-    /// proved it [`OpState::Done`]) and return the committed token.
-    pub fn commit<Ctx: ?Sized>(self, ctx: &mut Ctx) -> Result<Committed<Op>, Fault>
-    where
-        Op: SequencedOp<Ctx>,
-    {
-        let action = if self.replay && self.detected == OpState::Done {
-            OpAction::Skipped
-        } else {
-            self.op.apply(ctx)?;
-            if self.replay {
-                OpAction::Replayed
-            } else {
-                OpAction::Applied
-            }
-        };
+impl Committed {
+    fn new<Ctx: ?Sized>(op: &impl SequencedOp<Ctx>, detected: OpState, action: OpAction) -> Self {
         let record = OpRecord {
-            op: self.op.name(),
-            detected: self.detected,
+            op: op.name(),
+            detected,
             action,
         };
-        Ok(Committed {
-            op: self.op,
-            record,
-        })
+        Committed { record }
     }
-}
 
-impl<Op> Committed<Op> {
     /// The audit-trail entry this commit produced.
     pub fn record(&self) -> &OpRecord {
         &self.record
@@ -215,11 +150,29 @@ impl<Op> Committed<Op> {
     pub fn into_record(self) -> OpRecord {
         self.record
     }
+}
 
-    /// The committed op (evidence-token inspection).
-    pub fn op(&self) -> &Op {
-        &self.op
-    }
+/// Forward path: apply `op` without a detect pass (the caller is
+/// executing the protocol in order, not replaying after a crash).
+pub fn apply<Ctx: ?Sized, Op: SequencedOp<Ctx>>(op: Op, ctx: &mut Ctx) -> Result<Committed, Fault> {
+    op.apply(ctx)?;
+    Ok(Committed::new(&op, OpState::NotStarted, OpAction::Applied))
+}
+
+/// Replay path: detect `op`'s effect in the post-crash `ctx`, then skip
+/// an op already [`OpState::Done`] or apply it again.
+pub fn replay<Ctx: ?Sized, Op: SequencedOp<Ctx>>(
+    op: Op,
+    ctx: &mut Ctx,
+) -> Result<Committed, Fault> {
+    let detected = op.detect(ctx)?;
+    let action = if detected == OpState::Done {
+        OpAction::Skipped
+    } else {
+        op.apply(ctx)?;
+        OpAction::Replayed
+    };
+    Ok(Committed::new(&op, detected, action))
 }
 
 // ---------------------------------------------------------------------
@@ -241,14 +194,14 @@ pub(crate) struct HeaderCommit {
 
 impl HeaderCommit {
     /// A commit marker certifying `evidence`'s committed data.
-    pub(crate) fn after<T>(word: HeaderWord, epoch: u64, _evidence: &Committed<T>) -> Self {
+    pub(crate) fn after(word: HeaderWord, epoch: u64, _evidence: &Committed) -> Self {
         HeaderCommit { word, epoch }
     }
 
     /// Chain further evidence (a marker certifying several flushes).
     /// Purely a type-level obligation: the token proves order, the op
     /// itself is unchanged.
-    pub(crate) fn also_after<T>(self, _evidence: &Committed<T>) -> Self {
+    pub(crate) fn also_after(self, _evidence: &Committed) -> Self {
         self
     }
 
@@ -420,28 +373,11 @@ impl<'c> SequencedOp<Checkpointer<'c>> for ParityCommit<'_> {
         format!("parity:{}", self.dst)
     }
 
-    fn detect(&self, ck: &Checkpointer<'c>) -> Result<OpState, Fault> {
-        let Some(dst) = ck.region_seg(self.dst) else {
-            return Err(Fault::Protocol("parity: region not allocated by method"));
-        };
-        let same = {
-            let d = dst.read();
-            let dv = d.try_as_f64()?;
-            dv.len() == self.stripes.iter().map(Vec::len).sum::<usize>()
-                && dv
-                    .iter()
-                    .zip(self.stripes.iter().flatten())
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-        };
-        let mut witnessed = true;
-        for &r in &self.crc {
-            witnessed &= ck.region_crc_ok(r)?;
-        }
-        Ok(match (same, witnessed) {
-            (true, true) => OpState::Done,
-            (false, true) => OpState::NotStarted,
-            (_, false) => OpState::InFlight,
-        })
+    /// Never consulted: `make` fills fresh parity every epoch and no
+    /// restore replays a fill. Were one replayed, filling again is
+    /// idempotent, so the answer is the one that always re-applies.
+    fn detect(&self, _ck: &Checkpointer<'c>) -> Result<OpState, Fault> {
+        Ok(OpState::InFlight)
     }
 
     fn apply(&self, ck: &mut Checkpointer<'c>) -> Result<(), Fault> {
@@ -464,7 +400,8 @@ impl<'c> SequencedOp<Checkpointer<'c>> for ParityCommit<'_> {
 /// Rebuild the lost/damaged ranks' `(data, parity)` pair from the
 /// survivors' parity. Detect is structural: an empty erasure set (the
 /// previous attempt's rebuild committed, so this attempt's
-/// `verify_sources` found nothing damaged) is [`OpState::Done`].
+/// `verify_sources` found nothing damaged) is [`OpState::Done`]. Every
+/// rebuild is replayed, so `apply` never sees an empty set.
 pub(crate) struct RebuildOp {
     lost: Vec<usize>,
     data_r: Region,
@@ -495,52 +432,7 @@ impl<'c> SequencedOp<Checkpointer<'c>> for RebuildOp {
     }
 
     fn apply(&self, ck: &mut Checkpointer<'c>) -> Result<(), Fault> {
-        if self.lost.is_empty() {
-            return Ok(());
-        }
         ck.rebuild_regions(&self.lost, self.data_r, self.parity_r)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Daemon op (Ctx = Ranklist)
-// ---------------------------------------------------------------------
-
-/// The daemon's spare-node accounting: replace every unusable (dead or
-/// fenced) node in the ranklist with a spare. Detect is
-/// usability-structural — a ranklist whose every node is usable proves
-/// the previous draw completed (or none was needed), so a daemon
-/// re-entering after a crash mid-bookkeeping (including mid-*migration*
-/// away from a fenced suspect) skips instead of double-drawing spares.
-pub struct SpareDraw<'a> {
-    cluster: &'a Cluster,
-}
-
-impl<'a> SpareDraw<'a> {
-    /// A spare-draw op against `cluster`'s spare pool.
-    pub fn new(cluster: &'a Cluster) -> Self {
-        SpareDraw { cluster }
-    }
-}
-
-impl SequencedOp<Ranklist> for SpareDraw<'_> {
-    fn name(&self) -> String {
-        "daemon:spare-draw".into()
-    }
-
-    fn detect(&self, rl: &Ranklist) -> Result<OpState, Fault> {
-        let all_usable = (0..rl.len()).all(|r| self.cluster.node_usable(rl.node_of(r)));
-        Ok(if all_usable {
-            OpState::Done
-        } else {
-            OpState::NotStarted
-        })
-    }
-
-    fn apply(&self, rl: &mut Ranklist) -> Result<(), Fault> {
-        rl.repair(self.cluster)
-            .map(|_| ())
-            .map_err(|_| Fault::Protocol("daemon: spare-node pool exhausted during replacement"))
     }
 }
 
@@ -573,12 +465,12 @@ mod tests {
     }
 
     #[test]
-    fn forward_prepare_always_applies() {
+    fn forward_apply_always_applies() {
         let mut c = Counter {
             value: 5,
             target: 5,
         };
-        let tok = prepare(SetToTarget).commit(&mut c).unwrap();
+        let tok = apply(SetToTarget, &mut c).unwrap();
         assert_eq!(tok.record().action, OpAction::Applied);
         assert_eq!(tok.record().detected, OpState::NotStarted);
     }
@@ -589,19 +481,16 @@ mod tests {
             value: 5,
             target: 5,
         };
-        let p = prepare_replay(SetToTarget, &c).unwrap();
-        assert_eq!(p.detected(), OpState::Done);
-        let tok = p.commit(&mut c).unwrap();
+        let tok = replay(SetToTarget, &mut c).unwrap();
+        assert_eq!(tok.record().detected, OpState::Done);
         assert_eq!(tok.record().action, OpAction::Skipped);
 
         let mut c = Counter {
             value: 0,
             target: 5,
         };
-        let tok = prepare_replay(SetToTarget, &c)
-            .unwrap()
-            .commit(&mut c)
-            .unwrap();
+        let tok = replay(SetToTarget, &mut c).unwrap();
+        assert_eq!(tok.record().detected, OpState::NotStarted);
         assert_eq!(tok.record().action, OpAction::Replayed);
         assert_eq!(c.value, 5);
     }

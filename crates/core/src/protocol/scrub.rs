@@ -4,6 +4,7 @@
 //! ops ([`super::ops`]): a scrub re-entered after a crash detects which
 //! repairs already committed and skips them.
 
+use super::checkpointer::Pass;
 use super::ops::{self, OpAction};
 use super::planner::HeaderMaxima;
 use super::{Checkpointer, RecoverError, ScrubReport, SCRUB_PROBE};
@@ -46,7 +47,7 @@ impl<'c> Checkpointer<'c> {
             (!any_valid).then(|| "scrub: every header in the group failed its CRC".to_string());
         let mut header_repaired = false;
         if any_valid {
-            let adopted = self.seal_replay(ops::HeaderAdopt::new(consensus.words()))?;
+            let adopted = self.seal(Pass::Replay, ops::HeaderAdopt::new(consensus.words()))?;
             header_repaired = adopted.record().action == OpAction::Replayed;
         }
 
@@ -68,8 +69,10 @@ impl<'c> Checkpointer<'c> {
                 damage.get_or_insert(verdict);
             } else if !bad.is_empty() {
                 repaired.extend_from_slice(&bad);
-                let _rebuilt =
-                    self.seal_replay(ops::RebuildOp::new(bad, pair.data, pair.parity(e)))?;
+                let _rebuilt = self.seal(
+                    Pass::Replay,
+                    ops::RebuildOp::new(bad, pair.data, pair.parity(e)),
+                )?;
             }
         }
         // Deferred job-wide verdict: every rank reduces once, so sibling

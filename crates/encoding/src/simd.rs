@@ -43,20 +43,18 @@ pub enum SimdMode {
     Auto,
     /// Force the scalar reference path (`SKT_KERNEL_SIMD=0`).
     ForceScalar,
-    /// Force the accelerated path (`SKT_KERNEL_SIMD=1`): `pshufb` /
-    /// hardware CRC where the CPU has them, the portable split-table and
-    /// slice-by-8 variants otherwise.
-    ForceSimd,
 }
 
 impl SimdMode {
-    /// Parse the `SKT_KERNEL_SIMD` convention: `0`/`off` forces scalar,
-    /// `1`/`on` forces SIMD, anything else (or unset) is [`SimdMode::Auto`].
+    /// Parse the `SKT_KERNEL_SIMD` convention: `0`/`off`/`false` forces
+    /// scalar, anything else (`1`/`on` included, or unset) is
+    /// [`SimdMode::Auto`] — already the best accelerated path: `pshufb` /
+    /// hardware CRC where the CPU has them, the portable split-table and
+    /// slice-by-8 variants otherwise.
     #[must_use]
     pub fn from_env_str(v: &str) -> SimdMode {
         match v.trim() {
             "0" | "off" | "false" => SimdMode::ForceScalar,
-            "1" | "on" | "true" => SimdMode::ForceSimd,
             _ => SimdMode::Auto,
         }
     }
@@ -83,7 +81,7 @@ impl GfBackend {
     pub fn select(mode: SimdMode) -> GfBackend {
         match mode {
             SimdMode::ForceScalar => GfBackend::Scalar,
-            SimdMode::Auto | SimdMode::ForceSimd => GfBackend::best_accelerated(),
+            SimdMode::Auto => GfBackend::best_accelerated(),
         }
     }
 
@@ -139,7 +137,7 @@ impl CrcBackend {
     pub fn select(mode: SimdMode) -> CrcBackend {
         match mode {
             SimdMode::ForceScalar => CrcBackend::Table,
-            SimdMode::Auto | SimdMode::ForceSimd => CrcBackend::best_accelerated(),
+            SimdMode::Auto => CrcBackend::best_accelerated(),
         }
     }
 
@@ -535,9 +533,9 @@ mod tests {
     #[test]
     fn selection_honours_the_mode() {
         assert_eq!(GfBackend::select(SimdMode::ForceScalar), GfBackend::Scalar);
-        assert_ne!(GfBackend::select(SimdMode::ForceSimd), GfBackend::Scalar);
+        assert_ne!(GfBackend::select(SimdMode::Auto), GfBackend::Scalar);
         assert_eq!(CrcBackend::select(SimdMode::ForceScalar), CrcBackend::Table);
-        assert_ne!(CrcBackend::select(SimdMode::ForceSimd), CrcBackend::Table);
+        assert_ne!(CrcBackend::select(SimdMode::Auto), CrcBackend::Table);
         assert_eq!(
             GfBackend::select(SimdMode::Auto),
             GfBackend::best_accelerated()
@@ -548,8 +546,9 @@ mod tests {
     fn env_convention_parses() {
         assert_eq!(SimdMode::from_env_str("0"), SimdMode::ForceScalar);
         assert_eq!(SimdMode::from_env_str("off"), SimdMode::ForceScalar);
-        assert_eq!(SimdMode::from_env_str(" 1 "), SimdMode::ForceSimd);
-        assert_eq!(SimdMode::from_env_str("on"), SimdMode::ForceSimd);
+        assert_eq!(SimdMode::from_env_str(" 1 "), SimdMode::Auto);
+        assert_eq!(SimdMode::from_env_str("on"), SimdMode::Auto);
+        assert_eq!(SimdMode::from_env_str("true"), SimdMode::Auto);
         assert_eq!(SimdMode::from_env_str("auto"), SimdMode::Auto);
     }
 

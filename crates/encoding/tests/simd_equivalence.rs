@@ -210,7 +210,7 @@ proptest! {
         kernels::gf_scale_into(&mut [&mut want_scale], &base, &[c], reference);
         let mut want_mac = base.clone();
         kernels::gf_mac(&mut want_mac, &x, c, reference);
-        for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
+        for mode in [SimdMode::Auto, SimdMode::ForceScalar] {
             let cfg = KernelConfig::new(threads, chunk).with_simd(mode);
             let mut got = x.clone();
             kernels::gf_scale_into(&mut [&mut got], &base, &[c], cfg);
@@ -238,7 +238,7 @@ proptest! {
     ) {
         let d = floats(len, seed);
         let want = crc32c_f64(&d, KernelConfig::serial().with_simd(SimdMode::ForceScalar));
-        for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
+        for mode in [SimdMode::Auto, SimdMode::ForceScalar] {
             let cfg = KernelConfig::new(threads, chunk).with_simd(mode);
             prop_assert_eq!(crc32c_f64(&d, cfg), want, "len={} cfg={:?}", len, cfg);
         }
@@ -368,7 +368,7 @@ fn multi_role_contributions_match_the_per_role_walk() {
     let reference = KernelConfig::serial().with_simd(SimdMode::ForceScalar);
     for len in [0usize, 1, 13, 64, 67, 200] {
         let stripe = floats(len, 11);
-        for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
+        for mode in [SimdMode::Auto, SimdMode::ForceScalar] {
             for threads in BUDGETS {
                 let cfg = KernelConfig::new(threads, 16).with_simd(mode);
                 let mut got: Vec<Vec<f64>> = COEFFS.iter().map(|_| vec![f64::NAN; len]).collect();
@@ -432,7 +432,7 @@ fn multi_role_accumulate_matches_contribs_then_combine() {
     for len in [0usize, 1, 13, 64, 67, 200] {
         let stripe = floats(len, 11);
         let dirty = |i: usize| floats(len, 100 + i as u64);
-        for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
+        for mode in [SimdMode::Auto, SimdMode::ForceScalar] {
             for threads in BUDGETS {
                 let cfg = KernelConfig::new(threads, 16).with_simd(mode);
                 let mut got: Vec<Vec<f64>> = (0..COEFFS.len()).map(dirty).collect();
@@ -501,7 +501,7 @@ fn fused_copy_and_stripe_crcs_match_copy_then_crc() {
     ] {
         let src = floats(len, 13);
         let want_crcs = stripe_crcs(&src, stripe_len, reference);
-        for mode in [SimdMode::Auto, SimdMode::ForceScalar, SimdMode::ForceSimd] {
+        for mode in [SimdMode::Auto, SimdMode::ForceScalar] {
             for threads in BUDGETS {
                 for chunk in [1usize, 5, 16, 1 << 16] {
                     let cfg = KernelConfig::new(threads, chunk).with_simd(mode);

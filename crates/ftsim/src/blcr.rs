@@ -21,7 +21,6 @@ use skt_cluster::{segment_name, Device, DeviceKind, Event};
 use skt_hpl::{solve, BlockCyclic1D, HplConfig, Kept, Shard, SktOutput, Start};
 use skt_mps::{Ctx, Fault, Payload, ReduceOp};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Per-rank persistent disks, owned by the driver so they outlive job
 /// launches (a rank's disk follows it to a replacement node).
@@ -75,22 +74,14 @@ struct Disk<'a> {
 }
 
 impl Shard for Disk<'_> {
-    /// The newest epoch available on EVERY rank. The inventory's read
-    /// of the agreed slot is the one charged restore read.
+    /// The newest epoch available on EVERY rank. The read of the agreed
+    /// slot is the one charged restore read; the inventory before it
+    /// looks at each slot's epoch word alone.
     fn restore(&mut self, ctx: &Ctx) -> Result<Start, Fault> {
-        // (epoch, blob, modeled read time) of each slot; a blob torn
-        // below its epoch word reads as absent, never as a panic
-        let mut held: Vec<(u64, Vec<u8>, Duration)> = self
-            .slots
-            .iter()
-            .filter_map(|slot| {
-                let (blob, t_io) = self.dev.read(slot, self.sharers)?;
-                Some((
-                    u64::from_le_bytes(blob.get(..8)?.try_into().ok()?),
-                    blob,
-                    t_io,
-                ))
-            })
+        // a blob torn below its epoch word reads as absent, never as a panic
+        let epoch = |blob: &[u8]| Some(u64::from_le_bytes(blob.get(..8)?.try_into().ok()?));
+        let held: Vec<(u64, &str)> = (self.slots.iter())
+            .filter_map(|slot| Some((self.dev.read_with(slot, self.sharers, epoch)?.0?, &**slot)))
             .collect();
         let my_best = held.iter().map(|h| h.0).max().unwrap_or(0);
         let common = ctx
@@ -103,22 +94,23 @@ impl Shard for Disk<'_> {
         // The two-slot discipline makes the agreed epoch held here, but a
         // disagreeing inventory yields a typed fault, not a panic
         // mid-collective.
-        let at = held
-            .iter()
-            .position(|h| h.0 == common)
-            .ok_or(Fault::Protocol(
-                "blcr: agreed epoch not present in local slots",
-            ))?;
-        let (_, blob, t_io) = held.swap_remove(at);
+        let missing = Fault::Protocol("blcr: agreed epoch not present in local slots");
+        let slot = held.iter().find(|h| h.0 == common).ok_or(missing)?.1;
+        let decode = |blob: &[u8]| {
+            self.matrix = blob[8..]
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+                .collect();
+            blob.len() as u64
+        };
+        let (bytes, t_io) = (self.dev)
+            .read_with(slot, self.sharers, decode)
+            .ok_or(missing)?;
         ctx.cluster().events().emit(Event::StorageRead {
             device: self.dev.kind().name(),
-            bytes: blob.len() as u64,
+            bytes,
             modeled: t_io,
         });
-        self.matrix = blob[8..]
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-            .collect();
         Ok(Start::Resume {
             panel: common as usize,
             modeled: t_io.as_secs_f64(),

@@ -128,7 +128,7 @@ pub enum SuspicionOutcome {
     Exonerated,
     /// The probe confirmed degradation: the suspect was fenced at this
     /// generation and its shard proactively migrated onto a spare
-    /// through the sequenced [`skt_core::protocol::ops::SpareDraw`].
+    /// through the service's sequenced `SpareDraw` op ([`crate::service`]).
     Migrated {
         /// The fence generation stamped on the zombie; stale messages
         /// and SHM writes carrying an older generation are rejected.

@@ -553,9 +553,7 @@ impl CheckpointService {
         };
         let known_dead = self.cluster.dead_nodes();
         self.cluster.reset_abort();
-        let committed =
-            ops::prepare_replay(ResizeOp { columns, panel }, &ctx).and_then(|p| p.commit(&mut ctx));
-        let rec = match committed {
+        let rec = match ops::replay(ResizeOp { columns, panel }, &mut ctx) {
             Ok(tok) => tok.into_record(),
             Err(fault) => {
                 // a fault landed inside the resize window. The old layout
@@ -627,7 +625,7 @@ mod tests {
     use super::*;
     use crate::service::tests::{elastic_cfg, residual_bits, service, tenant_cfg};
     use crate::{PolicySpec, RetryPolicy, ServiceConfig, StormPlan, TenantOutcome};
-    use skt_cluster::{ClusterConfig, FailurePlan};
+    use skt_cluster::{ClusterConfig, FailurePlan, SegmentData};
     use skt_hpl::RESIZE_PROBE;
 
     #[test]
@@ -679,6 +677,50 @@ mod tests {
             assert_eq!(e.label(), label);
             assert_eq!(e.to_string(), text);
         }
+    }
+
+    /// A replayed install whose previous attempt already committed on
+    /// every new rank is detected `Done` and skipped: replaying it with
+    /// a different image leaves the new namespace as the first install
+    /// wrote it.
+    #[test]
+    fn replayed_install_that_already_committed_is_skipped() {
+        let cfg = tenant_cfg("job", 16);
+        let n = cfg.hpl.n;
+        let mut ctx = ResizeCtx {
+            cluster: Arc::new(Cluster::new(ClusterConfig::new(2, 0))),
+            new_cfg: cfg,
+            new_rl: Ranklist::explicit(vec![0, 1]),
+        };
+        let install = |ctx: &mut ResizeCtx, v: f64| {
+            let op = ResizeOp {
+                columns: vec![vec![v; n]; n + 1],
+                panel: 2,
+            };
+            ops::replay(op, ctx).unwrap().into_record().to_string()
+        };
+        let segments = |ctx: &ResizeCtx| -> Vec<SegmentData> {
+            let shms = [0, 1].map(|node| ctx.cluster.shm(node));
+            (shms.iter())
+                .flat_map(|shm| shm.names().into_iter().map(|name| shm.attach(&name)))
+                .map(|seg| seg.unwrap().read().clone())
+                .collect()
+        };
+        assert_eq!(
+            install(&mut ctx, 1.0),
+            "resize-install panel=2 not-started:replayed"
+        );
+        let installed = segments(&ctx);
+        assert!(!installed.is_empty());
+        assert_eq!(
+            install(&mut ctx, 2.0),
+            "resize-install panel=2 done:skipped"
+        );
+        assert_eq!(
+            segments(&ctx),
+            installed,
+            "a skipped install rewrites nothing"
+        );
     }
 
     // ---- the service's resize half, end to end ----

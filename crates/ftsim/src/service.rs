@@ -49,7 +49,7 @@ use crate::report::{
 use crate::resize::Elasticity;
 use crate::storm::{StormPlan, TimedFault};
 use skt_cluster::{Cluster, Fault, NodeId, ProbeVerdict, Ranklist, Stopwatch};
-use skt_core::protocol::ops::{self, SpareDraw};
+use skt_core::protocol::ops::{self, OpState, SequencedOp};
 use skt_core::RecoveryReport;
 use skt_hpl::{run_skt_sliced, SktConfig, SktOutput, SktRun};
 use skt_mps::run_on_cluster;
@@ -299,9 +299,7 @@ impl CheckpointService {
         self.pool.draw_spares(tenant.id, dead)?;
         // Physical draw through the sequenced op: replays detect a draw
         // already `Done` and skip it; the record is audit evidence.
-        let drawn = ops::prepare_replay(SpareDraw::new(&self.cluster), &tenant.rl)
-            .and_then(|p| p.commit(&mut tenant.rl));
-        match drawn {
+        match ops::replay(SpareDraw(&self.cluster), &mut tenant.rl) {
             Ok(tok) => tenant.history.ops.push(tok.into_record()),
             // ledger said yes but the pool is physically dry (spares can
             // die too; the ledger learns it here)
@@ -569,6 +567,36 @@ pub(crate) enum Repair<'a> {
     Futile,
 }
 
+/// The physical spare draw of [`CheckpointService::heal_shard`]: replace
+/// every unusable (dead or fenced) node in a tenant's ranklist with a
+/// spare from the cluster's pool. Detect is usability-structural — a
+/// ranklist whose every node is usable proves the previous draw
+/// completed (or none was needed), so a daemon re-entering after a crash
+/// mid-bookkeeping (including mid-*migration* away from a fenced
+/// suspect) skips instead of double-drawing spares.
+struct SpareDraw<'a>(&'a Cluster);
+
+impl SequencedOp<Ranklist> for SpareDraw<'_> {
+    fn name(&self) -> String {
+        "daemon:spare-draw".into()
+    }
+
+    fn detect(&self, rl: &Ranklist) -> Result<OpState, Fault> {
+        let all_usable = (0..rl.len()).all(|r| self.0.node_usable(rl.node_of(r)));
+        Ok(if all_usable {
+            OpState::Done
+        } else {
+            OpState::NotStarted
+        })
+    }
+
+    fn apply(&self, rl: &mut Ranklist) -> Result<(), Fault> {
+        rl.repair(self.0)
+            .map(|_| ())
+            .map_err(|_| Fault::Protocol("daemon: spare-node pool exhausted during replacement"))
+    }
+}
+
 /// The distinct nodes a ranklist places ranks on, ascending.
 pub(crate) fn node_set(rl: &Ranklist) -> Vec<NodeId> {
     let nodes: BTreeSet<NodeId> = (0..rl.len()).map(|r| rl.node_of(r)).collect();
@@ -752,6 +780,24 @@ pub(crate) mod tests {
         assert!(matches!(b.outcome, TenantOutcome::Completed(_)));
         assert_eq!(b.failures, 0, "the neighbor's gray fault is not ours");
         assert!(b.foreign_on_shard.is_empty());
+    }
+
+    /// A daemon re-entering its spare draw after the draw committed
+    /// detects it `Done` and takes no second spare.
+    #[test]
+    fn spare_draw_replayed_after_it_committed_is_skipped() {
+        let cluster = Cluster::new(ClusterConfig::new(2, 2));
+        let mut rl = Ranklist::round_robin(2, 2);
+        cluster.kill_node(1);
+        let drawn = ops::replay(SpareDraw(&cluster), &mut rl).unwrap();
+        assert_eq!(
+            drawn.record().to_string(),
+            "daemon:spare-draw not-started:replayed"
+        );
+        assert_eq!((node_set(&rl), cluster.spares_left()), (vec![0, 3], 1));
+        let again = ops::replay(SpareDraw(&cluster), &mut rl).unwrap();
+        assert_eq!(again.record().to_string(), "daemon:spare-draw done:skipped");
+        assert_eq!((node_set(&rl), cluster.spares_left()), (vec![0, 3], 1));
     }
 
     // ---- the failure ladder's three entries ----

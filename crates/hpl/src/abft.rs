@@ -47,7 +47,10 @@ pub fn abft_dist(cfg: &HplConfig, nranks: usize, me: usize) -> BlockCyclic1D {
 /// column is `L⁻¹P(A·w) = Σ_group L⁻¹P·(A col) = Σ_group (U column,
 /// zero-extended below its diagonal)` — the below-diagonal entries of the
 /// packed factorization are `L` multipliers and do not participate.
-/// Collective; compares within a scaled tolerance.
+/// Collective, two allreduces whatever the checksum-column count: one
+/// sums every column's partial (each rank contributes the columns it
+/// owns), one agrees on the verdict after each checksum column's owner
+/// compared it within a scaled tolerance.
 pub fn verify_checksums(
     comm: &skt_mps::Comm<'_>,
     dist: &BlockCyclic1D,
@@ -56,46 +59,42 @@ pub fn verify_checksums(
     let n = dist.n();
     let nb = dist.nb();
     let nranks = dist.nranks();
-    let ngroups = dist.aux_cols() / nb;
-    let mut all_ok = true;
-    for g in 0..ngroups {
-        for off in 0..nb {
-            // sum the group's columns (each rank contributes the ones it
-            // owns) and deliver to the checksum column's owner
-            let aux_block = dist.nblocks_a() + g;
-            let owner = dist.owner(aux_block);
-            let mut part = vec![0.0; n];
-            for b in 0..nranks {
-                let src_gc = (g * nranks + b) * nb + off;
-                let src_block = src_gc / nb;
-                if dist.mine(src_block) {
-                    let lc = dist.local_col0(src_block) + off;
-                    // U part only: rows 0..=src_gc
-                    for (i, v) in part.iter_mut().enumerate().take(src_gc + 1) {
-                        *v += storage[lc * n + i];
-                    }
+    // checksum column `c` (group `c / nb`, offset `c % nb`) sums the
+    // group's columns at that offset; its partial is row block `c`
+    let mut parts = vec![0.0; dist.aux_cols() * n];
+    for (c, part) in parts.chunks_exact_mut(n).enumerate() {
+        let (g, off) = (c / nb, c % nb);
+        for b in 0..nranks {
+            let src_gc = (g * nranks + b) * nb + off;
+            let src_block = src_gc / nb;
+            if dist.mine(src_block) {
+                let lc = dist.local_col0(src_block) + off;
+                // U part only: rows 0..=src_gc
+                for (v, s) in part.iter_mut().zip(&storage[lc * n..=lc * n + src_gc]) {
+                    *v += s;
                 }
             }
-            let summed = comm.reduce(ReduceOp::Sum, owner, Payload::F64(part))?;
-            let ok = if let Some(s) = summed {
-                let s = s.into_f64();
-                let lc = dist.local_col0(aux_block) + off;
-                let col = &storage[lc * n..lc * n + n];
-                let scale: f64 = col.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-                s.iter()
-                    .zip(col)
-                    .all(|(a, b)| (a - b).abs() <= 1e-8 * scale * n as f64)
-            } else {
-                true
-            };
-            // group-wide verdict for this column
-            let verdict = comm
-                .allreduce(ReduceOp::Min, Payload::I64(vec![ok as i64]))?
-                .into_i64()[0];
-            all_ok &= verdict == 1;
         }
     }
-    Ok(all_ok)
+    let sums = comm
+        .allreduce(ReduceOp::Sum, Payload::F64(parts))?
+        .into_f64();
+    let ok = sums.chunks_exact(n).enumerate().all(|(c, s)| {
+        let aux_block = dist.nblocks_a() + c / nb;
+        if !dist.mine(aux_block) {
+            return true;
+        }
+        let lc = dist.local_col0(aux_block) + c % nb;
+        let col = &storage[lc * n..lc * n + n];
+        let scale: f64 = col.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+        s.iter()
+            .zip(col)
+            .all(|(a, b)| (a - b).abs() <= 1e-8 * scale * n as f64)
+    });
+    let verdict = comm
+        .allreduce(ReduceOp::Min, Payload::I64(vec![ok as i64]))?
+        .into_i64()[0];
+    Ok(verdict == 1)
 }
 
 /// Run ABFT-HPL: plain HPL over the checksum-augmented matrix (the
@@ -139,6 +138,33 @@ mod tests {
             four[0].overhead_cols < two[0].overhead_cols,
             "1/nranks scaling"
         );
+    }
+
+    /// The audit is two allreduces — each one `reduce` and one `bcast`
+    /// per rank on the event bus — at any checksum-column count.
+    #[test]
+    fn audit_is_two_allreduces_at_any_checksum_count() {
+        use skt_cluster::{Cluster, ClusterConfig, Event, Ranklist, Recorder};
+        use std::sync::Arc;
+        for (n, aux) in [(16, 8), (32, 16)] {
+            let cluster = Arc::new(Cluster::new(ClusterConfig::new(2, 0)));
+            let rec = Arc::new(Recorder::new());
+            cluster.events().subscribe(Arc::clone(&rec) as _);
+            let cfg = HplConfig::new(n, 4, 5);
+            let ok = skt_mps::run_on_cluster(cluster, &Ranklist::round_robin(2, 2), |ctx| {
+                let comm = ctx.world();
+                let dist = abft_dist(&cfg, comm.size(), comm.rank());
+                assert_eq!(dist.aux_cols(), aux);
+                verify_checksums(&comm, &dist, &vec![0.0; dist.alloc_len()])
+            })
+            .unwrap();
+            assert_eq!(ok, [true, true], "an all-zero matrix keeps the invariant");
+            let count =
+                |op: &str| rec.count(|e| matches!(e, Event::Collective { op: o, .. } if *o == op));
+            // two allreduces, each a reduce and a bcast on each of 2 ranks
+            assert_eq!((count("reduce"), count("bcast")), (4, 4), "n = {n}");
+            assert_eq!(rec.count(|e| matches!(e, Event::Collective { .. })), 8);
+        }
     }
 
     #[test]
