@@ -2,7 +2,7 @@
 //! MPI-style whole-job abort on node failure.
 
 use crate::events::{Event, EventBus};
-use crate::failure::{FailureInjector, Fault, FaultAction, FaultPlan, GrayKind, Region};
+use crate::failure::{Fault, FaultAction, FaultPlan, GrayKind, Region};
 use crate::net::NetModel;
 use crate::pool::BufferPool;
 use crate::shm::{SegmentData, ShmStore};
@@ -60,7 +60,8 @@ pub struct Cluster {
     alive: Mutex<Vec<bool>>,
     spare_pool: Mutex<Vec<NodeId>>,
     job_abort: AtomicBool,
-    injector: FailureInjector,
+    /// Armed fault plans; [`Self::failpoint`] fires and removes them.
+    plans: Mutex<Vec<FaultPlan>>,
     net: NetModel,
     events: EventBus,
     runtime: Arc<dyn Runtime>,
@@ -102,7 +103,7 @@ impl Cluster {
             alive: Mutex::new(vec![true; total]),
             spare_pool: Mutex::new((config.nodes..total).collect()),
             job_abort: AtomicBool::new(false),
-            injector: FailureInjector::new(),
+            plans: Mutex::new(Vec::new()),
             // Local-cluster-ish defaults; experiments override via
             // platform models where it matters.
             net: NetModel::new(2e-6, 12.5e9, 2),
@@ -458,18 +459,19 @@ impl Cluster {
     }
 
     /// Arm a fault plan — a kill, a silent bit flip, or a gray
-    /// degradation (see [`FaultPlan`]). Arming a gray plan arms the
-    /// suspicion layer as a side effect.
+    /// degradation (see [`FaultPlan`]). Several plans may be armed at
+    /// once (two kills in different groups, a kill beside a flip).
+    /// Arming a gray plan arms the suspicion layer as a side effect.
     pub fn arm_failure(&self, plan: FaultPlan) {
         if matches!(plan.action, FaultAction::Gray { .. }) {
             self.enable_suspicion();
         }
-        self.injector.arm(plan);
+        self.plans.lock().push(plan);
     }
 
     /// Disarm all fault plans.
     pub fn clear_failures(&self) {
-        self.injector.clear();
+        self.plans.lock().clear();
     }
 
     /// Make `action` happen to `node` right now — the one door for a
@@ -548,14 +550,24 @@ impl Cluster {
     }
 
     /// Named probe point, called from rank code with the rank's own
-    /// 1-based occurrence count for `label`. If an armed kill plan
-    /// matches, the node is killed and `Err(Fault::NodeDead)` is returned
-    /// to the dying rank; a matching corrupt plan flips its bit silently
-    /// and a gray plan degrades the node, and the rank continues.
+    /// 1-based occurrence count for `label` (per-rank counting keeps
+    /// multi-threaded runs deterministic). An armed plan matches on
+    /// `(node, label, nth == count)` and fires once: it is removed. If a
+    /// kill plan matches, the node is killed and `Err(Fault::NodeDead)`
+    /// is returned to the dying rank; a matching corrupt plan flips its
+    /// bit silently and a gray plan degrades the node, and the rank
+    /// continues.
     /// Otherwise this doubles as an abort check so every rank notices a
     /// failure promptly.
     pub fn failpoint(&self, node: NodeId, label: &str, count: u64) -> Result<(), Fault> {
-        if let Some(action) = self.injector.fires(node, label, count) {
+        let fired = {
+            let mut plans = self.plans.lock();
+            let pos = plans
+                .iter()
+                .position(|p| p.node == node && p.label == label && p.nth == count);
+            pos.map(|i| plans.remove(i).action)
+        };
+        if let Some(action) = fired {
             self.apply_fault(node, &action);
             if action == FaultAction::Kill {
                 return Err(Fault::NodeDead(node));
@@ -604,16 +616,6 @@ impl Ranklist {
     pub fn explicit(node_of_rank: Vec<NodeId>) -> Self {
         assert!(!node_of_rank.is_empty());
         Ranklist { node_of_rank }
-    }
-
-    /// Block placement: ranks `0..k` on node 0, next `k` on node 1, …
-    /// (`k = ceil(nranks / nodes)`).
-    pub fn block(nranks: usize, nodes: usize) -> Self {
-        assert!(nranks >= 1 && nodes >= 1);
-        let per = nranks.div_ceil(nodes);
-        Ranklist {
-            node_of_rank: (0..nranks).map(|r| r / per).collect(),
-        }
     }
 
     /// Round-robin placement: rank `r` on node `r % nodes`. With group
@@ -733,6 +735,70 @@ mod tests {
     }
 
     #[test]
+    fn failpoint_fires_a_plan_once_at_its_nth_hit() {
+        let c = Cluster::new(ClusterConfig::new(2, 0));
+        let rec = recorder(&c);
+        c.shm(1)
+            .get_or_create("job/r1/b", || SegmentData::F64(vec![0.0; 4]));
+        c.arm_failure(FaultPlan::corrupt("encode", 3, 1, Region::CopyB, 0, 0));
+        let flips = || rec.count(|e| matches!(e, Event::CorruptionInjected { node: 1, .. }));
+        for hit in 1..=2 {
+            assert!(c.failpoint(1, "encode", hit).is_ok());
+        }
+        assert_eq!(flips(), 0);
+        assert!(c.failpoint(1, "encode", 3).is_ok(), "a flip is silent");
+        assert_eq!(flips(), 1);
+        assert!(c.failpoint(1, "encode", 3).is_ok());
+        assert_eq!(flips(), 1, "one-shot");
+    }
+
+    #[test]
+    fn failpoint_matches_a_plan_by_node_and_label() {
+        let c = Cluster::new(ClusterConfig::new(4, 0));
+        c.arm_failure(FailurePlan::new("flush", 1, 2));
+        assert!(c.failpoint(3, "flush", 1).is_ok());
+        assert!(c.failpoint(2, "encode", 1).is_ok());
+        assert_eq!(c.failpoint(2, "flush", 1), Err(Fault::NodeDead(2)));
+    }
+
+    #[test]
+    fn clear_failures_disarms() {
+        let c = Cluster::new(ClusterConfig::new(1, 0));
+        c.arm_failure(FailurePlan::new("x", 1, 0));
+        c.clear_failures();
+        assert!(c.failpoint(0, "x", 1).is_ok());
+        assert!(c.node_alive(0));
+    }
+
+    #[test]
+    fn kill_flip_and_gray_plans_coexist() {
+        let c = Cluster::new(ClusterConfig::new(3, 0));
+        let rec = recorder(&c);
+        c.shm(1)
+            .get_or_create("job/r1/b", || SegmentData::F64(vec![0.0; 4]));
+        c.arm_failure(FailurePlan::new("p", 1, 0));
+        c.arm_failure(FaultPlan::corrupt("p", 1, 1, Region::CopyB, 0, 0));
+        c.arm_failure(FaultPlan::gray("p", 2, 2, GrayKind::Hang));
+        assert!(c.failpoint(1, "p", 1).is_ok());
+        assert!(c.failpoint(2, "p", 1).is_ok());
+        assert!(c.gray_kind(2).is_none(), "gray fires at its 2nd hit");
+        assert!(c.failpoint(2, "p", 2).is_ok());
+        assert_eq!(c.gray_kind(2), Some(GrayKind::Hang));
+        assert_eq!(c.failpoint(0, "p", 1), Err(Fault::NodeDead(0)));
+        let injected = rec.count(|e| {
+            matches!(
+                e,
+                Event::CorruptionInjected { node: 1, .. }
+                    | Event::GrayInjected {
+                        node: 2,
+                        kind: "hang"
+                    }
+            )
+        });
+        assert_eq!(injected, 2);
+    }
+
+    #[test]
     fn failpoint_on_dead_node_reports_dead() {
         let c = Cluster::new(ClusterConfig::new(2, 0));
         c.kill_node(1);
@@ -741,11 +807,7 @@ mod tests {
     }
 
     #[test]
-    fn ranklist_block_and_round_robin() {
-        let b = Ranklist::block(8, 4);
-        assert_eq!(b.node_of(0), 0);
-        assert_eq!(b.node_of(1), 0);
-        assert_eq!(b.node_of(7), 3);
+    fn ranklist_round_robin() {
         let rr = Ranklist::round_robin(8, 4);
         assert_eq!(rr.node_of(0), 0);
         assert_eq!(rr.node_of(4), 0);

@@ -4,8 +4,9 @@
 //! §6.3) and analyses recoverability by *when* the failure lands relative
 //! to the protocol (Figures 2–5: during computing, during checksum
 //! calculation, during checkpoint flush). Random power-offs can only sample
-//! those windows; the injector here fires a chosen fault the *n-th time a
-//! node passes a named probe point*, so every window is exercised exactly
+//! those windows; a plan armed with [`crate::Cluster::arm_failure`] fires
+//! a chosen fault the *n-th time a node passes a named probe point*
+//! ([`crate::Cluster::failpoint`]), so every window is exercised exactly
 //! and reproducibly.
 //!
 //! A [`FaultPlan`] is **when** × **what**, each said once: the
@@ -31,7 +32,6 @@
 //! action through the same door, [`crate::Cluster::apply_fault`].
 
 use crate::cluster::NodeId;
-use parking_lot::Mutex;
 use std::time::Duration;
 
 /// Error type threaded through the whole stack when the job dies.
@@ -332,70 +332,9 @@ impl FaultPlan {
     }
 }
 
-/// Holds armed plans; consulted by [`crate::Cluster::failpoint`].
-#[derive(Default)]
-pub struct FailureInjector {
-    plans: Mutex<Vec<FaultPlan>>,
-}
-
-impl FailureInjector {
-    /// No plans armed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Arm a plan. Multiple plans may be armed at once (e.g. to kill two
-    /// nodes in different groups, or a kill beside a flip).
-    pub fn arm(&self, plan: FaultPlan) {
-        self.plans.lock().push(plan);
-    }
-
-    /// Drop all plans.
-    pub fn clear(&self) {
-        self.plans.lock().clear();
-    }
-
-    /// Number of armed plans.
-    pub fn armed(&self) -> usize {
-        self.plans.lock().len()
-    }
-
-    /// Check whether a probe hit fires a plan, and which action it asks
-    /// for. `count` is the caller's 1-based per-rank occurrence count for
-    /// `label`; per-rank counting keeps multi-threaded runs deterministic.
-    /// The fired plan is removed.
-    pub fn fires(&self, node: NodeId, label: &str, count: u64) -> Option<FaultAction> {
-        let mut plans = self.plans.lock();
-        let pos = plans
-            .iter()
-            .position(|p| p.node == node && p.label == label && p.nth == count)?;
-        Some(plans.remove(pos).action)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn plan_fires_exactly_once_at_nth_hit() {
-        let inj = FailureInjector::new();
-        inj.arm(FailurePlan::new("encode", 3, 5));
-        assert_eq!(inj.fires(5, "encode", 1), None);
-        assert_eq!(inj.fires(5, "encode", 2), None);
-        assert_eq!(inj.fires(5, "encode", 3), Some(FaultAction::Kill));
-        assert_eq!(inj.fires(5, "encode", 3), None, "one-shot");
-        assert_eq!(inj.armed(), 0);
-    }
-
-    #[test]
-    fn plan_only_matches_its_node_and_label() {
-        let inj = FailureInjector::new();
-        inj.arm(FailurePlan::new("flush", 1, 2));
-        assert_eq!(inj.fires(3, "flush", 1), None);
-        assert_eq!(inj.fires(2, "encode", 1), None);
-        assert_eq!(inj.fires(2, "flush", 1), Some(FaultAction::Kill));
-    }
 
     #[test]
     fn nth_zero_clamps_to_one() {
@@ -406,58 +345,26 @@ mod tests {
     }
 
     #[test]
-    fn clear_disarms() {
-        let inj = FailureInjector::new();
-        inj.arm(FailurePlan::new("x", 1, 0));
-        inj.clear();
-        assert_eq!(inj.fires(0, "x", 1), None);
-    }
-
-    #[test]
-    fn corrupt_plan_fires_with_its_payload() {
-        let inj = FailureInjector::new();
-        let plan = FaultPlan::corrupt("computing", 2, 1, Region::ParityC, 17, 3);
-        inj.arm(plan.clone());
-        assert_eq!(inj.fires(1, "computing", 1), None);
-        assert_eq!(inj.fires(1, "computing", 2), Some(plan.action));
+    fn corrupt_and_gray_plans_carry_their_payload() {
+        let c = FaultPlan::corrupt("computing", 2, 1, Region::ParityC, 17, 3);
+        assert_eq!((c.label.as_str(), c.nth, c.node), ("computing", 2, 1));
         assert_eq!(
-            plan.action,
+            c.action,
             FaultAction::Corrupt {
                 region: Region::ParityC,
                 offset: 17,
                 bit: 3
             }
         );
-        assert_eq!(inj.armed(), 0);
-    }
-
-    #[test]
-    fn kill_and_corrupt_plans_coexist() {
-        let inj = FailureInjector::new();
-        inj.arm(FailurePlan::new("p", 1, 0));
-        inj.arm(FaultPlan::corrupt("p", 1, 1, Region::Header, 0, 0));
-        assert_eq!(inj.armed(), 2);
-        assert_eq!(inj.fires(0, "p", 1), Some(FaultAction::Kill));
-        assert!(matches!(
-            inj.fires(1, "p", 1),
-            Some(FaultAction::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn gray_plan_fires_with_its_payload() {
-        let inj = FailureInjector::new();
         let heal = Duration::from_millis(1);
-        inj.arm(FaultPlan::gray("computing", 2, 3, GrayKind::Hang).heal_after(heal));
-        assert_eq!(inj.fires(3, "computing", 1), None);
+        let g = FaultPlan::gray("computing", 2, 3, GrayKind::Hang).heal_after(heal);
         assert_eq!(
-            inj.fires(3, "computing", 2),
-            Some(FaultAction::Gray {
+            g.action,
+            FaultAction::Gray {
                 kind: GrayKind::Hang,
                 heal_after: Some(heal)
-            })
+            }
         );
-        assert_eq!(inj.armed(), 0);
     }
 
     #[test]

@@ -48,9 +48,7 @@ pub mod suspicion;
 
 pub use cluster::{Cluster, ClusterConfig, NodeId, Ranklist};
 pub use events::{Event, EventBus, Observer, Recorder};
-pub use failure::{
-    segment_name, FailureInjector, FailurePlan, Fault, FaultAction, FaultPlan, GrayKind, Region,
-};
+pub use failure::{segment_name, FailurePlan, Fault, FaultAction, FaultPlan, GrayKind, Region};
 pub use net::NetModel;
 pub use pool::BufferPool;
 pub use shm::{SegmentData, ShmSegment, ShmStore};

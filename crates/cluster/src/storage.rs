@@ -2,12 +2,14 @@
 //!
 //! Table 3 of the paper compares checkpoint methods whose cost is dominated
 //! by where the checkpoint bytes go: HDD (~100 MB/s), SSD (~500 MB/s), or
-//! memory. The devices here *really store* the bytes (so BLCR-style
-//! recovery actually restores data) and additionally report the modeled
-//! transfer time so experiments can charge realistic I/O cost without
-//! wall-clock sleeping. A device knows no [`EventBus`](crate::EventBus):
-//! the job that charges a transfer (`skt-ftsim`'s BLCR baseline) emits
-//! the `StorageWrite` / `StorageRead` event for it on its cluster's bus.
+//! memory. The two disks BLCR writes to are modeled here; the in-memory
+//! methods keep their bytes in node SHM instead. The devices *really
+//! store* the bytes (so BLCR-style recovery actually restores data) and
+//! additionally report the modeled transfer time so experiments can
+//! charge realistic I/O cost without wall-clock sleeping. A device
+//! knows no [`EventBus`](crate::EventBus): the job that charges a
+//! transfer (`skt-ftsim`'s BLCR baseline) emits the `StorageWrite` /
+//! `StorageRead` event for it on its cluster's bus.
 
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -20,8 +22,6 @@ pub enum DeviceKind {
     Hdd,
     /// SATA/NVMe flash: ~500 MB/s, ~0.1 ms.
     Ssd,
-    /// RAM-backed file system: ~8 GB/s, ~1 µs.
-    Ramfs,
 }
 
 impl DeviceKind {
@@ -30,7 +30,6 @@ impl DeviceKind {
         match self {
             DeviceKind::Hdd => 100.0e6,
             DeviceKind::Ssd => 500.0e6,
-            DeviceKind::Ramfs => 8.0e9,
         }
     }
 
@@ -39,7 +38,6 @@ impl DeviceKind {
         match self {
             DeviceKind::Hdd => 8.0e-3,
             DeviceKind::Ssd => 1.0e-4,
-            DeviceKind::Ramfs => 1.0e-6,
         }
     }
 
@@ -49,7 +47,6 @@ impl DeviceKind {
         match self {
             DeviceKind::Hdd => "hdd",
             DeviceKind::Ssd => "ssd",
-            DeviceKind::Ramfs => "ramfs",
         }
     }
 }
@@ -57,18 +54,14 @@ impl DeviceKind {
 /// A block store holding named blobs, with a transfer-time model.
 pub struct Device {
     kind: DeviceKind,
-    bandwidth: f64,
-    latency: f64,
     blobs: Mutex<BTreeMap<String, Vec<u8>>>,
 }
 
 impl Device {
-    /// Device with the default speed for its kind.
+    /// An empty device of `kind`, at that kind's speed.
     pub fn new(kind: DeviceKind) -> Self {
         Device {
             kind,
-            bandwidth: kind.bandwidth(),
-            latency: kind.latency(),
             blobs: Mutex::new(BTreeMap::new()),
         }
     }
@@ -83,7 +76,7 @@ impl Device {
     /// their checkpoints together divide the bandwidth).
     pub fn transfer_time(&self, bytes: usize, sharers: usize) -> Duration {
         let sharers = sharers.max(1) as f64;
-        let secs = self.latency + bytes as f64 * sharers / self.bandwidth;
+        let secs = self.kind.latency() + bytes as f64 * sharers / self.kind.bandwidth();
         Duration::from_secs_f64(secs)
     }
 
@@ -128,12 +121,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hdd_is_slower_than_ssd_than_ramfs() {
+    fn hdd_is_slower_than_ssd() {
         let b = 1 << 30; // 1 GiB
         let hdd = Device::new(DeviceKind::Hdd).transfer_time(b, 1);
         let ssd = Device::new(DeviceKind::Ssd).transfer_time(b, 1);
-        let ram = Device::new(DeviceKind::Ramfs).transfer_time(b, 1);
-        assert!(hdd > ssd && ssd > ram);
+        assert!(hdd > ssd);
         // 1 GiB over 100 MB/s ≈ 10.7 s
         assert!((hdd.as_secs_f64() - 10.74).abs() < 0.2, "hdd time {hdd:?}");
     }

@@ -16,32 +16,22 @@
 //! the trade-off generalizes: availability becomes `(N-m)/2N` and a
 //! group survives any `m` node losses, so doubling `m` is an
 //! alternative to shrinking `N` when simultaneous-failure risk grows.
+//!
+//! A group is `gsize` neighbouring ranks — ranks `g·i .. g·(i+1)` form
+//! group `i`, the performance-first choice of §3.3 — and round-robin
+//! rank placement puts neighbours on distinct nodes;
+//! [`validate_node_distinct`] refuses a placement that does not.
 
 use skt_cluster::Ranklist;
 
-/// How consecutive ranks are assigned to groups.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GroupStrategy {
-    /// Ranks `g·i .. g·(i+1)` form group `i` — neighbouring ranks, the
-    /// performance-first choice of §3.3 (with round-robin rank placement
-    /// neighbours sit on distinct nodes automatically).
-    Contiguous,
-    /// Rank `r` joins group `r % ngroups` — spreads a group across the
-    /// rank space (reliability-first; pairs with block rank placement).
-    Strided,
-}
-
-/// Group color of `rank` among `nranks` with group size `gsize`. Use as
-/// the `color` of a communicator split. Requires `gsize` to divide
-/// `nranks` (HPL launches are sized that way; ragged tail groups would
-/// weaken the reliability analysis).
-pub fn group_color(strategy: GroupStrategy, rank: usize, nranks: usize, gsize: usize) -> u64 {
+/// Group color of `rank` among `nranks` with group size `gsize`: ranks
+/// `g·i .. g·(i+1)` form group `i`. Use as the `color` of a communicator
+/// split. Requires `gsize` to divide `nranks` (HPL launches are sized
+/// that way; ragged tail groups would weaken the reliability analysis).
+pub fn group_color(rank: usize, nranks: usize, gsize: usize) -> u64 {
     assert!(gsize >= 2, "group size must be >= 2");
     assert_eq!(nranks % gsize, 0, "group size must divide rank count");
-    match strategy {
-        GroupStrategy::Contiguous => (rank / gsize) as u64,
-        GroupStrategy::Strided => (rank % (nranks / gsize)) as u64,
-    }
+    (rank / gsize) as u64
 }
 
 /// Group size for a *resized* world of `new_nranks` ranks, given the
@@ -71,16 +61,12 @@ pub fn resize_group_size(
 /// Verify that no two members of any group share a node — the §3.3
 /// requirement for tolerating a permanent node loss. Returns the first
 /// violating `(group, node)` pair as an error.
-pub fn validate_node_distinct(
-    strategy: GroupStrategy,
-    ranklist: &Ranklist,
-    gsize: usize,
-) -> Result<(), (u64, usize)> {
+pub fn validate_node_distinct(ranklist: &Ranklist, gsize: usize) -> Result<(), (u64, usize)> {
     let nranks = ranklist.len();
     let ngroups = nranks / gsize;
     let mut seen: Vec<Vec<usize>> = vec![Vec::new(); ngroups];
     for r in 0..nranks {
-        let g = group_color(strategy, r, nranks, gsize) as usize;
+        let g = group_color(r, nranks, gsize) as usize;
         let node = ranklist.node_of(r);
         if seen[g].contains(&node) {
             return Err((g as u64, node));
@@ -96,56 +82,40 @@ mod tests {
 
     #[test]
     fn contiguous_groups_are_blocks() {
-        assert_eq!(group_color(GroupStrategy::Contiguous, 0, 8, 4), 0);
-        assert_eq!(group_color(GroupStrategy::Contiguous, 3, 8, 4), 0);
-        assert_eq!(group_color(GroupStrategy::Contiguous, 4, 8, 4), 1);
-    }
-
-    #[test]
-    fn strided_groups_interleave() {
-        // 8 ranks, gsize 4 -> 2 groups; strided: rank r -> r % 2
-        assert_eq!(group_color(GroupStrategy::Strided, 0, 8, 4), 0);
-        assert_eq!(group_color(GroupStrategy::Strided, 1, 8, 4), 1);
-        assert_eq!(group_color(GroupStrategy::Strided, 2, 8, 4), 0);
+        assert_eq!(group_color(0, 8, 4), 0);
+        assert_eq!(group_color(3, 8, 4), 0);
+        assert_eq!(group_color(4, 8, 4), 1);
     }
 
     #[test]
     fn every_group_gets_exactly_gsize_members() {
-        for strategy in [GroupStrategy::Contiguous, GroupStrategy::Strided] {
-            let (nranks, g) = (24, 4);
-            let mut counts = vec![0usize; nranks / g];
-            for r in 0..nranks {
-                counts[group_color(strategy, r, nranks, g) as usize] += 1;
-            }
-            assert!(counts.iter().all(|&c| c == g), "{strategy:?}: {counts:?}");
+        let (nranks, g) = (24, 4);
+        let mut counts = vec![0usize; nranks / g];
+        for r in 0..nranks {
+            counts[group_color(r, nranks, g) as usize] += 1;
         }
+        assert!(counts.iter().all(|&c| c == g), "{counts:?}");
     }
 
     #[test]
     fn round_robin_placement_with_contiguous_groups_is_node_distinct() {
         // 16 ranks on 8 nodes, 2 ranks per node, groups of 8.
         let rl = Ranklist::round_robin(16, 8);
-        validate_node_distinct(GroupStrategy::Contiguous, &rl, 8).unwrap();
+        validate_node_distinct(&rl, 8).unwrap();
     }
 
     #[test]
     fn block_placement_with_contiguous_groups_is_rejected() {
-        // ranks 0 and 1 share node 0 and a group -> one node loss kills
-        // two stripes.
-        let rl = Ranklist::block(16, 8);
-        let err = validate_node_distinct(GroupStrategy::Contiguous, &rl, 8).unwrap_err();
+        // 16 ranks two to a node: ranks 0 and 1 share node 0 and a group
+        // -> one node loss kills two stripes.
+        let rl = Ranklist::explicit((0..16).map(|r| r / 2).collect());
+        let err = validate_node_distinct(&rl, 8).unwrap_err();
         assert_eq!(err, (0, 0));
-    }
-
-    #[test]
-    fn block_placement_with_strided_groups_is_node_distinct() {
-        let rl = Ranklist::block(16, 8);
-        validate_node_distinct(GroupStrategy::Strided, &rl, 8).unwrap();
     }
 
     #[test]
     #[should_panic(expected = "divide")]
     fn ragged_groups_rejected() {
-        group_color(GroupStrategy::Contiguous, 0, 10, 4);
+        group_color(0, 10, 4);
     }
 }

@@ -45,7 +45,7 @@ pub mod memory;
 pub mod protocol;
 
 pub use engine::{encode_parity, reconstruct_multi};
-pub use group::{group_color, resize_group_size, validate_node_distinct, GroupStrategy};
+pub use group::{group_color, resize_group_size, validate_node_distinct};
 pub use memory::{available_fraction, max_workspace_len, MemoryBreakdown, Method};
 pub use protocol::{
     Checkpointer, CkptConfig, CkptStats, HeaderState, OpAction, OpRecord, OpState, Phase,

@@ -67,24 +67,6 @@ pub fn gpow(i: usize) -> u8 {
     tables().exp[i % 255]
 }
 
-/// The full multiplication row of `c`: `table[b] = mul(c, b)` for every
-/// byte `b`. Hot loops that scale whole buffers by one scalar (the Q
-/// parity of the dual code) build this once and then index it, which
-/// beats a log/exp lookup pair per byte.
-#[must_use]
-pub fn mul_table(c: u8) -> [u8; 256] {
-    let mut row = [0u8; 256];
-    if c == 0 {
-        return row;
-    }
-    let t = tables();
-    let lc = t.log[c as usize] as usize;
-    for b in 1..=255usize {
-        row[b] = t.exp[t.log[b] as usize + lc];
-    }
-    row
-}
-
 /// Multiply every byte of `data` by the scalar `c`, in place.
 pub fn scale_slice(data: &mut [u8], c: u8) {
     if c == 1 {
@@ -262,16 +244,6 @@ mod tests {
         assert!(invert_matrix(&sing).is_none());
         // Empty matrix inverts to the empty matrix.
         assert_eq!(invert_matrix(&[]), Some(vec![]));
-    }
-
-    #[test]
-    fn mul_table_matches_mul_for_every_pair() {
-        for c in [0u8, 1, 2, 29, 143, 255] {
-            let row = mul_table(c);
-            for b in 0..=255u8 {
-                assert_eq!(row[b as usize], mul(c, b), "c={c} b={b}");
-            }
-        }
     }
 
     // Exhaustive field-axiom checks are infeasible over all 2^24 triples

@@ -37,7 +37,8 @@
 //!
 //! The process-wide default configuration comes from the environment:
 //! `SKT_KERNEL_THREADS` (default: `available_parallelism`) and
-//! `SKT_KERNEL_SIMD` (`0` forces the scalar reference kernels; `1`, like
+//! `SKT_KERNEL_SIMD` (`0` forces the portable split-table GF and
+//! slice-by-8 CRC bodies a CPU without AVX2 or SSE4.2 runs; `1`, like
 //! unset, probes the CPU for the best accelerated ones — see
 //! [`SimdMode`]); the cache block is always [`DEFAULT_CHUNK_LEN`], so
 //! buffers of ≤ 512 KiB run on the caller alone — there is a single

@@ -36,10 +36,10 @@
 //!   flush copies, selected through [`kernels::KernelConfig`].
 //! * [`simd`] — the runtime-dispatched byte-level backends under the
 //!   GF(2^8)/CRC hot loops: one `dst (= | ^=) c·src` body per backend
-//!   (scalar row, portable split-table, SSSE3/AVX2 `pshufb`) and
-//!   slice-by-8 / hardware CRC-32C variants, forceable via
-//!   [`simd::SimdMode`] / `SKT_KERNEL_SIMD` and bit-for-bit equivalent
-//!   to the scalar reference.
+//!   (portable split-table, AVX2 `vpshufb`) and slice-by-8 / hardware
+//!   CRC-32C variants, the portable pair forceable via
+//!   [`simd::SimdMode`] / `SKT_KERNEL_SIMD=0`, all bit-for-bit
+//!   equivalent to the log/exp and table-walk references.
 //! * [`crc`] — CRC32C integrity checksums over checkpoint regions,
 //!   chunk-walked through the same kernel policy and reassembled with an
 //!   exact GF(2) combine, so detection of silent in-memory corruption is

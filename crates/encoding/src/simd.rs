@@ -5,20 +5,20 @@
 //! streams — `dst[i] (= | ^=) c·src[i]` over GF(2^8) for the
 //! Reed–Solomon parities ([`gf_mul_bytes`] / [`gf_mac_bytes`]), and
 //! the CRC-32C walk of the flush witnesses and the scrub patrol.
-//! Both have well-known data-parallel formulations, so this module keeps
-//! one *reference* implementation (the full 256-entry multiplication row
-//! / the byte-at-a-time CRC table) and a set of accelerated backends:
+//! Both have well-known data-parallel formulations, so each has one
+//! portable body that needs no CPU feature and one accelerated body:
 //!
 //! * **GF(2^8)**: the 4-bit split-table trick — `c·b` for any byte `b`
 //!   is `LO[b & 0xF] ⊕ HI[b >> 4]` with two 16-entry tables, which is
-//!   exactly one `pshufb` pair per 16 (SSSE3) or 32 (AVX2) bytes. The
-//!   portable variant runs the same split-table math byte-wise, so every
-//!   backend computes the identical function. Each backend is **one**
-//!   body, generic over the store rule (`const XOR: bool`: overwrite the
-//!   destination with the product, or fold the product into it), under
-//!   one dispatcher; the two `pshufb` bodies hand their sub-vector tail
-//!   to the portable body of the same rule.
-//! * **CRC-32C**: slice-by-8 (eight interleaved tables, one 64-bit load
+//!   exactly one AVX2 `vpshufb` pair per 32 bytes. The portable body runs
+//!   the same split-table math byte-wise, so both compute the identical
+//!   function. Each is generic over the store rule (`const XOR: bool`:
+//!   overwrite the destination with the product, or fold the product
+//!   into it), and the AVX2 body hands its sub-vector tail to the
+//!   portable body of the same rule. The reference they are tested
+//!   against is the log/exp arithmetic of [`gf256`].
+//! * **CRC-32C**: the byte-at-a-time table walk (the reference),
+//!   slice-by-8 (eight interleaved tables, one 64-bit load
 //!   per step) and the SSE4.2 `crc32` instruction, which implements this
 //!   exact (Castagnoli, reflected) polynomial in hardware — issued as
 //!   three independent chains over consecutive blocks, recombined with
@@ -28,10 +28,11 @@
 //! Dispatch is *data-independent*: a backend is chosen once per kernel
 //! call from [`SimdMode`] (carried by `KernelConfig`, defaulted from the
 //! `SKT_KERNEL_SIMD` environment variable) plus one-time CPU feature
-//! detection. All backends are bit-for-bit equivalent — the equivalence
-//! proptests drive every available backend against the scalar reference
-//! over arbitrary lengths, values and (mis)alignments, and CI runs the
-//! whole suite once per forced path.
+//! detection. [`SimdMode::ForceScalar`] selects the portable bodies, what
+//! a CPU without AVX2 or SSE4.2 runs. All backends are bit-for-bit
+//! equivalent — the equivalence proptests drive every available backend
+//! against the reference over arbitrary lengths, values and
+//! (mis)alignments, and CI runs the whole suite once per setting.
 
 use crate::gf256;
 
@@ -41,16 +42,17 @@ pub enum SimdMode {
     /// Probe the CPU once and use the fastest available backend.
     #[default]
     Auto,
-    /// Force the scalar reference path (`SKT_KERNEL_SIMD=0`).
+    /// Force the portable bodies — split-table GF, slice-by-8 CRC — that
+    /// a CPU without the vector features runs (`SKT_KERNEL_SIMD=0`).
     ForceScalar,
 }
 
 impl SimdMode {
     /// Parse the `SKT_KERNEL_SIMD` convention: `0`/`off`/`false` forces
-    /// scalar, anything else (`1`/`on` included, or unset) is
-    /// [`SimdMode::Auto`] — already the best accelerated path: `pshufb` /
-    /// hardware CRC where the CPU has them, the portable split-table and
-    /// slice-by-8 variants otherwise.
+    /// the portable bodies, anything else (`1`/`on` included, or unset) is
+    /// [`SimdMode::Auto`] — already the best accelerated path: AVX2 /
+    /// hardware CRC where the CPU has them, the portable bodies
+    /// otherwise.
     #[must_use]
     pub fn from_env_str(v: &str) -> SimdMode {
         match v.trim() {
@@ -63,14 +65,9 @@ impl SimdMode {
 /// A GF(2^8) multiply / multiply-accumulate implementation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GfBackend {
-    /// Full 256-entry multiplication row, one lookup per byte — the
-    /// reference the accelerated paths are diffed against.
-    Scalar,
     /// 4-bit split tables (two 16-entry lookups + XOR per byte); no CPU
     /// features needed.
     Portable,
-    /// SSSE3 `pshufb`: 16 bytes per shuffle pair.
-    Ssse3,
     /// AVX2 `vpshufb`: 32 bytes per shuffle pair.
     Avx2,
 }
@@ -80,13 +77,13 @@ impl GfBackend {
     #[must_use]
     pub fn select(mode: SimdMode) -> GfBackend {
         match mode {
-            SimdMode::ForceScalar => GfBackend::Scalar,
+            SimdMode::ForceScalar => GfBackend::Portable,
             SimdMode::Auto => GfBackend::best_accelerated(),
         }
     }
 
-    /// The fastest accelerated backend the CPU supports (never
-    /// [`GfBackend::Scalar`]; the portable split-table at worst).
+    /// The fastest backend the CPU supports: AVX2, else the portable
+    /// split-table.
     #[must_use]
     pub fn best_accelerated() -> GfBackend {
         #[cfg(target_arch = "x86_64")]
@@ -94,26 +91,17 @@ impl GfBackend {
             if std::arch::is_x86_feature_detected!("avx2") {
                 return GfBackend::Avx2;
             }
-            if std::arch::is_x86_feature_detected!("ssse3") {
-                return GfBackend::Ssse3;
-            }
         }
         GfBackend::Portable
     }
 
     /// Every backend runnable on this machine (the equivalence tests
-    /// sweep all of them against [`GfBackend::Scalar`]).
+    /// sweep all of them against the [`gf256`] reference).
     #[must_use]
     pub fn available() -> Vec<GfBackend> {
-        let mut v = vec![GfBackend::Scalar, GfBackend::Portable];
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("ssse3") {
-                v.push(GfBackend::Ssse3);
-            }
-            if std::arch::is_x86_feature_detected!("avx2") {
-                v.push(GfBackend::Avx2);
-            }
+        let mut v = vec![GfBackend::Portable];
+        if GfBackend::best_accelerated() == GfBackend::Avx2 {
+            v.push(GfBackend::Avx2);
         }
         v
     }
@@ -136,7 +124,7 @@ impl CrcBackend {
     #[must_use]
     pub fn select(mode: SimdMode) -> CrcBackend {
         match mode {
-            SimdMode::ForceScalar => CrcBackend::Table,
+            SimdMode::ForceScalar => CrcBackend::SliceBy8,
             SimdMode::Auto => CrcBackend::best_accelerated(),
         }
     }
@@ -199,19 +187,10 @@ pub fn nibble_tables(c: u8) -> ([u8; 16], [u8; 16]) {
     (lo, hi)
 }
 
-/// The reference body: one lookup per byte in the full row of `c`.
-/// Every GF body is generic over the *store rule*: `XOR = false` stores
-/// `dst[i] = c·src[i]`, `XOR = true` folds `dst[i] ^= c·src[i]`.
-fn gf_scalar<const XOR: bool>(dst: &mut [u8], src: &[u8], c: u8) {
-    let row = gf256::mul_table(c);
-    for (d, s) in dst.iter_mut().zip(src) {
-        let p = row[*s as usize];
-        *d = if XOR { *d ^ p } else { p };
-    }
-}
-
 /// The split-table body, byte-wise — a backend of its own and the tail
-/// of both `pshufb` bodies.
+/// of the AVX2 body. Every GF body is generic over the *store rule*:
+/// `XOR = false` stores `dst[i] = c·src[i]`, `XOR = true` folds
+/// `dst[i] ^= c·src[i]`.
 fn gf_portable<const XOR: bool>(dst: &mut [u8], src: &[u8], lo: &[u8; 16], hi: &[u8; 16]) {
     for (d, s) in dst.iter_mut().zip(src) {
         let p = lo[(*s & 0x0F) as usize] ^ hi[(*s >> 4) as usize];
@@ -225,29 +204,6 @@ mod x86 {
     use crate::crc::{gf2_matrix_times, zero_shift};
     use std::arch::x86_64::*;
     use std::sync::OnceLock;
-
-    /// # Safety
-    /// The CPU must support SSSE3.
-    #[target_feature(enable = "ssse3")]
-    pub unsafe fn gf_ssse3<const XOR: bool>(dst: &mut [u8], src: &[u8], c: u8) {
-        let (lo, hi) = nibble_tables(c);
-        let tlo = _mm_loadu_si128(lo.as_ptr().cast());
-        let thi = _mm_loadu_si128(hi.as_ptr().cast());
-        let mask = _mm_set1_epi8(0x0F);
-        let mut d16 = dst.chunks_exact_mut(16);
-        let mut s16 = src.chunks_exact(16);
-        for (d, s) in (&mut d16).zip(&mut s16) {
-            let v = _mm_loadu_si128(s.as_ptr().cast());
-            let ln = _mm_and_si128(v, mask);
-            let hn = _mm_and_si128(_mm_srli_epi64(v, 4), mask);
-            let mut r = _mm_xor_si128(_mm_shuffle_epi8(tlo, ln), _mm_shuffle_epi8(thi, hn));
-            if XOR {
-                r = _mm_xor_si128(r, _mm_loadu_si128(d.as_ptr().cast()));
-            }
-            _mm_storeu_si128(d.as_mut_ptr().cast(), r);
-        }
-        super::gf_portable::<XOR>(d16.into_remainder(), s16.remainder(), &lo, &hi);
-    }
 
     /// # Safety
     /// The CPU must support AVX2.
@@ -347,18 +303,11 @@ mod x86 {
 /// The one dispatcher: `dst (= | ^=) c·src` on the chosen backend.
 fn gf_apply<const XOR: bool>(dst: &mut [u8], src: &[u8], c: u8, backend: GfBackend) {
     match backend {
-        GfBackend::Scalar => gf_scalar::<XOR>(dst, src, c),
         #[cfg(target_arch = "x86_64")]
-        // Safety: `select`/`available` only surface these backends
-        // after `is_x86_feature_detected!` confirmed the feature.
-        GfBackend::Ssse3 | GfBackend::Avx2 => unsafe {
-            if backend == GfBackend::Avx2 {
-                x86::gf_avx2::<XOR>(dst, src, c);
-            } else {
-                x86::gf_ssse3::<XOR>(dst, src, c);
-            }
-        },
-        // `Portable` — and a `pshufb` variant named off x86-64
+        // Safety: `select`/`available` only surface this backend after
+        // `is_x86_feature_detected!` confirmed the feature.
+        GfBackend::Avx2 => unsafe { x86::gf_avx2::<XOR>(dst, src, c) },
+        // `Portable` — and `Avx2` named off x86-64
         _ => {
             let (lo, hi) = nibble_tables(c);
             gf_portable::<XOR>(dst, src, &lo, &hi);
@@ -491,13 +440,13 @@ mod tests {
     }
 
     #[test]
-    fn every_gf_backend_matches_scalar_at_awkward_lengths() {
+    fn every_gf_backend_matches_the_reference_at_awkward_lengths() {
         // 0, sub-16-byte tails, exactly one vector, vector+tail, large.
         for len in [0usize, 1, 7, 15, 16, 17, 31, 32, 33, 63, 64, 65, 1000] {
             let base = bytes(len, 1);
             let x = bytes(len, 2);
             for c in [0u8, 1, 2, 29, 254, 255] {
-                // the log/exp reference; `Scalar` is one of the backends
+                // the log/exp reference
                 let mut want_mul = x.clone();
                 gf256::scale_slice(&mut want_mul, c);
                 let mut want_mac = base.clone();
@@ -532,14 +481,31 @@ mod tests {
 
     #[test]
     fn selection_honours_the_mode() {
-        assert_eq!(GfBackend::select(SimdMode::ForceScalar), GfBackend::Scalar);
-        assert_ne!(GfBackend::select(SimdMode::Auto), GfBackend::Scalar);
-        assert_eq!(CrcBackend::select(SimdMode::ForceScalar), CrcBackend::Table);
-        assert_ne!(CrcBackend::select(SimdMode::Auto), CrcBackend::Table);
+        // `SKT_KERNEL_SIMD=0` runs what a CPU without the features runs
+        assert_eq!(
+            GfBackend::select(SimdMode::ForceScalar),
+            GfBackend::Portable
+        );
+        assert_eq!(
+            CrcBackend::select(SimdMode::ForceScalar),
+            CrcBackend::SliceBy8
+        );
         assert_eq!(
             GfBackend::select(SimdMode::Auto),
             GfBackend::best_accelerated()
         );
+        assert_eq!(
+            CrcBackend::select(SimdMode::Auto),
+            CrcBackend::best_accelerated()
+        );
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            assert_eq!(GfBackend::select(SimdMode::Auto), GfBackend::Avx2);
+        }
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            assert_eq!(CrcBackend::select(SimdMode::Auto), CrcBackend::Hardware);
+        }
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! GF(2^8) multiply / multiply-accumulate and CRC-32C kernels must produce
 //! bytes identical to the reference (`gf256`'s log/exp walk, the CRC
 //! table walk) for arbitrary lengths, values and
-//! (mis)alignments — including the sub-vector tails the `pshufb` and
-//! 8-byte-stride paths hand to their scalar remainders.
+//! (mis)alignments — including the sub-vector tails the `vpshufb` and
+//! 8-byte-stride paths hand to their byte-wise remainders.
 //!
 //! Buffers are generated from sampled `(len, offset, seed)` primitives
 //! (splitmix64 fill), and misalignment is exercised by slicing at a
-//! sampled byte offset so the vector loops start off any 16/32-byte
+//! sampled byte offset so the vector loops start off any 32-byte
 //! boundary. The same properties drive the f64-level kernels through
 //! forced [`SimdMode`]s, covering the dispatch plumbing end to end.
 
@@ -193,7 +193,7 @@ proptest! {
     }
 
     /// The f64-level GF kernels through the `KernelConfig` dispatch:
-    /// forced-scalar, forced-SIMD and auto produce identical bits for
+    /// the forced portable bodies and auto produce identical bits for
     /// arbitrary lengths, scalars and thread/chunk policies.
     #[test]
     fn f64_gf_kernels_are_mode_invariant(

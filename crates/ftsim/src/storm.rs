@@ -30,7 +30,7 @@ pub struct TimedFault {
 /// plus clock-scheduled faults dispatched from the event queue.
 #[derive(Clone, Debug, Default)]
 pub struct StormPlan {
-    /// Plans armed on the cluster's injector (fire at probe counts).
+    /// Plans armed on the cluster (fire at probe counts).
     pub armed: Vec<FaultPlan>,
     /// Faults dispatched at virtual times, between slices.
     pub timed: Vec<TimedFault>,

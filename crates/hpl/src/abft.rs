@@ -47,10 +47,11 @@ pub fn abft_dist(cfg: &HplConfig, nranks: usize, me: usize) -> BlockCyclic1D {
 /// column is `L⁻¹P(A·w) = Σ_group L⁻¹P·(A col) = Σ_group (U column,
 /// zero-extended below its diagonal)` — the below-diagonal entries of the
 /// packed factorization are `L` multipliers and do not participate.
-/// Collective, two allreduces whatever the checksum-column count: one
-/// sums every column's partial (each rank contributes the columns it
-/// owns), one agrees on the verdict after each checksum column's owner
-/// compared it within a scaled tolerance.
+/// Collective, one ring and one allreduce whatever the checksum-column
+/// count: a [`reduce_scatter`](skt_mps::Comm::reduce_scatter) delivers
+/// to each rank the other ranks' partials of the checksum columns it
+/// owns, the owner adds its own and compares within a scaled tolerance,
+/// and an allreduce agrees on the verdict.
 pub fn verify_checksums(
     comm: &skt_mps::Comm<'_>,
     dist: &BlockCyclic1D,
@@ -59,32 +60,45 @@ pub fn verify_checksums(
     let n = dist.n();
     let nb = dist.nb();
     let nranks = dist.nranks();
-    // checksum column `c` (group `c / nb`, offset `c % nb`) sums the
-    // group's columns at that offset; its partial is row block `c`
-    let mut parts = vec![0.0; dist.aux_cols() * n];
-    for (c, part) in parts.chunks_exact_mut(n).enumerate() {
-        let (g, off) = (c / nb, c % nb);
-        for b in 0..nranks {
-            let src_gc = (g * nranks + b) * nb + off;
-            let src_block = src_gc / nb;
-            if dist.mine(src_block) {
-                let lc = dist.local_col0(src_block) + off;
-                // U part only: rows 0..=src_gc
-                for (v, s) in part.iter_mut().zip(&storage[lc * n..=lc * n + src_gc]) {
-                    *v += s;
+    // the checksum columns rank `s` owns, ascending
+    let owned =
+        |s: usize| (0..dist.aux_cols()).filter(move |c| dist.owner(dist.nblocks_a() + c / nb) == s);
+    // this rank's partials of rank `s`'s checksum columns, one row block
+    // each: column `c` (group `c / nb`, offset `c % nb`) sums the
+    // group's columns at that offset
+    let partials = |s: usize| {
+        let mut parts = vec![0.0; owned(s).count() * n];
+        for (c, part) in owned(s).zip(parts.chunks_exact_mut(n)) {
+            let (g, off) = (c / nb, c % nb);
+            for b in 0..nranks {
+                let src_gc = (g * nranks + b) * nb + off;
+                let src_block = src_gc / nb;
+                if dist.mine(src_block) {
+                    let lc = dist.local_col0(src_block) + off;
+                    // U part only: rows 0..=src_gc
+                    for (v, s) in part.iter_mut().zip(&storage[lc * n..=lc * n + src_gc]) {
+                        *v += s;
+                    }
                 }
             }
         }
-    }
-    let sums = comm
-        .allreduce(ReduceOp::Sum, Payload::F64(parts))?
-        .into_f64();
-    let ok = sums.chunks_exact(n).enumerate().all(|(c, s)| {
-        let aux_block = dist.nblocks_a() + c / nb;
-        if !dist.mine(aux_block) {
-            return true;
-        }
-        let lc = dist.local_col0(aux_block) + c % nb;
+        Payload::F64(parts)
+    };
+    let me = dist.me();
+    // a ring needs a second rank; alone, the own partials are the sums
+    let mut sums = if nranks > 1 {
+        let mut got = comm.reduce_scatter(1, |slot, accs| {
+            ReduceOp::Sum.fold(&mut accs[0], partials(slot));
+            Ok(())
+        })?;
+        got.remove(0)
+    } else {
+        Payload::Empty
+    };
+    ReduceOp::Sum.fold(&mut sums, partials(me));
+    let sums = sums.into_f64();
+    let ok = owned(me).zip(sums.chunks_exact(n)).all(|(c, s)| {
+        let lc = dist.local_col0(dist.nblocks_a() + c / nb) + c % nb;
         let col = &storage[lc * n..lc * n + n];
         let scale: f64 = col.iter().fold(1.0f64, |m, v| m.max(v.abs()));
         s.iter()
@@ -140,30 +154,59 @@ mod tests {
         );
     }
 
-    /// The audit is two allreduces — each one `reduce` and one `bcast`
-    /// per rank on the event bus — at any checksum-column count.
+    /// The audit is one `reduce_scatter` ring and one allreduce (a
+    /// `reduce` and a `bcast`) per rank at any checksum-column count, and
+    /// on 2 ranks each rank sends exactly its peer's checksum columns.
     #[test]
-    fn audit_is_two_allreduces_at_any_checksum_count() {
-        use skt_cluster::{Cluster, ClusterConfig, Event, Ranklist, Recorder};
-        use std::sync::Arc;
-        for (n, aux) in [(16, 8), (32, 16)] {
+    fn audit_is_one_ring_and_one_allreduce_at_any_checksum_count() {
+        use skt_cluster::{Cluster, ClusterConfig, Event, Observer, Ranklist};
+        use std::sync::{Arc, Mutex};
+        use std::thread::{self, ThreadId};
+        /// Every collective with the thread (so the rank) that ran it.
+        #[derive(Default)]
+        struct Sent(Mutex<Vec<(ThreadId, &'static str, u64)>>);
+        impl Observer for Sent {
+            fn on_event(&self, e: &Event) {
+                if let Event::Collective { op, bytes, .. } = e {
+                    let me = thread::current().id();
+                    self.0.lock().unwrap().push((me, op, *bytes));
+                }
+            }
+        }
+        // (n, checksum columns, bytes rank 0 / rank 1 send in the ring):
+        // at n = 24 rank 0 owns aux blocks 6 and 8, rank 1 block 7
+        for (n, aux, sent) in [
+            (16, 8, [512, 512]),
+            (24, 12, [768, 1536]),
+            (32, 16, [2048; 2]),
+        ] {
             let cluster = Arc::new(Cluster::new(ClusterConfig::new(2, 0)));
-            let rec = Arc::new(Recorder::new());
+            let rec = Arc::new(Sent::default());
             cluster.events().subscribe(Arc::clone(&rec) as _);
             let cfg = HplConfig::new(n, 4, 5);
-            let ok = skt_mps::run_on_cluster(cluster, &Ranklist::round_robin(2, 2), |ctx| {
+            let outs = skt_mps::run_on_cluster(cluster, &Ranklist::round_robin(2, 2), |ctx| {
                 let comm = ctx.world();
                 let dist = abft_dist(&cfg, comm.size(), comm.rank());
                 assert_eq!(dist.aux_cols(), aux);
-                verify_checksums(&comm, &dist, &vec![0.0; dist.alloc_len()])
+                let ok = verify_checksums(&comm, &dist, &vec![0.0; dist.alloc_len()])?;
+                Ok((ok, thread::current().id()))
             })
             .unwrap();
-            assert_eq!(ok, [true, true], "an all-zero matrix keeps the invariant");
-            let count =
-                |op: &str| rec.count(|e| matches!(e, Event::Collective { op: o, .. } if *o == op));
-            // two allreduces, each a reduce and a bcast on each of 2 ranks
-            assert_eq!((count("reduce"), count("bcast")), (4, 4), "n = {n}");
-            assert_eq!(rec.count(|e| matches!(e, Event::Collective { .. })), 8);
+            assert!(
+                outs.iter().all(|o| o.0),
+                "an all-zero matrix keeps the invariant"
+            );
+            let events = rec.0.lock().unwrap();
+            let count = |op: &str| events.iter().filter(|e| e.1 == op).count();
+            let ops = [count("reduce_scatter"), count("reduce"), count("bcast")];
+            assert_eq!(ops, [2, 2, 2], "n = {n}");
+            assert_eq!(events.len(), 6);
+            for (rank, (_, thread)) in outs.iter().enumerate() {
+                let ring = events
+                    .iter()
+                    .find(|e| e.0 == *thread && e.1 == "reduce_scatter");
+                assert_eq!(ring.map(|e| e.2), Some(sent[rank]), "n = {n}, rank {rank}");
+            }
         }
     }
 

@@ -14,8 +14,8 @@ use crate::dist::BlockCyclic1D;
 use crate::elim::{solve, Kept, Shard, Start};
 use crate::plain::{HplConfig, HplOutput};
 use skt_core::{
-    group_color, validate_node_distinct, Checkpointer, CkptConfig, GroupStrategy, Method,
-    RecoverError, Recovery, RecoveryReport,
+    group_color, validate_node_distinct, Checkpointer, CkptConfig, Method, RecoverError, Recovery,
+    RecoveryReport,
 };
 use skt_encoding::CodecSpec;
 use skt_mps::{Ctx, Fault};
@@ -46,10 +46,8 @@ pub struct SktConfig {
     /// codec tolerates two lost nodes per group).
     pub codec: CodecSpec,
     /// Checkpoint group size (§3.3; the paper uses 16, or 8 on the local
-    /// cluster).
+    /// cluster): groups are `group_size` neighbouring ranks.
     pub group_size: usize,
-    /// Group formation strategy.
-    pub strategy: GroupStrategy,
     /// Panels between checkpoints (0 disables checkpointing — used for
     /// the "SKT-HPL without checkpoints" measurement of Figure 11).
     pub ckpt_every: usize,
@@ -71,7 +69,6 @@ impl SktConfig {
             method: Method::SelfCkpt,
             codec: CodecSpec::default(),
             group_size,
-            strategy: GroupStrategy::Contiguous,
             ckpt_every,
             name: "skt-hpl".to_string(),
             panel_budget: 0,
@@ -290,12 +287,12 @@ fn checkpointer<'c>(
     cfg: &SktConfig,
     probe: Option<&str>,
 ) -> Result<(BlockCyclic1D, Checkpointer<'c>, bool), Fault> {
-    validate_node_distinct(cfg.strategy, ctx.ranklist(), cfg.group_size)
+    validate_node_distinct(ctx.ranklist(), cfg.group_size)
         .map_err(|_| Fault::Protocol("two members of one checkpoint group share a node"))?;
     let world = ctx.world();
     let (nranks, me) = (world.size(), world.rank());
     let dist = BlockCyclic1D::new(cfg.hpl.n, cfg.hpl.nb, nranks, me);
-    let gcomm = world.split(group_color(cfg.strategy, me, nranks, cfg.group_size), me)?;
+    let gcomm = world.split(group_color(me, nranks, cfg.group_size), me)?;
     if let Some(label) = probe {
         ctx.failpoint(label)?;
     }
@@ -335,10 +332,11 @@ mod tests {
     #[test]
     fn a_group_sharing_a_node_is_refused_before_any_segment() {
         let cfg = SktConfig::new(HplConfig::new(32, 4, 11), 4, 2);
-        // block(4, 2) puts ranks {0, 1} on node 0 and {2, 3} on node 1:
-        // the one group of 4 holds two members per node
+        // ranks {0, 1} on node 0 and {2, 3} on node 1: the one group of
+        // 4 holds two members per node
         let cluster = Arc::new(Cluster::new(ClusterConfig::new(2, 0)));
-        let outs = run_on_cluster(Arc::clone(&cluster), &Ranklist::block(4, 2), |ctx| {
+        let rl = Ranklist::explicit(vec![0, 0, 1, 1]);
+        let outs = run_on_cluster(Arc::clone(&cluster), &rl, |ctx| {
             let columns = vec![vec![0.0; cfg.hpl.n]; cfg.hpl.n + 1];
             Ok((
                 run_skt(ctx, &cfg).map(drop),

@@ -38,8 +38,8 @@ use self_checkpoint::cluster::{
     Cluster, ClusterConfig, FailurePlan, Ranklist, SegmentData, SimRuntime,
 };
 use self_checkpoint::core::{
-    group_color, Checkpointer, CkptConfig, GroupStrategy, Method, RecoverError, Recovery,
-    RecoveryReport, RestoreSource,
+    group_color, Checkpointer, CkptConfig, Method, RecoverError, Recovery, RecoveryReport,
+    RestoreSource,
 };
 use self_checkpoint::encoding::{crc32c, stripe_crcs, CodecSpec, KernelConfig};
 use self_checkpoint::mps::{run_on_cluster, Ctx, Fault};
@@ -72,8 +72,6 @@ pub struct Config {
     pub n: usize,
     /// Checkpoint groups.
     pub groups: usize,
-    /// How ranks are dealt to groups.
-    pub strategy: GroupStrategy,
 }
 
 impl Config {
@@ -84,17 +82,12 @@ impl Config {
             codec,
             n,
             groups: 1,
-            strategy: GroupStrategy::Contiguous,
         }
     }
 
-    /// The same groups, `groups` of them, dealt by `strategy`.
-    pub const fn grouped(self, groups: usize, strategy: GroupStrategy) -> Self {
-        Config {
-            groups,
-            strategy,
-            ..self
-        }
+    /// The same groups, `groups` of them, each `n` neighbouring ranks.
+    pub const fn grouped(self, groups: usize) -> Self {
+        Config { groups, ..self }
     }
 
     /// Ranks (and nodes) of the job.
@@ -116,7 +109,7 @@ impl Config {
     pub fn members(&self) -> Vec<Vec<usize>> {
         let mut groups = vec![Vec::new(); self.groups];
         for rank in 0..self.ranks() {
-            groups[group_color(self.strategy, rank, self.ranks(), self.n) as usize].push(rank);
+            groups[group_color(rank, self.ranks(), self.n) as usize].push(rank);
         }
         groups
     }
@@ -131,13 +124,8 @@ impl Config {
     }
 
     pub fn label(&self) -> String {
-        let strided = if self.strategy == GroupStrategy::Strided {
-            " strided"
-        } else {
-            ""
-        };
         let (method, codec) = (self.method, self.codec.name());
-        format!("{method:?}/{codec} {}x{}{strided}", self.groups, self.n)
+        format!("{method:?}/{codec} {}x{}", self.groups, self.n)
     }
 
     fn ckpt(&self) -> CkptConfig {
@@ -152,7 +140,7 @@ impl Config {
             return Ok(Checkpointer::init(world, self.ckpt()).0);
         }
         let me = world.rank();
-        let group = world.split(group_color(self.strategy, me, self.ranks(), self.n), me)?;
+        let group = world.split(group_color(me, self.ranks(), self.n), me)?;
         Ok(Checkpointer::init_synced(group, world, self.ckpt()).0)
     }
 }

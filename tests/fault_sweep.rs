@@ -42,7 +42,7 @@ use crash_states::{
 use self_checkpoint::cluster::{
     Cluster, ClusterConfig, FailurePlan, FaultPlan, GrayKind, Ranklist, SimRuntime,
 };
-use self_checkpoint::core::{GroupStrategy, Method, Phase};
+use self_checkpoint::core::{Method, Phase};
 use self_checkpoint::encoding::{Code, CodecSpec};
 use std::sync::{Arc, OnceLock};
 
@@ -56,7 +56,7 @@ const SINGLE_DUAL: Config = Config::new(Method::Single, DUAL, 4);
 const DOUBLE_DUAL: Config = Config::new(Method::Double, DUAL, 4);
 const SELF_RS3: Config = Config::new(Method::SelfCkpt, CodecSpec::Rs { m: 3 }, 4);
 /// Two groups of 4, neighbouring ranks together.
-const SELF_XOR_2X4: Config = SELF_XOR.grouped(2, GroupStrategy::Contiguous);
+const SELF_XOR_2X4: Config = SELF_XOR.grouped(2);
 
 /// The scheduler seed of every shape but the four-member ones.
 const SHAPE_SEED: u64 = 3;
@@ -82,11 +82,8 @@ const SHAPES: [(Config, u64); 16] = [
 ];
 
 /// Shapes too slow for a debug build, recorded under [`SHAPE_SEED`]:
-/// strided groups, and the double method over two groups.
-const RELEASE_SHAPES: [Config; 2] = [
-    SELF_XOR.grouped(2, GroupStrategy::Strided),
-    DOUBLE_XOR.grouped(2, GroupStrategy::Contiguous),
-];
+/// the double method over two groups.
+const RELEASE_SHAPES: [Config; 1] = [DOUBLE_XOR.grouped(2)];
 
 /// A second scheduler seed for the seed-invariance checks.
 const OTHER_SEED: u64 = 2;
@@ -769,8 +766,8 @@ fn nested_report_is_stable_and_exported() {
 
 /// Too slow for a debug build. Every single-group shape: second losses
 /// after every first victim, and a one-bit flip in every region of every
-/// survivor at every single-loss state. Two groups of 4 (SelfCkpt
-/// contiguous and strided, Double contiguous): every single loss, and one
+/// survivor at every single-loss state. Two groups of 4 (SelfCkpt and
+/// Double): every single loss, and one
 /// member lost in each group at once, which must restore. Two groups of
 /// 3, the smallest two-group shape: second losses after a first loss in
 /// either group, and the flips. CI runs it under `--release`.
@@ -803,10 +800,7 @@ fn every_configuration_survives_second_losses_and_flips() {
             );
         }
     }
-    let two_of_3 = Recording::new(
-        Config::new(Method::SelfCkpt, XOR, 3).grouped(2, GroupStrategy::Contiguous),
-        SHAPE_SEED,
-    );
+    let two_of_3 = Recording::new(Config::new(Method::SelfCkpt, XOR, 3).grouped(2), SHAPE_SEED);
     pair_sweep(&two_of_3, 0b010_010).assert_clean();
     flip_sweep(&two_of_3).assert_clean();
 }

@@ -17,7 +17,7 @@ mod crash_states;
 use crash_states::model::Verdict;
 use crash_states::{probe_cell, Config, Recording};
 use self_checkpoint::cluster::FailurePlan;
-use self_checkpoint::core::{GroupStrategy, Method, Phase};
+use self_checkpoint::core::{Method, Phase};
 use self_checkpoint::encoding::CodecSpec;
 
 /// Members per group.
@@ -29,8 +29,7 @@ const SEED: u64 = 3;
 /// the one epoch every group restored.
 fn case(label: impl Into<String>, nth: u64, victim: usize) -> u64 {
     let label: String = label.into();
-    let cfg = Config::new(Method::SelfCkpt, CodecSpec::default(), GROUP)
-        .grouped(2, GroupStrategy::Contiguous);
+    let cfg = Config::new(Method::SelfCkpt, CodecSpec::default(), GROUP).grouped(2);
     let rec = Recording::new(cfg, SEED);
     let verdicts = probe_cell(&rec, FailurePlan::new(label.as_str(), nth, victim), 0)
         .unwrap_or_else(|| panic!("{label}@{nth} must fire"))
