@@ -151,7 +151,7 @@ fn main() {
     for (name, codec) in [
         ("single", CodecSpec::default()),
         ("dual", CodecSpec::Dual),
-        ("rs3", CodecSpec::rs(3)),
+        ("rs3", CodecSpec::Rs { m: 3 }),
     ] {
         // alternate the two, so a host that changes speed mid-table
         // slows both columns alike

@@ -5,7 +5,7 @@ use crate::events::{Event, EventBus};
 use crate::failure::{Fault, FaultAction, FaultPlan, GrayKind, Region};
 use crate::net::NetModel;
 use crate::pool::BufferPool;
-use crate::shm::{SegmentData, ShmStore};
+use crate::shm::ShmStore;
 use crate::suspicion::{ProbeVerdict, Suspicion, SuspicionMonitor};
 use parking_lot::Mutex;
 use skt_sim::{RealRuntime, Runtime, Stopwatch};
@@ -527,26 +527,18 @@ impl Cluster {
             return false;
         };
         let mut g = seg.write();
-        let flipped = match &mut *g {
-            SegmentData::F64(v) if !v.is_empty() => {
-                let byte = offset % (v.len() * 8);
-                let bit_pos = (byte % 8) * 8 + usize::from(bit % 8);
-                v[byte / 8] = f64::from_bits(v[byte / 8].to_bits() ^ (1u64 << bit_pos));
-                true
-            }
-            SegmentData::Bytes(v) if !v.is_empty() => {
-                let byte = offset % v.len();
-                v[byte] ^= 1u8 << (bit % 8);
-                true
-            }
-            _ => false,
-        };
-        drop(g);
-        if flipped {
-            let region = region.suffix();
-            self.events.emit(Event::CorruptionInjected { node, region });
+        let v = g.as_f64_mut();
+        if v.is_empty() {
+            return false;
         }
-        flipped
+        // bit `bit % 8` of LE byte `offset % len` of the payload
+        let byte = offset % (v.len() * 8);
+        let bit_pos = (byte % 8) * 8 + usize::from(bit % 8);
+        v[byte / 8] = f64::from_bits(v[byte / 8].to_bits() ^ (1u64 << bit_pos));
+        drop(g);
+        let region = region.suffix();
+        self.events.emit(Event::CorruptionInjected { node, region });
+        true
     }
 
     /// Named probe point, called from rank code with the rank's own
@@ -681,14 +673,15 @@ impl Ranklist {
 mod tests {
     use super::*;
     use crate::failure::FailurePlan;
+    use crate::shm::SegmentData;
 
     #[test]
     fn kill_node_wipes_shm_and_aborts_job() {
         let c = Cluster::new(ClusterConfig::new(2, 1));
         c.shm(0)
-            .get_or_create("seg", || crate::shm::SegmentData::F64(vec![1.0; 4]));
+            .get_or_create("seg", || SegmentData::F64(vec![1.0; 4]));
         c.shm(1)
-            .get_or_create("seg", || crate::shm::SegmentData::F64(vec![2.0; 4]));
+            .get_or_create("seg", || SegmentData::F64(vec![2.0; 4]));
         c.kill_node(1);
         assert!(c.aborted());
         assert!(!c.node_alive(1));
@@ -866,7 +859,7 @@ mod tests {
         let c = Cluster::new(ClusterConfig::new(1, 0));
         let rec = recorder(&c);
         c.shm(0)
-            .get_or_create("job/r0/b", || crate::shm::SegmentData::F64(vec![0.0; 4]));
+            .get_or_create("job/r0/b", || SegmentData::F64(vec![0.0; 4]));
         let action = flip(Region::CopyB, 9, 2);
         assert!(c.apply_fault(0, &action));
         let seg = c.shm(0).attach("job/r0/b").unwrap();
@@ -1005,9 +998,8 @@ mod tests {
     #[test]
     fn armed_corrupt_plan_fires_at_failpoint_without_killing() {
         let c = Cluster::new(ClusterConfig::new(1, 0));
-        c.shm(0).get_or_create("job/r0/header", || {
-            crate::shm::SegmentData::Bytes(vec![0; 8])
-        });
+        c.shm(0)
+            .get_or_create("job/r0/header", || SegmentData::F64(vec![0.0; 5]));
         c.arm_failure(FaultPlan::corrupt("computing", 2, 0, Region::Header, 3, 5));
         assert!(
             !c.suspicion_enabled(),
@@ -1021,7 +1013,11 @@ mod tests {
         assert!(c.node_alive(0));
         assert!(!c.aborted());
         let seg = c.shm(0).attach("job/r0/header").unwrap();
-        assert_eq!(seg.read().as_bytes()[3], 1 << 5);
+        // offset 3, bit 5 is bit 5 of LE byte 3 of word 0: the mapping
+        // every header flip relies on
+        let words: Vec<u64> = seg.read().as_f64().iter().map(|w| w.to_bits()).collect();
+        assert_eq!(words[0].to_le_bytes(), [0, 0, 0, 1 << 5, 0, 0, 0, 0]);
+        assert!(words[1..].iter().all(|&w| w == 0));
     }
 
     #[test]
@@ -1150,7 +1146,7 @@ mod tests {
     fn fencing_quarantines_a_live_node_like_a_dead_one() {
         let c = Cluster::new(ClusterConfig::new(2, 0));
         c.shm(1)
-            .get_or_create("seg", || crate::shm::SegmentData::Bytes(vec![9; 8]));
+            .get_or_create("seg", || SegmentData::F64(vec![9.0; 8]));
         let generation = c.fence_node(1);
         assert_eq!(generation, 1);
         assert_eq!(c.node_generation(1), 1);
@@ -1158,7 +1154,7 @@ mod tests {
         assert!(!c.node_usable(1));
         // a zombie write after the fence vanishes
         if let Some(seg) = c.shm(1).attach("seg") {
-            seg.write().as_bytes_mut()[0] = 42;
+            seg.write().as_f64_mut()[0] = 42.0;
         }
         // repair treats the fenced node exactly like a dead one
         let mut rl = Ranklist::round_robin(2, 2);

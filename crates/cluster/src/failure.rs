@@ -43,8 +43,8 @@ pub enum Fault {
     JobAborted,
     /// This specific node just died (returned to the rank that was killed).
     NodeDead(NodeId),
-    /// A protocol invariant was violated (wrong payload type, missing
-    /// collective contribution, mistyped SHM segment). Carries a static
+    /// A protocol invariant was violated (wrong message payload type,
+    /// missing collective contribution, wiped SHM segment). Carries a static
     /// description; the job-abort path treats it like any other fault
     /// instead of panicking the rank thread.
     Protocol(&'static str),

@@ -5,101 +5,51 @@
 //! the restarted job can re-attach to the checkpoints on every *healthy*
 //! node. A powered-off node loses its memory, segments included.
 //!
-//! [`ShmStore`] models the per-node segment table. Segments are typed
-//! ([`SegmentData::F64`] for matrix data, [`SegmentData::Bytes`] for
-//! headers / serialized state) so application code works on `f64` slices
-//! directly — the workspace *is* the checkpoint, per the self-checkpoint
-//! design.
+//! [`ShmStore`] models the per-node segment table. Every segment holds
+//! `f64` words ([`SegmentData::F64`]) so application code works on `f64`
+//! slices directly — the workspace *is* the checkpoint, per the
+//! self-checkpoint design. The protocol's commit header and stripe-CRC
+//! table are `f64` segments too, read and written as little-endian bytes
+//! through `skt_encoding::simd::f64_bytes(_mut)`.
 //!
-//! Power-off ([`ShmStore::wipe`]) clears the table and hands every `F64`
+//! Power-off ([`ShmStore::wipe`]) clears the table and hands every
 //! payload to the cluster's [`BufferPool`], leaving an empty payload
 //! behind for any stale handle: the dead node's memory becomes the next
 //! spare's segments (which start all-zero all the same) instead of being
 //! returned to the OS and page-faulted in again.
 
-use crate::failure::Fault;
 use crate::pool::BufferPool;
 use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Contents of one shared-memory segment.
+/// Contents of one shared-memory segment: `f64` words, like every
+/// segment the paper's SHM holds. The protocol's byte-level segments
+/// (commit header, stripe-CRC table) read the same words as LE bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SegmentData {
-    /// Double-precision payload (matrix workspace, checkpoints, checksums).
+    /// Double-precision payload (matrix workspace, checkpoints, checksums,
+    /// and the byte-viewed protocol segments).
     F64(Vec<f64>),
-    /// Raw bytes (protocol headers, serialized iteration state).
-    Bytes(Vec<u8>),
 }
 
 impl SegmentData {
     /// Size of the payload in bytes (what `shmget` would have reserved).
     pub fn size_bytes(&self) -> usize {
-        match self {
-            SegmentData::F64(v) => v.len() * std::mem::size_of::<f64>(),
-            SegmentData::Bytes(v) => v.len(),
-        }
+        std::mem::size_of_val(self.as_f64())
     }
 
-    /// Borrow as `f64` slice; panics if the segment holds bytes.
+    /// Borrow as `f64` slice.
     pub fn as_f64(&self) -> &[f64] {
-        self.try_as_f64().unwrap_or_else(|e| panic!("{e}"))
+        let SegmentData::F64(v) = self;
+        v
     }
 
-    /// Borrow as mutable `f64` slice; panics if the segment holds bytes.
+    /// Borrow as mutable `f64` vec.
     pub fn as_f64_mut(&mut self) -> &mut Vec<f64> {
-        match self {
-            SegmentData::F64(v) => v,
-            SegmentData::Bytes(_) => panic!("segment holds bytes, not f64"),
-        }
-    }
-
-    /// Borrow as byte slice; panics if the segment holds f64 data.
-    pub fn as_bytes(&self) -> &[u8] {
-        self.try_as_bytes().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Borrow as mutable byte vec; panics if the segment holds f64 data.
-    pub fn as_bytes_mut(&mut self) -> &mut Vec<u8> {
-        match self {
-            SegmentData::Bytes(v) => v,
-            SegmentData::F64(_) => panic!("segment holds f64, not bytes"),
-        }
-    }
-
-    /// Borrow as `f64` slice, reporting a mistyped segment as a
-    /// [`Fault`] instead of panicking (for the protocol hot path, where
-    /// a wiped or mistyped segment must abort the job as an error value).
-    pub fn try_as_f64(&self) -> Result<&[f64], Fault> {
-        match self {
-            SegmentData::F64(v) => Ok(v),
-            SegmentData::Bytes(_) => Err(Fault::Protocol("segment holds bytes, not f64")),
-        }
-    }
-
-    /// Fallible mutable counterpart of [`Self::try_as_f64`].
-    pub fn try_as_f64_mut(&mut self) -> Result<&mut Vec<f64>, Fault> {
-        match self {
-            SegmentData::F64(v) => Ok(v),
-            SegmentData::Bytes(_) => Err(Fault::Protocol("segment holds bytes, not f64")),
-        }
-    }
-
-    /// Borrow as byte slice, reporting a mistyped segment as a [`Fault`].
-    pub fn try_as_bytes(&self) -> Result<&[u8], Fault> {
-        match self {
-            SegmentData::Bytes(v) => Ok(v),
-            SegmentData::F64(_) => Err(Fault::Protocol("segment holds f64, not bytes")),
-        }
-    }
-
-    /// Fallible mutable counterpart of [`Self::try_as_bytes`].
-    pub fn try_as_bytes_mut(&mut self) -> Result<&mut Vec<u8>, Fault> {
-        match self {
-            SegmentData::Bytes(v) => Ok(v),
-            SegmentData::F64(_) => Err(Fault::Protocol("segment holds f64, not bytes")),
-        }
+        let SegmentData::F64(v) = self;
+        v
     }
 }
 
@@ -220,7 +170,7 @@ impl ShmStore {
     }
 
     /// Power-off: drop the whole segment table, and best-effort take the
-    /// payloads of segments nobody holds locked, `F64` ones into `pool`.
+    /// payloads of segments nobody holds locked into `pool`.
     /// The table clear is what matters semantically (no restarted rank
     /// can ever re-attach); taking the payloads additionally makes stale
     /// handles observe the data loss (an empty payload) and recycles the
@@ -231,10 +181,7 @@ impl ShmStore {
         let mut map = self.segments.lock();
         for seg in map.values() {
             if let Some(mut g) = seg.try_write() {
-                match &mut *g {
-                    SegmentData::F64(v) => pool.give(std::mem::take(v)),
-                    SegmentData::Bytes(v) => *v = Vec::new(),
-                }
+                pool.give(std::mem::take(g.as_f64_mut()));
             }
         }
         map.clear();
@@ -266,19 +213,19 @@ mod tests {
     #[test]
     fn remove_detaches_name_but_keeps_handles() {
         let store = ShmStore::new();
-        let (seg, _) = store.get_or_create("x", || SegmentData::Bytes(vec![1, 2, 3]));
+        let (seg, _) = store.get_or_create("x", || SegmentData::F64(vec![1.0, 2.0, 3.0]));
         assert!(store.remove("x"));
         assert!(!store.remove("x"));
         assert!(store.attach("x").is_none());
         // existing handle still works (detached mapping)
-        assert_eq!(seg.read().as_bytes(), &[1, 2, 3]);
+        assert_eq!(seg.read().as_f64(), &[1.0, 2.0, 3.0]);
     }
 
     #[test]
     fn total_bytes_accounts_all_segments() {
         let store = ShmStore::new();
         store.get_or_create("m", || SegmentData::F64(vec![0.0; 10]));
-        store.get_or_create("h", || SegmentData::Bytes(vec![0; 16]));
+        store.get_or_create("h", || SegmentData::F64(vec![0.0; 2]));
         assert_eq!(store.total_bytes(), 10 * 8 + 16);
         assert_eq!(store.bytes_with_prefix("m"), 80);
     }
@@ -296,46 +243,22 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "segment holds bytes")]
-    fn typed_access_is_enforced() {
-        let d = SegmentData::Bytes(vec![1]);
-        d.as_f64();
-    }
-
-    #[test]
-    fn fallible_typed_access_returns_fault() {
-        let mut d = SegmentData::Bytes(vec![1]);
-        assert_eq!(
-            d.try_as_f64(),
-            Err(Fault::Protocol("segment holds bytes, not f64"))
-        );
-        assert!(d.try_as_bytes().is_ok());
-        assert!(d.try_as_bytes_mut().is_ok());
-        let mut f = SegmentData::F64(vec![0.5]);
-        assert!(f.try_as_f64_mut().is_ok());
-        assert_eq!(
-            f.try_as_bytes(),
-            Err(Fault::Protocol("segment holds f64, not bytes"))
-        );
-    }
-
-    #[test]
     fn frozen_store_detaches_writes_and_rejects_removes() {
         let store = ShmStore::new();
-        let (real, _) = store.get_or_create("s", || SegmentData::Bytes(vec![7; 4]));
+        let (real, _) = store.get_or_create("s", || SegmentData::F64(vec![7.0; 4]));
         store.freeze();
         assert!(store.is_frozen());
         // late attach sees the data but writes land in a private copy
         let zombie = store.attach("s").unwrap();
-        zombie.write().as_bytes_mut()[0] = 99;
-        assert_eq!(real.read().as_bytes(), &[7; 4], "real segment untouched");
+        zombie.write().as_f64_mut()[0] = 99.0;
+        assert_eq!(real.read().as_f64(), &[7.0; 4], "real segment untouched");
         // late re-create likewise
         let (z2, existed) = store.get_or_create("s", || unreachable!());
         assert!(existed);
-        z2.write().as_bytes_mut()[1] = 1;
-        assert_eq!(real.read().as_bytes(), &[7; 4]);
+        z2.write().as_f64_mut()[1] = 1.0;
+        assert_eq!(real.read().as_f64(), &[7.0; 4]);
         // a brand-new segment is never published
-        store.get_or_create("new", || SegmentData::Bytes(vec![1]));
+        store.get_or_create("new", || SegmentData::F64(vec![1.0]));
         assert!(store.attach("new").is_none());
         // and removes are refused
         assert!(!store.remove("s"));

@@ -450,12 +450,12 @@ mod tests {
     fn every_codec_encodes_the_sequential_reference_bit_for_bit() {
         let n = 5;
         for spec in [
-            CodecSpec::single(Code::Xor),
-            CodecSpec::single(Code::Sum),
-            CodecSpec::dual(),
-            CodecSpec::rs(1),
-            CodecSpec::rs(2),
-            CodecSpec::rs(3),
+            CodecSpec::Single(Code::Xor),
+            CodecSpec::Single(Code::Sum),
+            CodecSpec::Dual,
+            CodecSpec::Rs { m: 1 },
+            CodecSpec::Rs { m: 2 },
+            CodecSpec::Rs { m: 3 },
         ] {
             let codec = spec.resolve();
             let m = codec.parity_count();
@@ -501,7 +501,7 @@ mod tests {
         use skt_cluster::{Cluster, ClusterConfig, Event, Ranklist, Recorder};
         use std::sync::Arc;
         let (n, m) = (4, 2);
-        let codec = CodecSpec::rs(m).resolve();
+        let codec = CodecSpec::Rs { m }.resolve();
         let layout = GroupLayout::new_with_parity(n, m, 16); // stripe 8
         let cluster = Arc::new(Cluster::new(ClusterConfig::new(n, 0)));
         let rec = Arc::new(Recorder::new());
@@ -532,7 +532,7 @@ mod tests {
         use skt_cluster::{Cluster, ClusterConfig, Event, Ranklist, Recorder};
         use std::sync::Arc;
         let (n, m, lost) = (4, 2, 1);
-        let codec = CodecSpec::rs(m).resolve();
+        let codec = CodecSpec::Rs { m }.resolve();
         let layout = GroupLayout::new_with_parity(n, m, 16); // stripe 8
         let cluster = Arc::new(Cluster::new(ClusterConfig::new(n, 0)));
         let rec = Arc::new(Recorder::new());
@@ -630,7 +630,7 @@ mod tests {
     #[test]
     fn reconstruct_with_sum_code_is_close() {
         let n = 3;
-        let codec = CodecSpec::single(Code::Sum).resolve();
+        let codec = CodecSpec::Single(Code::Sum).resolve();
         let layout = GroupLayout::new(n, 8); // stripe 4
         let lost = 1;
         let out = run_local(n, move |ctx| {
@@ -695,7 +695,7 @@ mod tests {
     #[test]
     fn dual_codec_recovers_every_pair_of_lost_ranks() {
         let n = 5;
-        let codec = CodecSpec::dual().resolve();
+        let codec = CodecSpec::Dual.resolve();
         let layout = GroupLayout::new_with_parity(n, 2, 12); // stripe 4
         assert_eq!(layout.parity_len(), 8);
         for a in 0..n {
@@ -760,7 +760,7 @@ mod tests {
     #[test]
     fn dual_codec_single_loss_also_recovers() {
         let n = 4;
-        let codec = CodecSpec::dual().resolve();
+        let codec = CodecSpec::Dual.resolve();
         let layout = GroupLayout::new_with_parity(n, 2, 10); // stripe 5
         for lost in 0..n {
             let out = run_local(n, move |ctx| {
@@ -800,11 +800,11 @@ mod tests {
     fn lenders_are_called_for_exactly_the_stripes_a_rebuild_reads() {
         use std::cell::RefCell;
         for spec in [
-            CodecSpec::single(Code::Xor),
-            CodecSpec::single(Code::Sum),
-            CodecSpec::dual(),
-            CodecSpec::rs(2),
-            CodecSpec::rs(3),
+            CodecSpec::Single(Code::Xor),
+            CodecSpec::Single(Code::Sum),
+            CodecSpec::Dual,
+            CodecSpec::Rs { m: 2 },
+            CodecSpec::Rs { m: 3 },
         ] {
             let codec = spec.resolve();
             let m = codec.parity_count();

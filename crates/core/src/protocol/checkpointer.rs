@@ -126,10 +126,10 @@ impl<'c> Checkpointer<'c> {
             segs[slot(r).expect("every table region owns a slot")] = Some(seg);
         }
         let (header, _) = shm.get_or_create(&seg_name("header"), || {
-            SegmentData::Bytes(header::fresh_bytes())
+            SegmentData::F64(header::fresh(pool.take_zeroed(header::HEADER_WORDS)))
         });
         let (crc, _) = shm.get_or_create(&seg_name("crc"), || {
-            SegmentData::Bytes(vec![0u8; crc_table_bytes(n)])
+            SegmentData::F64(pool.take_zeroed(crc_table_bytes(n) / 8))
         });
 
         // A header that fails its CRC on re-attach proves nothing; start
@@ -291,7 +291,7 @@ impl<'c> Checkpointer<'c> {
     /// there write-locks this very segment on this very thread.
     pub(super) fn encode_of(&self, r: Region, probe: Option<&str>) -> Result<Vec<Vec<f64>>, Fault> {
         let lend = |fold: &mut dyn FnMut(&[f64])| {
-            fold(self.seg(r).read().try_as_f64()?);
+            fold(self.seg(r).read().as_f64());
             Ok(())
         };
         encode_parity_stripes(&self.comm, &self.layout, self.codec, lend, probe)
@@ -312,7 +312,7 @@ impl<'c> Checkpointer<'c> {
         );
         debug_assert!(a2.len().div_ceil(8) < self.b2_words, "B2 region overflow");
         let mut g = self.seg(Region::Work).write();
-        let v = g.try_as_f64_mut()?;
+        let v = g.as_f64_mut();
         if v.len() < self.cfg.a1_len + self.b2_words {
             return Err(Fault::Protocol("workspace segment wiped or truncated"));
         }
@@ -511,7 +511,7 @@ impl<'c> Checkpointer<'c> {
         let source = self.restore(&plan.lost, target, &plan.maxima)?;
         let a2 = {
             let g = self.seg(Region::Work).read();
-            Self::read_b2(g.try_as_f64()?, self.cfg.a1_len, self.cfg.a2_capacity)
+            Self::read_b2(g.as_f64(), self.cfg.a1_len, self.cfg.a2_capacity)
         };
         self.epoch = target;
         self.attached = true;
@@ -569,7 +569,7 @@ impl<'c> Checkpointer<'c> {
             parity
                 .iter()
                 .flatten()
-                .zip(c.try_as_f64()?)
+                .zip(c.as_f64())
                 .all(|(a, b)| a.to_bits() == b.to_bits())
         };
         give_back(&self.comm, parity);

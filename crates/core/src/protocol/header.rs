@@ -1,11 +1,13 @@
 //! The CRC-guarded commit header shared by every protocol.
 //!
-//! Four little-endian `u64` words in a node-persistent `Bytes` segment,
-//! followed by a CRC32C of those 32 bytes. Each word is a *commit
-//! marker*: it is written only after a group barrier, so a survivor
-//! advertising `word = e` proves every group member's data for that phase
-//! of epoch `e` is complete — the property the recovery planner's
-//! group-MAX consensus rests on.
+//! Four little-endian `u64` words followed by a CRC32C of those 32
+//! bytes. The node-persistent segment holds five `f64` words
+//! ([`HEADER_BYTES`]), read and written as LE bytes through
+//! `simd::f64_bytes(_mut)`, so any bit pattern (a NaN one too)
+//! round-trips. Each word is a *commit marker*: it is written only after
+//! a group barrier, so a survivor advertising `word = e` proves every
+//! group member's data for that phase of epoch `e` is complete — the
+//! property the recovery planner's group-MAX consensus rests on.
 //!
 //! The trailing CRC closes the header against *silent* corruption: a bit
 //! flip in a commit word would otherwise steer the planner toward a pair
@@ -16,10 +18,14 @@
 
 use skt_cluster::{Fault, ShmSegment};
 use skt_encoding::crc32c;
+use skt_encoding::simd::{f64_bytes, f64_bytes_mut};
 
 /// Header size in bytes (what `shmget` reserves for it): four `u64`
 /// commit words, a `u32` CRC32C of them, and 4 bytes of padding.
 pub const HEADER_BYTES: usize = 40;
+
+/// The header segment's length in `f64` words.
+pub(crate) const HEADER_WORDS: usize = HEADER_BYTES / 8;
 
 /// Bytes covered by the trailing CRC (the four commit words).
 const PAYLOAD_BYTES: usize = 32;
@@ -65,18 +71,18 @@ pub struct Header {
 pub enum HeaderState {
     /// The CRC checks out; the commit words are trustworthy.
     Valid(Header),
-    /// The segment is wiped, mistyped, truncated, or fails its CRC. The
-    /// words must not be trusted; recovery treats the rank as lost.
+    /// The segment is wiped (an empty payload), truncated, or its LE
+    /// byte image fails its CRC. The words must not be trusted; recovery
+    /// treats the rank as lost.
     Invalid(&'static str),
 }
 
-/// A fresh header image: all commit words zero, CRC valid. This is what
-/// `init` seeds a new segment with — an all-zeros image would fail its
-/// own CRC and read as corrupt.
-pub(crate) fn fresh_bytes() -> Vec<u8> {
-    let mut b = vec![0u8; HEADER_BYTES];
-    seal(&mut b);
-    b
+/// Seal a zeroed [`HEADER_WORDS`] buffer into a fresh header image: all
+/// commit words zero, CRC valid. This is what `init` seeds a new segment
+/// with — an all-zeros image would fail its own CRC and read as corrupt.
+pub(crate) fn fresh(mut zeroed: Vec<f64>) -> Vec<f64> {
+    seal(f64_bytes_mut(&mut zeroed));
+    zeroed
 }
 
 /// Recompute and store the trailing CRC over the payload words.
@@ -94,15 +100,12 @@ fn word_at(b: &[u8], i: usize) -> u64 {
 
 impl Header {
     /// Classify a header segment without faulting: distinguishes a
-    /// trustworthy header from one that is wiped, mistyped, truncated or
+    /// trustworthy header from one that is wiped, truncated or
     /// CRC-corrupt. Recovery uses this to fold a damaged header into the
     /// lost-rank path instead of acting on forged commit words.
     pub fn classify(seg: &ShmSegment) -> HeaderState {
         let g = seg.read();
-        let b = match g.try_as_bytes() {
-            Ok(b) => b,
-            Err(_) => return HeaderState::Invalid("header segment holds the wrong payload type"),
-        };
+        let b = f64_bytes(g.as_f64());
         if b.len() < HEADER_BYTES {
             return HeaderState::Invalid("header segment wiped or truncated");
         }
@@ -130,12 +133,12 @@ impl Header {
     }
 }
 
-/// Write one commit marker and re-seal the CRC. A wiped or mistyped
-/// segment is a [`Fault`], not a panic: the caller propagates it as the
-/// job-abort path.
+/// Write one commit marker and re-seal the CRC. A wiped segment is a
+/// [`Fault`], not a panic: the caller propagates it as the job-abort
+/// path.
 pub(crate) fn write_word(seg: &ShmSegment, word: HeaderWord, val: u64) -> Result<(), Fault> {
     let mut g = seg.write();
-    let b = g.try_as_bytes_mut()?;
+    let b = f64_bytes_mut(g.as_f64_mut());
     if b.len() < HEADER_BYTES {
         return Err(Fault::Protocol("header segment wiped or truncated"));
     }
@@ -158,7 +161,7 @@ mod tests {
     }
 
     fn fresh_seg() -> ShmSegment {
-        seg(SegmentData::Bytes(fresh_bytes()))
+        seg(SegmentData::F64(fresh(vec![0.0; HEADER_WORDS])))
     }
 
     #[test]
@@ -177,7 +180,7 @@ mod tests {
     }
 
     #[test]
-    fn fresh_bytes_classify_as_a_valid_zero_header() {
+    fn a_fresh_image_classifies_as_a_valid_zero_header() {
         assert_eq!(
             Header::classify(&fresh_seg()),
             HeaderState::Valid(Header::default())
@@ -187,25 +190,15 @@ mod tests {
     #[test]
     fn all_zero_bytes_fail_the_crc() {
         // a raw zero image is NOT a valid header: seeding must go through
-        // fresh_bytes so a wiped-to-zero segment reads as corrupt
-        let s = seg(SegmentData::Bytes(vec![0u8; HEADER_BYTES]));
+        // `fresh` so a wiped-to-zero segment reads as corrupt
+        let s = seg(SegmentData::F64(vec![0.0; HEADER_WORDS]));
         assert!(matches!(Header::classify(&s), HeaderState::Invalid(_)));
     }
 
     #[test]
     fn wiped_segment_is_a_fault_not_a_panic() {
         // power-off clears the payload but stale handles survive
-        let s = seg(SegmentData::Bytes(Vec::new()));
-        assert!(matches!(Header::classify(&s), HeaderState::Invalid(_)));
-        assert!(matches!(
-            write_word(&s, HeaderWord::DEpoch, 1),
-            Err(Fault::Protocol(_))
-        ));
-    }
-
-    #[test]
-    fn mistyped_segment_is_a_fault() {
-        let s = seg(SegmentData::F64(vec![0.0; 5]));
+        let s = seg(SegmentData::F64(Vec::new()));
         assert!(matches!(Header::classify(&s), HeaderState::Invalid(_)));
         assert!(matches!(
             write_word(&s, HeaderWord::DEpoch, 1),
@@ -222,7 +215,7 @@ mod tests {
             for bit in 0..8 {
                 {
                     let mut g = s.write();
-                    g.try_as_bytes_mut().unwrap()[byte] ^= 1 << bit;
+                    f64_bytes_mut(g.as_f64_mut())[byte] ^= 1 << bit;
                 }
                 assert!(
                     matches!(Header::classify(&s), HeaderState::Invalid(_)),
@@ -230,7 +223,7 @@ mod tests {
                 );
                 {
                     let mut g = s.write();
-                    g.try_as_bytes_mut().unwrap()[byte] ^= 1 << bit;
+                    f64_bytes_mut(g.as_f64_mut())[byte] ^= 1 << bit;
                 }
             }
         }
@@ -242,7 +235,7 @@ mod tests {
         let s = fresh_seg();
         {
             let mut g = s.write();
-            g.try_as_bytes_mut().unwrap()[PAYLOAD_BYTES + 2] ^= 0x40;
+            f64_bytes_mut(g.as_f64_mut())[PAYLOAD_BYTES + 2] ^= 0x40;
         }
         assert!(matches!(
             Header::classify(&s),

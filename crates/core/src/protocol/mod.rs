@@ -6,7 +6,7 @@
 //!
 //! * [`phase`] — the typed [`Phase`] machine; phase labels are the shared
 //!   identity for failure injection and observation events.
-//! * [`header`] — the 32-byte commit header every method stores its
+//! * [`header`] — the CRC-sealed commit header every method stores its
 //!   commit markers in.
 //! * [`ops`] — the sequenced-op layer: every durable mutation (header
 //!   write, flush commit, parity fill, rebuild, scrub repair) is a
@@ -39,7 +39,9 @@
 //! The erasure codec is pluggable ([`CodecSpec`]): the paper's
 //! single-parity codes (`m = 1` parity stripe, the default) or the dual
 //! P+Q code (`m = 2`, tolerating two lost members per group). Checksum
-//! segments hold `m` stripes.
+//! segments hold `m` stripes. Every segment is `f64` words; `header` and
+//! `crc` are byte-level records read and written as the LE bytes of their
+//! words.
 //!
 //! | segment  | size (f64)        | role |
 //! |----------|-------------------|------|
@@ -47,8 +49,8 @@
 //! | `b`      | same as `work`    | checkpoint copy `B` (double method: `b0`,`b1`) |
 //! | `c`      | `m` stripes       | checksum `C` (double: `c0`,`c1`); self method: `X(e)` at even epochs |
 //! | `d`      | `m` stripes       | checksum `D`, self method only: `X(e)` at odd epochs |
-//! | `header` | 40 bytes          | epochs + commit markers + header CRC |
-//! | `crc`    | `6·(N-1)` u32     | per-stripe CRC32C table over the data segments |
+//! | `header` | 5 (40 LE bytes)   | epochs + commit markers + header CRC |
+//! | `crc`    | `3·(N-1)` (`6·(N-1)` LE u32) | per-stripe CRC32C table over the data segments |
 //!
 //! ## Commit discipline (self-checkpoint, epoch `e`)
 //!

@@ -13,6 +13,7 @@ use super::table::{slot, Pair, SLOTS};
 use super::{Checkpointer, RecoverError, RECOVER_REBUILD_PROBE};
 use crate::engine::{give_back, reconstruct_stripes};
 use skt_cluster::{Event, Region, ShmSegment};
+use skt_encoding::simd::{f64_bytes, f64_bytes_mut};
 use skt_encoding::{copy_with_stripe_crcs, crc32c_f64, kernels, stripe_crcs, KernelConfig};
 use skt_mps::{Fault, Payload};
 use std::cell::Cell;
@@ -24,7 +25,8 @@ use std::cell::Cell;
 pub const COPY_PROBE: &str = "ckpt-copy";
 
 /// Size in bytes of the per-rank stripe-CRC table segment for an
-/// `n`-member group: one CRC32C per stripe per region slot. With
+/// `n`-member group: one LE CRC32C per stripe per region slot, in a
+/// segment of `3·(n−1)` `f64` words read as bytes. With
 /// [`HEADER_BYTES`](super::HEADER_BYTES) it is what a rank's SHM holds
 /// beyond Table 1's regions.
 pub fn crc_table_bytes(n: usize) -> usize {
@@ -54,10 +56,10 @@ impl<'c> Checkpointer<'c> {
         };
         self.comm.ctx().failpoint(COPY_PROBE)?;
         let s = src.read();
-        let sv = s.try_as_f64()?;
+        let sv = s.as_f64();
         if self.table.witnessed(src_r) {
             let mut d = dst.write();
-            let dv = d.try_as_f64_mut()?;
+            let dv = d.as_f64_mut();
             if dv.len() != sv.len() {
                 return Err(Fault::Protocol(
                     "segment wiped or resized under the protocol",
@@ -98,7 +100,7 @@ impl<'c> Checkpointer<'c> {
         let mut crcs = Vec::new();
         {
             let mut g = seg.write();
-            let mut rest: &mut [f64] = g.try_as_f64_mut()?;
+            let mut rest: &mut [f64] = g.as_f64_mut();
             let total: usize = parts.iter().map(|p| p.as_ref().len()).sum();
             let inner = parts.split_last().map_or(parts, |(_, inner)| inner);
             if rest.len() != total || inner.iter().any(|p| p.as_ref().len() % stripe_len != 0) {
@@ -199,7 +201,7 @@ impl<'c> Checkpointer<'c> {
         let len = self.layout.stripe_len();
         let g = seg.read();
         let stripe = g
-            .try_as_f64()?
+            .as_f64()
             .get(k * len..(k + 1) * len)
             .ok_or(Fault::Protocol(
                 "segment wiped or resized under the protocol",
@@ -222,8 +224,7 @@ impl<'c> Checkpointer<'c> {
     fn store_crcs(&self, r: Region, crcs: &[u32]) -> Result<(), Fault> {
         let range = self.crc_slot_range(r);
         let mut g = self.crc.write();
-        let tbl = g
-            .try_as_bytes_mut()?
+        let tbl = f64_bytes_mut(g.as_f64_mut())
             .get_mut(range)
             .and_then(|tbl| tbl.get_mut(..crcs.len() * 4))
             .ok_or(Fault::Protocol("crc table segment wiped or truncated"))?;
@@ -239,7 +240,7 @@ impl<'c> Checkpointer<'c> {
     fn carry_crcs(&self, dst: Region, src: Region) -> Result<(), Fault> {
         let (to, from) = (self.crc_slot_range(dst), self.crc_slot_range(src));
         let mut g = self.crc.write();
-        let tbl = g.try_as_bytes_mut()?;
+        let tbl = f64_bytes_mut(g.as_f64_mut());
         if tbl.len() < to.end.max(from.end) {
             return Err(Fault::Protocol("crc table segment wiped or truncated"));
         }
@@ -256,7 +257,7 @@ impl<'c> Checkpointer<'c> {
                 continue;
             };
             let stripe_len = self.layout.stripe_len();
-            let crcs = stripe_crcs(seg.read().try_as_f64()?, stripe_len, KernelConfig::global());
+            let crcs = stripe_crcs(seg.read().as_f64(), stripe_len, KernelConfig::global());
             self.store_crcs(r, &crcs)?;
         }
         Ok(())
@@ -266,7 +267,7 @@ impl<'c> Checkpointer<'c> {
     fn stored_crc(&self, r: Region, k: usize) -> Result<u32, Fault> {
         let range = self.crc_slot_range(r);
         let g = self.crc.read();
-        g.try_as_bytes()?
+        f64_bytes(g.as_f64())
             .get(range)
             .and_then(|tbl| tbl.get(k * 4..k * 4 + 4))
             .map(|w| u32::from_le_bytes(w.try_into().expect("a four-byte slot")))
@@ -283,7 +284,7 @@ impl<'c> Checkpointer<'c> {
             return Ok(true);
         };
         let g = seg.read();
-        for (k, stripe) in g.try_as_f64()?.chunks(self.layout.stripe_len()).enumerate() {
+        for (k, stripe) in g.as_f64().chunks(self.layout.stripe_len()).enumerate() {
             if crc32c_f64(stripe, KernelConfig::global()) != self.stored_crc(r, k)? {
                 return Ok(false);
             }

@@ -961,6 +961,7 @@ fn sum_code_round_trips_through_recovery() {
 /// order: `B`, `C`, `D` (0 where the method has none), the CRC table.
 #[test]
 fn one_make_leaves_the_golden_durable_bytes() {
+    use skt_encoding::simd::f64_bytes;
     use skt_encoding::{crc32c, crc32c_f64, KernelConfig};
     const LEN: usize = 200;
     // Taken at the parent of the commit that fused the flush CRC. The
@@ -1034,7 +1035,7 @@ fn one_make_leaves_the_golden_durable_bytes() {
             let floats = |part: &str| {
                 seg(part).map_or(0, |s| crc32c_f64(s.read().as_f64(), KernelConfig::serial()))
             };
-            let table = crc32c(seg("crc").expect("crc table").read().as_bytes());
+            let table = crc32c(f64_bytes(seg("crc").expect("crc table").read().as_f64()));
             Ok([floats("b"), floats("c"), floats("d"), table])
         })
         .unwrap();
@@ -1102,7 +1103,8 @@ fn a_fill_that_does_not_cover_the_segment_exactly_is_refused() {
 // The window between the damage census and a lent read
 // ---------------------------------------------------------------------
 
-use skt_cluster::{Runtime, SegmentData, SimRuntime};
+use skt_cluster::{Runtime, SimRuntime};
+use skt_encoding::simd::f64_bytes;
 use std::cell::Cell;
 use std::sync::{Mutex, OnceLock, Weak};
 
@@ -1189,10 +1191,8 @@ fn node_image(ctx: &skt_mps::Ctx) -> Vec<(String, Vec<u8>)> {
     shm.names()
         .into_iter()
         .map(|name| {
-            let bytes = match &*shm.attach(&name).unwrap().read() {
-                SegmentData::F64(v) => v.iter().flat_map(|x| x.to_bits().to_le_bytes()).collect(),
-                SegmentData::Bytes(b) => b.clone(),
-            };
+            let seg = shm.attach(&name).unwrap();
+            let bytes = f64_bytes(seg.read().as_f64()).to_vec();
             (name, bytes)
         })
         .collect()
@@ -1308,7 +1308,7 @@ fn flip_inside_rebuild(
 /// the lend catches it.
 #[test]
 fn a_source_stripe_corrupted_inside_the_rebuild_is_refused_then_healed() {
-    let codec = CodecSpec::dual();
+    let codec = CodecSpec::Dual;
     let ring_sends = ((N - 2) * 2) as u64;
     for region in [Region::CopyB, Region::ParityC] {
         for nth_send in 1..=ring_sends {

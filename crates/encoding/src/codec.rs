@@ -231,21 +231,6 @@ impl Default for CodecSpec {
 }
 
 impl CodecSpec {
-    /// Single-parity spec over the given reduce code.
-    pub fn single(code: Code) -> Self {
-        CodecSpec::Single(code)
-    }
-
-    /// Dual-parity (P+Q) spec.
-    pub fn dual() -> Self {
-        CodecSpec::Dual
-    }
-
-    /// Generalized Reed–Solomon spec with `m` parity roles.
-    pub fn rs(m: usize) -> Self {
-        CodecSpec::Rs { m }
-    }
-
     /// Parity stripes per slot, `m`.
     #[must_use]
     pub fn parity_count(self) -> usize {
@@ -421,7 +406,7 @@ mod tests {
 
     #[test]
     fn sum_codec_round_trips_one_erasure() {
-        let codec = CodecSpec::single(Code::Sum).resolve();
+        let codec = CodecSpec::Single(Code::Sum).resolve();
         assert_eq!(codec.wire(), Wire::Floats);
         let data: Vec<Vec<f64>> = (0..3).map(|p| stripe(p, 6)).collect();
         let parity = encode(codec, &data, 6);
@@ -440,7 +425,7 @@ mod tests {
         let k = 6;
         let len = 13;
         let data: Vec<Vec<f64>> = (0..k).map(|p| stripe(p, len)).collect();
-        let codec = CodecSpec::dual().resolve();
+        let codec = CodecSpec::Dual.resolve();
         let parity = encode(codec, &data, len);
         let dp = crate::dualparity::DualParity::new(k, len);
         let refs: Vec<&[f64]> = data.iter().map(|s| s.as_slice()).collect();
@@ -459,10 +444,10 @@ mod tests {
     fn spec_names_and_counts() {
         assert_eq!(CodecSpec::default(), CodecSpec::Single(Code::Xor));
         assert_eq!(CodecSpec::default().name(), "BXOR");
-        assert_eq!(CodecSpec::single(Code::Sum).name(), "SUM");
-        assert_eq!(CodecSpec::dual().name(), "P+Q");
+        assert_eq!(CodecSpec::Single(Code::Sum).name(), "SUM");
+        assert_eq!(CodecSpec::Dual.name(), "P+Q");
         assert_eq!(CodecSpec::default().parity_count(), 1);
-        assert_eq!(CodecSpec::dual().parity_count(), 2);
+        assert_eq!(CodecSpec::Dual.parity_count(), 2);
     }
 
     #[test]

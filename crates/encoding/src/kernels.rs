@@ -479,7 +479,7 @@ mod tests {
             KernelConfig::new(4, 64),
             KernelConfig::new(8, 1),
             KernelConfig::new(3, 1 << 20), // chunk larger than any test buffer
-            KernelConfig::serial().with_simd(SimdMode::ForceScalar),
+            KernelConfig::serial().with_simd(SimdMode::Portable),
         ]
     }
 

@@ -363,7 +363,7 @@ mod tests {
     #[test]
     fn rs_m_scales_to_larger_parity_counts() {
         for m in [1usize, 2, 4, 5] {
-            let codec = CodecSpec::rs(m).resolve();
+            let codec = CodecSpec::Rs { m }.resolve();
             let (k, len) = (6, 5);
             let data: Vec<Vec<f64>> = (0..k).map(|p| stripe(p, len)).collect();
             let parity = encode(codec, &data, len);
@@ -385,20 +385,20 @@ mod tests {
 
     #[test]
     fn resolve_caches_one_instance_per_m() {
-        let a = CodecSpec::rs(3).resolve();
-        let b = CodecSpec::rs(3).resolve();
+        let a = CodecSpec::Rs { m: 3 }.resolve();
+        let b = CodecSpec::Rs { m: 3 }.resolve();
         assert!(std::ptr::eq(
             a as *const dyn ErasureCodec as *const u8,
             b as *const dyn ErasureCodec as *const u8
         ));
         assert_eq!(a.name(), "RS(m=3)");
-        assert_eq!(CodecSpec::rs(7).name(), "RS(m=7)");
+        assert_eq!(CodecSpec::Rs { m: 7 }.name(), "RS(m=7)");
     }
 
     #[test]
     #[should_panic(expected = "corrects at most 3 erasures")]
     fn rs3_refuses_four_erasures() {
-        let codec = CodecSpec::rs(3).resolve();
+        let codec = CodecSpec::Rs { m: 3 }.resolve();
         codec.solve(
             &[0, 1, 2, 3],
             &[(0, vec![0.0]), (1, vec![0.0]), (2, vec![0.0])],
@@ -412,7 +412,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the field")]
     fn dual_refuses_position_255_instead_of_wrapping() {
-        let _ = CodecSpec::dual()
+        let _ = CodecSpec::Dual
             .resolve()
             .contrib(1, 255, &[1.0], KernelConfig::serial());
     }

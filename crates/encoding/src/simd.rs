@@ -28,7 +28,7 @@
 //! Dispatch is *data-independent*: a backend is chosen once per kernel
 //! call from [`SimdMode`] (carried by `KernelConfig`, defaulted from the
 //! `SKT_KERNEL_SIMD` environment variable) plus one-time CPU feature
-//! detection. [`SimdMode::ForceScalar`] selects the portable bodies, what
+//! detection. [`SimdMode::Portable`] selects the portable bodies, what
 //! a CPU without AVX2 or SSE4.2 runs. All backends are bit-for-bit
 //! equivalent — the equivalence proptests drive every available backend
 //! against the reference over arbitrary lengths, values and
@@ -42,9 +42,9 @@ pub enum SimdMode {
     /// Probe the CPU once and use the fastest available backend.
     #[default]
     Auto,
-    /// Force the portable bodies — split-table GF, slice-by-8 CRC — that
+    /// Run the portable bodies — split-table GF, slice-by-8 CRC — that
     /// a CPU without the vector features runs (`SKT_KERNEL_SIMD=0`).
-    ForceScalar,
+    Portable,
 }
 
 impl SimdMode {
@@ -56,7 +56,7 @@ impl SimdMode {
     #[must_use]
     pub fn from_env_str(v: &str) -> SimdMode {
         match v.trim() {
-            "0" | "off" | "false" => SimdMode::ForceScalar,
+            "0" | "off" | "false" => SimdMode::Portable,
             _ => SimdMode::Auto,
         }
     }
@@ -77,7 +77,7 @@ impl GfBackend {
     #[must_use]
     pub fn select(mode: SimdMode) -> GfBackend {
         match mode {
-            SimdMode::ForceScalar => GfBackend::Portable,
+            SimdMode::Portable => GfBackend::Portable,
             SimdMode::Auto => GfBackend::best_accelerated(),
         }
     }
@@ -124,7 +124,7 @@ impl CrcBackend {
     #[must_use]
     pub fn select(mode: SimdMode) -> CrcBackend {
         match mode {
-            SimdMode::ForceScalar => CrcBackend::SliceBy8,
+            SimdMode::Portable => CrcBackend::SliceBy8,
             SimdMode::Auto => CrcBackend::best_accelerated(),
         }
     }
@@ -482,14 +482,8 @@ mod tests {
     #[test]
     fn selection_honours_the_mode() {
         // `SKT_KERNEL_SIMD=0` runs what a CPU without the features runs
-        assert_eq!(
-            GfBackend::select(SimdMode::ForceScalar),
-            GfBackend::Portable
-        );
-        assert_eq!(
-            CrcBackend::select(SimdMode::ForceScalar),
-            CrcBackend::SliceBy8
-        );
+        assert_eq!(GfBackend::select(SimdMode::Portable), GfBackend::Portable);
+        assert_eq!(CrcBackend::select(SimdMode::Portable), CrcBackend::SliceBy8);
         assert_eq!(
             GfBackend::select(SimdMode::Auto),
             GfBackend::best_accelerated()
@@ -510,8 +504,8 @@ mod tests {
 
     #[test]
     fn env_convention_parses() {
-        assert_eq!(SimdMode::from_env_str("0"), SimdMode::ForceScalar);
-        assert_eq!(SimdMode::from_env_str("off"), SimdMode::ForceScalar);
+        assert_eq!(SimdMode::from_env_str("0"), SimdMode::Portable);
+        assert_eq!(SimdMode::from_env_str("off"), SimdMode::Portable);
         assert_eq!(SimdMode::from_env_str(" 1 "), SimdMode::Auto);
         assert_eq!(SimdMode::from_env_str("on"), SimdMode::Auto);
         assert_eq!(SimdMode::from_env_str("true"), SimdMode::Auto);

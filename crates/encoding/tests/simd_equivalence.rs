@@ -205,12 +205,12 @@ proptest! {
     ) {
         let base = floats(len, seed);
         let x = floats(len, seed ^ 0x5555);
-        let reference = KernelConfig::serial().with_simd(SimdMode::ForceScalar);
+        let reference = KernelConfig::serial().with_simd(SimdMode::Portable);
         let mut want_scale = vec![f64::NAN; len];
         kernels::gf_scale_into(&mut [&mut want_scale], &base, &[c], reference);
         let mut want_mac = base.clone();
         kernels::gf_mac(&mut want_mac, &x, c, reference);
-        for mode in [SimdMode::Auto, SimdMode::ForceScalar] {
+        for mode in [SimdMode::Auto, SimdMode::Portable] {
             let cfg = KernelConfig::new(threads, chunk).with_simd(mode);
             let mut got = x.clone();
             kernels::gf_scale_into(&mut [&mut got], &base, &[c], cfg);
@@ -237,8 +237,8 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let d = floats(len, seed);
-        let want = crc32c_f64(&d, KernelConfig::serial().with_simd(SimdMode::ForceScalar));
-        for mode in [SimdMode::Auto, SimdMode::ForceScalar] {
+        let want = crc32c_f64(&d, KernelConfig::serial().with_simd(SimdMode::Portable));
+        for mode in [SimdMode::Auto, SimdMode::Portable] {
             let cfg = KernelConfig::new(threads, chunk).with_simd(mode);
             prop_assert_eq!(crc32c_f64(&d, cfg), want, "len={} cfg={:?}", len, cfg);
         }
@@ -365,10 +365,10 @@ fn gf_mul_out_of_place_matches_copy_then_scale_on_every_backend() {
 /// block.
 #[test]
 fn multi_role_contributions_match_the_per_role_walk() {
-    let reference = KernelConfig::serial().with_simd(SimdMode::ForceScalar);
+    let reference = KernelConfig::serial().with_simd(SimdMode::Portable);
     for len in [0usize, 1, 13, 64, 67, 200] {
         let stripe = floats(len, 11);
-        for mode in [SimdMode::Auto, SimdMode::ForceScalar] {
+        for mode in [SimdMode::Auto, SimdMode::Portable] {
             for threads in BUDGETS {
                 let cfg = KernelConfig::new(threads, 16).with_simd(mode);
                 let mut got: Vec<Vec<f64>> = COEFFS.iter().map(|_| vec![f64::NAN; len]).collect();
@@ -428,11 +428,11 @@ fn multi_role_contributions_match_the_per_role_walk() {
 /// dirty accumulators.
 #[test]
 fn multi_role_accumulate_matches_contribs_then_combine() {
-    let reference = KernelConfig::serial().with_simd(SimdMode::ForceScalar);
+    let reference = KernelConfig::serial().with_simd(SimdMode::Portable);
     for len in [0usize, 1, 13, 64, 67, 200] {
         let stripe = floats(len, 11);
         let dirty = |i: usize| floats(len, 100 + i as u64);
-        for mode in [SimdMode::Auto, SimdMode::ForceScalar] {
+        for mode in [SimdMode::Auto, SimdMode::Portable] {
             for threads in BUDGETS {
                 let cfg = KernelConfig::new(threads, 16).with_simd(mode);
                 let mut got: Vec<Vec<f64>> = (0..COEFFS.len()).map(dirty).collect();
@@ -488,7 +488,7 @@ fn multi_role_accumulate_matches_contribs_then_combine() {
 /// shorter and longer than one cache block, and a dirty destination.
 #[test]
 fn fused_copy_and_stripe_crcs_match_copy_then_crc() {
-    let reference = KernelConfig::serial().with_simd(SimdMode::ForceScalar);
+    let reference = KernelConfig::serial().with_simd(SimdMode::Portable);
     for (len, stripe_len) in [
         (0usize, 4usize),
         (1, 4),
@@ -501,7 +501,7 @@ fn fused_copy_and_stripe_crcs_match_copy_then_crc() {
     ] {
         let src = floats(len, 13);
         let want_crcs = stripe_crcs(&src, stripe_len, reference);
-        for mode in [SimdMode::Auto, SimdMode::ForceScalar] {
+        for mode in [SimdMode::Auto, SimdMode::Portable] {
             for threads in BUDGETS {
                 for chunk in [1usize, 5, 16, 1 << 16] {
                     let cfg = KernelConfig::new(threads, chunk).with_simd(mode);

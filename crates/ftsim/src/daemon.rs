@@ -156,7 +156,7 @@ mod tests {
         let rl = Ranklist::round_robin(4, 4);
         cluster.arm_failure(FailurePlan::new(ITER_PROBE, 5, 1));
         let mut c = SktConfig::new(HplConfig::new(48, 4, 11), 4, 2);
-        c.codec = CodecSpec::rs(3);
+        c.codec = CodecSpec::Rs { m: 3 };
         assert!(
             run_on_cluster(Arc::clone(&cluster), &rl, |ctx| run_skt(ctx, &c)).is_err(),
             "first run must abort on the node loss"

@@ -331,9 +331,7 @@ fn harvest(cluster: &Cluster, cfg: &SktConfig, rl: &Ranklist) -> Harvest {
             continue;
         };
         let g = seg.read();
-        let Ok(data) = g.try_as_f64() else {
-            return Harvest::Torn;
-        };
+        let data = g.as_f64();
         let Some(p) = parked_panel(data, a1_len) else {
             return Harvest::Torn;
         };
@@ -425,9 +423,7 @@ impl SequencedOp<ResizeCtx> for ResizeOp {
             if !h.has_committed() {
                 continue; // created but never committed
             }
-            let g = work.read();
-            let Ok(data) = g.try_as_f64() else { continue };
-            if parked_panel(data, a1_len) == Some(self.panel) {
+            if parked_panel(work.read().as_f64(), a1_len) == Some(self.panel) {
                 committed += 1;
             }
         }

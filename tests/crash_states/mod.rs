@@ -167,10 +167,7 @@ fn observe(images: &mut HashMap<u64, Arc<Image>>, cluster: &Cluster, node: usize
     let mut mix = |w: u64| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(29);
     for (name, seg) in &segs {
         name.bytes().for_each(|b| mix(u64::from(b)));
-        match &*seg.read() {
-            SegmentData::F64(v) => v.iter().for_each(|x| mix(x.to_bits())),
-            SegmentData::Bytes(b) => b.iter().for_each(|&x| mix(u64::from(x))),
-        };
+        seg.read().as_f64().iter().for_each(|x| mix(x.to_bits()));
     }
     images.entry(h).or_insert_with(|| {
         Arc::new(
@@ -210,10 +207,16 @@ fn segment<'a>(img: &'a Image, rank: usize, part: &str) -> Option<&'a SegmentDat
 }
 
 fn f64s(seg: Option<&SegmentData>) -> &[f64] {
-    match seg {
-        Some(SegmentData::F64(v)) => v,
-        _ => &[],
-    }
+    seg.map_or(&[], SegmentData::as_f64)
+}
+
+/// A segment's words as the LE bytes the protocol reads them as (the
+/// header, the stripe-CRC table), decoded here without the library's view.
+fn le_bytes(seg: Option<&SegmentData>) -> Vec<u8> {
+    f64s(seg)
+        .iter()
+        .flat_map(|x| x.to_bits().to_le_bytes())
+        .collect()
 }
 
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
@@ -223,9 +226,7 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
 /// The header's commit words, or `None` when it is missing, truncated or
 /// fails its CRC32C (four LE `u64` words, then the CRC of those 32 bytes).
 fn decode_header(seg: Option<&SegmentData>) -> Option<Words> {
-    let Some(SegmentData::Bytes(b)) = seg else {
-        return None;
-    };
+    let b = le_bytes(seg);
     if b.len() < 36 || crc32c(&b[..32]).to_le_bytes() != b[32..36] {
         return None;
     }
@@ -352,10 +353,7 @@ impl Recording {
         let Some(img) = img.filter(|i| segment(i, rank, "work").is_some()) else {
             return Member::Gone;
         };
-        let crcs = match segment(img, rank, "crc") {
-            Some(SegmentData::Bytes(b)) => b.as_slice(),
-            _ => &[],
-        };
+        let crcs = le_bytes(segment(img, rank, "crc"));
         let per = (self.cfg.n - 1) * 4;
         let stripe_len = f64s(segment(img, rank, "work")).len() / (self.cfg.n - self.cfg.m());
         let regions = (0..PARTS.len())
@@ -754,8 +752,8 @@ pub fn pair_sweep(rec: &Recording, victims: u32) -> Sweep {
 }
 
 /// At every distinct single-loss state, flip one bit in each region of
-/// each survivor — the middle element of every `f64` region, the low bit
-/// of the header's `(B, C)` word — and recover.
+/// each survivor — the middle word of every data or parity region, the
+/// low bit of the header's `(B, C)` word (LE byte 8) — and recover.
 pub fn flip_sweep(rec: &Recording) -> Sweep {
     let mut sweep = Sweep::new(rec, "flips");
     for (pre, (snap, _, v)) in single_losses(rec, rec.cfg.all()).into_iter().enumerate() {
@@ -765,13 +763,14 @@ pub fn flip_sweep(rec: &Recording) -> Sweep {
             let img = state[i].as_ref().expect("a survivor");
             for k in (0..img.len()).filter(|&k| !img[k].0.ends_with("/crc")) {
                 let mut hit = (**img).clone();
-                match &mut hit[k].1 {
-                    SegmentData::F64(d) => {
-                        let mid = d.len() / 2;
-                        d[mid] = f64::from_bits(d[mid].to_bits() ^ 1);
-                    }
-                    SegmentData::Bytes(b) => b[8] ^= 1,
-                }
+                let (name, seg) = &mut hit[k];
+                let d = seg.as_f64_mut();
+                let w = if name.ends_with("/header") {
+                    1
+                } else {
+                    d.len() / 2
+                };
+                d[w] = f64::from_bits(d[w].to_bits() ^ 1);
                 let mut flipped = state.clone();
                 flipped[i] = Some(Arc::new(hit));
                 sweep.instants += 1;

@@ -140,9 +140,9 @@ fn sweep(n: usize) {
     for spec in [
         CodecSpec::Single(Code::Xor),
         CodecSpec::Dual,
-        CodecSpec::rs(1),
-        CodecSpec::rs(2),
-        CodecSpec::rs(3),
+        CodecSpec::Rs { m: 1 },
+        CodecSpec::Rs { m: 2 },
+        CodecSpec::Rs { m: 3 },
     ] {
         for e in 1..=spec.parity_count() {
             for lost in subsets(n, e) {

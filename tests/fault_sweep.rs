@@ -1076,7 +1076,11 @@ fn gray_faults_exonerate_or_migrate_double_checkpoint() {
 /// shard and lands on the same fingerprint shape.
 #[test]
 fn gray_migration_verdicts_are_codec_independent() {
-    for codec in [CodecSpec::default(), CodecSpec::Dual, CodecSpec::rs(3)] {
+    for codec in [
+        CodecSpec::default(),
+        CodecSpec::Dual,
+        CodecSpec::Rs { m: 3 },
+    ] {
         let reference = gray_reference_residual(Method::SelfCkpt, codec);
         for case in GrayCase::ALL {
             for seed in 0..2u64 {

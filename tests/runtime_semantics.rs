@@ -160,7 +160,7 @@ fn ranks_sharing_nodes_see_the_same_shm() {
         // even ranks (node 0) write; everyone barriers; odd ranks read
         if ctx.node() == 0 && me == 0 {
             ctx.shm()
-                .get_or_create("shared", || SegmentData::Bytes(vec![42]));
+                .get_or_create("shared", || SegmentData::F64(vec![42.0]));
         }
         w.barrier()?;
         Ok((ctx.node(), ctx.shm().attach("shared").is_some()))
