@@ -9,7 +9,9 @@ use crate::plain::HplOutput;
 use crate::skt::{SktOutput, SktPause, SktRun};
 use crate::ITER_PROBE;
 use skt_core::RecoveryReport;
-use skt_linalg::{dgemm, dgemv, dgetf2, dtrsm_llnu, dtrsm_lunn, hpl_flops, MatGen, Trans, EPS};
+use skt_linalg::{
+    dgemm, dgemv, dgetf2, dlaswp, dtrsm_llnu, dtrsm_lunn, hpl_flops, MatGen, Trans, EPS,
+};
 use skt_mps::{Comm, Ctx, Fault, Payload, ReduceOp};
 
 /// User tag for the back-substitution pipeline messages.
@@ -85,15 +87,8 @@ pub fn panel_step(
     // (the owner's panel columns were swapped inside dgetf2).
     let lt0 = dist.local_cols_from(j0 + jb);
     let lcols = dist.local_cols();
-    for (t, &p) in ipiv.iter().enumerate() {
-        let r1 = j0 + t;
-        let r2 = p as usize;
-        if r1 != r2 {
-            for lc in lt0..lcols {
-                storage.swap(lc * ld + r1, lc * ld + r2);
-            }
-        }
-    }
+    let piv: Vec<usize> = ipiv.iter().map(|&p| p as usize).collect();
+    dlaswp(lcols - lt0, &mut storage[lt0 * ld..], ld, j0, &piv);
 
     // --- trailing update: U12 := L11^{-1} A12;  A22 -= L21 * U12 ---
     let ncols_t = lcols - lt0;

@@ -5,21 +5,24 @@
 
 use std::cell::RefCell;
 
-/// Transposition flag for the `A` operand of [`dgemm`].
+/// Transposition flag for the `A` operand of [`dgemm`]: `A` is always used
+/// as stored.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Trans {
     /// Use `A` as stored.
     No,
-    /// Use `A^T`.
-    Yes,
 }
 
-const MR: usize = 8; // register tile rows: two 4-lane vectors
-const NR: usize = 6; // register tile cols: 2 x 6 = 12 accumulators of 16 registers
 const KC: usize = 256; // k-dimension cache block
+
+// The largest register tile (the AVX-512 24x8) sizes the stack buffers
+// every tile shares.
+const MR_MAX: usize = 24;
+const NR_MAX: usize = 8;
 /// Elements of a thread's packed-`A` buffer (576 KiB, L2-resident beside
 /// the `C` columns streaming past it): one `KC` pass handles as many rows
-/// at a time as fit, so the buffer is bounded whatever the shape.
+/// at a time as fit, so the buffer is bounded whatever the shape. `288`
+/// is a multiple of every tile's row count.
 const PACK_A_LEN: usize = 288 * KC;
 
 thread_local! {
@@ -28,18 +31,17 @@ thread_local! {
     static PACK_A: RefCell<Vec<f64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// General matrix multiply `C := alpha * op(A) * B + beta * C`.
+/// General matrix multiply `C := alpha * A * B + beta * C`.
 ///
-/// * `op(A)` is `m x k` (`A` stored `m x k` for [`Trans::No`], `k x m` for
-///   [`Trans::Yes`]), `B` is `k x n`, `C` is `m x n`.
+/// * `A` is `m x k`, `B` is `k x n`, `C` is `m x n`; `trans_a` is
+///   [`Trans::No`], its only value.
 /// * `lda`, `ldb`, `ldc` are the leading dimensions of the stored arrays.
 ///
-/// The [`Trans::No`] path is the kernel the HPL trailing-matrix update
-/// spends its time in. Per `KC`-deep block of `k` it packs `A` into
-/// zero-padded 8-row micro-panels and each 6-column sliver of `B` into a
-/// row-major strip, and runs one 8x6 register tile (12 vector
-/// accumulators) over the two; tiles that overhang `m` or `n` run the same
-/// kernel on a stack copy of their part of `C`.
+/// This is the kernel the HPL trailing-matrix update spends its time in.
+/// Per `KC`-deep block of `k` it packs `A` into zero-padded `MR`-row
+/// micro-panels and each `NR`-column sliver of `B` into a row-major strip,
+/// and runs one `MR x NR` register tile over the two; tiles that overhang
+/// `m` or `n` run the same kernel on a stack copy of their part of `C`.
 ///
 /// **Numeric contract.** After the `beta` scaling, for each `KC` block in
 /// turn, `C[i,j] <- fma(alpha, s, C[i,j])` where `s` starts at `+0.0` and
@@ -47,16 +49,23 @@ thread_local! {
 /// Every element sees exactly this sequence wherever it falls in the
 /// tiling, so `C[i,j]` is a function of row `i` of `A` and column `j` of
 /// `B` alone: computing a matrix in one call or in any split by rows or
-/// columns gives the same bits (a resized SKT-HPL tenant relies on it).
+/// columns gives the same bits (a resized SKT-HPL tenant relies on it),
+/// and so does every tile geometry.
 ///
-/// Two kernels implement the contract, bit-identical by test. On x86-64
-/// with AVX2 and FMA (probed once per process by the standard library's
-/// feature cache) the tile runs on `std::arch` intrinsics; everywhere else
-/// a portable one written with [`f64::mul_add`] runs — at full speed where
-/// the target has a fused multiply-add instruction, but on x86 CPUs older
-/// than FMA each `mul_add` is a call into libm's software `fma`, correct
-/// and slow. The transposed path is a straightforward loop — it is only
-/// used by verification code.
+/// Three tiles implement the contract, bit-identical by test; the CPU
+/// picks one (probed once per process by the standard library's feature
+/// cache), and nothing else does:
+///
+/// | tile | `MR x NR` | accumulators | runs on |
+/// |---|---|---|---|
+/// | AVX-512 | 24 x 8 | 24 `zmm` | x86-64 with AVX-512F |
+/// | AVX2 + FMA | 8 x 6 | 12 `ymm` | x86-64 with AVX2 and FMA |
+/// | portable | 8 x 6 | arrays | everything else |
+///
+/// The portable tile is written with [`f64::mul_add`]: it runs at full
+/// speed where the target has a fused multiply-add instruction, but on x86
+/// CPUs older than FMA each `mul_add` is a call into libm's software
+/// `fma`, correct and slow.
 #[allow(clippy::too_many_arguments)]
 pub fn dgemm(
     trans_a: Trans,
@@ -72,18 +81,11 @@ pub fn dgemm(
     c: &mut [f64],
     ldc: usize,
 ) {
+    let Trans::No = trans_a;
     assert!(ldc >= m.max(1), "dgemm: ldc < m");
     assert!(n == 0 || c.len() >= (n - 1) * ldc + m, "dgemm: c too small");
-    match trans_a {
-        Trans::No => {
-            assert!(lda >= m.max(1), "dgemm: lda < m");
-            assert!(k == 0 || a.len() >= (k - 1) * lda + m, "dgemm: a too small");
-        }
-        Trans::Yes => {
-            assert!(lda >= k.max(1), "dgemm: lda < k (transposed)");
-            assert!(m == 0 || a.len() >= (m - 1) * lda + k, "dgemm: a too small");
-        }
-    }
+    assert!(lda >= m.max(1), "dgemm: lda < m");
+    assert!(k == 0 || a.len() >= (k - 1) * lda + m, "dgemm: a too small");
     assert!(ldb >= k.max(1), "dgemm: ldb < k");
     assert!(n == 0 || b.len() >= (n - 1) * ldb + k, "dgemm: b too small");
 
@@ -101,14 +103,10 @@ pub fn dgemm(
     if alpha == 0.0 || k == 0 {
         return;
     }
-
-    match trans_a {
-        Trans::No => dgemm_nn(Tile::detect(), m, n, k, alpha, a, lda, b, ldb, c, ldc),
-        Trans::Yes => dgemm_tn(m, n, k, alpha, a, lda, b, ldb, c, ldc),
-    }
+    dgemm_nn(Tile::detect(), m, n, k, alpha, a, lda, b, ldb, c, ldc);
 }
 
-/// `C += alpha * A * B`, no-transpose fast path (contract in [`dgemm`]).
+/// `C += alpha * A * B` on `tile` (contract in [`dgemm`]).
 #[allow(clippy::too_many_arguments)]
 fn dgemm_nn(
     tile: Tile,
@@ -123,40 +121,41 @@ fn dgemm_nn(
     c: &mut [f64],
     ldc: usize,
 ) {
+    let (mr, nr) = tile.shape();
     let mut pa = PACK_A.take();
-    let mut pb = [0.0; KC * NR];
+    let mut pb = [0.0; KC * NR_MAX];
     for p0 in (0..k).step_by(KC) {
         let kb = KC.min(k - p0);
-        let pb = &mut pb[..kb * NR];
-        let mc_max = PACK_A_LEN / kb / MR * MR;
+        let pb = &mut pb[..kb * nr];
+        let mc_max = PACK_A_LEN / kb / mr * mr;
         for i0 in (0..m).step_by(mc_max) {
             let mc = mc_max.min(m - i0);
-            let pa_len = mc.div_ceil(MR) * MR * kb;
+            let pa_len = mc.div_ceil(mr) * mr * kb;
             if pa.len() < pa_len {
                 pa.resize(pa_len, 0.0);
             }
             let pa = &mut pa[..pa_len];
-            pack_a(pa, &a[i0 + p0 * lda..], lda, mc, kb);
-            for j0 in (0..n).step_by(NR) {
-                let nr = NR.min(n - j0);
-                pack_b(pb, &b[p0 + j0 * ldb..], ldb, kb, nr);
-                for (ip, ap) in pa.chunks_exact(MR * kb).enumerate() {
-                    let i = i0 + ip * MR;
-                    let mr = MR.min(m - i);
+            pack_a(pa, &a[i0 + p0 * lda..], lda, mc, kb, mr);
+            for j0 in (0..n).step_by(nr) {
+                let cols = nr.min(n - j0);
+                pack_b(pb, &b[p0 + j0 * ldb..], ldb, kb, cols, nr);
+                for (ip, ap) in pa.chunks_exact(mr * kb).enumerate() {
+                    let i = i0 + ip * mr;
+                    let rows = mr.min(m - i);
                     let cij = &mut c[i + j0 * ldc..];
-                    if mr == MR && nr == NR {
+                    if rows == mr && cols == nr {
                         tile.run(kb, alpha, ap, pb, cij, ldc);
                         continue;
                     }
                     // An overhanging tile: the same kernel, on a copy of
                     // the part of `C` that exists.
-                    let mut t = [0.0; MR * NR];
-                    for jj in 0..nr {
-                        t[jj * MR..][..mr].copy_from_slice(&cij[jj * ldc..][..mr]);
+                    let mut t = [0.0; MR_MAX * NR_MAX];
+                    for jj in 0..cols {
+                        t[jj * mr..][..rows].copy_from_slice(&cij[jj * ldc..][..rows]);
                     }
-                    tile.run(kb, alpha, ap, pb, &mut t, MR);
-                    for jj in 0..nr {
-                        cij[jj * ldc..][..mr].copy_from_slice(&t[jj * MR..][..mr]);
+                    tile.run(kb, alpha, ap, pb, &mut t, mr);
+                    for jj in 0..cols {
+                        cij[jj * ldc..][..rows].copy_from_slice(&t[jj * mr..][..rows]);
                     }
                 }
             }
@@ -165,81 +164,124 @@ fn dgemm_nn(
     PACK_A.set(pa);
 }
 
-/// Pack the `mc x kb` block at `a[0]` into 8-row micro-panels: column `p`
-/// of panel `ip` (rows `8 ip ..` of the block) goes to
-/// `pa[(ip kb + p) 8 ..]`, zero-padded past row `mc`.
-fn pack_a(pa: &mut [f64], a: &[f64], lda: usize, mc: usize, kb: usize) {
+/// Pack the `mc x kb` block at `a[0]` into `mr`-row micro-panels: column
+/// `p` of panel `ip` (rows `mr ip ..` of the block) goes to
+/// `pa[(ip kb + p) mr ..]`, zero-padded past row `mc`.
+fn pack_a(pa: &mut [f64], a: &[f64], lda: usize, mc: usize, kb: usize, mr: usize) {
     for p in 0..kb {
-        for (ip, rows) in a[p * lda..][..mc].chunks(MR).enumerate() {
-            let dst = &mut pa[(ip * kb + p) * MR..][..MR];
+        for (ip, rows) in a[p * lda..][..mc].chunks(mr).enumerate() {
+            let dst = &mut pa[(ip * kb + p) * mr..][..mr];
             dst[..rows.len()].copy_from_slice(rows);
             dst[rows.len()..].fill(0.0);
         }
     }
 }
 
-/// Pack the `kb x nr` block at `b[0]` into a 6-wide row-major sliver:
-/// row `p` goes to `pb[6 p ..]`, zero-padded past column `nr`.
-fn pack_b(pb: &mut [f64], b: &[f64], ldb: usize, kb: usize, nr: usize) {
-    if nr < NR {
+/// Pack the `kb x cols` block at `b[0]` into an `nr`-wide row-major
+/// sliver: row `p` goes to `pb[nr p ..]`, zero-padded past column `cols`.
+fn pack_b(pb: &mut [f64], b: &[f64], ldb: usize, kb: usize, cols: usize, nr: usize) {
+    if cols < nr {
         pb.fill(0.0);
     }
-    for jj in 0..nr {
+    for jj in 0..cols {
         for (p, &v) in b[jj * ldb..][..kb].iter().enumerate() {
-            pb[p * NR + jj] = v;
+            pb[p * nr + jj] = v;
         }
     }
 }
 
-/// Which implementation of the 8x6 tile runs.
+/// Which implementation of the register tile runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Tile {
-    /// Safe Rust on [`f64::mul_add`].
+    /// Safe Rust on [`f64::mul_add`], 8x6.
     Portable,
-    /// AVX2 + FMA intrinsics.
+    /// AVX2 + FMA intrinsics, 8x6.
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,
+    /// AVX-512F intrinsics, 24x8.
+    #[cfg(target_arch = "x86_64")]
+    Avx512,
 }
 
 impl Tile {
     /// The fastest tile this CPU runs.
     fn detect() -> Tile {
         #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return Tile::Avx2Fma;
+        for tile in [Tile::Avx512, Tile::Avx2Fma] {
+            if tile.runs_here() {
+                return tile;
             }
         }
         Tile::Portable
     }
 
-    /// `C[0..8, 0..6] <- fma(alpha, A B, C)` for one packed micro-panel `a`
-    /// (`8 x kb`, column `p` at `a[8 p..]`), one packed sliver `b`
-    /// (`kb x 6`, row `p` at `b[6 p..]`) and the tile whose top-left
+    /// Whether this CPU has the features the tile's kernel needs.
+    fn runs_here(self) -> bool {
+        match self {
+            Tile::Portable => true,
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx2Fma => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("fma")
+            }
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+        }
+    }
+
+    /// The register geometry `(MR, NR)`: the rows and columns of `C` one
+    /// [`Tile::run`] computes.
+    fn shape(self) -> (usize, usize) {
+        match self {
+            Tile::Portable => (8, 6),
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx2Fma => (8, 6),
+            #[cfg(target_arch = "x86_64")]
+            Tile::Avx512 => (MR_MAX, NR_MAX),
+        }
+    }
+
+    /// `C[0..MR, 0..NR] <- fma(alpha, A B, C)` for one packed micro-panel
+    /// `a` (`MR x kb`, column `p` at `a[MR p..]`), one packed sliver `b`
+    /// (`kb x NR`, row `p` at `b[NR p..]`) and the tile whose top-left
     /// element is `c[0]`.
     fn run(self, kb: usize, alpha: f64, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
+        let (mr, nr) = self.shape();
         assert!(
-            a.len() >= MR * kb && b.len() >= NR * kb,
+            a.len() >= mr * kb && b.len() >= nr * kb,
             "dgemm: short pack"
         );
-        assert!(c.len() >= (NR - 1) * ldc + MR, "dgemm: tile outside c");
+        assert!(c.len() >= (nr - 1) * ldc + mr, "dgemm: tile outside c");
         match self {
-            Tile::Portable => tile_portable(kb, alpha, a, b, c, ldc),
+            Tile::Portable => tile_portable::<8, 6>(kb, alpha, a, b, c, ldc),
             #[cfg(target_arch = "x86_64")]
-            // SAFETY: only `detect` makes this variant, after probing both
-            // features; the two asserts above are the kernel's length
-            // requirements.
+            // SAFETY: `detect` (and the tests' `tiles_here`) make this
+            // variant only where `runs_here` found AVX2 and FMA; the two
+            // asserts above are the kernel's length requirements.
             Tile::Avx2Fma => unsafe {
                 tile_avx2_fma(kb, alpha, a.as_ptr(), b.as_ptr(), c.as_mut_ptr(), ldc)
+            },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `detect` (and the tests' `tiles_here`) make this
+            // variant only where `runs_here` found AVX-512F; the two
+            // asserts above are the kernel's length requirements.
+            Tile::Avx512 => unsafe {
+                tile_avx512(kb, alpha, a.as_ptr(), b.as_ptr(), c.as_mut_ptr(), ldc)
             },
         }
     }
 }
 
-/// The reference statement of the tile; see [`Tile::run`] for the layout.
-fn tile_portable(kb: usize, alpha: f64, a: &[f64], b: &[f64], c: &mut [f64], ldc: usize) {
+/// The reference statement of an `MR x NR` tile; see [`Tile::run`] for the
+/// layout.
+fn tile_portable<const MR: usize, const NR: usize>(
+    kb: usize,
+    alpha: f64,
+    a: &[f64],
+    b: &[f64],
+    c: &mut [f64],
+    ldc: usize,
+) {
     let mut acc = [[0.0f64; MR]; NR];
     for (ap, bp) in a.chunks_exact(MR).zip(b.chunks_exact(NR)).take(kb) {
         for (accj, &bv) in acc.iter_mut().zip(bp) {
@@ -255,9 +297,9 @@ fn tile_portable(kb: usize, alpha: f64, a: &[f64], b: &[f64], c: &mut [f64], ldc
     }
 }
 
-/// [`tile_portable`] on AVX2 + FMA: column `j` of the tile is the
-/// accumulator pair `acc[j]`, each step two loads of `A`, six broadcasts of
-/// `B` and twelve fused multiply-adds.
+/// The 8x6 tile on AVX2 + FMA: column `j` of the tile is the accumulator
+/// pair `acc[j]`, each step two loads of `A`, six broadcasts of `B` and
+/// twelve fused multiply-adds.
 ///
 /// # Safety
 /// The CPU must support AVX2 and FMA; `a` must be readable for `8 kb`
@@ -274,6 +316,8 @@ unsafe fn tile_avx2_fma(
     ldc: usize,
 ) {
     use std::arch::x86_64::*;
+    const MR: usize = 8;
+    const NR: usize = 6;
     let mut acc = [[_mm256_setzero_pd(); 2]; NR];
     for p in 0..kb {
         let a0 = _mm256_loadu_pd(a.add(p * MR));
@@ -293,28 +337,48 @@ unsafe fn tile_avx2_fma(
     }
 }
 
-/// `C += alpha * A^T * B` reference path (used by verification only).
-fn dgemm_tn(
-    m: usize,
-    n: usize,
-    k: usize,
+/// The 24x8 tile on AVX-512F: column `j` of the tile is the accumulator
+/// triple `acc[j]`, each step three loads of `A`, eight broadcasts of `B`
+/// and twenty-four fused multiply-adds (24 of the 32 `zmm` registers hold
+/// accumulators).
+///
+/// # Safety
+/// The CPU must support AVX-512F; `a` must be readable for `24 kb`
+/// elements, `b` for `8 kb`, and `c` readable and writable for
+/// `7 ldc + 24`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+unsafe fn tile_avx512(
+    kb: usize,
     alpha: f64,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    ldb: usize,
-    c: &mut [f64],
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
     ldc: usize,
 ) {
-    for j in 0..n {
-        for i in 0..m {
-            let mut s = 0.0;
-            let acol = &a[i * lda..i * lda + k];
-            let bcol = &b[j * ldb..j * ldb + k];
-            for p in 0..k {
-                s += acol[p] * bcol[p];
+    use std::arch::x86_64::*;
+    const MR: usize = MR_MAX;
+    const NR: usize = NR_MAX;
+    let mut acc = [[_mm512_setzero_pd(); 3]; NR];
+    for p in 0..kb {
+        let ap = a.add(p * MR);
+        let av = [
+            _mm512_loadu_pd(ap),
+            _mm512_loadu_pd(ap.add(8)),
+            _mm512_loadu_pd(ap.add(16)),
+        ];
+        for (j, accj) in acc.iter_mut().enumerate() {
+            let bv = _mm512_set1_pd(*b.add(p * NR + j));
+            for (s, &a) in accj.iter_mut().zip(&av) {
+                *s = _mm512_fmadd_pd(a, bv, *s);
             }
-            c[i + j * ldc] += alpha * s;
+        }
+    }
+    let va = _mm512_set1_pd(alpha);
+    for (j, accj) in acc.iter().enumerate() {
+        for (r, &s) in accj.iter().enumerate() {
+            let cj = c.add(j * ldc + 8 * r);
+            _mm512_storeu_pd(cj, _mm512_fmadd_pd(va, s, _mm512_loadu_pd(cj)));
         }
     }
 }
@@ -486,32 +550,6 @@ mod tests {
     }
 
     #[test]
-    fn dgemm_transposed_a() {
-        let a = Matrix::from_fn(4, 6, |i, j| (i * 6 + j) as f64 * 0.1); // stored 4x6, used as 6x4
-        let b = Matrix::from_fn(4, 3, |i, j| (i + 2 * j) as f64);
-        let mut c = Matrix::zeros(6, 3);
-        let ldc = c.ld();
-        dgemm(
-            Trans::Yes,
-            6,
-            3,
-            4,
-            1.0,
-            a.as_slice(),
-            a.ld(),
-            b.as_slice(),
-            b.ld(),
-            0.0,
-            c.as_mut_slice(),
-            ldc,
-        );
-        // reference: build A^T explicitly
-        let at = Matrix::from_fn(6, 4, |i, j| a[(j, i)]);
-        let r = at.matmul_ref(&b);
-        assert!(c.max_abs_diff(&r) < 1e-12);
-    }
-
-    #[test]
     fn dgemm_with_submatrix_leading_dims() {
         // Operate on the top-left 3x3 of 5x5 buffers (lda=5).
         let big_a = Matrix::from_fn(5, 5, |i, j| (i * 5 + j) as f64);
@@ -563,22 +601,42 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Every tile this CPU runs, portable first: a test-only list, so that
+    /// each tile is checked, not only the one `detect` picks. A tile the
+    /// CPU lacks prints "skipped".
+    fn tiles_here() -> Vec<Tile> {
+        let mut tiles = vec![Tile::Portable];
+        #[cfg(target_arch = "x86_64")]
+        tiles.extend([Tile::Avx2Fma, Tile::Avx512]);
+        tiles.retain(|tile| {
+            let here = tile.runs_here();
+            if !here {
+                println!("skipped: this CPU lacks the {tile:?} tile");
+            }
+            here
+        });
+        tiles
+    }
+
     #[test]
-    fn portable_and_avx2_fma_tiles_agree_bit_for_bit() {
-        let tile = Tile::detect();
-        if tile == Tile::Portable {
-            println!("skipped: this CPU runs the portable tile only (no AVX2 + FMA)");
-            return;
-        }
-        let sizes = || (1..=20).chain([33, 65]);
-        for m in sizes() {
-            for n in sizes() {
+    fn every_tile_agrees_with_the_portable_one_bit_for_bit() {
+        let tiles = tiles_here();
+        // 7..9, 23..25 and 47, 49 straddle both row geometries (8, 24);
+        // 5..9 and 17 both column geometries (6, 8)
+        for m in (1..=20).chain([23, 24, 25, 33, 47, 49, 65]) {
+            for n in (1..=20).chain([33, 65]) {
                 for k in [1, 3, 32, KC + 1] {
                     // 1/3: with a power of two the final fma is exact unfused too
                     for alpha in [-1.0, 1.0, 0.5, 1.0 / 3.0] {
                         let want = nn_on(Tile::Portable, m, n, k, alpha, 3);
-                        let got = nn_on(tile, m, n, k, alpha, 3);
-                        assert_eq!(bits(&got), bits(&want), "m={m} n={n} k={k} alpha={alpha}");
+                        for &tile in &tiles[1..] {
+                            let got = nn_on(tile, m, n, k, alpha, 3);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{tile:?} m={m} n={n} k={k} alpha={alpha}"
+                            );
+                        }
                     }
                 }
             }
@@ -588,18 +646,24 @@ mod tests {
     #[test]
     fn overhanging_tiles_write_only_inside_c() {
         // rows m..ldc of every column are not part of C
-        let (m, n, k, pad) = (13, 7, 5, 3);
-        let ldc = m + 2 * pad;
-        let before = fill(ldc * n, 0.75);
-        for tile in [Tile::Portable, Tile::detect()] {
-            let after = nn_on(tile, m, n, k, 1.0, pad);
-            for j in 0..n {
-                let below = j * ldc + m..(j + 1) * ldc;
-                assert_eq!(
-                    bits(&after[below.clone()]),
-                    bits(&before[below]),
-                    "{tile:?} wrote below column {j}"
-                );
+        let pad = 3;
+        for tile in tiles_here() {
+            for m in [7, 8, 9, 13, 23, 24, 25, 47, 49] {
+                for n in [5, 6, 7, 8, 9, 17] {
+                    for k in [5, KC + 1] {
+                        let ldc = m + 2 * pad;
+                        let before = fill(ldc * n, 0.75);
+                        let after = nn_on(tile, m, n, k, 1.0, pad);
+                        for j in 0..n {
+                            let below = j * ldc + m..(j + 1) * ldc;
+                            assert_eq!(
+                                bits(&after[below.clone()]),
+                                bits(&before[below]),
+                                "{tile:?} m={m} n={n} k={k} wrote below column {j}"
+                            );
+                        }
+                    }
+                }
             }
         }
     }
@@ -608,48 +672,50 @@ mod tests {
     fn result_does_not_depend_on_where_a_call_is_split() {
         // an element's value depends on its row of A and its column of B,
         // not on which tile of which call it falls in
-        let (m, n, k, alpha) = (19, 17, KC + 7, -1.0);
+        let (m, n, k, alpha) = (49, 17, KC + 7, -1.0);
         let a = Matrix::from_fn(m, k, |i, j| ((i * 31 + j * 17) % 101) as f64 / 7.0 - 6.0);
         let b = Matrix::from_fn(k, n, |i, j| ((i * 7 + j * 3) % 89) as f64 / 3.0 - 5.0);
         let c0 = Matrix::from_fn(m, n, |i, j| (i as f64 - j as f64) / 9.0);
-        let run = |rows: std::ops::Range<usize>, cols: std::ops::Range<usize>, c: &mut Matrix| {
-            let ldc = c.ld();
-            dgemm(
-                Trans::No,
-                rows.len(),
-                cols.len(),
-                k,
-                alpha,
-                &a.as_slice()[rows.start..],
-                a.ld(),
-                &b.as_slice()[cols.start * b.ld()..],
-                b.ld(),
-                1.0,
-                &mut c.as_mut_slice()[rows.start + cols.start * ldc..],
-                ldc,
-            );
-        };
-        let mut whole = c0.clone();
-        run(0..m, 0..n, &mut whole);
-        for s in 0..=n {
-            let mut c = c0.clone();
-            run(0..m, 0..s, &mut c);
-            run(0..m, s..n, &mut c);
-            assert_eq!(
-                bits(c.as_slice()),
-                bits(whole.as_slice()),
-                "columns split at {s}"
-            );
-        }
-        for s in 0..=m {
-            let mut c = c0.clone();
-            run(0..s, 0..n, &mut c);
-            run(s..m, 0..n, &mut c);
-            assert_eq!(
-                bits(c.as_slice()),
-                bits(whole.as_slice()),
-                "rows split at {s}"
-            );
+        for tile in tiles_here() {
+            let run =
+                |rows: std::ops::Range<usize>, cols: std::ops::Range<usize>, c: &mut Matrix| {
+                    let ldc = c.ld();
+                    dgemm_nn(
+                        tile,
+                        rows.len(),
+                        cols.len(),
+                        k,
+                        alpha,
+                        &a.as_slice()[rows.start..],
+                        a.ld(),
+                        &b.as_slice()[cols.start * b.ld()..],
+                        b.ld(),
+                        &mut c.as_mut_slice()[rows.start + cols.start * ldc..],
+                        ldc,
+                    );
+                };
+            let mut whole = c0.clone();
+            run(0..m, 0..n, &mut whole);
+            for s in 0..=n {
+                let mut c = c0.clone();
+                run(0..m, 0..s, &mut c);
+                run(0..m, s..n, &mut c);
+                assert_eq!(
+                    bits(c.as_slice()),
+                    bits(whole.as_slice()),
+                    "{tile:?}: columns split at {s}"
+                );
+            }
+            for s in 0..=m {
+                let mut c = c0.clone();
+                run(0..s, 0..n, &mut c);
+                run(s..m, 0..n, &mut c);
+                assert_eq!(
+                    bits(c.as_slice()),
+                    bits(whole.as_slice()),
+                    "{tile:?}: rows split at {s}"
+                );
+            }
         }
     }
 

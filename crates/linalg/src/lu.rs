@@ -47,11 +47,7 @@ pub fn dgetf2(
         }
         ipiv[j] = piv;
         // Swap rows j and piv across all n columns.
-        if piv != j {
-            for c in 0..n {
-                a.swap(j + c * lda, piv + c * lda);
-            }
-        }
+        dlaswp(n, a, lda, j, &[piv]);
         // Scale multipliers.
         let inv = 1.0 / a[j + j * lda];
         for i in j + 1..m {
@@ -75,19 +71,18 @@ pub fn dgetf2(
     Ok(())
 }
 
-/// Apply row interchanges recorded by [`dgetf2`]/[`dgetrf`] to an `m x n`
-/// matrix: for `j` in `[k0, k1)`, swap row `j` with row `ipiv[j]`.
+/// Apply a panel's row interchanges to the `n` columns of `a`: for `t`
+/// ascending, swap row `k0 + t` with row `piv[t]` (rows of `a`, 0-based).
 ///
-/// This is LAPACK `dlaswp` with unit column stride, used to keep the `L`
-/// panels consistent across the whole matrix.
-pub fn dlaswp(n: usize, a: &mut [f64], lda: usize, k0: usize, k1: usize, ipiv: &[usize]) {
-    assert!(k1 <= ipiv.len(), "dlaswp: ipiv too short");
-    for j in k0..k1 {
-        let p = ipiv[j];
-        if p != j {
-            for c in 0..n {
-                a.swap(j + c * lda, p + c * lda);
-            }
+/// This is LAPACK `dlaswp` with unit column stride. It walks one column at
+/// a time, applying every pivot to it before moving on, so each column is
+/// touched in cache once; the swaps within a column keep their order, so
+/// every element ends where the row-by-row order puts it.
+pub fn dlaswp(n: usize, a: &mut [f64], lda: usize, k0: usize, piv: &[usize]) {
+    for c in 0..n {
+        let col = &mut a[c * lda..];
+        for (t, &p) in piv.iter().enumerate() {
+            col.swap(k0 + t, p);
         }
     }
 }
@@ -119,22 +114,12 @@ pub fn dgetrf(
             }
         }
         // Apply the panel's row swaps to the columns left of the panel…
-        if j > 0 {
-            dlaswp(j, a, lda, j, j + jb, ipiv);
-        }
+        let piv = &ipiv[j..j + jb];
+        dlaswp(j, a, lda, j, piv);
         // …and to the trailing columns.
         if j + jb < n {
             let ncols = n - j - jb;
-            let trail = &mut a[(j + jb) * lda..];
-            // swap within trailing block: rows ipiv[j..j+jb]
-            for t in j..j + jb {
-                let p = ipiv[t];
-                if p != t {
-                    for c in 0..ncols {
-                        trail.swap(t + c * lda, p + c * lda);
-                    }
-                }
-            }
+            dlaswp(ncols, &mut a[(j + jb) * lda..], lda, j, piv);
             // U12 := L11^{-1} * A12
             let l11_start = j + j * lda;
             let (head, tail) = a.split_at_mut((j + jb) * lda);
@@ -200,7 +185,7 @@ mod tests {
         // Apply pivots to a copy of the original.
         let mut pa = orig.clone();
         let lda = pa.ld();
-        dlaswp(n, pa.as_mut_slice(), lda, 0, n, ipiv);
+        dlaswp(n, pa.as_mut_slice(), lda, 0, ipiv);
         let diff = lu.max_abs_diff(&pa);
         assert!(diff < 1e-9, "||LU - PA|| = {diff}");
     }
@@ -304,7 +289,7 @@ mod tests {
         let mut a = orig.clone();
         let ipiv = vec![3, 2, 5, 3];
         let lda = a.ld();
-        dlaswp(4, a.as_mut_slice(), lda, 0, 4, &ipiv);
+        dlaswp(4, a.as_mut_slice(), lda, 0, &ipiv);
         // applying the swaps in reverse order undoes them
         for j in (0..4).rev() {
             let p = ipiv[j];
@@ -315,5 +300,43 @@ mod tests {
             }
         }
         assert_eq!(a, orig);
+    }
+
+    #[test]
+    fn dlaswp_moves_what_the_row_by_row_loop_moves() {
+        // the row-outer loop dlaswp replaced: one pivot across every column
+        fn row_outer(n: usize, a: &mut [f64], lda: usize, k0: usize, piv: &[usize]) {
+            for (t, &p) in piv.iter().enumerate() {
+                for c in 0..n {
+                    a.swap(k0 + t + c * lda, p + c * lda);
+                }
+            }
+        }
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut draw = |below: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % below as u64) as usize
+        };
+        for _ in 0..200 {
+            let (m, n, pad) = (1 + draw(40), draw(12), draw(3));
+            let lda = m + pad;
+            let k0 = draw(m);
+            let mut piv: Vec<usize> = (0..draw(m - k0 + 1)).map(|_| draw(m)).collect();
+            for t in 0..piv.len() {
+                match draw(4) {
+                    0 => piv[t] = k0 + t,                // a self-pivot
+                    1 if t > 0 => piv[t] = piv[draw(t)], // a repeated target
+                    _ => {}
+                }
+            }
+            let orig: Vec<f64> = (0..lda * n).map(|i| i as f64).collect();
+            let (mut want, mut got) = (orig.clone(), orig);
+            row_outer(n, &mut want, lda, k0, &piv);
+            dlaswp(n, &mut got, lda, k0, &piv);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "m={m} n={n} k0={k0} piv={piv:?}");
+        }
     }
 }

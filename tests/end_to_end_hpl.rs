@@ -8,7 +8,7 @@ use self_checkpoint::cluster::{
 use self_checkpoint::encoding::{Code, CodecSpec};
 use self_checkpoint::ftsim::{run_blcr, run_with_daemon, BlcrConfig, BlcrStore};
 use self_checkpoint::hpl::{run_plain, run_skt, HplConfig, SktConfig, ITER_PROBE};
-use self_checkpoint::mps::run_on_cluster;
+use self_checkpoint::mps::{run_local, run_on_cluster};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -177,4 +177,27 @@ fn larger_grid_with_uneven_block_ownership() {
     rl.repair(&cluster).unwrap();
     let outs = run_on_cluster(cluster, &rl, |ctx| run_skt(ctx, &cfg)).unwrap();
     assert!(outs.iter().all(|o| o.hpl.passed));
+}
+
+/// The plain solve's residual, bit for bit, at two small shapes. `dgemm`'s
+/// numeric contract fixes every element's sequence of fused multiply-adds
+/// whatever register tile the CPU picks, and the row swaps move the same
+/// values in any column order: a kernel change that moves a bit fails here.
+#[test]
+fn plain_residual_bits_are_pinned() {
+    for (n, nb, ranks, bits) in [
+        (256, 16, 4, 0x3f76_7a38_cb32_7bcb_u64),
+        (200, 8, 3, 0x3f70_3c48_3c14_22ac),
+    ] {
+        let outs = run_local(ranks, |ctx| run_plain(ctx, &HplConfig::new(n, nb, 11))).unwrap();
+        for o in outs {
+            assert!(o.passed);
+            assert_eq!(
+                o.residual.to_bits(),
+                bits,
+                "N={n} NB={nb} ranks={ranks}: residual {}",
+                o.residual
+            );
+        }
+    }
 }
